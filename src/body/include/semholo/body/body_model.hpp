@@ -86,6 +86,20 @@ struct PosedCapsule {
     float ra, rb;
 };
 
+// Signed distance from p to a capsule's round-cone surface (radius
+// lerped from ra at a to rb at b): one term of the body field's fold.
+float capsuleDistance(const PosedCapsule& c, Vec3f p);
+// Per-capsule bounds behind the analytic block certificate, both
+// 1-Lipschitz in p:
+//   capsuleLowerBound(c, p) <= capsuleDistance(c, p) <= capsuleUpperBound(c, p)
+// Lower: distance to the segment's bounding box minus max(ra, rb).
+// Upper: distance to the nearer endpoint minus min(ra, rb) — the
+// segment's nearest point is no farther and the lerped radius no
+// smaller. (Pairing each endpoint with its own radius does not bound
+// tapered capsules.)
+float capsuleLowerBound(const PosedCapsule& c, Vec3f p);
+float capsuleUpperBound(const PosedCapsule& c, Vec3f p);
+
 // A body field packaged with the analytic bounds sparse sampling needs:
 //  * lipschitz — conservative Lipschitz constant of the field (capsule
 //    round-cones contribute 1 + |ra-rb|/length through the smooth-min

@@ -10,7 +10,9 @@
 // bit-identical to calling BodyField::field point by point, including
 // the per-lane bone-pruning decisions (each lane keeps its own running
 // distance, so a lane prunes a capsule exactly when the scalar path
-// would).
+// would). Kernels cull capsules per chunk of up to 64 points only when
+// every lane of the chunk provably prunes them, so values and tallies
+// are unchanged.
 #pragma once
 
 #include <cmath>
@@ -24,19 +26,24 @@ namespace semholo::body::detail {
 // Capsule + prune-box constants in structure-of-arrays form so kernels
 // broadcast one scalar per capsule instead of gathering.
 struct BodyBatchData {
-    // Segment endpoints a, precomputed ab = b - a and |ab|^2.
+    // Segment endpoints a and b, precomputed ab = b - a and |ab|^2.
     std::vector<float> ax, ay, az;
+    std::vector<float> bx, by, bz;
     std::vector<float> abx, aby, abz;
     std::vector<float> len2;
     // End radii: ra and drr = rb - ra (the lerp coefficients).
     std::vector<float> ra, drr;
     // Prune boxes (segment AABB) + larger end radius.
     std::vector<float> lox, loy, loz, hix, hiy, hiz, rmax;
+    // Smaller end radius: the chunk cull's distance upper bounds.
+    std::vector<float> rmin;
     std::size_t count{0};
 
     bool bonePruning{true};
     bool hasExpression{false};
     ExpressionParams expr{};
+    // BodyField::faceBounds: outside it the expression warp is zero.
+    geom::AABB faceBounds{};
     geom::RigidTransform headXf{}, headInv{};
     Vec3f headRest{};
     bool clothingDetail{false};

@@ -190,6 +190,26 @@ float aabbDistance2(Vec3f p, Vec3f lo, Vec3f hi) {
     return dx * dx + dy * dy + dz * dz;
 }
 
+}  // namespace
+
+float capsuleDistance(const PosedCapsule& c, Vec3f p) {
+    return capsuleDistance(p, c.a, c.b, c.ra, c.rb);
+}
+
+float capsuleLowerBound(const PosedCapsule& c, Vec3f p) {
+    const Vec3f lo{std::min(c.a.x, c.b.x), std::min(c.a.y, c.b.y),
+                   std::min(c.a.z, c.b.z)};
+    const Vec3f hi{std::max(c.a.x, c.b.x), std::max(c.a.y, c.b.y),
+                   std::max(c.a.z, c.b.z)};
+    return std::sqrt(aabbDistance2(p, lo, hi)) - std::max(c.ra, c.rb);
+}
+
+float capsuleUpperBound(const PosedCapsule& c, Vec3f p) {
+    return std::min((p - c.a).norm(), (p - c.b).norm()) - std::min(c.ra, c.rb);
+}
+
+namespace {
+
 using BatchKernel = void (*)(const detail::BodyBatchData&, const float*,
                              const float*, const float*, float*, std::size_t,
                              std::uint64_t&, std::uint64_t&);
@@ -337,6 +357,9 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
             data->ax.push_back(b.a.x);
             data->ay.push_back(b.a.y);
             data->az.push_back(b.a.z);
+            data->bx.push_back(b.b.x);
+            data->by.push_back(b.b.y);
+            data->bz.push_back(b.b.z);
             const Vec3f ab = b.b - b.a;
             data->abx.push_back(ab.x);
             data->aby.push_back(ab.y);
@@ -344,6 +367,7 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
             data->len2.push_back(ab.norm2());
             data->ra.push_back(b.ra);
             data->drr.push_back(b.rb - b.ra);
+            data->rmin.push_back(std::min(b.ra, b.rb));
         }
         for (const BonePruneData& bd : prune) {
             data->lox.push_back(bd.lo.x);
@@ -357,6 +381,7 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
         data->bonePruning = options.bonePruning;
         data->hasExpression = hasExpression;
         data->expr = expr;
+        data->faceBounds = out.faceBounds;
         data->headXf = headXf;
         data->headInv = headInv;
         data->headRest = headRest;
@@ -376,11 +401,9 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     }
 
     // Analytic block certificate. For any query q within 'radius' of the
-    // center c, with crude (but 1-Lipschitz-in-q) per-capsule bounds:
-    //   capsuleDistance_i(q) >= dist(q, segBox_i) - rmax_i
-    //                        >= dist(c, segBox_i) - rmax_i - radius
-    //   capsuleDistance_i(q) <= min(|q-a_i| - ra_i, |q-b_i| - rb_i)
-    //                        <= min(|c-a_i| - ra_i, |c-b_i| - rb_i) + radius
+    // center c, the per-capsule bounds (1-Lipschitz in q) give
+    //   capsuleDistance_i(q) >= capsuleLowerBound_i(c) - radius
+    //   capsuleDistance_i(q) <= capsuleUpperBound_i(c) + radius
     // and the smooth-min fold satisfies min_i - kFieldBlend <= f <= min_i,
     // so one pass over the capsules brackets f over the whole ball. The
     // expression warp shifts the query by at most 'maxWarp' but only for
@@ -403,14 +426,8 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
         float lb = std::numeric_limits<float>::max();  // min_i capsule lower bound
         float ub = std::numeric_limits<float>::max();  // min_i capsule upper bound
         for (const PosedCapsule& c : capsules) {
-            const Vec3f lo{std::min(c.a.x, c.b.x), std::min(c.a.y, c.b.y),
-                           std::min(c.a.z, c.b.z)};
-            const Vec3f hi{std::max(c.a.x, c.b.x), std::max(c.a.y, c.b.y),
-                           std::max(c.a.z, c.b.z)};
-            lb = std::min(
-                lb, std::sqrt(aabbDistance2(center, lo, hi)) - std::max(c.ra, c.rb));
-            ub = std::min(ub, std::min((center - c.a).norm() - c.ra,
-                                       (center - c.b).norm() - c.rb));
+            lb = std::min(lb, capsuleLowerBound(c, center));
+            ub = std::min(ub, capsuleUpperBound(c, center));
         }
         // Exterior: f >= lb - radius - kFieldBlend > slack over the ball.
         if (lb - kFieldBlend > clear) return true;

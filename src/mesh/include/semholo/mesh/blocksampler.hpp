@@ -59,7 +59,8 @@ struct FieldSampleOptions {
     // from their own geometry than from global L/J constants, which get
     // inflated by worst-case capsule cones and expression warps that
     // only act near the face. The caller must fold any temporal-cache
-    // tolerance into the certificate itself.
+    // tolerance into the certificate itself. Like the field, it is
+    // called concurrently from pool workers.
     std::function<bool(geom::Vec3f center, float radius)> certificate;
     // Optional SoA batch evaluator paired with the field (must return
     // bit-identical values — see BatchScalarField). When set, fully
@@ -163,16 +164,25 @@ private:
     // block was skipped.
     void processBlock(int block, const ScalarField& field,
                       const FieldSampleOptions& options, FieldSampleStats& stats);
-    // Coarse-to-fine certificate descent: appends blocks needing a leaf
-    // pass to 'work' and coarse fills to 'fills'.
-    struct CoarseFill {
-        int block;
-        float value;
+    // An octree node left undecided by the serial top levels, with the
+    // outputs of its own descent.
+    struct Subtree {
+        Vec3i lo, hi;
+        FieldSampleStats stats;
+        std::vector<int> work;
     };
-    void descend(Vec3i lo, Vec3i hi, const std::vector<std::uint8_t>& dirtyLeaf,
+    // Octree depth at which sample() hands nodes to pool tasks.
+    static constexpr int kSplitDepth = 2;
+    // Coarse-to-fine certificate descent over block range [lo, hi] at
+    // octree depth 'depth': fills certified nodes' dirty blocks and
+    // appends blocks needing a leaf pass to 'work'. With 'split' set,
+    // dirty nodes at kSplitDepth (and single blocks above it) are
+    // appended there undecided instead.
+    void descend(Vec3i lo, Vec3i hi, int depth,
+                 const std::vector<std::uint8_t>& dirtyLeaf,
                  const ScalarField& field, const FieldSampleOptions& options,
                  FieldSampleStats& stats, std::vector<int>& work,
-                 std::vector<CoarseFill>& fills);
+                 std::vector<Subtree>* split);
 
     VoxelGrid& grid_;
     int blockSize_{8};

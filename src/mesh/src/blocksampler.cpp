@@ -173,12 +173,12 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
     surfaceFree_[static_cast<std::size_t>(block)] = 0;
 }
 
-void BlockSampler::descend(Vec3i lo, Vec3i hi,
+void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
                            const std::vector<std::uint8_t>& dirtyLeaf,
                            const ScalarField& field,
                            const FieldSampleOptions& options,
                            FieldSampleStats& stats, std::vector<int>& work,
-                           std::vector<CoarseFill>& fills) {
+                           std::vector<Subtree>* split) {
     // Skip subtrees with no dirty block (their leaves were already
     // accounted as cached by the prefilter).
     bool anyDirty = false;
@@ -189,7 +189,13 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi,
                                blockIndex({x, y, z}))] != 0;
     if (!anyDirty) return;
 
-    if (lo.x == hi.x && lo.y == hi.y && lo.z == hi.z) {
+    const bool single = lo.x == hi.x && lo.y == hi.y && lo.z == hi.z;
+    if (split != nullptr && (single || depth == kSplitDepth)) {
+        // Undecided: descended later as its own (parallel) subtree.
+        split->push_back({lo, hi, {}, {}});
+        return;
+    }
+    if (single) {
         // Single block: processBlock runs the leaf certificate as usual.
         work.push_back(blockIndex(lo));
         return;
@@ -201,6 +207,8 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi,
     // constant across the ball, so one probe's value is a valid fill for
     // every dirty block beneath (extraction cells touching filled nodes
     // lie wholly inside the certified region; see the header proof).
+    // Fills write only this node's blocks, so concurrent subtrees never
+    // touch the same grid nodes or surfaceFree_ entries.
     Vec3f center;
     float radius;
     nodeBall(lo, hi, center, radius);
@@ -213,7 +221,7 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi,
                 for (int x = lo.x; x <= hi.x; ++x) {
                     const int b = blockIndex({x, y, z});
                     if (dirtyLeaf[static_cast<std::size_t>(b)] == 0) continue;
-                    fills.push_back({b, d});
+                    fillBlock(b, d);
                     ++stats.blocksSkipped;
                     ++stats.blocksCoarseFilled;
                     stats.nodesTotal += ownedNodes(b);
@@ -233,9 +241,25 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi,
                 const Vec3i chi{ox ? hi.x : mid.x, oy ? hi.y : mid.y,
                                 oz ? hi.z : mid.z};
                 if (clo.x > chi.x || clo.y > chi.y || clo.z > chi.z) continue;
-                descend(clo, chi, dirtyLeaf, field, options, stats, work, fills);
+                descend(clo, chi, depth + 1, dirtyLeaf, field, options, stats,
+                        work, split);
             }
 }
+
+namespace {
+
+// fn(i) for i in [0, count): on the pool when it has several workers,
+// inline otherwise.
+template <typename F>
+void runTasks(core::ThreadPool* pool, std::size_t count, F&& fn) {
+    if (pool == nullptr || pool->size() <= 1 || count <= 1) {
+        for (std::size_t i = 0; i < count; ++i) fn(i);
+        return;
+    }
+    pool->parallelFor(count, fn);
+}
+
+}  // namespace
 
 FieldSampleStats BlockSampler::sample(const ScalarField& field,
                                       const FieldSampleOptions& options,
@@ -257,14 +281,26 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
                 total.nodesTotal += ownedNodes(b);
             }
         }
-        // Serial descent decides every block's fate (cert tests are a few
-        // capsule-distance bounds each); the expensive full samples fan
-        // out below. Coarse fills are applied here — memory-bound writes
-        // whose values never depend on scheduling.
-        std::vector<CoarseFill> fills;
-        descend({0, 0, 0}, {blocks_.x - 1, blocks_.y - 1, blocks_.z - 1},
-                dirtyLeaf, field, options, total, work, fills);
-        for (const CoarseFill& f : fills) fillBlock(f.block, f.value);
+        // The top levels decide few nodes, so they run serially and
+        // leave up to 64 undecided subtrees, each descended (certificate
+        // tests, field probes, coarse fills) as one pool task. A node's
+        // verdict depends only on its own range, so every subtree reaches
+        // the verdicts the serial descent would; concatenating the
+        // subtrees' leaf lists in split order (the serial DFS order)
+        // reproduces the serial work list exactly, and the stats are
+        // sums.
+        std::vector<Subtree> subtrees;
+        descend({0, 0, 0}, {blocks_.x - 1, blocks_.y - 1, blocks_.z - 1}, 0,
+                dirtyLeaf, field, options, total, work, &subtrees);
+        runTasks(options.pool, subtrees.size(), [&](std::size_t i) {
+            Subtree& s = subtrees[i];
+            descend(s.lo, s.hi, kSplitDepth, dirtyLeaf, field, options, s.stats,
+                    s.work, nullptr);
+        });
+        for (const Subtree& s : subtrees) {
+            total.merge(s.stats);
+            work.insert(work.end(), s.work.begin(), s.work.end());
+        }
     } else {
         for (int b = 0; b < count; ++b) {
             if (dirty != nullptr && (*dirty)[static_cast<std::size_t>(b)] == 0) {
@@ -276,32 +312,21 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
         }
     }
 
-    if (options.pool == nullptr || options.pool->size() <= 1 || work.size() <= 1) {
-        for (const int b : work) processBlock(b, field, options, total);
-        return total;
-    }
-
     // Chunk the block list so task overhead stays negligible. Chunk
     // boundaries may vary with pool size, but every node value is a pure
     // function of (field, block), so the sampled grid is identical for
     // any worker count; the stats are sums and commute.
-    core::ThreadPool& pool = *options.pool;
+    const std::size_t workers = options.pool != nullptr ? options.pool->size() : 1;
     const std::size_t chunks =
-        std::min(work.size(), std::max<std::size_t>(1, pool.size() * 8));
+        std::min(work.size(), std::max<std::size_t>(1, workers * 8));
     std::vector<FieldSampleStats> perChunk(chunks);
-    pool.parallelFor(chunks, [&](std::size_t c) {
+    runTasks(options.pool, chunks, [&](std::size_t c) {
         const std::size_t begin = work.size() * c / chunks;
         const std::size_t end = work.size() * (c + 1) / chunks;
         for (std::size_t i = begin; i < end; ++i)
             processBlock(work[i], field, options, perChunk[c]);
     });
-    for (const FieldSampleStats& s : perChunk) {
-        total.blocksSampled += s.blocksSampled;
-        total.blocksSkipped += s.blocksSkipped;
-        total.nodesEvaluated += s.nodesEvaluated;
-        total.nodesTotal += s.nodesTotal;
-        total.certTests += s.certTests;
-    }
+    for (const FieldSampleStats& s : perChunk) total.merge(s);
     return total;
 }
 

@@ -32,7 +32,6 @@ float aabbDistance(Vec3f p, Vec3f lo, Vec3f hi) {
 struct CapsuleBounds {
     Vec3f lo, hi;   // segment AABB (no radius)
     float rmax;     // larger end radius: distance lower bounds
-    float rmin;     // smaller end radius: distance upper bounds
 };
 
 CapsuleBounds capsuleBounds(const body::PosedCapsule& c) {
@@ -40,7 +39,6 @@ CapsuleBounds capsuleBounds(const body::PosedCapsule& c) {
     b.lo = {std::min(c.a.x, c.b.x), std::min(c.a.y, c.b.y), std::min(c.a.z, c.b.z)};
     b.hi = {std::max(c.a.x, c.b.x), std::max(c.a.y, c.b.y), std::max(c.a.z, c.b.z)};
     b.rmax = std::max(c.ra, c.rb);
-    b.rmin = std::min(c.ra, c.rb);
     return b;
 }
 
@@ -163,16 +161,12 @@ ReconstructionResult SparseReconstructor::reconstruct(const body::Pose& pose) {
         auto scanLeaf = [&](int block, std::uint64_t cand) {
             const auto b = static_cast<std::size_t>(block);
             const Vec3f center = sampler_->blockCenter(block);
-            // Smallest capsule-distance upper bound at the center:
-            // either endpoint is on the segment, so the nearer one
-            // minus the smaller radius bounds the capsule distance.
+            // Smallest capsule-distance upper bound at the center.
             float ubMin = std::numeric_limits<float>::max();
             for (std::uint64_t m = cand; m != 0; m &= m - 1) {
                 const auto i = static_cast<std::size_t>(std::countr_zero(m));
-                const body::PosedCapsule& c = body.capsules[i];
-                const float endDist =
-                    std::min((center - c.a).norm(), (center - c.b).norm());
-                ubMin = std::min(ubMin, endDist - caps[i].rmin);
+                ubMin = std::min(ubMin,
+                                 body::capsuleUpperBound(body.capsules[i], center));
             }
             const float threshold = ubMin + body.lipschitz * guard + blend3;
 
@@ -237,10 +231,8 @@ ReconstructionResult SparseReconstructor::reconstruct(const body::Pose& pose) {
                 for (std::uint64_t m = inherited; m != 0; m &= m - 1) {
                     const auto i =
                         static_cast<std::size_t>(std::countr_zero(m));
-                    const body::PosedCapsule& c = body.capsules[i];
-                    const float endDist =
-                        std::min((center - c.a).norm(), (center - c.b).norm());
-                    B = std::min(B, endDist - caps[i].rmin);
+                    B = std::min(B, body::capsuleUpperBound(body.capsules[i],
+                                                            center));
                 }
                 const float nodeThreshold = B + radius +
                                             body.lipschitz * guard + blend3 +

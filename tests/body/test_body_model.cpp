@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "semholo/body/animation.hpp"
 #include "semholo/mesh/isosurface.hpp"
 #include "semholo/mesh/metrics.hpp"
@@ -38,6 +40,69 @@ TEST(BodySignedDistance, TracksPose) {
     const Vec3f wristRest = Skeleton::canonical().restPosition(JointId::LeftWrist);
     EXPECT_LT(sdfRest(wristRest), 0.01f);
     EXPECT_GT(sdfBent(wristRest), 0.02f);
+}
+
+TEST(CapsuleBounds, UpperBoundHoldsForTaperedCapsule) {
+    // A cone tapering from ra = 0.5 to a point: at q the nearest segment
+    // point is the midpoint, where the lerped radius is 0.25, so the
+    // distance is 0.6 - 0.25 = 0.35. Pairing each endpoint with its own
+    // radius would claim min(|q-a| - 0.5, |q-b| - 0) = 0.281 — below
+    // the true distance, which let the interior certificate fire early.
+    const PosedCapsule c{{0.0f, 0.0f, 0.0f}, {1.0f, 0.0f, 0.0f}, 0.5f, 0.0f};
+    const Vec3f q{0.5f, 0.6f, 0.0f};
+    EXPECT_NEAR(capsuleDistance(c, q), 0.35f, 1e-6f);
+    EXPECT_GE(capsuleUpperBound(c, q), capsuleDistance(c, q));
+    EXPECT_LE(capsuleLowerBound(c, q), capsuleDistance(c, q));
+}
+
+TEST(CapsuleBounds, BracketDistanceForRandomTaperedCapsules) {
+    std::mt19937 rng(11);
+    std::uniform_real_distribution<float> coord(-1.0f, 1.0f);
+    std::uniform_real_distribution<float> radius(0.0f, 0.4f);
+    for (int i = 0; i < 20000; ++i) {
+        const PosedCapsule c{{coord(rng), coord(rng), coord(rng)},
+                             {coord(rng), coord(rng), coord(rng)},
+                             radius(rng), radius(rng)};
+        const Vec3f q{2.0f * coord(rng), 2.0f * coord(rng), 2.0f * coord(rng)};
+        const float d = capsuleDistance(c, q);
+        ASSERT_LE(capsuleLowerBound(c, q), d + 1e-5f) << "sample " << i;
+        ASSERT_GE(capsuleUpperBound(c, q), d - 1e-5f) << "sample " << i;
+    }
+}
+
+TEST(BodyField, ExpressionWarpVanishesOutsideFaceBounds) {
+    // The batch kernel skips the expression warp for point chunks that
+    // miss faceBounds, so the warp offset must be exactly zero there —
+    // also for a tilted head and saturated expression coefficients.
+    std::vector<Pose> poses = {MotionGenerator(MotionKind::Talk).poseAt(0.5),
+                               MotionGenerator(MotionKind::Talk).poseAt(1.7)};
+    Pose extreme = MotionGenerator(MotionKind::Wave).poseAt(0.9);
+    for (std::size_t k = 0; k < 4; ++k) extreme.expression.coeffs[k] = 1.0;
+    poses.push_back(extreme);
+    std::mt19937 rng(13);
+    for (const Pose& pose : poses) {
+        const BodyField body = makeBodyField(pose);
+        const RigidTransform headInv =
+            forwardKinematics(pose, Skeleton::canonical())
+                .worldFromJoint[index(JointId::Head)]
+                .inverse();
+        const Vec3f headRest = Skeleton::canonical().restPosition(JointId::Head);
+        geom::AABB around = body.faceBounds;
+        around.inflate(0.1f);
+        std::uniform_real_distribution<float> ux(around.lo.x, around.hi.x);
+        std::uniform_real_distribution<float> uy(around.lo.y, around.hi.y);
+        std::uniform_real_distribution<float> uz(around.lo.z, around.hi.z);
+        int outside = 0;
+        for (int i = 0; i < 20000; ++i) {
+            const Vec3f p{ux(rng), uy(rng), uz(rng)};
+            if (body.faceBounds.contains(p)) continue;
+            ++outside;
+            const Vec3f offset =
+                expressionOffset(headInv.apply(p) + headRest, pose.expression);
+            ASSERT_EQ(offset.norm2(), 0.0f) << "sample " << i;
+        }
+        EXPECT_GT(outside, 10000);
+    }
 }
 
 TEST(BodyBounds, ContainsAllKeypoints) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/isosurface.hpp"
@@ -158,6 +159,84 @@ TEST(BlockSampler, DirtyMaskSkipsCleanBlocks) {
     EXPECT_EQ(second.blocksCached, first.blocksTotal);
     EXPECT_EQ(second.nodesEvaluated, 0u);
     EXPECT_EQ(second.nodesTotal, first.nodesTotal);
+}
+
+// Everything one octree sample() pass produces: the grid, the
+// surface-free verdicts and every stats field.
+struct OctreePass {
+    std::vector<float> values;
+    std::vector<std::uint8_t> surfaceFree;
+    FieldSampleStats stats;
+};
+
+// Octree sampling of a sphere SDF with its exact analytic certificate.
+constexpr float kOctreeRadius = 0.45f;
+
+FieldSampleOptions octreeOptions(Vec3f center, core::ThreadPool* pool) {
+    FieldSampleOptions opt;
+    opt.blockSize = 4;
+    opt.pool = pool;
+    opt.certificate = [center](Vec3f c, float r) {
+        return std::fabs((c - center).norm() - kOctreeRadius) > r;
+    };
+    return opt;
+}
+
+// A full pass, then (with useDirty) a second pass of a moved sphere that
+// re-samples only every third block.
+OctreePass runOctree(Vec3i res, core::ThreadPool* pool, bool useDirty) {
+    VoxelGrid grid(unitBounds(), res);
+    BlockSampler sampler(grid, 4);
+    OctreePass pass;
+    const Vec3f first{0.0f, 0.05f, -0.1f};
+    pass.stats = sampler.sample(sphereField(first, kOctreeRadius),
+                                octreeOptions(first, pool));
+    if (useDirty) {
+        const Vec3f moved{0.1f, 0.05f, -0.1f};
+        std::vector<std::uint8_t> dirty(static_cast<std::size_t>(sampler.blockCount()));
+        for (std::size_t b = 0; b < dirty.size(); ++b) dirty[b] = b % 3 == 0;
+        pass.stats = sampler.sample(sphereField(moved, kOctreeRadius),
+                                    octreeOptions(moved, pool), &dirty);
+    }
+    for (int z = 0; z <= res.z; ++z)
+        for (int y = 0; y <= res.y; ++y)
+            for (int x = 0; x <= res.x; ++x) pass.values.push_back(grid.at(x, y, z));
+    pass.surfaceFree = sampler.surfaceFree();
+    return pass;
+}
+
+TEST(BlockSampler, OctreeIdenticalAcrossPools) {
+    core::ThreadPool one(1), two(2), eight(8);
+    // 11^3 blocks split below depth 2; 2^3 and 2x1x3 block grids end in
+    // single blocks above it; the anisotropic grid splits unevenly.
+    for (const Vec3i res : {Vec3i{40, 40, 40}, Vec3i{7, 7, 7}, Vec3i{6, 3, 10},
+                            Vec3i{44, 13, 29}}) {
+        for (const bool useDirty : {false, true}) {
+            const OctreePass ref = runOctree(res, nullptr, useDirty);
+            EXPECT_GT(ref.stats.certTests, 0u);
+            if (res.x == 40) {
+                // Coarse fills and leaf work both come out of the tasks.
+                EXPECT_GT(ref.stats.blocksCoarseFilled, 0u);
+                EXPECT_GT(ref.stats.blocksSampled, 0u);
+            }
+            for (core::ThreadPool* pool : {&one, &two, &eight}) {
+                const OctreePass got = runOctree(res, pool, useDirty);
+                SCOPED_TRACE(::testing::Message()
+                             << "res " << res.x << "x" << res.y << "x" << res.z
+                             << " dirty " << useDirty << " workers " << pool->size());
+                ASSERT_EQ(got.values, ref.values);
+                EXPECT_EQ(got.surfaceFree, ref.surfaceFree);
+                EXPECT_EQ(got.stats.blocksTotal, ref.stats.blocksTotal);
+                EXPECT_EQ(got.stats.blocksSampled, ref.stats.blocksSampled);
+                EXPECT_EQ(got.stats.blocksSkipped, ref.stats.blocksSkipped);
+                EXPECT_EQ(got.stats.blocksCached, ref.stats.blocksCached);
+                EXPECT_EQ(got.stats.blocksCoarseFilled, ref.stats.blocksCoarseFilled);
+                EXPECT_EQ(got.stats.nodesEvaluated, ref.stats.nodesEvaluated);
+                EXPECT_EQ(got.stats.nodesTotal, ref.stats.nodesTotal);
+                EXPECT_EQ(got.stats.certTests, ref.stats.certTests);
+            }
+        }
+    }
 }
 
 TEST(BlockSampler, CellBlockCoversWholeGrid) {
