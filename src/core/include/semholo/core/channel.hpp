@@ -18,6 +18,7 @@
 #include "semholo/body/body_model.hpp"
 #include "semholo/capture/image.hpp"
 #include "semholo/compress/codec2.hpp"
+#include "semholo/core/telemetry.hpp"
 #include "semholo/gaze/gaze.hpp"
 #include "semholo/geometry/transform.hpp"
 #include "semholo/mesh/trimesh.hpp"
@@ -70,16 +71,9 @@ struct DecodedFrame {
     double measuredReconMs{0.0};
     double simulatedReconMs{0.0};
     double reconMs() const { return measuredReconMs + simulatedReconMs; }
-    // Sparse-reconstruction work accounting, copied from the
-    // reconstructor's stats by mesh-producing channels (all zero on dense
-    // or image-only decode paths). Aggregated into telemetry counters.
-    std::uint64_t reconBlocksSkipped{0};
-    std::uint64_t reconBlocksCached{0};
-    std::uint64_t reconBonesPruned{0};
-    std::uint64_t reconNodesEvaluated{0};
-    std::uint64_t reconCertTests{0};
-    std::uint64_t reconActiveCells{0};
-    std::uint64_t reconReusedTopologyBlocks{0};
+    // Reconstruction work accounting, copied from the reconstructor's
+    // stats by mesh-producing channels. Aggregated into telemetry counters.
+    telemetry::ReconCounters recon;
 };
 
 class SemanticChannel {
@@ -91,11 +85,12 @@ public:
     // Reset per-session state (delta history, NeRF weights...), leaving
     // the channel as if freshly constructed.
     //
-    // Contract: the session engines (runSession / runMultiUserSession,
-    // serial and parallel) invoke reset() once before a channel's first
-    // frame, so a channel instance may be reused across sessions without
-    // the caller constructing a fresh one. Stateful channels MUST
-    // implement this; stateless channels inherit the no-op.
+    // Contract: the session engine (runSession, runConference and
+    // runMultiUserSession, at any worker count) invokes reset() once
+    // before a channel's first frame, so a channel instance may be
+    // reused across sessions without the caller constructing a fresh
+    // one. Stateful channels MUST implement this; stateless channels
+    // inherit the no-op.
     virtual void reset() {}
 };
 

@@ -121,7 +121,7 @@ struct ConferenceConfig {
     std::vector<Participant> participants;
     // Conference-wide defaults: fps, frames, timing model, transfer
     // options, the shared-uplink LinkConfig (session.link), the default
-    // degradation ladder, and workers for the parallel engine.
+    // degradation ladder, and the worker count.
     SessionConfig session;
     ArbiterConfig arbiter;
     // true: all uplinks traverse one bottleneck LinkSimulator built from

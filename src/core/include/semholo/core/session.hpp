@@ -3,28 +3,21 @@
 // stage, and (optionally sampled) reconstruction quality against the
 // ground-truth capture mesh.
 //
-// Two engines share the same semantics:
-//
-//  - the serial engine (workers == 1) runs everything on the calling
-//    thread;
-//  - the parallel engine (workers != 1) fans per-user work (encode,
-//    decode + Chamfer sampling) across a worker pool, while the
-//    shared-bottleneck LinkSimulator remains a single sequenced stage so
-//    capture-order interleaving and congestion semantics match the
-//    serial engine. In single-user runs the pool absorbs the per-frame
-//    quality evaluation.
-//
-// Multi-user runs execute as a completion-event-driven stage graph
-// (encode -> sequenced uplink ticket -> downlink fan-out -> decode per
-// user and tick, with explicit dependency edges), so every participant's
+// There is one session engine: a completion-event-driven stage graph
+// (encode -> sequenced uplink ticket -> downlink fan-out -> decode ->
+// quality per user and tick, with explicit dependency edges). A
+// one-way session is its one-participant case. Every participant's
 // throughput estimator and DegradationPolicy observe their own link
-// outcomes before their next tick encodes — the closed loop of the
-// paper's semantic coordinator, at conference scale — while users whose
-// feedback already landed may pipeline ahead of stragglers up to
-// ConferenceConfig::pipelineDepth ticks.
+// outcomes before their next tick encodes (the closed loop of the
+// paper's semantic coordinator), while users whose feedback already
+// landed may pipeline ahead of stragglers up to
+// ConferenceConfig::pipelineDepth ticks. The sampled Chamfer evaluation
+// runs in its own node, off the encode -> decode chain.
 //
-// With TimingModel::Simulated the pipeline clock is fully deterministic,
-// so `workers=1` and `workers=N` produce byte-identical per-frame
+// workers == 1 runs the graph in insertion order on the calling thread;
+// any other value runs it event-driven over a worker pool. With
+// TimingModel::Simulated the pipeline clock is fully deterministic, so
+// `workers=1` and `workers=N` produce byte-identical per-frame
 // bytes/delivered/dropped sequences (see tests/core/test_parallel_session).
 #pragma once
 
@@ -71,23 +64,19 @@ struct SessionConfig {
     // when false, frames queue and latency grows without bound for
     // stages slower than the frame interval.
     bool dropWhenBusy{true};
-    // Worker threads for the parallel engine: 0 = hardware_concurrency,
-    // 1 = exact legacy serial path.
+    // Worker threads running the stage graph: 0 = hardware_concurrency,
+    // 1 = insertion order on the calling thread.
     std::size_t workers{0};
     TimingModel timing{TimingModel::Measured};
-    // Closed-loop graceful degradation: when enabled, every engine
-    // (single- and multi-user, serial and parallel) runs a
-    // DegradationPolicy over each frame's link outcome and scales the
-    // bandwidth estimate fed to rate-adaptive channels, stepping quality
-    // down under sustained congestion or injected faults and back up on
-    // recovery. Transitions land in telemetry (counters.degradations /
-    // upgrades). Multi-user sessions run one independent policy (and one
-    // throughput estimator) per participant: the tick scheduler carries
-    // each capture tick's messages over the shared link before any user
-    // encodes the next tick, so each user observes their own link
-    // outcomes — per-user closed-loop adaptation over a shared
-    // bottleneck. Per-user transitions land in that user's telemetry and
-    // in MultiSessionStats::fairness.
+    // Closed-loop graceful degradation: when enabled, the engine runs one
+    // DegradationPolicy (and one throughput estimator) per participant
+    // over that participant's link outcomes and scales the bandwidth
+    // estimate fed to rate-adaptive channels, stepping quality down
+    // under sustained congestion or injected faults and back up on
+    // recovery. Each outcome is observed before that participant's next
+    // encode, so adaptation stays per-user even over a shared bottleneck.
+    // Transitions land in that user's telemetry (counters.degradations /
+    // upgrades) and in MultiSessionStats::fairness.
     DegradationConfig degradation{};
 };
 
@@ -105,16 +94,9 @@ struct FrameStats {
     bool droppedAtReceiver{false};  // reconstructor still busy at arrival
     // Chamfer distance vs ground truth when evaluated, NaN otherwise.
     double chamfer{std::numeric_limits<double>::quiet_NaN()};
-    // Sparse-reconstruction work accounting for this frame's decode (all
-    // zero on dense or image-only channels); summed into the session
-    // telemetry counters.
-    std::uint64_t reconBlocksSkipped{};
-    std::uint64_t reconBlocksCached{};
-    std::uint64_t reconBonesPruned{};
-    std::uint64_t reconNodesEvaluated{};
-    std::uint64_t reconCertTests{};
-    std::uint64_t reconActiveCells{};
-    std::uint64_t reconReusedTopologyBlocks{};
+    // Reconstruction work accounting of this frame's decode; summed into
+    // the session telemetry counters.
+    telemetry::ReconCounters recon;
 };
 
 struct SessionStats {
@@ -141,9 +123,10 @@ struct SessionStats {
     telemetry::SessionTelemetry telemetry;
 };
 
-// Run a one-way session (site A captures, site B renders). Calls
-// channel.reset() before the first frame; dispatches to the serial or
-// parallel engine based on config.workers.
+// Run a one-way session (site A captures, site B renders): the
+// one-participant conference over config.link as a shared uplink, with
+// no downlink fan-out and no arbiter. Calls channel.reset() before the
+// first frame.
 SessionStats runSession(SemanticChannel& channel, const body::BodyModel& model,
                         const SessionConfig& config);
 
@@ -156,15 +139,12 @@ SessionStats runSession(SemanticChannel& channel, const body::BodyModel& model,
 // order, so heavy channels congest each other. Each channel is reset()
 // before its first frame.
 //
-// Both engines are the same frame-tick scheduler: at each capture tick
-// every user encodes that tick's frame (fanned across the worker pool by
-// the parallel engine), the sequenced link stage carries the tick's
-// messages in user order, each user's throughput estimator and
-// DegradationPolicy observe their own link outcomes, and only then does
-// the next tick encode — so conference participants get the same
-// closed-loop feedback as single-user sessions. Under
-// TimingModel::Simulated the serial and parallel engines are
-// byte-identical at any worker count.
+// The sequenced link stage carries each tick's messages in user order,
+// and each user's throughput estimator and DegradationPolicy observe
+// their own link outcomes before that user's next tick encodes, so
+// conference participants get the same closed-loop feedback as a
+// one-way session. Under TimingModel::Simulated runs are byte-identical
+// at any worker count.
 
 // Per-participant fairness accounting for one multi-user session: how
 // delivery, bandwidth and the degradation ladder were shared.
@@ -228,19 +208,20 @@ struct DownlinkStats {
 // The conference engine executes as a completion-event-driven stage graph
 // (see DESIGN.md "Event-driven conference stage graph"): every per-user
 // frame is a chain of nodes (encode -> uplink ticket -> downlink fan-out
-// -> decode) with explicit dependency edges, and a retire node per tick
-// bounds how many ticks may be in flight (ConferenceConfig::pipelineDepth).
+// -> decode, plus a quality node at sampled ticks) with explicit
+// dependency edges, and a retire node per tick bounds how many ticks may
+// be in flight (ConferenceConfig::pipelineDepth).
 // These stats describe how deep the pipeline actually ran and what the
 // event-driven schedule bought over the legacy per-tick barrier.
 
 struct PipelineStageStats {
     std::string stage;  // "arbiter" | "encode" | "uplink" | "downlink" |
-                        // "decode" | "retire"
+                        // "decode" | "quality" | "retire"
     std::uint64_t nodes{};
     // Sum of node-body wall time (ms) spent in this stage.
     double busyMs{};
-    // Peak number of this stage's nodes executing concurrently (1 for the
-    // serial engine and for sequenced stages such as the uplink tickets).
+    // Peak number of this stage's nodes executing concurrently (1 for
+    // workers = 1 and for sequenced stages such as the uplink tickets).
     std::size_t maxConcurrent{};
     // Wall latency (ms) from a node's last dependency completing to the
     // node starting — queueing delay in the worker pool (0 when a node
@@ -307,9 +288,7 @@ struct MultiSessionStats {
 //
 // Every stats exporter follows one convention: a free toJsonValue(T)
 // returning one JSON value as std::string, composable into larger bench
-// documents via telemetry::JsonWriter::raw (the member
-// SessionTelemetry::toJson survives only as a legacy alias of
-// telemetry::toJsonValue).
+// documents via telemetry::JsonWriter::raw.
 
 // Aggregate figures plus the embedded telemetry for one session / one
 // conference participant.

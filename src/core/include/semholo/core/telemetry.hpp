@@ -7,10 +7,10 @@
 // Thread model: a Histogram is internally synchronised — every accessor
 // (including the lazily sorted percentile cache) takes the instance
 // mutex, so concurrent record/merge/percentile calls from worker threads
-// are safe. A Counters instance is NOT synchronised: the parallel engine
-// gives each worker task its own instance and merge()s them on the
-// coordinating thread; the sequenced link stage owns the link/queue
-// counters outright.
+// are safe. A Counters instance is NOT synchronised: the session engine
+// gives each participant its own instance, written only inside that
+// participant's dependency chain (link counters inside the link's
+// ticket chain), and merge()s them after the run.
 #pragma once
 
 #include <cstdint>
@@ -57,6 +57,23 @@ private:
     mutable bool sortedValid_{false};
 };
 
+// Sparse-reconstruction work accounting of one decode, one frame or one
+// session (all zero on dense or image-only decode paths): how much of
+// the field pass the pruning/caching layers elided, and what the
+// block-local extractor emitted. Carried by DecodedFrame, FrameStats
+// and Counters alike, and summed with +=.
+struct ReconCounters {
+    std::uint64_t blocksSkipped{};   // blocks certified crossing-free
+    std::uint64_t blocksCached{};    // blocks re-used from the cache
+    std::uint64_t bonesPruned{};     // capsule blends skipped per query
+    std::uint64_t nodesEvaluated{};  // field evaluations actually run
+    std::uint64_t certTests{};       // analytic certificate invocations
+    std::uint64_t activeCells{};           // mixed-sign cells emitted from
+    std::uint64_t reusedTopologyBlocks{};  // sign-unchanged topology reuse
+
+    ReconCounters& operator+=(const ReconCounters& other);
+};
+
 struct Counters {
     std::uint64_t framesCaptured{};
     std::uint64_t framesDelivered{};
@@ -73,16 +90,7 @@ struct Counters {
     std::uint64_t faultEvents{};       // fault windows / burst onsets entered
     std::uint64_t degradations{};      // quality-ladder step-downs
     std::uint64_t upgrades{};          // quality-ladder step-ups
-    // Sparse-reconstruction work accounting (zero on dense decode paths):
-    // how much of the field pass the pruning/caching layers elided.
-    std::uint64_t reconBlocksSkipped{};   // blocks certified crossing-free
-    std::uint64_t reconBlocksCached{};    // blocks re-used from the cache
-    std::uint64_t reconBonesPruned{};     // capsule blends skipped per query
-    std::uint64_t reconNodesEvaluated{};  // field evaluations actually run
-    std::uint64_t reconCertTests{};       // analytic certificate invocations
-    // Extraction-stage accounting (block-local marching tetrahedra).
-    std::uint64_t reconActiveCells{};           // mixed-sign cells emitted from
-    std::uint64_t reconReusedTopologyBlocks{};  // sign-unchanged topology reuse
+    ReconCounters recon;
 
     void merge(const Counters& other);
 };
@@ -99,9 +107,7 @@ struct SessionTelemetry {
     Counters counters;
 
     void merge(const SessionTelemetry& other);
-    // JSON object: {"stages": {name: {count,mean,min,max,p50,p95,p99}},
-    //               "counters": {...}}.
-    std::string toJson(int indent = 0) const;
+    // Writes toJsonValue(*this) plus a newline to 'path'.
     bool writeJson(const std::string& path) const;
 };
 

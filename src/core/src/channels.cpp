@@ -23,13 +23,10 @@ double msSince(std::chrono::steady_clock::time_point start) {
 // Surface the sparse-reconstruction work accounting through the decoded
 // frame so the session engines can aggregate it into telemetry.
 void copyReconStats(const recon::ReconstructionResult& result, DecodedFrame& out) {
-    out.reconBlocksSkipped = result.stats.blocksSkipped;
-    out.reconBlocksCached = result.stats.blocksCached;
-    out.reconBonesPruned = result.stats.bonesPruned;
-    out.reconNodesEvaluated = result.stats.nodesEvaluated;
-    out.reconCertTests = result.stats.certTests;
-    out.reconActiveCells = result.stats.activeCells;
-    out.reconReusedTopologyBlocks = result.stats.reusedTopologyBlocks;
+    const recon::ReconstructionStats& s = result.stats;
+    out.recon = {s.blocksSkipped,  s.blocksCached, s.bonesPruned,
+                 s.nodesEvaluated, s.certTests,    s.activeCells,
+                 s.reusedTopologyBlocks};
 }
 
 void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {

@@ -1,9 +1,11 @@
-// SFU conference engine: a completion-event-driven stage graph. The
-// legacy engine ran each capture tick as three barriered phases (encode
-// fan-out, sequenced uplink, decode fan-out); this engine builds one
-// explicit dependency DAG over typed per-(tick, user) nodes and lets an
-// event-driven executor run every node the instant its dependencies
-// complete — no phase barriers, no tick barriers.
+// The session engine: a completion-event-driven stage graph. A one-way
+// session (runSession) is its one-participant case; an SFU conference
+// adds participants, downlinks and the arbiter. The legacy engine ran
+// each capture tick as three barriered phases (encode fan-out, sequenced
+// uplink, decode fan-out); this engine builds one explicit dependency
+// DAG over typed per-(tick, user) nodes and lets an event-driven
+// executor run every node the instant its dependencies complete — no
+// phase barriers, no tick barriers.
 //
 // Node kinds per tick f (inserted in exactly the legacy phase order, so
 // the serial executor *is* the legacy engine):
@@ -26,10 +28,14 @@
 //                  delivered frames to viewer v over v's own downlink,
 //                  thinned by v's subscription ladder.
 //   D(f,u)         decode: the user decodes their delivered frame,
-//                  advances their recon clock, runs the sampled Chamfer
-//                  eval, and appends the tick's FrameStats.
-//   R(f)           retire: join of every D(f,*) and L(f,*); recycles the
-//                  tick's ring slot.
+//                  advances their recon clock and writes the tick's
+//                  FrameStats; at sampled ticks it keeps the decoded
+//                  mesh in the ring slot for Q.
+//   Q(f,u)         quality (sampled ticks only): Chamfer of the kept
+//                  mesh vs the LBS ground truth, written into that
+//                  tick's FrameStats. Off the encode -> decode chain.
+//   R(f)           retire: join of every D/Q(f,*) and L(f,*); frees the
+//                  tick's ring slot (payloads, poses, meshes) for reuse.
 //
 // Edges (the full byte-identity argument is in DESIGN.md):
 //
@@ -38,7 +44,8 @@
 //   T(f,u) <- E(f,u), previous ticket in its chain
 //   L(f,v) <- T(f,u) per subscribed source, L(f-1,v)
 //   D(f,u) <- T(f,u)            (D(f-1,u) order holds transitively)
-//   R(f)   <- D(f,*), L(f,*), R(f-1)
+//   Q(f,u) <- D(f,u)
+//   R(f)   <- Q(f,*) or D(f,*), L(f,*), R(f-1)
 //
 // The payoff: a user's tick f+1 encode is released the moment its own
 // tick f feedback lands (plus slot retirement), so enc-heavy and
@@ -57,6 +64,7 @@
 // MultiSessionStats::downlinks. Stage occupancy, release latency and
 // ticks-in-flight land in MultiSessionStats::pipeline.
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <utility>
 #include <vector>
@@ -64,6 +72,7 @@
 #include "semholo/core/conference.hpp"
 #include "semholo/core/session.hpp"
 #include "semholo/core/thread_pool.hpp"
+#include "semholo/mesh/metrics.hpp"
 #include "semholo/net/abr.hpp"
 #include "session_internal.hpp"
 #include "stage_graph.hpp"
@@ -73,8 +82,9 @@ namespace semholo::core::internal {
 namespace {
 
 // One user's frame in flight during a tick. Lives in a ring of
-// pipelineDepth tick-slots; E(f,u) rewrites it, T(f,u) fills the
-// transfer, L/D read it, R(f) retires the slot for tick f+depth.
+// pipelineDepth tick-slots; E(f,u) fills it, T(f,u) fills the transfer,
+// L/D read it, D hands Q the decoded mesh, and R(f) clears the slot for
+// tick f+depth.
 struct TickFrame {
     FrameStats frame;
     EncodedFrame encoded;
@@ -83,7 +93,42 @@ struct TickFrame {
     double sendTime{};  // valid when sent
     bool sent{false};
     net::TransferResult transfer;
+    mesh::TriMesh decodedMesh;  // written by D, read by Q (sampled ticks)
 };
+
+// Route every message's packet/queue counters to the sending
+// participant's telemetry (messages carry the user index as senderTag).
+// The observer only runs inside the link's ticket chain, so the per-user
+// counter writes are sequenced.
+void observeUplink(net::LinkSimulator& link, MultiSessionStats& out) {
+    link.setObserver([&out](const net::TransferResult& r,
+                            std::size_t queuedBytes) {
+        telemetry::SessionTelemetry& t =
+            out.perUser[static_cast<std::size_t>(r.senderTag)].telemetry;
+        t.counters.packets += r.packets;
+        t.counters.packetsLost += r.lostPackets;
+        t.counters.packetsDelivered += r.deliveredPackets;
+        t.counters.packetsUnrecovered += r.unrecoveredPackets;
+        t.counters.retransmissions += r.retransmissions;
+        t.counters.queueDrops += r.droppedAtQueue;
+        t.counters.bytesSent += r.bytes;
+        t.counters.faultEvents += r.faultEvents;
+        t.queueDepthBytes.record(static_cast<double>(queuedBytes));
+    });
+}
+
+// One frame's Chamfer evaluation vs the LBS ground truth. Deterministic
+// given its inputs, so every schedule produces identical quality numbers.
+void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
+                     const body::Pose& pose, const mesh::TriMesh& decodedMesh,
+                     std::size_t samples) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const mesh::TriMesh gt = model.deform(pose);
+    frame.chamfer = mesh::compareMeshes(gt, decodedMesh, samples).chamfer;
+    frame.qualityMs = std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+}
 
 // Per-user state that persists across ticks: the pipeline availability
 // clocks and the closed-loop feedback (throughput estimator +
@@ -174,49 +219,17 @@ MultiSessionStats runConferenceTicked(
 
     // ---- Uplink topology -------------------------------------------------
     // Shared mode: one server-ingest bottleneck every participant's
-    // messages traverse (attributed per user by senderTag). Per-user
-    // mode: each participant's own access link. Either way, the link's
-    // observer only runs inside the link's ticket chain, so the per-user
-    // counter writes are sequenced.
+    // messages traverse. Per-user mode: each participant's own access
+    // link.
     std::vector<net::LinkSimulator> uplinks;
     if (conf.sharedUplink) {
         uplinks.emplace_back(base.link);
-        uplinks[0].setObserver([&out](const net::TransferResult& r,
-                                      std::size_t queuedBytes) {
-            telemetry::SessionTelemetry& t =
-                out.perUser[static_cast<std::size_t>(r.senderTag)].telemetry;
-            t.counters.packets += r.packets;
-            t.counters.packetsLost += r.lostPackets;
-            t.counters.packetsDelivered += r.deliveredPackets;
-            t.counters.packetsUnrecovered += r.unrecoveredPackets;
-            t.counters.retransmissions += r.retransmissions;
-            t.counters.queueDrops += r.droppedAtQueue;
-            t.counters.bytesSent += r.bytes;
-            t.counters.faultEvents += r.faultEvents;
-            t.queueDepthBytes.record(static_cast<double>(queuedBytes));
-        });
     } else {
         uplinks.reserve(users);
-        for (std::size_t u = 0; u < users; ++u) {
-            const Participant& p = conf.participants[u];
+        for (const Participant& p : conf.participants)
             uplinks.emplace_back(p.uplink.value_or(base.link));
-        }
-        for (std::size_t u = 0; u < users; ++u) {
-            telemetry::SessionTelemetry& t = out.perUser[u].telemetry;
-            uplinks[u].setObserver([&t](const net::TransferResult& r,
-                                        std::size_t queuedBytes) {
-                t.counters.packets += r.packets;
-                t.counters.packetsLost += r.lostPackets;
-                t.counters.packetsDelivered += r.deliveredPackets;
-                t.counters.packetsUnrecovered += r.unrecoveredPackets;
-                t.counters.retransmissions += r.retransmissions;
-                t.counters.queueDrops += r.droppedAtQueue;
-                t.counters.bytesSent += r.bytes;
-                t.counters.faultEvents += r.faultEvents;
-                t.queueDepthBytes.record(static_cast<double>(queuedBytes));
-            });
-        }
     }
+    for (net::LinkSimulator& link : uplinks) observeUplink(link, out);
     const auto uplinkFor = [&](std::size_t u) -> net::LinkSimulator& {
         return conf.sharedUplink ? uplinks[0] : uplinks[u];
     };
@@ -240,7 +253,9 @@ MultiSessionStats runConferenceTicked(
                                ? p.uplink->queueCapacityBytes
                                : base.link.queueCapacityBytes);
         heads.push_back(p.viewerHead.value_or(base.viewerHead));
-        out.perUser[u].frames.reserve(base.frames);
+        // D(f,u) writes frames[f] and Q(f,u) its Chamfer fields, so the
+        // vector never reallocates under a running node.
+        out.perUser[u].frames.resize(base.frames);
     }
     const auto degradationFor = [&](std::size_t u) -> const DegradationConfig& {
         return conf.participants[u].degradation ? *conf.participants[u].degradation
@@ -321,11 +336,10 @@ MultiSessionStats runConferenceTicked(
     };
 
     // Encode: touches only this user's channel, motion generator, clocks
-    // and feedback state, plus the (retired) ring slot it rewrites.
+    // and feedback state, plus the (cleared) ring slot it fills.
     const auto encodeBody = [&](std::size_t f, std::size_t slot, std::size_t u,
                                 double captureTime) {
         TickFrame& p = ring[slot][u];
-        p = TickFrame{};
         p.captureTime = captureTime;
         p.frame.frameId = static_cast<std::uint32_t>(f);
         UserState& us = state[u];
@@ -435,18 +449,20 @@ MultiSessionStats runConferenceTicked(
         return 0.0;
     };
 
-    // Decode: reads the ring slot (never writes it — the downlink nodes
-    // of the same tick may still be reading), advances this user's recon
-    // clock and (when sampled) runs the Chamfer eval.
+    // Ticks whose decoded meshes get a quality node.
+    const auto sampled = [&](std::size_t f) {
+        return base.qualityEvalInterval > 0 && f % base.qualityEvalInterval == 0;
+    };
+
+    // Decode: reads the ring slot (the downlink nodes of the same tick
+    // may still be reading it; only decodedMesh, which they never touch,
+    // is written), advances this user's recon clock and writes frame f.
     const auto decodeBody = [&](std::size_t f, std::size_t slot,
                                 std::size_t u) {
-        const TickFrame& p = ring[slot][u];
-        SessionStats& s = out.perUser[u];
-        FrameStats frame = p.frame;
-        if (frame.droppedAtSender) {
-            s.frames.push_back(std::move(frame));
-            return 0.0;
-        }
+        TickFrame& p = ring[slot][u];
+        FrameStats& frame = out.perUser[u].frames[f];
+        frame = p.frame;
+        if (frame.droppedAtSender) return 0.0;
         UserState& us = state[u];
         double stageMs = 0.0;
         if (p.transfer.delivered) {
@@ -454,27 +470,42 @@ MultiSessionStats runConferenceTicked(
             if (base.dropWhenBusy && us.reconFreeAt > arrival) {
                 frame.droppedAtReceiver = true;
             } else {
-                const DecodedFrame decoded = channels[u]->decode(p.encoded);
+                DecodedFrame decoded = channels[u]->decode(p.encoded);
                 frame.decoded = decoded.valid;
                 frame.reconMs = decoded.reconMs();
-                copyReconCounters(frame, decoded);
+                frame.recon = decoded.recon;
                 stageMs = clockReconMs(decoded, base.timing);
                 const double renderTime =
                     std::max(arrival, us.reconFreeAt) + stageMs / 1000.0;
                 us.reconFreeAt = renderTime;
                 frame.e2eMs = (renderTime - p.captureTime) * 1000.0;
-                if (decoded.valid && base.qualityEvalInterval > 0 &&
-                    f % base.qualityEvalInterval == 0 &&
-                    !decoded.mesh.empty()) {
-                    evaluateQuality(frame, model, p.pose, decoded.mesh,
-                                    base.qualitySamples);
-                }
+                if (decoded.valid && sampled(f))
+                    p.decodedMesh = std::move(decoded.mesh);
             }
         } else {
             frame.e2eMs = (p.transfer.completionTime - p.captureTime) * 1000.0;
         }
-        s.frames.push_back(std::move(frame));
         return stageMs;
+    };
+
+    // Quality: the sampled Chamfer eval of the mesh D kept. Writes only
+    // frame f's chamfer/qualityMs, so the user's next encode and decode
+    // need not wait for it; simulated cost 0 (it is not on the
+    // capture-to-render path).
+    const auto qualityBody = [&](std::size_t f, std::size_t slot,
+                                 std::size_t u) {
+        const TickFrame& p = ring[slot][u];
+        if (!p.decodedMesh.empty())
+            evaluateQuality(out.perUser[u].frames[f], model, p.pose,
+                            p.decodedMesh, base.qualitySamples);
+        return 0.0;
+    };
+
+    // Retire: every node of the tick is done; drop its payloads, poses
+    // and meshes now instead of when E(f+depth) reuses the slot.
+    const auto retireBody = [&](std::size_t slot) {
+        for (TickFrame& p : ring[slot]) p = TickFrame{};
+        return 0.0;
     };
 
     // ---- Graph construction ------------------------------------------------
@@ -491,6 +522,7 @@ MultiSessionStats runConferenceTicked(
     std::size_t lastTicketGlobal = kNone;
     std::size_t prevRetire = kNone;
     std::vector<std::size_t> enc(users), tix(users), dec(users), downNodes;
+    std::vector<std::size_t> last(users);  // per user: Q(f,u), else D(f,u)
 
     for (std::size_t f = 0; f < base.frames; ++f) {
         const std::size_t slot = f % depth;
@@ -583,13 +615,26 @@ MultiSessionStats runConferenceTicked(
                                    });
             graph.addEdge(tix[u], dec[u]);
             prevDecode[u] = dec[u];
+            last[u] = dec[u];
         }
 
-        // Retire: the tick's completion join; releases its ring slot for
+        // Quality, at sampled ticks only.
+        if (sampled(f)) {
+            for (std::size_t u = 0; u < users; ++u) {
+                last[u] = graph.addNode(StageKind::Quality, tick, u,
+                                        [&, f, slot, u] {
+                                            return qualityBody(f, slot, u);
+                                        });
+                graph.addEdge(dec[u], last[u]);
+            }
+        }
+
+        // Retire: the tick's completion join; frees its ring slot for
         // tick f + depth.
-        const std::size_t retire =
-            graph.addNode(StageKind::Retire, tick, kNone, [] { return 0.0; });
-        for (std::size_t u = 0; u < users; ++u) graph.addEdge(dec[u], retire);
+        const std::size_t retire = graph.addNode(
+            StageKind::Retire, tick, kNone,
+            [&, slot] { return retireBody(slot); });
+        for (std::size_t u = 0; u < users; ++u) graph.addEdge(last[u], retire);
         for (const std::size_t node : downNodes) graph.addEdge(node, retire);
         if (prevRetire != kNone) graph.addEdge(prevRetire, retire);
         prevRetire = retire;

@@ -1,7 +1,5 @@
-// Shared internals of the serial and parallel session engines: pipeline
-// clock helpers, stat aggregation, and the link telemetry observer. Not
-// installed — both engines must aggregate identically so the parallel
-// engine can be validated bit-for-bit against the serial one.
+// Internals of the session engine: pipeline clock helpers, stat
+// aggregation, and the stage-graph entry points. Not installed.
 #pragma once
 
 #include "semholo/core/conference.hpp"
@@ -28,64 +26,30 @@ inline double clockReconMs(const DecodedFrame& decoded, TimingModel timing) {
 // config.workers with 0 resolved to hardware concurrency.
 std::size_t effectiveWorkers(const SessionConfig& config);
 
-// Copy a decoded frame's reconstruction work accounting into the frame
-// stats (both engines call this so aggregation stays identical).
-inline void copyReconCounters(FrameStats& frame, const DecodedFrame& decoded) {
-    frame.reconBlocksSkipped = decoded.reconBlocksSkipped;
-    frame.reconBlocksCached = decoded.reconBlocksCached;
-    frame.reconBonesPruned = decoded.reconBonesPruned;
-    frame.reconNodesEvaluated = decoded.reconNodesEvaluated;
-    frame.reconCertTests = decoded.reconCertTests;
-    frame.reconActiveCells = decoded.reconActiveCells;
-    frame.reconReusedTopologyBlocks = decoded.reconReusedTopologyBlocks;
-}
-
 // Compute every frame-derived aggregate of 'stats' (means, percentiles,
 // drop counts, achievable FPS, Chamfer mean) and fill the per-stage
 // telemetry histograms/counters from stats.frames. Link-level counters
 // (packets, retransmissions, queue depth) are recorded separately by the
-// observer attached via observeLink.
+// engine's link observer.
 void finalizeSessionStats(SessionStats& stats, const SessionConfig& config);
 
 // Per-user finalize + aggregate rollup (bandwidth, mean e2e, merged
 // telemetry). out.telemetry may already hold the shared link's counters.
 void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& config);
 
-// Record packet/loss/retransmission/queue-drop counters and queue-depth
-// samples of every message 'link' carries into 't'. The link is a
-// sequenced single-thread stage; 't' must outlive the link's use.
-void observeLink(net::LinkSimulator& link, telemetry::SessionTelemetry& t);
-
-// One frame's Chamfer evaluation vs the LBS ground truth (fills
-// frame.chamfer / frame.qualityMs). Deterministic given its inputs, so
-// both engines produce identical quality numbers.
-void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
-                     const body::Pose& pose, const mesh::TriMesh& decodedMesh,
-                     std::size_t samples);
-
-// Serial engine (the workers == 1 path), defined in session.cpp.
-SessionStats runSessionSerial(SemanticChannel& channel,
-                              const body::BodyModel& model,
-                              const SessionConfig& config);
-
-// Parallel engine, defined in parallel_session.cpp.
-SessionStats runSessionParallel(SemanticChannel& channel,
-                                const body::BodyModel& model,
-                                const SessionConfig& config, std::size_t workers);
-
-// The one conference implementation (multiuser_session.cpp): an
-// event-driven stage graph — per (tick, user) nodes for arbiter targets,
-// encode, sequenced uplink entry (a per-link ticket chain preserving the
-// (frame, user) order), downlink fan-out, decode and tick retirement,
-// with explicit dependency edges. pool == nullptr executes the graph in
-// insertion order (the legacy per-tick phase schedule); otherwise nodes
-// run the moment their dependencies complete, pipelining up to
-// ConferenceConfig::pipelineDepth ticks. Both executors touch every
+// The one session engine (multiuser_session.cpp): an event-driven stage
+// graph — per (tick, user) nodes for arbiter targets, encode, sequenced
+// uplink entry (a per-link ticket chain preserving the (frame, user)
+// order), downlink fan-out, decode, sampled quality evaluation and tick
+// retirement, with explicit dependency edges. pool == nullptr executes
+// the graph in insertion order (the legacy per-tick phase schedule);
+// otherwise nodes run the moment their dependencies complete,
+// pipelining up to ConferenceConfig::pipelineDepth ticks. Both executors touch every
 // mutable resource in the same per-resource order, so runs are
 // byte-identical under TimingModel::Simulated at any worker count.
 // 'channels' are externally owned, one per conf.participants entry
 // (built by runConference from the descriptors, or supplied verbatim by
-// the deprecated runMultiUserSession shim).
+// runSession and the deprecated runMultiUserSession shim).
 MultiSessionStats runConferenceTicked(
     const ConferenceConfig& conf, const std::vector<SemanticChannel*>& channels,
     const body::BodyModel& model, ThreadPool* pool);

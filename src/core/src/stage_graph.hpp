@@ -1,9 +1,9 @@
 // Completion-event-driven stage graph: the execution substrate of the
-// conference engine (multiuser_session.cpp).
+// session engine (multiuser_session.cpp).
 //
 // A StageGraph is a DAG of typed nodes — arbiter / encode / uplink
-// ticket / downlink fan-out / decode / retire — added in the canonical
-// serial order (the legacy per-tick phase order) with explicit
+// ticket / downlink fan-out / decode / quality / retire — added in the
+// canonical serial order (the legacy per-tick phase order) with explicit
 // dependency edges. Two executors share the node bodies:
 //
 //  - runSerial() executes nodes in insertion order on the calling
@@ -56,9 +56,10 @@ enum class StageKind : int {
     Uplink = 2,    // sequenced link-entry ticket
     Downlink = 3,  // per-viewer fan-out
     Decode = 4,
-    Retire = 5,    // tick-completion join; releases the ring slot
+    Quality = 5,   // sampled Chamfer evaluation, off the decode chain
+    Retire = 6,    // tick-completion join; releases the ring slot
 };
-inline constexpr std::size_t kStageKindCount = 6;
+inline constexpr std::size_t kStageKindCount = 7;
 const char* stageName(StageKind kind);
 
 struct StageNode {

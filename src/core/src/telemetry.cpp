@@ -100,6 +100,17 @@ double Histogram::percentile(double p) const {
     return s[rank == 0 ? 0 : rank - 1];
 }
 
+ReconCounters& ReconCounters::operator+=(const ReconCounters& other) {
+    blocksSkipped += other.blocksSkipped;
+    blocksCached += other.blocksCached;
+    bonesPruned += other.bonesPruned;
+    nodesEvaluated += other.nodesEvaluated;
+    certTests += other.certTests;
+    activeCells += other.activeCells;
+    reusedTopologyBlocks += other.reusedTopologyBlocks;
+    return *this;
+}
+
 void Counters::merge(const Counters& other) {
     framesCaptured += other.framesCaptured;
     framesDelivered += other.framesDelivered;
@@ -116,13 +127,7 @@ void Counters::merge(const Counters& other) {
     faultEvents += other.faultEvents;
     degradations += other.degradations;
     upgrades += other.upgrades;
-    reconBlocksSkipped += other.reconBlocksSkipped;
-    reconBlocksCached += other.reconBlocksCached;
-    reconBonesPruned += other.reconBonesPruned;
-    reconNodesEvaluated += other.reconNodesEvaluated;
-    reconCertTests += other.reconCertTests;
-    reconActiveCells += other.reconActiveCells;
-    reconReusedTopologyBlocks += other.reconReusedTopologyBlocks;
+    recon += other.recon;
 }
 
 void SessionTelemetry::merge(const SessionTelemetry& other) {
@@ -187,24 +192,22 @@ std::string toJsonValue(const SessionTelemetry& t) {
         .field("fault_events", t.counters.faultEvents)
         .field("degradations", t.counters.degradations)
         .field("upgrades", t.counters.upgrades)
-        .field("recon_blocks_skipped", t.counters.reconBlocksSkipped)
-        .field("recon_blocks_cached", t.counters.reconBlocksCached)
-        .field("recon_bones_pruned", t.counters.reconBonesPruned)
-        .field("recon_nodes_evaluated", t.counters.reconNodesEvaluated)
-        .field("recon_cert_tests", t.counters.reconCertTests)
-        .field("recon_active_cells", t.counters.reconActiveCells)
-        .field("recon_reused_topology_blocks", t.counters.reconReusedTopologyBlocks)
+        .field("recon_blocks_skipped", t.counters.recon.blocksSkipped)
+        .field("recon_blocks_cached", t.counters.recon.blocksCached)
+        .field("recon_bones_pruned", t.counters.recon.bonesPruned)
+        .field("recon_nodes_evaluated", t.counters.recon.nodesEvaluated)
+        .field("recon_cert_tests", t.counters.recon.certTests)
+        .field("recon_active_cells", t.counters.recon.activeCells)
+        .field("recon_reused_topology_blocks", t.counters.recon.reusedTopologyBlocks)
         .endObject();
     w.endObject();
     return w.str();
 }
 
-std::string SessionTelemetry::toJson(int) const { return toJsonValue(*this); }
-
 bool SessionTelemetry::writeJson(const std::string& path) const {
     std::ofstream out(path);
     if (!out) return false;
-    out << toJson() << "\n";
+    out << toJsonValue(*this) << "\n";
     return static_cast<bool>(out);
 }
 

@@ -8,6 +8,9 @@
 #pragma GCC diagnostic ignored "-Wdeprecated-declarations"
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -226,6 +229,64 @@ TEST(Conference, SerialAndParallelIdenticalWithDownlinksAndArbiter) {
             EXPECT_EQ(a.packets, b.packets) << "viewer " << v;
         }
         EXPECT_EQ(results[0].serverFanoutBytes, results[i].serverFanoutBytes);
+    }
+}
+
+TEST(Conference, QualityNodesDeterministicAcrossWorkersAndDepths) {
+    // Sampled Chamfer runs in its own Q(f,u) node, off the decode chain;
+    // its results must not depend on when the pool gets to it.
+    constexpr std::size_t kUsers = 3, kFrames = 12, kInterval = 2;
+    const auto run = [](std::size_t workers, std::size_t depth) {
+        ConferenceConfig conf;
+        conf.session.frames = kFrames;
+        conf.session.timing = TimingModel::Simulated;
+        conf.session.qualityEvalInterval = kInterval;
+        conf.session.qualitySamples = 500;
+        conf.session.workers = workers;
+        conf.pipelineDepth = depth;
+        conf.arbiter.strategy = ArbiterStrategy::MaxMin;
+        conf.enableDownlinks = true;
+        conf.participants.resize(kUsers);
+        for (auto& p : conf.participants)
+            p.channel = {"keypoint", {{"reconResolution", 12}}};
+        return runConference(conf, sharedModel());
+    };
+    const auto chamferBits = [](const MultiSessionStats& stats) {
+        std::vector<std::uint64_t> bits;
+        for (const SessionStats& s : stats.perUser)
+            for (const FrameStats& f : s.frames) {
+                std::uint64_t b = 0;
+                std::memcpy(&b, &f.chamfer, sizeof b);
+                bits.push_back(b);
+            }
+        return bits;
+    };
+    const auto evaluated = [](const MultiSessionStats& stats) {
+        std::size_t n = 0;
+        for (const SessionStats& s : stats.perUser)
+            for (const FrameStats& f : s.frames) n += !std::isnan(f.chamfer);
+        return n;
+    };
+    const auto qualityNodes = [](const MultiSessionStats& stats) {
+        for (const PipelineStageStats& st : stats.pipeline.stages)
+            if (st.stage == "quality") return st.nodes;
+        return std::uint64_t{0};
+    };
+
+    const auto reference = run(1, 1);
+    ASSERT_GT(evaluated(reference), 0u);
+    EXPECT_EQ(qualityNodes(reference), kUsers * (kFrames / kInterval));
+    for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t workers :
+             {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " depth=" + std::to_string(depth));
+            const auto stats = run(workers, depth);
+            expectSameFrames(reference, stats);
+            EXPECT_EQ(chamferBits(stats), chamferBits(reference));
+            EXPECT_EQ(evaluated(stats), evaluated(reference));
+            EXPECT_EQ(qualityNodes(stats), kUsers * (kFrames / kInterval));
+        }
     }
 }
 

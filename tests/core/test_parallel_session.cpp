@@ -176,7 +176,7 @@ TEST(ParallelSession, TelemetryPopulatedByBothEngines) {
         EXPECT_GT(t.e2eMs.count(), 0u);
         EXPECT_EQ(t.queueDepthBytes.count(), t.encodeMs.count());
         EXPECT_GE(t.encodeMs.p99(), t.encodeMs.p50());
-        const std::string json = t.toJson();
+        const std::string json = toJsonValue(t);
         EXPECT_NE(json.find("\"encode_ms\""), std::string::npos);
         EXPECT_NE(json.find("\"p95\""), std::string::npos);
         EXPECT_NE(json.find("\"queue_drops\""), std::string::npos);

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
+#include <cstring>
+
 #include "semholo/core/qoe.hpp"
 
 namespace semholo::core {
@@ -172,6 +176,136 @@ TEST(Session, ZeroFrameSessionIsAllZeroAggregates) {
     EXPECT_EQ(stats.meanE2eMs, 0.0);
     EXPECT_EQ(stats.achievableFps, 0.0);
     EXPECT_TRUE(std::isnan(stats.meanChamfer));
+}
+
+// ---- Pinned output of the single-user engine -------------------------------
+//
+// runSession once had its own serial and parallel loops; it now runs the
+// stage-graph engine as a one-participant conference. These digests were
+// recorded from the dedicated single-user loops on a lossy link with an
+// outage, a bandwidth collapse and degradation on, so any drift of the
+// one-participant schedule from the engine it replaced fails here, at
+// every worker count.
+
+const body::BodyModel& cheapModel() {
+    static const body::BodyModel model{body::ShapeParams{}, 24};
+    return model;
+}
+
+ChannelSpec cheapSpec(const std::string& kind) {
+    ChannelSpec spec{kind, {}};
+    if (kind == "keypoint" || kind == "text")
+        spec.params = {{"reconResolution", 12}};
+    else if (kind == "foveated")
+        spec.params = {{"peripheralResolution", 12}};
+    else if (kind == "vector")
+        spec.params = {{"latentDim", 8}, {"trainingFrames", 10}};
+    return spec;
+}
+
+SessionConfig stressConfig() {
+    SessionConfig cfg;
+    cfg.frames = 15;
+    cfg.timing = TimingModel::Simulated;
+    cfg.link.bandwidth = net::BandwidthTrace::constant(3e6);
+    cfg.link.propagationDelayS = 0.01;
+    cfg.link.lossRate = 0.02;
+    cfg.link.queueCapacityBytes = 64 * 1024;
+    cfg.link.faults.outages.push_back({0.1, 0.08});
+    cfg.link.faults.collapses.push_back({0.25, 0.1, 0.1});
+    cfg.degradation.enabled = true;
+    cfg.degradation.maxLevel = 3;
+    cfg.degradation.downgradeAfter = 2;
+    cfg.degradation.upgradeAfter = 4;
+    cfg.qualityEvalInterval = 3;
+    cfg.qualitySamples = 500;
+    return cfg;
+}
+
+struct Fnv1a {
+    std::uint64_t h{0xcbf29ce484222325ull};
+    void add(std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    void add(double v) {
+        std::uint64_t bits = 0x7ff8000000000000ull;  // one bit pattern for NaN
+        if (!std::isnan(v)) std::memcpy(&bits, &v, sizeof bits);
+        add(bits);
+    }
+};
+
+std::uint64_t frameDigest(const SessionStats& s) {
+    Fnv1a d;
+    for (const FrameStats& f : s.frames) {
+        d.add(std::uint64_t{f.frameId});
+        d.add(std::uint64_t{f.bytes});
+        d.add(std::uint64_t{f.delivered} | std::uint64_t{f.decoded} << 1 |
+              std::uint64_t{f.droppedAtSender} << 2 |
+              std::uint64_t{f.droppedAtReceiver} << 3);
+        d.add(f.transferMs);
+        d.add(f.e2eMs);
+        d.add(f.chamfer);
+    }
+    return d.h;
+}
+
+struct PinnedSession {
+    const char* kind;
+    std::uint64_t frameDigest;
+    // packets, lost, delivered, unrecovered, retransmissions, queueDrops,
+    // bytesSent, faultEvents, degradations, upgrades.
+    std::array<std::uint64_t, 10> link;
+    // blocksSkipped, blocksCached, bonesPruned, nodesEvaluated, certTests,
+    // activeCells, reusedTopologyBlocks.
+    std::array<std::uint64_t, 7> recon;
+};
+
+constexpr PinnedSession kPinned[] = {
+    {"adaptive-mesh", 0x1b1147e8c162643bull,
+     {60, 0, 60, 0, 0, 0, 67012, 2, 2, 1}, {0, 0, 0, 0, 0, 0, 0}},
+    {"foveated", 0x99630c7c63299fe3ull,
+     {90, 1, 90, 0, 1, 0, 117653, 2, 3, 0}, {0, 0, 1519440, 32955, 1095, 3138, 0}},
+    {"keypoint", 0x8b12c4fc7f85370cull,
+     {15, 1, 15, 0, 1, 0, 12431, 2, 0, 0}, {0, 0, 1519440, 32955, 1095, 3138, 0}},
+    {"synthetic", 0x83bf95c8368a2a14ull,
+     {28, 1, 28, 0, 1, 0, 33924, 2, 1, 1}, {0, 0, 0, 0, 0, 0, 0}},
+    {"text", 0xd68bc3a1b21e4abeull,
+     {2, 0, 2, 0, 0, 0, 337, 0, 0, 0}, {0, 0, 101392, 2197, 73, 214, 0}},
+    {"traditional", 0x087d93f4c4aae7efull,
+     {150, 1, 150, 0, 264, 261, 206716, 2, 3, 0}, {0, 0, 0, 0, 0, 0, 0}},
+    {"vector", 0x45fd4367bc18f508ull,
+     {15, 2, 15, 0, 2, 0, 270, 2, 1, 1}, {0, 0, 0, 0, 0, 0, 0}},
+};
+
+TEST(Session, OutputMatchesPinnedSingleUserEngineDigests) {
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        for (const PinnedSession& pin : kPinned) {
+            SCOPED_TRACE(std::string(pin.kind) +
+                         " workers=" + std::to_string(workers));
+            auto channel = makeChannel(cheapSpec(pin.kind), &cheapModel());
+            SessionConfig cfg = stressConfig();
+            cfg.workers = workers;
+            const auto stats = runSession(*channel, cheapModel(), cfg);
+            ASSERT_EQ(stats.frames.size(), cfg.frames);
+            EXPECT_EQ(frameDigest(stats), pin.frameDigest);
+            const telemetry::Counters& c = stats.telemetry.counters;
+            const std::array<std::uint64_t, 10> link{
+                c.packets,      c.packetsLost,        c.packetsDelivered,
+                c.packetsUnrecovered, c.retransmissions, c.queueDrops,
+                c.bytesSent,    c.faultEvents,        c.degradations,
+                c.upgrades};
+            EXPECT_EQ(link, pin.link);
+            const std::array<std::uint64_t, 7> recon{
+                c.recon.blocksSkipped, c.recon.blocksCached,
+                c.recon.bonesPruned,   c.recon.nodesEvaluated,
+                c.recon.certTests,     c.recon.activeCells,
+                c.recon.reusedTopologyBlocks};
+            EXPECT_EQ(recon, pin.recon);
+        }
+    }
 }
 
 TEST(QoE, PerfectSessionScoresHigh) {

@@ -126,7 +126,7 @@ TEST(SessionTelemetryJson, ContainsStagesAndCounters) {
     t.encodeMs.record(2.5);
     t.counters.framesCaptured = 2;
     t.counters.retransmissions = 1;
-    const std::string json = t.toJson();
+    const std::string json = toJsonValue(t);
     EXPECT_NE(json.find("\"stages\""), std::string::npos);
     EXPECT_NE(json.find("\"encode_ms\""), std::string::npos);
     EXPECT_NE(json.find("\"p50\""), std::string::npos);
