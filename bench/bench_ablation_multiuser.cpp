@@ -127,17 +127,7 @@ int main() {
             makeConference(workloads[0].spec, speedupUsers, cfg), model);
         parallelMs = nowMs() - t0;
     }
-    bool identical = true;
-    for (std::size_t u = 0; u < speedupUsers; ++u) {
-        const auto& a = serialStats.perUser[u].frames;
-        const auto& b = parallelStats.perUser[u].frames;
-        if (a.size() != b.size()) identical = false;
-        for (std::size_t f = 0; identical && f < a.size(); ++f)
-            identical = a[f].bytes == b[f].bytes &&
-                        a[f].delivered == b[f].delivered &&
-                        a[f].droppedAtSender == b[f].droppedAtSender &&
-                        a[f].droppedAtReceiver == b[f].droppedAtReceiver;
-    }
+    const bool identical = bench::sameFrames(serialStats, parallelStats);
     const double speedup = parallelMs > 0.0 ? serialMs / parallelMs : 0.0;
     std::printf(
         "\nEngine: %zu users, workers=1 %.0f ms vs workers=%zu %.0f ms -> "

@@ -24,15 +24,24 @@
 // depth 4 the stage graph must beat the legacy per-tick barrier by at
 // least 1.3x in simulated tick throughput and strictly shrink worker
 // idle time, while depth 1 collapses back to barrier performance.
+// A fourth section times the engine itself on SFU-sized calls (100
+// users with and without downlinks, 300 users without): wall clock at
+// workers = 1 (the serial executor) against workers = nproc. It is
+// report-only: wall time depends on the host, so it gates nothing but
+// the byte-identity of the two runs.
 // Results (per-uplink and per-downlink shares included) land in
 // BENCH_conference.json.
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_util.hpp"
 #include "semholo/core/conference.hpp"
+#include "semholo/core/thread_pool.hpp"
 
 using namespace semholo;
 
@@ -123,6 +132,58 @@ core::ConferenceConfig stragglerConference(std::size_t workers,
         conf.participants.push_back(std::move(p));
     }
     return conf;
+}
+
+// An SFU-sized call with no geometry: synthetic 4 KB participants with
+// encode/decode costs staggered over 2-5 ms, a shared 120 Mbps uplink,
+// optional 50 Mbps per-viewer downlinks with a two-rung subscription
+// ladder, max-min arbitration and depth 4. Node bodies cost
+// microseconds, so the wall clock is the engine's own overhead.
+core::ConferenceConfig sfuScalingConference(std::size_t users, bool downlinks,
+                                            std::size_t workers) {
+    core::ConferenceConfig conf;
+    conf.session.frames = 300;
+    conf.session.fps = 30.0;
+    conf.session.timing = core::TimingModel::Simulated;
+    conf.session.workers = workers;
+    conf.session.dropWhenBusy = false;
+    conf.session.link.bandwidth = net::BandwidthTrace::constant(120e6);
+    conf.arbiter.strategy = core::ArbiterStrategy::MaxMin;
+    conf.enableDownlinks = downlinks;
+    conf.downlink.bandwidth = net::BandwidthTrace::constant(50e6);
+    conf.pipelineDepth = 4;
+    for (std::size_t u = 0; u < users; ++u) {
+        const double stagger = static_cast<double>(u % 4);
+        core::Participant p;
+        p.channel = {"synthetic",
+                     {{"payloadBytes", 4096},
+                      {"simulatedExtractMs", 2.0 + stagger},
+                      {"simulatedReconMs", 5.0 - stagger},
+                      {"rateAdaptive", 1}}};
+        p.subscription.rungs = {{4, 1.0}, {12, 0.25}};
+        conf.participants.push_back(std::move(p));
+    }
+    return conf;
+}
+
+struct EngineTiming {
+    double bestMs{std::numeric_limits<double>::infinity()};
+    core::MultiSessionStats stats;
+};
+
+// Best wall time of 'repeats' runConference calls on the same config.
+EngineTiming timeEngine(const core::ConferenceConfig& conf,
+                        const body::BodyModel& model, int repeats) {
+    EngineTiming t;
+    for (int r = 0; r < repeats; ++r) {
+        const auto t0 = std::chrono::steady_clock::now();
+        t.stats = core::runConference(conf, model);
+        t.bestMs = std::min(
+            t.bestMs, std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count());
+    }
+    return t;
 }
 
 void pipelineJson(core::telemetry::JsonWriter& json, const char* name,
@@ -278,6 +339,44 @@ int main() {
         pPipe.simulatedBarrierIdleMs, pPipe.simulatedIdleMs,
         pBar.simulatedSpeedup);
 
+    // Engine scaling: serial executor vs the pool on SFU-sized calls.
+    bench::banner("Engine scaling: workers = 1 vs workers = nproc (report only)");
+    const std::size_t nproc = core::ThreadPool::defaultWorkers();
+    struct ScalingRow {
+        std::size_t users;
+        bool downlinks;
+        double serialMs{};
+        double parallelMs{};
+        bool identical{};
+    };
+    std::vector<ScalingRow> scaling{{100, true}, {100, false}, {300, false}};
+    bool scalingIdentical = true;
+    bench::Table scalingTable({"users", "downlinks", "workers=1 ms",
+                               "workers=" + std::to_string(nproc) + " ms",
+                               "speedup", "identical"});
+    for (ScalingRow& row : scaling) {
+        constexpr int kRepeats = 3;
+        const EngineTiming serial = timeEngine(
+            sfuScalingConference(row.users, row.downlinks, 1), model, kRepeats);
+        const EngineTiming parallel = timeEngine(
+            sfuScalingConference(row.users, row.downlinks, nproc), model,
+            kRepeats);
+        row.serialMs = serial.bestMs;
+        row.parallelMs = parallel.bestMs;
+        row.identical =
+            bench::sameFrames(serial.stats, parallel.stats) &&
+            serial.stats.serverFanoutBytes == parallel.stats.serverFanoutBytes;
+        scalingIdentical = scalingIdentical && row.identical;
+        scalingTable.addRow({std::to_string(row.users),
+                             row.downlinks ? "on" : "off",
+                             bench::fmt("%.0f", row.serialMs),
+                             bench::fmt("%.0f", row.parallelMs),
+                             bench::fmt("%.2fx", row.serialMs / row.parallelMs),
+                             row.identical ? "yes" : "NO"});
+    }
+    scalingTable.print();
+    std::printf("\n(best of 3 calls, 300 ticks each; wall clock on this host)\n");
+
     // Acceptance: the arbiter must make the congested conference fair
     // (Jain >= 0.95, vs ~0.80 for uncoordinated loops) without costing
     // aggregate delivery.
@@ -314,6 +413,22 @@ int main() {
     pipelineJson(json, "depth1", pBar);
     pipelineJson(json, "depth4", pPipe);
     json.endObject();
+    json.beginObject("engine_scaling");
+    json.field("ticks", static_cast<std::uint64_t>(300));
+    json.field("parallel_workers", static_cast<std::uint64_t>(nproc));
+    json.beginArray("rows");
+    for (const ScalingRow& row : scaling) {
+        json.beginObject()
+            .field("users", static_cast<std::uint64_t>(row.users))
+            .raw("downlinks", row.downlinks ? "true" : "false")
+            .field("serial_wall_ms", row.serialMs)
+            .field("parallel_wall_ms", row.parallelMs)
+            .field("speedup", row.serialMs / row.parallelMs)
+            .raw("identical", row.identical ? "true" : "false")
+            .endObject();
+    }
+    json.endArray();
+    json.endObject();
     json.endObject();
     {
         std::FILE* f = std::fopen("BENCH_conference.json", "w");
@@ -333,5 +448,7 @@ int main() {
         "without losing aggregate frames. With stragglers, de-staggering\n"
         "the per-user stage chains across ticks reclaims the barrier's\n"
         "tail wait.\n");
-    return fair && noRegression && conserved && pipelined ? 0 : 1;
+    return fair && noRegression && conserved && pipelined && scalingIdentical
+               ? 0
+               : 1;
 }

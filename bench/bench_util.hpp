@@ -8,7 +8,30 @@
 #include <string>
 #include <vector>
 
+#include "semholo/core/session.hpp"
+
 namespace semholo::bench {
+
+// True when two runs of one configuration produced the same per-frame
+// sequences: bytes, delivery, drops and the simulated transfer and
+// capture-to-render times. Under TimingModel::Simulated this must hold
+// at any worker count; a mismatch is an engine bug.
+inline bool sameFrames(const core::MultiSessionStats& a,
+                       const core::MultiSessionStats& b) {
+    if (a.perUser.size() != b.perUser.size()) return false;
+    for (std::size_t u = 0; u < a.perUser.size(); ++u) {
+        const auto& fa = a.perUser[u].frames;
+        const auto& fb = b.perUser[u].frames;
+        if (fa.size() != fb.size()) return false;
+        for (std::size_t f = 0; f < fa.size(); ++f)
+            if (fa[f].bytes != fb[f].bytes || fa[f].delivered != fb[f].delivered ||
+                fa[f].droppedAtSender != fb[f].droppedAtSender ||
+                fa[f].droppedAtReceiver != fb[f].droppedAtReceiver ||
+                fa[f].transferMs != fb[f].transferMs || fa[f].e2eMs != fb[f].e2eMs)
+                return false;
+    }
+    return true;
+}
 
 class Table {
 public:

@@ -1,10 +1,10 @@
 // Fixed-size worker pool used by the parallel session engine and by any
 // bench that wants to fan work out across cores. Deliberately minimal:
-// submit() returns a std::future, tasks run FIFO, the pool joins on
-// destruction. Determinism is the caller's job — the engine keeps
-// order-sensitive stages (the shared LinkSimulator) on one thread and
-// only fans out per-user / per-frame work whose results are merged in a
-// fixed order.
+// submit() returns a std::future, post() is fire-and-forget, tasks run
+// FIFO, the pool joins on destruction. Determinism is the caller's job —
+// the engine keeps order-sensitive stages (the shared LinkSimulator) on
+// one thread and only fans out per-user / per-frame work whose results
+// are merged in a fixed order.
 #pragma once
 
 #include <condition_variable>
@@ -61,6 +61,17 @@ public:
         }
         cv_.notify_one();
         return future;
+    }
+
+    // Enqueue a task with no future: no shared state and, for a callable
+    // that fits std::function's small buffer (two pointers), no
+    // allocation. The task must not throw; its caller owns completion.
+    void post(std::function<void()> task) {
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            queue_.push(std::move(task));
+        }
+        cv_.notify_one();
     }
 
     // Run fn(i) for i in [0, count) across the pool and wait for all.

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <queue>
-#include <set>
 #include <stdexcept>
 
 #include "semholo/core/thread_pool.hpp"
@@ -11,6 +11,8 @@
 namespace semholo::core::internal {
 
 namespace {
+
+constexpr std::size_t kNoNode = std::numeric_limits<std::size_t>::max();
 
 void storeMax(std::atomic<int>& target, int value) {
     int cur = target.load(std::memory_order_relaxed);
@@ -134,10 +136,11 @@ void StageGraph::runParallel(ThreadPool& pool) {
         active_[i].store(0, std::memory_order_relaxed);
         maxActive_[i].store(0, std::memory_order_relaxed);
     }
+    pool_ = &pool;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         if (nodes_[i].initialPending != 0) continue;
         nodes_[i].readyMs = 0.0;
-        pool.submit([this, &pool, i] { execute(i, pool); });
+        post(i);
     }
     {
         std::unique_lock<std::mutex> lock(doneMutex_);
@@ -150,7 +153,18 @@ void StageGraph::runParallel(ThreadPool& pool) {
     }
 }
 
-void StageGraph::execute(std::size_t index, ThreadPool& pool) {
+void StageGraph::post(std::size_t index) {
+    // [this, index] fits std::function's small buffer: no allocation.
+    pool_->post([this, index] { execute(index); });
+}
+
+void StageGraph::execute(std::size_t index) {
+    // Continuation: a chain (the shared uplink's ticket chain above all)
+    // runs on one thread, with no pool round trip per hop.
+    while (index != kNoNode) index = runNode(index);
+}
+
+std::size_t StageGraph::runNode(std::size_t index) {
     StageNode& node = nodes_[index];
     const int kind = static_cast<int>(node.kind);
     node.startMs = msSinceStart();
@@ -180,25 +194,35 @@ void StageGraph::execute(std::size_t index, ThreadPool& pool) {
     active_[kind].fetch_sub(1, std::memory_order_relaxed);
     if (node.kind == StageKind::Retire)
         retiredTicks_.fetch_add(1, std::memory_order_relaxed);
+    std::size_t next = kNoNode;
     for (const std::size_t s : node.successors) {
         StageNode& succ = nodes_[s];
         if (succ.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             // Last dependency: this thread releases the successor. The
-            // pool's queue mutex orders this write before the worker
-            // that dequeues the task reads it.
+            // pool's queue mutex (or, for the continuation, program
+            // order) orders this write before the successor's run.
             succ.readyMs = msSinceStart();
-            pool.submit([this, &pool, s] { execute(s, pool); });
+            if (next == kNoNode) {
+                next = s;
+            } else if (s < next) {
+                post(next);
+                next = s;
+            } else {
+                post(s);
+            }
         }
     }
     if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Set the flag and notify under the lock: the waiter re-checks
         // done_ only while holding doneMutex_, so it cannot return (and
         // destroy this graph) until this thread has released the lock —
-        // after its last touch of doneCv_.
+        // after its last touch of doneCv_. The last node released
+        // nothing, so there is no continuation.
         std::lock_guard<std::mutex> lock(doneMutex_);
         done_ = true;
         doneCv_.notify_all();
     }
+    return next;
 }
 
 void StageGraph::fillStats(PipelineStats& stats,
@@ -210,20 +234,23 @@ void StageGraph::fillStats(PipelineStats& stats,
     stats.wallMs = wallMs_;
     stats.maxTicksInFlight = maxTicksInFlight_.load(std::memory_order_relaxed);
     stats.ticksInFlight = ticksInFlight_;
+    // One pass over the nodes; each stage still sees its nodes in index
+    // order, so busy sums and latency samples match a per-stage scan.
+    std::vector<PipelineStageStats> byKind(kStageKindCount);
+    for (const StageNode& node : nodes_) {
+        PipelineStageStats& stage = byKind[static_cast<std::size_t>(node.kind)];
+        ++stage.nodes;
+        stage.busyMs += node.endMs - node.startMs;
+        stage.releaseLatencyMs.record(std::max(0.0, node.startMs - node.readyMs));
+    }
     stats.stages.clear();
     for (std::size_t k = 0; k < kStageKindCount; ++k) {
-        PipelineStageStats stage;
+        PipelineStageStats& stage = byKind[k];
+        if (stage.nodes == 0) continue;
         stage.stage = stageName(static_cast<StageKind>(k));
         stage.maxConcurrent = static_cast<std::size_t>(
             std::max(0, maxActive_[k].load(std::memory_order_relaxed)));
-        for (const StageNode& node : nodes_) {
-            if (static_cast<std::size_t>(node.kind) != k) continue;
-            ++stage.nodes;
-            stage.busyMs += node.endMs - node.startMs;
-            stage.releaseLatencyMs.record(
-                std::max(0.0, node.startMs - node.readyMs));
-        }
-        if (stage.nodes > 0) stats.stages.push_back(std::move(stage));
+        stats.stages.push_back(std::move(stage));
     }
     simulateSchedules(stats, stats.workers);
 }
@@ -250,9 +277,13 @@ void StageGraph::simulateSchedules(PipelineStats& stats,
     // ---- (a) DAG schedule --------------------------------------------------
     std::vector<int> indegree(n);
     for (std::size_t i = 0; i < n; ++i) indegree[i] = nodes_[i].initialPending;
-    std::set<std::size_t> ready;  // ordered: lowest index first
+    // Lowest index first. Each node enters once, so a min-heap pops in
+    // exactly the order an ordered set would.
+    std::priority_queue<std::size_t, std::vector<std::size_t>,
+                        std::greater<std::size_t>>
+        ready;
     for (std::size_t i = 0; i < n; ++i)
-        if (indegree[i] == 0) ready.insert(i);
+        if (indegree[i] == 0) ready.push(i);
     using Event = std::pair<double, std::size_t>;  // (finish, node)
     std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
     std::size_t freeWorkers = workers;
@@ -261,8 +292,8 @@ void StageGraph::simulateSchedules(PipelineStats& stats,
     double makespan = 0.0;
     while (scheduled < n || !events.empty()) {
         if (freeWorkers > 0 && !ready.empty()) {
-            const std::size_t idx = *ready.begin();
-            ready.erase(ready.begin());
+            const std::size_t idx = ready.top();
+            ready.pop();
             const double finish = t + nodes_[idx].simCostMs;
             events.push({finish, idx});
             --freeWorkers;
@@ -277,7 +308,7 @@ void StageGraph::simulateSchedules(PipelineStats& stats,
             events.pop();
             ++freeWorkers;
             for (const std::size_t s : nodes_[done].successors)
-                if (--indegree[s] == 0) ready.insert(s);
+                if (--indegree[s] == 0) ready.push(s);
         }
     }
     stats.simulatedStageGraphMs = makespan;

@@ -15,14 +15,16 @@
 //
 //  - runParallel(pool) executes event-driven: each node carries an
 //    atomic pending-dependency count; completing a node decrements its
-//    successors, and whichever worker drops a count to zero submits
-//    that node to the pool. No phase barriers anywhere — a node runs
-//    the instant its dependencies are done. Byte-identity with the
-//    serial executor follows from the edge set alone: every mutable
-//    resource (a user's channel/clock/estimator/policy, a link's FIFO
-//    and RNG, a viewer's downlink, the arbiter inputs) is confined to
-//    one dependency chain, so both executors touch each resource in the
-//    same per-resource order with the same inputs.
+//    successors, and whichever worker drops a count to zero releases
+//    that node. It runs the lowest-index node it released itself, as a
+//    continuation on the same thread, and posts the rest to the pool
+//    (fire-and-forget, no future per node). No phase barriers anywhere
+//    — a node runs the instant its dependencies are done. Byte-identity
+//    with the serial executor follows from the edge set alone: every
+//    mutable resource (a user's channel/clock/estimator/policy, a link's
+//    FIFO and RNG, a viewer's downlink, the arbiter inputs) is confined
+//    to one dependency chain, so both executors touch each resource in
+//    the same per-resource order with the same inputs.
 //
 // Node bodies return their *simulated* stage cost (ms). After a run,
 // fillStats() aggregates per-stage occupancy/latency telemetry and
@@ -76,9 +78,9 @@ struct StageNode {
     std::atomic<int> pending{0};
     // Telemetry. Each field has exactly one writer with a
     // happens-before edge to every reader: readyMs is written by the
-    // thread that released the node (before the pool submit), startMs /
-    // endMs / simCostMs by the executing thread, and fillStats() reads
-    // only after the run completed.
+    // thread that released the node (before it posts or continues into
+    // it), startMs / endMs / simCostMs by the executing thread, and
+    // fillStats() reads only after the run completed.
     double simCostMs{0.0};
     double readyMs{0.0};
     double startMs{0.0};
@@ -113,7 +115,13 @@ public:
     void fillStats(PipelineStats& stats, std::size_t scheduleWorkers) const;
 
 private:
-    void execute(std::size_t index, ThreadPool& pool);
+    // Run 'index', then each continuation runNode() returns, until none.
+    void execute(std::size_t index);
+    // Run one node and release its successors: returns the lowest-index
+    // successor it released (the caller's continuation) after posting
+    // the others, or SIZE_MAX when it released none.
+    std::size_t runNode(std::size_t index);
+    void post(std::size_t index);
     double msSinceStart() const;
     void simulateSchedules(PipelineStats& stats,
                            std::size_t scheduleWorkers) const;
@@ -127,6 +135,7 @@ private:
     double wallMs_{0.0};
     bool eventDriven_{false};
 
+    ThreadPool* pool_{nullptr};  // set by runParallel for post()
     std::atomic<std::size_t> remaining_{0};
     std::mutex doneMutex_;
     std::condition_variable doneCv_;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <random>
 
+#include "lazy_mt19937_64.hpp"
+
 namespace semholo::net {
 
 namespace {
@@ -111,7 +113,9 @@ TransferResult LinkSimulator::sendMessage(std::size_t bytes, double sendTime,
                                           const TransferOptions& options,
                                           std::uint64_t senderTag,
                                           std::uint64_t receiverTag) {
-    const std::size_t queuedAtSend = queuedBytesAt(sendTime);
+    // The backlog walk is for the observer only; unobserved links (the
+    // SFU downlinks) skip it.
+    const std::size_t queuedAtSend = observer_ ? queuedBytesAt(sendTime) : 0;
     TransferResult result = sendMessageImpl(bytes, sendTime, options);
     result.senderTag = senderTag;
     result.receiverTag = receiverTag;
@@ -130,9 +134,17 @@ TransferResult LinkSimulator::sendMessageImpl(std::size_t bytes, double sendTime
         return result;
     }
 
-    std::mt19937_64 rng(config_.seed ^ (packetCounter_ * 0x9E3779B97F4A7C15ull) ^
-                        static_cast<std::uint64_t>(sendTime * 1e6));
-    std::normal_distribution<double> jitter(0.0, config_.jitterStddevS);
+    // A fresh engine per message; lazily seeded, since a message usually
+    // draws a few numbers and a full std::mt19937_64 seed + twist would
+    // dominate the send (same outputs, see lazy_mt19937_64.hpp).
+    internal::LazyMt19937_64 rng(config_.seed ^
+                                 (packetCounter_ * 0x9E3779B97F4A7C15ull) ^
+                                 static_cast<std::uint64_t>(sendTime * 1e6));
+    // A unit normal scaled by hand: normal_distribution requires
+    // stddev > 0, and jitter-free links (stddev 0) still take the draw.
+    // normal_distribution(0, stddev) returns z * stddev + 0.0, which
+    // adds to the delay exactly as z * stddev does.
+    std::normal_distribution<double> unitNormal(0.0, 1.0);
     std::uniform_real_distribution<double> uni(0.0, 1.0);
     const GilbertElliott& burst = config_.faults.burstLoss;
 
@@ -197,7 +209,8 @@ TransferResult LinkSimulator::sendMessageImpl(std::size_t bytes, double sendTime
             // does not cross zero, instead of the old max(0, jitter)
             // truncation that biased the mean upward).
             const double delay =
-                std::max(0.0, config_.propagationDelayS + jitter(rng));
+                std::max(0.0, config_.propagationDelayS +
+                                  unitNormal(rng) * config_.jitterStddevS);
             if (lost) {
                 if (attempts == 0) ++result.lostPackets;
                 // The packet crossed the bottleneck before being lost,

@@ -1,0 +1,151 @@
+// The event-driven StageGraph executor on hand-built graphs. A worker
+// runs the lowest-index successor it releases as a continuation and
+// posts the rest to the pool; these tests pin what that must preserve:
+// dependency order on long chains (without growing the stack), exactly
+// one run per node under fan-out, and the failure contract — the first
+// body exception is rethrown, later bodies are skipped, and the run
+// still drains instead of hanging.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "semholo/core/thread_pool.hpp"
+#include "stage_graph.hpp"
+
+namespace semholo::core::internal {
+namespace {
+
+TEST(StageGraphExecutor, LongChainRunsInChainOrder) {
+    constexpr std::size_t kNodes = 10000;
+    StageGraph graph;
+    std::vector<std::size_t> order;
+    order.reserve(kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) {
+        // The chain edges order every append after the previous one.
+        graph.addNode(StageKind::Uplink, static_cast<std::uint32_t>(i), 0,
+                      [&order, i] {
+                          order.push_back(i);
+                          return 0.0;
+                      });
+        if (i > 0) graph.addEdge(i - 1, i);
+    }
+    ThreadPool pool(4);
+    graph.runParallel(pool);
+    ASSERT_EQ(order.size(), kNodes);
+    for (std::size_t i = 0; i < kNodes; ++i) ASSERT_EQ(order[i], i);
+
+    PipelineStats stats;
+    graph.fillStats(stats, pool.size());
+    ASSERT_EQ(stats.stages.size(), 1u);
+    EXPECT_EQ(stats.stages[0].nodes, kNodes);
+    EXPECT_EQ(stats.stages[0].maxConcurrent, 1u);
+    // A chain has no parallelism to find: the schedule is the cost sum.
+    EXPECT_EQ(stats.simulatedStageGraphMs, 0.0);
+}
+
+// A chain whose every link also releases a leaf and a wide fan-out in
+// the middle: each node runs exactly once and the join runs last.
+TEST(StageGraphExecutor, FanOutRunsEveryNodeOnce) {
+    constexpr std::size_t kChain = 500;
+    constexpr std::size_t kFan = 300;
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        StageGraph graph;
+        std::vector<std::size_t> nodes;
+        auto runs = std::make_unique<std::atomic<int>[]>(2 * kChain + kFan + 1);
+        std::atomic<int> finished{0};
+        std::atomic<int> finishedBeforeJoin{-1};
+        const auto body = [&runs, &finished](std::size_t id) {
+            return [&runs, &finished, id] {
+                runs[id].fetch_add(1);
+                finished.fetch_add(1);
+                return 0.0;
+            };
+        };
+        std::size_t prev = 0;
+        std::size_t id = 0;
+        for (std::size_t i = 0; i < kChain; ++i) {
+            const std::size_t link =
+                graph.addNode(StageKind::Uplink, 0, i, body(id++));
+            if (i > 0) graph.addEdge(prev, link);
+            const std::size_t leaf =
+                graph.addNode(StageKind::Decode, 0, i, body(id++));
+            graph.addEdge(link, leaf);
+            nodes.push_back(leaf);
+            prev = link;
+        }
+        for (std::size_t k = 0; k < kFan; ++k) {
+            const std::size_t fan =
+                graph.addNode(StageKind::Downlink, 0, k, body(id++));
+            graph.addEdge(prev, fan);
+            nodes.push_back(fan);
+        }
+        const std::size_t total = id;
+        const std::size_t join = graph.addNode(
+            StageKind::Retire, 0, 0, [&finished, &finishedBeforeJoin] {
+                finishedBeforeJoin.store(finished.load());
+                return 0.0;
+            });
+        for (const std::size_t n : nodes) graph.addEdge(n, join);
+        graph.addEdge(prev, join);
+
+        ThreadPool pool(workers);
+        graph.runParallel(pool);
+        for (std::size_t n = 0; n < total; ++n)
+            ASSERT_EQ(runs[n].load(), 1) << "node body " << n;
+        EXPECT_EQ(finishedBeforeJoin.load(), static_cast<int>(total));
+    }
+}
+
+TEST(StageGraphExecutor, MidChainThrowRethrowsFirstErrorAndDrains) {
+    constexpr std::size_t kChain = 4000;
+    constexpr std::size_t kThrowAt = 2000;
+    for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        StageGraph graph;
+        std::atomic<std::size_t> chainRuns{0};
+        std::atomic<std::size_t> lastChainRun{0};
+        std::size_t prev = 0;
+        for (std::size_t i = 0; i < kChain; ++i) {
+            // Chain links from kThrowAt on all throw; only the first may
+            // surface, and the links after it must be skipped.
+            const std::size_t link = graph.addNode(
+                StageKind::Uplink, 0, i, [&chainRuns, &lastChainRun, i] {
+                    chainRuns.fetch_add(1);
+                    lastChainRun.store(i);
+                    if (i >= kThrowAt)
+                        throw std::runtime_error("link " + std::to_string(i));
+                    return 0.0;
+                });
+            if (i > 0) graph.addEdge(prev, link);
+            // A side leaf per link keeps the executor posting work while
+            // the chain continues.
+            const std::size_t leaf = graph.addNode(StageKind::Decode, 0, i,
+                                                   [] { return 0.0; });
+            graph.addEdge(link, leaf);
+            prev = link;
+        }
+        ThreadPool pool(workers);
+        try {
+            graph.runParallel(pool);
+            FAIL() << "runParallel did not rethrow";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), "link " + std::to_string(kThrowAt));
+        }
+        EXPECT_EQ(chainRuns.load(), kThrowAt + 1);
+        EXPECT_EQ(lastChainRun.load(), kThrowAt);
+        // The graph drained completely: stats cover every node.
+        PipelineStats stats;
+        graph.fillStats(stats, pool.size());
+        std::uint64_t nodes = 0;
+        for (const PipelineStageStats& s : stats.stages) nodes += s.nodes;
+        EXPECT_EQ(nodes, 2 * kChain);
+    }
+}
+
+}  // namespace
+}  // namespace semholo::core::internal
