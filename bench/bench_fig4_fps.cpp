@@ -9,9 +9,7 @@
 // minutes and adds no information: the scaling exponent is the result).
 // The sparse pipeline is measured outright through 512 — block pruning
 // reduces the field pass to the O(surface) shell, so 512 runs in seconds
-// — and through 1024 when SEMHOLO_FIG4_FULL is set. A final section
-// replays an animated sequence through the temporal block cache and
-// reports the cache-hit ratio.
+// — and through 1024 when SEMHOLO_FIG4_FULL is set.
 //
 // Environment:
 //   SEMHOLO_FIG4_MAX_RES — cap on measured resolutions (CI smoke runs
@@ -37,7 +35,6 @@
 #include "semholo/core/telemetry.hpp"
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/recon/keypoint_recon.hpp"
-#include "semholo/recon/sparse_recon.hpp"
 
 using namespace semholo;
 
@@ -75,7 +72,6 @@ int main() {
         bool denseMeasured{}, sparseMeasured{};
         mesh::FieldSampleStats sparseStats;  // from the last sparse repeat
         std::uint64_t activeCells{};         // from the last sparse repeat
-        std::uint64_t reusedTopologyBlocks{};
     };
     std::vector<Row> rows;
     // Cost models for the unmeasured tail, fitted on the LARGEST measured
@@ -114,7 +110,6 @@ int main() {
                 row.sparseMs.record(r.totalMs());
                 row.sparseExtractMs.record(r.extractMs);
                 row.activeCells = r.stats.activeCells;
-                row.reusedTopologyBlocks = r.stats.reusedTopologyBlocks;
                 row.sparseStats.blocksTotal = r.stats.blocksTotal;
                 row.sparseStats.blocksSampled = r.stats.blocksSampled;
                 row.sparseStats.blocksSkipped = r.stats.blocksSkipped;
@@ -178,7 +173,6 @@ int main() {
             .field("extract_ms_p50", row.sparseExtractMs.p50())
             .field("extract_ms_p95", row.sparseExtractMs.p95())
             .field("active_cells", row.activeCells)
-            .field("reused_topology_blocks", row.reusedTopologyBlocks)
             .field("speedup", speedup)
             .field("sparse_fps_p50", 1000.0 / sparseMs)
             .field("blocks_total", row.sparseStats.blocksTotal)
@@ -276,9 +270,7 @@ int main() {
         sampling.blockSize = extBlock;
         sampling.lipschitz = body.lipschitz;
         sampling.margin = body.margin;
-        sampling.certificate = [&body](geom::Vec3f c, float r) {
-            return body.certificate(c, r, 0.0f);
-        };
+        sampling.certificate = body.certificate;
         sampling.batch = body.batch;
         sampler.sample(body.field, sampling);
 
@@ -294,7 +286,7 @@ int main() {
                                 std::chrono::steady_clock::now() - t0)
                                 .count());
             t0 = std::chrono::steady_clock::now();
-            blockMesh = mesh::extractIsoSurface(grid, &sampler, extOpt, nullptr, &es);
+            blockMesh = mesh::extractIsoSurface(grid, &sampler, extOpt, &es);
             blockMs.record(std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count());
@@ -333,49 +325,6 @@ int main() {
             .endObject();
     }
 
-    // ---- Temporal block cache over an animated sequence -----------------
-    bench::banner("Temporal cache: Talk sequence, re-sampling moved blocks only");
-    const int seqRes = std::min(maxRes, 96);
-    const int seqFrames = 24;
-    recon::SparseReconstructorOptions seqOpt;
-    seqOpt.recon.resolution = seqRes;
-    seqOpt.recon.device = recon::DeviceProfile::host();
-    recon::SparseReconstructor cached(seqOpt);
-    body::MotionGenerator talk(body::MotionKind::Talk);
-    core::telemetry::Histogram cachedMs, freshMs;
-    std::uint64_t cachedBlocks = 0, totalBlocks = 0, reusedTopology = 0;
-    for (int f = 0; f < seqFrames; ++f) {
-        const body::Pose p = talk.poseAt(static_cast<double>(f) / 15.0);
-        const auto r = cached.reconstruct(p);
-        if (f > 0) {  // frame 0 is the cold fill
-            cachedMs.record(r.totalMs());
-            cachedBlocks += r.stats.blocksCached;
-            totalBlocks += r.stats.blocksTotal;
-            reusedTopology += r.stats.reusedTopologyBlocks;
-        }
-        recon::ReconstructionOptions fresh = seqOpt.recon;
-        fresh.mode = recon::ReconMode::Sparse;
-        freshMs.record(recon::reconstructFromPose(p, fresh).totalMs());
-    }
-    const double hitRatio = totalBlocks > 0
-                                ? static_cast<double>(cachedBlocks) /
-                                      static_cast<double>(totalBlocks)
-                                : 0.0;
-    bench::Table seq({"frames", "resolution", "cached ms (p50)", "fresh ms (p50)",
-                      "cache speedup", "block cache-hit ratio"});
-    seq.addRow({std::to_string(seqFrames), std::to_string(seqRes),
-                bench::fmt("%.1f", cachedMs.p50()), bench::fmt("%.1f", freshMs.p50()),
-                bench::fmt("%.2fx", freshMs.p50() / std::max(1e-9, cachedMs.p50())),
-                bench::fmt("%.2f", hitRatio)});
-    seq.print();
-    json.beginObject("temporal")
-        .field("frames", static_cast<std::uint64_t>(seqFrames))
-        .field("resolution", static_cast<std::uint64_t>(seqRes))
-        .field("cached_ms_p50", cachedMs.p50())
-        .field("fresh_ms_p50", freshMs.p50())
-        .field("cache_hit_ratio", hitRatio)
-        .field("reused_topology_blocks", reusedTopology)
-        .endObject();
     json.endObject();
     {
         std::FILE* f = std::fopen("BENCH_fig4.json", "w");

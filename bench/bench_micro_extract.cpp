@@ -1,9 +1,8 @@
 // Microbenchmarks for iso-surface extraction (google-benchmark): the
 // legacy serial cell scan vs the two-pass block-local table-driven
-// extractor, serial and pooled, plus the warm topology-reuse path the
-// temporal reconstructor hits when block signs are unchanged between
-// frames. All variants run over the same sampled body grid so the
-// ratios isolate the extraction algorithm from field evaluation.
+// extractor, serial and pooled. All variants run over the same sampled
+// body grid so the ratios isolate the extraction algorithm from field
+// evaluation.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -42,9 +41,7 @@ Workload& workload(int res) {
         sampling.blockSize = block;
         sampling.lipschitz = body.lipschitz;
         sampling.margin = body.margin;
-        sampling.certificate = [&body](geom::Vec3f c, float r) {
-            return body.certificate(c, r, 0.0f);
-        };
+        sampling.certificate = body.certificate;
         sampling.batch = body.batch;
         w.sampler->sample(body.field, sampling);
     }
@@ -71,7 +68,7 @@ void BM_ExtractBlockSerial(benchmark::State& state) {
     const auto opt = reconOptions();
     for (auto _ : state)
         benchmark::DoNotOptimize(mesh::extractIsoSurface(
-            *w.grid, w.sampler.get(), opt, nullptr, nullptr));
+            *w.grid, w.sampler.get(), opt, nullptr));
 }
 BENCHMARK(BM_ExtractBlockSerial)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
@@ -82,32 +79,12 @@ void BM_ExtractBlockPooled(benchmark::State& state) {
     opt.pool = &pool;
     for (auto _ : state)
         benchmark::DoNotOptimize(mesh::extractIsoSurface(
-            *w.grid, w.sampler.get(), opt, nullptr, nullptr));
+            *w.grid, w.sampler.get(), opt, nullptr));
 }
 BENCHMARK(BM_ExtractBlockPooled)
     ->Args({128, 2})
     ->Args({128, 4})
     ->Args({128, 8})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ExtractTopologyReuse(benchmark::State& state) {
-    Workload& w = workload(static_cast<int>(state.range(0)));
-    const auto opt = reconOptions();
-    mesh::IsoExtractCache cache;
-    // Cold fill outside the timed loop; every timed pass re-extracts the
-    // unchanged grid, so all live blocks hit the sign-unchanged reuse
-    // path (only vertex positions are recomputed).
-    mesh::extractIsoSurface(*w.grid, w.sampler.get(), opt, &cache, nullptr);
-    mesh::ExtractStats stats;
-    for (auto _ : state)
-        benchmark::DoNotOptimize(
-            mesh::extractIsoSurface(*w.grid, w.sampler.get(), opt, &cache, &stats));
-    state.counters["reused_blocks"] =
-        static_cast<double>(stats.reusedTopologyBlocks);
-}
-BENCHMARK(BM_ExtractTopologyReuse)
-    ->Arg(64)
-    ->Arg(128)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

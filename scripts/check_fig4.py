@@ -12,7 +12,6 @@ ratio computed inside one run of the benchmark on one machine:
   * the ablation's simd+octree row must actually beat scalar+flat
     (otherwise the SIMD dispatch or the octree descent silently
     regressed to the slow path);
-  * the temporal cache must still be reusing blocks;
   * the block-local table-driven extractor must beat the legacy serial
     extractor on the same sampled grid, single core (the "extraction"
     section), and must have emitted the identical triangle set.
@@ -42,8 +41,6 @@ def main() -> None:
                     help="maximum node_eval_fraction at the anchor")
     ap.add_argument("--min-ablation-speedup", type=float, default=1.15,
                     help="minimum simd+octree speedup over scalar+flat")
-    ap.add_argument("--min-cache-hit", type=float, default=0.30,
-                    help="minimum temporal block cache-hit ratio")
     ap.add_argument("--min-extract-speedup", type=float, default=2.0,
                     help="minimum block-extractor vs legacy single-core speedup")
     args = ap.parse_args()
@@ -91,11 +88,6 @@ def main() -> None:
     if ablation["simd+octree"].get("node_eval_fraction", 1.0) > \
             ablation["simd+flat"].get("node_eval_fraction", 0.0) + 1e-9:
         fail("octree descent evaluates more nodes than the flat grid")
-
-    hit = data.get("temporal", {}).get("cache_hit_ratio", 0.0)
-    print(f"temporal cache-hit ratio: {hit:.2f} (gate: >= {args.min_cache_hit})")
-    if hit < args.min_cache_hit:
-        fail("temporal block cache stopped reusing blocks")
 
     ext = data.get("extraction")
     if ext is None:

@@ -79,8 +79,7 @@ private:
 };
 
 // One posed capsule of the implicit body (bones, head sphere, torso
-// slabs), exposed so callers can reason about which regions of space a
-// skeleton change can affect (temporal block caching).
+// slabs): the geometry the analytic block certificate bounds from.
 struct PosedCapsule {
     Vec3f a, b;
     float ra, rb;
@@ -121,20 +120,20 @@ struct BodyField {
     float margin{0.0f};
     geom::AABB bounds;  // loose world bounds (same rule as bodyBounds)
     // World-space box outside which the expression warp is provably
-    // zero — the only region an expression change can invalidate.
+    // zero: the certificate pays the warp offset only for balls that
+    // reach it.
     geom::AABB faceBounds;
     std::vector<PosedCapsule> capsules;
     std::shared_ptr<BodyFieldStats> stats;  // counters for this field
-    // Analytic block certificate: certificate(center, radius, slack) is
-    // true when |field| provably exceeds 'slack' everywhere within
-    // 'radius' of 'center'. Far tighter than the global lipschitz/margin
+    // Analytic block certificate: certificate(center, radius) is true
+    // when the field provably has no zero crossing within 'radius' of
+    // 'center'. Far tighter than the global lipschitz/margin
     // pair because it bounds the field from the posed capsules directly
     // (distance-to-AABB and distance-to-endpoint bounds are 1-Lipschitz
     // regardless of capsule cone slope) and pays the expression-warp
     // displacement only for regions the warp can actually reach. Feed it
-    // to mesh::FieldSampleOptions::certificate with slack = any drift
-    // tolerance a temporal cache allows before re-sampling.
-    std::function<bool(Vec3f center, float radius, float slack)> certificate;
+    // to mesh::FieldSampleOptions::certificate.
+    std::function<bool(Vec3f center, float radius)> certificate;
 };
 
 // Build the implicit body field for sparse/parallel sampling. The field

@@ -416,22 +416,21 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     const float clothingSlack =
         options.clothingDetail ? options.clothingAmplitude : 0.0f;
     out.certificate = [capsules = out.capsules, face = out.faceBounds, maxWarp,
-                       clothingSlack](Vec3f center, float radius,
-                                      float slack) -> bool {
+                       clothingSlack](Vec3f center, float radius) -> bool {
         float r = radius;
         if (maxWarp > 0.0f &&
             aabbDistance2(center, face.lo, face.hi) <= radius * radius)
             r += maxWarp;
-        const float clear = r + slack + clothingSlack + 1e-4f;
+        const float clear = r + clothingSlack + 1e-4f;
         float lb = std::numeric_limits<float>::max();  // min_i capsule lower bound
         float ub = std::numeric_limits<float>::max();  // min_i capsule upper bound
         for (const PosedCapsule& c : capsules) {
             lb = std::min(lb, capsuleLowerBound(c, center));
             ub = std::min(ub, capsuleUpperBound(c, center));
         }
-        // Exterior: f >= lb - radius - kFieldBlend > slack over the ball.
+        // Exterior: f >= lb - radius - kFieldBlend > 0 over the ball.
         if (lb - kFieldBlend > clear) return true;
-        // Interior: f <= ub + radius < -slack over the ball.
+        // Interior: f <= ub + radius < 0 over the ball.
         if (ub < -clear) return true;
         return false;
     };
@@ -464,9 +463,7 @@ BodyModel::BodyModel(const ShapeParams& shape, int templateResolution) : shape_(
     sampling.pool = &core::sharedPool();
     sampling.lipschitz = body.lipschitz;
     sampling.margin = body.margin;
-    sampling.certificate = [&body](Vec3f center, float radius) {
-        return body.certificate(center, radius, 0.0f);
-    };
+    sampling.certificate = body.certificate;
     // The batch evaluator is the field's bit-identical SoA companion, so
     // routing sampled blocks through it keeps the byte-exact guarantee.
     sampling.batch = body.batch;

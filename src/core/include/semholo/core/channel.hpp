@@ -85,8 +85,8 @@ public:
     // Reset per-session state (delta history, NeRF weights...), leaving
     // the channel as if freshly constructed.
     //
-    // Contract: the session engine (runSession, runConference and
-    // runMultiUserSession, at any worker count) invokes reset() once
+    // Contract: the session engine (runSession and runConference, at
+    // any worker count) invokes reset() once
     // before a channel's first frame, so a channel instance may be
     // reused across sessions without the caller constructing a fresh
     // one. Stateful channels MUST implement this; stateless channels

@@ -10,9 +10,7 @@
 // closed loops fighting over one queue.
 //
 // This is the conference entry API: a ConferenceConfig of owning
-// Participant descriptors replaces the legacy raw-channel-pointer vector
-// of runMultiUserSession (which survives as a deprecated shim that runs
-// the same engine with downlinks and arbitration off).
+// Participant descriptors.
 #pragma once
 
 #include <functional>

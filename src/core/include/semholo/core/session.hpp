@@ -266,8 +266,8 @@ struct MultiSessionStats {
     // participant gets the same delivery ratio, -> 1/N under starvation.
     double fairnessIndex{1.0};
     // Per-viewer downlink fan-out accounting; empty when the conference
-    // ran without downlinks (including every legacy runMultiUserSession
-    // call). sum(downlinks[v].bytesForwarded) == serverFanoutBytes.
+    // ran without downlinks. sum(downlinks[v].bytesForwarded) ==
+    // serverFanoutBytes.
     std::vector<DownlinkStats> downlinks;
     std::uint64_t serverFanoutFrames{};
     std::uint64_t serverFanoutBytes{};
@@ -297,17 +297,5 @@ std::string toJsonValue(const SessionStats& stats);
 // Aggregate figures, the per-user fairness array, the per-viewer
 // downlink fan-out (when present), and the merged telemetry.
 std::string toJsonValue(const MultiSessionStats& stats);
-
-// Legacy multi-user entrypoint: runs the conference engine with the
-// shared-uplink topology, downlink fan-out disabled and no arbiter —
-// exactly the pre-SFU semantics. New code should build a
-// ConferenceConfig of Participant descriptors instead
-// (semholo/core/conference.hpp).
-[[deprecated(
-    "use runConference(const ConferenceConfig&, const body::BodyModel&) from "
-    "semholo/core/conference.hpp")]]
-MultiSessionStats runMultiUserSession(
-    const std::vector<SemanticChannel*>& channels, const body::BodyModel& model,
-    const SessionConfig& base);
 
 }  // namespace semholo::core

@@ -59,17 +59,15 @@ private:
 
 // Sparse-reconstruction work accounting of one decode, one frame or one
 // session (all zero on dense or image-only decode paths): how much of
-// the field pass the pruning/caching layers elided, and what the
+// the field pass the pruning layers elided, and what the
 // block-local extractor emitted. Carried by DecodedFrame, FrameStats
 // and Counters alike, and summed with +=.
 struct ReconCounters {
     std::uint64_t blocksSkipped{};   // blocks certified crossing-free
-    std::uint64_t blocksCached{};    // blocks re-used from the cache
     std::uint64_t bonesPruned{};     // capsule blends skipped per query
     std::uint64_t nodesEvaluated{};  // field evaluations actually run
     std::uint64_t certTests{};       // analytic certificate invocations
-    std::uint64_t activeCells{};           // mixed-sign cells emitted from
-    std::uint64_t reusedTopologyBlocks{};  // sign-unchanged topology reuse
+    std::uint64_t activeCells{};     // mixed-sign cells emitted from
 
     ReconCounters& operator+=(const ReconCounters& other);
 };
@@ -130,7 +128,10 @@ struct SessionTelemetry {
 //      schedule comparison) in every MultiSessionStats value, plus the
 //      BENCH_conference "straggler_pipeline" section gating the
 //      within-run pipelined-vs-barrier tick throughput.
-inline constexpr std::uint64_t kBenchSchemaVersion = 5;
+//   6: the temporal block cache is gone: session counters drop
+//      recon_blocks_cached / recon_reused_topology_blocks, and BENCH_fig4
+//      drops the "temporal" section and per-row reused_topology_blocks.
+inline constexpr std::uint64_t kBenchSchemaVersion = 6;
 
 // Minimal JSON document builder shared by the bench exporters, so ad-hoc
 // bench output (speedups, per-row results) lands in the same files as

@@ -24,9 +24,8 @@ double msSince(std::chrono::steady_clock::time_point start) {
 // frame so the session engines can aggregate it into telemetry.
 void copyReconStats(const recon::ReconstructionResult& result, DecodedFrame& out) {
     const recon::ReconstructionStats& s = result.stats;
-    out.recon = {s.blocksSkipped,  s.blocksCached, s.bonesPruned,
-                 s.nodesEvaluated, s.certTests,    s.activeCells,
-                 s.reusedTopologyBlocks};
+    out.recon = {s.blocksSkipped, s.bonesPruned, s.nodesEvaluated,
+                 s.certTests,     s.activeCells};
 }
 
 void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {

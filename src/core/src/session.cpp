@@ -121,33 +121,17 @@ std::size_t MultiSessionStats::usersWithinLatency(double budgetMs) const {
     return n;
 }
 
-namespace {
-
-// The pre-SFU topology: every participant on one shared uplink, no
-// downlink fan-out, no arbiter.
-MultiSessionStats runSharedUplink(const std::vector<SemanticChannel*>& channels,
-                                  const body::BodyModel& model,
-                                  const SessionConfig& config) {
-    ConferenceConfig conf;
-    conf.session = config;
-    conf.participants.resize(channels.size());
-    conf.sharedUplink = true;
-    conf.enableDownlinks = false;
-    return internal::runConferenceWithChannels(conf, channels, model);
-}
-
-}  // namespace
-
 SessionStats runSession(SemanticChannel& channel, const body::BodyModel& model,
                         const SessionConfig& config) {
-    return std::move(runSharedUplink({&channel}, model, config).perUser[0]);
-}
-
-MultiSessionStats runMultiUserSession(
-    const std::vector<SemanticChannel*>& channels, const body::BodyModel& model,
-    const SessionConfig& base) {
-    // Legacy shim over the same topology runSession uses.
-    return runSharedUplink(channels, model, base);
+    // A one-participant conference: shared uplink, no downlink fan-out,
+    // no arbiter.
+    ConferenceConfig conf;
+    conf.session = config;
+    conf.participants.resize(1);
+    conf.sharedUplink = true;
+    conf.enableDownlinks = false;
+    return std::move(
+        internal::runConferenceWithChannels(conf, {&channel}, model).perUser[0]);
 }
 
 }  // namespace semholo::core

@@ -49,7 +49,7 @@ void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& conf
 // byte-identical under TimingModel::Simulated at any worker count.
 // 'channels' are externally owned, one per conf.participants entry
 // (built by runConference from the descriptors, or supplied verbatim by
-// runSession and the deprecated runMultiUserSession shim).
+// runSession).
 MultiSessionStats runConferenceTicked(
     const ConferenceConfig& conf, const std::vector<SemanticChannel*>& channels,
     const body::BodyModel& model, ThreadPool* pool);

@@ -102,12 +102,10 @@ double Histogram::percentile(double p) const {
 
 ReconCounters& ReconCounters::operator+=(const ReconCounters& other) {
     blocksSkipped += other.blocksSkipped;
-    blocksCached += other.blocksCached;
     bonesPruned += other.bonesPruned;
     nodesEvaluated += other.nodesEvaluated;
     certTests += other.certTests;
     activeCells += other.activeCells;
-    reusedTopologyBlocks += other.reusedTopologyBlocks;
     return *this;
 }
 
@@ -193,12 +191,10 @@ std::string toJsonValue(const SessionTelemetry& t) {
         .field("degradations", t.counters.degradations)
         .field("upgrades", t.counters.upgrades)
         .field("recon_blocks_skipped", t.counters.recon.blocksSkipped)
-        .field("recon_blocks_cached", t.counters.recon.blocksCached)
         .field("recon_bones_pruned", t.counters.recon.bonesPruned)
         .field("recon_nodes_evaluated", t.counters.recon.nodesEvaluated)
         .field("recon_cert_tests", t.counters.recon.certTests)
         .field("recon_active_cells", t.counters.recon.activeCells)
-        .field("recon_reused_topology_blocks", t.counters.recon.reusedTopologyBlocks)
         .endObject();
     w.endObject();
     return w.str();

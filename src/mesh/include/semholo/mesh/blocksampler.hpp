@@ -50,7 +50,7 @@ struct FieldSampleOptions {
     // body::makeBodyField).
     float lipschitz{1.0f};
     // Additive slack J on the certification bound: bounded discontinuity
-    // jumps plus any temporal-cache tolerance the caller relies on.
+    // jumps.
     float margin{0.0f};
     // Optional analytic certificate: certificate(center, radius) returns
     // true when the field provably has no iso-crossing within 'radius'
@@ -58,9 +58,8 @@ struct FieldSampleOptions {
     // fields (the body's smooth-min capsule fold) certify far tighter
     // from their own geometry than from global L/J constants, which get
     // inflated by worst-case capsule cones and expression warps that
-    // only act near the face. The caller must fold any temporal-cache
-    // tolerance into the certificate itself. Like the field, it is
-    // called concurrently from pool workers.
+    // only act near the face. Like the field, it is called concurrently
+    // from pool workers.
     std::function<bool(geom::Vec3f center, float radius)> certificate;
     // Optional SoA batch evaluator paired with the field (must return
     // bit-identical values — see BatchScalarField). When set, fully
@@ -80,7 +79,6 @@ struct FieldSampleStats {
     std::size_t blocksTotal{};
     std::size_t blocksSampled{};    // fully evaluated this pass
     std::size_t blocksSkipped{};    // certified surface-free, filled
-    std::size_t blocksCached{};     // reused from a previous pass
     // Of blocksSkipped, how many were filled from a certified octree
     // ancestor rather than their own leaf test.
     std::size_t blocksCoarseFilled{};
@@ -98,9 +96,7 @@ struct FieldSampleStats {
 };
 
 // Tiles a VoxelGrid into cubical node blocks and samples a field into it
-// sparsely. Block geometry is stable for the grid's lifetime, so callers
-// implementing temporal caches can address blocks by index across
-// frames (see recon::SparseReconstructor).
+// sparsely. Each sample() pass processes every block.
 class BlockSampler {
 public:
     BlockSampler(VoxelGrid& grid, int blockSize);
@@ -111,28 +107,18 @@ public:
 
     // World-space AABB of the block's guard region (node region expanded
     // by one cell): the region whose field values the block's skip
-    // certificate must cover, and the region a bone must clear for the
-    // temporal cache to keep the block.
+    // certificate must cover.
     geom::AABB blockGuardBounds(int block) const;
-    Vec3f blockCenter(int block) const;
-    // Half-diagonal of the guard region (the rGuard of the skip bound).
-    float guardRadius() const { return guardRadius_; }
 
-    // Sample 'field' into the grid. When 'dirty' is non-null it must
-    // have blockCount() entries; blocks with dirty[b] == 0 are left
-    // untouched and counted as blocksCached. Every dirty block is either
-    // fully evaluated or, if certifiably surface-free under the options'
-    // Lipschitz bound, filled with its center value.
+    // Sample 'field' into the grid. Every block is either fully
+    // evaluated or, if certifiably surface-free under the options'
+    // Lipschitz bound or certificate, filled with its center value.
     FieldSampleStats sample(const ScalarField& field,
-                            const FieldSampleOptions& options,
-                            const std::vector<std::uint8_t>* dirty = nullptr);
+                            const FieldSampleOptions& options);
 
-    // Per-block surface-free verdicts from the most recent pass(es):
-    // 1 when the block was skip-certified (no iso-crossing anywhere in
-    // its guard region), 0 when it was fully sampled or never processed.
-    // Cached blocks keep the flag from the pass that last processed
-    // them — valid as long as the caller's cache invariant holds (the
-    // certificate it sampled with covered any drift it allows). Sparse
+    // Per-block surface-free verdicts from the most recent pass: 1 when
+    // the block was skip-certified (no iso-crossing anywhere in its guard
+    // region), 0 when it was fully sampled or never processed. Sparse
     // extraction uses this to visit only cells that can hold surface.
     const std::vector<std::uint8_t>& surfaceFree() const { return surfaceFree_; }
 
@@ -174,20 +160,18 @@ private:
     // Octree depth at which sample() hands nodes to pool tasks.
     static constexpr int kSplitDepth = 2;
     // Coarse-to-fine certificate descent over block range [lo, hi] at
-    // octree depth 'depth': fills certified nodes' dirty blocks and
-    // appends blocks needing a leaf pass to 'work'. With 'split' set,
-    // dirty nodes at kSplitDepth (and single blocks above it) are
-    // appended there undecided instead.
-    void descend(Vec3i lo, Vec3i hi, int depth,
-                 const std::vector<std::uint8_t>& dirtyLeaf,
-                 const ScalarField& field, const FieldSampleOptions& options,
-                 FieldSampleStats& stats, std::vector<int>& work,
-                 std::vector<Subtree>* split);
+    // octree depth 'depth': fills certified nodes' blocks and appends
+    // blocks needing a leaf pass to 'work'. With 'split' set, nodes at
+    // kSplitDepth (and single blocks above it) are appended there
+    // undecided instead.
+    void descend(Vec3i lo, Vec3i hi, int depth, const ScalarField& field,
+                 const FieldSampleOptions& options, FieldSampleStats& stats,
+                 std::vector<int>& work, std::vector<Subtree>* split);
 
     VoxelGrid& grid_;
     int blockSize_{8};
     Vec3i blocks_{};
-    float guardRadius_{0.0f};
+    float guardRadius_{0.0f};  // half-diagonal of a block's guard region
     std::vector<std::uint8_t> surfaceFree_;
 };
 

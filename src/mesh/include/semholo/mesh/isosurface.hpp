@@ -21,9 +21,9 @@
 // Output ordering is canonical — triangles in cell scan order, vertices
 // numbered by first use in that triangle stream — so the mesh is
 // byte-identical for any worker count AND any block decomposition, which
-// is what keeps the dense/sparse and cached/fresh bit-identity
-// guarantees intact (and keeps the index deltas the mesh codec feeds on
-// as local as the legacy extractor's).
+// is what keeps the dense/sparse bit-identity guarantee intact (and
+// keeps the index deltas the mesh codec feeds on as local as the legacy
+// extractor's).
 // The previous serial extractor is retained as extractIsoSurfaceLegacy
 // for differential tests and the within-run benchmark baseline.
 #pragma once
@@ -66,58 +66,17 @@ struct IsoSurfaceOptions {
 struct ExtractStats {
     std::size_t blocksTotal{};           // blocks tiled over the grid
     std::size_t blocksExtracted{};       // blocks holding >= 1 crossing edge
-    std::size_t reusedTopologyBlocks{};  // cache hits: sign rows unchanged
     std::uint64_t activeCells{};         // mixed-sign cells emitted from
     std::uint64_t vertices{};            // crossing-edge vertices emitted
     std::uint64_t triangles{};           // table triangles emitted (pre-cleanup)
 };
 
-// Persistent per-block topology cache for repeated extraction over one
-// grid (recon::SparseReconstructor owns one per session). When a block
-// re-samples but its halo node signs are unchanged, its active-cell
-// list, case configs and per-row counts are reused and only vertex
-// positions are recomputed. Contents are an implementation detail of
-// extractIsoSurface; callers only construct, pass and clear() it.
-class IsoExtractCache {
-public:
-    void clear() {
-        slot.clear();
-        blocks.clear();
-        res = {-1, -1, -1};
-        epoch = 0;
-    }
-
-    // -- internal state (managed by extractIsoSurface) --
-    struct Block {
-        bool valid{false};
-        std::uint32_t epoch{0};  // last extraction pass this block was live in
-        std::vector<std::uint64_t> signRows;  // halo sign bits, (z,y) rows
-        std::vector<std::uint32_t> cells;     // packed active cells + configs
-        std::vector<std::uint16_t> rowVerts;  // crossing edges per owned node row
-        std::vector<std::uint16_t> rowTris;   // table triangles per owned cell row
-        std::vector<std::uint32_t> segBaseV;  // per-row global vertex offsets
-        std::vector<std::uint32_t> segBaseT;  // per-row global triangle offsets
-        std::uint32_t vertexCount{0};
-        std::uint32_t triangleCount{0};
-    };
-    // Grid fingerprint the cached topology is valid for.
-    Vec3i res{-1, -1, -1};
-    Vec3f boundsLo{}, boundsHi{};
-    float isoValue{0.0f};
-    int blockSize{0};
-    std::uint32_t epoch{0};          // extraction pass counter
-    std::vector<std::int32_t> slot;  // block index -> blocks[] entry or -1
-    std::vector<Block> blocks;
-};
-
 // Full-control entry point: extract the iso-surface of a sampled grid.
 // 'sampler' (optional) must tile 'grid'; cells in blocks it certified
 // surface-free are skipped — provably without changing the output.
-// 'cache' (optional) enables sign-unchanged topology reuse across calls
-// on the same grid. 'stats' (optional) receives the pass counters.
+// 'stats' (optional) receives the pass counters.
 TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
-                          const IsoSurfaceOptions& options,
-                          IsoExtractCache* cache, ExtractStats* stats);
+                          const IsoSurfaceOptions& options, ExtractStats* stats);
 
 // Extract the iso-surface of a sampled grid.
 TriMesh extractIsoSurface(const VoxelGrid& grid, const IsoSurfaceOptions& options = {});

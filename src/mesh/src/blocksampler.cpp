@@ -11,7 +11,6 @@ void FieldSampleStats::merge(const FieldSampleStats& other) {
     blocksTotal += other.blocksTotal;
     blocksSampled += other.blocksSampled;
     blocksSkipped += other.blocksSkipped;
-    blocksCached += other.blocksCached;
     blocksCoarseFilled += other.blocksCoarseFilled;
     nodesEvaluated += other.nodesEvaluated;
     nodesTotal += other.nodesTotal;
@@ -63,13 +62,6 @@ geom::AABB BlockSampler::blockGuardBounds(int block) const {
     return box;
 }
 
-Vec3f BlockSampler::blockCenter(int block) const {
-    const BlockRange r = blockRange(block);
-    const Vec3f lo = grid_.nodePosition(r.nodeLo.x, r.nodeLo.y, r.nodeLo.z);
-    const Vec3f hi = grid_.nodePosition(r.nodeHi.x, r.nodeHi.y, r.nodeHi.z);
-    return (lo + hi) * 0.5f;
-}
-
 std::uint64_t BlockSampler::ownedNodes(int block) const {
     const BlockRange r = blockRange(block);
     return static_cast<std::uint64_t>(r.nodeHi.x - r.nodeLo.x + 1) *
@@ -110,7 +102,10 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
         // owned-node midpoint for edge blocks; using the owned-node
         // midpoint with the full guard radius stays conservative because
         // the guard region never extends more than guardRadius_ from it.
-        const Vec3f center = blockCenter(block);
+        const Vec3f center =
+            (grid_.nodePosition(r.nodeLo.x, r.nodeLo.y, r.nodeLo.z) +
+             grid_.nodePosition(r.nodeHi.x, r.nodeHi.y, r.nodeHi.z)) *
+            0.5f;
         float d = 0.0f;
         bool certified;
         if (options.certificate) {
@@ -174,21 +169,10 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
 }
 
 void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
-                           const std::vector<std::uint8_t>& dirtyLeaf,
                            const ScalarField& field,
                            const FieldSampleOptions& options,
                            FieldSampleStats& stats, std::vector<int>& work,
                            std::vector<Subtree>* split) {
-    // Skip subtrees with no dirty block (their leaves were already
-    // accounted as cached by the prefilter).
-    bool anyDirty = false;
-    for (int z = lo.z; z <= hi.z && !anyDirty; ++z)
-        for (int y = lo.y; y <= hi.y && !anyDirty; ++y)
-            for (int x = lo.x; x <= hi.x && !anyDirty; ++x)
-                anyDirty = dirtyLeaf[static_cast<std::size_t>(
-                               blockIndex({x, y, z}))] != 0;
-    if (!anyDirty) return;
-
     const bool single = lo.x == hi.x && lo.y == hi.y && lo.z == hi.z;
     if (split != nullptr && (single || depth == kSplitDepth)) {
         // Undecided: descended later as its own (parallel) subtree.
@@ -205,7 +189,7 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
     // every descendant's guard region, so a certificate that holds here
     // holds for each block individually — and the field's sign is
     // constant across the ball, so one probe's value is a valid fill for
-    // every dirty block beneath (extraction cells touching filled nodes
+    // every block beneath (extraction cells touching filled nodes
     // lie wholly inside the certified region; see the header proof).
     // Fills write only this node's blocks, so concurrent subtrees never
     // touch the same grid nodes or surfaceFree_ entries.
@@ -220,7 +204,6 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
             for (int y = lo.y; y <= hi.y; ++y)
                 for (int x = lo.x; x <= hi.x; ++x) {
                     const int b = blockIndex({x, y, z});
-                    if (dirtyLeaf[static_cast<std::size_t>(b)] == 0) continue;
                     fillBlock(b, d);
                     ++stats.blocksSkipped;
                     ++stats.blocksCoarseFilled;
@@ -241,8 +224,8 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
                 const Vec3i chi{ox ? hi.x : mid.x, oy ? hi.y : mid.y,
                                 oz ? hi.z : mid.z};
                 if (clo.x > chi.x || clo.y > chi.y || clo.z > chi.z) continue;
-                descend(clo, chi, depth + 1, dirtyLeaf, field, options, stats,
-                        work, split);
+                descend(clo, chi, depth + 1, field, options, stats, work,
+                        split);
             }
 }
 
@@ -262,8 +245,7 @@ void runTasks(core::ThreadPool* pool, std::size_t count, F&& fn) {
 }  // namespace
 
 FieldSampleStats BlockSampler::sample(const ScalarField& field,
-                                      const FieldSampleOptions& options,
-                                      const std::vector<std::uint8_t>* dirty) {
+                                      const FieldSampleOptions& options) {
     FieldSampleStats total;
     const int count = blockCount();
     total.blocksTotal = static_cast<std::size_t>(count);
@@ -273,14 +255,6 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
     const bool useOctree = options.blockPruning && options.hierarchical &&
                            static_cast<bool>(options.certificate) && count > 1;
     if (useOctree) {
-        std::vector<std::uint8_t> dirtyLeaf(static_cast<std::size_t>(count), 1);
-        for (int b = 0; b < count; ++b) {
-            if (dirty != nullptr && (*dirty)[static_cast<std::size_t>(b)] == 0) {
-                dirtyLeaf[static_cast<std::size_t>(b)] = 0;
-                ++total.blocksCached;
-                total.nodesTotal += ownedNodes(b);
-            }
-        }
         // The top levels decide few nodes, so they run serially and
         // leave up to 64 undecided subtrees, each descended (certificate
         // tests, field probes, coarse fills) as one pool task. A node's
@@ -291,25 +265,18 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
         // sums.
         std::vector<Subtree> subtrees;
         descend({0, 0, 0}, {blocks_.x - 1, blocks_.y - 1, blocks_.z - 1}, 0,
-                dirtyLeaf, field, options, total, work, &subtrees);
+                field, options, total, work, &subtrees);
         runTasks(options.pool, subtrees.size(), [&](std::size_t i) {
             Subtree& s = subtrees[i];
-            descend(s.lo, s.hi, kSplitDepth, dirtyLeaf, field, options, s.stats,
-                    s.work, nullptr);
+            descend(s.lo, s.hi, kSplitDepth, field, options, s.stats, s.work,
+                    nullptr);
         });
         for (const Subtree& s : subtrees) {
             total.merge(s.stats);
             work.insert(work.end(), s.work.begin(), s.work.end());
         }
     } else {
-        for (int b = 0; b < count; ++b) {
-            if (dirty != nullptr && (*dirty)[static_cast<std::size_t>(b)] == 0) {
-                ++total.blocksCached;
-                total.nodesTotal += ownedNodes(b);
-                continue;
-            }
-            work.push_back(b);
-        }
+        for (int b = 0; b < count; ++b) work.push_back(b);
     }
 
     // Chunk the block list so task overhead stays negligible. Chunk

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -545,10 +544,21 @@ inline void crossWords(const std::vector<std::uint64_t>& rows, const BlockGeom& 
     }
 }
 
+// One work block's pass-1 topology and its prefix-sum segment bases.
+struct Block {
+    std::vector<std::uint64_t> signRows;  // halo sign bits, (z,y) rows
+    std::vector<std::uint32_t> cells;     // packed active cells + configs
+    std::vector<std::uint16_t> rowVerts;  // crossing edges per owned node row
+    std::vector<std::uint16_t> rowTris;   // table triangles per owned cell row
+    std::vector<std::uint32_t> segBaseV;  // per-row global vertex offsets
+    std::vector<std::uint32_t> segBaseT;  // per-row global triangle offsets
+    std::uint32_t vertexCount{0};
+    std::uint32_t triangleCount{0};
+};
+
 // Pass-1 core: active-cell list, case configs and exact per-row counts,
 // all from the sign rows (no field values touched).
-void computeTopology(const BlockGeom& g, const CaseTable& table,
-                     IsoExtractCache::Block& B) {
+void computeTopology(const BlockGeom& g, const CaseTable& table, Block& B) {
     B.rowVerts.assign(static_cast<std::size_t>(g.owned.z) * g.owned.y, 0);
     std::array<std::uint64_t, 7> cw;
     std::uint32_t vCount = 0;
@@ -629,8 +639,7 @@ void parallelChunks(core::ThreadPool* pool, std::size_t count, F&& fn) {
 }
 
 TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
-                         const IsoSurfaceOptions& options, IsoExtractCache* cache,
-                         ExtractStats* stats) {
+                         const IsoSurfaceOptions& options, ExtractStats* stats) {
     TriMesh out;
     if (stats != nullptr) *stats = {};
     const Vec3i res = grid.resolution();
@@ -648,62 +657,30 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     const CaseTable& table = caseTable();
     const float iso = options.isoValue;
 
-    IsoExtractCache local;
-    IsoExtractCache& C = cache != nullptr ? *cache : local;
-    const bool fingerprintMatches =
-        C.res.x == res.x && C.res.y == res.y && C.res.z == res.z &&
-        C.boundsLo.x == grid.bounds().lo.x && C.boundsLo.y == grid.bounds().lo.y &&
-        C.boundsLo.z == grid.bounds().lo.z && C.boundsHi.x == grid.bounds().hi.x &&
-        C.boundsHi.y == grid.bounds().hi.y && C.boundsHi.z == grid.bounds().hi.z &&
-        C.isoValue == iso && C.blockSize == bs;
-    if (!fingerprintMatches) {
-        C.clear();
-        C.res = res;
-        C.boundsLo = grid.bounds().lo;
-        C.boundsHi = grid.bounds().hi;
-        C.isoValue = iso;
-        C.blockSize = bs;
-    }
-    C.slot.resize(numBlocks, -1);
-
     // Work list: every block not certified surface-free. Certified
     // blocks hold no crossing edge anywhere in their node set (the
     // certificate's guard ball covers one node ring beyond the block),
-    // so skipping them drops neither vertices nor triangles.
+    // so skipping them drops neither vertices nor triangles. blocks[i]
+    // holds work[i]'s topology; slot maps a block index to i, or -1.
     const std::vector<std::uint8_t>* surfaceFree =
         sampler != nullptr ? &sampler->surfaceFree() : nullptr;
     std::vector<std::uint32_t> work;
     work.reserve(surfaceFree != nullptr ? numBlocks / 4 + 1 : numBlocks);
+    std::vector<std::int32_t> slot(numBlocks, -1);
     for (std::size_t b = 0; b < numBlocks; ++b) {
         if (surfaceFree != nullptr && (*surfaceFree)[b] != 0) continue;
-        if (C.slot[b] < 0) {
-            C.slot[b] = static_cast<std::int32_t>(C.blocks.size());
-            C.blocks.emplace_back();
-        }
-        C.blocks[static_cast<std::size_t>(C.slot[b])].epoch = C.epoch + 1;
+        slot[b] = static_cast<std::int32_t>(work.size());
         work.push_back(static_cast<std::uint32_t>(b));
     }
-    ++C.epoch;
+    std::vector<Block> blocks(work.size());
 
     // ---- Pass 1: sign rows + topology (parallel over blocks) ----
-    std::atomic<std::size_t> reused{0};
     parallelChunks(options.pool, work.size(), [&](std::size_t i0, std::size_t i1) {
-        std::vector<std::uint64_t> fresh;
-        std::size_t reusedLocal = 0;
         for (std::size_t i = i0; i < i1; ++i) {
-            const std::size_t b = work[i];
-            const BlockGeom g = tiling.geom(b);
-            IsoExtractCache::Block& B = C.blocks[static_cast<std::size_t>(C.slot[b])];
-            buildSignRows(grid, g, iso, fresh);
-            if (B.valid && fresh == B.signRows) {
-                ++reusedLocal;  // signs unchanged: keep topology, pass 2
-                continue;       // recomputes the vertex positions anyway
-            }
-            B.signRows.swap(fresh);
-            computeTopology(g, table, B);
-            B.valid = true;
+            const BlockGeom g = tiling.geom(work[i]);
+            buildSignRows(grid, g, iso, blocks[i].signRows);
+            computeTopology(g, table, blocks[i]);
         }
-        reused.fetch_add(reusedLocal, std::memory_order_relaxed);
     });
 
     // ---- Prefix: canonical global offsets ----
@@ -716,9 +693,9 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     std::vector<std::uint32_t> rowBaseT(static_cast<std::size_t>(res.z) * res.y, 0);
     std::size_t blocksExtracted = 0;
     std::uint64_t activeCells = 0;
-    for (const std::uint32_t b : work) {
-        const BlockGeom g = tiling.geom(b);
-        const IsoExtractCache::Block& B = C.blocks[static_cast<std::size_t>(C.slot[b])];
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        const BlockGeom g = tiling.geom(work[i]);
+        const Block& B = blocks[i];
         if (B.vertexCount > 0 || !B.cells.empty()) ++blocksExtracted;
         activeCells += B.cells.size();
         for (int lz = 0; lz < g.owned.z; ++lz)
@@ -743,9 +720,9 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
         r = static_cast<std::uint32_t>(tTotal);
         tTotal += c;
     }
-    for (const std::uint32_t b : work) {
-        const BlockGeom g = tiling.geom(b);
-        IsoExtractCache::Block& B = C.blocks[static_cast<std::size_t>(C.slot[b])];
+    for (std::size_t i = 0; i < work.size(); ++i) {
+        const BlockGeom g = tiling.geom(work[i]);
+        Block& B = blocks[i];
         for (int lz = 0; lz < g.owned.z; ++lz) {
             for (int ly = 0; ly < g.owned.y; ++ly) {
                 std::uint32_t& cur =
@@ -771,7 +748,6 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     if (stats != nullptr) {
         stats->blocksTotal = numBlocks;
         stats->blocksExtracted = blocksExtracted;
-        stats->reusedTopologyBlocks = reused.load(std::memory_order_relaxed);
         stats->activeCells = activeCells;
         stats->vertices = vTotal;
         stats->triangles = tTotal;
@@ -783,10 +759,8 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
         std::vector<std::uint32_t> edgeMap;  // reused across the chunk's blocks
         std::array<std::uint64_t, 7> cw;
         for (std::size_t i = i0; i < i1; ++i) {
-            const std::size_t b = work[i];
-            const BlockGeom g = tiling.geom(b);
-            const IsoExtractCache::Block& B =
-                C.blocks[static_cast<std::size_t>(C.slot[b])];
+            const BlockGeom g = tiling.geom(work[i]);
+            const Block& B = blocks[i];
             if (B.vertexCount == 0 && B.cells.empty()) continue;
             edgeMap.resize(static_cast<std::size_t>(g.walk.x) * g.walk.y * g.walk.z *
                            kSlotsPerNode);
@@ -799,8 +773,8 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
             // identical because the crossing bits are a pure function of
             // the shared grid. Ordinals continue across the x boundary
             // into the neighbour's segment by construction of the
-            // prefix. A halo row whose owner has no topology this pass
-            // is certificate-empty: no crossings, nothing to index.
+            // prefix. A halo row whose owner is not on the work list is
+            // certificate-empty: no crossings, nothing to index.
             for (int lz = 0; lz < g.walk.z; ++lz) {
                 for (int ly = 0; ly < g.walk.y; ++ly) {
                     const int gy = g.lo.y + ly;
@@ -811,11 +785,9 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
                         ord = B.segBaseV[static_cast<std::size_t>(lz) * g.owned.y + ly];
                     } else {
                         const std::size_t ob = tiling.index(bx, gy / bs, gz / bs);
-                        const std::int32_t os = C.slot[ob];
+                        const std::int32_t os = slot[ob];
                         if (os < 0) continue;
-                        const IsoExtractCache::Block& OB =
-                            C.blocks[static_cast<std::size_t>(os)];
-                        if (OB.epoch != C.epoch) continue;
+                        const Block& OB = blocks[static_cast<std::size_t>(os)];
                         const BlockGeom og = tiling.geom(ob);
                         ord = OB.segBaseV[static_cast<std::size_t>(gz - og.lo.z) *
                                               og.owned.y +
@@ -983,18 +955,17 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
 }  // namespace
 
 TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
-                          const IsoSurfaceOptions& options, IsoExtractCache* cache,
-                          ExtractStats* stats) {
-    return extractBlockImpl(grid, sampler, options, cache, stats);
+                          const IsoSurfaceOptions& options, ExtractStats* stats) {
+    return extractBlockImpl(grid, sampler, options, stats);
 }
 
 TriMesh extractIsoSurface(const VoxelGrid& grid, const IsoSurfaceOptions& options) {
-    return extractBlockImpl(grid, nullptr, options, nullptr, nullptr);
+    return extractBlockImpl(grid, nullptr, options, nullptr);
 }
 
 TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler& sampler,
                           const IsoSurfaceOptions& options) {
-    return extractBlockImpl(grid, &sampler, options, nullptr, nullptr);
+    return extractBlockImpl(grid, &sampler, options, nullptr);
 }
 
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,

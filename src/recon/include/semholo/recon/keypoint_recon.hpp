@@ -52,9 +52,8 @@ struct ReconstructionOptions {
     // instead of one field call per node. Bit-identical output either
     // way; off is the scalar ablation row in bench_fig4.
     bool simdBatch{true};
-    // Test skip certificates on a coarse-to-fine octree and key the
-    // temporal cache's support scan on octree nodes (sparse mode only).
-    // Off reverts to flat per-block tests — the other ablation row.
+    // Test skip certificates on a coarse-to-fine octree (sparse mode
+    // only). Off reverts to flat per-block tests — the other ablation row.
     bool octreeCertificates{true};
 };
 
@@ -67,19 +66,15 @@ struct ReconstructionStats {
     std::size_t blocksTotal{0};
     std::size_t blocksSampled{0};
     std::size_t blocksSkipped{0};   // certified surface-free, filled cheaply
-    std::size_t blocksCached{0};    // reused from a previous frame
     std::size_t blocksCoarseFilled{0};  // skipped via a certified octree ancestor
     std::uint64_t nodesEvaluated{0};
     std::uint64_t nodesTotal{0};
     std::uint64_t certTests{0};     // analytic certificate invocations
     std::uint64_t bonesBlended{0};  // capsule blends actually executed
     std::uint64_t bonesPruned{0};   // capsule blends skipped via bounds
-    // Extraction-stage counters (set in both modes — the block-local
-    // extractor runs everywhere; reusedTopologyBlocks is only nonzero on
-    // the temporal path, where SparseReconstructor keeps the topology
-    // cache across frames).
-    std::uint64_t activeCells{0};           // mixed-sign cells emitted from
-    std::uint64_t reusedTopologyBlocks{0};  // blocks whose signs were unchanged
+    // Extraction-stage counter (set in both modes — the block-local
+    // extractor runs everywhere).
+    std::uint64_t activeCells{0};  // mixed-sign cells emitted from
 };
 
 struct ReconstructionResult {

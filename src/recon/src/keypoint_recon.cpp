@@ -63,7 +63,7 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         mesh::IsoSurfaceOptions iso;
         iso.weldVertices = false;
         mesh::ExtractStats es;
-        result.mesh = mesh::extractIsoSurface(grid, nullptr, iso, nullptr, &es);
+        result.mesh = mesh::extractIsoSurface(grid, nullptr, iso, &es);
         result.stats.activeCells = es.activeCells;
         result.extractMs = msSince(t0);
     } else {
@@ -77,9 +77,7 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         sampling.pool = options.pool != nullptr ? options.pool : &core::sharedPool();
         sampling.lipschitz = body.lipschitz;
         sampling.margin = body.margin;
-        sampling.certificate = [&body](geom::Vec3f center, float radius) {
-            return body.certificate(center, radius, 0.0f);
-        };
+        sampling.certificate = body.certificate;
         if (options.simdBatch) sampling.batch = body.batch;
         sampling.hierarchical = options.octreeCertificates;
 
@@ -92,7 +90,6 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         result.stats.blocksTotal = fs.blocksTotal;
         result.stats.blocksSampled = fs.blocksSampled;
         result.stats.blocksSkipped = fs.blocksSkipped;
-        result.stats.blocksCached = fs.blocksCached;
         result.stats.blocksCoarseFilled = fs.blocksCoarseFilled;
         result.stats.nodesEvaluated = fs.nodesEvaluated;
         result.stats.nodesTotal = fs.nodesTotal;
@@ -108,9 +105,8 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         iso.weldVertices = false;
         iso.pool = sampling.pool;
         mesh::ExtractStats es;
-        result.mesh = mesh::extractIsoSurface(grid, &sampler, iso, nullptr, &es);
+        result.mesh = mesh::extractIsoSurface(grid, &sampler, iso, &es);
         result.stats.activeCells = es.activeCells;
-        result.stats.reusedTopologyBlocks = es.reusedTopologyBlocks;
         result.extractMs = msSince(t0);
     }
     result.success = !result.mesh.empty();

@@ -3,9 +3,7 @@
 // conservation on every uplink and downlink), the serial/parallel
 // byte-identity contract with downlinks and arbitration enabled, the
 // subscription ladder, the BandwidthArbiter allocation properties, and
-// the legacy runMultiUserSession shim's equivalence to the conference
-// engine.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// the equivalence of factory-built and spec-built participants.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +13,7 @@
 #include <vector>
 
 #include "semholo/core/conference.hpp"
+#include "shared_uplink.hpp"
 
 namespace semholo::core {
 namespace {
@@ -109,10 +108,11 @@ TEST(Conference, ChannelFactoryOverridesSpec) {
     EXPECT_GT(stats.perUser[0].deliveredFrames, 0u);
 }
 
-TEST(Conference, LegacyShimMatchesConferenceEngine) {
-    // The deprecated runMultiUserSession must be the conference engine
-    // with the pre-SFU topology: shared uplink, no downlinks, no
-    // arbiter — byte-identical frames, not just similar aggregates.
+TEST(Conference, FactoryParticipantsMatchSpecParticipants) {
+    // Channels a Participant::channelFactory builds must run exactly
+    // like the same channels built from a ChannelSpec, on the pre-SFU
+    // topology (shared uplink, no downlinks, no arbiter) — byte-identical
+    // frames, not just similar aggregates.
     SessionConfig base;
     base.frames = 12;
     base.timing = TimingModel::Simulated;
@@ -120,13 +120,9 @@ TEST(Conference, LegacyShimMatchesConferenceEngine) {
     base.link.jitterStddevS = 0.0;
     base.degradation.enabled = true;
 
-    std::vector<std::unique_ptr<SemanticChannel>> owned;
-    std::vector<SemanticChannel*> channels;
-    for (std::size_t u = 0; u < 3; ++u) {
-        owned.push_back(makeKeypointChannel({}));
-        channels.push_back(owned.back().get());
-    }
-    const auto legacy = runMultiUserSession(channels, sharedModel(), base);
+    const auto factory = runConference(
+        sharedUplinkConference(base, 3, [] { return makeKeypointChannel({}); }),
+        sharedModel());
 
     ConferenceConfig conf;
     conf.session = base;
@@ -134,12 +130,12 @@ TEST(Conference, LegacyShimMatchesConferenceEngine) {
     conf.enableDownlinks = false;
     conf.participants.resize(3);
     for (auto& p : conf.participants) p.channel = {"keypoint", {}};
-    const auto modern = runConference(conf, sharedModel());
+    const auto spec = runConference(conf, sharedModel());
 
-    expectSameFrames(legacy, modern);
-    EXPECT_TRUE(legacy.downlinks.empty());
-    EXPECT_TRUE(modern.downlinks.empty());
-    EXPECT_DOUBLE_EQ(legacy.fairnessIndex, modern.fairnessIndex);
+    expectSameFrames(factory, spec);
+    EXPECT_TRUE(factory.downlinks.empty());
+    EXPECT_TRUE(spec.downlinks.empty());
+    EXPECT_DOUBLE_EQ(factory.fairnessIndex, spec.fairnessIndex);
 }
 
 // ---- Downlink fan-out accounting -------------------------------------------

@@ -1,12 +1,11 @@
-// These tests intentionally exercise the deprecated
-// runMultiUserSession shim: it must stay byte-identical to the
-// conference engine it forwards to.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// Multi-user sessions on the shared-uplink conference topology:
+// aggregate bandwidth, per-user motion seeds, and congestion of the
+// shared bottleneck.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "semholo/core/session.hpp"
+#include "shared_uplink.hpp"
 
 namespace semholo::core {
 namespace {
@@ -14,24 +13,6 @@ namespace {
 const body::BodyModel& sharedModel() {
     static const body::BodyModel model{body::ShapeParams{}, 40};
     return model;
-}
-
-std::vector<std::unique_ptr<SemanticChannel>> makeKeypointFleet(std::size_t n,
-                                                                int resolution = 16) {
-    std::vector<std::unique_ptr<SemanticChannel>> out;
-    for (std::size_t i = 0; i < n; ++i) {
-        KeypointChannelOptions opt;
-        opt.reconResolution = resolution;
-        out.push_back(makeKeypointChannel(opt));
-    }
-    return out;
-}
-
-std::vector<SemanticChannel*> raw(
-    const std::vector<std::unique_ptr<SemanticChannel>>& owned) {
-    std::vector<SemanticChannel*> out;
-    for (const auto& c : owned) out.push_back(c.get());
-    return out;
 }
 
 SessionConfig baseConfig(std::size_t frames = 10) {
@@ -43,15 +24,23 @@ SessionConfig baseConfig(std::size_t frames = 10) {
     return cfg;
 }
 
+MultiSessionStats runKeypointFleet(std::size_t n) {
+    const auto conf = sharedUplinkConference(baseConfig(), n, [] {
+        KeypointChannelOptions opt;
+        opt.reconResolution = 16;
+        return makeKeypointChannel(opt);
+    });
+    return runConference(conf, sharedModel());
+}
+
 TEST(MultiUser, EmptyChannelListSafe) {
-    const auto stats = runMultiUserSession({}, sharedModel(), baseConfig());
+    const auto stats = runKeypointFleet(0);
     EXPECT_TRUE(stats.perUser.empty());
     EXPECT_DOUBLE_EQ(stats.aggregateMbps, 0.0);
 }
 
 TEST(MultiUser, SingleUserMatchesSoloSessionScale) {
-    auto fleet = makeKeypointFleet(1);
-    const auto multi = runMultiUserSession(raw(fleet), sharedModel(), baseConfig());
+    const auto multi = runKeypointFleet(1);
     ASSERT_EQ(multi.perUser.size(), 1u);
     const auto& s = multi.perUser[0];
     EXPECT_EQ(s.deliveredFrames, 10u);
@@ -60,16 +49,13 @@ TEST(MultiUser, SingleUserMatchesSoloSessionScale) {
 }
 
 TEST(MultiUser, AggregateBandwidthScalesWithUsers) {
-    auto two = makeKeypointFleet(2);
-    auto four = makeKeypointFleet(4);
-    const auto s2 = runMultiUserSession(raw(two), sharedModel(), baseConfig());
-    const auto s4 = runMultiUserSession(raw(four), sharedModel(), baseConfig());
+    const auto s2 = runKeypointFleet(2);
+    const auto s4 = runKeypointFleet(4);
     EXPECT_NEAR(s4.aggregateMbps, 2.0 * s2.aggregateMbps, 0.3 * s2.aggregateMbps);
 }
 
 TEST(MultiUser, DistinctMotionSeedsPerUser) {
-    auto fleet = makeKeypointFleet(2);
-    const auto stats = runMultiUserSession(raw(fleet), sharedModel(), baseConfig());
+    const auto stats = runKeypointFleet(2);
     // Different seeds -> different poses -> (slightly) different
     // compressed payload sizes on at least one frame.
     bool differs = false;
@@ -82,24 +68,21 @@ TEST(MultiUser, DistinctMotionSeedsPerUser) {
 TEST(MultiUser, SharedBottleneckCongestsHeavyChannels) {
     // Four raw-mesh users through 25 Mbps: latency must blow up relative
     // to a single user.
-    auto makeMeshFleet = [](std::size_t n) {
-        std::vector<std::unique_ptr<SemanticChannel>> out;
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(makeTraditionalChannel({false, false}));
-        return out;
-    };
-    auto one = makeMeshFleet(1);
-    auto four = makeMeshFleet(4);
     SessionConfig cfg = baseConfig(6);
     cfg.link.queueCapacityBytes = 8 * 1024 * 1024;
-    const auto s1 = runMultiUserSession(raw(one), sharedModel(), cfg);
-    const auto s4 = runMultiUserSession(raw(four), sharedModel(), cfg);
+    auto runMeshFleet = [&cfg](std::size_t n) {
+        return runConference(
+            sharedUplinkConference(
+                cfg, n, [] { return makeTraditionalChannel({false, false}); }),
+            sharedModel());
+    };
+    const auto s1 = runMeshFleet(1);
+    const auto s4 = runMeshFleet(4);
     EXPECT_GT(s4.meanE2eMs, s1.meanE2eMs * 2.0);
 }
 
 TEST(MultiUser, KeypointFleetMeetsLatencyBudget) {
-    auto fleet = makeKeypointFleet(6);
-    const auto stats = runMultiUserSession(raw(fleet), sharedModel(), baseConfig());
+    const auto stats = runKeypointFleet(6);
     EXPECT_EQ(stats.usersWithinLatency(200.0), 6u);
     EXPECT_LT(stats.aggregateMbps, 3.0);
 }

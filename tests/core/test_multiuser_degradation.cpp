@@ -4,18 +4,15 @@
 // engage under congestion and improve delivery — while the serial and
 // parallel engines stay byte-identical under TimingModel::Simulated at
 // any worker count, with per-user link attribution that conserves
-// packets across users.
-// These tests intentionally exercise the deprecated
-// runMultiUserSession shim: it must stay byte-identical to the
-// conference engine it forwards to.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// packets across users. Every run uses the shared-uplink conference
+// topology (no downlinks, no arbiter).
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "semholo/core/session.hpp"
+#include "shared_uplink.hpp"
 
 namespace semholo::core {
 namespace {
@@ -29,20 +26,13 @@ const body::BodyModel& sharedModel() {
     return model;
 }
 
-std::vector<SemanticChannel*> raw(
-    const std::vector<std::unique_ptr<SemanticChannel>>& owned) {
-    std::vector<SemanticChannel*> out;
-    for (const auto& c : owned) out.push_back(c.get());
-    return out;
-}
-
-std::vector<std::unique_ptr<SemanticChannel>> adaptiveFleet(std::size_t n) {
-    AdaptiveMeshOptions opt;
-    opt.ladderTriangles = {400, 1500, 6000};
-    std::vector<std::unique_ptr<SemanticChannel>> out;
-    for (std::size_t i = 0; i < n; ++i)
-        out.push_back(makeAdaptiveMeshChannel(opt));
-    return out;
+MultiSessionStats runAdaptiveFleet(std::size_t n, const SessionConfig& cfg) {
+    const auto conf = sharedUplinkConference(cfg, n, [] {
+        AdaptiveMeshOptions opt;
+        opt.ladderTriangles = {400, 1500, 6000};
+        return makeAdaptiveMeshChannel(opt);
+    });
+    return runConference(conf, sharedModel());
 }
 
 // A conference that the estimator-only loop cannot survive: the shared
@@ -87,11 +77,8 @@ TEST(MultiUserDegradation, PerUserAdaptationEngagesAndImprovesDelivery) {
     SessionConfig on = congestedConference();
     on.degradation = fastPolicy();
 
-    auto fleetOff = adaptiveFleet(kUsers);
-    auto fleetOn = adaptiveFleet(kUsers);
-    const auto statsOff =
-        runMultiUserSession(raw(fleetOff), sharedModel(), off);
-    const auto statsOn = runMultiUserSession(raw(fleetOn), sharedModel(), on);
+    const auto statsOff = runAdaptiveFleet(kUsers, off);
+    const auto statsOn = runAdaptiveFleet(kUsers, on);
 
     // Every participant's own policy reacted — the per-user loop exists.
     ASSERT_EQ(statsOn.fairness.size(), kUsers);
@@ -113,9 +100,8 @@ TEST(MultiUserDegradation, SerialAndParallelByteIdenticalUnderStress) {
     std::vector<MultiSessionStats> results;
     for (const std::size_t workers :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-        auto fleet = adaptiveFleet(kUsers);
         cfg.workers = workers;
-        results.push_back(runMultiUserSession(raw(fleet), sharedModel(), cfg));
+        results.push_back(runAdaptiveFleet(kUsers, cfg));
     }
 
     const MultiSessionStats& serial = results[0];
@@ -157,8 +143,7 @@ TEST(MultiUserDegradation, PacketConservationAcrossUsers) {
     cfg.degradation = fastPolicy();
     cfg.link.lossRate = 0.05;  // exercise the loss path too
 
-    auto fleet = adaptiveFleet(kUsers);
-    const auto stats = runMultiUserSession(raw(fleet), sharedModel(), cfg);
+    const auto stats = runAdaptiveFleet(kUsers, cfg);
 
     std::uint64_t packets = 0, delivered = 0, unrecovered = 0, bytes = 0;
     for (const SessionStats& s : stats.perUser) {
@@ -186,8 +171,7 @@ TEST(MultiUserDegradation, FairnessAccountingConsistent) {
     SessionConfig cfg = congestedConference(45);
     cfg.degradation = fastPolicy();
 
-    auto fleet = adaptiveFleet(kUsers);
-    const auto stats = runMultiUserSession(raw(fleet), sharedModel(), cfg);
+    const auto stats = runAdaptiveFleet(kUsers, cfg);
 
     ASSERT_EQ(stats.fairness.size(), kUsers);
     double shareSum = 0.0;
@@ -222,8 +206,7 @@ TEST(MultiUserDegradation, DisabledPolicyKeepsCountersZeroAndFairnessFilled) {
     constexpr std::size_t kUsers = 2;
     const SessionConfig cfg = congestedConference(30);
 
-    auto fleet = adaptiveFleet(kUsers);
-    const auto stats = runMultiUserSession(raw(fleet), sharedModel(), cfg);
+    const auto stats = runAdaptiveFleet(kUsers, cfg);
     ASSERT_EQ(stats.fairness.size(), kUsers);
     for (const UserFairnessStats& f : stats.fairness) {
         EXPECT_EQ(f.degradations, 0u);

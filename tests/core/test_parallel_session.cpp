@@ -1,17 +1,14 @@
 // The parallel engine's contract: under TimingModel::Simulated,
 // workers=1 (exact legacy serial path) and workers=N produce identical
 // per-frame byte/delivery/drop sequences for every registered channel
-// kind, identical Chamfer samples, and identical aggregates.
-// These tests intentionally exercise the deprecated
-// runMultiUserSession shim: it must stay byte-identical to the
-// conference engine it forwards to.
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
+// kind, identical Chamfer samples, and identical aggregates. Multi-user
+// runs use the shared-uplink conference topology.
 #include <gtest/gtest.h>
 
 #include <memory>
 
-#include "semholo/core/session.hpp"
 #include "semholo/core/thread_pool.hpp"
+#include "shared_uplink.hpp"
 
 namespace semholo::core {
 namespace {
@@ -76,14 +73,11 @@ TEST(ParallelSession, MultiUserDeterministicAcrossWorkerCountsAllKinds) {
         for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
             // Fresh channels per engine run: identical construction from
             // the same spec, so any divergence is the engine's.
-            std::vector<std::unique_ptr<SemanticChannel>> owned;
-            std::vector<SemanticChannel*> channels;
-            for (int u = 0; u < 2; ++u) {
-                owned.push_back(makeChannel(cheapSpec(kind), &sharedModel()));
-                channels.push_back(owned.back().get());
-            }
             cfg.workers = workers;
-            results[slot++] = runMultiUserSession(channels, sharedModel(), cfg);
+            const auto conf = sharedUplinkConference(cfg, 2, [&kind] {
+                return makeChannel(cheapSpec(kind), &sharedModel());
+            });
+            results[slot++] = runConference(conf, sharedModel());
         }
 
         ASSERT_EQ(results[0].perUser.size(), results[1].perUser.size());
@@ -122,12 +116,10 @@ TEST(ParallelSession, SenderDropsAreDeterministicUnderSimulatedTiming) {
                      {{"reconResolution", 12}, {"simulatedDetectMs", 50.0}}};
 
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-        std::vector<std::unique_ptr<SemanticChannel>> owned;
-        std::vector<SemanticChannel*> channels;
-        owned.push_back(makeChannel(spec));
-        channels.push_back(owned.back().get());
         cfg.workers = workers;
-        const auto stats = runMultiUserSession(channels, sharedModel(), cfg);
+        const auto stats = runConference(
+            sharedUplinkConference(cfg, 1, [&spec] { return makeChannel(spec); }),
+            sharedModel());
         const auto& frames = stats.perUser[0].frames;
         ASSERT_EQ(frames.size(), 8u);
         for (std::size_t f = 0; f < frames.size(); ++f) {
@@ -160,14 +152,11 @@ TEST(ParallelSession, ChannelResetInvokedBySessionStart) {
 TEST(ParallelSession, TelemetryPopulatedByBothEngines) {
     SessionConfig cfg = deterministicConfig(6);
     for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-        std::vector<std::unique_ptr<SemanticChannel>> owned;
-        std::vector<SemanticChannel*> channels;
-        for (int u = 0; u < 2; ++u) {
-            owned.push_back(makeChannel(cheapSpec("keypoint")));
-            channels.push_back(owned.back().get());
-        }
         cfg.workers = workers;
-        const auto stats = runMultiUserSession(channels, sharedModel(), cfg);
+        const auto stats = runConference(
+            sharedUplinkConference(
+                cfg, 2, [] { return makeChannel(cheapSpec("keypoint")); }),
+            sharedModel());
         const auto& t = stats.telemetry;
         EXPECT_EQ(t.counters.framesCaptured, 12u) << "workers=" << workers;
         EXPECT_GT(t.counters.packets, 0u);

@@ -144,23 +144,6 @@ TEST(BlockSampler, AnalyticCertificateSkipsAndStaysExact) {
     expectIdenticalMeshes(dense, sparse);
 }
 
-TEST(BlockSampler, DirtyMaskSkipsCleanBlocks) {
-    const auto field = sphereField({0.0f, 0.0f, 0.0f}, 0.5f);
-    const int res = 24;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    BlockSampler sampler(grid, 8);
-    FieldSampleOptions opt;
-    const FieldSampleStats first = sampler.sample(field, opt);
-    EXPECT_EQ(first.blocksCached, 0u);
-
-    // All-clean mask: nothing is touched, everything counts as cached.
-    std::vector<std::uint8_t> clean(static_cast<std::size_t>(sampler.blockCount()), 0);
-    const FieldSampleStats second = sampler.sample(field, opt, &clean);
-    EXPECT_EQ(second.blocksCached, first.blocksTotal);
-    EXPECT_EQ(second.nodesEvaluated, 0u);
-    EXPECT_EQ(second.nodesTotal, first.nodesTotal);
-}
-
 // Everything one octree sample() pass produces: the grid, the
 // surface-free verdicts and every stats field.
 struct OctreePass {
@@ -182,22 +165,14 @@ FieldSampleOptions octreeOptions(Vec3f center, core::ThreadPool* pool) {
     return opt;
 }
 
-// A full pass, then (with useDirty) a second pass of a moved sphere that
-// re-samples only every third block.
-OctreePass runOctree(Vec3i res, core::ThreadPool* pool, bool useDirty) {
+// One full pass.
+OctreePass runOctree(Vec3i res, core::ThreadPool* pool) {
     VoxelGrid grid(unitBounds(), res);
     BlockSampler sampler(grid, 4);
     OctreePass pass;
     const Vec3f first{0.0f, 0.05f, -0.1f};
     pass.stats = sampler.sample(sphereField(first, kOctreeRadius),
                                 octreeOptions(first, pool));
-    if (useDirty) {
-        const Vec3f moved{0.1f, 0.05f, -0.1f};
-        std::vector<std::uint8_t> dirty(static_cast<std::size_t>(sampler.blockCount()));
-        for (std::size_t b = 0; b < dirty.size(); ++b) dirty[b] = b % 3 == 0;
-        pass.stats = sampler.sample(sphereField(moved, kOctreeRadius),
-                                    octreeOptions(moved, pool), &dirty);
-    }
     for (int z = 0; z <= res.z; ++z)
         for (int y = 0; y <= res.y; ++y)
             for (int x = 0; x <= res.x; ++x) pass.values.push_back(grid.at(x, y, z));
@@ -211,30 +186,27 @@ TEST(BlockSampler, OctreeIdenticalAcrossPools) {
     // single blocks above it; the anisotropic grid splits unevenly.
     for (const Vec3i res : {Vec3i{40, 40, 40}, Vec3i{7, 7, 7}, Vec3i{6, 3, 10},
                             Vec3i{44, 13, 29}}) {
-        for (const bool useDirty : {false, true}) {
-            const OctreePass ref = runOctree(res, nullptr, useDirty);
-            EXPECT_GT(ref.stats.certTests, 0u);
-            if (res.x == 40) {
-                // Coarse fills and leaf work both come out of the tasks.
-                EXPECT_GT(ref.stats.blocksCoarseFilled, 0u);
-                EXPECT_GT(ref.stats.blocksSampled, 0u);
-            }
-            for (core::ThreadPool* pool : {&one, &two, &eight}) {
-                const OctreePass got = runOctree(res, pool, useDirty);
-                SCOPED_TRACE(::testing::Message()
-                             << "res " << res.x << "x" << res.y << "x" << res.z
-                             << " dirty " << useDirty << " workers " << pool->size());
-                ASSERT_EQ(got.values, ref.values);
-                EXPECT_EQ(got.surfaceFree, ref.surfaceFree);
-                EXPECT_EQ(got.stats.blocksTotal, ref.stats.blocksTotal);
-                EXPECT_EQ(got.stats.blocksSampled, ref.stats.blocksSampled);
-                EXPECT_EQ(got.stats.blocksSkipped, ref.stats.blocksSkipped);
-                EXPECT_EQ(got.stats.blocksCached, ref.stats.blocksCached);
-                EXPECT_EQ(got.stats.blocksCoarseFilled, ref.stats.blocksCoarseFilled);
-                EXPECT_EQ(got.stats.nodesEvaluated, ref.stats.nodesEvaluated);
-                EXPECT_EQ(got.stats.nodesTotal, ref.stats.nodesTotal);
-                EXPECT_EQ(got.stats.certTests, ref.stats.certTests);
-            }
+        const OctreePass ref = runOctree(res, nullptr);
+        EXPECT_GT(ref.stats.certTests, 0u);
+        if (res.x == 40) {
+            // Coarse fills and leaf work both come out of the tasks.
+            EXPECT_GT(ref.stats.blocksCoarseFilled, 0u);
+            EXPECT_GT(ref.stats.blocksSampled, 0u);
+        }
+        for (core::ThreadPool* pool : {&one, &two, &eight}) {
+            const OctreePass got = runOctree(res, pool);
+            SCOPED_TRACE(::testing::Message()
+                         << "res " << res.x << "x" << res.y << "x" << res.z
+                         << " workers " << pool->size());
+            ASSERT_EQ(got.values, ref.values);
+            EXPECT_EQ(got.surfaceFree, ref.surfaceFree);
+            EXPECT_EQ(got.stats.blocksTotal, ref.stats.blocksTotal);
+            EXPECT_EQ(got.stats.blocksSampled, ref.stats.blocksSampled);
+            EXPECT_EQ(got.stats.blocksSkipped, ref.stats.blocksSkipped);
+            EXPECT_EQ(got.stats.blocksCoarseFilled, ref.stats.blocksCoarseFilled);
+            EXPECT_EQ(got.stats.nodesEvaluated, ref.stats.nodesEvaluated);
+            EXPECT_EQ(got.stats.nodesTotal, ref.stats.nodesTotal);
+            EXPECT_EQ(got.stats.certTests, ref.stats.certTests);
         }
     }
 }

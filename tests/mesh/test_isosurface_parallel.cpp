@@ -1,7 +1,7 @@
 // Tests for the two-pass block-local table-driven extractor: canonical
 // equivalence with the retained legacy extractor, byte-identity across
-// worker counts, topology reuse through IsoExtractCache, batch-sampled
-// grid identity, and the degenerate/no-crossing edge cases.
+// worker counts, batch-sampled grid identity, and the
+// degenerate/no-crossing edge cases.
 #include "semholo/mesh/isosurface.hpp"
 
 #include <gtest/gtest.h>
@@ -160,86 +160,6 @@ TEST(IsoSurfaceParallel, BlockDecompositionDoesNotChangeOutput) {
     }
 }
 
-TEST(IsoSurfaceParallel, TopologyReuseIsByteIdentical) {
-    const auto field = sphereField({0.02f, -0.03f, 0.0f}, 0.45f);
-    const int res = 33;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    BlockSampler sampler(grid, 8);
-    FieldSampleOptions sampling;
-    sampler.sample(field, sampling);
-
-    IsoSurfaceOptions opt;
-    IsoExtractCache cache;
-    ExtractStats first, second;
-    const TriMesh cold = extractIsoSurface(grid, &sampler, opt, &cache, &first);
-    EXPECT_EQ(first.reusedTopologyBlocks, 0u);
-    EXPECT_GT(first.activeCells, 0u);
-
-    const TriMesh warm = extractIsoSurface(grid, &sampler, opt, &cache, &second);
-    EXPECT_GT(second.reusedTopologyBlocks, 0u);
-    // Every worked block reuses on an unchanged grid (the reuse counter
-    // also covers worked blocks that turned out geometry-free).
-    EXPECT_GE(second.reusedTopologyBlocks, second.blocksExtracted);
-    EXPECT_EQ(second.activeCells, first.activeCells);
-    expectIdenticalMeshes(cold, warm);
-}
-
-TEST(IsoSurfaceParallel, TopologyReuseRecomputesVertexPositions) {
-    // Scale the field by a spatially varying positive factor: every node
-    // keeps its sign (so all topology is reusable) but the crossing
-    // parameter t changes, so reused blocks must still re-interpolate.
-    const auto field = sphereField({0.0f, 0.0f, 0.0f}, 0.5f);
-    const auto warped = [field](Vec3f p) {
-        return field(p) * (1.0f + 0.25f * std::sin(3.0f * p.x + p.y));
-    };
-    const int res = 33;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    BlockSampler sampler(grid, 8);
-    FieldSampleOptions sampling;
-    sampling.blockPruning = false;  // both passes sample every node
-
-    IsoSurfaceOptions opt;
-    IsoExtractCache cache;
-    ExtractStats stats;
-    sampler.sample(field, sampling);
-    const TriMesh original = extractIsoSurface(grid, &sampler, opt, &cache, &stats);
-
-    sampler.sample(ScalarField(warped), sampling);
-    const TriMesh moved = extractIsoSurface(grid, &sampler, opt, &cache, &stats);
-    EXPECT_GT(stats.reusedTopologyBlocks, 0u);
-
-    // Same topology as a cache-free extraction of the warped grid, and
-    // byte-identical to it (positions were recomputed, not reused).
-    const TriMesh fresh = extractIsoSurface(grid, &sampler, opt, nullptr, nullptr);
-    expectIdenticalMeshes(moved, fresh);
-
-    // The warp really moved vertices, so the test is not vacuous.
-    ASSERT_EQ(moved.vertexCount(), original.vertexCount());
-    bool anyMoved = false;
-    for (std::size_t i = 0; i < moved.vertexCount() && !anyMoved; ++i)
-        anyMoved = moved.vertices[i].x != original.vertices[i].x ||
-                   moved.vertices[i].y != original.vertices[i].y ||
-                   moved.vertices[i].z != original.vertices[i].z;
-    EXPECT_TRUE(anyMoved);
-}
-
-TEST(IsoSurfaceParallel, CacheInvalidatesOnIsoValueChange) {
-    const auto field = sphereField({0.0f, 0.0f, 0.0f}, 0.5f);
-    const int res = 24;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    grid.sample(field);
-
-    IsoSurfaceOptions opt;
-    IsoExtractCache cache;
-    ExtractStats stats;
-    extractIsoSurface(grid, nullptr, opt, &cache, &stats);
-
-    opt.isoValue = 0.1f;
-    const TriMesh shifted = extractIsoSurface(grid, nullptr, opt, &cache, &stats);
-    EXPECT_EQ(stats.reusedTopologyBlocks, 0u);
-    expectIdenticalMeshes(shifted, extractIsoSurface(grid, opt));
-}
-
 TEST(IsoSurfaceParallel, NoCrossingProducesEmptyMesh) {
     const int res = 16;
     for (const float value : {1.0f, -1.0f}) {
@@ -317,7 +237,7 @@ TEST(IsoSurfaceParallel, StatsCountActiveCellsAndOutput) {
     IsoSurfaceOptions opt;
     opt.weldVertices = false;
     ExtractStats stats;
-    const TriMesh m = extractIsoSurface(grid, nullptr, opt, nullptr, &stats);
+    const TriMesh m = extractIsoSurface(grid, nullptr, opt, &stats);
     EXPECT_GT(stats.blocksTotal, 0u);
     EXPECT_GT(stats.blocksExtracted, 0u);
     EXPECT_LE(stats.blocksExtracted, stats.blocksTotal);

@@ -96,7 +96,7 @@ TEST(OctreeCertificates, CertifiedNodesContainNoSurfaceCrossing) {
                     }
                 }
             }
-            if (!body.certificate(center, radius, 0.0f)) continue;
+            if (!body.certificate(center, radius)) continue;
             ++certified;
             // The certificate claims no zero crossing within 'radius' of
             // 'center': the field must keep the center's sign at random
@@ -162,9 +162,7 @@ TEST(OctreeCertificates, SparseOctreeBatchExtractionMatchesDense) {
         so.blockSize = blockSize;
         so.lipschitz = body.lipschitz;
         so.margin = body.margin;
-        so.certificate = [&body](Vec3f center, float radius) {
-            return body.certificate(center, radius, 0.0f);
-        };
+        so.certificate = body.certificate;
         so.batch = body.batch;
         so.hierarchical = true;
         const auto stats = sampler.sample(body.field, so);

@@ -1,4 +1,4 @@
-#include "semholo/recon/sparse_recon.hpp"
+#include "semholo/recon/keypoint_recon.hpp"
 
 #include <gtest/gtest.h>
 
@@ -94,118 +94,12 @@ TEST(SparseRecon, DeterministicAcrossWorkerCounts) {
     expectIdenticalMeshes(r1.mesh, r4.mesh);
 }
 
-TEST(SparseRecon, StaticPoseReconstructsFromCache) {
-    const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.4);
-    SparseReconstructorOptions opt;
-    opt.recon.resolution = 40;
-    SparseReconstructor recon(opt);
-
-    const auto first = recon.reconstruct(pose);
-    ASSERT_TRUE(first.success);
-    EXPECT_EQ(first.stats.blocksCached, 0u);
-
-    const auto second = recon.reconstruct(pose);
-    ASSERT_TRUE(second.success);
-    // Nothing moved: every block re-used, zero field evaluations.
-    EXPECT_EQ(second.stats.blocksCached, second.stats.blocksTotal);
-    EXPECT_EQ(second.stats.nodesEvaluated, 0u);
-    expectIdenticalMeshes(first.mesh, second.mesh);
-}
-
-TEST(SparseRecon, MotionInvalidatesOnlyMovedBlocks) {
-    // Hand-built poses (no MotionGenerator): breathing sway moves every
-    // joint a little, but here only the right forearm moves, so blocks
-    // away from the arm have zero supporting-capsule drift and must stay
-    // cached — and because their supporting capsules are exactly still,
-    // the cached reconstruction is bit-identical to an uncached one.
-    Pose rest;
-    Pose bent = rest;
-    bent.rotation(body::JointId::RightElbow).z = -0.9f;
-    bent.rotation(body::JointId::RightWrist).z = 0.3f;
-
-    SparseReconstructorOptions opt;
-    opt.recon.resolution = 64;
-    opt.recon.blockSize = 4;  // tighter guard radius -> tighter support
-    SparseReconstructor recon(opt);
-    ASSERT_TRUE(recon.reconstruct(rest).success);
-    const auto cached = recon.reconstruct(bent);
-    ASSERT_TRUE(cached.success);
-    EXPECT_GT(cached.stats.blocksCached, 0u);
-    EXPECT_LT(cached.stats.blocksCached, cached.stats.blocksTotal);
-
-    // Same persistent grid, cache flushed: the uncached reference.
-    SparseReconstructor reference(opt);
-    ASSERT_TRUE(reference.reconstruct(rest).success);
-    reference.invalidate();
-    const auto fresh = reference.reconstruct(bent);
-    ASSERT_TRUE(fresh.success);
-    EXPECT_EQ(fresh.stats.blocksCached, 0u);
-    expectIdenticalMeshes(fresh.mesh, cached.mesh);
-}
-
-TEST(SparseRecon, ExpressionChangeInvalidatesFaceBlocks) {
-    Pose neutral;
-    Pose smiling;
-    smiling.expression.coeffs[0] = 1.0;  // jaw open
-    smiling.expression.coeffs[2] = 1.0;  // smile
-
-    SparseReconstructorOptions opt;
-    opt.recon.resolution = 40;
-    SparseReconstructor recon(opt);
-    ASSERT_TRUE(recon.reconstruct(neutral).success);
-    const auto changed = recon.reconstruct(smiling);
-    ASSERT_TRUE(changed.success);
-    // The skeleton did not move, but face-region blocks must re-sample.
-    EXPECT_GT(changed.stats.blocksCached, 0u);
-    EXPECT_LT(changed.stats.blocksCached, changed.stats.blocksTotal);
-
-    // The expression warp is gated to the face region, so blocks kept
-    // from cache are unaffected by it and the result matches an uncached
-    // reconstruction on the same grid bit for bit.
-    SparseReconstructor reference(opt);
-    ASSERT_TRUE(reference.reconstruct(neutral).success);
-    reference.invalidate();
-    const auto fresh = reference.reconstruct(smiling);
-    ASSERT_TRUE(fresh.success);
-    expectIdenticalMeshes(fresh.mesh, changed.mesh);
-}
-
-TEST(SparseRecon, InvalidateDropsCache) {
-    const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.2);
-    SparseReconstructorOptions opt;
-    opt.recon.resolution = 32;
-    SparseReconstructor recon(opt);
-    ASSERT_TRUE(recon.reconstruct(pose).success);
-    recon.invalidate();
-    const auto after = recon.reconstruct(pose);
-    ASSERT_TRUE(after.success);
-    EXPECT_EQ(after.stats.blocksCached, 0u);
-}
-
-TEST(SparseRecon, GridRebuildsWhenPoseEscapesBounds) {
-    SparseReconstructorOptions opt;
-    opt.recon.resolution = 32;
-    opt.motionMargin = 0.05f;  // tight bounds so a big move forces rebuild
-    SparseReconstructor recon(opt);
-
-    Pose atOrigin;
-    ASSERT_TRUE(recon.reconstruct(atOrigin).success);
-    EXPECT_EQ(recon.gridRebuilds(), 0u);
-
-    Pose farAway;
-    farAway.rootTranslation = {2.0f, 0.0f, 0.0f};
-    const auto moved = recon.reconstruct(farAway);
-    ASSERT_TRUE(moved.success);
-    EXPECT_EQ(recon.gridRebuilds(), 1u);
-    EXPECT_EQ(moved.stats.blocksCached, 0u);  // rebuild flushes the cache
-}
-
 TEST(SparseRecon, RespectsDeviceMemoryGate) {
-    SparseReconstructorOptions opt;
-    opt.recon.resolution = 4096;  // absurd: even sparse cannot fit
-    opt.recon.device = DeviceProfile::laptop();
-    SparseReconstructor recon(opt);
-    const auto result = recon.reconstruct(Pose{});
+    ReconstructionOptions opt;
+    opt.resolution = 4096;  // absurd: even sparse cannot fit
+    opt.mode = ReconMode::Sparse;
+    opt.device = DeviceProfile::laptop();
+    const auto result = reconstructFromPose(Pose{}, opt);
     EXPECT_FALSE(result.success);
     EXPECT_NE(result.failureReason.find("out of memory"), std::string::npos);
 }
