@@ -2,6 +2,7 @@
 // bandwidths — where each channel's time goes (extract / network /
 // reconstruct) and whether it meets the paper's <100 ms interactive
 // bound and the 25 Mbps US-broadband baseline (section 2.1).
+#include <cmath>
 #include <cstdio>
 #include <memory>
 
@@ -52,19 +53,18 @@ int main() {
             cfg.link.propagationDelayS = 0.02;
             const auto stats = core::runSession(*channel, model, cfg);
             const auto qoe = core::computeQoE(stats);
-            // With no frame delivered the latency means cover no samples:
-            // print that, not their zero defaults.
-            const bool delivered = stats.deliveredFrames > 0;
-            const auto latency = [delivered](double ms) {
-                return delivered ? bench::fmt("%.0f", ms) : std::string("n/a");
+            // A stage with no samples has a NaN mean: print "n/a".
+            const auto latency = [](double ms) {
+                return std::isnan(ms) ? std::string("n/a") : bench::fmt("%.0f", ms);
             };
+            const core::telemetry::SessionTelemetry& t = stats.telemetry;
             table.addRow({spec.label, bench::fmt("%.0f", mbps),
                           bench::fmt("%.2f", stats.bandwidthMbps),
-                          bench::fmt("%.0f", stats.meanExtractMs),
-                          latency(stats.meanTransferMs),
-                          latency(stats.meanReconMs),
-                          latency(stats.meanE2eMs),
-                          delivered && stats.meanE2eMs <= 100.0 ? "yes" : "NO",
+                          latency(t.encodeMs.mean()),
+                          latency(t.transferMs.mean()),
+                          latency(t.decodeMs.mean()),
+                          latency(t.e2eMs.mean()),
+                          t.e2eMs.mean() <= 100.0 ? "yes" : "NO",
                           bench::fmt("%.2f", qoe.mos)});
         }
     }

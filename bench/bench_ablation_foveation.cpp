@@ -29,11 +29,11 @@ int main() {
         auto channel = core::makeFoveatedChannel(opt);
         const auto stats = core::runSession(*channel, model, cfg);
         table.addRow({bench::fmt("%.1f", radius),
-                      bench::fmt("%.1f", stats.meanBytesPerFrame / 1024.0),
+                      bench::fmt("%.1f", stats.telemetry.bytesPerFrame.mean() / 1024.0),
                       bench::fmt("%.2f", stats.bandwidthMbps),
-                      bench::fmt("%.0f", stats.meanReconMs),
+                      bench::fmt("%.0f", stats.telemetry.decodeMs.mean()),
                       bench::fmt("%.2f", stats.meanChamfer * 1000.0),
-                      bench::fmt("%.0f", stats.meanE2eMs)});
+                      bench::fmt("%.0f", stats.telemetry.e2eMs.mean())});
     }
     table.print();
 

@@ -90,14 +90,14 @@ int main() {
                                     model);
             table.addRow({workload.label, std::to_string(users),
                           bench::fmt("%.2f", stats.aggregateMbps),
-                          bench::fmt("%.0f", stats.meanE2eMs),
+                          bench::fmt("%.0f", stats.telemetry.e2eMs.mean()),
                           std::to_string(stats.usersWithinLatency(150.0)) + "/" +
                               std::to_string(users)});
             json.beginObject()
                 .field("channel", std::string(workload.label))
                 .field("users", static_cast<std::uint64_t>(users))
                 .field("aggregate_mbps", stats.aggregateMbps)
-                .field("mean_e2e_ms", stats.meanE2eMs)
+                .field("mean_e2e_ms", stats.telemetry.e2eMs.mean())
                 .raw("telemetry", core::telemetry::toJsonValue(stats.telemetry))
                 .endObject();
         }
@@ -184,9 +184,7 @@ int main() {
     }
 
     const auto deliveryRatio = [&](const core::MultiSessionStats& s) {
-        std::size_t delivered = 0;
-        for (const auto& u : s.perUser) delivered += u.deliveredFrames;
-        return static_cast<double>(delivered) /
+        return static_cast<double>(s.telemetry.counters.framesDelivered) /
                static_cast<double>(confUsers * congested.frames);
     };
     bench::Table confTable({"policy", "delivery", "aggregate Mbps",
@@ -205,23 +203,26 @@ int main() {
 
     bench::Table fairTable({"user", "delivered", "delivery", "Mbps", "share",
                             "degr", "upgr", "final lvl"});
-    for (const core::UserFairnessStats& f : confOn.fairness) {
-        fairTable.addRow({std::to_string(f.user),
-                          std::to_string(f.deliveredFrames) + "/" +
-                              std::to_string(f.capturedFrames),
+    for (std::size_t u = 0; u < confOn.fairness.size(); ++u) {
+        const core::UserFairnessStats& f = confOn.fairness[u];
+        const core::SessionStats& s = confOn.perUser[u];
+        const core::telemetry::Counters& c = s.telemetry.counters;
+        fairTable.addRow({std::to_string(u),
+                          std::to_string(c.framesDelivered) + "/" +
+                              std::to_string(c.framesCaptured),
                           bench::fmt("%.1f%%", f.deliveryRatio * 100.0),
-                          bench::fmt("%.2f", f.bandwidthMbps),
+                          bench::fmt("%.2f", s.bandwidthMbps),
                           bench::fmt("%.2f", f.bandwidthShare),
-                          std::to_string(f.degradations),
-                          std::to_string(f.upgrades),
+                          std::to_string(c.degradations),
+                          std::to_string(c.upgrades),
                           std::to_string(f.finalDegradationLevel)});
     }
     fairTable.print();
 
     bool adapted = confOn.telemetry.counters.degradations > 0 &&
                    deliveryRatio(confOn) > deliveryRatio(confOff);
-    for (const core::UserFairnessStats& f : confOn.fairness)
-        adapted = adapted && f.degradations > 0;
+    for (const core::SessionStats& s : confOn.perUser)
+        adapted = adapted && s.telemetry.counters.degradations > 0;
     std::printf(
         "\nClosed loop %s: delivery %.1f%% -> %.1f%% with per-user "
         "degradation engaged for %zu/%zu users\n",

@@ -90,12 +90,6 @@ core::ConferenceConfig congestedConference(core::ArbiterStrategy strategy,
     return conf;
 }
 
-std::size_t deliveredFrames(const core::MultiSessionStats& s) {
-    std::size_t delivered = 0;
-    for (const auto& u : s.perUser) delivered += u.deliveredFrames;
-    return delivered;
-}
-
 // The stage-graph straggler scenario: one encode-heavy user, one
 // decode-heavy user, two in between. The legacy barrier pays
 // max(encode) + max(decode) per tick; per-user chains pay only their
@@ -191,8 +185,7 @@ void pipelineJson(core::telemetry::JsonWriter& json, const char* name,
     json.beginObject(name)
         .field("pipeline_depth", static_cast<std::uint64_t>(p.pipelineDepth))
         .field("workers", static_cast<std::uint64_t>(p.workers))
-        .field("max_ticks_in_flight",
-               static_cast<std::uint64_t>(p.maxTicksInFlight))
+        .field("max_ticks_in_flight", p.ticksInFlight.max())
         .field("simulated_stage_graph_ms", p.simulatedStageGraphMs)
         .field("simulated_barrier_ms", p.simulatedBarrierMs)
         .field("simulated_speedup", p.simulatedSpeedup)
@@ -231,7 +224,7 @@ int main() {
             perUser += bench::fmt("%.0f", f.deliveryRatio * 100.0);
         }
         table.addRow({row.label,
-                      std::to_string(deliveredFrames(row.stats)) + "/" +
+                      std::to_string(row.stats.telemetry.counters.framesDelivered) + "/" +
                           std::to_string(kUsers * kFrames),
                       bench::fmt("%.2f", row.stats.aggregateMbps),
                       bench::fmt("%.3f", row.stats.fairnessIndex), perUser});
@@ -243,15 +236,18 @@ int main() {
 
     bench::Table fairTable({"user", "delivered", "target Mbps", "Mbps", "share",
                             "degr", "upgr", "final lvl"});
-    for (const core::UserFairnessStats& f : maxMin.fairness) {
-        fairTable.addRow({std::to_string(f.user),
-                          std::to_string(f.deliveredFrames) + "/" +
-                              std::to_string(f.capturedFrames),
+    for (std::size_t u = 0; u < maxMin.fairness.size(); ++u) {
+        const core::UserFairnessStats& f = maxMin.fairness[u];
+        const core::SessionStats& s = maxMin.perUser[u];
+        const core::telemetry::Counters& c = s.telemetry.counters;
+        fairTable.addRow({std::to_string(u),
+                          std::to_string(c.framesDelivered) + "/" +
+                              std::to_string(c.framesCaptured),
                           bench::fmt("%.2f", f.targetRateMbps),
-                          bench::fmt("%.2f", f.bandwidthMbps),
+                          bench::fmt("%.2f", s.bandwidthMbps),
                           bench::fmt("%.2f", f.bandwidthShare),
-                          std::to_string(f.degradations),
-                          std::to_string(f.upgrades),
+                          std::to_string(c.degradations),
+                          std::to_string(c.upgrades),
                           std::to_string(f.finalDegradationLevel)});
     }
     fairTable.print();
@@ -320,7 +316,7 @@ int main() {
                             "barrier ms", "speedup", "idle ms"});
     for (const core::PipelineStats* p : {&pBar, &pPipe})
         pipeTable.addRow({std::to_string(p->pipelineDepth),
-                          std::to_string(p->maxTicksInFlight),
+                          bench::fmt("%.0f", p->ticksInFlight.max()),
                           bench::fmt("%.1f", p->simulatedStageGraphMs),
                           bench::fmt("%.1f", p->simulatedBarrierMs),
                           bench::fmt("%.2fx", p->simulatedSpeedup),
@@ -381,12 +377,15 @@ int main() {
     // (Jain >= 0.95, vs ~0.80 for uncoordinated loops) without costing
     // aggregate delivery.
     const bool fair = maxMin.fairnessIndex >= 0.95;
-    const bool noRegression = deliveredFrames(maxMin) >= deliveredFrames(noArb);
+    const std::uint64_t noArbDelivered = noArb.telemetry.counters.framesDelivered;
+    const std::uint64_t maxMinDelivered = maxMin.telemetry.counters.framesDelivered;
+    const bool noRegression = maxMinDelivered >= noArbDelivered;
     std::printf(
-        "\nArbiter %s: Jain %.3f -> %.3f, delivered %zu -> %zu of %zu\n",
+        "\nArbiter %s: Jain %.3f -> %.3f, delivered %llu -> %llu of %zu\n",
         fair && noRegression ? "engaged" : "FAILED",
-        noArb.fairnessIndex, maxMin.fairnessIndex, deliveredFrames(noArb),
-        deliveredFrames(maxMin), kUsers * kFrames);
+        noArb.fairnessIndex, maxMin.fairnessIndex,
+        static_cast<unsigned long long>(noArbDelivered),
+        static_cast<unsigned long long>(maxMinDelivered), kUsers * kFrames);
 
     core::telemetry::JsonWriter json;
     json.beginObject();
@@ -399,7 +398,7 @@ int main() {
         json.beginObject()
             .field("strategy", std::string(row.label))
             .field("delivered_frames",
-                   static_cast<std::uint64_t>(deliveredFrames(row.stats)))
+                   row.stats.telemetry.counters.framesDelivered)
             .raw("stats", core::toJsonValue(row.stats))
             .endObject();
     }

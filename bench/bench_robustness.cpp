@@ -93,24 +93,24 @@ int main() {
         if (row.degradation) cfg.degradation = benchPolicy();
         const auto stats = core::runSession(*row.channel, model, cfg);
 
-        const double pct = 100.0 * static_cast<double>(stats.deliveredFrames) /
+        const auto& c = stats.telemetry.counters;
+        const double pct = 100.0 * static_cast<double>(c.framesDelivered) /
                            static_cast<double>(stats.frames.size());
         if (row.label == "fixed") fixedPct = pct;
         if (row.degradation) degradedPct = pct;
-        const auto& c = stats.telemetry.counters;
         table.addRow({row.label,
-                      std::to_string(stats.deliveredFrames) + "/" +
+                      std::to_string(c.framesDelivered) + "/" +
                           std::to_string(stats.frames.size()),
                       bench::fmt("%.1f", pct),
-                      bench::fmt("%.1f", stats.meanTransferMs),
+                      bench::fmt("%.1f", stats.telemetry.transferMs.mean()),
                       std::to_string(c.queueDrops), std::to_string(c.faultEvents),
                       std::to_string(c.degradations) + "/" + std::to_string(c.upgrades)});
         json.beginObject()
             .field("strategy", row.label)
-            .field("delivered_frames", static_cast<std::uint64_t>(stats.deliveredFrames))
+            .field("delivered_frames", c.framesDelivered)
             .field("delivery_pct", pct)
-            .field("mean_transfer_ms", stats.meanTransferMs)
-            .field("mean_bytes_per_frame", stats.meanBytesPerFrame)
+            .field("mean_transfer_ms", stats.telemetry.transferMs.mean())
+            .field("mean_bytes_per_frame", stats.telemetry.bytesPerFrame.mean())
             .raw("telemetry", core::telemetry::toJsonValue(stats.telemetry))
             .endObject();
     }
@@ -139,9 +139,7 @@ int main() {
     const auto confOn = runFaultyConference(true);
 
     const auto confDelivery = [&](const core::MultiSessionStats& s) {
-        std::size_t delivered = 0;
-        for (const auto& u : s.perUser) delivered += u.deliveredFrames;
-        return 100.0 * static_cast<double>(delivered) /
+        return 100.0 * static_cast<double>(s.telemetry.counters.framesDelivered) /
                static_cast<double>(confUsers * 240);
     };
     bench::Table confTable({"policy", "delivery %", "per-user delivery %",
@@ -164,8 +162,8 @@ int main() {
     confTable.print();
 
     bool confAdapted = confDelivery(confOn) > confDelivery(confOff);
-    for (const core::UserFairnessStats& fs : confOn.fairness)
-        confAdapted = confAdapted && fs.degradations > 0;
+    for (const core::SessionStats& s : confOn.perUser)
+        confAdapted = confAdapted && s.telemetry.counters.degradations > 0;
     std::printf("\nConference closed loop %s: %.1f%% -> %.1f%% delivery\n",
                 confAdapted ? "engaged" : "FAILED TO ENGAGE (scheduler bug)",
                 confDelivery(confOff), confDelivery(confOn));

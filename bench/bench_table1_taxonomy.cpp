@@ -5,6 +5,7 @@
 // sequence; measured values are bucketed into the paper's L/M/H scale.
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "bench_util.hpp"
 #include "semholo/core/qoe.hpp"
@@ -30,6 +31,13 @@ struct ChannelRun {
     std::string outputFormat;
 };
 
+ChannelRun channelRun(std::string name, const core::SessionStats& stats,
+                      double chamfer, std::string outputFormat) {
+    const core::telemetry::SessionTelemetry& t = stats.telemetry;
+    return {std::move(name),   t.bytesPerFrame.mean(), t.encodeMs.mean(),
+            t.decodeMs.mean(), chamfer,                std::move(outputFormat)};
+}
+
 }  // namespace
 
 int main() {
@@ -53,16 +61,14 @@ int main() {
         opt.reconResolution = 64;
         auto ch = core::makeKeypointChannel(opt);
         const auto stats = core::runSession(*ch, model, cfg);
-        runs.push_back({"keypoint", stats.meanBytesPerFrame, stats.meanExtractMs,
-                        stats.meanReconMs, stats.meanChamfer, "mesh"});
+        runs.push_back(channelRun("keypoint", stats, stats.meanChamfer, "mesh"));
     }
     {
         core::TextChannelOptions opt;
         opt.reconResolution = 64;
         auto ch = core::makeTextChannel(opt);
         const auto stats = core::runSession(*ch, model, cfg);
-        runs.push_back({"text", stats.meanBytesPerFrame, stats.meanExtractMs,
-                        stats.meanReconMs, stats.meanChamfer, "ptcl/mesh"});
+        runs.push_back(channelRun("text", stats, stats.meanChamfer, "ptcl/mesh"));
     }
     {
         core::ImageChannelOptions opt;
@@ -73,17 +79,15 @@ int main() {
         opt.fineTuneSteps = 20;
         auto ch = core::makeImageChannel(opt);
         const auto stats = core::runSession(*ch, model, cfg);
-        runs.push_back({"image (NeRF)", stats.meanBytesPerFrame, stats.meanExtractMs,
-                        stats.meanReconMs, std::numeric_limits<double>::quiet_NaN(),
-                        "image"});
+        runs.push_back(channelRun("image (NeRF)", stats,
+                                  std::numeric_limits<double>::quiet_NaN(), "image"));
     }
     {
         core::TraditionalOptions opt;
         auto ch = core::makeTraditionalChannel(opt);
         const auto stats = core::runSession(*ch, model, cfg);
-        runs.push_back({"traditional (mesh)", stats.meanBytesPerFrame,
-                        stats.meanExtractMs, stats.meanReconMs, stats.meanChamfer,
-                        "mesh"});
+        runs.push_back(
+            channelRun("traditional (mesh)", stats, stats.meanChamfer, "mesh"));
     }
 
     // Bucketing thresholds: data size against the keypoint payload scale,

@@ -136,12 +136,11 @@ int main() {
         const auto stats = core::runConference(conf, confModel);
 
         std::string shares;
-        std::size_t delivered = 0;
         for (const core::UserFairnessStats& f : stats.fairness) {
             if (!shares.empty()) shares += "/";
             shares += bench::fmt("%.2f", f.bandwidthShare);
-            delivered += f.deliveredFrames;
         }
+        const auto delivered = stats.telemetry.counters.framesDelivered;
         confTable.addRow(
             {row.label, bench::fmt("%.2f", stats.aggregateMbps), shares,
              bench::fmt("%.1f",

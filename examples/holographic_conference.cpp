@@ -84,10 +84,9 @@ int main() {
         const auto stats = core::runConference(conf, model);
         if (strategy.arbiter != core::ArbiterStrategy::None)
             arbiterStats = stats;
-        std::size_t rendered = 0;
-        for (const auto& user : stats.perUser) rendered += user.decodedFrames;
+        const std::size_t rendered = stats.telemetry.counters.framesDecoded;
         std::printf("%-22s %14.2f %12.0f %11zu/%zu %13zu/%zu %10.3f\n",
-                    strategy.label, stats.aggregateMbps, stats.meanE2eMs,
+                    strategy.label, stats.aggregateMbps, stats.telemetry.e2eMs.mean(),
                     stats.usersWithinLatency(150.0), kUsers, rendered,
                     kUsers * conf.session.frames, stats.fairnessIndex);
     }
@@ -98,12 +97,15 @@ int main() {
     std::printf("\nLOD-ABR + max-min arbiter, per participant:\n");
     std::printf("%-6s %12s %12s %12s %8s %12s %10s\n", "user", "delivered",
                 "target Mbps", "share", "e2e ms", "downs/ups", "final lvl");
-    for (const core::UserFairnessStats& f : arbiterStats.fairness) {
-        std::printf("%-6zu %9zu/%zu %12.2f %12.2f %8.0f %9llu/%llu %10zu\n",
-                    f.user, f.deliveredFrames, f.capturedFrames,
-                    f.targetRateMbps, f.bandwidthShare, f.meanE2eMs,
-                    static_cast<unsigned long long>(f.degradations),
-                    static_cast<unsigned long long>(f.upgrades),
+    for (std::size_t u = 0; u < arbiterStats.fairness.size(); ++u) {
+        const core::UserFairnessStats& f = arbiterStats.fairness[u];
+        const core::telemetry::SessionTelemetry& t = arbiterStats.perUser[u].telemetry;
+        std::printf("%-6zu %9llu/%llu %12.2f %12.2f %8.0f %9llu/%llu %10zu\n", u,
+                    static_cast<unsigned long long>(t.counters.framesDelivered),
+                    static_cast<unsigned long long>(t.counters.framesCaptured),
+                    f.targetRateMbps, f.bandwidthShare, t.e2eMs.mean(),
+                    static_cast<unsigned long long>(t.counters.degradations),
+                    static_cast<unsigned long long>(t.counters.upgrades),
                     f.finalDegradationLevel);
     }
 

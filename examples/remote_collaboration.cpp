@@ -13,16 +13,19 @@ namespace {
 
 void report(const char* direction, const core::SessionStats& stats) {
     const auto qoe = core::computeQoE(stats);
+    const core::telemetry::SessionTelemetry& t = stats.telemetry;
     std::printf("\n[%s]\n", direction);
-    std::printf("  frames: %zu sent, %zu rendered (%zu dropped busy)\n",
-                stats.frames.size(), stats.decodedFrames,
-                stats.droppedSenderFrames + stats.droppedReceiverFrames);
+    std::printf("  frames: %zu sent, %llu rendered (%llu dropped busy)\n",
+                stats.frames.size(),
+                static_cast<unsigned long long>(t.counters.framesDecoded),
+                static_cast<unsigned long long>(t.counters.dropsAtSender +
+                                                t.counters.dropsAtReceiver));
     std::printf("  bandwidth: %.2f Mbps (raw mesh would need ~95 Mbps)\n",
                 stats.bandwidthMbps);
     std::printf("  latency: mean %.0f ms, p95 %.0f ms (interactive bound: 100 ms)\n",
-                stats.meanE2eMs, stats.p95E2eMs);
+                t.e2eMs.mean(), t.e2eMs.p95());
     std::printf("  pipeline: extract %.1f ms + network %.1f ms + reconstruct %.0f ms\n",
-                stats.meanExtractMs, stats.meanTransferMs, stats.meanReconMs);
+                t.encodeMs.mean(), t.transferMs.mean(), t.decodeMs.mean());
     std::printf("  quality: chamfer %.2f mm | QoE %.2f / 5\n",
                 stats.meanChamfer * 1000.0, qoe.mos);
 }

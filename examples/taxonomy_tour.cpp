@@ -55,8 +55,9 @@ int main() {
         const auto stats = core::runSession(*entry.channel, model, cfg);
         const auto qoe = core::computeQoE(stats);
         std::printf("%-20s %12.2f %12.2f %12.1f %12.0f %8.2f\n", entry.label,
-                    stats.meanBytesPerFrame / 1024.0, stats.bandwidthMbps,
-                    stats.meanExtractMs, stats.meanReconMs, qoe.mos);
+                    stats.telemetry.bytesPerFrame.mean() / 1024.0,
+                    stats.bandwidthMbps, stats.telemetry.encodeMs.mean(),
+                    stats.telemetry.decodeMs.mean(), qoe.mos);
     }
 
     std::printf(

@@ -69,7 +69,8 @@ int main() {
         const auto stats = core::runSession(*channel, model, cfg);
         const auto qoe = core::computeQoE(stats);
         std::printf("%-22.1f %10.2f %10.0f %12.2f %8.2f\n", radius,
-                    stats.bandwidthMbps, stats.meanE2eMs, stats.meanChamfer * 1000.0,
+                    stats.bandwidthMbps, stats.telemetry.e2eMs.mean(),
+                    stats.meanChamfer * 1000.0,
                     qoe.mos);
     }
 

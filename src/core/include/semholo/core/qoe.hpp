@@ -24,6 +24,9 @@ struct QoEModel {
     double fpsWeight{0.2};
 };
 
+// Every term is finite: a term with no data behind it (no delivered
+// frame, no reconstructed frame) is 0, so a session that delivered
+// nothing scores mos == 0.
 struct QoEBreakdown {
     double qualityTerm{};   // [0,1]
     double latencyTerm{};   // [0,1]

@@ -76,7 +76,7 @@ struct SessionConfig {
     // recovery. Each outcome is observed before that participant's next
     // encode, so adaptation stays per-user even over a shared bottleneck.
     // Transitions land in that user's telemetry (counters.degradations /
-    // upgrades) and in MultiSessionStats::fairness.
+    // upgrades); the final ladder level in MultiSessionStats::fairness.
     DegradationConfig degradation{};
 };
 
@@ -99,27 +99,24 @@ struct FrameStats {
     telemetry::ReconCounters recon;
 };
 
+// Per-session results. 'telemetry' is the one store of counts and
+// per-stage samples: frame counts and drops live in telemetry.counters,
+// and per-frame means and percentiles come from its histograms (e.g.
+// telemetry.e2eMs.mean() / .p95()). The remaining fields are figures
+// telemetry cannot express.
 struct SessionStats {
     std::vector<FrameStats> frames;
 
-    std::size_t deliveredFrames{};
-    std::size_t decodedFrames{};
-    std::size_t droppedSenderFrames{};
-    std::size_t droppedReceiverFrames{};
-    double meanBytesPerFrame{};
-    double bandwidthMbps{};       // meanBytes * 8 * fps / 1e6
-    double meanExtractMs{};
-    double meanTransferMs{};
-    double meanReconMs{};
-    double meanE2eMs{};
-    double p95E2eMs{};
+    // Wire bytes sent over the session span, in Mbps.
+    double bandwidthMbps{};
     // Pipeline-limited frame rate: 1000 / mean(max(extract, recon)) —
     // stages pipeline across frames, so the slower stage bounds FPS.
-    double achievableFps{};
+    // NaN when no frame was reconstructed.
+    double achievableFps{std::numeric_limits<double>::quiet_NaN()};
     // Mean Chamfer over evaluated frames (NaN when never evaluated).
     double meanChamfer{std::numeric_limits<double>::quiet_NaN()};
-    // Per-stage wall-time histograms (p50/p95/p99), drop/retransmission
-    // counters, and bottleneck queue-depth samples for this session.
+    // Per-stage wall-time histograms (p50/p95/p99), frame and drop
+    // counters, link counters, and bottleneck queue-depth samples.
     telemetry::SessionTelemetry telemetry;
 };
 
@@ -148,19 +145,14 @@ SessionStats runSession(SemanticChannel& channel, const body::BodyModel& model,
 
 // Per-participant fairness accounting for one multi-user session: how
 // delivery, bandwidth and the degradation ladder were shared.
+// Counts, bandwidth and degradation transitions are in the user's
+// SessionStats (perUser[u].telemetry).
 struct UserFairnessStats {
-    std::size_t user{};
-    std::size_t capturedFrames{};
-    std::size_t deliveredFrames{};
-    // deliveredFrames / capturedFrames (0 when no frames captured).
+    // Delivered / captured frames (0 when no frames captured).
     double deliveryRatio{};
-    double bandwidthMbps{};
     // This user's fraction of all wire bytes across the conference
     // (0 when nothing was sent).
     double bandwidthShare{};
-    double meanE2eMs{};
-    std::uint64_t degradations{};
-    std::uint64_t upgrades{};
     // Ladder level in effect when the session ended (0 = full quality).
     std::size_t finalDegradationLevel{};
     // Mean BandwidthArbiter target over the session (0 when no arbiter
@@ -230,16 +222,14 @@ struct PipelineStageStats {
 };
 
 struct PipelineStats {
-    // false: nodes ran in insertion order on the calling thread (serial
-    // engine). true: nodes ran event-driven over the worker pool.
-    bool eventDriven{false};
+    // 1: nodes ran in insertion order on the calling thread. More: nodes
+    // ran event-driven over a pool of that many workers.
     std::size_t workers{1};
     std::size_t pipelineDepth{1};
     std::uint64_t nodes{};
     std::uint64_t edges{};
-    // Peak capture ticks simultaneously in flight (bounded by
-    // pipelineDepth); sampled at each encode-node release.
-    std::size_t maxTicksInFlight{};
+    // Capture ticks in flight, sampled at each encode-node start; the
+    // max is bounded by pipelineDepth.
     telemetry::Histogram ticksInFlight;
     double wallMs{};  // wall time of the graph run itself
     // Deterministic list-schedule makespans over the recorded per-node
@@ -258,9 +248,8 @@ struct PipelineStats {
 struct MultiSessionStats {
     std::vector<SessionStats> perUser;
     double aggregateMbps{};
-    double meanE2eMs{};
     // Per-user fairness accounting (delivery ratio, bandwidth share,
-    // degradation transitions), one entry per participant.
+    // arbiter target, final ladder level), one entry per participant.
     std::vector<UserFairnessStats> fairness;
     // Jain's fairness index over per-user delivery ratios: 1 when every
     // participant gets the same delivery ratio, -> 1/N under starvation.
@@ -280,7 +269,8 @@ struct MultiSessionStats {
     // occupancy and release latency, pipeline depth actually used, and
     // the deterministic stage-graph vs tick-barrier schedule comparison.
     PipelineStats pipeline;
-    // Users whose mean end-to-end latency meets 'budgetMs'.
+    // Users with delivered frames whose mean end-to-end latency meets
+    // 'budgetMs'.
     std::size_t usersWithinLatency(double budgetMs) const;
 };
 

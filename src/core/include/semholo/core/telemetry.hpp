@@ -35,12 +35,14 @@ public:
 
     std::size_t count() const;
     bool empty() const;
-    double sum() const;
+    double sum() const;  // 0 when empty
+    // mean, min, max and percentiles are NaN when empty: no samples is
+    // "no data", not a zero that reads as a result.
     double mean() const;
     double min() const;
     double max() const;
-    // Nearest-rank percentile over recorded samples; p in [0, 100].
-    // Returns 0 when empty.
+    // Nearest-rank percentile over recorded samples: the sample at
+    // 1-indexed rank ceil(p/100 * N); p in [0, 100].
     double percentile(double p) const;
     double p50() const { return percentile(50.0); }
     double p95() const { return percentile(95.0); }
@@ -131,7 +133,17 @@ struct SessionTelemetry {
 //   6: the temporal block cache is gone: session counters drop
 //      recon_blocks_cached / recon_reused_topology_blocks, and BENCH_fig4
 //      drops the "temporal" section and per-row reused_topology_blocks.
-inline constexpr std::uint64_t kBenchSchemaVersion = 6;
+//   7: stats stop copying telemetry. Session values drop
+//      delivered_frames, decoded_frames, dropped_sender_frames,
+//      dropped_receiver_frames, mean_bytes_per_frame, mean_extract_ms,
+//      mean_transfer_ms, mean_recon_ms, mean_e2e_ms and p95_e2e_ms;
+//      conference values drop mean_e2e_ms; fairness[] entries drop
+//      captured_frames, delivered_frames, bandwidth_mbps, mean_e2e_ms,
+//      degradations and upgrades; pipeline drops event_driven. The
+//      embedded "telemetry" objects carry them (stages.e2e_ms.p95 is the
+//      one nearest-rank p95). Statistics over no samples (histogram
+//      mean/min/max/percentiles, achievable_fps, mean_chamfer) are null.
+inline constexpr std::uint64_t kBenchSchemaVersion = 7;
 
 // Minimal JSON document builder shared by the bench exporters, so ad-hoc
 // bench output (speedups, per-row results) lands in the same files as

@@ -170,22 +170,9 @@ std::string toJsonValue(const SessionStats& stats) {
     telemetry::JsonWriter w;
     w.beginObject();
     w.field("frames", static_cast<std::uint64_t>(stats.frames.size()));
-    w.field("delivered_frames", static_cast<std::uint64_t>(stats.deliveredFrames));
-    w.field("decoded_frames", static_cast<std::uint64_t>(stats.decodedFrames));
-    w.field("dropped_sender_frames",
-            static_cast<std::uint64_t>(stats.droppedSenderFrames));
-    w.field("dropped_receiver_frames",
-            static_cast<std::uint64_t>(stats.droppedReceiverFrames));
-    w.field("mean_bytes_per_frame", stats.meanBytesPerFrame);
     w.field("bandwidth_mbps", stats.bandwidthMbps);
-    w.field("mean_extract_ms", stats.meanExtractMs);
-    w.field("mean_transfer_ms", stats.meanTransferMs);
-    w.field("mean_recon_ms", stats.meanReconMs);
-    w.field("mean_e2e_ms", stats.meanE2eMs);
-    w.field("p95_e2e_ms", stats.p95E2eMs);
     w.field("achievable_fps", stats.achievableFps);
-    if (stats.meanChamfer == stats.meanChamfer)  // skip NaN (not valid JSON)
-        w.field("mean_chamfer", stats.meanChamfer);
+    w.field("mean_chamfer", stats.meanChamfer);
     w.raw("telemetry", telemetry::toJsonValue(stats.telemetry));
     w.endObject();
     return w.str();
@@ -196,22 +183,15 @@ std::string toJsonValue(const MultiSessionStats& stats) {
     w.beginObject();
     w.field("users", static_cast<std::uint64_t>(stats.perUser.size()));
     w.field("aggregate_mbps", stats.aggregateMbps);
-    w.field("mean_e2e_ms", stats.meanE2eMs);
     w.field("fairness_index", stats.fairnessIndex);
     w.beginArray("fairness");
-    for (const UserFairnessStats& f : stats.fairness) {
+    for (std::size_t u = 0; u < stats.fairness.size(); ++u) {
+        const UserFairnessStats& f = stats.fairness[u];
         w.beginObject()
-            .field("user", static_cast<std::uint64_t>(f.user))
-            .field("captured_frames", static_cast<std::uint64_t>(f.capturedFrames))
-            .field("delivered_frames",
-                   static_cast<std::uint64_t>(f.deliveredFrames))
+            .field("user", static_cast<std::uint64_t>(u))
             .field("delivery_ratio", f.deliveryRatio)
-            .field("bandwidth_mbps", f.bandwidthMbps)
             .field("bandwidth_share", f.bandwidthShare)
             .field("target_rate_mbps", f.targetRateMbps)
-            .field("mean_e2e_ms", f.meanE2eMs)
-            .field("degradations", f.degradations)
-            .field("upgrades", f.upgrades)
             .field("final_degradation_level",
                    static_cast<std::uint64_t>(f.finalDegradationLevel))
             .endObject();
@@ -257,12 +237,11 @@ std::string toJsonValue(const MultiSessionStats& stats) {
     }
     const PipelineStats& p = stats.pipeline;
     w.beginObject("pipeline");
-    w.field("event_driven", static_cast<std::uint64_t>(p.eventDriven ? 1 : 0));
     w.field("workers", static_cast<std::uint64_t>(p.workers));
     w.field("pipeline_depth", static_cast<std::uint64_t>(p.pipelineDepth));
     w.field("nodes", p.nodes);
     w.field("edges", static_cast<std::uint64_t>(p.edges));
-    w.field("max_ticks_in_flight", static_cast<std::uint64_t>(p.maxTicksInFlight));
+    w.field("max_ticks_in_flight", p.ticksInFlight.max());
     w.field("mean_ticks_in_flight", p.ticksInFlight.mean());
     w.field("wall_ms", p.wallMs);
     w.field("simulated_stage_graph_ms", p.simulatedStageGraphMs);

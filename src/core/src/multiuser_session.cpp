@@ -1,14 +1,14 @@
 // The session engine: a completion-event-driven stage graph. A one-way
 // session (runSession) is its one-participant case; an SFU conference
-// adds participants, downlinks and the arbiter. The legacy engine ran
-// each capture tick as three barriered phases (encode fan-out, sequenced
-// uplink, decode fan-out); this engine builds one explicit dependency
+// adds participants, downlinks and the arbiter. Rather than running each
+// capture tick as three barriered phases (encode fan-out, sequenced
+// uplink, decode fan-out), the engine builds one explicit dependency
 // DAG over typed per-(tick, user) nodes and lets an event-driven
 // executor run every node the instant its dependencies complete — no
 // phase barriers, no tick barriers.
 //
-// Node kinds per tick f (inserted in exactly the legacy phase order, so
-// the serial executor *is* the legacy engine):
+// Node kinds per tick f (inserted in per-tick phase order, so the serial
+// executor runs the phases one after another):
 //
 //   A(f) / A(f,u)  arbiter: per-user uplink target rates from the
 //                  bottleneck's instantaneous capacity, offered demands
@@ -131,9 +131,8 @@ void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
 }
 
 // Per-user state that persists across ticks: the pipeline availability
-// clocks and the closed-loop feedback (throughput estimator +
-// degradation policy) every single-user session also carries, plus the
-// arbiter's demand estimate and target-rate accounting.
+// clocks, the closed-loop feedback (throughput estimator + degradation
+// policy), and the arbiter's demand estimate and target-rate accounting.
 struct UserState {
     double extractorFreeAt{0.0};
     double reconFreeAt{0.0};
@@ -165,32 +164,18 @@ struct DownlinkState {
 
 void fillFairness(MultiSessionStats& out, const std::vector<UserState>& state) {
     const std::size_t users = out.perUser.size();
-    double totalBytes = 0.0;
-    std::vector<double> userBytes(users, 0.0);
-    for (std::size_t u = 0; u < users; ++u) {
-        for (const FrameStats& frame : out.perUser[u].frames) {
-            if (frame.droppedAtSender) continue;
-            userBytes[u] += static_cast<double>(frame.bytes);
-        }
-        totalBytes += userBytes[u];
-    }
+    const double totalBytes = out.telemetry.bytesPerFrame.sum();
     out.fairness.resize(users);
     double ratioSum = 0.0, ratioSqSum = 0.0;
     for (std::size_t u = 0; u < users; ++u) {
-        const SessionStats& s = out.perUser[u];
+        const telemetry::SessionTelemetry& t = out.perUser[u].telemetry;
         UserFairnessStats& f = out.fairness[u];
-        f.user = u;
-        f.capturedFrames = s.frames.size();
-        f.deliveredFrames = s.deliveredFrames;
-        f.deliveryRatio = f.capturedFrames > 0
-                              ? static_cast<double>(f.deliveredFrames) /
-                                    static_cast<double>(f.capturedFrames)
+        f.deliveryRatio = t.counters.framesCaptured > 0
+                              ? static_cast<double>(t.counters.framesDelivered) /
+                                    static_cast<double>(t.counters.framesCaptured)
                               : 0.0;
-        f.bandwidthMbps = s.bandwidthMbps;
-        f.bandwidthShare = totalBytes > 0.0 ? userBytes[u] / totalBytes : 0.0;
-        f.meanE2eMs = s.meanE2eMs;
-        f.degradations = s.telemetry.counters.degradations;
-        f.upgrades = s.telemetry.counters.upgrades;
+        f.bandwidthShare =
+            totalBytes > 0.0 ? t.bytesPerFrame.sum() / totalBytes : 0.0;
         f.finalDegradationLevel = state[u].degrade.level();
         f.targetRateMbps = state[u].targetTicks > 0
                                ? state[u].targetSumBps /
@@ -395,7 +380,7 @@ MultiSessionStats runConferenceTicked(
         us.lastSentBytes = p.frame.bytes;
         if (p.transfer.delivered && p.frame.bytes > 0) {
             // Serialization-dominated throughput sample (propagation
-            // subtracted), as in the single-user engines.
+            // subtracted).
             const double serialS =
                 std::max(1e-5, p.transfer.durationS() -
                                    link.config().propagationDelayS);
@@ -509,9 +494,9 @@ MultiSessionStats runConferenceTicked(
     };
 
     // ---- Graph construction ------------------------------------------------
-    // Nodes are inserted in the legacy per-tick phase order (arbiter,
-    // encodes, tickets, downlinks, decodes, retire), so runSerial() is
-    // the legacy schedule; the edges are everything runParallel() needs.
+    // Nodes are inserted in per-tick phase order (arbiter, encodes,
+    // tickets, downlinks, decodes, retire), so runSerial() runs the
+    // phases in turn; the edges are everything runParallel() needs.
     StageGraph graph;
     constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> prevTicket(users, kNone);

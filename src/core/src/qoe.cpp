@@ -1,5 +1,6 @@
 #include "semholo/core/qoe.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace semholo::core {
@@ -19,22 +20,28 @@ QoEBreakdown computeQoE(const SessionStats& stats, const QoEModel& model) {
                                      std::log(model.chamferExcellent));
     }
 
-    // Latency: exponential decay beyond the interactive budget.
-    const double over = std::max(0.0, stats.meanE2eMs - model.latencyBudgetMs);
-    out.latencyTerm = std::exp2(-over / model.latencyHalfLifeMs);
+    // Latency: exponential decay beyond the interactive budget; 0 when
+    // no frame was delivered.
+    const telemetry::Histogram& e2e = stats.telemetry.e2eMs;
+    if (!e2e.empty()) {
+        const double over = std::max(0.0, e2e.mean() - model.latencyBudgetMs);
+        out.latencyTerm = std::exp2(-over / model.latencyHalfLifeMs);
+    }
 
-    // Smoothness: achieved pipeline FPS relative to the target.
-    out.fpsTerm = std::clamp(stats.achievableFps / model.targetFps, 0.0, 1.0);
+    // Smoothness: achieved pipeline FPS relative to the target; 0 when no
+    // frame was reconstructed.
+    if (!std::isnan(stats.achievableFps))
+        out.fpsTerm = std::clamp(stats.achievableFps / model.targetFps, 0.0, 1.0);
 
     // Delivery counts network failures only. Frames shed by a busy
     // pipeline stage are already captured by the smoothness term —
     // counting them here would double-penalise slow reconstruction.
-    const std::size_t attempted = stats.frames.size() - stats.droppedSenderFrames -
-                                  stats.droppedReceiverFrames;
-    out.deliveryTerm = attempted == 0
-                           ? 0.0
-                           : static_cast<double>(stats.deliveredFrames) /
-                                 static_cast<double>(attempted);
+    const telemetry::Counters& c = stats.telemetry.counters;
+    const std::uint64_t attempted =
+        c.framesCaptured - c.dropsAtSender - c.dropsAtReceiver;
+    out.deliveryTerm = attempted == 0 ? 0.0
+                                      : static_cast<double>(c.framesDelivered) /
+                                            static_cast<double>(attempted);
 
     const double weighted = model.qualityWeight * out.qualityTerm +
                             model.latencyWeight * out.latencyTerm +

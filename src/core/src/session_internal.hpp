@@ -26,15 +26,14 @@ inline double clockReconMs(const DecodedFrame& decoded, TimingModel timing) {
 // config.workers with 0 resolved to hardware concurrency.
 std::size_t effectiveWorkers(const SessionConfig& config);
 
-// Compute every frame-derived aggregate of 'stats' (means, percentiles,
-// drop counts, achievable FPS, Chamfer mean) and fill the per-stage
-// telemetry histograms/counters from stats.frames. Link-level counters
+// Record stats.frames into the per-stage telemetry histograms and frame
+// counters, then derive the figures telemetry cannot express
+// (bandwidth, achievable FPS, Chamfer mean). Link-level counters
 // (packets, retransmissions, queue depth) are recorded separately by the
 // engine's link observer.
 void finalizeSessionStats(SessionStats& stats, const SessionConfig& config);
 
-// Per-user finalize + aggregate rollup (bandwidth, mean e2e, merged
-// telemetry). out.telemetry may already hold the shared link's counters.
+// Per-user finalize, merged telemetry and aggregate bandwidth.
 void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& config);
 
 // The one session engine (multiuser_session.cpp): an event-driven stage
@@ -42,7 +41,7 @@ void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& conf
 // uplink entry (a per-link ticket chain preserving the (frame, user)
 // order), downlink fan-out, decode, sampled quality evaluation and tick
 // retirement, with explicit dependency edges. pool == nullptr executes
-// the graph in insertion order (the legacy per-tick phase schedule);
+// the graph in insertion order (the per-tick phase schedule);
 // otherwise nodes run the moment their dependencies complete,
 // pipelining up to ConferenceConfig::pipelineDepth ticks. Both executors touch every
 // mutable resource in the same per-resource order, so runs are

@@ -21,16 +21,9 @@ void storeMax(std::atomic<int>& target, int value) {
     }
 }
 
-void storeMax(std::atomic<std::size_t>& target, std::size_t value) {
-    std::size_t cur = target.load(std::memory_order_relaxed);
-    while (cur < value &&
-           !target.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
-    }
-}
-
 // Greedy in-order assignment of independent task costs to the earliest
-// free of 'workers' workers; returns the phase span. This is exactly how
-// the legacy engine's parallelFor spread a phase across the pool.
+// free of 'workers' workers; returns the phase span: how a barriered
+// phase spreads its tasks across the pool.
 double listSpan(const std::vector<double>& costs, std::size_t workers) {
     if (costs.empty()) return 0.0;
     std::priority_queue<double, std::vector<double>, std::greater<double>> free;
@@ -88,7 +81,6 @@ double StageGraph::msSinceStart() const {
 
 void StageGraph::runSerial() {
     runStart_ = std::chrono::steady_clock::now();
-    eventDriven_ = false;
     retiredTicks_.store(0, std::memory_order_relaxed);
     // Release-latency bookkeeping mirrors the parallel executor: a node
     // is "ready" the moment its last dependency completes, and in-order
@@ -106,7 +98,6 @@ void StageGraph::runSerial() {
                 static_cast<std::size_t>(node.tick) + 1 -
                 retiredTicks_.load(std::memory_order_relaxed);
             ticksInFlight_.record(static_cast<double>(inFlight));
-            storeMax(maxTicksInFlight_, inFlight);
         }
         node.startMs = msSinceStart();
         node.simCostMs = node.run();
@@ -121,7 +112,6 @@ void StageGraph::runSerial() {
 
 void StageGraph::runParallel(ThreadPool& pool) {
     runStart_ = std::chrono::steady_clock::now();
-    eventDriven_ = true;
     if (nodes_.empty()) {
         wallMs_ = 0.0;
         return;
@@ -179,7 +169,6 @@ std::size_t StageGraph::runNode(std::size_t index) {
             static_cast<std::size_t>(node.tick) + 1 -
             retiredTicks_.load(std::memory_order_relaxed);
         ticksInFlight_.record(static_cast<double>(inFlight));
-        storeMax(maxTicksInFlight_, inFlight);
     }
     if (!failed_.load(std::memory_order_acquire)) {
         try {
@@ -227,12 +216,10 @@ std::size_t StageGraph::runNode(std::size_t index) {
 
 void StageGraph::fillStats(PipelineStats& stats,
                            std::size_t scheduleWorkers) const {
-    stats.eventDriven = eventDriven_;
     stats.workers = std::max<std::size_t>(1, scheduleWorkers);
     stats.nodes = nodes_.size();
     stats.edges = edges_;
     stats.wallMs = wallMs_;
-    stats.maxTicksInFlight = maxTicksInFlight_.load(std::memory_order_relaxed);
     stats.ticksInFlight = ticksInFlight_;
     // One pass over the nodes; each stage still sees its nodes in index
     // order, so busy sums and latency samples match a per-stage scan.

@@ -3,15 +3,13 @@
 //
 // A StageGraph is a DAG of typed nodes — arbiter / encode / uplink
 // ticket / downlink fan-out / decode / quality / retire — added in the
-// canonical serial order (the legacy per-tick phase order) with explicit
+// canonical serial order (the per-tick phase order) with explicit
 // dependency edges. Two executors share the node bodies:
 //
 //  - runSerial() executes nodes in insertion order on the calling
 //    thread. Because every edge points from a lower to a higher index
 //    (addEdge enforces it), insertion order is a valid topological
-//    order, and it is by construction *the* order the legacy barrier
-//    engine used — so the serial stage-graph engine is byte-identical
-//    to the pre-refactor engine.
+//    order: the phases of each tick run one after another.
 //
 //  - runParallel(pool) executes event-driven: each node carries an
 //    atomic pending-dependency count; completing a node decrements its
@@ -133,7 +131,6 @@ private:
 
     std::chrono::steady_clock::time_point runStart_{};
     double wallMs_{0.0};
-    bool eventDriven_{false};
 
     ThreadPool* pool_{nullptr};  // set by runParallel for post()
     std::atomic<std::size_t> remaining_{0};
@@ -152,7 +149,6 @@ private:
     std::atomic<int> active_[kStageKindCount]{};
     std::atomic<int> maxActive_[kStageKindCount]{};
     std::atomic<std::uint32_t> retiredTicks_{0};
-    std::atomic<std::size_t> maxTicksInFlight_{0};
     telemetry::Histogram ticksInFlight_;  // internally thread-safe
 };
 

@@ -8,6 +8,12 @@
 
 namespace semholo::core::telemetry {
 
+namespace {
+
+constexpr double kNoData = std::numeric_limits<double>::quiet_NaN();
+
+}  // namespace
+
 Histogram::Histogram(const Histogram& other) {
     std::lock_guard<std::mutex> lock(other.mutex_);
     samples_ = other.samples_;
@@ -62,7 +68,7 @@ double Histogram::sum() const {
 
 double Histogram::mean() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (samples_.empty()) return 0.0;
+    if (samples_.empty()) return kNoData;
     double s = 0.0;
     for (const double v : samples_) s += v;
     return s / static_cast<double>(samples_.size());
@@ -70,13 +76,13 @@ double Histogram::mean() const {
 
 double Histogram::min() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return samples_.empty() ? 0.0
+    return samples_.empty() ? kNoData
                             : *std::min_element(samples_.begin(), samples_.end());
 }
 
 double Histogram::max() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return samples_.empty() ? 0.0
+    return samples_.empty() ? kNoData
                             : *std::max_element(samples_.begin(), samples_.end());
 }
 
@@ -91,7 +97,7 @@ const std::vector<double>& Histogram::sortedLocked() const {
 
 double Histogram::percentile(double p) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (samples_.empty()) return 0.0;
+    if (samples_.empty()) return kNoData;
     const auto& s = sortedLocked();
     const double clamped = std::clamp(p, 0.0, 100.0);
     // Nearest-rank: ceil(p/100 * N), 1-indexed.

@@ -84,7 +84,7 @@ TEST(AdaptiveMesh, SessionFeedbackLoopAdapts) {
         thinBytes += static_cast<double>(statsThin.frames[f].bytes);
     }
     EXPECT_GT(fatBytes, thinBytes * 2);
-    EXPECT_EQ(statsThin.deliveredFrames, 6u);  // never overcommits the link
+    EXPECT_EQ(statsThin.telemetry.counters.framesDelivered, 6u);  // never overcommits the link
 }
 
 TEST(AdaptiveMesh, ResetRecalibrates) {

@@ -105,7 +105,7 @@ TEST(Conference, ChannelFactoryOverridesSpec) {
     const auto stats = runConference(conf, sharedModel());
     EXPECT_TRUE(factoryUsed);
     EXPECT_EQ(stats.perUser.size(), 1u);
-    EXPECT_GT(stats.perUser[0].deliveredFrames, 0u);
+    EXPECT_GT(stats.perUser[0].telemetry.counters.framesDelivered, 0u);
 }
 
 TEST(Conference, FactoryParticipantsMatchSpecParticipants) {
@@ -167,7 +167,7 @@ TEST(Conference, DownlinkBytesSumToServerFanoutTotals) {
 
     // Every delivered uplink frame is forwarded to the other 2 viewers.
     std::uint64_t delivered = 0;
-    for (const auto& u : stats.perUser) delivered += u.deliveredFrames;
+    for (const auto& u : stats.perUser) delivered += u.telemetry.counters.framesDelivered;
     EXPECT_EQ(stats.serverFanoutFrames, delivered * 2);
 
     // fanoutShare partitions the fan-out bytes.
@@ -346,8 +346,8 @@ TEST(Conference, MaxMinArbiterEqualizesCongestedDelivery) {
     // Arbitration must not reduce aggregate delivery and must report the
     // targets it handed out.
     std::size_t offDelivered = 0, onDelivered = 0;
-    for (const auto& u : off.perUser) offDelivered += u.deliveredFrames;
-    for (const auto& u : on.perUser) onDelivered += u.deliveredFrames;
+    for (const auto& u : off.perUser) offDelivered += u.telemetry.counters.framesDelivered;
+    for (const auto& u : on.perUser) onDelivered += u.telemetry.counters.framesDelivered;
     EXPECT_GE(onDelivered, offDelivered);
     EXPECT_GE(on.fairnessIndex, off.fairnessIndex);
     for (const UserFairnessStats& f : on.fairness)

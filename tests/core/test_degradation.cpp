@@ -214,7 +214,8 @@ TEST(DegradationSession, ClosedLoopOutperformsEstimatorOnlyUnderFaults) {
     EXPECT_GT(statsOn.telemetry.counters.faultEvents, 0u);
     EXPECT_EQ(statsOff.telemetry.counters.degradations, 0u);
     // Closing the loop delivers more frames through the same faults.
-    EXPECT_GT(statsOn.deliveredFrames, statsOff.deliveredFrames);
+    EXPECT_GT(statsOn.telemetry.counters.framesDelivered,
+              statsOff.telemetry.counters.framesDelivered);
 }
 
 TEST(DegradationSession, SerialAndParallelEnginesDecideIdentically) {

@@ -43,9 +43,9 @@ TEST(MultiUser, SingleUserMatchesSoloSessionScale) {
     const auto multi = runKeypointFleet(1);
     ASSERT_EQ(multi.perUser.size(), 1u);
     const auto& s = multi.perUser[0];
-    EXPECT_EQ(s.deliveredFrames, 10u);
+    EXPECT_EQ(s.telemetry.counters.framesDelivered, 10u);
     EXPECT_NEAR(multi.aggregateMbps, s.bandwidthMbps, 1e-9);
-    EXPECT_GT(s.meanBytesPerFrame, 100.0);
+    EXPECT_GT(s.telemetry.bytesPerFrame.mean(), 100.0);
 }
 
 TEST(MultiUser, AggregateBandwidthScalesWithUsers) {
@@ -78,7 +78,7 @@ TEST(MultiUser, SharedBottleneckCongestsHeavyChannels) {
     };
     const auto s1 = runMeshFleet(1);
     const auto s4 = runMeshFleet(4);
-    EXPECT_GT(s4.meanE2eMs, s1.meanE2eMs * 2.0);
+    EXPECT_GT(s4.telemetry.e2eMs.mean(), s1.telemetry.e2eMs.mean() * 2.0);
 }
 
 TEST(MultiUser, KeypointFleetMeetsLatencyBudget) {

@@ -67,7 +67,7 @@ DegradationConfig fastPolicy() {
 
 std::size_t deliveredTotal(const MultiSessionStats& stats) {
     std::size_t n = 0;
-    for (const SessionStats& s : stats.perUser) n += s.deliveredFrames;
+    for (const SessionStats& s : stats.perUser) n += s.telemetry.counters.framesDelivered;
     return n;
 }
 
@@ -82,8 +82,9 @@ TEST(MultiUserDegradation, PerUserAdaptationEngagesAndImprovesDelivery) {
 
     // Every participant's own policy reacted — the per-user loop exists.
     ASSERT_EQ(statsOn.fairness.size(), kUsers);
-    for (const UserFairnessStats& f : statsOn.fairness) {
-        EXPECT_GT(f.degradations, 0u) << "user " << f.user;
+    for (std::size_t u = 0; u < statsOn.perUser.size(); ++u) {
+        EXPECT_GT(statsOn.perUser[u].telemetry.counters.degradations, 0u)
+            << "user " << u;
     }
     EXPECT_GT(statsOn.telemetry.counters.degradations, 0u);
     EXPECT_EQ(statsOff.telemetry.counters.degradations, 0u);
@@ -124,9 +125,10 @@ TEST(MultiUserDegradation, SerialAndParallelByteIdenticalUnderStress) {
                 EXPECT_DOUBLE_EQ(a[f].e2eMs, b[f].e2eMs);
             }
             // Per-user degradation decisions are part of the contract.
-            EXPECT_EQ(serial.fairness[u].degradations,
-                      parallel.fairness[u].degradations);
-            EXPECT_EQ(serial.fairness[u].upgrades, parallel.fairness[u].upgrades);
+            EXPECT_EQ(serial.perUser[u].telemetry.counters.degradations,
+                      parallel.perUser[u].telemetry.counters.degradations);
+            EXPECT_EQ(serial.perUser[u].telemetry.counters.upgrades,
+                      parallel.perUser[u].telemetry.counters.upgrades);
             EXPECT_EQ(serial.fairness[u].finalDegradationLevel,
                       parallel.fairness[u].finalDegradationLevel);
         }
@@ -177,11 +179,11 @@ TEST(MultiUserDegradation, FairnessAccountingConsistent) {
     double shareSum = 0.0;
     for (std::size_t u = 0; u < kUsers; ++u) {
         const UserFairnessStats& f = stats.fairness[u];
-        EXPECT_EQ(f.user, u);
-        EXPECT_EQ(f.capturedFrames, cfg.frames);
-        EXPECT_EQ(f.deliveredFrames, stats.perUser[u].deliveredFrames);
+        const telemetry::Counters& c = stats.perUser[u].telemetry.counters;
+        EXPECT_EQ(c.framesCaptured, cfg.frames);
+        EXPECT_EQ(c.framesDelivered, stats.perUser[u].telemetry.e2eMs.count());
         EXPECT_NEAR(f.deliveryRatio,
-                    static_cast<double>(f.deliveredFrames) /
+                    static_cast<double>(c.framesDelivered) /
                         static_cast<double>(cfg.frames),
                     1e-12);
         EXPECT_GE(f.bandwidthShare, 0.0);
@@ -208,10 +210,10 @@ TEST(MultiUserDegradation, DisabledPolicyKeepsCountersZeroAndFairnessFilled) {
 
     const auto stats = runAdaptiveFleet(kUsers, cfg);
     ASSERT_EQ(stats.fairness.size(), kUsers);
-    for (const UserFairnessStats& f : stats.fairness) {
-        EXPECT_EQ(f.degradations, 0u);
-        EXPECT_EQ(f.upgrades, 0u);
-        EXPECT_EQ(f.finalDegradationLevel, 0u);
+    for (std::size_t u = 0; u < kUsers; ++u) {
+        EXPECT_EQ(stats.perUser[u].telemetry.counters.degradations, 0u);
+        EXPECT_EQ(stats.perUser[u].telemetry.counters.upgrades, 0u);
+        EXPECT_EQ(stats.fairness[u].finalDegradationLevel, 0u);
     }
 }
 

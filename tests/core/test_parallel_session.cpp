@@ -85,7 +85,8 @@ TEST(ParallelSession, MultiUserDeterministicAcrossWorkerCountsAllKinds) {
             expectIdenticalFrames(results[0].perUser[u], results[1].perUser[u],
                                   kind + " user " + std::to_string(u));
         EXPECT_DOUBLE_EQ(results[0].aggregateMbps, results[1].aggregateMbps);
-        EXPECT_DOUBLE_EQ(results[0].meanE2eMs, results[1].meanE2eMs);
+        EXPECT_DOUBLE_EQ(results[0].telemetry.e2eMs.mean(),
+                         results[1].telemetry.e2eMs.mean());
     }
 }
 

@@ -5,6 +5,8 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "semholo/core/qoe.hpp"
 
@@ -33,10 +35,10 @@ TEST(Session, KeypointSessionDeliversAllFrames) {
     auto channel = makeKeypointChannel(opt);
     const auto stats = runSession(*channel, sharedModel(), fastConfig());
     EXPECT_EQ(stats.frames.size(), 20u);
-    EXPECT_EQ(stats.deliveredFrames, 20u);
-    EXPECT_EQ(stats.decodedFrames, 20u);
-    EXPECT_GT(stats.meanBytesPerFrame, 100.0);
-    EXPECT_GT(stats.meanE2eMs, 0.0);
+    EXPECT_EQ(stats.telemetry.counters.framesDelivered, 20u);
+    EXPECT_EQ(stats.telemetry.counters.framesDecoded, 20u);
+    EXPECT_GT(stats.telemetry.bytesPerFrame.mean(), 100.0);
+    EXPECT_GT(stats.telemetry.e2eMs.mean(), 0.0);
     EXPECT_GT(stats.achievableFps, 0.0);
 }
 
@@ -87,11 +89,11 @@ TEST(Session, NarrowLinkStallsTraditionalNotKeypoint) {
     auto traditional = makeTraditionalChannel({false, false});
     const auto trad = runSession(*traditional, sharedModel(), cfg);
 
-    EXPECT_LT(kp.meanTransferMs, 50.0);
-    EXPECT_EQ(kp.deliveredFrames, 15u);
+    EXPECT_LT(kp.telemetry.transferMs.mean(), 50.0);
+    EXPECT_EQ(kp.telemetry.counters.framesDelivered, 15u);
     // Raw mesh frames (~400 KB) overflow the 256 KB bottleneck queue
     // within a single message: none of them survive the narrow link.
-    EXPECT_EQ(trad.deliveredFrames, 0u);
+    EXPECT_EQ(trad.telemetry.counters.framesDelivered, 0u);
     EXPECT_GT(trad.telemetry.counters.queueDrops, 0u);
 }
 
@@ -100,25 +102,39 @@ TEST(Session, LossyLinkStillDeliversWithArq) {
     cfg.link.lossRate = 0.05;
     auto channel = makeKeypointChannel({.reconResolution = 16});
     const auto stats = runSession(*channel, sharedModel(), cfg);
-    EXPECT_EQ(stats.deliveredFrames, 15u);
+    EXPECT_EQ(stats.telemetry.counters.framesDelivered, 15u);
 }
 
 TEST(Session, DropWhenBusySkipsFramesForSlowStages) {
     // A channel whose reconstruction is far slower than the frame
     // interval must shed frames in live mode — the paper's <1 FPS
-    // reconstruction cannot keep up with a 30 FPS capture.
-    TextChannelOptions opt;
-    opt.reconResolution = 64;  // slow on purpose
-    auto channel = makeTextChannel(opt);
-    SessionConfig cfg = fastConfig(12);
-    cfg.dropWhenBusy = true;
-    const auto stats = runSession(*channel, sharedModel(), cfg);
-    EXPECT_GT(stats.droppedSenderFrames + stats.droppedReceiverFrames, 0u);
-    EXPECT_LT(stats.decodedFrames, 12u);
-    // Processed frames still have bounded end-to-end latency.
-    for (const auto& f : stats.frames) {
-        if (!f.decoded) continue;
-        EXPECT_LT(f.e2eMs, 3000.0);
+    // reconstruction cannot keep up with a 30 FPS capture. A 90 ms
+    // simulated reconstruction at a 33.3 ms frame interval is busy for
+    // the next two arrivals, so every third frame is decoded, at any
+    // worker count.
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        auto channel =
+            makeSyntheticChannel({.simulatedReconMs = 90, .rateAdaptive = false});
+        SessionConfig cfg = fastConfig(12);
+        cfg.fps = 30.0;
+        cfg.timing = TimingModel::Simulated;
+        cfg.dropWhenBusy = true;
+        cfg.workers = workers;
+        const auto stats = runSession(*channel, sharedModel(), cfg);
+        ASSERT_EQ(stats.frames.size(), 12u);
+        std::vector<std::uint32_t> decoded;
+        for (const auto& f : stats.frames)
+            if (f.decoded) decoded.push_back(f.frameId);
+        EXPECT_EQ(decoded, (std::vector<std::uint32_t>{0, 3, 6, 9}));
+        EXPECT_EQ(stats.telemetry.counters.framesDecoded, 4u);
+        EXPECT_EQ(stats.telemetry.counters.dropsAtReceiver, 8u);
+        EXPECT_EQ(stats.telemetry.counters.dropsAtSender, 0u);
+        // Processed frames still have bounded end-to-end latency.
+        for (const auto& f : stats.frames) {
+            if (!f.decoded) continue;
+            EXPECT_LT(f.e2eMs, 3000.0);
+        }
     }
 }
 
@@ -130,51 +146,55 @@ TEST(Session, QueueingModeProcessesEveryFrame) {
     SessionConfig cfg = fastConfig(8);
     cfg.dropWhenBusy = false;
     const auto stats = runSession(*channel, sharedModel(), cfg);
-    EXPECT_EQ(stats.droppedSenderFrames, 0u);
-    EXPECT_EQ(stats.deliveredFrames, 8u);
+    EXPECT_EQ(stats.telemetry.counters.dropsAtSender, 0u);
+    EXPECT_EQ(stats.telemetry.counters.framesDelivered, 8u);
 }
 
-TEST(Session, FullRunOutageYieldsFiniteZeroAggregates) {
-    // A link that is down for the whole session (full-run outage): every
-    // frame is captured, encoded and sent, none is delivered or decoded.
-    // The finalize contract is 0 (or NaN where documented), never a
-    // division by zero or an infinity.
+// A link that is down for the whole session (full-run outage): every
+// frame is captured, encoded and sent, none is delivered or decoded.
+SessionStats fullRunOutageSession() {
     SessionConfig cfg = fastConfig(12);
     cfg.transfer.reliable = false;  // no ARQ riding out the outage
     cfg.link.lossRate = 1.0;        // link down for the whole run
     auto channel = makeKeypointChannel({.reconResolution = 16});
-    const auto stats = runSession(*channel, sharedModel(), cfg);
+    return runSession(*channel, sharedModel(), cfg);
+}
+
+TEST(Session, FullRunOutageReportsNoData) {
+    // Figures over no samples are NaN ("no data"), never a zero that
+    // reads as a result, a division by zero or an infinity.
+    const auto stats = fullRunOutageSession();
 
     EXPECT_EQ(stats.frames.size(), 12u);
-    EXPECT_EQ(stats.deliveredFrames, 0u);
-    EXPECT_EQ(stats.decodedFrames, 0u);
+    EXPECT_EQ(stats.telemetry.counters.framesDelivered, 0u);
+    EXPECT_EQ(stats.telemetry.counters.framesDecoded, 0u);
     // Sender-side aggregates still exist (frames were encoded and sent)…
-    EXPECT_GT(stats.meanBytesPerFrame, 0.0);
+    EXPECT_GT(stats.telemetry.bytesPerFrame.mean(), 0.0);
     EXPECT_GT(stats.bandwidthMbps, 0.0);
-    // …receiver-side aggregates are zero by contract, not NaN/inf.
-    EXPECT_EQ(stats.meanE2eMs, 0.0);
-    EXPECT_EQ(stats.p95E2eMs, 0.0);
-    EXPECT_EQ(stats.meanReconMs, 0.0);
-    EXPECT_EQ(stats.achievableFps, 0.0);
-    // Quality was never evaluated: NaN by contract.
+    // …receiver-side aggregates have no samples: NaN.
+    EXPECT_TRUE(std::isnan(stats.telemetry.e2eMs.mean()));
+    EXPECT_TRUE(std::isnan(stats.telemetry.e2eMs.p95()));
+    EXPECT_TRUE(std::isnan(stats.telemetry.decodeMs.mean()));
+    EXPECT_TRUE(std::isnan(stats.achievableFps));
+    // Quality was never evaluated.
     EXPECT_TRUE(std::isnan(stats.meanChamfer));
-    EXPECT_FALSE(std::isinf(stats.meanTransferMs));
+    EXPECT_FALSE(std::isinf(stats.telemetry.transferMs.mean()));
     EXPECT_EQ(stats.telemetry.counters.framesDelivered, 0u);
     EXPECT_EQ(stats.telemetry.counters.packetsDelivered, 0u);
     EXPECT_EQ(stats.telemetry.counters.packets,
               stats.telemetry.counters.packetsUnrecovered);
 }
 
-TEST(Session, ZeroFrameSessionIsAllZeroAggregates) {
+TEST(Session, ZeroFrameSessionReportsNoData) {
     // frames == 0 exercises the sent == 0 and zero-span branches.
     SessionConfig cfg = fastConfig(0);
     auto channel = makeKeypointChannel({.reconResolution = 16});
     const auto stats = runSession(*channel, sharedModel(), cfg);
     EXPECT_TRUE(stats.frames.empty());
-    EXPECT_EQ(stats.meanBytesPerFrame, 0.0);
+    EXPECT_TRUE(std::isnan(stats.telemetry.bytesPerFrame.mean()));
     EXPECT_EQ(stats.bandwidthMbps, 0.0);
-    EXPECT_EQ(stats.meanE2eMs, 0.0);
-    EXPECT_EQ(stats.achievableFps, 0.0);
+    EXPECT_TRUE(std::isnan(stats.telemetry.e2eMs.mean()));
+    EXPECT_TRUE(std::isnan(stats.achievableFps));
     EXPECT_TRUE(std::isnan(stats.meanChamfer));
 }
 
@@ -306,12 +326,21 @@ TEST(Session, OutputMatchesPinnedSingleUserEngineDigests) {
     }
 }
 
-TEST(QoE, PerfectSessionScoresHigh) {
+// A session of 'captured' frames, 'delivered' of them arriving with
+// end-to-end latency 'e2eMs', recorded the way the engine records them.
+SessionStats qoeSession(std::size_t captured, std::size_t delivered, double e2eMs,
+                        double achievableFps) {
     SessionStats stats;
-    stats.frames.resize(30);
-    stats.deliveredFrames = 30;
-    stats.meanE2eMs = 40.0;
-    stats.achievableFps = 60.0;
+    stats.frames.resize(captured);
+    stats.telemetry.counters.framesCaptured = captured;
+    stats.telemetry.counters.framesDelivered = delivered;
+    for (std::size_t i = 0; i < delivered; ++i) stats.telemetry.e2eMs.record(e2eMs);
+    stats.achievableFps = achievableFps;
+    return stats;
+}
+
+TEST(QoE, PerfectSessionScoresHigh) {
+    SessionStats stats = qoeSession(30, 30, 40.0, 60.0);
     stats.meanChamfer = 0.003;
     const auto qoe = computeQoE(stats);
     EXPECT_GT(qoe.mos, 4.0);
@@ -320,44 +349,38 @@ TEST(QoE, PerfectSessionScoresHigh) {
 }
 
 TEST(QoE, LatencyDegradesScore) {
-    SessionStats fast, slow;
-    fast.frames.resize(10);
-    slow.frames.resize(10);
-    fast.deliveredFrames = slow.deliveredFrames = 10;
-    fast.achievableFps = slow.achievableFps = 30.0;
+    SessionStats fast = qoeSession(10, 10, 50.0, 30.0);
+    SessionStats slow = qoeSession(10, 10, 800.0, 30.0);
     fast.meanChamfer = slow.meanChamfer = 0.01;
-    fast.meanE2eMs = 50.0;
-    slow.meanE2eMs = 800.0;
     EXPECT_GT(computeQoE(fast).mos, computeQoE(slow).mos + 0.5);
 }
 
 TEST(QoE, LowFpsPenalized) {
-    SessionStats smooth, choppy;
-    smooth.frames.resize(10);
-    choppy.frames.resize(10);
-    smooth.deliveredFrames = choppy.deliveredFrames = 10;
-    smooth.meanE2eMs = choppy.meanE2eMs = 50.0;
+    SessionStats smooth = qoeSession(10, 10, 50.0, 30.0);
+    // The paper's <1 FPS reconstruction.
+    SessionStats choppy = qoeSession(10, 10, 50.0, 1.0);
     smooth.meanChamfer = choppy.meanChamfer = 0.01;
-    smooth.achievableFps = 30.0;
-    choppy.achievableFps = 1.0;  // the paper's <1 FPS reconstruction
     EXPECT_GT(computeQoE(smooth).mos, computeQoE(choppy).mos);
 }
 
 TEST(QoE, UndeliveredFramesCollapseScore) {
-    SessionStats stats;
-    stats.frames.resize(10);
-    stats.deliveredFrames = 0;
-    stats.meanE2eMs = 50.0;
-    stats.achievableFps = 30.0;
+    const SessionStats stats = qoeSession(10, 0, 50.0, 30.0);
     EXPECT_DOUBLE_EQ(computeQoE(stats).mos, 0.0);
 }
 
+TEST(QoE, FullRunOutageScoresZero) {
+    // A real session with no delivered or decoded frame: its latency,
+    // FPS and Chamfer figures are all "no data", and the score is 0,
+    // not NaN.
+    const auto qoe = computeQoE(fullRunOutageSession());
+    EXPECT_EQ(qoe.mos, 0.0);
+    EXPECT_EQ(qoe.latencyTerm, 0.0);
+    EXPECT_EQ(qoe.fpsTerm, 0.0);
+    EXPECT_EQ(qoe.deliveryTerm, 0.0);
+}
+
 TEST(QoE, NeutralQualityWhenUnevaluated) {
-    SessionStats stats;
-    stats.frames.resize(5);
-    stats.deliveredFrames = 5;
-    stats.meanE2eMs = 50.0;
-    stats.achievableFps = 30.0;
+    const SessionStats stats = qoeSession(5, 5, 50.0, 30.0);
     const auto qoe = computeQoE(stats);
     EXPECT_NEAR(qoe.qualityTerm, 0.5, 1e-9);
 }

@@ -98,7 +98,7 @@ TEST(StageGraph, StragglerByteIdentityAcrossWorkersAndDepths) {
     const auto reference = runConference(stragglerConference(1, 1),
                                          sharedModel());
     ASSERT_EQ(reference.perUser.size(), stragglerCosts().size());
-    EXPECT_GT(reference.perUser[0].deliveredFrames, 0u);
+    EXPECT_GT(reference.perUser[0].telemetry.counters.framesDelivered, 0u);
     for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
         for (const std::size_t workers :
              {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -126,13 +126,13 @@ TEST(StageGraph, PipelineStatsDescribeTheGraph) {
     const auto stats =
         runConference(stragglerConference(8, 4), sharedModel());
     const PipelineStats& p = stats.pipeline;
-    EXPECT_TRUE(p.eventDriven);
+    EXPECT_TRUE(p.workers > 1);  // event-driven over the pool
     EXPECT_EQ(p.workers, 8u);
     EXPECT_EQ(p.pipelineDepth, 4u);
     EXPECT_GT(p.nodes, 0u);
     EXPECT_GT(p.edges, p.nodes);  // every non-root node has >= 1 edge in
-    EXPECT_GE(p.maxTicksInFlight, 1u);
-    EXPECT_LE(p.maxTicksInFlight, p.pipelineDepth);
+    EXPECT_GE(p.ticksInFlight.max(), 1.0);
+    EXPECT_LE(p.ticksInFlight.max(), static_cast<double>(p.pipelineDepth));
     EXPECT_GT(p.wallMs, 0.0);
     // One stage row per kind in play, in stage order, each with release
     // latency samples for every node.
@@ -161,9 +161,9 @@ TEST(StageGraph, SerialRunReportsBarrierEquivalentSchedule) {
     const auto stats =
         runConference(stragglerConference(1, 1), sharedModel());
     const PipelineStats& p = stats.pipeline;
-    EXPECT_FALSE(p.eventDriven);
+    EXPECT_FALSE(p.workers > 1);  // insertion order on the calling thread
     EXPECT_EQ(p.workers, 1u);
-    EXPECT_EQ(p.maxTicksInFlight, 1u);
+    EXPECT_EQ(p.ticksInFlight.max(), 1.0);
     EXPECT_NEAR(p.simulatedStageGraphMs, p.simulatedBarrierMs,
                 1e-6 * p.simulatedBarrierMs);
     EXPECT_NEAR(p.simulatedSpeedup, 1.0, 1e-9);

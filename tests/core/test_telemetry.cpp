@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -25,12 +26,14 @@ TEST(Histogram, NearestRankPercentiles) {
     EXPECT_DOUBLE_EQ(h.mean(), 50.5);
 }
 
-TEST(Histogram, EmptyIsSafe) {
+TEST(Histogram, EmptyReportsNoData) {
     const Histogram h;
     EXPECT_TRUE(h.empty());
-    EXPECT_DOUBLE_EQ(h.p95(), 0.0);
-    EXPECT_DOUBLE_EQ(h.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(h.min(), 0.0);
+    EXPECT_TRUE(std::isnan(h.p95()));
+    EXPECT_TRUE(std::isnan(h.mean()));
+    EXPECT_TRUE(std::isnan(h.min()));
+    EXPECT_TRUE(std::isnan(h.max()));
+    EXPECT_DOUBLE_EQ(h.sum(), 0.0);
 }
 
 TEST(Histogram, MergeConcatenatesSamples) {

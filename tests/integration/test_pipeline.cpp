@@ -171,10 +171,9 @@ TEST(FullPipeline, SessionOverFluctuatingLink) {
     auto channel = core::makeKeypointChannel({.reconResolution = 16});
     const auto stats = core::runSession(*channel, sharedModel(), cfg);
     // The tiny payload survives even the 2 Mbps troughs.
-    EXPECT_EQ(stats.deliveredFrames + stats.droppedReceiverFrames +
-                  stats.droppedSenderFrames,
-              30u);
-    EXPECT_GT(stats.deliveredFrames, 20u);
+    const core::telemetry::Counters& c = stats.telemetry.counters;
+    EXPECT_EQ(c.framesDelivered + c.dropsAtReceiver + c.dropsAtSender, 30u);
+    EXPECT_GT(c.framesDelivered, 20u);
 }
 
 TEST(FullPipeline, DetectorDropoutSurvivesEndToEnd) {
