@@ -70,8 +70,7 @@ int main() {
         // Extraction-stage slice of the totals above (measured rows only).
         core::telemetry::Histogram denseExtractMs, sparseExtractMs;
         bool denseMeasured{}, sparseMeasured{};
-        mesh::FieldSampleStats sparseStats;  // from the last sparse repeat
-        std::uint64_t activeCells{};         // from the last sparse repeat
+        recon::ReconstructionStats sparseStats;  // from the last sparse repeat
     };
     std::vector<Row> rows;
     // Cost models for the unmeasured tail, fitted on the LARGEST measured
@@ -109,14 +108,7 @@ int main() {
                 const auto r = recon::reconstructFromPose(pose, opt);
                 row.sparseMs.record(r.totalMs());
                 row.sparseExtractMs.record(r.extractMs);
-                row.activeCells = r.stats.activeCells;
-                row.sparseStats.blocksTotal = r.stats.blocksTotal;
-                row.sparseStats.blocksSampled = r.stats.blocksSampled;
-                row.sparseStats.blocksSkipped = r.stats.blocksSkipped;
-                row.sparseStats.blocksCoarseFilled = r.stats.blocksCoarseFilled;
-                row.sparseStats.nodesEvaluated = r.stats.nodesEvaluated;
-                row.sparseStats.nodesTotal = r.stats.nodesTotal;
-                row.sparseStats.certTests = r.stats.certTests;
+                row.sparseStats = r.stats;
             }
             sparseUnitCost = row.sparseMs.p50() / (static_cast<double>(res) * res);
         }
@@ -172,7 +164,7 @@ int main() {
             .field("dense_extract_ms_p50", row.denseExtractMs.p50())
             .field("extract_ms_p50", row.sparseExtractMs.p50())
             .field("extract_ms_p95", row.sparseExtractMs.p95())
-            .field("active_cells", row.activeCells)
+            .field("active_cells", row.sparseStats.activeCells)
             .field("speedup", speedup)
             .field("sparse_fps_p50", 1000.0 / sparseMs)
             .field("blocks_total", row.sparseStats.blocksTotal)
@@ -199,7 +191,7 @@ int main() {
         const char* name;
         bool simd, octree;
         core::telemetry::Histogram ms;
-        mesh::FieldSampleStats stats;
+        recon::ReconstructionStats stats;
     };
     AblationRow ablations[] = {
         {"scalar+flat", false, false, {}, {}},
@@ -218,10 +210,7 @@ int main() {
         for (int i = 0; i < 3; ++i) {
             const auto r = recon::reconstructFromPose(pose, opt);
             abl.ms.record(r.totalMs());
-            abl.stats.nodesEvaluated = r.stats.nodesEvaluated;
-            abl.stats.nodesTotal = r.stats.nodesTotal;
-            abl.stats.certTests = r.stats.certTests;
-            abl.stats.blocksCoarseFilled = r.stats.blocksCoarseFilled;
+            abl.stats = r.stats;
         }
     }
     const double ablBaseMs = ablations[0].ms.p50();
@@ -263,13 +252,9 @@ int main() {
         body::BodyFieldOptions fieldOpt;
         const body::BodyField body =
             body::makeBodyField(pose, body::Skeleton::canonical(), fieldOpt);
-        const int extBlock = recon::resolveBlockSize(0, extRes);
         mesh::VoxelGrid grid(body.bounds, {extRes, extRes, extRes});
-        mesh::BlockSampler sampler(grid, extBlock);
+        mesh::BlockSampler sampler(grid, recon::resolveBlockSize(extRes));
         mesh::FieldSampleOptions sampling;
-        sampling.blockSize = extBlock;
-        sampling.lipschitz = body.lipschitz;
-        sampling.margin = body.margin;
         sampling.certificate = body.certificate;
         sampling.batch = body.batch;
         sampler.sample(body.field, sampling);

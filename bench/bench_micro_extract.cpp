@@ -33,14 +33,11 @@ Workload& workload(int res) {
             body::MotionGenerator(body::MotionKind::Talk).poseAt(0.5);
         const body::BodyField body =
             body::makeBodyField(pose, body::Skeleton::canonical(), {});
-        const int block = recon::resolveBlockSize(0, res);
         w.grid = std::make_unique<mesh::VoxelGrid>(body.bounds,
                                                    mesh::Vec3i{res, res, res});
-        w.sampler = std::make_unique<mesh::BlockSampler>(*w.grid, block);
+        w.sampler = std::make_unique<mesh::BlockSampler>(
+            *w.grid, recon::resolveBlockSize(res));
         mesh::FieldSampleOptions sampling;
-        sampling.blockSize = block;
-        sampling.lipschitz = body.lipschitz;
-        sampling.margin = body.margin;
         sampling.certificate = body.certificate;
         sampling.batch = body.batch;
         w.sampler->sample(body.field, sampling);

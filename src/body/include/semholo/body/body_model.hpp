@@ -99,16 +99,8 @@ float capsuleDistance(const PosedCapsule& c, Vec3f p);
 float capsuleLowerBound(const PosedCapsule& c, Vec3f p);
 float capsuleUpperBound(const PosedCapsule& c, Vec3f p);
 
-// A body field packaged with the analytic bounds sparse sampling needs:
-//  * lipschitz — conservative Lipschitz constant of the field (capsule
-//    round-cones contribute 1 + |ra-rb|/length through the smooth-min
-//    fold, the expression warp multiplies in its offset gradient, the
-//    clothing displacement adds its own gradient bound);
-//  * margin — bound on the field's bounded discontinuities (expression
-//    region gates / smile sign flip, clothing region gates), added to
-//    every block-skip certificate.
-// With these, |field(c)| > lipschitz * r + margin certifies the field
-// has no zero crossing within distance r of c.
+// A body field packaged with what sparse sampling needs: the per-point
+// and batch evaluators, grid bounds, and the analytic block certificate.
 struct BodyField {
     ScalarField field;  // thread-safe; shared by all sampler workers
     // SIMD batch evaluator (SoA points): bit-identical to calling
@@ -116,8 +108,6 @@ struct BodyField {
     // on every backend (see geometry/simd.hpp for the determinism
     // contract). BlockSampler uses this for whole-block evaluation.
     mesh::BatchScalarField batch;
-    float lipschitz{1.0f};
-    float margin{0.0f};
     geom::AABB bounds;  // loose world bounds (same rule as bodyBounds)
     // World-space box outside which the expression warp is provably
     // zero: the certificate pays the warp offset only for balls that
@@ -127,8 +117,7 @@ struct BodyField {
     std::shared_ptr<BodyFieldStats> stats;  // counters for this field
     // Analytic block certificate: certificate(center, radius) is true
     // when the field provably has no zero crossing within 'radius' of
-    // 'center'. Far tighter than the global lipschitz/margin
-    // pair because it bounds the field from the posed capsules directly
+    // 'center'. It bounds the field from the posed capsules directly
     // (distance-to-AABB and distance-to-endpoint bounds are 1-Lipschitz
     // regardless of capsule cone slope) and pays the expression-warp
     // displacement only for regions the warp can actually reach. Feed it

@@ -248,11 +248,6 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     out.capsules.reserve(bones.size());
     std::vector<BonePruneData> prune;
     prune.reserve(bones.size());
-    // Round-cone Lipschitz constant: the radius lerp along the segment
-    // adds |ra - rb| / length to the unit distance gradient. The
-    // smooth-min fold is a convex combination of its inputs, so the
-    // folded field inherits the worst capsule constant.
-    float capsuleLip = 1.0f;
     for (const PosedBone& b : bones) {
         out.capsules.push_back({b.a, b.b, b.ra, b.rb});
         BonePruneData bd;
@@ -262,34 +257,7 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
                  std::max(b.a.z, b.b.z)};
         bd.rmax = std::max(b.ra, b.rb);
         prune.push_back(bd);
-        const float len = (b.b - b.a).norm();
-        if (len > 1e-6f)
-            capsuleLip = std::max(capsuleLip, 1.0f + std::fabs(b.ra - b.rb) / len);
     }
-
-    // Expression warp: the query offset's gradient bound multiplies into
-    // the composed field's Lipschitz constant; its region gates (jaw
-    // y-gate, smile sign flip, brow gate) contribute bounded jumps that
-    // go into the margin instead. Constants follow expressionOffset:
-    // amplitude / falloff-radius per component.
-    const float a0 = std::fabs(static_cast<float>(expr.coeffs[0]));
-    const float a1 = std::fabs(static_cast<float>(expr.coeffs[1]));
-    const float a2 = std::fabs(static_cast<float>(expr.coeffs[2]));
-    const float a3 = std::fabs(static_cast<float>(expr.coeffs[3]));
-    const float offsetLip =
-        (0.02f / 0.06f) * a0 + (0.015f / 0.045f) * a1 + (0.012f / 0.07f) * a2 +
-        (0.008f / 0.05f) * a3;
-    const float offsetJump = 0.02f * a0 + 0.024f * a2 + 0.008f * a3;
-    float lipschitz = capsuleLip * (1.0f + offsetLip);
-    float margin = capsuleLip * offsetJump;
-    if (options.clothingDetail) {
-        // |grad| <= amplitude * max(55, hypot(35, 20)) = 55 * amplitude;
-        // the clothed-region y-gates jump by at most the amplitude.
-        lipschitz += 55.0f * options.clothingAmplitude;
-        margin += options.clothingAmplitude;
-    }
-    out.lipschitz = lipschitz * 1.02f;  // slack for rounding in the bound
-    out.margin = margin + 1e-4f;
 
     geom::AABB bounds;
     for (const auto& xf : state.worldFromJoint) bounds.expand(xf.translation);
@@ -313,6 +281,12 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
         out.faceBounds = face;
     }
 
+    // Expression coefficient magnitudes: whether the warp acts at all,
+    // and (maxWarp below) how far it can move a query.
+    const float a0 = std::fabs(static_cast<float>(expr.coeffs[0]));
+    const float a1 = std::fabs(static_cast<float>(expr.coeffs[1]));
+    const float a2 = std::fabs(static_cast<float>(expr.coeffs[2]));
+    const float a3 = std::fabs(static_cast<float>(expr.coeffs[3]));
     const bool hasExpression = a0 > 0.0f || a1 > 0.0f || a2 > 0.0f || a3 > 0.0f;
 
     out.field = [bones, prune, expr, hasExpression, headXf,
@@ -455,14 +429,12 @@ BodyModel::BodyModel(const ShapeParams& shape, int templateResolution) : shape_(
     fieldOpt.clothingDetail = true;
     // Bone pruning off: the template feeds byte-exact payload-size
     // expectations downstream, so sampling must reproduce the legacy
-    // field bit for bit. Block pruning + the worker pool are certified
-    // value-preserving, so they stay on.
+    // field bit for bit. Certified block skipping and the worker pool
+    // are value-preserving, so they stay on.
     fieldOpt.bonePruning = false;
     const BodyField body = makeBodyField(rest, Skeleton::canonical(), fieldOpt);
     mesh::FieldSampleOptions sampling;
     sampling.pool = &core::sharedPool();
-    sampling.lipschitz = body.lipschitz;
-    sampling.margin = body.margin;
     sampling.certificate = body.certificate;
     // The batch evaluator is the field's bit-identical SoA companion, so
     // routing sampled blocks through it keeps the byte-exact guarantee.

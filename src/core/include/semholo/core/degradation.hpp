@@ -15,8 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace semholo::core {
 
@@ -58,20 +56,14 @@ struct LinkObservation {
 
 enum class DegradationAction { Hold, StepDown, StepUp };
 
-struct DegradationDecision {
-    std::uint32_t frameId{};
-    DegradationAction action{DegradationAction::Hold};
-    std::size_t level{};  // level in effect after the action
-};
-
 class DegradationPolicy {
 public:
     DegradationPolicy(const DegradationConfig& config, double fps,
                       std::size_t queueCapacityBytes);
 
-    // Feed one frame's link outcome; returns the action taken. Hold
-    // decisions are not recorded (only transitions are).
-    DegradationAction observe(std::uint32_t frameId, const LinkObservation& obs);
+    // Feed one frame's link outcome; returns the action taken. The
+    // session engine counts the transitions into its telemetry.
+    DegradationAction observe(const LinkObservation& obs);
 
     std::size_t level() const { return level_; }
     // Multiplier for the bandwidth estimate fed to channels.
@@ -80,25 +72,10 @@ public:
     // congestion check. Set by the conference engine each tick when a
     // BandwidthArbiter is active.
     void setTargetRateBps(double bps) { targetRateBps_ = bps; }
-    double targetRateBps() const { return targetRateBps_; }
-    std::size_t downgrades() const { return downgrades_; }
-    std::size_t upgrades() const { return upgrades_; }
-    // The most recent transitions (up to kDecisionHistoryCap), oldest
-    // first. Long-running sessions keep a bounded window; the exact
-    // lifetime transition counts stay in downgrades()/upgrades().
-    std::vector<DegradationDecision> decisions() const;
-    // Lifetime transition count (== downgrades() + upgrades()), which
-    // may exceed decisions().size() once the history window wraps.
-    std::size_t decisionsRecorded() const { return decisionsRecorded_; }
     void reset();
-
-    // Bounded transition history: a soak pinned at maxLevel must not
-    // grow memory with every oscillation.
-    static constexpr std::size_t kDecisionHistoryCap = 256;
 
 private:
     bool congested(const LinkObservation& obs) const;
-    void recordDecision(const DegradationDecision& decision);
 
     DegradationConfig config_;
     double frameIntervalS_{1.0 / 30.0};
@@ -107,12 +84,6 @@ private:
     std::size_t level_{0};
     int badStreak_{0};
     int goodStreak_{0};
-    std::size_t downgrades_{0};
-    std::size_t upgrades_{0};
-    // Ring buffer of the last kDecisionHistoryCap transitions.
-    std::vector<DegradationDecision> decisionRing_;
-    std::size_t decisionHead_{0};
-    std::size_t decisionsRecorded_{0};
 };
 
 }  // namespace semholo::core

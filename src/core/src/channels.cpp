@@ -294,14 +294,24 @@ public:
         out.frameId = encoded.frameId;
         if (encoded.data.size() < 4) return out;
         const auto t0 = std::chrono::steady_clock::now();
+        out.valid = decodeInto(encoded.data, out);
+        // Charged whether or not decoding succeeded: a frame that fails
+        // late (e.g. a corrupt foveal section) has already paid for the
+        // peripheral reconstruction.
+        out.measuredReconMs = msSince(t0);
+        return out;
+    }
+
+private:
+    // Pose + peripheral reconstruction + foveal graft into 'out'; false
+    // when any section fails to decode.
+    bool decodeInto(std::span<const std::uint8_t> data, DecodedFrame& out) const {
         std::size_t pos = 0;
-        const std::uint32_t fovealLen = getU32(encoded.data, pos);
-        if (pos + fovealLen > encoded.data.size()) return out;
-        const std::span<const std::uint8_t> fovealSpan(encoded.data.data() + pos,
-                                                       fovealLen);
-        const std::span<const std::uint8_t> poseSpan(
-            encoded.data.data() + pos + fovealLen,
-            encoded.data.size() - pos - fovealLen);
+        const std::uint32_t fovealLen = getU32(data, pos);
+        if (pos + fovealLen > data.size()) return false;
+        const std::span<const std::uint8_t> fovealSpan(data.data() + pos, fovealLen);
+        const std::span<const std::uint8_t> poseSpan(data.data() + pos + fovealLen,
+                                                     data.size() - pos - fovealLen);
 
         std::optional<body::Pose> pose;
         if (options_.compress) {
@@ -310,7 +320,7 @@ public:
         } else {
             pose = body::deserializePose(poseSpan);
         }
-        if (!pose) return out;
+        if (!pose) return false;
 
         // Peripheral reconstruction at reduced resolution (the paper's
         // "keypoints for only peripheral regions").
@@ -319,7 +329,7 @@ public:
         ro.shape = options_.shape;
         ro.device = recon::DeviceProfile::host();
         auto peripheral = recon::reconstructFromPose(*pose, ro);
-        if (!peripheral.success) return out;
+        if (!peripheral.success) return false;
         out.mesh = std::move(peripheral.mesh);
         copyReconStats(peripheral, out);
 
@@ -327,15 +337,12 @@ public:
         // challenge the paper notes; we overlay).
         if (fovealLen > 0) {
             auto foveal = compress::decodeMesh(fovealSpan);
-            if (!foveal) return out;
+            if (!foveal) return false;
             out.mesh.append(*foveal);
         }
-        out.valid = true;
-        out.measuredReconMs = msSince(t0);
-        return out;
+        return true;
     }
 
-private:
     FoveatedOptions options_;
 };
 

@@ -34,36 +34,14 @@ bool DegradationPolicy::congested(const LinkObservation& obs) const {
     return false;
 }
 
-void DegradationPolicy::recordDecision(const DegradationDecision& decision) {
-    if (decisionRing_.size() < kDecisionHistoryCap) {
-        decisionRing_.push_back(decision);
-    } else {
-        decisionRing_[decisionHead_] = decision;
-        decisionHead_ = (decisionHead_ + 1) % kDecisionHistoryCap;
-    }
-    ++decisionsRecorded_;
-}
-
-std::vector<DegradationDecision> DegradationPolicy::decisions() const {
-    std::vector<DegradationDecision> out;
-    out.reserve(decisionRing_.size());
-    for (std::size_t i = 0; i < decisionRing_.size(); ++i)
-        out.push_back(
-            decisionRing_[(decisionHead_ + i) % decisionRing_.size()]);
-    return out;
-}
-
-DegradationAction DegradationPolicy::observe(std::uint32_t frameId,
-                                             const LinkObservation& obs) {
+DegradationAction DegradationPolicy::observe(const LinkObservation& obs) {
     if (!config_.enabled) return DegradationAction::Hold;
     if (congested(obs)) {
         ++badStreak_;
         goodStreak_ = 0;
         if (badStreak_ >= config_.downgradeAfter && level_ < config_.maxLevel) {
             ++level_;
-            ++downgrades_;
             badStreak_ = 0;
-            recordDecision({frameId, DegradationAction::StepDown, level_});
             return DegradationAction::StepDown;
         }
         // Pinned at maxLevel (or downgrade disabled): the streak keeps
@@ -76,9 +54,7 @@ DegradationAction DegradationPolicy::observe(std::uint32_t frameId,
         badStreak_ = 0;
         if (goodStreak_ >= config_.upgradeAfter && level_ > 0) {
             --level_;
-            ++upgrades_;
             goodStreak_ = 0;
-            recordDecision({frameId, DegradationAction::StepUp, level_});
             return DegradationAction::StepUp;
         }
         // Same clamp for a long clean run already at level 0.
@@ -92,11 +68,6 @@ void DegradationPolicy::reset() {
     level_ = 0;
     badStreak_ = 0;
     goodStreak_ = 0;
-    downgrades_ = 0;
-    upgrades_ = 0;
-    decisionRing_.clear();
-    decisionHead_ = 0;
-    decisionsRecorded_ = 0;
 }
 
 }  // namespace semholo::core

@@ -389,7 +389,6 @@ MultiSessionStats runConferenceTicked(
         }
         if (degradationFor(u).enabled) {
             const DegradationAction action = us.degrade.observe(
-                p.frame.frameId,
                 {p.transfer.delivered, p.transfer.durationS(),
                  p.transfer.unrecoveredPackets, p.transfer.droppedAtQueue,
                  p.transfer.faultEvents, queuedAtSend, p.frame.bytes});

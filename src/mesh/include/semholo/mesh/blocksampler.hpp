@@ -1,21 +1,20 @@
 // Block-sparse, parallel sampling of scalar fields into a VoxelGrid.
 //
 // Dense sampling evaluates the field at every grid node — the O(R^3)
-// cost that makes Figure 4's FPS collapse cubically. For a field with a
-// known Lipschitz bound L (|f(p) - f(q)| <= L*|p-q| + J, J covering any
-// bounded discontinuities), whole blocks of nodes can be certified
-// surface-free from ONE evaluation at the block center c:
-//
-//     |f(c)| > L * rGuard + J + margin
-//
-// where rGuard is the half-diagonal of the block's node region expanded
-// by one cell on every side. The expansion is what makes skipping
-// *exact*: every extraction cell that reads any node owned by a skipped
-// block lies entirely inside the certified guard region, where the true
-// field provably keeps the sign of f(c) — so the dense path would emit
-// no triangles from those cells either. Skipped nodes are filled with
-// f(c) (correct sign), sampled nodes are exact, and the extracted
-// iso-surface is bit-identical to the dense path's.
+// cost that makes Figure 4's FPS collapse cubically. A field that comes
+// with an analytic certificate (FieldSampleOptions::certificate, e.g.
+// body::BodyField::certificate) lets whole blocks of nodes be skipped:
+// certificate(c, rGuard) is the field's promise that it has no
+// iso-crossing within rGuard of the block's owned-node center c, where
+// rGuard is the half-diagonal of the block's node region expanded by
+// one cell on every side. The expansion is what makes skipping *exact*:
+// every extraction cell that reads any node owned by a skipped block
+// lies entirely inside the certified guard region, where the true field
+// keeps the sign of f(c) — so the dense path would emit no triangles
+// from those cells either. Skipped nodes are filled with f(c) (correct
+// sign), sampled nodes are exact, and the extracted iso-surface is
+// bit-identical to the dense path's. Without a certificate every block
+// is sampled.
 //
 // Work fans out over a core::ThreadPool. Each block's values depend only
 // on the field and the block, never on scheduling, so results are
@@ -35,31 +34,14 @@ class ThreadPool;
 namespace semholo::mesh {
 
 struct FieldSampleOptions {
-    // Nodes per block edge. 8 balances pruning granularity against
-    // per-block overhead for body-scale grids.
-    int blockSize{8};
-    // Worker pool to fan blocks out over; nullptr runs serially (still
-    // pruned). The pool is borrowed, not owned.
+    // Worker pool to fan blocks out over; nullptr runs serially. The
+    // pool is borrowed, not owned.
     core::ThreadPool* pool{nullptr};
-    // Enable coarse-to-fine block pruning. Disable to force a dense
-    // (but still parallel) pass, e.g. for fields without a usable bound.
-    bool blockPruning{true};
-    // Conservative Lipschitz bound L of the field. 1.0 is exact for any
-    // metric SDF (min / smooth-min of capsule distances); fields with
-    // domain warps or displacement maps must widen it (see
-    // body::makeBodyField).
-    float lipschitz{1.0f};
-    // Additive slack J on the certification bound: bounded discontinuity
-    // jumps.
-    float margin{0.0f};
-    // Optional analytic certificate: certificate(center, radius) returns
+    // Analytic skip certificate: certificate(center, radius) returns
     // true when the field provably has no iso-crossing within 'radius'
-    // of 'center'. When set it replaces the Lipschitz test — composite
-    // fields (the body's smooth-min capsule fold) certify far tighter
-    // from their own geometry than from global L/J constants, which get
-    // inflated by worst-case capsule cones and expression warps that
-    // only act near the face. Like the field, it is called concurrently
-    // from pool workers.
+    // of 'center'. Blocks are skip-tested if and only if it is set; an
+    // empty certificate samples every node. Like the field, it is called
+    // concurrently from pool workers.
     std::function<bool(geom::Vec3f center, float radius)> certificate;
     // Optional SoA batch evaluator paired with the field (must return
     // bit-identical values — see BatchScalarField). When set, fully
@@ -69,9 +51,9 @@ struct FieldSampleOptions {
     // Test certificates on a coarse-to-fine octree of block nodes before
     // touching individual blocks: one certificate test at depth k covers
     // up to 8^k blocks, and a certified coarse node fills its whole
-    // subtree from a single field probe. Only engages when an analytic
-    // certificate is set; verdicts stay exact (a coarse node's ball
-    // contains every descendant block's guard region).
+    // subtree from a single field probe. Only engages when a certificate
+    // is set; verdicts stay exact (a coarse node's ball contains every
+    // descendant block's guard region). Off runs the flat per-block test.
     bool hierarchical{true};
 };
 
@@ -111,8 +93,8 @@ public:
     geom::AABB blockGuardBounds(int block) const;
 
     // Sample 'field' into the grid. Every block is either fully
-    // evaluated or, if certifiably surface-free under the options'
-    // Lipschitz bound or certificate, filled with its center value.
+    // evaluated or, if the options' certificate proves it surface-free,
+    // filled with its center value.
     FieldSampleStats sample(const ScalarField& field,
                             const FieldSampleOptions& options);
 

@@ -49,9 +49,6 @@ struct IsoSurfaceOptions {
     // out (its smooth capsule fields never hit nodes exactly) and saves
     // re-hashing the full vertex set every frame.
     bool weldVertices{true};
-    // Orient triangles so normals point towards decreasing field values
-    // (outward for signed distance fields negative inside).
-    bool orientOutward{true};
     // Worker pool the block-local extractor fans out over; nullptr runs
     // serially. Output is byte-identical for any worker count.
     core::ThreadPool* pool{nullptr};
@@ -98,10 +95,10 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler& sampler,
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options = {});
 
-// Sparse/parallel variant: samples through the block sampler (Lipschitz
-// block pruning + worker-pool fan-out per 'sampling') before extraction.
-// With a valid Lipschitz bound the result is bit-identical to the dense
-// overload. 'stats' (optional) receives the sampling counters.
+// Sparse/parallel variant: samples through a BlockSampler with 8-node
+// blocks (certificate skips + worker-pool fan-out per 'sampling') before
+// extraction. With a sound certificate the result is bit-identical to
+// the dense overload. 'stats' (optional) receives the sampling counters.
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options,
                           const FieldSampleOptions& sampling,

@@ -35,37 +35,26 @@ using ScalarField = std::function<float(Vec3f)>;
 using BatchScalarField = std::function<void(
     const float* xs, const float* ys, const float* zs, float* out, std::size_t n)>;
 
-struct FieldSampleOptions;
-struct FieldSampleStats;
-
 class VoxelGrid {
 public:
     VoxelGrid() = default;
     VoxelGrid(const AABB& bounds, Vec3i resolution);
 
-    // Sample 'field' at every grid node. This is the O(R^3) step that
-    // dominates reconstruction time in Figure 4. 'pool' fans node blocks
-    // out over workers (nullptr = serial); results are identical for any
-    // worker count.
-    void sample(const ScalarField& field, core::ThreadPool* pool = nullptr);
+    // Sample 'field' at every grid node, serially. This is the O(R^3)
+    // step that dominates reconstruction time in Figure 4; the sparse,
+    // parallel sampler is BlockSampler (blocksampler.hpp).
+    void sample(const ScalarField& field);
 
     // Batch sampling: feed whole x rows of node positions through a SoA
     // batch evaluator (one call per row instead of one std::function
     // dispatch per node). 'batch' must be the bit-identical companion of
     // 'field' (see BatchScalarField); the positions handed to it are
     // exactly nodePosition(x, y, z), so the sampled grid equals the
-    // per-node path's. Falls back to sample(field, pool) when 'batch' is
+    // per-node path's. Falls back to sample(field) when 'batch' is
     // empty. 'pool' fans z planes out over workers (nullptr = serial);
     // results are identical for any worker count.
     void sample(const ScalarField& field, const BatchScalarField& batch,
                 core::ThreadPool* pool = nullptr);
-
-    // Block-sparse sampling: evaluates block centers first and skips
-    // whole blocks certified surface-free by the field's Lipschitz bound
-    // (see blocksampler.hpp for the bound and the exactness argument).
-    // Returns per-pass stats (blocks skipped, nodes evaluated).
-    FieldSampleStats sampleSparse(const ScalarField& field,
-                                  const FieldSampleOptions& options);
 
     Vec3i resolution() const { return res_; }
     const AABB& bounds() const { return bounds_; }

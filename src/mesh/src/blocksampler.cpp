@@ -1,7 +1,6 @@
 #include "semholo/mesh/blocksampler.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "semholo/core/thread_pool.hpp"
 
@@ -97,7 +96,7 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
         static_cast<std::uint64_t>(r.nodeHi.z - r.nodeLo.z + 1);
     stats.nodesTotal += owned;
 
-    if (options.blockPruning) {
+    if (options.certificate) {
         // The true center of the block's guard region can sit past the
         // owned-node midpoint for edge blocks; using the owned-node
         // midpoint with the full guard radius stays conservative because
@@ -106,26 +105,12 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
             (grid_.nodePosition(r.nodeLo.x, r.nodeLo.y, r.nodeLo.z) +
              grid_.nodePosition(r.nodeHi.x, r.nodeHi.y, r.nodeHi.z)) *
             0.5f;
-        float d = 0.0f;
-        bool certified;
-        if (options.certificate) {
-            // Analytic certificate: no field probe needed to decide.
-            ++stats.certTests;
-            certified = options.certificate(center, guardRadius_);
-            if (certified) {
-                d = field(center);
-                ++stats.nodesEvaluated;
-            }
-        } else {
-            d = field(center);
-            ++stats.nodesEvaluated;
-            certified =
-                std::fabs(d) > options.lipschitz * guardRadius_ + options.margin;
-        }
-        if (certified) {
+        ++stats.certTests;
+        if (options.certificate(center, guardRadius_)) {
             // Fill with the (correctly signed) center value so extraction
             // cells that straddle this block see a consistent field.
-            fillBlock(block, d);
+            fillBlock(block, field(center));
+            ++stats.nodesEvaluated;
             ++stats.blocksSkipped;
             surfaceFree_[static_cast<std::size_t>(block)] = 1;
             return;
@@ -252,8 +237,8 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
 
     std::vector<int> work;
     work.reserve(static_cast<std::size_t>(count));
-    const bool useOctree = options.blockPruning && options.hierarchical &&
-                           static_cast<bool>(options.certificate) && count > 1;
+    const bool useOctree =
+        options.hierarchical && static_cast<bool>(options.certificate) && count > 1;
     if (useOctree) {
         // The top levels decide few nodes, so they run serially and
         // leave up to 64 undecided subtrees, each descended (certificate

@@ -245,12 +245,6 @@ TriMesh extractLegacyImpl(const VoxelGrid& grid, const IsoSurfaceOptions& option
 
     out.removeDegenerateTriangles();
 
-    if (!options.orientOutward) {
-        // Inward orientation requested: flip everything (we always build
-        // outward above).
-        for (Triangle& tri : out.triangles) std::swap(tri.b, tri.c);
-    }
-
     if (options.weldVertices) {
         const float eps = 1e-5f * grid.bounds().diagonal();
         out.weldVertices(eps);
@@ -940,10 +934,6 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     // Same post-pass as the legacy extractor, in the same order.
     out.removeDegenerateTriangles();
 
-    if (!options.orientOutward) {
-        for (Triangle& tri : out.triangles) std::swap(tri.b, tri.c);
-    }
-
     if (options.weldVertices) {
         const float eps = 1e-5f * grid.bounds().diagonal();
         out.weldVertices(eps);
@@ -971,10 +961,7 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler& sampler,
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options) {
     VoxelGrid grid(bounds, {resolution, resolution, resolution});
-    if (options.batch)
-        grid.sample(field, options.batch, options.pool);
-    else
-        grid.sample(field);
+    grid.sample(field, options.batch, options.pool);
     return extractIsoSurface(grid, options);
 }
 
@@ -983,7 +970,9 @@ TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           const FieldSampleOptions& sampling,
                           FieldSampleStats* stats) {
     VoxelGrid grid(bounds, {resolution, resolution, resolution});
-    BlockSampler sampler(grid, sampling.blockSize);
+    // 8-node blocks balance skip granularity against per-block overhead
+    // for body-scale grids.
+    BlockSampler sampler(grid, 8);
     const FieldSampleStats s = sampler.sample(field, sampling);
     if (stats != nullptr) *stats = s;
     return extractIsoSurface(grid, sampler, options);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "semholo/core/thread_pool.hpp"
-#include "semholo/mesh/blocksampler.hpp"
 
 namespace semholo::mesh {
 
@@ -21,14 +20,7 @@ VoxelGrid::VoxelGrid(const AABB& bounds, Vec3i resolution)
                    0.0f);
 }
 
-void VoxelGrid::sample(const ScalarField& field, core::ThreadPool* pool) {
-    if (pool != nullptr) {
-        FieldSampleOptions opt;
-        opt.pool = pool;
-        opt.blockPruning = false;  // dense: no bound needed, still parallel
-        BlockSampler(*this, opt.blockSize).sample(field, opt);
-        return;
-    }
+void VoxelGrid::sample(const ScalarField& field) {
     for (int z = 0; z <= res_.z; ++z)
         for (int y = 0; y <= res_.y; ++y)
             for (int x = 0; x <= res_.x; ++x)
@@ -38,7 +30,7 @@ void VoxelGrid::sample(const ScalarField& field, core::ThreadPool* pool) {
 void VoxelGrid::sample(const ScalarField& field, const BatchScalarField& batch,
                        core::ThreadPool* pool) {
     if (!batch) {
-        sample(field, pool);
+        sample(field);
         return;
     }
     if (values_.empty()) return;
@@ -75,11 +67,6 @@ void VoxelGrid::sample(const ScalarField& field, const BatchScalarField& batch,
     p.parallelFor(chunks, [&](std::size_t c) {
         samplePlanes(planes * c / chunks, planes * (c + 1) / chunks);
     });
-}
-
-FieldSampleStats VoxelGrid::sampleSparse(const ScalarField& field,
-                                         const FieldSampleOptions& options) {
-    return BlockSampler(*this, options.blockSize).sample(field, options);
 }
 
 Vec3f VoxelGrid::nodePosition(int x, int y, int z) const {

@@ -14,6 +14,7 @@
 #include "semholo/body/body_model.hpp"
 #include "semholo/body/ik.hpp"
 #include "semholo/capture/keypoints.hpp"
+#include "semholo/mesh/blocksampler.hpp"
 #include "semholo/recon/device_profile.hpp"
 
 namespace semholo::core {
@@ -32,17 +33,13 @@ struct ReconstructionOptions {
     body::ShapeParams shape{};
     // Device the reconstruction nominally runs on; bounds grid memory.
     DeviceProfile device = DeviceProfile::workstation();
-    // Field evaluation pipeline. Sparse tiles the grid into blocks,
-    // skips blocks certified surface-free by the field's Lipschitz
-    // bound, and fans the rest out over a worker pool; with bonePruning
-    // off the mesh is bit-identical to Dense, with it on the surface
-    // agrees to ~1e-4 (rounding only). Dense is the legacy serial path.
+    // Field evaluation pipeline. Sparse tiles the grid into blocks of
+    // resolveBlockSize(resolution) nodes, skips blocks the body field's
+    // analytic certificate proves surface-free, and fans the rest out
+    // over a worker pool; with bonePruning off the mesh is bit-identical
+    // to Dense, with it on the surface agrees to ~1e-4 (rounding only).
+    // Dense is the legacy serial path.
     ReconMode mode{ReconMode::Sparse};
-    // Block edge length in nodes for sparse sampling. 0 picks a
-    // resolution-dependent size (see resolveBlockSize): smaller blocks at
-    // low resolutions so the guard radius shrinks enough for certificates
-    // to fire — the octree amortizes the extra per-block tests.
-    int blockSize{0};
     // Worker pool for sparse sampling; nullptr uses the process-wide
     // shared pool. Results do not depend on the pool's worker count.
     core::ThreadPool* pool{nullptr};
@@ -57,19 +54,15 @@ struct ReconstructionOptions {
     bool octreeCertificates{true};
 };
 
-// The block size 'blockSize' resolves to at a given grid resolution
-// (returns it unchanged when positive).
-int resolveBlockSize(int blockSize, int resolution);
+// Sparse sampling's block edge length in nodes at a given grid
+// resolution: smaller blocks at low resolutions so the guard radius
+// shrinks enough for certificates to fire — the octree amortizes the
+// extra per-block tests.
+int resolveBlockSize(int resolution);
 
-// Counters from one sparse reconstruction (all zero in dense mode).
-struct ReconstructionStats {
-    std::size_t blocksTotal{0};
-    std::size_t blocksSampled{0};
-    std::size_t blocksSkipped{0};   // certified surface-free, filled cheaply
-    std::size_t blocksCoarseFilled{0};  // skipped via a certified octree ancestor
-    std::uint64_t nodesEvaluated{0};
-    std::uint64_t nodesTotal{0};
-    std::uint64_t certTests{0};     // analytic certificate invocations
+// Counters from one reconstruction: the sampler's (all zero in dense
+// mode) plus the field's and the extractor's.
+struct ReconstructionStats : mesh::FieldSampleStats {
     std::uint64_t bonesBlended{0};  // capsule blends actually executed
     std::uint64_t bonesPruned{0};   // capsule blends skipped via bounds
     // Extraction-stage counter (set in both modes — the block-local

@@ -17,8 +17,7 @@ double msSince(std::chrono::steady_clock::time_point start) {
 
 }  // namespace
 
-int resolveBlockSize(int blockSize, int resolution) {
-    if (blockSize > 0) return blockSize;
+int resolveBlockSize(int resolution) {
     // The guard radius scales with blockSize * cellSize, and blocks only
     // skip when the certificate clears it: at low resolutions 8-node
     // blocks have guards so wide almost nothing certifies
@@ -31,7 +30,7 @@ int resolveBlockSize(int blockSize, int resolution) {
 ReconstructionResult reconstructFromPose(const body::Pose& pose,
                                          const ReconstructionOptions& options) {
     ReconstructionResult result;
-    const int blockSize = resolveBlockSize(options.blockSize, options.resolution);
+    const int blockSize = resolveBlockSize(options.resolution);
     result.gridBytes = reconstructionWorkingSetBytes(options.resolution,
                                                      options.mode, blockSize);
     if (!options.device.fitsInMemory(result.gridBytes)) {
@@ -73,27 +72,18 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
             body::makeBodyField(pose, body::Skeleton::canonical(), fieldOpt);
 
         mesh::FieldSampleOptions sampling;
-        sampling.blockSize = blockSize;
         sampling.pool = options.pool != nullptr ? options.pool : &core::sharedPool();
-        sampling.lipschitz = body.lipschitz;
-        sampling.margin = body.margin;
         sampling.certificate = body.certificate;
         if (options.simdBatch) sampling.batch = body.batch;
         sampling.hierarchical = options.octreeCertificates;
 
         auto t0 = std::chrono::steady_clock::now();
         mesh::VoxelGrid grid(body.bounds, res);
-        mesh::BlockSampler sampler(grid, sampling.blockSize);
-        const mesh::FieldSampleStats fs = sampler.sample(body.field, sampling);
+        mesh::BlockSampler sampler(grid, blockSize);
+        static_cast<mesh::FieldSampleStats&>(result.stats) =
+            sampler.sample(body.field, sampling);
         result.fieldSampleMs = msSince(t0);
 
-        result.stats.blocksTotal = fs.blocksTotal;
-        result.stats.blocksSampled = fs.blocksSampled;
-        result.stats.blocksSkipped = fs.blocksSkipped;
-        result.stats.blocksCoarseFilled = fs.blocksCoarseFilled;
-        result.stats.nodesEvaluated = fs.nodesEvaluated;
-        result.stats.nodesTotal = fs.nodesTotal;
-        result.stats.certTests = fs.certTests;
         result.stats.bonesBlended = body.stats->bonesBlended();
         result.stats.bonesPruned = body.stats->bonesPruned();
 

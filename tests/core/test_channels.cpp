@@ -173,6 +173,23 @@ TEST(FoveatedChannel, DecodeCombinesFovealAndPeripheral) {
     EXPECT_GT(decoded.mesh.triangleCount(), 500u);
 }
 
+TEST(FoveatedChannel, CorruptFovealSectionStillChargesReconTime) {
+    // The foveal mesh is decoded after the peripheral reconstruction, so
+    // a corrupt foveal section fails a frame whose reconstruction
+    // already ran: the decode must still charge that time.
+    FoveatedOptions opt;
+    opt.peripheralResolution = 28;
+    auto channel = makeFoveatedChannel(opt);
+    EncodedFrame encoded = channel->encode(makeFrame());
+    ASSERT_GT(encoded.bytes(), 8u);
+    // Bytes 4-7 are the foveal mesh's magic (after the u32 length).
+    for (std::size_t i = 4; i < 8; ++i) encoded.data[i] = ~encoded.data[i];
+    const auto decoded = channel->decode(encoded);
+    EXPECT_FALSE(decoded.valid);
+    EXPECT_GT(decoded.measuredReconMs, 0.0);
+    EXPECT_GT(decoded.recon.nodesEvaluated, 0u);
+}
+
 TEST(ImageChannel, EncodesCompressedViews) {
     ImageChannelOptions opt;
     opt.viewCount = 2;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <vector>
 
 #include "semholo/core/thread_pool.hpp"
@@ -14,6 +15,14 @@ namespace {
 // Exact metric SDF (Lipschitz constant 1) of a sphere.
 ScalarField sphereField(Vec3f center, float radius) {
     return [center, radius](Vec3f p) { return (p - center).norm() - radius; };
+}
+
+// Its exact analytic certificate: the ball around 'c' misses the
+// iso-surface when |distance at c| exceeds the ball's radius.
+std::function<bool(Vec3f, float)> sphereCertificate(Vec3f center, float radius) {
+    return [center, radius](Vec3f c, float r) {
+        return std::fabs((c - center).norm() - radius) > r;
+    };
 }
 
 geom::AABB unitBounds() {
@@ -38,14 +47,16 @@ void expectIdenticalMeshes(const TriMesh& a, const TriMesh& b) {
 }
 
 TEST(BlockSampler, SparseGridMatchesDenseWhereSampled) {
-    const auto field = sphereField({0.1f, -0.05f, 0.0f}, 0.4f);
+    const Vec3f center{0.1f, -0.05f, 0.0f};
+    const auto field = sphereField(center, 0.4f);
     const int res = 33;
     VoxelGrid dense(unitBounds(), {res, res, res});
     dense.sample(field);
 
     VoxelGrid sparse(unitBounds(), {res, res, res});
     BlockSampler sampler(sparse, 8);
-    FieldSampleOptions opt;  // lipschitz 1.0 exact for the sphere SDF
+    FieldSampleOptions opt;
+    opt.certificate = sphereCertificate(center, 0.4f);
     const FieldSampleStats stats = sampler.sample(field, opt);
 
     EXPECT_GT(stats.blocksSkipped, 0u);
@@ -73,6 +84,8 @@ TEST(BlockSampler, SparseExtractionBitIdenticalToDense) {
         const TriMesh dense = extractIsoSurface(field, unitBounds(), res);
 
         FieldSampleOptions opt;
+        opt.certificate = sphereCertificate({0.0f, 0.0f, 0.0f}, 0.55f);
+        opt.hierarchical = false;  // the flat per-block test, end to end
         FieldSampleStats stats;
         const TriMesh sparse =
             extractIsoSurface(field, unitBounds(), res, {}, opt, &stats);
@@ -82,19 +95,21 @@ TEST(BlockSampler, SparseExtractionBitIdenticalToDense) {
 }
 
 TEST(BlockSampler, DeterministicAcrossWorkerCounts) {
-    const auto field = sphereField({-0.2f, 0.15f, 0.1f}, 0.5f);
+    const Vec3f center{-0.2f, 0.15f, 0.1f};
+    const auto field = sphereField(center, 0.5f);
     const int res = 40;
 
     VoxelGrid serial(unitBounds(), {res, res, res});
     BlockSampler serialSampler(serial, 8);
     FieldSampleOptions serialOpt;
+    serialOpt.certificate = sphereCertificate(center, 0.5f);
     serialSampler.sample(field, serialOpt);
 
     for (const std::size_t workers : {2u, 4u}) {
         core::ThreadPool pool(workers);
         VoxelGrid parallel(unitBounds(), {res, res, res});
         BlockSampler parallelSampler(parallel, 8);
-        FieldSampleOptions opt;
+        FieldSampleOptions opt = serialOpt;
         opt.pool = &pool;
         parallelSampler.sample(field, opt);
         for (int z = 0; z <= res; ++z)
@@ -105,7 +120,7 @@ TEST(BlockSampler, DeterministicAcrossWorkerCounts) {
     }
 }
 
-TEST(BlockSampler, PruningOffMatchesDenseEverywhere) {
+TEST(BlockSampler, NoCertificateMatchesDenseEverywhere) {
     const auto field = sphereField({0.0f, 0.0f, 0.0f}, 0.45f);
     const int res = 24;
     VoxelGrid dense(unitBounds(), {res, res, res});
@@ -113,8 +128,7 @@ TEST(BlockSampler, PruningOffMatchesDenseEverywhere) {
 
     VoxelGrid sparse(unitBounds(), {res, res, res});
     BlockSampler sampler(sparse, 8);
-    FieldSampleOptions opt;
-    opt.blockPruning = false;
+    FieldSampleOptions opt;  // no certificate: every block is sampled
     const FieldSampleStats stats = sampler.sample(field, opt);
     EXPECT_EQ(stats.blocksSkipped, 0u);
     EXPECT_EQ(stats.nodesEvaluated, stats.nodesTotal);
@@ -133,11 +147,7 @@ TEST(BlockSampler, AnalyticCertificateSkipsAndStaysExact) {
     const TriMesh dense = extractIsoSurface(field, unitBounds(), res);
 
     FieldSampleOptions opt;
-    // Analytic certificate for the sphere: the ball around the block
-    // center misses the iso-surface when |distance at center| > radius.
-    opt.certificate = [center, radius](Vec3f c, float r) {
-        return std::fabs((c - center).norm() - radius) > r;
-    };
+    opt.certificate = sphereCertificate(center, radius);
     FieldSampleStats stats;
     const TriMesh sparse = extractIsoSurface(field, unitBounds(), res, {}, opt, &stats);
     EXPECT_GT(stats.blocksSkipped, 0u);
@@ -157,11 +167,8 @@ constexpr float kOctreeRadius = 0.45f;
 
 FieldSampleOptions octreeOptions(Vec3f center, core::ThreadPool* pool) {
     FieldSampleOptions opt;
-    opt.blockSize = 4;
     opt.pool = pool;
-    opt.certificate = [center](Vec3f c, float r) {
-        return std::fabs((c - center).norm() - kOctreeRadius) > r;
-    };
+    opt.certificate = sphereCertificate(center, kOctreeRadius);
     return opt;
 }
 

@@ -125,11 +125,17 @@ TEST(IsoSurfaceParallel, MatchesLegacyAcrossFieldsAndIsoValues) {
 }
 
 TEST(IsoSurfaceParallel, SparseMatchesLegacySparse) {
-    const auto field = sphereField({0.0f, 0.05f, -0.1f}, 0.5f);
+    const Vec3f center{0.0f, 0.05f, -0.1f};
+    const float radius = 0.5f;
+    const auto field = sphereField(center, radius);
     const int res = 40;
     VoxelGrid grid(unitBounds(), {res, res, res});
     BlockSampler sampler(grid, 8);
-    FieldSampleOptions sampling;  // lipschitz 1.0 exact for the sphere SDF
+    FieldSampleOptions sampling;
+    // The sphere's exact certificate: no crossing within r of c.
+    sampling.certificate = [center, radius](Vec3f c, float r) {
+        return std::fabs((c - center).norm() - radius) > r;
+    };
     sampler.sample(field, sampling);
 
     IsoSurfaceOptions opt;  // pre-weld comparison, as in the other suites
@@ -152,8 +158,7 @@ TEST(IsoSurfaceParallel, BlockDecompositionDoesNotChangeOutput) {
     VoxelGrid sparse(unitBounds(), {res, res, res});
     for (const int blockSize : {4, 8, 16}) {
         BlockSampler sampler(sparse, blockSize);
-        FieldSampleOptions sampling;
-        sampling.blockPruning = false;  // grids identical node-for-node
+        FieldSampleOptions sampling;  // no certificate: grids identical node-for-node
         sampler.sample(field, sampling);
         expectIdenticalMeshes(extractIsoSurface(dense),
                               extractIsoSurface(sparse, sampler));

@@ -159,9 +159,6 @@ TEST(OctreeCertificates, SparseOctreeBatchExtractionMatchesDense) {
         VoxelGrid sparseGrid(body.bounds, {res, res, res});
         BlockSampler sampler(sparseGrid, blockSize);
         mesh::FieldSampleOptions so;
-        so.blockSize = blockSize;
-        so.lipschitz = body.lipschitz;
-        so.margin = body.margin;
         so.certificate = body.certificate;
         so.batch = body.batch;
         so.hierarchical = true;
