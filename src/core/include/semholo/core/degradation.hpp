@@ -65,6 +65,8 @@ public:
     // session engine counts the transitions into its telemetry.
     DegradationAction observe(const LinkObservation& obs);
 
+    // Whether the policy acts at all; observe() holds when it does not.
+    bool enabled() const { return config_.enabled; }
     std::size_t level() const { return level_; }
     // Multiplier for the bandwidth estimate fed to channels.
     double bandwidthScale() const;

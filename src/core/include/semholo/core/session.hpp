@@ -109,9 +109,9 @@ struct SessionStats {
 
     // Wire bytes sent over the session span, in Mbps.
     double bandwidthMbps{};
-    // Pipeline-limited frame rate: 1000 / mean(max(extract, recon)) —
-    // stages pipeline across frames, so the slower stage bounds FPS.
-    // NaN when no frame was reconstructed.
+    // Pipeline-limited frame rate: 1000 / mean(max(extract, recon)) over
+    // the decoded frames — stages pipeline across frames, so the slower
+    // stage bounds FPS. NaN when no frame was reconstructed.
     double achievableFps{std::numeric_limits<double>::quiet_NaN()};
     // Mean Chamfer over evaluated frames (NaN when never evaluated).
     double meanChamfer{std::numeric_limits<double>::quiet_NaN()};

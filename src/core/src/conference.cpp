@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "semholo/core/conference.hpp"
-#include "semholo/core/thread_pool.hpp"
 #include "session_internal.hpp"
 
 namespace semholo::core {
@@ -128,19 +127,6 @@ std::vector<double> BandwidthArbiter::allocate(
 
 // ---- Entry points ----------------------------------------------------------
 
-namespace internal {
-
-MultiSessionStats runConferenceWithChannels(
-    const ConferenceConfig& conf, const std::vector<SemanticChannel*>& channels,
-    const body::BodyModel& model) {
-    const std::size_t workers = effectiveWorkers(conf.session);
-    if (workers <= 1) return runConferenceTicked(conf, channels, model, nullptr);
-    ThreadPool pool(workers);
-    return runConferenceTicked(conf, channels, model, &pool);
-}
-
-}  // namespace internal
-
 MultiSessionStats runConference(const ConferenceConfig& config,
                                 const body::BodyModel& model) {
     std::vector<std::unique_ptr<SemanticChannel>> owned;
@@ -161,7 +147,7 @@ MultiSessionStats runConference(const ConferenceConfig& config,
     std::vector<SemanticChannel*> channels;
     channels.reserve(owned.size());
     for (const auto& c : owned) channels.push_back(c.get());
-    return internal::runConferenceWithChannels(config, channels, model);
+    return internal::runEngine(config, channels, model);
 }
 
 // ---- JSON export -----------------------------------------------------------

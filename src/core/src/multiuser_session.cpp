@@ -27,15 +27,19 @@
 //   L(f,v)         downlink fan-out: the server forwards the tick's
 //                  delivered frames to viewer v over v's own downlink,
 //                  thinned by v's subscription ladder.
-//   D(f,u)         decode: the user decodes their delivered frame,
-//                  advances their recon clock and writes the tick's
-//                  FrameStats; at sampled ticks it keeps the decoded
-//                  mesh in the ring slot for Q.
+//   D(f,u)         decode: the user decodes their delivered frame and
+//                  advances their recon clock; at sampled ticks it keeps
+//                  the decoded mesh in the ring slot for Q.
 //   Q(f,u)         quality (sampled ticks only): Chamfer of the kept
-//                  mesh vs the LBS ground truth, written into that
-//                  tick's FrameStats. Off the encode -> decode chain.
+//                  mesh vs the LBS ground truth. Off the encode -> decode
+//                  chain.
 //   R(f)           retire: join of every D/Q(f,*) and L(f,*); frees the
 //                  tick's ring slot (payloads, poses, meshes) for reuse.
+//
+// A node is its (kind, tick, user): the graph holds no per-node
+// closure, and one engine-wide body dispatches on the kind. E, T, D and
+// Q write the user's FrameStats for tick f in place, each field with
+// exactly one writer on that E -> T -> D -> Q chain.
 //
 // Edges (the full byte-identity argument is in DESIGN.md):
 //
@@ -53,7 +57,7 @@
 // phase member — up to ConferenceConfig::pipelineDepth ticks in flight.
 // Every mutable resource (a user's channel/clock/estimator/policy, a
 // link's FIFO + RNG, a viewer's downlink, the arbiter inputs) is
-// confined to a single dependency chain, so serial (pool == nullptr)
+// confined to a single dependency chain, so serial (one worker)
 // and event-driven runs are byte-identical under TimingModel::Simulated
 // at any worker count and any depth (tests/core/test_conference.cpp and
 // test_stage_graph.cpp stress this with downlinks + arbiter).
@@ -81,17 +85,19 @@ namespace semholo::core::internal {
 
 namespace {
 
+// "None": the user of conference-wide nodes (the shared arbiter, retire)
+// and the graph-building sentinel for "no node yet".
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
 // One user's frame in flight during a tick. Lives in a ring of
 // pipelineDepth tick-slots; E(f,u) fills it, T(f,u) fills the transfer,
 // L/D read it, D hands Q the decoded mesh, and R(f) clears the slot for
-// tick f+depth.
+// tick f+depth. The frame's FrameStats are not staged here: E, T, D and
+// Q write them in place.
 struct TickFrame {
-    FrameStats frame;
     EncodedFrame encoded;
     body::Pose pose;  // retained for receiver-side quality evaluation
-    double captureTime{};
-    double sendTime{};  // valid when sent
-    bool sent{false};
+    double sendTime{};  // valid when the frame was not dropped at the sender
     net::TransferResult transfer;
     mesh::TriMesh decodedMesh;  // written by D, read by Q (sampled ticks)
 };
@@ -130,10 +136,13 @@ void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
                           .count();
 }
 
-// Per-user state that persists across ticks: the pipeline availability
-// clocks, the closed-loop feedback (throughput estimator + degradation
-// policy), and the arbiter's demand estimate and target-rate accounting.
+// Per-user state that persists across ticks: the motion source and
+// viewer head, the pipeline availability clocks, the closed-loop
+// feedback (throughput estimator + degradation policy), and the
+// arbiter's demand estimate and target-rate accounting.
 struct UserState {
+    body::MotionGenerator motion;
+    geom::RigidTransform head;
     double extractorFreeAt{0.0};
     double reconFreeAt{0.0};
     net::HarmonicEstimator throughput{5};
@@ -143,16 +152,25 @@ struct UserState {
     double targetSumBps{0.0};
     std::size_t targetTicks{0};
 
-    UserState(const DegradationConfig& config, double fps,
-              std::size_t queueCapacityBytes)
-        : degrade(config, fps, queueCapacityBytes) {}
+    UserState(const body::MotionGenerator& motion,
+              const geom::RigidTransform& head, const DegradationConfig& config,
+              double fps, std::size_t queueCapacityBytes)
+        : motion(motion), head(head), degrade(config, fps, queueCapacityBytes) {}
+
+    // This tick's arbiter target, fed to the policy and the accounting.
+    void setTarget(double bps) {
+        targetRateBps = bps;
+        degrade.setTargetRateBps(bps);
+        targetSumBps += bps;
+        ++targetTicks;
+    }
 };
 
 // Per-viewer downlink state: the viewer's own LinkSimulator, a monotonic
 // send clock (uplink completions are unordered across per-user uplinks),
 // the resolved subscription list and the per-stream accounting.
 struct DownlinkState {
-    std::vector<net::LinkSimulator> link;  // 0 or 1 element (stable address)
+    net::LinkSimulator link;
     double clock{0.0};
     // (source, byteScale) in ascending source order.
     std::vector<std::pair<std::size_t, double>> subs;
@@ -160,6 +178,8 @@ struct DownlinkState {
     std::vector<std::size_t> streamIndex;
     DownlinkStats stats;
     double transferMsSum{0.0};
+
+    explicit DownlinkState(const net::LinkConfig& config) : link(config) {}
 };
 
 void fillFairness(MultiSessionStats& out, const std::vector<UserState>& state) {
@@ -193,9 +213,9 @@ void fillFairness(MultiSessionStats& out, const std::vector<UserState>& state) {
 
 }  // namespace
 
-MultiSessionStats runConferenceTicked(
-    const ConferenceConfig& conf, const std::vector<SemanticChannel*>& channels,
-    const body::BodyModel& model, ThreadPool* pool) {
+MultiSessionStats runEngine(const ConferenceConfig& conf,
+                            const std::vector<SemanticChannel*>& channels,
+                            const body::BodyModel& model) {
     const SessionConfig& base = conf.session;
     MultiSessionStats out;
     const std::size_t users = channels.size();
@@ -220,43 +240,34 @@ MultiSessionStats runConferenceTicked(
     };
 
     // ---- Per-user session state -------------------------------------------
-    std::vector<body::MotionGenerator> motions;
     std::vector<UserState> state;
-    std::vector<geom::RigidTransform> heads;
-    motions.reserve(users);
     state.reserve(users);
-    heads.reserve(users);
     for (std::size_t u = 0; u < users; ++u) {
         const Participant& p = conf.participants[u];
         channels[u]->reset();
-        motions.emplace_back(
-            base.motion, model.shape(),
-            p.motionSeed.value_or(base.motionSeed +
-                                  static_cast<std::uint32_t>(u)));
-        state.emplace_back(p.degradation.value_or(base.degradation), base.fps,
-                           p.uplink && !conf.sharedUplink
-                               ? p.uplink->queueCapacityBytes
-                               : base.link.queueCapacityBytes);
-        heads.push_back(p.viewerHead.value_or(base.viewerHead));
-        // D(f,u) writes frames[f] and Q(f,u) its Chamfer fields, so the
-        // vector never reallocates under a running node.
+        const std::uint32_t seed = p.motionSeed.value_or(
+            base.motionSeed + static_cast<std::uint32_t>(u));
+        state.emplace_back(
+            body::MotionGenerator(base.motion, model.shape(), seed),
+            p.viewerHead.value_or(base.viewerHead),
+            p.degradation.value_or(base.degradation), base.fps,
+            p.uplink && !conf.sharedUplink ? p.uplink->queueCapacityBytes
+                                           : base.link.queueCapacityBytes);
+        // E, T, D and Q write frames[f] in place, so the vector never
+        // reallocates under a running node.
         out.perUser[u].frames.resize(base.frames);
     }
-    const auto degradationFor = [&](std::size_t u) -> const DegradationConfig& {
-        return conf.participants[u].degradation ? *conf.participants[u].degradation
-                                                : base.degradation;
-    };
 
     // ---- Downlink fan-out state -------------------------------------------
     std::vector<DownlinkState> downs;
     if (conf.enableDownlinks) {
-        downs.resize(users);
+        downs.reserve(users);
         for (std::size_t v = 0; v < users; ++v) {
             const Participant& p = conf.participants[v];
-            DownlinkState& d = downs[v];
-            d.link.emplace_back(p.downlink.value_or(conf.downlink));
+            DownlinkState& d =
+                downs.emplace_back(p.downlink.value_or(conf.downlink));
             d.stats.viewer = v;
-            d.streamIndex.assign(users, std::numeric_limits<std::size_t>::max());
+            d.streamIndex.assign(users, kNone);
             std::size_t position = 0;
             for (std::size_t u = 0; u < users; ++u) {
                 if (u == v) continue;
@@ -277,9 +288,8 @@ MultiSessionStats runConferenceTicked(
     std::vector<double> demands(users, 0.0), meanTp(users, 0.0);
 
     // ---- Stage bodies ------------------------------------------------------
-    // Each body captures the tick index and ring slot by value and every
-    // engine resource by reference; the graph edges built below are what
-    // make the captured-by-reference state race-free.
+    // Every body reaches the engine's resources by reference; the graph
+    // edges built below are what make that shared state race-free.
     const std::size_t depth = std::max<std::size_t>(1, conf.pipelineDepth);
     std::vector<std::vector<TickFrame>> ring(depth,
                                              std::vector<TickFrame>(users));
@@ -297,26 +307,16 @@ MultiSessionStats runConferenceTicked(
         }
         const std::vector<double> targets =
             arbiter.allocate(capacity, demands, meanTp);
-        for (std::size_t u = 0; u < users; ++u) {
-            state[u].targetRateBps = targets[u];
-            state[u].degrade.setTargetRateBps(targets[u]);
-            state[u].targetSumBps += targets[u];
-            ++state[u].targetTicks;
-        }
+        for (std::size_t u = 0; u < users; ++u) state[u].setTarget(targets[u]);
         return 0.0;
     };
 
     // Independent uplinks: each user's target is their own link's
     // instantaneous capacity with the safety margin.
     const auto arbiterUserBody = [&](std::size_t u, double captureTime) {
-        const double target =
-            std::max(conf.arbiter.minRateBps,
-                     uplinkFor(u).effectiveRateAt(captureTime) *
-                         conf.arbiter.safety);
-        state[u].targetRateBps = target;
-        state[u].degrade.setTargetRateBps(target);
-        state[u].targetSumBps += target;
-        ++state[u].targetTicks;
+        state[u].setTarget(std::max(conf.arbiter.minRateBps,
+                                    uplinkFor(u).effectiveRateAt(captureTime) *
+                                        conf.arbiter.safety));
         return 0.0;
     };
 
@@ -325,19 +325,19 @@ MultiSessionStats runConferenceTicked(
     const auto encodeBody = [&](std::size_t f, std::size_t slot, std::size_t u,
                                 double captureTime) {
         TickFrame& p = ring[slot][u];
-        p.captureTime = captureTime;
-        p.frame.frameId = static_cast<std::uint32_t>(f);
+        FrameStats& frame = out.perUser[u].frames[f];
+        frame.frameId = static_cast<std::uint32_t>(f);
         UserState& us = state[u];
         if (base.dropWhenBusy && us.extractorFreeAt > captureTime) {
-            p.frame.droppedAtSender = true;
+            frame.droppedAtSender = true;
             return 0.0;
         }
         FrameContext ctx;
-        ctx.pose = motions[u].poseAt(captureTime);
-        ctx.pose.frameId = p.frame.frameId;
+        ctx.pose = us.motion.poseAt(captureTime);
+        ctx.pose.frameId = frame.frameId;
         ctx.model = &model;
         ctx.timestamp = captureTime;
-        ctx.viewerHead = heads[u];
+        ctx.viewerHead = us.head;
         // Bandwidth feedback: the throughput estimate, capped at the
         // arbiter's target when one is set (the target alone seeds the
         // loop before the first sample — rate-adaptive channels start at
@@ -351,12 +351,11 @@ MultiSessionStats runConferenceTicked(
             ctx.estimatedBandwidthBps = est * us.degrade.bandwidthScale();
         p.encoded = channels[u]->encode(ctx);
         p.pose = std::move(ctx.pose);
-        p.frame.bytes = p.encoded.bytes();
-        p.frame.extractMs = p.encoded.extractMs();
+        frame.bytes = p.encoded.bytes();
+        frame.extractMs = p.encoded.extractMs();
         const double stageMs = clockExtractMs(p.encoded, base.timing);
         p.sendTime = std::max(captureTime, us.extractorFreeAt) + stageMs / 1000.0;
         us.extractorFreeAt = p.sendTime;
-        p.sent = true;
         return stageMs;
     };
 
@@ -365,58 +364,58 @@ MultiSessionStats runConferenceTicked(
     // the same (frame, user) entry order at any worker count; the
     // outcome feeds this user's estimator and degradation policy before
     // their next encode is released.
-    const auto uplinkBody = [&](std::size_t slot, std::size_t u) {
+    const auto uplinkBody = [&](std::size_t f, std::size_t slot,
+                                std::size_t u) {
+        FrameStats& frame = out.perUser[u].frames[f];
+        if (frame.droppedAtSender) return 0.0;
         TickFrame& p = ring[slot][u];
-        if (!p.sent) return 0.0;
         UserState& us = state[u];
         net::LinkSimulator& link = uplinkFor(u);
-        const std::size_t queuedAtSend = degradationFor(u).enabled || arbiterOn
+        const std::size_t bytes = p.encoded.bytes();
+        const std::size_t queuedAtSend = us.degrade.enabled() || arbiterOn
                                              ? link.queuedBytesAt(p.sendTime)
                                              : 0;
-        p.transfer =
-            link.sendMessage(p.frame.bytes, p.sendTime, base.transfer, u);
-        p.frame.delivered = p.transfer.delivered;
-        p.frame.transferMs = p.transfer.durationS() * 1000.0;
-        us.lastSentBytes = p.frame.bytes;
-        if (p.transfer.delivered && p.frame.bytes > 0) {
+        p.transfer = link.sendMessage(bytes, p.sendTime, base.transfer, u);
+        frame.delivered = p.transfer.delivered;
+        frame.transferMs = p.transfer.durationS() * 1000.0;
+        us.lastSentBytes = bytes;
+        if (p.transfer.delivered && bytes > 0) {
             // Serialization-dominated throughput sample (propagation
             // subtracted).
             const double serialS =
                 std::max(1e-5, p.transfer.durationS() -
                                    link.config().propagationDelayS);
-            us.throughput.addSample(static_cast<double>(p.frame.bytes) * 8.0 /
-                                    serialS);
+            us.throughput.addSample(static_cast<double>(bytes) * 8.0 / serialS);
         }
-        if (degradationFor(u).enabled) {
-            const DegradationAction action = us.degrade.observe(
-                {p.transfer.delivered, p.transfer.durationS(),
-                 p.transfer.unrecoveredPackets, p.transfer.droppedAtQueue,
-                 p.transfer.faultEvents, queuedAtSend, p.frame.bytes});
-            if (action == DegradationAction::StepDown)
-                ++out.perUser[u].telemetry.counters.degradations;
-            else if (action == DegradationAction::StepUp)
-                ++out.perUser[u].telemetry.counters.upgrades;
-        }
+        const DegradationAction action = us.degrade.observe(
+            {p.transfer.delivered, p.transfer.durationS(),
+             p.transfer.unrecoveredPackets, p.transfer.droppedAtQueue,
+             p.transfer.faultEvents, queuedAtSend, bytes});
+        if (action == DegradationAction::StepDown)
+            ++out.perUser[u].telemetry.counters.degradations;
+        else if (action == DegradationAction::StepUp)
+            ++out.perUser[u].telemetry.counters.upgrades;
         return 0.0;
     };
 
     // Downlink fan-out for one viewer: reads the tick's uplink results
     // (read-only — decode also reads them, concurrently), writes only
-    // viewer-local state.
+    // viewer-local state. A frame dropped at the sender keeps the
+    // default, undelivered transfer.
     const auto downlinkBody = [&](std::size_t slot, std::size_t v) {
         DownlinkState& d = downs[v];
         for (const auto& [u, scale] : d.subs) {
             const TickFrame& p = ring[slot][u];
-            if (!p.sent || !p.transfer.delivered) continue;
+            if (!p.transfer.delivered) continue;
             const auto bytes = std::max<std::size_t>(
                 1, static_cast<std::size_t>(
-                       static_cast<double>(p.frame.bytes) * scale));
+                       static_cast<double>(p.encoded.bytes()) * scale));
             // Forward when the server received the frame; the clock
             // keeps per-viewer send times monotonic (per-user uplinks
             // complete out of user order).
             const double at = std::max(p.transfer.completionTime, d.clock);
             const net::TransferResult r =
-                d.link[0].sendMessage(bytes, at, base.transfer, u, v);
+                d.link.sendMessage(bytes, at, base.transfer, u, v);
             d.clock = at;
             DownlinkStreamStats& ss = d.stats.streams[d.streamIndex[u]];
             ++ss.framesForwarded;
@@ -441,12 +440,11 @@ MultiSessionStats runConferenceTicked(
     // Decode: reads the ring slot (the downlink nodes of the same tick
     // may still be reading it; only decodedMesh, which they never touch,
     // is written), advances this user's recon clock and writes frame f.
-    const auto decodeBody = [&](std::size_t f, std::size_t slot,
-                                std::size_t u) {
-        TickFrame& p = ring[slot][u];
+    const auto decodeBody = [&](std::size_t f, std::size_t slot, std::size_t u,
+                                double captureTime) {
         FrameStats& frame = out.perUser[u].frames[f];
-        frame = p.frame;
         if (frame.droppedAtSender) return 0.0;
+        TickFrame& p = ring[slot][u];
         UserState& us = state[u];
         double stageMs = 0.0;
         if (p.transfer.delivered) {
@@ -462,12 +460,12 @@ MultiSessionStats runConferenceTicked(
                 const double renderTime =
                     std::max(arrival, us.reconFreeAt) + stageMs / 1000.0;
                 us.reconFreeAt = renderTime;
-                frame.e2eMs = (renderTime - p.captureTime) * 1000.0;
+                frame.e2eMs = (renderTime - captureTime) * 1000.0;
                 if (decoded.valid && sampled(f))
                     p.decodedMesh = std::move(decoded.mesh);
             }
         } else {
-            frame.e2eMs = (p.transfer.completionTime - p.captureTime) * 1000.0;
+            frame.e2eMs = (p.transfer.completionTime - captureTime) * 1000.0;
         }
         return stageMs;
     };
@@ -492,12 +490,31 @@ MultiSessionStats runConferenceTicked(
         return 0.0;
     };
 
+    // The graph's one body: a node is its (kind, tick, user), and the
+    // tick's ring slot and capture time are derived here, once. The
+    // shared arbiter is the arbiter node without a user.
+    StageGraph graph([&](StageKind kind, std::uint32_t tick, std::size_t u) {
+        const std::size_t f = tick;
+        const std::size_t slot = f % depth;
+        const double captureTime = static_cast<double>(f) / base.fps;
+        switch (kind) {
+            case StageKind::Arbiter:
+                return u == kNone ? arbiterSharedBody(captureTime)
+                                  : arbiterUserBody(u, captureTime);
+            case StageKind::Encode: return encodeBody(f, slot, u, captureTime);
+            case StageKind::Uplink: return uplinkBody(f, slot, u);
+            case StageKind::Downlink: return downlinkBody(slot, u);
+            case StageKind::Decode: return decodeBody(f, slot, u, captureTime);
+            case StageKind::Quality: return qualityBody(f, slot, u);
+            case StageKind::Retire: return retireBody(slot);
+        }
+        return 0.0;
+    });
+
     // ---- Graph construction ------------------------------------------------
     // Nodes are inserted in per-tick phase order (arbiter, encodes,
     // tickets, downlinks, decodes, retire), so runSerial() runs the
     // phases in turn; the edges are everything runParallel() needs.
-    StageGraph graph;
-    constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
     std::vector<std::size_t> prevTicket(users, kNone);
     std::vector<std::size_t> prevDecode(users, kNone);
     std::vector<std::size_t> prevDown(users, kNone);
@@ -509,8 +526,6 @@ MultiSessionStats runConferenceTicked(
     std::vector<std::size_t> last(users);  // per user: Q(f,u), else D(f,u)
 
     for (std::size_t f = 0; f < base.frames; ++f) {
-        const std::size_t slot = f % depth;
-        const double captureTime = static_cast<double>(f) / base.fps;
         const std::uint32_t tick = static_cast<std::uint32_t>(f);
 
         // Arbiter: needs every user's previous-tick ticket outcome. In
@@ -520,18 +535,13 @@ MultiSessionStats runConferenceTicked(
         std::vector<std::size_t> userArb;
         if (arbiterOn) {
             if (conf.sharedUplink) {
-                sharedArb = graph.addNode(
-                    StageKind::Arbiter, tick, kNone,
-                    [&, captureTime] { return arbiterSharedBody(captureTime); });
+                sharedArb = graph.addNode(StageKind::Arbiter, tick, kNone);
                 if (lastTicketGlobal != kNone)
                     graph.addEdge(lastTicketGlobal, sharedArb);
             } else {
                 userArb.assign(users, kNone);
                 for (std::size_t u = 0; u < users; ++u) {
-                    userArb[u] = graph.addNode(
-                        StageKind::Arbiter, tick, u, [&, u, captureTime] {
-                            return arbiterUserBody(u, captureTime);
-                        });
+                    userArb[u] = graph.addNode(StageKind::Arbiter, tick, u);
                     if (prevTicket[u] != kNone)
                         graph.addEdge(prevTicket[u], userArb[u]);
                 }
@@ -543,11 +553,7 @@ MultiSessionStats runConferenceTicked(
         // of the ring slot it reuses. That is the pipelining win — no
         // edge to any *other* user's tick f-1 work.
         for (std::size_t u = 0; u < users; ++u) {
-            enc[u] = graph.addNode(StageKind::Encode, tick, u,
-                                   [&, f, slot, u, captureTime] {
-                                       return encodeBody(f, slot, u,
-                                                         captureTime);
-                                   });
+            enc[u] = graph.addNode(StageKind::Encode, tick, u);
             if (prevDecode[u] != kNone) graph.addEdge(prevDecode[u], enc[u]);
             const std::size_t arbNode =
                 sharedArb != kNone ? sharedArb
@@ -558,8 +564,7 @@ MultiSessionStats runConferenceTicked(
 
         // Uplink tickets: the per-link entry-order chain.
         for (std::size_t u = 0; u < users; ++u) {
-            tix[u] = graph.addNode(StageKind::Uplink, tick, u,
-                                   [&, slot, u] { return uplinkBody(slot, u); });
+            tix[u] = graph.addNode(StageKind::Uplink, tick, u);
             graph.addEdge(enc[u], tix[u]);
             if (conf.sharedUplink) {
                 if (lastTicketGlobal != kNone)
@@ -573,30 +578,22 @@ MultiSessionStats runConferenceTicked(
 
         // Downlink fan-out: one node per viewer with subscriptions.
         downNodes.clear();
-        if (conf.enableDownlinks) {
-            for (std::size_t v = 0; v < users; ++v) {
-                if (downs[v].subs.empty()) continue;
-                const std::size_t node =
-                    graph.addNode(StageKind::Downlink, tick, v, [&, slot, v] {
-                        return downlinkBody(slot, v);
-                    });
-                for (const auto& [u, scale] : downs[v].subs) {
-                    (void)scale;
-                    graph.addEdge(tix[u], node);
-                }
-                if (prevDown[v] != kNone) graph.addEdge(prevDown[v], node);
-                prevDown[v] = node;
-                downNodes.push_back(node);
+        for (std::size_t v = 0; v < downs.size(); ++v) {
+            if (downs[v].subs.empty()) continue;
+            const std::size_t node = graph.addNode(StageKind::Downlink, tick, v);
+            for (const auto& [u, scale] : downs[v].subs) {
+                (void)scale;
+                graph.addEdge(tix[u], node);
             }
+            if (prevDown[v] != kNone) graph.addEdge(prevDown[v], node);
+            prevDown[v] = node;
+            downNodes.push_back(node);
         }
 
-        // Decode. (The D(f-1,u) order needed for frames.push_back holds
-        // transitively: D(f,u) <- T(f,u) <- E(f,u) <- D(f-1,u).)
+        // Decode. (The D(f-1,u) order needed by the user's recon clock
+        // holds transitively: D(f,u) <- T(f,u) <- E(f,u) <- D(f-1,u).)
         for (std::size_t u = 0; u < users; ++u) {
-            dec[u] = graph.addNode(StageKind::Decode, tick, u,
-                                   [&, f, slot, u] {
-                                       return decodeBody(f, slot, u);
-                                   });
+            dec[u] = graph.addNode(StageKind::Decode, tick, u);
             graph.addEdge(tix[u], dec[u]);
             prevDecode[u] = dec[u];
             last[u] = dec[u];
@@ -605,19 +602,14 @@ MultiSessionStats runConferenceTicked(
         // Quality, at sampled ticks only.
         if (sampled(f)) {
             for (std::size_t u = 0; u < users; ++u) {
-                last[u] = graph.addNode(StageKind::Quality, tick, u,
-                                        [&, f, slot, u] {
-                                            return qualityBody(f, slot, u);
-                                        });
+                last[u] = graph.addNode(StageKind::Quality, tick, u);
                 graph.addEdge(dec[u], last[u]);
             }
         }
 
         // Retire: the tick's completion join; frees its ring slot for
         // tick f + depth.
-        const std::size_t retire = graph.addNode(
-            StageKind::Retire, tick, kNone,
-            [&, slot] { return retireBody(slot); });
+        const std::size_t retire = graph.addNode(StageKind::Retire, tick, kNone);
         for (std::size_t u = 0; u < users; ++u) graph.addEdge(last[u], retire);
         for (const std::size_t node : downNodes) graph.addEdge(node, retire);
         if (prevRetire != kNone) graph.addEdge(prevRetire, retire);
@@ -626,11 +618,17 @@ MultiSessionStats runConferenceTicked(
     }
 
     // ---- Run ----------------------------------------------------------------
-    if (pool != nullptr)
-        graph.runParallel(*pool);
-    else
+    // workers == 0 means hardware concurrency; one worker runs the graph
+    // in insertion order on this thread.
+    const std::size_t workers =
+        base.workers == 0 ? ThreadPool::defaultWorkers() : base.workers;
+    if (workers > 1) {
+        ThreadPool pool(workers);
+        graph.runParallel(pool);
+    } else {
         graph.runSerial();
-    graph.fillStats(out.pipeline, pool != nullptr ? pool->size() : 1);
+    }
+    graph.fillStats(out.pipeline, workers);
     out.pipeline.pipelineDepth = depth;
 
     // Downlink rollup: per-viewer totals, the conference-wide fan-out

@@ -4,16 +4,11 @@
 #include <cmath>
 #include <utility>
 
-#include "semholo/core/thread_pool.hpp"
 #include "session_internal.hpp"
 
 namespace semholo::core {
 
 namespace internal {
-
-std::size_t effectiveWorkers(const SessionConfig& config) {
-    return config.workers == 0 ? ThreadPool::defaultWorkers() : config.workers;
-}
 
 namespace {
 
@@ -55,8 +50,8 @@ void finalizeSessionStats(SessionStats& stats, const SessionConfig& config) {
             ++t.counters.framesDecoded;
             t.decodeMs.record(frame.reconMs);
             t.counters.recon += frame.recon;
+            sumStage += std::max(frame.extractMs, frame.reconMs);
         }
-        sumStage += std::max(frame.extractMs, frame.reconMs);
         if (!std::isnan(frame.chamfer)) {
             sumChamfer += frame.chamfer;
             t.qualityMs.record(frame.qualityMs);
@@ -100,7 +95,7 @@ SessionStats runSession(SemanticChannel& channel, const body::BodyModel& model,
     conf.sharedUplink = true;
     conf.enableDownlinks = false;
     return std::move(
-        internal::runConferenceWithChannels(conf, {&channel}, model).perUser[0]);
+        internal::runEngine(conf, {&channel}, model).perUser[0]);
 }
 
 }  // namespace semholo::core

@@ -1,13 +1,9 @@
 // Internals of the session engine: pipeline clock helpers, stat
-// aggregation, and the stage-graph entry points. Not installed.
+// aggregation, and the engine's one entry point. Not installed.
 #pragma once
 
 #include "semholo/core/conference.hpp"
 #include "semholo/core/session.hpp"
-
-namespace semholo::core {
-class ThreadPool;
-}
 
 namespace semholo::core::internal {
 
@@ -23,9 +19,6 @@ inline double clockReconMs(const DecodedFrame& decoded, TimingModel timing) {
                                            : decoded.simulatedReconMs;
 }
 
-// config.workers with 0 resolved to hardware concurrency.
-std::size_t effectiveWorkers(const SessionConfig& config);
-
 // Record stats.frames into the per-stage telemetry histograms and frame
 // counters, then derive the figures telemetry cannot express
 // (bandwidth, achievable FPS, Chamfer mean). Link-level counters
@@ -37,26 +30,24 @@ void finalizeSessionStats(SessionStats& stats, const SessionConfig& config);
 void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& config);
 
 // The one session engine (multiuser_session.cpp): an event-driven stage
-// graph — per (tick, user) nodes for arbiter targets, encode, sequenced
+// graph of per-(tick, user) nodes for arbiter targets, encode, sequenced
 // uplink entry (a per-link ticket chain preserving the (frame, user)
 // order), downlink fan-out, decode, sampled quality evaluation and tick
-// retirement, with explicit dependency edges. pool == nullptr executes
-// the graph in insertion order (the per-tick phase schedule);
-// otherwise nodes run the moment their dependencies complete,
-// pipelining up to ConferenceConfig::pipelineDepth ticks. Both executors touch every
+// retirement, with explicit dependency edges. A node is its (kind, tick,
+// user); one engine-wide body runs it, and the encode, uplink, decode
+// and quality nodes write the tick's FrameStats in place. The engine
+// resolves conf.session.workers (0 = hardware concurrency) and owns its
+// ThreadPool: at one worker it executes the graph in insertion order
+// (the per-tick phase schedule) on the calling thread; otherwise nodes
+// run the moment their dependencies complete, pipelining up to
+// ConferenceConfig::pipelineDepth ticks. Both executors touch every
 // mutable resource in the same per-resource order, so runs are
 // byte-identical under TimingModel::Simulated at any worker count.
 // 'channels' are externally owned, one per conf.participants entry
 // (built by runConference from the descriptors, or supplied verbatim by
 // runSession).
-MultiSessionStats runConferenceTicked(
-    const ConferenceConfig& conf, const std::vector<SemanticChannel*>& channels,
-    const body::BodyModel& model, ThreadPool* pool);
-
-// Dispatch wrapper: resolves conf.session.workers and runs
-// runConferenceTicked inline or over a ThreadPool (conference.cpp).
-MultiSessionStats runConferenceWithChannels(
-    const ConferenceConfig& conf, const std::vector<SemanticChannel*>& channels,
-    const body::BodyModel& model);
+MultiSessionStats runEngine(const ConferenceConfig& conf,
+                            const std::vector<SemanticChannel*>& channels,
+                            const body::BodyModel& model);
 
 }  // namespace semholo::core::internal

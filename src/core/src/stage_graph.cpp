@@ -55,12 +55,11 @@ const char* stageName(StageKind kind) {
 }
 
 std::size_t StageGraph::addNode(StageKind kind, std::uint32_t tick,
-                                std::size_t user, std::function<double()> run) {
+                                std::size_t user) {
     StageNode& node = nodes_.emplace_back();
     node.kind = kind;
     node.tick = tick;
     node.user = user;
-    node.run = std::move(run);
     return nodes_.size() - 1;
 }
 
@@ -100,7 +99,7 @@ void StageGraph::runSerial() {
             ticksInFlight_.record(static_cast<double>(inFlight));
         }
         node.startMs = msSinceStart();
-        node.simCostMs = node.run();
+        node.simCostMs = body_(node.kind, node.tick, node.user);
         node.endMs = msSinceStart();
         if (node.kind == StageKind::Retire)
             retiredTicks_.fetch_add(1, std::memory_order_relaxed);
@@ -172,7 +171,7 @@ std::size_t StageGraph::runNode(std::size_t index) {
     }
     if (!failed_.load(std::memory_order_acquire)) {
         try {
-            node.simCostMs = node.run();
+            node.simCostMs = body_(node.kind, node.tick, node.user);
         } catch (...) {
             std::lock_guard<std::mutex> lock(errorMutex_);
             if (!firstError_) firstError_ = std::current_exception();

@@ -4,7 +4,10 @@
 // A StageGraph is a DAG of typed nodes — arbiter / encode / uplink
 // ticket / downlink fan-out / decode / quality / retire — added in the
 // canonical serial order (the per-tick phase order) with explicit
-// dependency edges. Two executors share the node bodies:
+// dependency edges. A node is plain data: its (kind, tick, user) plus
+// its edges and telemetry. The graph holds one body for the whole run,
+// given at construction; executing a node calls it with the node's
+// (kind, tick, user). Two executors share that body:
 //
 //  - runSerial() executes nodes in insertion order on the calling
 //    thread. Because every edge points from a lower to a higher index
@@ -24,7 +27,7 @@
 //    to one dependency chain, so both executors touch each resource in
 //    the same per-resource order with the same inputs.
 //
-// Node bodies return their *simulated* stage cost (ms). After a run,
+// The body returns a node's *simulated* stage cost (ms). After a run,
 // fillStats() aggregates per-stage occupancy/latency telemetry and
 // list-schedules the recorded costs twice — once over the real DAG,
 // once under the legacy three-phase tick barrier — producing a
@@ -39,7 +42,9 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <mutex>
+#include <utility>
 #include <vector>
 
 #include "semholo/core/session.hpp"
@@ -68,9 +73,6 @@ struct StageNode {
     // Participant (or viewer) index; SIZE_MAX for conference-wide nodes
     // (the shared arbiter, retire joins).
     std::size_t user{std::numeric_limits<std::size_t>::max()};
-    // Body; returns the node's simulated stage cost in ms (0 for
-    // bookkeeping stages). Exceptions propagate out of the run.
-    std::function<double()> run;
     std::vector<std::size_t> successors;
     int initialPending{0};
     std::atomic<int> pending{0};
@@ -89,10 +91,17 @@ struct StageNode {
     StageNode& operator=(const StageNode&) = delete;
 };
 
+// The run's one node body: executes the node (kind, tick, user) and
+// returns its simulated stage cost in ms (0 for bookkeeping stages).
+// Exceptions propagate out of the run.
+using StageBody =
+    std::function<double(StageKind kind, std::uint32_t tick, std::size_t user)>;
+
 class StageGraph {
 public:
-    std::size_t addNode(StageKind kind, std::uint32_t tick, std::size_t user,
-                        std::function<double()> run);
+    explicit StageGraph(StageBody body) : body_(std::move(body)) {}
+
+    std::size_t addNode(StageKind kind, std::uint32_t tick, std::size_t user);
     // Dependency: 'to' may not start before 'from' completed. Edges must
     // point forward (from < to) so insertion order stays topological.
     void addEdge(std::size_t from, std::size_t to);
@@ -124,6 +133,7 @@ private:
     void simulateSchedules(PipelineStats& stats,
                            std::size_t scheduleWorkers) const;
 
+    StageBody body_;
     // deque: stable addresses, in-place construction (StageNode holds an
     // atomic and is neither copyable nor movable).
     std::deque<StageNode> nodes_;

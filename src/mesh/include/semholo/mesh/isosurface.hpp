@@ -52,11 +52,6 @@ struct IsoSurfaceOptions {
     // Worker pool the block-local extractor fans out over; nullptr runs
     // serially. Output is byte-identical for any worker count.
     core::ThreadPool* pool{nullptr};
-    // Optional SoA batch evaluator paired with the field (must be
-    // bit-identical per point — see BatchScalarField). When set, the
-    // dense field convenience overload samples grid rows through it
-    // instead of one std::function dispatch per node.
-    BatchScalarField batch;
 };
 
 // Counters from one extraction pass.
@@ -89,9 +84,10 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler& sampler,
 
 // Convenience: sample 'field' over 'bounds' at cubic resolution
 // 'resolution' and extract. This is the paper's "reconstruct mesh at
-// output resolution R" operation (Figures 2 and 4). Dense; sampling
-// goes through options.batch (SoA SIMD kernel) when set, one field
-// call per node otherwise.
+// output resolution R" operation (Figures 2 and 4). Dense: one serial
+// field call per node (VoxelGrid::sample), then extraction per
+// 'options'. The batch SIMD kernel is reached through the BlockSampler
+// overload below.
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options = {});
 

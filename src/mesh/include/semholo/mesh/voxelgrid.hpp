@@ -10,10 +10,6 @@
 #include "semholo/geometry/transform.hpp"
 #include "semholo/geometry/vec.hpp"
 
-namespace semholo::core {
-class ThreadPool;
-}  // namespace semholo::core
-
 namespace semholo::mesh {
 
 using geom::AABB;
@@ -44,17 +40,6 @@ public:
     // step that dominates reconstruction time in Figure 4; the sparse,
     // parallel sampler is BlockSampler (blocksampler.hpp).
     void sample(const ScalarField& field);
-
-    // Batch sampling: feed whole x rows of node positions through a SoA
-    // batch evaluator (one call per row instead of one std::function
-    // dispatch per node). 'batch' must be the bit-identical companion of
-    // 'field' (see BatchScalarField); the positions handed to it are
-    // exactly nodePosition(x, y, z), so the sampled grid equals the
-    // per-node path's. Falls back to sample(field) when 'batch' is
-    // empty. 'pool' fans z planes out over workers (nullptr = serial);
-    // results are identical for any worker count.
-    void sample(const ScalarField& field, const BatchScalarField& batch,
-                core::ThreadPool* pool = nullptr);
 
     Vec3i resolution() const { return res_; }
     const AABB& bounds() const { return bounds_; }

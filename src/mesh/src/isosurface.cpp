@@ -961,7 +961,7 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler& sampler,
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options) {
     VoxelGrid grid(bounds, {resolution, resolution, resolution});
-    grid.sample(field, options.batch, options.pool);
+    grid.sample(field);
     return extractIsoSurface(grid, options);
 }
 

@@ -4,8 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "semholo/core/thread_pool.hpp"
-
 namespace semholo::mesh {
 
 VoxelGrid::VoxelGrid(const AABB& bounds, Vec3i resolution)
@@ -25,48 +23,6 @@ void VoxelGrid::sample(const ScalarField& field) {
         for (int y = 0; y <= res_.y; ++y)
             for (int x = 0; x <= res_.x; ++x)
                 values_[index(x, y, z)] = field(nodePosition(x, y, z));
-}
-
-void VoxelGrid::sample(const ScalarField& field, const BatchScalarField& batch,
-                       core::ThreadPool* pool) {
-    if (!batch) {
-        sample(field);
-        return;
-    }
-    if (values_.empty()) return;
-    const int nx = res_.x + 1;
-    const int nyNodes = res_.y + 1;
-    const int nzNodes = res_.z + 1;
-
-    // x coordinates are shared by every row; y/z are constant per row.
-    std::vector<float> xs(static_cast<std::size_t>(nx));
-    for (int x = 0; x < nx; ++x) xs[static_cast<std::size_t>(x)] = nodePosition(x, 0, 0).x;
-
-    auto samplePlanes = [&](std::size_t z0, std::size_t z1) {
-        std::vector<float> ys(static_cast<std::size_t>(nx));
-        std::vector<float> zs(static_cast<std::size_t>(nx));
-        for (std::size_t z = z0; z < z1; ++z) {
-            for (int y = 0; y < nyNodes; ++y) {
-                const Vec3f row = nodePosition(0, y, static_cast<int>(z));
-                std::fill(ys.begin(), ys.end(), row.y);
-                std::fill(zs.begin(), zs.end(), row.z);
-                batch(xs.data(), ys.data(), zs.data(),
-                      values_.data() + index(0, y, static_cast<int>(z)),
-                      static_cast<std::size_t>(nx));
-            }
-        }
-    };
-
-    const auto planes = static_cast<std::size_t>(nzNodes);
-    if (pool == nullptr || pool->size() <= 1 || planes <= 1) {
-        samplePlanes(0, planes);
-        return;
-    }
-    core::ThreadPool& p = *pool;
-    const std::size_t chunks = std::min(planes, std::max<std::size_t>(1, p.size() * 4));
-    p.parallelFor(chunks, [&](std::size_t c) {
-        samplePlanes(planes * c / chunks, planes * (c + 1) / chunks);
-    });
 }
 
 Vec3f VoxelGrid::nodePosition(int x, int y, int z) const {

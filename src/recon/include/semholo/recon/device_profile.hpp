@@ -38,9 +38,10 @@ enum class ReconMode {
     // Legacy path: every node evaluated serially, per-node feature
     // activations held for the whole grid.
     Dense,
-    // Block-tiled path: Lipschitz-certified blocks are skipped, the rest
-    // fan out over a worker pool, and per-node intermediates are only
-    // materialised for the blocks that actually sample (~surface area).
+    // Block-tiled path: blocks the body field's certificate proves
+    // surface-free are skipped, the rest fan out over a worker pool, and
+    // per-node intermediates are only materialised for the blocks that
+    // actually sample (~surface area).
     Sparse,
 };
 

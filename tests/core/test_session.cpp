@@ -138,6 +138,29 @@ TEST(Session, DropWhenBusySkipsFramesForSlowStages) {
     }
 }
 
+TEST(Session, AchievableFpsAveragesDecodedFramesOnly) {
+    // achievableFps is 1000 / mean(max(extract, recon)) over the decoded
+    // frames. Frames lost on the link never reconstructed, so their
+    // extract-only cost must not enter the mean: with a 5 ms simulated
+    // reconstruction every decoded frame costs 5 ms, whatever the loss.
+    auto channel = makeSyntheticChannel({.payloadBytes = 20000,
+                                         .simulatedExtractMs = 2,
+                                         .simulatedReconMs = 5,
+                                         .rateAdaptive = false});
+    SessionConfig cfg = fastConfig(300);
+    cfg.timing = TimingModel::Simulated;
+    cfg.workers = 1;
+    cfg.link.lossRate = 0.05;
+    cfg.transfer.reliable = false;
+    const auto stats = runSession(*channel, sharedModel(), cfg);
+    const auto& counters = stats.telemetry.counters;
+    // Loss must leave frames undecoded for the mean to be at stake.
+    ASSERT_GT(counters.framesDecoded, 0u);
+    ASSERT_LT(counters.framesDecoded, 300u);
+    EXPECT_EQ(counters.framesDecoded, 137u);
+    EXPECT_DOUBLE_EQ(stats.achievableFps, 200.0);
+}
+
 TEST(Session, QueueingModeProcessesEveryFrame) {
     TextChannelOptions opt;
     opt.reconResolution = 32;

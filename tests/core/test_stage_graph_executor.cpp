@@ -21,16 +21,15 @@ namespace {
 
 TEST(StageGraphExecutor, LongChainRunsInChainOrder) {
     constexpr std::size_t kNodes = 10000;
-    StageGraph graph;
     std::vector<std::size_t> order;
     order.reserve(kNodes);
+    // The chain edges order every append after the previous one.
+    StageGraph graph([&order](StageKind, std::uint32_t tick, std::size_t) {
+        order.push_back(tick);
+        return 0.0;
+    });
     for (std::size_t i = 0; i < kNodes; ++i) {
-        // The chain edges order every append after the previous one.
-        graph.addNode(StageKind::Uplink, static_cast<std::uint32_t>(i), 0,
-                      [&order, i] {
-                          order.push_back(i);
-                          return 0.0;
-                      });
+        graph.addNode(StageKind::Uplink, static_cast<std::uint32_t>(i), 0);
         if (i > 0) graph.addEdge(i - 1, i);
     }
     ThreadPool pool(4);
@@ -54,42 +53,38 @@ TEST(StageGraphExecutor, FanOutRunsEveryNodeOnce) {
     constexpr std::size_t kFan = 300;
     for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
-        StageGraph graph;
         std::vector<std::size_t> nodes;
         auto runs = std::make_unique<std::atomic<int>[]>(2 * kChain + kFan + 1);
         std::atomic<int> finished{0};
         std::atomic<int> finishedBeforeJoin{-1};
-        const auto body = [&runs, &finished](std::size_t id) {
-            return [&runs, &finished, id] {
+        // Every node but the join carries its body id as its user.
+        StageGraph graph([&runs, &finished, &finishedBeforeJoin](
+                             StageKind kind, std::uint32_t, std::size_t id) {
+            if (kind == StageKind::Retire) {
+                finishedBeforeJoin.store(finished.load());
+            } else {
                 runs[id].fetch_add(1);
                 finished.fetch_add(1);
-                return 0.0;
-            };
-        };
+            }
+            return 0.0;
+        });
         std::size_t prev = 0;
         std::size_t id = 0;
         for (std::size_t i = 0; i < kChain; ++i) {
-            const std::size_t link =
-                graph.addNode(StageKind::Uplink, 0, i, body(id++));
+            const std::size_t link = graph.addNode(StageKind::Uplink, 0, id++);
             if (i > 0) graph.addEdge(prev, link);
-            const std::size_t leaf =
-                graph.addNode(StageKind::Decode, 0, i, body(id++));
+            const std::size_t leaf = graph.addNode(StageKind::Decode, 0, id++);
             graph.addEdge(link, leaf);
             nodes.push_back(leaf);
             prev = link;
         }
         for (std::size_t k = 0; k < kFan; ++k) {
-            const std::size_t fan =
-                graph.addNode(StageKind::Downlink, 0, k, body(id++));
+            const std::size_t fan = graph.addNode(StageKind::Downlink, 0, id++);
             graph.addEdge(prev, fan);
             nodes.push_back(fan);
         }
         const std::size_t total = id;
-        const std::size_t join = graph.addNode(
-            StageKind::Retire, 0, 0, [&finished, &finishedBeforeJoin] {
-                finishedBeforeJoin.store(finished.load());
-                return 0.0;
-            });
+        const std::size_t join = graph.addNode(StageKind::Retire, 0, 0);
         for (const std::size_t n : nodes) graph.addEdge(n, join);
         graph.addEdge(prev, join);
 
@@ -106,26 +101,27 @@ TEST(StageGraphExecutor, MidChainThrowRethrowsFirstErrorAndDrains) {
     constexpr std::size_t kThrowAt = 2000;
     for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
-        StageGraph graph;
         std::atomic<std::size_t> chainRuns{0};
         std::atomic<std::size_t> lastChainRun{0};
+        // Chain links from kThrowAt on all throw; only the first may
+        // surface, and the links after it must be skipped.
+        StageGraph graph([&chainRuns, &lastChainRun](StageKind kind,
+                                                     std::uint32_t,
+                                                     std::size_t i) {
+            if (kind != StageKind::Uplink) return 0.0;
+            chainRuns.fetch_add(1);
+            lastChainRun.store(i);
+            if (i >= kThrowAt)
+                throw std::runtime_error("link " + std::to_string(i));
+            return 0.0;
+        });
         std::size_t prev = 0;
         for (std::size_t i = 0; i < kChain; ++i) {
-            // Chain links from kThrowAt on all throw; only the first may
-            // surface, and the links after it must be skipped.
-            const std::size_t link = graph.addNode(
-                StageKind::Uplink, 0, i, [&chainRuns, &lastChainRun, i] {
-                    chainRuns.fetch_add(1);
-                    lastChainRun.store(i);
-                    if (i >= kThrowAt)
-                        throw std::runtime_error("link " + std::to_string(i));
-                    return 0.0;
-                });
+            const std::size_t link = graph.addNode(StageKind::Uplink, 0, i);
             if (i > 0) graph.addEdge(prev, link);
             // A side leaf per link keeps the executor posting work while
             // the chain continues.
-            const std::size_t leaf = graph.addNode(StageKind::Decode, 0, i,
-                                                   [] { return 0.0; });
+            const std::size_t leaf = graph.addNode(StageKind::Decode, 0, i);
             graph.addEdge(link, leaf);
             prev = link;
         }

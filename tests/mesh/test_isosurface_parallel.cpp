@@ -191,31 +191,6 @@ TEST(IsoSurfaceParallel, SurfaceClippedByGridBoundary) {
     }
 }
 
-TEST(IsoSurfaceParallel, BatchSampledConvenienceIsByteIdentical) {
-    // The dense convenience overload routed through a bit-identical
-    // BatchScalarField must produce the same mesh as the scalar path.
-    const Vec3f center{0.05f, -0.1f, 0.0f};
-    const float radius = 0.5f;
-    const auto field = sphereField(center, radius);
-    const int res = 33;
-
-    const TriMesh scalar = extractIsoSurface(field, unitBounds(), res);
-
-    IsoSurfaceOptions opt;
-    opt.batch = [center, radius](const float* xs, const float* ys,
-                                 const float* zs, float* out, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i)
-            out[i] = (Vec3f{xs[i], ys[i], zs[i]} - center).norm() - radius;
-    };
-    const TriMesh batched = extractIsoSurface(field, unitBounds(), res, opt);
-    expectIdenticalMeshes(scalar, batched);
-
-    core::ThreadPool pool(4);
-    opt.pool = &pool;
-    const TriMesh pooled = extractIsoSurface(field, unitBounds(), res, opt);
-    expectIdenticalMeshes(scalar, pooled);
-}
-
 TEST(IsoSurfaceParallel, WeldOptOutKeepsTriangleSet) {
     const auto field = capsuleField({-0.3f, 0.0f, 0.0f}, {0.3f, 0.2f, 0.0f}, 0.3f);
     const int res = 33;
