@@ -70,7 +70,7 @@ int main() {
         // Extraction-stage slice of the totals above (measured rows only).
         core::telemetry::Histogram denseExtractMs, sparseExtractMs;
         bool denseMeasured{}, sparseMeasured{};
-        recon::ReconstructionStats sparseStats;  // from the last sparse repeat
+        mesh::ReconCounters sparseStats;  // from the last sparse repeat
     };
     std::vector<Row> rows;
     // Cost models for the unmeasured tail, fitted on the LARGEST measured
@@ -191,7 +191,7 @@ int main() {
         const char* name;
         bool simd, octree;
         core::telemetry::Histogram ms;
-        recon::ReconstructionStats stats;
+        mesh::ReconCounters stats;
     };
     AblationRow ablations[] = {
         {"scalar+flat", false, false, {}, {}},
@@ -262,7 +262,7 @@ int main() {
         mesh::IsoSurfaceOptions extOpt;  // recon-path config for both sides
         extOpt.weldVertices = false;
         core::telemetry::Histogram legacyMs, blockMs;
-        mesh::ExtractStats es;
+        mesh::ReconCounters es;
         mesh::TriMesh legacyMesh, blockMesh;
         for (int i = 0; i < 5; ++i) {
             auto t0 = std::chrono::steady_clock::now();

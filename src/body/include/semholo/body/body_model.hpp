@@ -67,7 +67,6 @@ public:
     void add(std::uint32_t blended, std::uint32_t pruned) noexcept;
     std::uint64_t bonesBlended() const noexcept;
     std::uint64_t bonesPruned() const noexcept;
-    void reset() noexcept;
 
 private:
     static constexpr std::size_t kShards = 16;

@@ -162,13 +162,6 @@ std::uint64_t BodyFieldStats::bonesPruned() const noexcept {
     return total;
 }
 
-void BodyFieldStats::reset() noexcept {
-    for (Shard& s : shards_) {
-        s.blended.store(0, std::memory_order_relaxed);
-        s.pruned.store(0, std::memory_order_relaxed);
-    }
-}
-
 // ---- makeBodyField -------------------------------------------------------
 
 namespace {

@@ -71,9 +71,9 @@ struct DecodedFrame {
     double measuredReconMs{0.0};
     double simulatedReconMs{0.0};
     double reconMs() const { return measuredReconMs + simulatedReconMs; }
-    // Reconstruction work accounting, copied from the reconstructor's
-    // stats by mesh-producing channels. Aggregated into telemetry counters.
-    telemetry::ReconCounters recon;
+    // Reconstruction work accounting: the reconstructor's counters on
+    // mesh-producing channels. Aggregated into telemetry counters.
+    mesh::ReconCounters recon;
 };
 
 class SemanticChannel {

@@ -96,7 +96,7 @@ struct FrameStats {
     double chamfer{std::numeric_limits<double>::quiet_NaN()};
     // Reconstruction work accounting of this frame's decode; summed into
     // the session telemetry counters.
-    telemetry::ReconCounters recon;
+    mesh::ReconCounters recon;
 };
 
 // Per-session results. 'telemetry' is the one store of counts and
@@ -189,9 +189,12 @@ struct DownlinkStats {
     std::uint64_t packets{};
     std::uint64_t packetsDelivered{};
     std::uint64_t packetsUnrecovered{};
-    // This viewer's fraction of all bytes the server fanned out.
-    double fanoutShare{};
-    double meanTransferMs{};
+    // This viewer's fraction of all bytes the server fanned out; NaN
+    // when the server fanned out nothing.
+    double fanoutShare{std::numeric_limits<double>::quiet_NaN()};
+    // Mean downlink transfer time per forwarded frame; NaN when nothing
+    // was forwarded to this viewer.
+    double meanTransferMs{std::numeric_limits<double>::quiet_NaN()};
     std::vector<DownlinkStreamStats> streams;
 };
 

@@ -18,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "semholo/mesh/recon_counters.hpp"
+
 namespace semholo::core::telemetry {
 
 // Sample-retaining histogram: exact percentiles at bench scale (10^2..
@@ -59,21 +61,6 @@ private:
     mutable bool sortedValid_{false};
 };
 
-// Sparse-reconstruction work accounting of one decode, one frame or one
-// session (all zero on dense or image-only decode paths): how much of
-// the field pass the pruning layers elided, and what the
-// block-local extractor emitted. Carried by DecodedFrame, FrameStats
-// and Counters alike, and summed with +=.
-struct ReconCounters {
-    std::uint64_t blocksSkipped{};   // blocks certified crossing-free
-    std::uint64_t bonesPruned{};     // capsule blends skipped per query
-    std::uint64_t nodesEvaluated{};  // field evaluations actually run
-    std::uint64_t certTests{};       // analytic certificate invocations
-    std::uint64_t activeCells{};     // mixed-sign cells emitted from
-
-    ReconCounters& operator+=(const ReconCounters& other);
-};
-
 struct Counters {
     std::uint64_t framesCaptured{};
     std::uint64_t framesDelivered{};
@@ -90,7 +77,9 @@ struct Counters {
     std::uint64_t faultEvents{};       // fault windows / burst onsets entered
     std::uint64_t degradations{};      // quality-ladder step-downs
     std::uint64_t upgrades{};          // quality-ladder step-ups
-    ReconCounters recon;
+    // Reconstruction work summed over decoded frames (the same struct
+    // DecodedFrame and FrameStats carry).
+    mesh::ReconCounters recon;
 
     void merge(const Counters& other);
 };
@@ -142,7 +131,11 @@ struct SessionTelemetry {
 //      degradations and upgrades; pipeline drops event_driven. The
 //      embedded "telemetry" objects carry them (stages.e2e_ms.p95 is the
 //      one nearest-rank p95). Statistics over no samples (histogram
-//      mean/min/max/percentiles, achievable_fps, mean_chamfer) are null.
+//      mean/min/max/percentiles, achievable_fps, mean_chamfer) are null,
+//      as are, with no key changed, downlinks[].mean_transfer_ms when
+//      nothing was forwarded to the viewer, downlinks[].fanout_share
+//      when the server fanned out nothing, and BENCH_fig4's
+//      node_eval_fraction on rows whose sparse pass was not measured.
 inline constexpr std::uint64_t kBenchSchemaVersion = 7;
 
 // Minimal JSON document builder shared by the bench exporters, so ad-hoc

@@ -20,14 +20,6 @@ double msSince(std::chrono::steady_clock::time_point start) {
         .count();
 }
 
-// Surface the sparse-reconstruction work accounting through the decoded
-// frame so the session engines can aggregate it into telemetry.
-void copyReconStats(const recon::ReconstructionResult& result, DecodedFrame& out) {
-    const recon::ReconstructionStats& s = result.stats;
-    out.recon = {s.blocksSkipped, s.bonesPruned, s.nodesEvaluated,
-                 s.certTests,     s.activeCells};
-}
-
 void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
     for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
@@ -160,7 +152,7 @@ public:
         auto result = recon::reconstructFromPose(*pose, ro);
         out.valid = result.success;
         out.mesh = std::move(result.mesh);
-        copyReconStats(result, out);
+        out.recon = result.stats;
         out.measuredReconMs = msSince(t0);
         return out;
     }
@@ -218,7 +210,7 @@ public:
                 auto result = recon::reconstructFromPose(*pose, ro);
                 out.valid = result.success;
                 out.mesh = std::move(result.mesh);
-                copyReconStats(result, out);
+                out.recon = result.stats;
             } else {
                 out.valid = true;
             }
@@ -331,7 +323,7 @@ private:
         auto peripheral = recon::reconstructFromPose(*pose, ro);
         if (!peripheral.success) return false;
         out.mesh = std::move(peripheral.mesh);
-        copyReconStats(peripheral, out);
+        out.recon = peripheral.stats;
 
         // Graft the full-quality foveal mesh (seam blending is the open
         // challenge the paper notes; we overlay).

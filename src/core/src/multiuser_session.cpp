@@ -649,7 +649,7 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
                 d.stats.framesForwarded > 0
                     ? d.transferMsSum /
                           static_cast<double>(d.stats.framesForwarded)
-                    : 0.0;
+                    : std::numeric_limits<double>::quiet_NaN();
             out.serverFanoutFrames += d.stats.framesForwarded;
             out.serverFanoutBytes += d.stats.bytesForwarded;
             out.downlinks.push_back(std::move(d.stats));
@@ -658,7 +658,7 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
             d.fanoutShare = out.serverFanoutBytes > 0
                                 ? static_cast<double>(d.bytesForwarded) /
                                       static_cast<double>(out.serverFanoutBytes)
-                                : 0.0;
+                                : std::numeric_limits<double>::quiet_NaN();
     }
 
     finalizeMultiSessionStats(out, base);

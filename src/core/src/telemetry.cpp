@@ -106,15 +106,6 @@ double Histogram::percentile(double p) const {
     return s[rank == 0 ? 0 : rank - 1];
 }
 
-ReconCounters& ReconCounters::operator+=(const ReconCounters& other) {
-    blocksSkipped += other.blocksSkipped;
-    bonesPruned += other.bonesPruned;
-    nodesEvaluated += other.nodesEvaluated;
-    certTests += other.certTests;
-    activeCells += other.activeCells;
-    return *this;
-}
-
 void Counters::merge(const Counters& other) {
     framesCaptured += other.framesCaptured;
     framesDelivered += other.framesDelivered;

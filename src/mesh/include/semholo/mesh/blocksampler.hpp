@@ -21,10 +21,12 @@
 // deterministic across worker counts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
+#include "semholo/mesh/recon_counters.hpp"
 #include "semholo/mesh/voxelgrid.hpp"
 
 namespace semholo::core {
@@ -57,35 +59,76 @@ struct FieldSampleOptions {
     bool hierarchical{true};
 };
 
-struct FieldSampleStats {
-    std::size_t blocksTotal{};
-    std::size_t blocksSampled{};    // fully evaluated this pass
-    std::size_t blocksSkipped{};    // certified surface-free, filled
-    // Of blocksSkipped, how many were filled from a certified octree
-    // ancestor rather than their own leaf test.
-    std::size_t blocksCoarseFilled{};
-    std::uint64_t nodesEvaluated{}; // field evaluations incl. block centers
-    std::uint64_t nodesTotal{};     // grid nodes the dense path would touch
-    std::uint64_t certTests{};      // analytic certificate invocations
+// The block decomposition shared by BlockSampler and the extractor.
+// Per axis, a grid of R cells has R + 1 nodes, and block b owns nodes
+// [b*B, min(b*B + B - 1, R)] for block size B, so ceil((R + 1) / B)
+// blocks cover every node exactly once. A cell belongs to the block
+// owning its low corner node; that block's guard region (its nodes
+// plus one cell on every side) wholly contains the cell.
+class BlockTiling {
+public:
+    // Tiling of a grid extracted without a sampler, and of the
+    // field-sampling extractIsoSurface overload: 8-node blocks balance
+    // skip granularity against per-block overhead on body-scale grids.
+    static constexpr int kDefaultBlockSize = 8;
+    // The extractor packs a block's halo sign row (blockSize + 2 nodes)
+    // into one 64-bit word.
+    static constexpr int kMaxBlockSize = 62;
 
-    void merge(const FieldSampleStats& other);
-    double evalFraction() const {
-        return nodesTotal > 0
-                   ? static_cast<double>(nodesEvaluated) /
-                         static_cast<double>(nodesTotal)
-                   : 0.0;
+    // Throws std::invalid_argument when blockSize is outside
+    // [1, kMaxBlockSize].
+    BlockTiling(Vec3i resolution, int blockSize);
+
+    Vec3i blocks() const { return blocks_; }  // blocks per axis
+    int count() const { return blocks_.x * blocks_.y * blocks_.z; }
+
+    // Block index <-> block coordinate (x fastest).
+    int index(Vec3i c) const { return c.x + blocks_.x * (c.y + blocks_.y * c.z); }
+    Vec3i coord(int block) const {
+        return {block % blocks_.x, (block / blocks_.x) % blocks_.y,
+                block / (blocks_.x * blocks_.y)};
     }
+
+    // The block's owned nodes, inclusive on both ends. The ceiling in the
+    // constructor guarantees the last block covers the final (R-th) node
+    // plane.
+    struct NodeRange {
+        Vec3i lo;
+        Vec3i hi;
+        std::uint64_t count() const {
+            return static_cast<std::uint64_t>(hi.x - lo.x + 1) *
+                   static_cast<std::uint64_t>(hi.y - lo.y + 1) *
+                   static_cast<std::uint64_t>(hi.z - lo.z + 1);
+        }
+    };
+    NodeRange nodes(int block) const {
+        const Vec3i b = coord(block);
+        const Vec3i lo{b.x * blockSize_, b.y * blockSize_, b.z * blockSize_};
+        return {lo,
+                {std::min(lo.x + blockSize_ - 1, res_.x), std::min(lo.y + blockSize_ - 1, res_.y),
+                 std::min(lo.z + blockSize_ - 1, res_.z)}};
+    }
+
+    // The block owning cell (cx, cy, cz), i.e. owning node (cx, cy, cz).
+    int cellBlock(int cx, int cy, int cz) const {
+        return index({cx / blockSize_, cy / blockSize_, cz / blockSize_});
+    }
+
+private:
+    Vec3i res_{};
+    int blockSize_{kDefaultBlockSize};
+    Vec3i blocks_{};
 };
 
 // Tiles a VoxelGrid into cubical node blocks and samples a field into it
 // sparsely. Each sample() pass processes every block.
 class BlockSampler {
 public:
+    // Throws std::invalid_argument when blockSize is outside
+    // [1, BlockTiling::kMaxBlockSize].
     BlockSampler(VoxelGrid& grid, int blockSize);
 
-    int blockCount() const { return blocks_.x * blocks_.y * blocks_.z; }
-    Vec3i blockGrid() const { return blocks_; }
-    int blockSize() const { return blockSize_; }
+    const BlockTiling& tiling() const { return tiling_; }
 
     // World-space AABB of the block's guard region (node region expanded
     // by one cell): the region whose field values the block's skip
@@ -94,9 +137,9 @@ public:
 
     // Sample 'field' into the grid. Every block is either fully
     // evaluated or, if the options' certificate proves it surface-free,
-    // filled with its center value.
-    FieldSampleStats sample(const ScalarField& field,
-                            const FieldSampleOptions& options);
+    // filled with its center value. Returns the sampler's counters; the
+    // other ReconCounters fields stay zero.
+    ReconCounters sample(const ScalarField& field, const FieldSampleOptions& options);
 
     // Per-block surface-free verdicts from the most recent pass: 1 when
     // the block was skip-certified (no iso-crossing anywhere in its guard
@@ -104,39 +147,21 @@ public:
     // extraction uses this to visit only cells that can hold surface.
     const std::vector<std::uint8_t>& surfaceFree() const { return surfaceFree_; }
 
-    // Flattened block index of the block owning cell (cx, cy, cz) — the
-    // block whose guard region wholly contains that cell.
-    int cellBlock(int cx, int cy, int cz) const {
-        return (cx / blockSize_) +
-               blocks_.x * ((cy / blockSize_) + blocks_.y * (cz / blockSize_));
-    }
-
     // Bounding ball of an octree node's block range: contains the guard
     // region of every block in [lo, hi] (block coords, inclusive), so a
     // certificate that holds on the ball holds for every descendant.
     void nodeBall(Vec3i lo, Vec3i hi, Vec3f& center, float& radius) const;
 
 private:
-    struct BlockRange {
-        Vec3i nodeLo;  // first owned node (inclusive)
-        Vec3i nodeHi;  // last owned node (inclusive)
-    };
-    BlockRange blockRange(int block) const;
-    Vec3i blockCoord(int block) const;
-    int blockIndex(Vec3i c) const {
-        return c.x + blocks_.x * (c.y + blocks_.y * c.z);
-    }
-    std::uint64_t ownedNodes(int block) const;
-    void fillBlock(int block, float value);
-    // Evaluate or fill one block; returns nodes evaluated and whether the
-    // block was skipped.
+    void fillBlock(const BlockTiling::NodeRange& r, float value);
+    // Evaluate or fill one block, counting into 'stats'.
     void processBlock(int block, const ScalarField& field,
-                      const FieldSampleOptions& options, FieldSampleStats& stats);
+                      const FieldSampleOptions& options, ReconCounters& stats);
     // An octree node left undecided by the serial top levels, with the
     // outputs of its own descent.
     struct Subtree {
         Vec3i lo, hi;
-        FieldSampleStats stats;
+        ReconCounters stats;
         std::vector<int> work;
     };
     // Octree depth at which sample() hands nodes to pool tasks.
@@ -147,12 +172,11 @@ private:
     // kSplitDepth (and single blocks above it) are appended there
     // undecided instead.
     void descend(Vec3i lo, Vec3i hi, int depth, const ScalarField& field,
-                 const FieldSampleOptions& options, FieldSampleStats& stats,
+                 const FieldSampleOptions& options, ReconCounters& stats,
                  std::vector<int>& work, std::vector<Subtree>* split);
 
     VoxelGrid& grid_;
-    int blockSize_{8};
-    Vec3i blocks_{};
+    BlockTiling tiling_;
     float guardRadius_{0.0f};  // half-diagonal of a block's guard region
     std::vector<std::uint8_t> surfaceFree_;
 };

@@ -54,21 +54,15 @@ struct IsoSurfaceOptions {
     core::ThreadPool* pool{nullptr};
 };
 
-// Counters from one extraction pass.
-struct ExtractStats {
-    std::size_t blocksTotal{};           // blocks tiled over the grid
-    std::size_t blocksExtracted{};       // blocks holding >= 1 crossing edge
-    std::uint64_t activeCells{};         // mixed-sign cells emitted from
-    std::uint64_t vertices{};            // crossing-edge vertices emitted
-    std::uint64_t triangles{};           // table triangles emitted (pre-cleanup)
-};
-
 // Full-control entry point: extract the iso-surface of a sampled grid.
-// 'sampler' (optional) must tile 'grid'; cells in blocks it certified
-// surface-free are skipped — provably without changing the output.
-// 'stats' (optional) receives the pass counters.
+// 'sampler' (optional) must tile 'grid'; the extractor works on its
+// tiling and skips cells in blocks it certified surface-free — provably
+// without changing the output. Without a sampler the grid is tiled into
+// BlockTiling::kDefaultBlockSize-node blocks. 'stats' (optional)
+// receives the extractor's counters (blocksExtracted, activeCells,
+// vertices, triangles); its other fields are left as they are.
 TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
-                          const IsoSurfaceOptions& options, ExtractStats* stats);
+                          const IsoSurfaceOptions& options, ReconCounters* stats);
 
 // Extract the iso-surface of a sampled grid.
 TriMesh extractIsoSurface(const VoxelGrid& grid, const IsoSurfaceOptions& options = {});
@@ -91,14 +85,15 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler& sampler,
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options = {});
 
-// Sparse/parallel variant: samples through a BlockSampler with 8-node
-// blocks (certificate skips + worker-pool fan-out per 'sampling') before
-// extraction. With a sound certificate the result is bit-identical to
-// the dense overload. 'stats' (optional) receives the sampling counters.
+// Sparse/parallel variant: samples through a BlockSampler with
+// BlockTiling::kDefaultBlockSize-node blocks (certificate skips +
+// worker-pool fan-out per 'sampling') before extraction. With a sound
+// certificate the result is bit-identical to the dense overload.
+// 'stats' (optional) receives the sampling and extraction counters.
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options,
                           const FieldSampleOptions& sampling,
-                          FieldSampleStats* stats = nullptr);
+                          ReconCounters* stats = nullptr);
 
 // Reference implementation: the original serial cell scan with hashed
 // edge dedup and per-triangle geometric orientation. Retained for

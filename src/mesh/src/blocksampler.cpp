@@ -1,99 +1,63 @@
 #include "semholo/mesh/blocksampler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "semholo/core/thread_pool.hpp"
 
 namespace semholo::mesh {
 
-void FieldSampleStats::merge(const FieldSampleStats& other) {
-    blocksTotal += other.blocksTotal;
-    blocksSampled += other.blocksSampled;
-    blocksSkipped += other.blocksSkipped;
-    blocksCoarseFilled += other.blocksCoarseFilled;
-    nodesEvaluated += other.nodesEvaluated;
-    nodesTotal += other.nodesTotal;
-    certTests += other.certTests;
+BlockTiling::BlockTiling(Vec3i resolution, int blockSize)
+    : res_(resolution), blockSize_(blockSize) {
+    if (blockSize < 1 || blockSize > kMaxBlockSize)
+        throw std::invalid_argument("block size " + std::to_string(blockSize) +
+                                    " outside [1, " + std::to_string(kMaxBlockSize) +
+                                    "]");
+    auto div = [blockSize](int nodes) { return (nodes + blockSize - 1) / blockSize; };
+    blocks_ = {div(res_.x + 1), div(res_.y + 1), div(res_.z + 1)};
 }
 
 BlockSampler::BlockSampler(VoxelGrid& grid, int blockSize)
-    : grid_(grid), blockSize_(std::max(1, blockSize)) {
-    const Vec3i res = grid.resolution();
-    auto div = [this](int nodes) { return (nodes + blockSize_ - 1) / blockSize_; };
-    blocks_ = {div(res.x + 1), div(res.y + 1), div(res.z + 1)};
+    : grid_(grid), tiling_(grid.resolution(), blockSize) {
     // Guard region: blockSize-1 cells of owned node span plus one cell on
     // each side. Half-diagonal of a (blockSize+1)-cell box.
-    const Vec3f cell = grid.cellSize();
-    const float half = 0.5f * static_cast<float>(blockSize_ + 1);
-    guardRadius_ = (cell * half).norm();
+    const float half = 0.5f * static_cast<float>(blockSize + 1);
+    guardRadius_ = (grid.cellSize() * half).norm();
     // Unknown until a block is processed: extraction must visit it.
-    surfaceFree_.assign(static_cast<std::size_t>(blockCount()), 0);
-}
-
-Vec3i BlockSampler::blockCoord(int block) const {
-    const int bx = block % blocks_.x;
-    const int by = (block / blocks_.x) % blocks_.y;
-    const int bz = block / (blocks_.x * blocks_.y);
-    return {bx, by, bz};
-}
-
-BlockSampler::BlockRange BlockSampler::blockRange(int block) const {
-    const Vec3i b = blockCoord(block);
-    const Vec3i res = grid_.resolution();
-    // Each block owns blockSize_ node planes starting at b*blockSize_;
-    // the arithmetic ceiling in the constructor guarantees the last block
-    // covers the final (res-th) node plane.
-    auto hi = [this](int begin, int nodes) {
-        return std::min(begin + blockSize_ - 1, nodes);
-    };
-    const Vec3i lo{b.x * blockSize_, b.y * blockSize_, b.z * blockSize_};
-    return {lo, {hi(lo.x, res.x), hi(lo.y, res.y), hi(lo.z, res.z)}};
+    surfaceFree_.assign(static_cast<std::size_t>(tiling_.count()), 0);
 }
 
 geom::AABB BlockSampler::blockGuardBounds(int block) const {
-    const BlockRange r = blockRange(block);
+    const BlockTiling::NodeRange r = tiling_.nodes(block);
     const Vec3f cell = grid_.cellSize();
     geom::AABB box;
-    box.expand(grid_.nodePosition(r.nodeLo.x, r.nodeLo.y, r.nodeLo.z) -
-               cell);
-    box.expand(grid_.nodePosition(r.nodeHi.x, r.nodeHi.y, r.nodeHi.z) +
-               cell);
+    box.expand(grid_.nodePosition(r.lo.x, r.lo.y, r.lo.z) - cell);
+    box.expand(grid_.nodePosition(r.hi.x, r.hi.y, r.hi.z) + cell);
     return box;
 }
 
-std::uint64_t BlockSampler::ownedNodes(int block) const {
-    const BlockRange r = blockRange(block);
-    return static_cast<std::uint64_t>(r.nodeHi.x - r.nodeLo.x + 1) *
-           static_cast<std::uint64_t>(r.nodeHi.y - r.nodeLo.y + 1) *
-           static_cast<std::uint64_t>(r.nodeHi.z - r.nodeLo.z + 1);
-}
-
-void BlockSampler::fillBlock(int block, float value) {
-    const BlockRange r = blockRange(block);
-    for (int z = r.nodeLo.z; z <= r.nodeHi.z; ++z)
-        for (int y = r.nodeLo.y; y <= r.nodeHi.y; ++y)
-            for (int x = r.nodeLo.x; x <= r.nodeHi.x; ++x)
-                grid_.at(x, y, z) = value;
+void BlockSampler::fillBlock(const BlockTiling::NodeRange& r, float value) {
+    for (int z = r.lo.z; z <= r.hi.z; ++z)
+        for (int y = r.lo.y; y <= r.hi.y; ++y)
+            for (int x = r.lo.x; x <= r.hi.x; ++x) grid_.at(x, y, z) = value;
 }
 
 void BlockSampler::nodeBall(Vec3i lo, Vec3i hi, Vec3f& center,
                             float& radius) const {
     // Guard bounds are monotone in block coordinates, so the union over
     // the range is the box spanned by the two corner blocks' guards.
-    const geom::AABB first = blockGuardBounds(blockIndex(lo));
-    const geom::AABB last = blockGuardBounds(blockIndex(hi));
+    const geom::AABB first = blockGuardBounds(tiling_.index(lo));
+    const geom::AABB last = blockGuardBounds(tiling_.index(hi));
     center = (first.lo + last.hi) * 0.5f;
     radius = (last.hi - center).norm();
 }
 
 void BlockSampler::processBlock(int block, const ScalarField& field,
                                 const FieldSampleOptions& options,
-                                FieldSampleStats& stats) {
-    const BlockRange r = blockRange(block);
-    const auto owned =
-        static_cast<std::uint64_t>(r.nodeHi.x - r.nodeLo.x + 1) *
-        static_cast<std::uint64_t>(r.nodeHi.y - r.nodeLo.y + 1) *
-        static_cast<std::uint64_t>(r.nodeHi.z - r.nodeLo.z + 1);
+                                ReconCounters& stats) {
+    const BlockTiling::NodeRange r = tiling_.nodes(block);
+    const std::uint64_t owned = r.count();
     stats.nodesTotal += owned;
 
     if (options.certificate) {
@@ -102,14 +66,14 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
         // midpoint with the full guard radius stays conservative because
         // the guard region never extends more than guardRadius_ from it.
         const Vec3f center =
-            (grid_.nodePosition(r.nodeLo.x, r.nodeLo.y, r.nodeLo.z) +
-             grid_.nodePosition(r.nodeHi.x, r.nodeHi.y, r.nodeHi.z)) *
+            (grid_.nodePosition(r.lo.x, r.lo.y, r.lo.z) +
+             grid_.nodePosition(r.hi.x, r.hi.y, r.hi.z)) *
             0.5f;
         ++stats.certTests;
         if (options.certificate(center, guardRadius_)) {
             // Fill with the (correctly signed) center value so extraction
             // cells that straddle this block see a consistent field.
-            fillBlock(block, field(center));
+            fillBlock(r, field(center));
             ++stats.nodesEvaluated;
             ++stats.blocksSkipped;
             surfaceFree_[static_cast<std::size_t>(block)] = 1;
@@ -128,9 +92,9 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
         zs.resize(n);
         vals.resize(n);
         std::size_t i = 0;
-        for (int z = r.nodeLo.z; z <= r.nodeHi.z; ++z)
-            for (int y = r.nodeLo.y; y <= r.nodeHi.y; ++y)
-                for (int x = r.nodeLo.x; x <= r.nodeHi.x; ++x, ++i) {
+        for (int z = r.lo.z; z <= r.hi.z; ++z)
+            for (int y = r.lo.y; y <= r.hi.y; ++y)
+                for (int x = r.lo.x; x <= r.hi.x; ++x, ++i) {
                     const Vec3f p = grid_.nodePosition(x, y, z);
                     xs[i] = p.x;
                     ys[i] = p.y;
@@ -138,14 +102,14 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
                 }
         options.batch(xs.data(), ys.data(), zs.data(), vals.data(), n);
         i = 0;
-        for (int z = r.nodeLo.z; z <= r.nodeHi.z; ++z)
-            for (int y = r.nodeLo.y; y <= r.nodeHi.y; ++y)
-                for (int x = r.nodeLo.x; x <= r.nodeHi.x; ++x, ++i)
+        for (int z = r.lo.z; z <= r.hi.z; ++z)
+            for (int y = r.lo.y; y <= r.hi.y; ++y)
+                for (int x = r.lo.x; x <= r.hi.x; ++x, ++i)
                     grid_.at(x, y, z) = vals[i];
     } else {
-        for (int z = r.nodeLo.z; z <= r.nodeHi.z; ++z)
-            for (int y = r.nodeLo.y; y <= r.nodeHi.y; ++y)
-                for (int x = r.nodeLo.x; x <= r.nodeHi.x; ++x)
+        for (int z = r.lo.z; z <= r.hi.z; ++z)
+            for (int y = r.lo.y; y <= r.hi.y; ++y)
+                for (int x = r.lo.x; x <= r.hi.x; ++x)
                     grid_.at(x, y, z) = field(grid_.nodePosition(x, y, z));
     }
     stats.nodesEvaluated += owned;
@@ -156,7 +120,7 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
 void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
                            const ScalarField& field,
                            const FieldSampleOptions& options,
-                           FieldSampleStats& stats, std::vector<int>& work,
+                           ReconCounters& stats, std::vector<int>& work,
                            std::vector<Subtree>* split) {
     const bool single = lo.x == hi.x && lo.y == hi.y && lo.z == hi.z;
     if (split != nullptr && (single || depth == kSplitDepth)) {
@@ -166,7 +130,7 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
     }
     if (single) {
         // Single block: processBlock runs the leaf certificate as usual.
-        work.push_back(blockIndex(lo));
+        work.push_back(tiling_.index(lo));
         return;
     }
 
@@ -188,11 +152,12 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
         for (int z = lo.z; z <= hi.z; ++z)
             for (int y = lo.y; y <= hi.y; ++y)
                 for (int x = lo.x; x <= hi.x; ++x) {
-                    const int b = blockIndex({x, y, z});
-                    fillBlock(b, d);
+                    const int b = tiling_.index({x, y, z});
+                    const BlockTiling::NodeRange r = tiling_.nodes(b);
+                    fillBlock(r, d);
                     ++stats.blocksSkipped;
                     ++stats.blocksCoarseFilled;
-                    stats.nodesTotal += ownedNodes(b);
+                    stats.nodesTotal += r.count();
                     surfaceFree_[static_cast<std::size_t>(b)] = 1;
                 }
         return;
@@ -229,11 +194,11 @@ void runTasks(core::ThreadPool* pool, std::size_t count, F&& fn) {
 
 }  // namespace
 
-FieldSampleStats BlockSampler::sample(const ScalarField& field,
+ReconCounters BlockSampler::sample(const ScalarField& field,
                                       const FieldSampleOptions& options) {
-    FieldSampleStats total;
-    const int count = blockCount();
-    total.blocksTotal = static_cast<std::size_t>(count);
+    ReconCounters total;
+    const int count = tiling_.count();
+    total.blocksTotal = static_cast<std::uint64_t>(count);
 
     std::vector<int> work;
     work.reserve(static_cast<std::size_t>(count));
@@ -249,7 +214,8 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
         // reproduces the serial work list exactly, and the stats are
         // sums.
         std::vector<Subtree> subtrees;
-        descend({0, 0, 0}, {blocks_.x - 1, blocks_.y - 1, blocks_.z - 1}, 0,
+        const Vec3i blocks = tiling_.blocks();
+        descend({0, 0, 0}, {blocks.x - 1, blocks.y - 1, blocks.z - 1}, 0,
                 field, options, total, work, &subtrees);
         runTasks(options.pool, subtrees.size(), [&](std::size_t i) {
             Subtree& s = subtrees[i];
@@ -257,7 +223,7 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
                     nullptr);
         });
         for (const Subtree& s : subtrees) {
-            total.merge(s.stats);
+            total += s.stats;
             work.insert(work.end(), s.work.begin(), s.work.end());
         }
     } else {
@@ -271,14 +237,14 @@ FieldSampleStats BlockSampler::sample(const ScalarField& field,
     const std::size_t workers = options.pool != nullptr ? options.pool->size() : 1;
     const std::size_t chunks =
         std::min(work.size(), std::max<std::size_t>(1, workers * 8));
-    std::vector<FieldSampleStats> perChunk(chunks);
+    std::vector<ReconCounters> perChunk(chunks);
     runTasks(options.pool, chunks, [&](std::size_t c) {
         const std::size_t begin = work.size() * c / chunks;
         const std::size_t end = work.size() * (c + 1) / chunks;
         for (std::size_t i = begin; i < end; ++i)
             processBlock(work[i], field, options, perChunk[c]);
     });
-    for (const FieldSampleStats& s : perChunk) total.merge(s);
+    for (const ReconCounters& s : perChunk) total += s;
     return total;
 }
 

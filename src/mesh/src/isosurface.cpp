@@ -121,7 +121,7 @@ TriMesh extractLegacyImpl(const VoxelGrid& grid, const IsoSurfaceOptions& option
             for (int x = 0; x < res.x; ++x) {
                 if (surfaceFree != nullptr &&
                     (*surfaceFree)[static_cast<std::size_t>(
-                        sampler->cellBlock(x, y, z))] != 0)
+                        sampler->tiling().cellBlock(x, y, z))] != 0)
                     continue;
                 for (int i = 0; i < 8; ++i) {
                     const int cx = x + (i & 1);
@@ -422,9 +422,6 @@ const CaseTable& caseTable() {
 // costs a few redundant compares, not synchronisation.
 // ---------------------------------------------------------------------
 
-constexpr int kDenseBlockSize = 8;  // tiling when no sampler is supplied
-constexpr int kMaxBlockSize = 62;   // halo row (bs + 2 bits) must fit a word
-
 inline std::uint64_t maskBits(int n) {
     return n >= 64 ? ~0ull : ((1ull << n) - 1ull);
 }
@@ -437,45 +434,23 @@ struct BlockGeom {
     Vec3i cells{};  // owned cell counts
 };
 
-struct Tiling {
-    Vec3i res{};
-    int bs{kDenseBlockSize};
-    Vec3i nblocks{};
-
-    Tiling(Vec3i resolution, int blockSize) : res(resolution), bs(blockSize) {
-        auto div = [blockSize](int nodes) { return (nodes + blockSize - 1) / blockSize; };
-        nblocks = {div(res.x + 1), div(res.y + 1), div(res.z + 1)};
-    }
-    std::size_t count() const {
-        return static_cast<std::size_t>(nblocks.x) * nblocks.y * nblocks.z;
-    }
-    std::size_t index(int bx, int by, int bz) const {
-        return static_cast<std::size_t>(bx) +
-               static_cast<std::size_t>(nblocks.x) *
-                   (static_cast<std::size_t>(by) +
-                    static_cast<std::size_t>(nblocks.y) * static_cast<std::size_t>(bz));
-    }
-    BlockGeom geom(std::size_t b) const {
-        const int bx = static_cast<int>(b % nblocks.x);
-        const int by = static_cast<int>((b / nblocks.x) % nblocks.y);
-        const int bz = static_cast<int>(b / (static_cast<std::size_t>(nblocks.x) * nblocks.y));
-        BlockGeom g;
-        g.lo = {bx * bs, by * bs, bz * bs};
-        const Vec3i hi{std::min(g.lo.x + bs - 1, res.x), std::min(g.lo.y + bs - 1, res.y),
-                       std::min(g.lo.z + bs - 1, res.z)};
-        g.owned = {hi.x - g.lo.x + 1, hi.y - g.lo.y + 1, hi.z - g.lo.z + 1};
-        g.walk = {std::min(hi.x + 1, res.x) - g.lo.x + 1,
-                  std::min(hi.y + 1, res.y) - g.lo.y + 1,
-                  std::min(hi.z + 1, res.z) - g.lo.z + 1};
-        g.halo = {std::min(hi.x + 2, res.x) - g.lo.x + 1,
-                  std::min(hi.y + 2, res.y) - g.lo.y + 1,
-                  std::min(hi.z + 2, res.z) - g.lo.z + 1};
-        g.cells = {std::max(0, std::min(hi.x, res.x - 1) - g.lo.x + 1),
-                   std::max(0, std::min(hi.y, res.y - 1) - g.lo.y + 1),
-                   std::max(0, std::min(hi.z, res.z - 1) - g.lo.z + 1)};
-        return g;
-    }
-};
+// The extractor's view of one tiling block: its owned nodes and the
+// walk / halo / cell extents derived from them at the grid's edge.
+inline BlockGeom blockGeom(const BlockTiling& tiling, const Vec3i& res, std::size_t b) {
+    const BlockTiling::NodeRange r = tiling.nodes(static_cast<int>(b));
+    const Vec3i& hi = r.hi;
+    BlockGeom g;
+    g.lo = r.lo;
+    g.owned = {hi.x - g.lo.x + 1, hi.y - g.lo.y + 1, hi.z - g.lo.z + 1};
+    g.walk = {std::min(hi.x + 1, res.x) - g.lo.x + 1, std::min(hi.y + 1, res.y) - g.lo.y + 1,
+              std::min(hi.z + 1, res.z) - g.lo.z + 1};
+    g.halo = {std::min(hi.x + 2, res.x) - g.lo.x + 1, std::min(hi.y + 2, res.y) - g.lo.y + 1,
+              std::min(hi.z + 2, res.z) - g.lo.z + 1};
+    g.cells = {std::max(0, std::min(hi.x, res.x - 1) - g.lo.x + 1),
+               std::max(0, std::min(hi.y, res.y - 1) - g.lo.y + 1),
+               std::max(0, std::min(hi.z, res.z - 1) - g.lo.z + 1)};
+    return g;
+}
 
 inline std::size_t gridIndex(const Vec3i& res, int x, int y, int z) {
     return (static_cast<std::size_t>(z) * (res.y + 1) + static_cast<std::size_t>(y)) *
@@ -633,21 +608,15 @@ void parallelChunks(core::ThreadPool* pool, std::size_t count, F&& fn) {
 }
 
 TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
-                         const IsoSurfaceOptions& options, ExtractStats* stats) {
+                         const IsoSurfaceOptions& options, ReconCounters* stats) {
     TriMesh out;
-    if (stats != nullptr) *stats = {};
     const Vec3i res = grid.resolution();
     if (res.x < 1 || res.y < 1 || res.z < 1) return out;
 
-    const int bs = sampler != nullptr ? sampler->blockSize() : kDenseBlockSize;
-    if (bs < 1 || bs > kMaxBlockSize) {
-        // Exotic tiling the row words can't hold: fall back to the
-        // reference path (same output up to vertex numbering).
-        return extractLegacyImpl(grid, options, sampler);
-    }
-
-    const Tiling tiling(res, bs);
-    const std::size_t numBlocks = tiling.count();
+    const BlockTiling tiling = sampler != nullptr
+                                   ? sampler->tiling()
+                                   : BlockTiling(res, BlockTiling::kDefaultBlockSize);
+    const std::size_t numBlocks = static_cast<std::size_t>(tiling.count());
     const CaseTable& table = caseTable();
     const float iso = options.isoValue;
 
@@ -671,7 +640,7 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     // ---- Pass 1: sign rows + topology (parallel over blocks) ----
     parallelChunks(options.pool, work.size(), [&](std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) {
-            const BlockGeom g = tiling.geom(work[i]);
+            const BlockGeom g = blockGeom(tiling, res, work[i]);
             buildSignRows(grid, g, iso, blocks[i].signRows);
             computeTopology(g, table, blocks[i]);
         }
@@ -685,10 +654,10 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     std::vector<std::uint32_t> rowBaseV(
         static_cast<std::size_t>(res.z + 1) * (res.y + 1), 0);
     std::vector<std::uint32_t> rowBaseT(static_cast<std::size_t>(res.z) * res.y, 0);
-    std::size_t blocksExtracted = 0;
+    std::uint64_t blocksExtracted = 0;
     std::uint64_t activeCells = 0;
     for (std::size_t i = 0; i < work.size(); ++i) {
-        const BlockGeom g = tiling.geom(work[i]);
+        const BlockGeom g = blockGeom(tiling, res, work[i]);
         const Block& B = blocks[i];
         if (B.vertexCount > 0 || !B.cells.empty()) ++blocksExtracted;
         activeCells += B.cells.size();
@@ -715,7 +684,7 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
         tTotal += c;
     }
     for (std::size_t i = 0; i < work.size(); ++i) {
-        const BlockGeom g = tiling.geom(work[i]);
+        const BlockGeom g = blockGeom(tiling, res, work[i]);
         Block& B = blocks[i];
         for (int lz = 0; lz < g.owned.z; ++lz) {
             for (int ly = 0; ly < g.owned.y; ++ly) {
@@ -740,7 +709,6 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     out.triangles.resize(tTotal);
 
     if (stats != nullptr) {
-        stats->blocksTotal = numBlocks;
         stats->blocksExtracted = blocksExtracted;
         stats->activeCells = activeCells;
         stats->vertices = vTotal;
@@ -753,12 +721,12 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
         std::vector<std::uint32_t> edgeMap;  // reused across the chunk's blocks
         std::array<std::uint64_t, 7> cw;
         for (std::size_t i = i0; i < i1; ++i) {
-            const BlockGeom g = tiling.geom(work[i]);
+            const BlockGeom g = blockGeom(tiling, res, work[i]);
             const Block& B = blocks[i];
             if (B.vertexCount == 0 && B.cells.empty()) continue;
             edgeMap.resize(static_cast<std::size_t>(g.walk.x) * g.walk.y * g.walk.z *
                            kSlotsPerNode);
-            const int bx = g.lo.x / bs;
+            const Vec3i bc = tiling.coord(static_cast<int>(work[i]));
 
             // Edge -> global vertex index, walking rows in canonical
             // order. Rows owned by this block start at segBaseV; halo
@@ -778,11 +746,14 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
                     if (ownRow) {
                         ord = B.segBaseV[static_cast<std::size_t>(lz) * g.owned.y + ly];
                     } else {
-                        const std::size_t ob = tiling.index(bx, gy / bs, gz / bs);
+                        // The owner is the next block up in y and/or z.
+                        const auto ob = static_cast<std::size_t>(tiling.index(
+                            {bc.x, bc.y + (ly >= g.owned.y ? 1 : 0),
+                             bc.z + (lz >= g.owned.z ? 1 : 0)}));
                         const std::int32_t os = slot[ob];
                         if (os < 0) continue;
                         const Block& OB = blocks[static_cast<std::size_t>(os)];
-                        const BlockGeom og = tiling.geom(ob);
+                        const BlockGeom og = blockGeom(tiling, res, ob);
                         ord = OB.segBaseV[static_cast<std::size_t>(gz - og.lo.z) *
                                               og.owned.y +
                                           (gy - og.lo.y)];
@@ -945,7 +916,7 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
 }  // namespace
 
 TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
-                          const IsoSurfaceOptions& options, ExtractStats* stats) {
+                          const IsoSurfaceOptions& options, ReconCounters* stats) {
     return extractBlockImpl(grid, sampler, options, stats);
 }
 
@@ -967,15 +938,12 @@ TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
 
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options,
-                          const FieldSampleOptions& sampling,
-                          FieldSampleStats* stats) {
+                          const FieldSampleOptions& sampling, ReconCounters* stats) {
     VoxelGrid grid(bounds, {resolution, resolution, resolution});
-    // 8-node blocks balance skip granularity against per-block overhead
-    // for body-scale grids.
-    BlockSampler sampler(grid, 8);
-    const FieldSampleStats s = sampler.sample(field, sampling);
-    if (stats != nullptr) *stats = s;
-    return extractIsoSurface(grid, sampler, options);
+    BlockSampler sampler(grid, BlockTiling::kDefaultBlockSize);
+    const ReconCounters sampled = sampler.sample(field, sampling);
+    if (stats != nullptr) *stats = sampled;
+    return extractIsoSurface(grid, &sampler, options, stats);
 }
 
 TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid, const IsoSurfaceOptions& options) {

@@ -1,5 +1,5 @@
 // Bandwidth estimation and adaptive bitrate control (section 3.2's
-// "Reducing Latency with Rate Adaption"): throughput estimators in the
+// "Reducing Latency with Rate Adaption"): a throughput estimator in the
 // FESTIVE/Pensieve tradition and two ABR controllers — pure rate-based
 // and a buffer-aware hybrid — that pick a level from a quality ladder
 // (image resolutions for the NeRF channel, mesh bit depths for the
@@ -12,20 +12,6 @@
 #include <vector>
 
 namespace semholo::net {
-
-// Exponentially weighted moving average of throughput samples (bps).
-class EwmaEstimator {
-public:
-    explicit EwmaEstimator(double alpha = 0.25) : alpha_(alpha) {}
-    void addSample(double bps);
-    double estimate() const { return value_; }
-    bool hasEstimate() const { return initialized_; }
-
-private:
-    double alpha_;
-    double value_{0.0};
-    bool initialized_{false};
-};
 
 // Harmonic mean of the last K samples: robust to upward spikes, the
 // standard conservative ABR estimator.

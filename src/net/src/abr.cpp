@@ -4,15 +4,6 @@
 
 namespace semholo::net {
 
-void EwmaEstimator::addSample(double bps) {
-    if (!initialized_) {
-        value_ = bps;
-        initialized_ = true;
-        return;
-    }
-    value_ = alpha_ * bps + (1.0 - alpha_) * value_;
-}
-
 void HarmonicEstimator::addSample(double bps) {
     if (bps <= 0.0) return;
     samples_.push_back(bps);

@@ -14,7 +14,7 @@
 #include "semholo/body/body_model.hpp"
 #include "semholo/body/ik.hpp"
 #include "semholo/capture/keypoints.hpp"
-#include "semholo/mesh/blocksampler.hpp"
+#include "semholo/mesh/recon_counters.hpp"
 #include "semholo/recon/device_profile.hpp"
 
 namespace semholo::core {
@@ -60,16 +60,6 @@ struct ReconstructionOptions {
 // extra per-block tests.
 int resolveBlockSize(int resolution);
 
-// Counters from one reconstruction: the sampler's (all zero in dense
-// mode) plus the field's and the extractor's.
-struct ReconstructionStats : mesh::FieldSampleStats {
-    std::uint64_t bonesBlended{0};  // capsule blends actually executed
-    std::uint64_t bonesPruned{0};   // capsule blends skipped via bounds
-    // Extraction-stage counter (set in both modes — the block-local
-    // extractor runs everywhere).
-    std::uint64_t activeCells{0};  // mixed-sign cells emitted from
-};
-
 struct ReconstructionResult {
     TriMesh mesh;
     bool success{false};
@@ -82,7 +72,9 @@ struct ReconstructionResult {
     double totalMs() const { return ikMs + fieldSampleMs + extractMs; }
     double fps() const { return totalMs() > 0.0 ? 1000.0 / totalMs() : 0.0; }
     std::size_t gridBytes{0};
-    ReconstructionStats stats;
+    // Sampler counters (all zero in dense mode), the body field's pruning
+    // tally and the extractor's counters.
+    mesh::ReconCounters stats;
 };
 
 // Reconstruct from raw keypoint observations (includes the IK stage).

@@ -61,9 +61,7 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         // against.
         mesh::IsoSurfaceOptions iso;
         iso.weldVertices = false;
-        mesh::ExtractStats es;
-        result.mesh = mesh::extractIsoSurface(grid, nullptr, iso, &es);
-        result.stats.activeCells = es.activeCells;
+        result.mesh = mesh::extractIsoSurface(grid, nullptr, iso, &result.stats);
         result.extractMs = msSince(t0);
     } else {
         body::BodyFieldOptions fieldOpt;
@@ -80,11 +78,8 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         auto t0 = std::chrono::steady_clock::now();
         mesh::VoxelGrid grid(body.bounds, res);
         mesh::BlockSampler sampler(grid, blockSize);
-        static_cast<mesh::FieldSampleStats&>(result.stats) =
-            sampler.sample(body.field, sampling);
+        result.stats = sampler.sample(body.field, sampling);
         result.fieldSampleMs = msSince(t0);
-
-        result.stats.bonesBlended = body.stats->bonesBlended();
         result.stats.bonesPruned = body.stats->bonesPruned();
 
         t0 = std::chrono::steady_clock::now();
@@ -94,9 +89,7 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         mesh::IsoSurfaceOptions iso;
         iso.weldVertices = false;
         iso.pool = sampling.pool;
-        mesh::ExtractStats es;
-        result.mesh = mesh::extractIsoSurface(grid, &sampler, iso, &es);
-        result.stats.activeCells = es.activeCells;
+        result.mesh = mesh::extractIsoSurface(grid, &sampler, iso, &result.stats);
         result.extractMs = msSince(t0);
     }
     result.success = !result.mesh.empty();

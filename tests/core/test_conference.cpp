@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "semholo/core/conference.hpp"
@@ -174,6 +175,27 @@ TEST(Conference, DownlinkBytesSumToServerFanoutTotals) {
     double share = 0.0;
     for (const DownlinkStats& d : stats.downlinks) share += d.fanoutShare;
     EXPECT_NEAR(share, 1.0, 1e-9);
+}
+
+TEST(Conference, UnsubscribedViewersReportNoDataNotZero) {
+    // Every viewer subscribes to nothing: the server forwards no frame,
+    // so per-viewer transfer means and fan-out shares have no samples,
+    // and adaptive-mesh decodes sample no field nodes.
+    auto conf = congestedConference(3, ArbiterStrategy::None, true);
+    for (auto& p : conf.participants) p.subscription.rungs = {{0, 1.0}};
+    const auto stats = runConference(conf, sharedModel());
+    EXPECT_EQ(stats.serverFanoutBytes, 0u);
+    ASSERT_EQ(stats.downlinks.size(), 3u);
+    for (const DownlinkStats& d : stats.downlinks) {
+        EXPECT_EQ(d.framesForwarded, 0u);
+        EXPECT_TRUE(std::isnan(d.meanTransferMs)) << "viewer " << d.viewer;
+        EXPECT_TRUE(std::isnan(d.fanoutShare)) << "viewer " << d.viewer;
+    }
+    for (const auto& u : stats.perUser)
+        EXPECT_TRUE(std::isnan(u.telemetry.counters.recon.evalFraction()));
+    const std::string json = toJsonValue(stats);
+    EXPECT_NE(json.find("\"fanout_share\":null"), std::string::npos);
+    EXPECT_NE(json.find("\"mean_transfer_ms\":null"), std::string::npos);
 }
 
 TEST(Conference, PacketConservationOnEveryUplinkAndDownlink) {

@@ -168,6 +168,9 @@ TEST(FullPipeline, SessionOverFluctuatingLink) {
     cfg.link.bandwidth = net::BandwidthTrace::sine(2e6, 30e6, 0.5);
     cfg.link.jitterStddevS = 0.003;
     cfg.link.lossRate = 0.01;
+    // Receiver-busy drops follow the simulated clock, which host load
+    // cannot move.
+    cfg.timing = core::TimingModel::Simulated;
     auto channel = core::makeKeypointChannel({.reconResolution = 16});
     const auto stats = core::runSession(*channel, sharedModel(), cfg);
     // The tiny payload survives even the 2 Mbps troughs.

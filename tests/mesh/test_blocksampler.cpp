@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <stdexcept>
 #include <vector>
 
 #include "semholo/core/thread_pool.hpp"
@@ -57,7 +58,7 @@ TEST(BlockSampler, SparseGridMatchesDenseWhereSampled) {
     BlockSampler sampler(sparse, 8);
     FieldSampleOptions opt;
     opt.certificate = sphereCertificate(center, 0.4f);
-    const FieldSampleStats stats = sampler.sample(field, opt);
+    const ReconCounters stats = sampler.sample(field, opt);
 
     EXPECT_GT(stats.blocksSkipped, 0u);
     EXPECT_GT(stats.blocksSampled, 0u);
@@ -86,7 +87,7 @@ TEST(BlockSampler, SparseExtractionBitIdenticalToDense) {
         FieldSampleOptions opt;
         opt.certificate = sphereCertificate({0.0f, 0.0f, 0.0f}, 0.55f);
         opt.hierarchical = false;  // the flat per-block test, end to end
-        FieldSampleStats stats;
+        ReconCounters stats;
         const TriMesh sparse =
             extractIsoSurface(field, unitBounds(), res, {}, opt, &stats);
         EXPECT_GT(stats.blocksSkipped, 0u) << "res " << res;
@@ -129,7 +130,7 @@ TEST(BlockSampler, NoCertificateMatchesDenseEverywhere) {
     VoxelGrid sparse(unitBounds(), {res, res, res});
     BlockSampler sampler(sparse, 8);
     FieldSampleOptions opt;  // no certificate: every block is sampled
-    const FieldSampleStats stats = sampler.sample(field, opt);
+    const ReconCounters stats = sampler.sample(field, opt);
     EXPECT_EQ(stats.blocksSkipped, 0u);
     EXPECT_EQ(stats.nodesEvaluated, stats.nodesTotal);
     for (int z = 0; z <= res; ++z)
@@ -148,7 +149,7 @@ TEST(BlockSampler, AnalyticCertificateSkipsAndStaysExact) {
 
     FieldSampleOptions opt;
     opt.certificate = sphereCertificate(center, radius);
-    FieldSampleStats stats;
+    ReconCounters stats;
     const TriMesh sparse = extractIsoSurface(field, unitBounds(), res, {}, opt, &stats);
     EXPECT_GT(stats.blocksSkipped, 0u);
     expectIdenticalMeshes(dense, sparse);
@@ -159,7 +160,7 @@ TEST(BlockSampler, AnalyticCertificateSkipsAndStaysExact) {
 struct OctreePass {
     std::vector<float> values;
     std::vector<std::uint8_t> surfaceFree;
-    FieldSampleStats stats;
+    ReconCounters stats;
 };
 
 // Octree sampling of a sphere SDF with its exact analytic certificate.
@@ -225,10 +226,20 @@ TEST(BlockSampler, CellBlockCoversWholeGrid) {
     for (int z = 0; z < 20; ++z)
         for (int y = 0; y < 20; ++y)
             for (int x = 0; x < 20; ++x) {
-                const int b = sampler.cellBlock(x, y, z);
+                const int b = sampler.tiling().cellBlock(x, y, z);
                 ASSERT_GE(b, 0);
-                ASSERT_LT(b, sampler.blockCount());
+                ASSERT_LT(b, sampler.tiling().count());
             }
+}
+
+TEST(BlockSampler, RejectsBlockSizesOutsideOneTo62) {
+    // Extraction packs a block's halo sign row (blockSize + 2 nodes) into
+    // one 64-bit word, so 62 is the largest tiling it can work on.
+    VoxelGrid grid(unitBounds(), {20, 20, 20});
+    EXPECT_THROW(BlockSampler(grid, 63), std::invalid_argument);
+    EXPECT_THROW(BlockSampler(grid, 0), std::invalid_argument);
+    EXPECT_NO_THROW(BlockSampler(grid, 1));
+    EXPECT_NO_THROW(BlockSampler(grid, 62));
 }
 
 }  // namespace

@@ -147,9 +147,9 @@ TEST(IsoSurfaceParallel, SparseMatchesLegacySparse) {
 }
 
 TEST(IsoSurfaceParallel, BlockDecompositionDoesNotChangeOutput) {
-    // The dense path (no sampler, kDenseBlockSize tiles) and the sparse
-    // path (sampler-sized tiles) must emit identical bytes — the
-    // canonical ordering is decomposition-independent.
+    // The dense path (no sampler, BlockTiling::kDefaultBlockSize tiles)
+    // and the sparse path (sampler-sized tiles) must emit identical
+    // bytes — the canonical ordering is decomposition-independent.
     const auto field = blobField();
     const int res = 40;
     VoxelGrid dense(unitBounds(), {res, res, res});
@@ -216,11 +216,14 @@ TEST(IsoSurfaceParallel, StatsCountActiveCellsAndOutput) {
 
     IsoSurfaceOptions opt;
     opt.weldVertices = false;
-    ExtractStats stats;
+    ReconCounters stats;
     const TriMesh m = extractIsoSurface(grid, nullptr, opt, &stats);
-    EXPECT_GT(stats.blocksTotal, 0u);
+    // Without a sampler the extractor tiles the grid at the default size.
+    const auto blocksTotal = static_cast<std::uint64_t>(
+        BlockTiling(grid.resolution(), BlockTiling::kDefaultBlockSize).count());
+    EXPECT_GT(blocksTotal, 0u);
     EXPECT_GT(stats.blocksExtracted, 0u);
-    EXPECT_LE(stats.blocksExtracted, stats.blocksTotal);
+    EXPECT_LE(stats.blocksExtracted, blocksTotal);
     EXPECT_GT(stats.activeCells, 0u);
     // Pre-cleanup counters bound the final mesh from above (degenerate
     // removal may drop triangles but never adds).

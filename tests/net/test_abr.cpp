@@ -12,21 +12,6 @@ std::vector<QualityLevel> testLadder() {
             {"ultra", 80e6, 4.0}};
 }
 
-TEST(EwmaEstimator, ConvergesToConstantInput) {
-    EwmaEstimator est(0.3);
-    EXPECT_FALSE(est.hasEstimate());
-    for (int i = 0; i < 50; ++i) est.addSample(7e6);
-    EXPECT_NEAR(est.estimate(), 7e6, 1.0);
-}
-
-TEST(EwmaEstimator, TracksChanges) {
-    EwmaEstimator est(0.5);
-    est.addSample(10e6);
-    est.addSample(2e6);
-    EXPECT_LT(est.estimate(), 10e6);
-    EXPECT_GT(est.estimate(), 2e6);
-}
-
 TEST(HarmonicEstimator, RobustToSpikes) {
     HarmonicEstimator est(5);
     for (int i = 0; i < 4; ++i) est.addSample(5e6);

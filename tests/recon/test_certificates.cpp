@@ -71,7 +71,7 @@ TEST(OctreeCertificates, CertifiedNodesContainNoSurfaceCrossing) {
         const int blockSize = (trial % 2) ? 4 : 8;
         VoxelGrid grid(body.bounds, {res, res, res});
         BlockSampler sampler(grid, blockSize);
-        const Vec3i bg = sampler.blockGrid();
+        const Vec3i bg = sampler.tiling().blocks();
 
         std::vector<std::pair<Vec3i, Vec3i>> nodes;
         collectNodes({0, 0, 0}, {bg.x - 1, bg.y - 1, bg.z - 1}, nodes);
@@ -85,7 +85,7 @@ TEST(OctreeCertificates, CertifiedNodesContainNoSurfaceCrossing) {
             for (int z = lo.z; z <= hi.z; ++z) {
                 for (int y = lo.y; y <= hi.y; ++y) {
                     for (int x = lo.x; x <= hi.x; ++x) {
-                        const int b = x + bg.x * (y + bg.y * z);
+                        const int b = sampler.tiling().index({x, y, z});
                         const geom::AABB gb = sampler.blockGuardBounds(b);
                         for (int corner = 0; corner < 8; ++corner) {
                             const Vec3f c{corner & 1 ? gb.hi.x : gb.lo.x,
