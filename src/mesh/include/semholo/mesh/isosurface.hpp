@@ -7,16 +7,22 @@
 // Extracted meshes are watertight wherever the field's zero level set
 // lies strictly inside the grid.
 //
-// The production extractor is two-pass, block-local and table-driven
-// (see isosurface.cpp for the layout):
+// The production extractor is block-local and table-driven, and every
+// step runs on the worker pool per z-slab of blocks (see isosurface.cpp
+// for the layout):
 //
 //   pass 1  per-block node sign rows (SIMD compares over the sampled
-//           planes) -> active-cell lists + exact per-row vertex and
-//           triangle counts;
-//   pass 2  geometry emitted from a per-cube case table (windings decided
-//           by replaying the legacy per-triangle orientation test, bit
-//           for bit), vertices direct-indexed by (node, edge direction)
-//           instead of hashed, written at offsets fixed by prefix sums.
+//           planes) -> active-cell lists + exact per-row vertex,
+//           triangle and first-use counts, turned into offsets by
+//           per-slab prefix sums;
+//   pass 2  each crossing edge's position computed once, vertices
+//           direct-indexed by (node, edge direction) instead of hashed;
+//           then triangles from a per-cube case table, their positions
+//           read back, one cross product each for the winding (the
+//           legacy per-triangle orientation test, replayed bit for bit),
+//           the degenerate test and the face normal;
+//   tail    first-use renumbering, degenerate clean-up and per-vertex
+//           normal sums in TriMesh::computeVertexNormals' order.
 //
 // Output ordering is canonical — triangles in cell scan order, vertices
 // numbered by first use in that triangle stream — so the mesh is

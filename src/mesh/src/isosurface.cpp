@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "semholo/core/thread_pool.hpp"
@@ -275,6 +278,15 @@ TriMesh extractLegacyImpl(const VoxelGrid& grid, const IsoSurfaceOptions& option
 // opposite sign — so emission replays the same float test on the actual
 // interpolated vertex positions, reproducing legacy's winding bit for
 // bit, slivers included.
+//
+// The table also says which crossing edges a cell numbers first.
+// Vertices are numbered by first use in the canonical triangle stream
+// (cells in (z, y, x) order), and the first cell holding the edge from
+// node n in direction d is, per axis, max(0, n + d - 1). So a cell whose
+// coordinate on an axis is > 0 numbers exactly the edges whose far
+// corner (base corner | dir) is set on that axis, and a cell at 0
+// numbers all of them. Every tet holding a crossing edge emits a
+// triangle on it, so that first cell always uses the edge.
 // ---------------------------------------------------------------------
 
 constexpr int kSlotsPerNode = 7;
@@ -289,6 +301,11 @@ struct CaseTable {
     std::array<std::uint16_t, 256> offset{};
     std::array<std::uint8_t, 256> count{};  // triangles per config
     std::vector<Tri> tris;
+    // Indexed by the axes on which the cell's coordinate is > 0 (bit 0 =
+    // x): bit e of firstEdges is set when the cell numbers cell-local
+    // edge e, and firstCount[config] counts those edges that cross.
+    std::array<std::uint64_t, 8> firstEdges{};
+    std::array<std::array<std::uint8_t, 256>, 8> firstCount{};
 };
 
 CaseTable buildCaseTable() {
@@ -386,6 +403,19 @@ CaseTable buildCaseTable() {
         t.count[config] =
             static_cast<std::uint8_t>(t.tris.size() - t.offset[config]);
     }
+
+    for (int axes = 0; axes < 8; ++axes) {
+        for (int base = 0; base < 7; ++base) {
+            for (int dir = 1; dir < 8; ++dir) {
+                const int far = base | dir;
+                if ((base & dir) != 0 || (far & axes) != axes) continue;
+                t.firstEdges[axes] |= 1ull << (base * kSlotsPerNode + dir - 1);
+                for (int config = 0; config < 256; ++config)
+                    if (((config >> base) & 1) != ((config >> far) & 1))
+                        ++t.firstCount[axes][config];
+            }
+        }
+    }
     return t;
 }
 
@@ -395,31 +425,64 @@ const CaseTable& caseTable() {
 }
 
 // ---------------------------------------------------------------------
-// Block-local two-pass extractor.
+// Block-local extractor.
 //
 // The grid is tiled into blocks (the sampler's tiling when present, 8^3
-// otherwise). Pass 1 builds per-block node sign rows — one 64-bit word
-// of (value < iso) bits per (z, y) row — with SIMD compares over the
-// contiguous x runs, then derives per-block active-cell lists and exact
-// per-row vertex / triangle counts from pure word arithmetic. A serial
-// prefix over those counts fixes every block's output offsets, and
-// pass 2 writes vertices and table triangles directly into their final
-// slots: disjoint writes, no locks, byte-identical for any worker count.
+// otherwise) and the work goes out in z-slabs of blocks: a slab's blocks
+// own node rows z in [lo, hi] of every y, and no other slab does, so a
+// slab sums, scans and hands out its own rows' offsets. Every step runs
+// per slab on the pool, with a barrier between steps. Serial are only
+// the work-block count that sizes each slab's storage, the scan over the
+// slab totals and the sort of the few degenerate triangles.
+//
+//   pass 1   per-block node sign rows (one 64-bit word of (value < iso)
+//            bits per (z, y) row, SIMD compares over the contiguous x
+//            runs), then the active-cell list and exact per-row counts
+//            of crossing edges, triangles and first-used vertices, all
+//            from word arithmetic. The slab sums its rows.
+//   prefix   the slab totals are scanned in slab order; each slab then
+//            scans its own rows and hands out its blocks' row segments.
+//   pass 2a  every owned crossing edge's interpolated position, written
+//            at its lattice index (below).
+//   pass 2b  triangles from the case table into their canonical slots,
+//            positions read back from pass 2a. One cross product per
+//            triangle serves the winding (the legacy float side test,
+//            replayed), the degenerate test (area 0.5 |n|) and the face
+//            normal (after a flip, the final winding's cross product is
+//            the exact negation). A vertex takes its final index in the
+//            cell that uses it first (see the case-table header).
+//   pass 2c  triangle indices rewritten from lattice to final numbering,
+//            and every triangle moved down past the degenerate ones
+//            before it (area < 1e-12, TriMesh::removeDegenerateTriangles'
+//            test): numbered first, then dropped, as in the legacy
+//            extractor.
+//   normals  each slab sums the face normals of the vertices its cells
+//            numbered. Only its own triangles and the next cell layer's
+//            can use them; it scans those in ascending order, which is
+//            TriMesh::computeVertexNormals' summation order.
+// Writes are disjoint and every sum runs in a fixed order, so the output
+// is byte-identical for any worker count, and a null or one-worker pool
+// runs the same code inline.
 //
 // Output ordering is canonical and decomposition-independent:
-//   vertices   ascending (z, y, x, slot) over crossing in-range edges,
-//              slot = direction - 1 of the edge's base node;
 //   triangles  ascending (z, y, x) over cells, kTets / case-table order
-//              within a cell.
-// A crossing edge's vertex is emitted by the block owning its base node
-// (node / blockSize per axis), so the vertex set is exactly "one vertex
-// per crossing edge" — the same set the legacy hash dedup produces.
+//              within a cell;
+//   vertices   by first use in that triangle stream.
+// The passes address vertices in lattice order, ascending (z, y, x,
+// slot) over crossing in-range edges with slot = direction - 1 of the
+// edge's base node: convenient for disjoint writes, but it spreads a
+// triangle's indices across whole grid rows. First-use order keeps the
+// index deltas the mesh codec's varint stage feeds on as local as the
+// legacy extractor's. A crossing edge's lattice vertex is emitted by the
+// block owning its base node (node / blockSize per axis), so the vertex
+// set is exactly "one vertex per crossing edge" — the same set the
+// legacy hash dedup produces.
 //
-// Sign rows cover nodes [lo, min(hi + 2, res)] per axis: pass 2 assigns
-// ordinals to crossing edges based at halo nodes (hi + 1) owned by
-// neighbour blocks, and *their* preceding slots reach endpoints at
-// hi + 2. Rows are read straight from the shared grid, so halo overlap
-// costs a few redundant compares, not synchronisation.
+// Sign rows cover nodes [lo, min(hi + 2, res)] per axis: pass 2b looks
+// up crossing edges based at halo nodes (hi + 1) owned by neighbour
+// blocks, and *their* preceding slots reach endpoints at hi + 2. Rows
+// are read straight from the shared grid, so halo overlap costs a few
+// redundant compares, not synchronisation.
 // ---------------------------------------------------------------------
 
 inline std::uint64_t maskBits(int n) {
@@ -429,7 +492,7 @@ inline std::uint64_t maskBits(int n) {
 struct BlockGeom {
     Vec3i lo{};     // first owned node, per axis
     Vec3i owned{};  // owned node counts (vertex rows are owned.z * owned.y)
-    Vec3i walk{};   // pass-2 node walk extent: min(hi + 1, res) - lo + 1
+    Vec3i walk{};   // pass-2b node walk extent: min(hi + 1, res) - lo + 1
     Vec3i halo{};   // sign-row extent: min(hi + 2, res) - lo + 1
     Vec3i cells{};  // owned cell counts
 };
@@ -458,12 +521,12 @@ inline std::size_t gridIndex(const Vec3i& res, int x, int y, int z) {
            static_cast<std::size_t>(x);
 }
 
-// Sign rows for one block: bit j of row (rz, ry) = (value(lo.x + j,
-// lo.y + ry, lo.z + rz) < iso). x runs are contiguous in the grid, so
-// the compare vectorises; rows are at most bs + 2 <= 64 bits.
+// Sign rows for one block into rows[0, halo.z * halo.y): bit j of row
+// (rz, ry) = (value(lo.x + j, lo.y + ry, lo.z + rz) < iso). x runs are
+// contiguous in the grid, so the compare vectorises; rows are at most
+// bs + 2 <= 64 bits.
 void buildSignRows(const VoxelGrid& grid, const BlockGeom& g, float iso,
-                   std::vector<std::uint64_t>& rows) {
-    rows.assign(static_cast<std::size_t>(g.halo.z) * g.halo.y, 0);
+                   std::uint64_t* rows) {
     const Vec3i res = grid.resolution();
     const float* vals = grid.values().data();
     constexpr int W = 4;
@@ -492,8 +555,8 @@ void buildSignRows(const VoxelGrid& grid, const BlockGeom& g, float iso,
 // Crossing bits of one (z, y) node row: bit i of cw[s] is set iff the
 // edge from node lo.x + i in direction s + 1 crosses the iso value and
 // both endpoints are grid nodes. 'nodeBits' limits the bit range.
-inline void crossWords(const std::vector<std::uint64_t>& rows, const BlockGeom& g,
-                       int lz, int ly, int nodeBits, std::array<std::uint64_t, 7>& cw) {
+inline void crossWords(const std::uint64_t* rows, const BlockGeom& g, int lz, int ly,
+                       int nodeBits, std::array<std::uint64_t, 7>& cw) {
     const std::uint64_t row = rows[static_cast<std::size_t>(lz) * g.halo.y + ly];
     const std::uint64_t nodeMask = maskBits(nodeBits);
     for (int s = 0; s < kSlotsPerNode; ++s) {
@@ -513,56 +576,93 @@ inline void crossWords(const std::vector<std::uint64_t>& rows, const BlockGeom& 
     }
 }
 
-// One work block's pass-1 topology and its prefix-sum segment bases.
-struct Block {
-    std::vector<std::uint64_t> signRows;  // halo sign bits, (z,y) rows
-    std::vector<std::uint32_t> cells;     // packed active cells + configs
-    std::vector<std::uint16_t> rowVerts;  // crossing edges per owned node row
-    std::vector<std::uint16_t> rowTris;   // table triangles per owned cell row
-    std::vector<std::uint32_t> segBaseV;  // per-row global vertex offsets
-    std::vector<std::uint32_t> segBaseT;  // per-row global triangle offsets
-    std::uint32_t vertexCount{0};
-    std::uint32_t triangleCount{0};
+// A float triple for scratch arrays that a pass fills completely before
+// any read: unlike Vec3f it is trivially constructible, so allocating
+// one skips the zero fill.
+struct Float3 {
+    float x, y, z;
 };
 
-// Pass-1 core: active-cell list, case configs and exact per-row counts,
-// all from the sign rows (no field values touched).
-void computeTopology(const BlockGeom& g, const CaseTable& table, Block& B) {
-    B.rowVerts.assign(static_cast<std::size_t>(g.owned.z) * g.owned.y, 0);
+// One block on the work list, and where its pass-1 results sit in its
+// slab's arrays.
+struct WorkBlock {
+    std::uint32_t index;       // tiling block index
+    std::uint32_t signOff;     // Slab::signRows
+    std::uint32_t cellBegin;   // Slab::cells
+    std::uint32_t cellEnd;
+    std::uint32_t nodeRowOff;  // Slab::vertRows, one entry per owned node row
+    std::uint32_t cellRowOff;  // Slab::triRows / newRows, one per owned cell row
+
+    // Where the block's owned node row / cell row (lz, ly) sits.
+    std::size_t ownNodeRow(const BlockGeom& g, int lz, int ly) const {
+        return nodeRowOff + static_cast<std::size_t>(lz * g.owned.y + ly);
+    }
+    std::size_t ownCellRow(const BlockGeom& g, int lz, int ly) const {
+        return cellRowOff + static_cast<std::size_t>(lz * g.cells.y + ly);
+    }
+};
+
+// Pass 2b's edge map slot of the edge from walk node (lx, ly, lz) in
+// direction slot + 1.
+inline std::size_t edgeSlot(const BlockGeom& g, int lx, int ly, int lz, int slot) {
+    return static_cast<std::size_t>((lz * g.walk.y + ly) * g.walk.x + lx) * kSlotsPerNode +
+           static_cast<std::size_t>(slot);
+}
+
+// One z-slab of tiling blocks.
+struct Slab {
+    std::vector<WorkBlock> blocks;        // not certified, ascending index
+    std::vector<std::uint64_t> signRows;  // halo sign bits, (z, y) rows
+    std::vector<std::uint32_t> cells;     // packed active cells + configs
+    // Per block row, pass 1 writes a count and the prefix replaces it
+    // with the row segment's first global index.
+    std::vector<std::uint32_t> vertRows;  // crossing edges per node row
+    std::vector<std::uint32_t> triRows;   // triangles per cell row
+    std::vector<std::uint32_t> newRows;   // vertices numbered per cell row
+    std::vector<std::uint32_t> degenerate;  // pass 2b: triangles to drop
+    std::vector<Triangle> tail;  // last triangles, before later slabs move over them
+    // Pass 1 writes totals; the prefix replaces them with the slab's
+    // first global index.
+    std::uint64_t verts{0}, tris{0}, news{0};
+    std::uint64_t blocksExtracted{0}, activeCells{0};
+};
+
+// Pass-1 core: appends the block's per-row counts and active cells to
+// its slab, all from the sign rows (no field values touched). Returns
+// the block's crossing-edge count.
+std::uint32_t computeTopology(const BlockGeom& g, const CaseTable& table,
+                              const std::uint64_t* rows, Slab& S) {
     std::array<std::uint64_t, 7> cw;
     std::uint32_t vCount = 0;
     for (int lz = 0; lz < g.owned.z; ++lz) {
         for (int ly = 0; ly < g.owned.y; ++ly) {
-            crossWords(B.signRows, g, lz, ly, g.owned.x, cw);
-            int c = 0;
-            for (int s = 0; s < kSlotsPerNode; ++s) c += std::popcount(cw[s]);
-            B.rowVerts[static_cast<std::size_t>(lz) * g.owned.y + ly] =
-                static_cast<std::uint16_t>(c);
-            vCount += static_cast<std::uint32_t>(c);
+            crossWords(rows, g, lz, ly, g.owned.x, cw);
+            std::uint32_t c = 0;
+            for (int s = 0; s < kSlotsPerNode; ++s)
+                c += static_cast<std::uint32_t>(std::popcount(cw[s]));
+            S.vertRows.push_back(c);
+            vCount += c;
         }
     }
-    B.vertexCount = vCount;
 
-    B.cells.clear();
-    B.rowTris.assign(static_cast<std::size_t>(g.cells.z) * g.cells.y, 0);
-    std::uint32_t tCount = 0;
     const std::uint64_t cellMask = maskBits(g.cells.x);
     for (int lz = 0; lz < g.cells.z; ++lz) {
         for (int ly = 0; ly < g.cells.y; ++ly) {
-            const std::uint64_t a0 =
-                B.signRows[static_cast<std::size_t>(lz) * g.halo.y + ly];
-            const std::uint64_t a1 =
-                B.signRows[static_cast<std::size_t>(lz) * g.halo.y + ly + 1];
-            const std::uint64_t a2 =
-                B.signRows[static_cast<std::size_t>(lz + 1) * g.halo.y + ly];
+            const std::uint64_t a0 = rows[static_cast<std::size_t>(lz) * g.halo.y + ly];
+            const std::uint64_t a1 = rows[static_cast<std::size_t>(lz) * g.halo.y + ly + 1];
+            const std::uint64_t a2 = rows[static_cast<std::size_t>(lz + 1) * g.halo.y + ly];
             const std::uint64_t a3 =
-                B.signRows[static_cast<std::size_t>(lz + 1) * g.halo.y + ly + 1];
+                rows[static_cast<std::size_t>(lz + 1) * g.halo.y + ly + 1];
             const std::uint64_t allIn =
                 a0 & (a0 >> 1) & a1 & (a1 >> 1) & a2 & (a2 >> 1) & a3 & (a3 >> 1);
             const std::uint64_t allOut = ~a0 & (~a0 >> 1) & ~a1 & (~a1 >> 1) & ~a2 &
                                          (~a2 >> 1) & ~a3 & (~a3 >> 1);
             std::uint64_t mixed = ~(allIn | allOut) & cellMask;
-            std::uint16_t rowT = 0;
+            // Axes on which the cells' coordinate is > 0, for the
+            // first-use counts; x is per cell.
+            const int rowAxes = (g.lo.y + ly > 0 ? 2 : 0) | (g.lo.z + lz > 0 ? 4 : 0);
+            std::uint32_t rowT = 0;
+            std::uint32_t rowN = 0;
             while (mixed != 0) {
                 const int lx = std::countr_zero(mixed);
                 mixed &= mixed - 1;
@@ -575,35 +675,463 @@ void computeTopology(const BlockGeom& g, const CaseTable& table, Block& B) {
                     (static_cast<int>((a2 >> (lx + 1)) & 1) << 5) |
                     (static_cast<int>((a3 >> lx) & 1) << 6) |
                     (static_cast<int>((a3 >> (lx + 1)) & 1) << 7);
-                B.cells.push_back(static_cast<std::uint32_t>(lx) |
+                S.cells.push_back(static_cast<std::uint32_t>(lx) |
                                   (static_cast<std::uint32_t>(ly) << 6) |
                                   (static_cast<std::uint32_t>(lz) << 12) |
                                   (static_cast<std::uint32_t>(config) << 18));
-                rowT = static_cast<std::uint16_t>(rowT + table.count[config]);
+                rowT += table.count[config];
+                rowN += table.firstCount[rowAxes | (g.lo.x + lx > 0 ? 1 : 0)][config];
             }
-            B.rowTris[static_cast<std::size_t>(lz) * g.cells.y + ly] = rowT;
-            tCount += rowT;
+            S.triRows.push_back(rowT);
+            S.newRows.push_back(rowN);
         }
     }
-    B.triangleCount = tCount;
-    B.segBaseV.assign(B.rowVerts.size(), 0);
-    B.segBaseT.assign(B.rowTris.size(), 0);
+    return vCount;
+}
+
+// The state one extraction's passes share. Every pass is a member run
+// for one slab at a time; the slabs of one pass may run concurrently.
+struct Extraction {
+    Extraction(const VoxelGrid& sampled, const BlockSampler* sampler,
+               const IsoSurfaceOptions& options, TriMesh& mesh)
+        : grid(sampled),
+          vals(sampled.values().data()),
+          res(sampled.resolution()),
+          tiling(sampler != nullptr ? sampler->tiling()
+                                    : BlockTiling(res, BlockTiling::kDefaultBlockSize)),
+          table(caseTable()),
+          iso(options.isoValue),
+          surfaceFree(sampler != nullptr ? &sampler->surfaceFree() : nullptr),
+          slabs(static_cast<std::size_t>(tiling.blocks().z)),
+          slot(static_cast<std::size_t>(tiling.count())),
+          vertRowBase(static_cast<std::size_t>(res.z + 1) * (res.y + 1), 0),
+          triRowBase(static_cast<std::size_t>(res.z) * res.y, 0),
+          newRowBase(triRowBase.size(), 0),
+          layerTri(static_cast<std::size_t>(res.z) + 1),
+          layerVert(layerTri.size()),
+          out(mesh) {}
+
+    // Slab s owns node rows [lo.z, hi.z] and cell layers [z0, z1).
+    BlockTiling::NodeRange slabNodes(std::size_t s) const {
+        return tiling.nodes(tiling.index({0, 0, static_cast<int>(s)}));
+    }
+    std::pair<int, int> slabLayers(std::size_t s) const {
+        const BlockTiling::NodeRange r = slabNodes(s);
+        return {std::min(r.lo.z, res.z), std::min(r.hi.z + 1, res.z)};
+    }
+    std::size_t nodeRow(int z, int y) const {
+        return static_cast<std::size_t>(z) * (res.y + 1) + static_cast<std::size_t>(y);
+    }
+    std::size_t cellRow(int z, int y) const {
+        return static_cast<std::size_t>(z) * res.y + static_cast<std::size_t>(y);
+    }
+    Vec3f position(std::uint32_t lattice) const {
+        const Float3& p = latticePos[lattice];
+        return {p.x, p.y, p.z};
+    }
+    std::size_t dropsBefore(std::uint32_t t) const {
+        return static_cast<std::size_t>(std::lower_bound(drop.begin(), drop.end(), t) -
+                                        drop.begin());
+    }
+
+    void reserve(std::size_t s);
+    void topology(std::size_t s);
+    void offsets(std::size_t s);
+    void positions(std::size_t s);
+    void triangles(std::size_t s);
+    void saveTail(std::size_t s);
+    void renumber(std::size_t s);
+    void normals(std::size_t s);
+
+    const VoxelGrid& grid;
+    const float* vals;
+    const Vec3i res;
+    const BlockTiling tiling;
+    const CaseTable& table;
+    const float iso;
+    // Work list: every block not certified surface-free. Certified
+    // blocks hold no crossing edge anywhere in their node set (the
+    // certificate's guard ball covers one node ring beyond the block),
+    // so skipping them drops neither vertices nor triangles.
+    const std::vector<std::uint8_t>* surfaceFree;
+    std::vector<Slab> slabs;
+    std::vector<std::int32_t> slot;  // block -> place in its slab's work list, or -1
+    // Per (z, y) row: pass 1 sums counts, the prefix turns them into the
+    // row's first global index and then the next free one.
+    std::vector<std::uint32_t> vertRowBase;
+    std::vector<std::uint32_t> triRowBase;
+    std::vector<std::uint32_t> newRowBase;
+    // First triangle and first numbered vertex of each cell layer.
+    std::vector<std::uint32_t> layerTri;
+    std::vector<std::uint32_t> layerVert;
+    std::unique_ptr<Float3[]> latticePos;  // pass 2a, by lattice index
+    std::unique_ptr<std::uint32_t[]> remap;  // pass 2b: lattice -> first-use index
+    std::unique_ptr<Float3[]> faceNormals;  // pass 2b, by pass-2b triangle slot
+    std::vector<std::uint32_t> drop;  // degenerate pass-2b slots, ascending
+    TriMesh& out;
+};
+
+// Room for the slab's pass-1 arrays, sized for full blocks. Grown by
+// the pool's workers instead, they would spread over the workers' heaps
+// and raise the process's resident memory by megabytes.
+void Extraction::reserve(std::size_t s) {
+    const BlockTiling::NodeRange full = tiling.nodes(0);
+    const int ny = full.hi.y - full.lo.y + 1;
+    const int nz = full.hi.z - full.lo.z + 1;
+    const Vec3i bg = tiling.blocks();
+    std::size_t work = 0;
+    for (int by = 0; by < bg.y; ++by)
+        for (int bx = 0; bx < bg.x; ++bx)
+            if (surfaceFree == nullptr ||
+                (*surfaceFree)[static_cast<std::size_t>(
+                    tiling.index({bx, by, static_cast<int>(s)}))] == 0)
+                ++work;
+    Slab& S = slabs[s];
+    S.blocks.reserve(work);
+    S.signRows.reserve(work * static_cast<std::size_t>((nz + 2) * (ny + 2)));
+    S.vertRows.reserve(work * static_cast<std::size_t>(nz * ny));
+    S.triRows.reserve(work * static_cast<std::size_t>(nz * ny));
+    S.newRows.reserve(work * static_cast<std::size_t>(nz * ny));
+}
+
+// Pass 1: the slab's work list, sign rows, topology and row sums.
+void Extraction::topology(std::size_t s) {
+    Slab& S = slabs[s];
+    const Vec3i bg = tiling.blocks();
+    for (int by = 0; by < bg.y; ++by) {
+        for (int bx = 0; bx < bg.x; ++bx) {
+            const auto b =
+                static_cast<std::size_t>(tiling.index({bx, by, static_cast<int>(s)}));
+            if (surfaceFree != nullptr && (*surfaceFree)[b] != 0) {
+                slot[b] = -1;
+                continue;
+            }
+            slot[b] = static_cast<std::int32_t>(S.blocks.size());
+            const BlockGeom g = blockGeom(tiling, res, b);
+            WorkBlock w{};
+            w.index = static_cast<std::uint32_t>(b);
+            w.signOff = static_cast<std::uint32_t>(S.signRows.size());
+            w.cellBegin = static_cast<std::uint32_t>(S.cells.size());
+            w.nodeRowOff = static_cast<std::uint32_t>(S.vertRows.size());
+            w.cellRowOff = static_cast<std::uint32_t>(S.triRows.size());
+            S.signRows.resize(w.signOff + static_cast<std::size_t>(g.halo.z) * g.halo.y);
+            std::uint64_t* rows = S.signRows.data() + w.signOff;
+            buildSignRows(grid, g, iso, rows);
+            const std::uint32_t vCount = computeTopology(g, table, rows, S);
+            w.cellEnd = static_cast<std::uint32_t>(S.cells.size());
+            if (vCount > 0 || w.cellEnd > w.cellBegin) ++S.blocksExtracted;
+            S.activeCells += w.cellEnd - w.cellBegin;
+            for (int lz = 0; lz < g.owned.z; ++lz)
+                for (int ly = 0; ly < g.owned.y; ++ly) {
+                    const std::uint32_t c = S.vertRows[w.ownNodeRow(g, lz, ly)];
+                    vertRowBase[nodeRow(g.lo.z + lz, g.lo.y + ly)] += c;
+                    S.verts += c;
+                }
+            for (int lz = 0; lz < g.cells.z; ++lz)
+                for (int ly = 0; ly < g.cells.y; ++ly) {
+                    const std::size_t k = w.ownCellRow(g, lz, ly);
+                    triRowBase[cellRow(g.lo.z + lz, g.lo.y + ly)] += S.triRows[k];
+                    newRowBase[cellRow(g.lo.z + lz, g.lo.y + ly)] += S.newRows[k];
+                    S.tris += S.triRows[k];
+                    S.news += S.newRows[k];
+                }
+            S.blocks.push_back(w);
+        }
+    }
+}
+
+// The slab's rows scanned from its first global indices, then handed
+// out to its blocks' row segments.
+void Extraction::offsets(std::size_t s) {
+    Slab& S = slabs[s];
+    const BlockTiling::NodeRange zr = slabNodes(s);
+    const auto [z0, z1] = slabLayers(s);
+    auto scan = [](std::uint32_t& r, std::uint64_t& next) {
+        const std::uint32_t c = r;
+        r = static_cast<std::uint32_t>(next);
+        next += c;
+    };
+    for (int z = zr.lo.z; z <= zr.hi.z; ++z)
+        for (int y = 0; y <= res.y; ++y) scan(vertRowBase[nodeRow(z, y)], S.verts);
+    for (int z = z0; z < z1; ++z) {
+        layerTri[static_cast<std::size_t>(z)] = static_cast<std::uint32_t>(S.tris);
+        layerVert[static_cast<std::size_t>(z)] = static_cast<std::uint32_t>(S.news);
+        for (int y = 0; y < res.y; ++y) {
+            scan(triRowBase[cellRow(z, y)], S.tris);
+            scan(newRowBase[cellRow(z, y)], S.news);
+        }
+    }
+    // Blocks sharing a row (same by, ascending bx) take consecutive runs
+    // of it: the work list ascends with bx fastest.
+    auto handOut = [](std::uint32_t& seg, std::uint32_t& cur) {
+        const std::uint32_t c = seg;
+        seg = cur;
+        cur += c;
+    };
+    for (const WorkBlock& w : S.blocks) {
+        const BlockGeom g = blockGeom(tiling, res, w.index);
+        for (int lz = 0; lz < g.owned.z; ++lz)
+            for (int ly = 0; ly < g.owned.y; ++ly)
+                handOut(S.vertRows[w.ownNodeRow(g, lz, ly)],
+                        vertRowBase[nodeRow(g.lo.z + lz, g.lo.y + ly)]);
+        for (int lz = 0; lz < g.cells.z; ++lz)
+            for (int ly = 0; ly < g.cells.y; ++ly) {
+                const std::size_t k = w.ownCellRow(g, lz, ly);
+                handOut(S.triRows[k], triRowBase[cellRow(g.lo.z + lz, g.lo.y + ly)]);
+                handOut(S.newRows[k], newRowBase[cellRow(g.lo.z + lz, g.lo.y + ly)]);
+            }
+    }
+}
+
+// Pass 2a: every crossing edge the slab's blocks own, interpolated once
+// and written at its lattice index.
+void Extraction::positions(std::size_t s) {
+    const Slab& S = slabs[s];
+    std::array<std::uint64_t, 7> cw;
+    for (const WorkBlock& w : S.blocks) {
+        const BlockGeom g = blockGeom(tiling, res, w.index);
+        const std::uint64_t* rows = S.signRows.data() + w.signOff;
+        for (int lz = 0; lz < g.owned.z; ++lz) {
+            for (int ly = 0; ly < g.owned.y; ++ly) {
+                const int gy = g.lo.y + ly;
+                const int gz = g.lo.z + lz;
+                std::uint32_t ord = S.vertRows[w.ownNodeRow(g, lz, ly)];
+                crossWords(rows, g, lz, ly, g.owned.x, cw);
+                std::uint64_t u = cw[0] | cw[1] | cw[2] | cw[3] | cw[4] | cw[5] | cw[6];
+                while (u != 0) {
+                    const int lx = std::countr_zero(u);
+                    u &= u - 1;
+                    const int gx = g.lo.x + lx;
+                    for (int sl = 0; sl < kSlotsPerNode; ++sl) {
+                        if (((cw[sl] >> lx) & 1) == 0) continue;
+                        const int dir = sl + 1;
+                        const int ex = gx + (dir & 1);
+                        const int ey = gy + ((dir >> 1) & 1);
+                        const int ez = gz + ((dir >> 2) & 1);
+                        const float vA = vals[gridIndex(res, gx, gy, gz)];
+                        const float vB = vals[gridIndex(res, ex, ey, ez)];
+                        const float denom = vB - vA;
+                        float t = std::fabs(denom) > 1e-12f ? (iso - vA) / denom : 0.5f;
+                        t = geom::clamp(t, 0.0f, 1.0f);
+                        const Vec3f p = geom::lerp(grid.nodePosition(gx, gy, gz),
+                                                   grid.nodePosition(ex, ey, ez), t);
+                        latticePos[ord++] = {p.x, p.y, p.z};
+                    }
+                }
+            }
+        }
+    }
+}
+
+// Pass 2b: the slab's triangles, their face normals, and the first-use
+// index of every vertex its cells number.
+void Extraction::triangles(std::size_t s) {
+    Slab& S = slabs[s];
+    std::vector<std::uint32_t> edgeMap;  // reused across the slab's blocks
+    std::array<std::uint64_t, 7> cw;
+    for (const WorkBlock& w : S.blocks) {
+        if (w.cellEnd == w.cellBegin) continue;
+        const BlockGeom g = blockGeom(tiling, res, w.index);
+        const std::uint64_t* rows = S.signRows.data() + w.signOff;
+        edgeMap.resize(static_cast<std::size_t>(g.walk.x) * g.walk.y * g.walk.z *
+                       kSlotsPerNode);
+        const Vec3i bc = tiling.coord(static_cast<int>(w.index));
+
+        // Edge -> lattice index, walking rows in canonical order. Rows
+        // owned by this block start at its own segment base; halo rows (z
+        // or y one past the owned range) start at the owner block's — its
+        // numbering of the same row prefix is identical because the
+        // crossing bits are a pure function of the shared grid. Ordinals
+        // continue across the x boundary into the neighbour's segment by
+        // construction of the prefix. A halo row whose owner is not on the
+        // work list is certificate-empty: no crossings, nothing to index.
+        for (int lz = 0; lz < g.walk.z; ++lz) {
+            for (int ly = 0; ly < g.walk.y; ++ly) {
+                std::uint32_t ord;
+                if (lz < g.owned.z && ly < g.owned.y) {
+                    ord = S.vertRows[w.ownNodeRow(g, lz, ly)];
+                } else {
+                    // The owner is the next block up in y and/or z.
+                    const Vec3i oc{bc.x, bc.y + (ly >= g.owned.y ? 1 : 0),
+                                   bc.z + (lz >= g.owned.z ? 1 : 0)};
+                    const auto ob = static_cast<std::size_t>(tiling.index(oc));
+                    const std::int32_t os = slot[ob];
+                    if (os < 0) continue;
+                    const Slab& OS = slabs[static_cast<std::size_t>(oc.z)];
+                    const WorkBlock& ow = OS.blocks[static_cast<std::size_t>(os)];
+                    const BlockGeom og = blockGeom(tiling, res, ob);
+                    ord = OS.vertRows[ow.ownNodeRow(og, g.lo.z + lz - og.lo.z,
+                                                 g.lo.y + ly - og.lo.y)];
+                }
+                crossWords(rows, g, lz, ly, g.walk.x, cw);
+                std::uint64_t u = cw[0] | cw[1] | cw[2] | cw[3] | cw[4] | cw[5] | cw[6];
+                while (u != 0) {
+                    const int lx = std::countr_zero(u);
+                    u &= u - 1;
+                    for (int sl = 0; sl < kSlotsPerNode; ++sl) {
+                        if (((cw[sl] >> lx) & 1) == 0) continue;
+                        edgeMap[edgeSlot(g, lx, ly, lz, sl)] = ord++;
+                    }
+                }
+            }
+        }
+
+        // Triangles straight from the case table; the active-cell list
+        // ascends (z, y, x), so a running index per cell row lands every
+        // triangle, and every vertex the cell numbers, in its canonical
+        // slot.
+        int curRow = -1;
+        std::uint32_t tIdx = 0;
+        std::uint32_t vIdx = 0;
+        for (std::uint32_t ci = w.cellBegin; ci < w.cellEnd; ++ci) {
+            const std::uint32_t packed = S.cells[ci];
+            const int lx = static_cast<int>(packed & 63u);
+            const int ly = static_cast<int>((packed >> 6) & 63u);
+            const int lz = static_cast<int>((packed >> 12) & 63u);
+            const int config = static_cast<int>((packed >> 18) & 255u);
+            const int row = lz * g.cells.y + ly;
+            if (row != curRow) {
+                curRow = row;
+                tIdx = S.triRows[w.cellRowOff + static_cast<std::size_t>(row)];
+                vIdx = S.newRows[w.cellRowOff + static_cast<std::size_t>(row)];
+            }
+            const int gx = g.lo.x + lx;
+            const int gy = g.lo.y + ly;
+            const int gz = g.lo.z + lz;
+            std::uint64_t unnumbered =
+                table.firstEdges[(gx > 0 ? 1 : 0) | (gy > 0 ? 2 : 0) | (gz > 0 ? 4 : 0)];
+            auto cornerPos = [&](int c) {
+                return grid.nodePosition(gx + (c & 1), gy + ((c >> 1) & 1),
+                                         gz + ((c >> 2) & 1));
+            };
+            const std::uint16_t off = table.offset[config];
+            const int n = table.count[config];
+            for (int k = 0; k < n; ++k) {
+                const CaseTable::Tri& tri = table.tris[off + k];
+                std::array<std::uint8_t, 3> e = tri.e;
+                std::array<std::uint32_t, 3> id;
+                for (int v = 0; v < 3; ++v) {
+                    const int cornerBits = e[v] / kSlotsPerNode;
+                    const int nx = lx + (cornerBits & 1);
+                    const int ny = ly + ((cornerBits >> 1) & 1);
+                    const int nz = lz + ((cornerBits >> 2) & 1);
+                    id[v] = edgeMap[edgeSlot(g, nx, ny, nz, e[v] % kSlotsPerNode)];
+                }
+                // Legacy emitTriangle, bit for bit: same inside reference
+                // (centroid of 1 or 2 corners — += then /= count, both
+                // exact re-associations), same cross / dot order, same
+                // comparison.
+                Vec3f insideRef = cornerPos(tri.refA);
+                if (tri.refB != 0xff) {
+                    insideRef += cornerPos(tri.refB);
+                    insideRef /= 2.0f;
+                }
+                const Vec3f pa = position(id[0]);
+                const Vec3f pb = position(id[1]);
+                const Vec3f pc = position(id[2]);
+                const Vec3f nrm = (pb - pa).cross(pc - pa);
+                const Vec3f centroid = (pa + pb + pc) / 3.0f;
+                const float side = nrm.dot(centroid - insideRef);
+                const bool flip = tri.outward ? side < 0.0f : side > 0.0f;
+                if (flip) {
+                    std::swap(id[1], id[2]);
+                    std::swap(e[1], e[2]);
+                }
+                for (int v = 0; v < 3; ++v) {
+                    if (((unnumbered >> e[v]) & 1) == 0) continue;
+                    unnumbered &= ~(1ull << e[v]);
+                    remap[id[v]] = vIdx;
+                    out.vertices[vIdx++] = position(id[v]);
+                }
+                out.triangles[tIdx] = {id[0], id[1], id[2]};
+                // A flipped winding's cross product negates nrm exactly,
+                // up to the sign of zero components, which a sum that
+                // starts at +0 cannot see.
+                if (0.5f * nrm.norm() < 1e-12f)
+                    S.degenerate.push_back(tIdx);
+                else if (flip)
+                    faceNormals[tIdx] = {-nrm.x, -nrm.y, -nrm.z};
+                else
+                    faceNormals[tIdx] = {nrm.x, nrm.y, nrm.z};
+                ++tIdx;
+            }
+        }
+    }
+}
+
+// Pass 2c moves every triangle down by the number of degenerate ones
+// before it. A later slab's moves land over up to that many of this
+// slab's last triangles, so those are copied aside first.
+void Extraction::saveTail(std::size_t s) {
+    const auto [z0, z1] = slabLayers(s);
+    const std::uint32_t t0 = layerTri[static_cast<std::size_t>(z0)];
+    const std::uint32_t t1 = layerTri[static_cast<std::size_t>(z1)];
+    const auto overwritten = std::min<std::size_t>(dropsBefore(t1), t1 - t0);
+    const auto end = out.triangles.begin() + t1;
+    slabs[s].tail.assign(end - static_cast<std::ptrdiff_t>(overwritten), end);
+}
+
+// Pass 2c: the slab's triangles in first-use numbering, moved down past
+// the degenerate ones.
+void Extraction::renumber(std::size_t s) {
+    const auto [z0, z1] = slabLayers(s);
+    const std::uint32_t t1 = layerTri[static_cast<std::size_t>(z1)];
+    const std::vector<Triangle>& tail = slabs[s].tail;
+    const auto tailBegin = static_cast<std::uint32_t>(t1 - tail.size());
+    std::size_t d = dropsBefore(layerTri[static_cast<std::size_t>(z0)]);
+    for (std::uint32_t t = layerTri[static_cast<std::size_t>(z0)]; t < t1; ++t) {
+        if (d < drop.size() && drop[d] == t) {
+            ++d;
+            continue;
+        }
+        const Triangle tri = t >= tailBegin ? tail[t - tailBegin] : out.triangles[t];
+        out.triangles[t - d] = {remap[tri.a], remap[tri.b], remap[tri.c]};
+    }
+}
+
+// The normals of the vertices the slab's cells numbered: face normals
+// summed in ascending triangle order, as TriMesh::computeVertexNormals
+// does, then normalised.
+void Extraction::normals(std::size_t s) {
+    const auto [z0, z1] = slabLayers(s);
+    const std::uint32_t v0 = layerVert[static_cast<std::size_t>(z0)];
+    const std::uint32_t v1 = layerVert[static_cast<std::size_t>(z1)];
+    if (v0 == v1) return;
+    // A vertex first used in layer z is used in layers z and z + 1 only
+    // (the cells holding its edge). Face normals keep their pass-2b
+    // slots; the triangles sit d lower.
+    const std::uint32_t tEnd = layerTri[static_cast<std::size_t>(std::min(z1 + 1, res.z))];
+    std::size_t d = dropsBefore(layerTri[static_cast<std::size_t>(z0)]);
+    for (std::uint32_t t = layerTri[static_cast<std::size_t>(z0)]; t < tEnd; ++t) {
+        if (d < drop.size() && drop[d] == t) {
+            ++d;
+            continue;
+        }
+        const Triangle& tri = out.triangles[t - d];
+        const Float3& f = faceNormals[t];
+        for (const std::uint32_t v : {tri.a, tri.b, tri.c})
+            if (v - v0 < v1 - v0) out.normals[v] += Vec3f{f.x, f.y, f.z};
+    }
+    for (std::uint32_t v = v0; v < v1; ++v) out.normals[v] = out.normals[v].normalized();
 }
 
 // Chunked fan-out: one task per chunk (ThreadPool::parallelFor submits a
-// future per index, so feeding it raw block counts would drown in task
-// overhead). fn(begin, end) over [0, count).
+// future per index, so feeding it raw counts would drown in task
+// overhead). fn(i) for every i in [0, count).
 template <typename F>
 void parallelChunks(core::ThreadPool* pool, std::size_t count, F&& fn) {
     if (count == 0) return;
+    auto run = [&](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) fn(i);
+    };
     if (pool == nullptr || pool->size() <= 1 || count <= 1) {
-        fn(std::size_t{0}, count);
+        run(0, count);
         return;
     }
     const std::size_t chunks =
         std::min(count, std::max<std::size_t>(1, pool->size() * 4));
     pool->parallelFor(chunks, [&](std::size_t c) {
-        fn(count * c / chunks, count * (c + 1) / chunks);
+        run(count * c / chunks, count * (c + 1) / chunks);
     });
 }
 
@@ -613,303 +1141,76 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     const Vec3i res = grid.resolution();
     if (res.x < 1 || res.y < 1 || res.z < 1) return out;
 
-    const BlockTiling tiling = sampler != nullptr
-                                   ? sampler->tiling()
-                                   : BlockTiling(res, BlockTiling::kDefaultBlockSize);
-    const std::size_t numBlocks = static_cast<std::size_t>(tiling.count());
-    const CaseTable& table = caseTable();
-    const float iso = options.isoValue;
+    Extraction x(grid, sampler, options, out);
+    core::ThreadPool* pool = options.pool;
+    const std::size_t numSlabs = x.slabs.size();
+    auto eachSlab = [&](auto&& pass) { parallelChunks(pool, numSlabs, pass); };
 
-    // Work list: every block not certified surface-free. Certified
-    // blocks hold no crossing edge anywhere in their node set (the
-    // certificate's guard ball covers one node ring beyond the block),
-    // so skipping them drops neither vertices nor triangles. blocks[i]
-    // holds work[i]'s topology; slot maps a block index to i, or -1.
-    const std::vector<std::uint8_t>* surfaceFree =
-        sampler != nullptr ? &sampler->surfaceFree() : nullptr;
-    std::vector<std::uint32_t> work;
-    work.reserve(surfaceFree != nullptr ? numBlocks / 4 + 1 : numBlocks);
-    std::vector<std::int32_t> slot(numBlocks, -1);
-    for (std::size_t b = 0; b < numBlocks; ++b) {
-        if (surfaceFree != nullptr && (*surfaceFree)[b] != 0) continue;
-        slot[b] = static_cast<std::int32_t>(work.size());
-        work.push_back(static_cast<std::uint32_t>(b));
-    }
-    std::vector<Block> blocks(work.size());
+    for (std::size_t s = 0; s < numSlabs; ++s) x.reserve(s);
+    eachSlab([&](std::size_t s) { x.topology(s); });
 
-    // ---- Pass 1: sign rows + topology (parallel over blocks) ----
-    parallelChunks(options.pool, work.size(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            const BlockGeom g = blockGeom(tiling, res, work[i]);
-            buildSignRows(grid, g, iso, blocks[i].signRows);
-            computeTopology(g, table, blocks[i]);
-        }
-    });
-
-    // ---- Prefix: canonical global offsets ----
-    // Per (z, y) row totals first, then an exclusive scan in row-major
-    // (z, y) order, then per-block segment bases handed out left to
-    // right (the work list ascends with bx fastest, so within one row
-    // consecutive x segments get consecutive offset runs).
-    std::vector<std::uint32_t> rowBaseV(
-        static_cast<std::size_t>(res.z + 1) * (res.y + 1), 0);
-    std::vector<std::uint32_t> rowBaseT(static_cast<std::size_t>(res.z) * res.y, 0);
-    std::uint64_t blocksExtracted = 0;
-    std::uint64_t activeCells = 0;
-    for (std::size_t i = 0; i < work.size(); ++i) {
-        const BlockGeom g = blockGeom(tiling, res, work[i]);
-        const Block& B = blocks[i];
-        if (B.vertexCount > 0 || !B.cells.empty()) ++blocksExtracted;
-        activeCells += B.cells.size();
-        for (int lz = 0; lz < g.owned.z; ++lz)
-            for (int ly = 0; ly < g.owned.y; ++ly)
-                rowBaseV[static_cast<std::size_t>(g.lo.z + lz) * (res.y + 1) +
-                         (g.lo.y + ly)] +=
-                    B.rowVerts[static_cast<std::size_t>(lz) * g.owned.y + ly];
-        for (int lz = 0; lz < g.cells.z; ++lz)
-            for (int ly = 0; ly < g.cells.y; ++ly)
-                rowBaseT[static_cast<std::size_t>(g.lo.z + lz) * res.y + (g.lo.y + ly)] +=
-                    B.rowTris[static_cast<std::size_t>(lz) * g.cells.y + ly];
+    // The prefix over the slab totals: serial, one entry per slab.
+    std::uint64_t vTotal = 0, tTotal = 0, nTotal = 0;
+    std::uint64_t blocksExtracted = 0, activeCells = 0;
+    for (Slab& S : x.slabs) {
+        vTotal += std::exchange(S.verts, vTotal);
+        tTotal += std::exchange(S.tris, tTotal);
+        nTotal += std::exchange(S.news, nTotal);
+        blocksExtracted += S.blocksExtracted;
+        activeCells += S.activeCells;
     }
-    std::uint64_t vTotal = 0;
-    for (std::uint32_t& r : rowBaseV) {
-        const std::uint32_t c = r;
-        r = static_cast<std::uint32_t>(vTotal);
-        vTotal += c;
-    }
-    std::uint64_t tTotal = 0;
-    for (std::uint32_t& r : rowBaseT) {
-        const std::uint32_t c = r;
-        r = static_cast<std::uint32_t>(tTotal);
-        tTotal += c;
-    }
-    for (std::size_t i = 0; i < work.size(); ++i) {
-        const BlockGeom g = blockGeom(tiling, res, work[i]);
-        Block& B = blocks[i];
-        for (int lz = 0; lz < g.owned.z; ++lz) {
-            for (int ly = 0; ly < g.owned.y; ++ly) {
-                std::uint32_t& cur =
-                    rowBaseV[static_cast<std::size_t>(g.lo.z + lz) * (res.y + 1) +
-                             (g.lo.y + ly)];
-                B.segBaseV[static_cast<std::size_t>(lz) * g.owned.y + ly] = cur;
-                cur += B.rowVerts[static_cast<std::size_t>(lz) * g.owned.y + ly];
-            }
-        }
-        for (int lz = 0; lz < g.cells.z; ++lz) {
-            for (int ly = 0; ly < g.cells.y; ++ly) {
-                std::uint32_t& cur =
-                    rowBaseT[static_cast<std::size_t>(g.lo.z + lz) * res.y + (g.lo.y + ly)];
-                B.segBaseT[static_cast<std::size_t>(lz) * g.cells.y + ly] = cur;
-                cur += B.rowTris[static_cast<std::size_t>(lz) * g.cells.y + ly];
-            }
-        }
-    }
-
-    out.vertices.resize(vTotal);
-    out.triangles.resize(tTotal);
-
+    // Each crossing edge has exactly one first-using cell.
+    assert(nTotal == vTotal);
     if (stats != nullptr) {
         stats->blocksExtracted = blocksExtracted;
         stats->activeCells = activeCells;
         stats->vertices = vTotal;
         stats->triangles = tTotal;
     }
+    x.layerTri.back() = static_cast<std::uint32_t>(tTotal);
+    x.layerVert.back() = static_cast<std::uint32_t>(nTotal);
+    x.latticePos = std::make_unique_for_overwrite<Float3[]>(vTotal);
+    x.remap = std::make_unique_for_overwrite<std::uint32_t[]>(vTotal);
+    x.faceNormals = std::make_unique_for_overwrite<Float3[]>(tTotal);
 
-    // ---- Pass 2: geometry into final slots (parallel over blocks) ----
-    const float* vals = grid.values().data();
-    parallelChunks(options.pool, work.size(), [&](std::size_t i0, std::size_t i1) {
-        std::vector<std::uint32_t> edgeMap;  // reused across the chunk's blocks
-        std::array<std::uint64_t, 7> cw;
-        for (std::size_t i = i0; i < i1; ++i) {
-            const BlockGeom g = blockGeom(tiling, res, work[i]);
-            const Block& B = blocks[i];
-            if (B.vertexCount == 0 && B.cells.empty()) continue;
-            edgeMap.resize(static_cast<std::size_t>(g.walk.x) * g.walk.y * g.walk.z *
-                           kSlotsPerNode);
-            const Vec3i bc = tiling.coord(static_cast<int>(work[i]));
-
-            // Edge -> global vertex index, walking rows in canonical
-            // order. Rows owned by this block start at segBaseV; halo
-            // rows (z or y one past the owned range) start at the owner
-            // block's segBaseV — its numbering of the same row prefix is
-            // identical because the crossing bits are a pure function of
-            // the shared grid. Ordinals continue across the x boundary
-            // into the neighbour's segment by construction of the
-            // prefix. A halo row whose owner is not on the work list is
-            // certificate-empty: no crossings, nothing to index.
-            for (int lz = 0; lz < g.walk.z; ++lz) {
-                for (int ly = 0; ly < g.walk.y; ++ly) {
-                    const int gy = g.lo.y + ly;
-                    const int gz = g.lo.z + lz;
-                    const bool ownRow = lz < g.owned.z && ly < g.owned.y;
-                    std::uint32_t ord;
-                    if (ownRow) {
-                        ord = B.segBaseV[static_cast<std::size_t>(lz) * g.owned.y + ly];
-                    } else {
-                        // The owner is the next block up in y and/or z.
-                        const auto ob = static_cast<std::size_t>(tiling.index(
-                            {bc.x, bc.y + (ly >= g.owned.y ? 1 : 0),
-                             bc.z + (lz >= g.owned.z ? 1 : 0)}));
-                        const std::int32_t os = slot[ob];
-                        if (os < 0) continue;
-                        const Block& OB = blocks[static_cast<std::size_t>(os)];
-                        const BlockGeom og = blockGeom(tiling, res, ob);
-                        ord = OB.segBaseV[static_cast<std::size_t>(gz - og.lo.z) *
-                                              og.owned.y +
-                                          (gy - og.lo.y)];
-                    }
-                    crossWords(B.signRows, g, lz, ly, g.walk.x, cw);
-                    std::uint64_t u = cw[0] | cw[1] | cw[2] | cw[3] | cw[4] | cw[5] | cw[6];
-                    while (u != 0) {
-                        const int lx = std::countr_zero(u);
-                        u &= u - 1;
-                        for (int s = 0; s < kSlotsPerNode; ++s) {
-                            if (((cw[s] >> lx) & 1) == 0) continue;
-                            const std::uint32_t idx = ord++;
-                            edgeMap[(static_cast<std::size_t>(
-                                         (lz * g.walk.y + ly) * g.walk.x + lx)) *
-                                        kSlotsPerNode +
-                                    s] = idx;
-                            if (!ownRow || lx >= g.owned.x) continue;
-                            const int gx = g.lo.x + lx;
-                            const int dir = s + 1;
-                            const int ex = gx + (dir & 1);
-                            const int ey = gy + ((dir >> 1) & 1);
-                            const int ez = gz + ((dir >> 2) & 1);
-                            const float vA = vals[gridIndex(res, gx, gy, gz)];
-                            const float vB = vals[gridIndex(res, ex, ey, ez)];
-                            const float denom = vB - vA;
-                            float t = std::fabs(denom) > 1e-12f ? (iso - vA) / denom : 0.5f;
-                            t = geom::clamp(t, 0.0f, 1.0f);
-                            out.vertices[idx] = geom::lerp(grid.nodePosition(gx, gy, gz),
-                                                           grid.nodePosition(ex, ey, ez), t);
-                        }
-                    }
-                }
-            }
-
-            // Triangles straight from the case table; the active-cell
-            // list ascends (z, y, x), so a running index per cell row
-            // lands every triangle in its canonical slot. The winding
-            // replays the legacy extractor's float side test on the
-            // actual interpolated positions (see the case-table header).
-            // Positions are recomputed here rather than read back from
-            // out.vertices: a triangle may reference a halo vertex
-            // another block's task is writing concurrently, and the
-            // recomputation is bit-identical by construction.
-            int curRow = -1;
-            std::uint32_t tIdx = 0;
-            for (const std::uint32_t packed : B.cells) {
-                const int lx = static_cast<int>(packed & 63u);
-                const int ly = static_cast<int>((packed >> 6) & 63u);
-                const int lz = static_cast<int>((packed >> 12) & 63u);
-                const int config = static_cast<int>((packed >> 18) & 255u);
-                const int row = lz * g.cells.y + ly;
-                if (row != curRow) {
-                    curRow = row;
-                    tIdx = B.segBaseT[static_cast<std::size_t>(row)];
-                }
-                auto edgePos = [&](int e) {
-                    const int cornerBits = e / kSlotsPerNode;
-                    const int dir = e % kSlotsPerNode + 1;
-                    const int gx = g.lo.x + lx + (cornerBits & 1);
-                    const int gy = g.lo.y + ly + ((cornerBits >> 1) & 1);
-                    const int gz = g.lo.z + lz + ((cornerBits >> 2) & 1);
-                    const int ex = gx + (dir & 1);
-                    const int ey = gy + ((dir >> 1) & 1);
-                    const int ez = gz + ((dir >> 2) & 1);
-                    const float vA = vals[gridIndex(res, gx, gy, gz)];
-                    const float vB = vals[gridIndex(res, ex, ey, ez)];
-                    const float denom = vB - vA;
-                    float t = std::fabs(denom) > 1e-12f ? (iso - vA) / denom : 0.5f;
-                    t = geom::clamp(t, 0.0f, 1.0f);
-                    return geom::lerp(grid.nodePosition(gx, gy, gz),
-                                      grid.nodePosition(ex, ey, ez), t);
-                };
-                auto cornerPos = [&](int c) {
-                    return grid.nodePosition(g.lo.x + lx + (c & 1),
-                                             g.lo.y + ly + ((c >> 1) & 1),
-                                             g.lo.z + lz + ((c >> 2) & 1));
-                };
-                const std::uint16_t off = table.offset[config];
-                const int n = table.count[config];
-                for (int k = 0; k < n; ++k) {
-                    const CaseTable::Tri& tri = table.tris[off + k];
-                    std::uint32_t id[3];
-                    for (int v = 0; v < 3; ++v) {
-                        const int cornerBits = tri.e[v] / kSlotsPerNode;
-                        const int s = tri.e[v] % kSlotsPerNode;
-                        const int nx = lx + (cornerBits & 1);
-                        const int ny = ly + ((cornerBits >> 1) & 1);
-                        const int nz = lz + ((cornerBits >> 2) & 1);
-                        id[v] = edgeMap[(static_cast<std::size_t>(
-                                             (nz * g.walk.y + ny) * g.walk.x + nx)) *
-                                            kSlotsPerNode +
-                                        s];
-                    }
-                    // Legacy emitTriangle, bit for bit: same inside
-                    // reference (centroid of 1 or 2 corners — += then
-                    // /= count, both exact re-associations), same cross
-                    // / dot order, same comparison.
-                    Vec3f insideRef = cornerPos(tri.refA);
-                    if (tri.refB != 0xff) {
-                        insideRef += cornerPos(tri.refB);
-                        insideRef /= 2.0f;
-                    }
-                    const Vec3f pa = edgePos(tri.e[0]);
-                    const Vec3f pb = edgePos(tri.e[1]);
-                    const Vec3f pc = edgePos(tri.e[2]);
-                    const Vec3f nrm = (pb - pa).cross(pc - pa);
-                    const Vec3f centroid = (pa + pb + pc) / 3.0f;
-                    const float side = nrm.dot(centroid - insideRef);
-                    const bool flip = tri.outward ? side < 0.0f : side > 0.0f;
-                    out.triangles[tIdx++] = flip ? Triangle{id[0], id[2], id[1]}
-                                                 : Triangle{id[0], id[1], id[2]};
-                }
-            }
+    // Zero-filling the outputs, and faulting in their pages, is serial
+    // work: it runs as the first task of pass 2a, which touches neither.
+    // The storage is reserved here, so it comes from this thread's heap
+    // like the rest of the mesh, not from whichever worker fills it.
+    out.vertices.reserve(vTotal);
+    out.triangles.reserve(tTotal);
+    if (!options.weldVertices) out.normals.reserve(vTotal);
+    parallelChunks(pool, numSlabs + 1, [&](std::size_t i) {
+        if (i == 0) {
+            out.vertices.resize(vTotal);
+            out.triangles.resize(tTotal);
+            // The welded mesh's normals come from its own faces, below.
+            if (!options.weldVertices) out.normals.resize(vTotal);
+            return;
         }
+        x.offsets(i - 1);
+        x.positions(i - 1);
     });
 
-    // Renumber vertices by first use in the (canonical) triangle stream.
-    // The lattice (z, y, x, slot) numbering the passes emit under is
-    // convenient for disjoint writes but spreads a triangle's indices
-    // across whole grid rows, which ruins the delta locality the mesh
-    // codec's varint stage feeds on. First-use order restores the legacy
-    // extractor's index locality and is still a pure function of the
-    // canonical triangle order, so worker-count and block-decomposition
-    // invariance are untouched.
-    if (vTotal > 0) {
-        constexpr std::uint32_t kUnseen = 0xffffffffu;
-        std::vector<std::uint32_t> remap(vTotal, kUnseen);
-        std::vector<Vec3f> reordered(vTotal);
-        std::uint32_t next = 0;
-        for (Triangle& tri : out.triangles) {
-            for (std::uint32_t* idx : {&tri.a, &tri.b, &tri.c}) {
-                std::uint32_t& r = remap[*idx];
-                if (r == kUnseen) {
-                    r = next;
-                    reordered[next] = out.vertices[*idx];
-                    ++next;
-                }
-                *idx = r;
-            }
-        }
-        // Every crossing edge is referenced by an active tet, so this
-        // loop only runs on malformed input; kept for safety.
-        for (std::size_t v = 0; v < vTotal; ++v) {
-            if (remap[v] == kUnseen) reordered[next++] = out.vertices[v];
-        }
-        out.vertices = std::move(reordered);
-    }
+    eachSlab([&](std::size_t s) { x.triangles(s); });
 
-    // Same post-pass as the legacy extractor, in the same order.
-    out.removeDegenerateTriangles();
+    // Each slab's degenerate list follows its blocks, not its triangle
+    // order.
+    for (const Slab& S : x.slabs)
+        x.drop.insert(x.drop.end(), S.degenerate.begin(), S.degenerate.end());
+    std::sort(x.drop.begin(), x.drop.end());
+    if (!x.drop.empty())
+        for (std::size_t s = 0; s + 1 < numSlabs; ++s) x.saveTail(s);
+    eachSlab([&](std::size_t s) { x.renumber(s); });
+    out.triangles.resize(tTotal - x.drop.size());
 
     if (options.weldVertices) {
         const float eps = 1e-5f * grid.bounds().diagonal();
         out.weldVertices(eps);
+        out.computeVertexNormals();
+    } else {
+        eachSlab([&](std::size_t s) { x.normals(s); });
     }
-    out.computeVertexNormals();
     return out;
 }
 

@@ -1,13 +1,15 @@
-// Tests for the two-pass block-local table-driven extractor: canonical
-// equivalence with the retained legacy extractor, byte-identity across
-// worker counts, batch-sampled grid identity, and the
-// degenerate/no-crossing edge cases.
+// Tests for the block-local table-driven extractor: canonical
+// equivalence with the retained legacy extractor, byte-identity
+// (positions, indices, normals) across worker counts, batch-sampled grid
+// identity, and the degenerate/no-crossing edge cases.
 #include "semholo/mesh/isosurface.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "semholo/core/thread_pool.hpp"
@@ -63,6 +65,16 @@ void expectIdenticalMeshes(const TriMesh& a, const TriMesh& b) {
         ASSERT_EQ(a.triangles[i].b, b.triangles[i].b) << "triangle " << i;
         ASSERT_EQ(a.triangles[i].c, b.triangles[i].c) << "triangle " << i;
     }
+    // Bit for bit, so a flipped sign of zero or a changed NaN shows too.
+    ASSERT_EQ(a.normals.size(), b.normals.size());
+    for (std::size_t i = 0; i < a.normals.size(); ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a.normals[i].x),
+                  std::bit_cast<std::uint32_t>(b.normals[i].x)) << "normal " << i;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a.normals[i].y),
+                  std::bit_cast<std::uint32_t>(b.normals[i].y)) << "normal " << i;
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(a.normals[i].z),
+                  std::bit_cast<std::uint32_t>(b.normals[i].z)) << "normal " << i;
+    }
 }
 
 void expectSameTriangleSet(const TriMesh& a, const TriMesh& b) {
@@ -90,6 +102,49 @@ TEST(IsoSurfaceParallel, ByteIdenticalAcrossWorkerCounts) {
         opt.pool = &pool;
         const TriMesh pooled = extractIsoSurface(grid, opt);
         expectIdenticalMeshes(serial, pooled);
+    }
+
+    // The reconstruction's configuration: a 4-node sampler tiling and no
+    // weld pass, so the extractor's own normals reach the output.
+    VoxelGrid tiled(unitBounds(), {res, res, res});
+    BlockSampler sampler(tiled, 4);
+    sampler.sample(field, FieldSampleOptions{});
+    IsoSurfaceOptions recon;
+    recon.weldVertices = false;
+    const TriMesh reconSerial = extractIsoSurface(tiled, &sampler, recon, nullptr);
+    for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
+        core::ThreadPool pool(workers);
+        recon.pool = &pool;
+        const TriMesh pooled = extractIsoSurface(tiled, &sampler, recon, nullptr);
+        expectIdenticalMeshes(reconSerial, pooled);
+    }
+}
+
+TEST(IsoSurfaceParallel, CleanupDropsTrianglesThroughGridNodes) {
+    // Node coordinates are multiples of 1/8 here, so the plane
+    // x + y / 2 = 0 passes exactly through grid nodes. Every crossing
+    // edge that ends on such a node puts its vertex on the node, and
+    // triangles spanned by coincident vertices have zero area.
+    const int res = 16;
+    VoxelGrid grid(unitBounds(), {res, res, res});
+    grid.sample([](Vec3f p) { return p.x + 0.5f * p.y; });
+
+    IsoSurfaceOptions opt;
+    opt.weldVertices = false;
+    ReconCounters stats;
+    const TriMesh serial = extractIsoSurface(grid, nullptr, opt, &stats);
+    ASSERT_GT(serial.triangleCount(), 0u);
+    EXPECT_GT(stats.triangles, serial.triangleCount());
+    expectSameTriangleSet(extractIsoSurfaceLegacy(grid, opt), serial);
+
+    TriMesh reference = serial;
+    reference.computeVertexNormals();
+    expectIdenticalMeshes(reference, serial);
+
+    for (const std::size_t workers : {2u, 3u, 8u}) {
+        core::ThreadPool pool(workers);
+        opt.pool = &pool;
+        expectIdenticalMeshes(serial, extractIsoSurface(grid, nullptr, opt, nullptr));
     }
 }
 

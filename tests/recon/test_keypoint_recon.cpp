@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "semholo/body/animation.hpp"
+#include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/metrics.hpp"
 #include "semholo/mesh/sampling.hpp"
 
@@ -12,6 +16,31 @@ namespace {
 using body::MotionGenerator;
 using body::MotionKind;
 using body::Pose;
+
+// FNV-1a over a mesh's bytes: vertex position bits, triangle indices and
+// normal bits, each 32-bit word little-endian.
+std::uint64_t meshDigest(const mesh::TriMesh& m) {
+    std::uint64_t h = 1469598103934665603ull;
+    auto word = [&h](std::uint32_t w) {
+        for (int i = 0; i < 4; ++i) {
+            h ^= (w >> (8 * i)) & 0xffu;
+            h *= 1099511628211ull;
+        }
+    };
+    auto vec = [&word](const geom::Vec3f& v) {
+        word(std::bit_cast<std::uint32_t>(v.x));
+        word(std::bit_cast<std::uint32_t>(v.y));
+        word(std::bit_cast<std::uint32_t>(v.z));
+    };
+    for (const geom::Vec3f& v : m.vertices) vec(v);
+    for (const mesh::Triangle& t : m.triangles) {
+        word(t.a);
+        word(t.b);
+        word(t.c);
+    }
+    for (const geom::Vec3f& n : m.normals) vec(n);
+    return h;
+}
 
 TEST(DeviceProfile, MemoryFeasibilityMatchesFigure4) {
     const DeviceProfile laptop = DeviceProfile::laptop();
@@ -29,6 +58,21 @@ TEST(DeviceProfile, HostUncapped) {
     EXPECT_TRUE(DeviceProfile::host().fitsInMemory(1ull << 60));
     EXPECT_DOUBLE_EQ(DeviceProfile::host().scaleMs(10.0), 10.0);
     EXPECT_GT(DeviceProfile::laptop().scaleMs(10.0), 10.0);  // slower device
+}
+
+TEST(Reconstruction, MeshBytesMatchPinnedDigestAtEveryWorkerCount) {
+    // Pins every position, index and normal bit of a 128^3 sparse
+    // reconstruction, whatever the pool size.
+    const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.5);
+    for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+        core::ThreadPool pool(workers);
+        ReconstructionOptions opt;
+        opt.resolution = 128;
+        opt.pool = &pool;
+        const ReconstructionResult r = reconstructFromPose(pose, opt);
+        ASSERT_TRUE(r.success) << workers << " workers";
+        EXPECT_EQ(meshDigest(r.mesh), 0xbb81398a3d79fb8aull) << workers << " workers";
+    }
 }
 
 TEST(Reconstruction, FromPoseProducesClosedMesh) {
