@@ -251,7 +251,7 @@ int main() {
     {
         body::BodyFieldOptions fieldOpt;
         const body::BodyField body =
-            body::makeBodyField(pose, body::Skeleton::canonical(), fieldOpt);
+            body::makeBodyField(pose, fieldOpt);
         mesh::VoxelGrid grid(body.bounds, {extRes, extRes, extRes});
         mesh::BlockSampler sampler(grid, recon::resolveBlockSize(extRes));
         mesh::FieldSampleOptions sampling;
@@ -266,7 +266,7 @@ int main() {
         mesh::TriMesh legacyMesh, blockMesh;
         for (int i = 0; i < 5; ++i) {
             auto t0 = std::chrono::steady_clock::now();
-            legacyMesh = mesh::extractIsoSurfaceLegacy(grid, sampler, extOpt);
+            legacyMesh = mesh::extractIsoSurfaceLegacy(grid, &sampler, extOpt);
             legacyMs.record(std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count());

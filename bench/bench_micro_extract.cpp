@@ -32,7 +32,7 @@ Workload& workload(int res) {
         const body::Pose pose =
             body::MotionGenerator(body::MotionKind::Talk).poseAt(0.5);
         const body::BodyField body =
-            body::makeBodyField(pose, body::Skeleton::canonical(), {});
+            body::makeBodyField(pose);
         w.grid = std::make_unique<mesh::VoxelGrid>(body.bounds,
                                                    mesh::Vec3i{res, res, res});
         w.sampler = std::make_unique<mesh::BlockSampler>(
@@ -56,7 +56,7 @@ void BM_ExtractLegacy(benchmark::State& state) {
     const auto opt = reconOptions();
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            mesh::extractIsoSurfaceLegacy(*w.grid, *w.sampler, opt));
+            mesh::extractIsoSurfaceLegacy(*w.grid, w.sampler.get(), opt));
 }
 BENCHMARK(BM_ExtractLegacy)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
@@ -82,6 +82,7 @@ BENCHMARK(BM_ExtractBlockPooled)
     ->Args({128, 2})
     ->Args({128, 4})
     ->Args({128, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -8,10 +8,11 @@
 //    from RGB-D data", Fig. 2a): it is what the traditional pipeline
 //    streams and what reconstructions are scored against.
 //
-//  * bodySignedDistance — an implicit skeleton-conditioned field for a
-//    given pose. The keypoint-reconstruction path (X-Avatar stand-in)
-//    evaluates this field on an R^3 grid and runs iso-surface extraction,
-//    reproducing the resolution/quality/FPS trade-offs of Figs. 2 and 4.
+//  * makeBodyField — an implicit skeleton-conditioned signed distance
+//    for a given pose. The keypoint-reconstruction path (X-Avatar
+//    stand-in) evaluates this field on an R^3 grid and runs iso-surface
+//    extraction, reproducing the resolution/quality/FPS trade-offs of
+//    Figs. 2 and 4.
 #pragma once
 
 #include <array>
@@ -43,21 +44,15 @@ struct BodyFieldOptions {
     // details of the clothes, such as folds").
     bool clothingDetail{false};
     float clothingAmplitude{0.008f};
-    // Per-query capsule pruning (makeBodyField only): skip capsules whose
-    // conservative lower-bound distance proves the smooth-min blend would
-    // leave the running value unchanged. The skip is mathematically exact
-    // but differs from the unpruned fold by at most one rounding step per
-    // skipped capsule; disable when bit-reproducible sampling against the
-    // legacy field is required.
+    // Per-query capsule pruning: skip capsules whose conservative
+    // lower-bound distance proves the smooth-min blend would leave the
+    // running value unchanged. The skip is mathematically exact but
+    // differs from the full fold over every capsule by at most one
+    // rounding step per skipped capsule. Off, the field is that full
+    // fold: the dense reconstruction baseline and the BodyModel template
+    // sample it, and sampling it is bit-reproducible on every path.
     bool bonePruning{true};
 };
-
-// Signed distance to the posed body surface: negative inside. Built from
-// shape-scaled capsules along every bone plus head/torso ellipsoids, with
-// expression-driven face offsets (jaw open, pout, smile).
-ScalarField bodySignedDistance(const Pose& pose,
-                               const Skeleton& skeleton = Skeleton::canonical(),
-                               const BodyFieldOptions& options = {});
 
 // Live instrumentation counters for a body field evaluated concurrently
 // by sampler workers. Sharded per thread so the hot path stays
@@ -100,6 +95,10 @@ float capsuleUpperBound(const PosedCapsule& c, Vec3f p);
 
 // A body field packaged with what sparse sampling needs: the per-point
 // and batch evaluators, grid bounds, and the analytic block certificate.
+// 'field' is the signed distance to the posed body surface, negative
+// inside: a smooth-min fold over shape-scaled capsules along every bone
+// plus head and torso capsules, with expression-driven face offsets (jaw
+// open, pout, smile).
 struct BodyField {
     ScalarField field;  // thread-safe; shared by all sampler workers
     // SIMD batch evaluator (SoA points): bit-identical to calling
@@ -107,7 +106,10 @@ struct BodyField {
     // on every backend (see geometry/simd.hpp for the determinism
     // contract). BlockSampler uses this for whole-block evaluation.
     mesh::BatchScalarField batch;
-    geom::AABB bounds;  // loose world bounds (same rule as bodyBounds)
+    // Loose world bounds of the posed body, for grid placement: the
+    // joints' box inflated by the largest capsule radius plus the blend
+    // margin.
+    geom::AABB bounds;
     // World-space box outside which the expression warp is provably
     // zero: the certificate pays the warp offset only for balls that
     // reach it.
@@ -124,16 +126,9 @@ struct BodyField {
     std::function<bool(Vec3f center, float radius)> certificate;
 };
 
-// Build the implicit body field for sparse/parallel sampling. The field
-// evaluates identically to bodySignedDistance when options.bonePruning
-// is false, and within one rounding step per skipped capsule otherwise.
-BodyField makeBodyField(const Pose& pose,
-                        const Skeleton& skeleton = Skeleton::canonical(),
-                        const BodyFieldOptions& options = {});
-
-// Loose world-space bounds of the posed body (for grid placement).
-geom::AABB bodyBounds(const Pose& pose,
-                      const Skeleton& skeleton = Skeleton::canonical());
+// Build the implicit body of 'pose' on the canonical skeleton: the one
+// builder of the body field, for dense and sparse sampling alike.
+BodyField makeBodyField(const Pose& pose, const BodyFieldOptions& options = {});
 
 // Name of the kernel BodyField::batch dispatches to on this machine:
 // "avx2" when the CPU + build support it, else the baseline backend

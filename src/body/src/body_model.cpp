@@ -18,26 +18,14 @@ float smin(float a, float b, float k) {
     return geom::lerp(b, a, h) - k * h * (1.0f - h);
 }
 
-// Distance to a capsule with linearly varying radius (a "round cone").
-float capsuleDistance(Vec3f p, Vec3f a, Vec3f b, float ra, float rb) {
-    float t;
-    const float d = geom::pointSegmentDistance(p, a, b, t);
-    return d - geom::lerp(ra, rb, t);
-}
-
 // Girth multiplier from shape betas (beta[2] = overall girth).
 float girth(const ShapeParams& shape) {
     return 1.0f + 0.06f * static_cast<float>(shape.betas[2]);
 }
 
-struct PosedBone {
-    Vec3f a, b;
-    float ra, rb;
-};
-
-std::vector<PosedBone> posedBones(const SkeletonState& state, const ShapeParams& shape,
-                                  const Skeleton& skeleton) {
-    std::vector<PosedBone> out;
+std::vector<PosedCapsule> posedCapsules(const SkeletonState& state,
+                                        const ShapeParams& shape) {
+    std::vector<PosedCapsule> out;
     const float g = girth(shape);
     for (const Bone& bone : canonicalBones()) {
         const Vec3f a = state.worldFromJoint[index(bone.parent)].translation;
@@ -57,7 +45,6 @@ std::vector<PosedBone> posedBones(const SkeletonState& state, const ShapeParams&
         state.worldFromJoint[index(JointId::Spine2)].rotation.rotate({1, 0, 0});
     out.push_back({spine1 + right * 0.06f, spine3 + right * 0.07f, 0.09f * g, 0.09f * g});
     out.push_back({spine1 - right * 0.06f, spine3 - right * 0.07f, 0.09f * g, 0.09f * g});
-    (void)skeleton;
     return out;
 }
 
@@ -95,38 +82,6 @@ Vec3f expressionOffset(Vec3f restPosition, const ExpressionParams& expression) {
 }
 
 using detail::clothingFoldDisplacement;
-
-ScalarField bodySignedDistance(const Pose& pose, const Skeleton& skeleton,
-                               const BodyFieldOptions& options) {
-    const SkeletonState state = forwardKinematics(pose, skeleton);
-    auto bones = posedBones(state, pose.shape, skeleton);
-    const ExpressionParams expr = pose.expression;
-
-    // Rest-space face anchors posed into world space for expression
-    // displacement of the implicit surface.
-    const RigidTransform headXf = state.worldFromJoint[index(JointId::Head)];
-    const Vec3f headRest = Skeleton::canonical().restPosition(JointId::Head);
-    const RigidTransform rootInv =
-        state.worldFromJoint[index(JointId::Pelvis)].inverse();
-
-    return [bones = std::move(bones), expr, headXf, headRest, rootInv,
-            options](Vec3f p) {
-        // Expression: warp the query point near the face inverse to the
-        // desired offset (standard implicit-deformation trick).
-        const Vec3f pHeadLocal = headXf.inverse().apply(p) + headRest;
-        const Vec3f offset = expressionOffset(pHeadLocal, expr);
-        Vec3f q = p;
-        if (offset.norm2() > 0.0f) q = p - headXf.applyVector(offset);
-
-        float d = std::numeric_limits<float>::max();
-        for (const PosedBone& b : bones)
-            d = smin(d, capsuleDistance(q, b.a, b.b, b.ra, b.rb), kFieldBlend);
-        if (options.clothingDetail)
-            d += clothingFoldDisplacement(rootInv.apply(p),
-                                          options.clothingAmplitude);
-        return d;
-    };
-}
 
 // ---- BodyFieldStats ------------------------------------------------------
 
@@ -186,7 +141,9 @@ float aabbDistance2(Vec3f p, Vec3f lo, Vec3f hi) {
 }  // namespace
 
 float capsuleDistance(const PosedCapsule& c, Vec3f p) {
-    return capsuleDistance(p, c.a, c.b, c.ra, c.rb);
+    float t;
+    const float d = geom::pointSegmentDistance(p, c.a, c.b, t);
+    return d - geom::lerp(c.ra, c.rb, t);
 }
 
 float capsuleLowerBound(const PosedCapsule& c, Vec3f p) {
@@ -225,10 +182,8 @@ const char* bodyBatchBackend() {
     return geom::simd::backendName(geom::simd::baselineBackend());
 }
 
-BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
-                        const BodyFieldOptions& options) {
-    const SkeletonState state = forwardKinematics(pose, skeleton);
-    const std::vector<PosedBone> bones = posedBones(state, pose.shape, skeleton);
+BodyField makeBodyField(const Pose& pose, const BodyFieldOptions& options) {
+    const SkeletonState state = forwardKinematics(pose);
     const ExpressionParams expr = pose.expression;
     const RigidTransform headXf = state.worldFromJoint[index(JointId::Head)];
     const RigidTransform headInv = headXf.inverse();
@@ -238,11 +193,10 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
 
     BodyField out;
     out.stats = std::make_shared<BodyFieldStats>();
-    out.capsules.reserve(bones.size());
+    out.capsules = posedCapsules(state, pose.shape);
     std::vector<BonePruneData> prune;
-    prune.reserve(bones.size());
-    for (const PosedBone& b : bones) {
-        out.capsules.push_back({b.a, b.b, b.ra, b.rb});
+    prune.reserve(out.capsules.size());
+    for (const PosedCapsule& b : out.capsules) {
         BonePruneData bd;
         bd.lo = {std::min(b.a.x, b.b.x), std::min(b.a.y, b.b.y),
                  std::min(b.a.z, b.b.z)};
@@ -252,10 +206,8 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
         prune.push_back(bd);
     }
 
-    geom::AABB bounds;
-    for (const auto& xf : state.worldFromJoint) bounds.expand(xf.translation);
-    bounds.inflate(0.18f);
-    out.bounds = bounds;
+    for (const auto& xf : state.worldFromJoint) out.bounds.expand(xf.translation);
+    out.bounds.inflate(0.18f);  // largest capsule radius + blend margin
 
     // Rest-space box covering every expressionOffset falloff region
     // (mouth sphere radius 0.07 around y=0.66, brow sphere radius 0.05
@@ -282,7 +234,7 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     const float a3 = std::fabs(static_cast<float>(expr.coeffs[3]));
     const bool hasExpression = a0 > 0.0f || a1 > 0.0f || a2 > 0.0f || a3 > 0.0f;
 
-    out.field = [bones, prune, expr, hasExpression, headXf,
+    out.field = [capsules = out.capsules, prune, expr, hasExpression, headXf,
                  headInv, headRest, rootInv, options,
                  stats = out.stats](Vec3f p) {
         Vec3f q = p;
@@ -294,7 +246,7 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
         float d = std::numeric_limits<float>::max();
         std::uint32_t blended = 0;
         std::uint32_t pruned = 0;
-        for (std::size_t i = 0; i < bones.size(); ++i) {
+        for (std::size_t i = 0; i < capsules.size(); ++i) {
             if (options.bonePruning) {
                 const BonePruneData& bd = prune[i];
                 const float t = d + kFieldBlend + bd.rmax;
@@ -303,8 +255,7 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
                     continue;
                 }
             }
-            const PosedBone& b = bones[i];
-            d = smin(d, capsuleDistance(q, b.a, b.b, b.ra, b.rb), kFieldBlend);
+            d = smin(d, capsuleDistance(capsules[i], q), kFieldBlend);
             ++blended;
         }
         if (options.clothingDetail)
@@ -319,8 +270,8 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     // per-point results are bit-identical (the test suites assert this).
     {
         auto data = std::make_shared<detail::BodyBatchData>();
-        data->count = bones.size();
-        for (const PosedBone& b : bones) {
+        data->count = out.capsules.size();
+        for (const PosedCapsule& b : out.capsules) {
             data->ax.push_back(b.a.x);
             data->ay.push_back(b.a.y);
             data->az.push_back(b.a.z);
@@ -404,14 +355,6 @@ BodyField makeBodyField(const Pose& pose, const Skeleton& skeleton,
     return out;
 }
 
-geom::AABB bodyBounds(const Pose& pose, const Skeleton& skeleton) {
-    const SkeletonState state = forwardKinematics(pose, skeleton);
-    geom::AABB box;
-    for (const auto& xf : state.worldFromJoint) box.expand(xf.translation);
-    box.inflate(0.18f);  // largest capsule radius + blend margin
-    return box;
-}
-
 BodyModel::BodyModel(const ShapeParams& shape, int templateResolution) : shape_(shape) {
     Pose rest;
     rest.shape = shape;
@@ -421,18 +364,18 @@ BodyModel::BodyModel(const ShapeParams& shape, int templateResolution) : shape_(
     BodyFieldOptions fieldOpt;
     fieldOpt.clothingDetail = true;
     // Bone pruning off: the template feeds byte-exact payload-size
-    // expectations downstream, so sampling must reproduce the legacy
-    // field bit for bit. Certified block skipping and the worker pool
-    // are value-preserving, so they stay on.
+    // expectations downstream, so sampling must fold every capsule, bit
+    // for bit. Certified block skipping and the worker pool are
+    // value-preserving, so they stay on.
     fieldOpt.bonePruning = false;
-    const BodyField body = makeBodyField(rest, Skeleton::canonical(), fieldOpt);
+    const BodyField body = makeBodyField(rest, fieldOpt);
     mesh::FieldSampleOptions sampling;
     sampling.pool = &core::sharedPool();
     sampling.certificate = body.certificate;
     // The batch evaluator is the field's bit-identical SoA companion, so
     // routing sampled blocks through it keeps the byte-exact guarantee.
     sampling.batch = body.batch;
-    template_ = mesh::extractIsoSurface(body.field, bodyBounds(rest),
+    template_ = mesh::extractIsoSurface(body.field, body.bounds,
                                         templateResolution, {}, sampling);
     computeSkinWeights();
     paintTexture();
@@ -451,8 +394,9 @@ void BodyModel::computeSkinWeights() {
             const Vec3f a = restState_.worldFromJoint[index(bone.parent)].translation;
             const Vec3f b = restState_.worldFromJoint[index(bone.child)].translation;
             const float d = std::max(
-                0.0f, capsuleDistance(v, a, b, bone.radiusAtParent * g,
-                                      bone.radiusAtChild * g));
+                0.0f, capsuleDistance({a, b, bone.radiusAtParent * g,
+                                       bone.radiusAtChild * g},
+                                      v));
             // Weight attaches to the child joint (the bone's own joint).
             const auto j = static_cast<std::uint16_t>(index(bone.child));
             if (d < best[3].first) {

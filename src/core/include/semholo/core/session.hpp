@@ -94,9 +94,6 @@ struct FrameStats {
     bool droppedAtReceiver{false};  // reconstructor still busy at arrival
     // Chamfer distance vs ground truth when evaluated, NaN otherwise.
     double chamfer{std::numeric_limits<double>::quiet_NaN()};
-    // Reconstruction work accounting of this frame's decode; summed into
-    // the session telemetry counters.
-    mesh::ReconCounters recon;
 };
 
 // Per-session results. 'telemetry' is the one store of counts and

@@ -77,8 +77,8 @@ struct Counters {
     std::uint64_t faultEvents{};       // fault windows / burst onsets entered
     std::uint64_t degradations{};      // quality-ladder step-downs
     std::uint64_t upgrades{};          // quality-ladder step-ups
-    // Reconstruction work summed over decoded frames (the same struct
-    // DecodedFrame and FrameStats carry).
+    // Reconstruction work summed over decoded frames: the engine's decode
+    // node adds each decoded frame's DecodedFrame::recon here.
     mesh::ReconCounters recon;
 
     void merge(const Counters& other);

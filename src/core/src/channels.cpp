@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <span>
 
 #include "semholo/compress/codec2.hpp"
 #include "semholo/compress/meshcodec.hpp"
@@ -60,6 +62,35 @@ bool deserializeRawMesh(std::span<const std::uint8_t> data, mesh::TriMesh& out) 
     for (const mesh::Triangle& t : out.triangles)
         if (t.a >= nv || t.b >= nv || t.c >= nv) return false;
     return true;
+}
+
+// The pose payload on the wire: codec v2 over the serialised pose when
+// 'compress' is set, the serialised pose itself otherwise.
+std::vector<std::uint8_t> encodePosePayload(const body::Pose& pose, bool compress,
+                                            const compress::Codec2Options& codec) {
+    std::vector<std::uint8_t> payload = body::serializePose(pose);
+    if (!compress) return payload;
+    return compress::codec2Encode(payload, codec);
+}
+
+std::optional<body::Pose> decodePosePayload(std::span<const std::uint8_t> data,
+                                            bool compress) {
+    if (!compress) return body::deserializePose(data);
+    const auto payload = compress::codec2Decode(data);
+    if (!payload) return std::nullopt;
+    return body::deserializePose(*payload);
+}
+
+// Reconstruct 'pose' at 'resolution' into out.mesh and out.recon; false
+// when reconstruction failed.
+bool reconstructInto(const body::Pose& pose, int resolution, DecodedFrame& out) {
+    recon::ReconstructionOptions ro;
+    ro.resolution = resolution;
+    ro.device = recon::DeviceProfile::host();
+    recon::ReconstructionResult result = recon::reconstructFromPose(pose, ro);
+    out.mesh = std::move(result.mesh);
+    out.recon = result.stats;
+    return result.success;
 }
 
 class TraditionalChannel final : public SemanticChannel {
@@ -121,10 +152,8 @@ public:
         EncodedFrame out;
         out.frameId = frame.pose.frameId;
         const auto t0 = std::chrono::steady_clock::now();
-        const auto payload = body::serializePose(frame.pose);
-        out.data = options_.compressPayload
-                       ? compress::codec2Encode(payload, options_.codec)
-                       : payload;
+        out.data = encodePosePayload(frame.pose, options_.compressPayload,
+                                     options_.codec);
         out.measuredExtractMs = msSince(t0);
         out.simulatedExtractMs = options_.simulatedDetectMs;
         return out;
@@ -134,25 +163,8 @@ public:
         DecodedFrame out;
         out.frameId = encoded.frameId;
         const auto t0 = std::chrono::steady_clock::now();
-        std::optional<body::Pose> pose;
-        if (options_.compressPayload) {
-            const auto payload = compress::codec2Decode(encoded.data);
-            if (payload) pose = body::deserializePose(*payload);
-        } else {
-            pose = body::deserializePose(encoded.data);
-        }
-        if (!pose) {
-            out.measuredReconMs = msSince(t0);
-            return out;
-        }
-        recon::ReconstructionOptions ro;
-        ro.resolution = options_.reconResolution;
-        ro.shape = options_.shape;
-        ro.device = recon::DeviceProfile::host();
-        auto result = recon::reconstructFromPose(*pose, ro);
-        out.valid = result.success;
-        out.mesh = std::move(result.mesh);
-        out.recon = result.stats;
+        const auto pose = decodePosePayload(encoded.data, options_.compressPayload);
+        if (pose) out.valid = reconstructInto(*pose, options_.reconResolution, out);
         out.measuredReconMs = msSince(t0);
         return out;
     }
@@ -202,18 +214,8 @@ public:
                               encoded.data.end());
         const auto pose = decoder_.decode(packet);
         if (pose) {
-            if (options_.reconstructMesh) {
-                recon::ReconstructionOptions ro;
-                ro.resolution = options_.reconResolution;
-                ro.shape = options_.shape;
-                ro.device = recon::DeviceProfile::host();
-                auto result = recon::reconstructFromPose(*pose, ro);
-                out.valid = result.success;
-                out.mesh = std::move(result.mesh);
-                out.recon = result.stats;
-            } else {
-                out.valid = true;
-            }
+            out.valid = !options_.reconstructMesh ||
+                        reconstructInto(*pose, options_.reconResolution, out);
         }
         out.measuredReconMs = msSince(t0);
         out.simulatedReconMs =
@@ -270,9 +272,8 @@ public:
             }
         }
         // Peripheral: the 1.91 KB pose payload.
-        auto poseBytes = body::serializePose(frame.pose);
-        if (options_.compress)
-            poseBytes = compress::codec2Encode(poseBytes, options_.codec);
+        const auto poseBytes =
+            encodePosePayload(frame.pose, options_.compress, options_.codec);
 
         putU32(out.data, static_cast<std::uint32_t>(fovealBytes.size()));
         out.data.insert(out.data.end(), fovealBytes.begin(), fovealBytes.end());
@@ -305,25 +306,11 @@ private:
         const std::span<const std::uint8_t> poseSpan(data.data() + pos + fovealLen,
                                                      data.size() - pos - fovealLen);
 
-        std::optional<body::Pose> pose;
-        if (options_.compress) {
-            const auto payload = compress::codec2Decode(poseSpan);
-            if (payload) pose = body::deserializePose(*payload);
-        } else {
-            pose = body::deserializePose(poseSpan);
-        }
-        if (!pose) return false;
-
+        const auto pose = decodePosePayload(poseSpan, options_.compress);
         // Peripheral reconstruction at reduced resolution (the paper's
         // "keypoints for only peripheral regions").
-        recon::ReconstructionOptions ro;
-        ro.resolution = options_.peripheralResolution;
-        ro.shape = options_.shape;
-        ro.device = recon::DeviceProfile::host();
-        auto peripheral = recon::reconstructFromPose(*pose, ro);
-        if (!peripheral.success) return false;
-        out.mesh = std::move(peripheral.mesh);
-        out.recon = peripheral.stats;
+        if (!pose || !reconstructInto(*pose, options_.peripheralResolution, out))
+            return false;
 
         // Graft the full-quality foveal mesh (seam blending is the open
         // challenge the paper notes; we overlay).

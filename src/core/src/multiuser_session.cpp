@@ -440,6 +440,8 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     // Decode: reads the ring slot (the downlink nodes of the same tick
     // may still be reading it; only decodedMesh, which they never touch,
     // is written), advances this user's recon clock and writes frame f.
+    // A decoded frame's recon counters go straight into the user's
+    // telemetry: D nodes of one user run in order.
     const auto decodeBody = [&](std::size_t f, std::size_t slot, std::size_t u,
                                 double captureTime) {
         FrameStats& frame = out.perUser[u].frames[f];
@@ -455,7 +457,8 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
                 DecodedFrame decoded = channels[u]->decode(p.encoded);
                 frame.decoded = decoded.valid;
                 frame.reconMs = decoded.reconMs();
-                frame.recon = decoded.recon;
+                if (decoded.valid)
+                    out.perUser[u].telemetry.counters.recon += decoded.recon;
                 stageMs = clockReconMs(decoded, base.timing);
                 const double renderTime =
                     std::max(arrival, us.reconFreeAt) + stageMs / 1000.0;

@@ -49,7 +49,6 @@ void finalizeSessionStats(SessionStats& stats, const SessionConfig& config) {
         if (frame.decoded) {
             ++t.counters.framesDecoded;
             t.decodeMs.record(frame.reconMs);
-            t.counters.recon += frame.recon;
             sumStage += std::max(frame.extractMs, frame.reconMs);
         }
         if (!std::isnan(frame.chamfer)) {

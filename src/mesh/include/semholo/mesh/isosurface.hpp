@@ -30,8 +30,12 @@
 // is what keeps the dense/sparse bit-identity guarantee intact (and
 // keeps the index deltas the mesh codec feeds on as local as the legacy
 // extractor's).
-// The previous serial extractor is retained as extractIsoSurfaceLegacy
-// for differential tests and the within-run benchmark baseline.
+//
+// Three entry points: extractIsoSurface over a sampled grid (optionally
+// with the BlockSampler that filled it), extractIsoSurface over a field
+// (samples it through a BlockSampler first), and extractIsoSurfaceLegacy,
+// the previous serial extractor, kept for differential tests and the
+// within-run benchmark baseline.
 #pragma once
 
 #include "semholo/mesh/blocksampler.hpp"
@@ -60,55 +64,43 @@ struct IsoSurfaceOptions {
     core::ThreadPool* pool{nullptr};
 };
 
-// Full-control entry point: extract the iso-surface of a sampled grid.
-// 'sampler' (optional) must tile 'grid'; the extractor works on its
-// tiling and skips cells in blocks it certified surface-free — provably
-// without changing the output. Without a sampler the grid is tiled into
-// BlockTiling::kDefaultBlockSize-node blocks. 'stats' (optional)
-// receives the extractor's counters (blocksExtracted, activeCells,
-// vertices, triangles); its other fields are left as they are.
-TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
-                          const IsoSurfaceOptions& options, ReconCounters* stats);
+// Extract the iso-surface of a sampled grid. 'sampler' (optional) must
+// tile 'grid'; the extractor works on its tiling and skips every cell
+// inside a block it certified surface-free (BlockSampler::surfaceFree).
+// Certified blocks provably contain no iso-crossing anywhere in their
+// guard region, so those cells would emit nothing: the result is
+// bit-identical to the extraction without a sampler, while the cell scan
+// drops from O(R^3) to the blocks near the surface. Without a sampler
+// the grid is tiled into BlockTiling::kDefaultBlockSize-node blocks.
+// 'stats' (optional) receives the extractor's counters (blocksExtracted,
+// activeCells, vertices, triangles); its other fields are left as they
+// are.
+TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler = nullptr,
+                          const IsoSurfaceOptions& options = {},
+                          ReconCounters* stats = nullptr);
 
-// Extract the iso-surface of a sampled grid.
-TriMesh extractIsoSurface(const VoxelGrid& grid, const IsoSurfaceOptions& options = {});
-
-// Sparse extraction: skip every cell inside a block the sampler
-// certified surface-free (BlockSampler::surfaceFree). Certified blocks
-// provably contain no iso-crossing anywhere in their guard region, so
-// the dense pass would emit nothing from those cells; the result is
-// bit-identical to the dense extraction while the cell scan drops from
-// O(R^3) to the blocks near the surface. 'sampler' must tile 'grid'.
-TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler& sampler,
-                          const IsoSurfaceOptions& options = {});
-
-// Convenience: sample 'field' over 'bounds' at cubic resolution
-// 'resolution' and extract. This is the paper's "reconstruct mesh at
-// output resolution R" operation (Figures 2 and 4). Dense: one serial
-// field call per node (VoxelGrid::sample), then extraction per
-// 'options'. The batch SIMD kernel is reached through the BlockSampler
-// overload below.
+// Sample 'field' over 'bounds' at cubic resolution 'resolution' and
+// extract: the paper's "reconstruct mesh at output resolution R"
+// operation (Figures 2 and 4). Sampling always runs through a
+// BlockSampler with BlockTiling::kDefaultBlockSize-node blocks, per
+// 'sampling' (certificate skips, SIMD batch, worker-pool fan-out). With
+// default 'sampling' every node is field(nodePosition), serially, so the
+// mesh is the one a dense VoxelGrid::sample would give; with a sound
+// certificate it is bit-identical to that too. 'stats' (optional)
+// receives the sampling and extraction counters.
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
-                          int resolution, const IsoSurfaceOptions& options = {});
-
-// Sparse/parallel variant: samples through a BlockSampler with
-// BlockTiling::kDefaultBlockSize-node blocks (certificate skips +
-// worker-pool fan-out per 'sampling') before extraction. With a sound
-// certificate the result is bit-identical to the dense overload.
-// 'stats' (optional) receives the sampling and extraction counters.
-TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
-                          int resolution, const IsoSurfaceOptions& options,
-                          const FieldSampleOptions& sampling,
+                          int resolution, const IsoSurfaceOptions& options = {},
+                          const FieldSampleOptions& sampling = {},
                           ReconCounters* stats = nullptr);
 
 // Reference implementation: the original serial cell scan with hashed
-// edge dedup and per-triangle geometric orientation. Retained for
+// edge dedup and per-triangle geometric orientation, skipping the cells
+// of blocks 'sampler' (optional) certified surface-free. Retained for
 // differential testing and as the within-run baseline of the extraction
 // benchmarks; emits the same triangle set as the block extractor (equal
 // under canonicalTriangleSoup) with a different vertex numbering.
 TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid,
-                                const IsoSurfaceOptions& options = {});
-TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid, const BlockSampler& sampler,
+                                const BlockSampler* sampler = nullptr,
                                 const IsoSurfaceOptions& options = {});
 
 }  // namespace semholo::mesh

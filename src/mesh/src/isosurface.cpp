@@ -51,12 +51,14 @@ struct EdgeKeyHash {
     }
 };
 
-// Shared marching-tetrahedra pass. When 'sampler' is non-null, cells in
-// blocks it certified surface-free are skipped outright — those cells
-// provably emit no triangles, so skipping them preserves both the
-// triangle set and the vertex insertion order (bit-identical output).
-TriMesh extractLegacyImpl(const VoxelGrid& grid, const IsoSurfaceOptions& options,
-                          const BlockSampler* sampler) {
+}  // namespace
+
+// When 'sampler' is non-null, cells in blocks it certified surface-free
+// are skipped outright — those cells provably emit no triangles, so
+// skipping them preserves both the triangle set and the vertex insertion
+// order (bit-identical output).
+TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid, const BlockSampler* sampler,
+                                const IsoSurfaceOptions& options) {
     TriMesh out;
     const Vec3i res = grid.resolution();
     if (res.x < 1 || res.y < 1 || res.z < 1) return out;
@@ -255,6 +257,8 @@ TriMesh extractLegacyImpl(const VoxelGrid& grid, const IsoSurfaceOptions& option
     out.computeVertexNormals();
     return out;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------
 // Case table.
@@ -1135,8 +1139,10 @@ void parallelChunks(core::ThreadPool* pool, std::size_t count, F&& fn) {
     });
 }
 
-TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
-                         const IsoSurfaceOptions& options, ReconCounters* stats) {
+}  // namespace
+
+TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
+                          const IsoSurfaceOptions& options, ReconCounters* stats) {
     TriMesh out;
     const Vec3i res = grid.resolution();
     if (res.x < 1 || res.y < 1 || res.z < 1) return out;
@@ -1214,29 +1220,6 @@ TriMesh extractBlockImpl(const VoxelGrid& grid, const BlockSampler* sampler,
     return out;
 }
 
-}  // namespace
-
-TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
-                          const IsoSurfaceOptions& options, ReconCounters* stats) {
-    return extractBlockImpl(grid, sampler, options, stats);
-}
-
-TriMesh extractIsoSurface(const VoxelGrid& grid, const IsoSurfaceOptions& options) {
-    return extractBlockImpl(grid, nullptr, options, nullptr);
-}
-
-TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler& sampler,
-                          const IsoSurfaceOptions& options) {
-    return extractBlockImpl(grid, &sampler, options, nullptr);
-}
-
-TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
-                          int resolution, const IsoSurfaceOptions& options) {
-    VoxelGrid grid(bounds, {resolution, resolution, resolution});
-    grid.sample(field);
-    return extractIsoSurface(grid, options);
-}
-
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options,
                           const FieldSampleOptions& sampling, ReconCounters* stats) {
@@ -1245,15 +1228,6 @@ TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
     const ReconCounters sampled = sampler.sample(field, sampling);
     if (stats != nullptr) *stats = sampled;
     return extractIsoSurface(grid, &sampler, options, stats);
-}
-
-TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid, const IsoSurfaceOptions& options) {
-    return extractLegacyImpl(grid, options, nullptr);
-}
-
-TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid, const BlockSampler& sampler,
-                                const IsoSurfaceOptions& options) {
-    return extractLegacyImpl(grid, options, &sampler);
 }
 
 }  // namespace semholo::mesh

@@ -1,9 +1,7 @@
 // Nominal device profiles for the Figure 4 comparison. The paper runs
 // X-Avatar on an NVIDIA A100 (80 GB workstation GPU) and reports that a
 // laptop RTX 3080 cannot handle 512/1024 resolutions at all. We model a
-// device as a memory budget (hard reconstruction-feasibility limit) plus
-// a relative speed factor used to scale measured host timings into the
-// device's nominal timings.
+// device as a memory budget: the hard reconstruction-feasibility limit.
 #pragma once
 
 #include <cstddef>
@@ -14,12 +12,10 @@ namespace semholo::recon {
 struct DeviceProfile {
     std::string name;
     std::size_t memoryBudgetBytes{};
-    // Nominal speed relative to the measurement host (1.0 = this host).
-    double relativeSpeed{1.0};
 
-    // A100-class workstation: large memory, fast.
+    // A100-class workstation: large memory.
     static DeviceProfile workstation();
-    // RTX-3080-laptop-class: 16 GB budget; at 512^3+ the dense field grid
+    // RTX-3080-laptop-class: 8 GB budget; at 512^3+ the dense field grid
     // plus intermediates exceed it, matching the paper's observation.
     static DeviceProfile laptop();
     // This host, no memory cap (for raw measurements).
@@ -27,9 +23,6 @@ struct DeviceProfile {
 
     bool fitsInMemory(std::size_t bytes) const {
         return memoryBudgetBytes == 0 || bytes <= memoryBudgetBytes;
-    }
-    double scaleMs(double hostMs) const {
-        return relativeSpeed > 0.0 ? hostMs / relativeSpeed : hostMs;
     }
 };
 

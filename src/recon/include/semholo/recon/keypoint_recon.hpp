@@ -38,7 +38,9 @@ struct ReconstructionOptions {
     // analytic certificate proves surface-free, and fans the rest out
     // over a worker pool; with bonePruning off the mesh is bit-identical
     // to Dense, with it on the surface agrees to ~1e-4 (rounding only).
-    // Dense is the legacy serial path.
+    // Dense samples every node serially (VoxelGrid::sample): the
+    // baseline of Figure 4 and of the sparse bit-identity tests. Both
+    // modes share the field, the grid and the extractor.
     ReconMode mode{ReconMode::Sparse};
     // Worker pool for sparse sampling; nullptr uses the process-wide
     // shared pool. Results do not depend on the pool's worker count.
@@ -70,7 +72,6 @@ struct ReconstructionResult {
     double fieldSampleMs{0.0};
     double extractMs{0.0};
     double totalMs() const { return ikMs + fieldSampleMs + extractMs; }
-    double fps() const { return totalMs() > 0.0 ? 1000.0 / totalMs() : 0.0; }
     std::size_t gridBytes{0};
     // Sampler counters (all zero in dense mode), the body field's pruning
     // tally and the extractor's counters.

@@ -5,17 +5,17 @@
 namespace semholo::recon {
 
 DeviceProfile DeviceProfile::workstation() {
-    return {"a100-workstation", 80ull << 30, 1.0};
+    return {"a100-workstation", 80ull << 30};
 }
 
 DeviceProfile DeviceProfile::laptop() {
     // RTX 3080 Laptop GPU, 8 GB variant; X-Avatar-style reconstruction at
     // 512^3 needs the dense feature grid + network activations, which
     // exceeds it (the paper: the laptop "cannot handle" 512 and 1024).
-    return {"rtx3080-laptop", 8ull << 30, 0.45};
+    return {"rtx3080-laptop", 8ull << 30};
 }
 
-DeviceProfile DeviceProfile::host() { return {"host", 0, 1.0}; }
+DeviceProfile DeviceProfile::host() { return {"host", 0}; }
 
 std::size_t reconstructionWorkingSetBytes(int resolution) {
     const auto r = static_cast<std::size_t>(resolution) + 1;

@@ -1,6 +1,7 @@
 #include "semholo/recon/keypoint_recon.hpp"
 
 #include <chrono>
+#include <optional>
 
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/isosurface.hpp"
@@ -38,60 +39,48 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         return result;
     }
 
-    const mesh::Vec3i res{options.resolution, options.resolution,
-                          options.resolution};
+    // Keypoints carry no garment information: the reconstruction field
+    // has no clothing detail (Figure 2's unrecoverable folds). Dense
+    // samples the full fold over every capsule.
+    const bool dense = options.mode == ReconMode::Dense;
+    body::BodyFieldOptions fieldOpt;
+    fieldOpt.bonePruning = !dense && options.bonePruning;
+    const body::BodyField body = body::makeBodyField(pose, fieldOpt);
 
-    if (options.mode == ReconMode::Dense) {
-        // Keypoints carry no garment information: the reconstruction field
-        // has no clothing detail (Figure 2's unrecoverable folds).
-        const auto field = body::bodySignedDistance(pose);
-        const auto bounds = body::bodyBounds(pose);
+    // The extractor emits one vertex per crossing edge (shared boundaries
+    // welded by construction) and the capsule field never hits the iso
+    // value exactly at grid nodes, so the post-weld pass is pure overhead
+    // here — skip it.
+    mesh::IsoSurfaceOptions iso;
+    iso.weldVertices = false;
 
-        auto t0 = std::chrono::steady_clock::now();
-        mesh::VoxelGrid grid(bounds, res);
-        grid.sample(field);
-        result.fieldSampleMs = msSince(t0);
-
-        t0 = std::chrono::steady_clock::now();
-        // The extractor emits one vertex per crossing edge (shared
-        // boundaries welded by construction) and the capsule field never
-        // hits the iso value exactly at grid nodes, so the post-weld
-        // pass is pure overhead here — skip it. Dense stays serial: it
-        // is the single-core baseline the sparse speedup is gated
-        // against.
-        mesh::IsoSurfaceOptions iso;
-        iso.weldVertices = false;
-        result.mesh = mesh::extractIsoSurface(grid, nullptr, iso, &result.stats);
-        result.extractMs = msSince(t0);
+    auto t0 = std::chrono::steady_clock::now();
+    mesh::VoxelGrid grid(body.bounds,
+                         {options.resolution, options.resolution, options.resolution});
+    std::optional<mesh::BlockSampler> sampler;
+    if (dense) {
+        // Every node, serially: the single-core baseline the sparse
+        // speedup is gated against.
+        grid.sample(body.field);
     } else {
-        body::BodyFieldOptions fieldOpt;
-        fieldOpt.bonePruning = options.bonePruning;
-        const body::BodyField body =
-            body::makeBodyField(pose, body::Skeleton::canonical(), fieldOpt);
-
         mesh::FieldSampleOptions sampling;
         sampling.pool = options.pool != nullptr ? options.pool : &core::sharedPool();
         sampling.certificate = body.certificate;
         if (options.simdBatch) sampling.batch = body.batch;
         sampling.hierarchical = options.octreeCertificates;
-
-        auto t0 = std::chrono::steady_clock::now();
-        mesh::VoxelGrid grid(body.bounds, res);
-        mesh::BlockSampler sampler(grid, blockSize);
-        result.stats = sampler.sample(body.field, sampling);
-        result.fieldSampleMs = msSince(t0);
-        result.stats.bonesPruned = body.stats->bonesPruned();
-
-        t0 = std::chrono::steady_clock::now();
-        // Same weld opt-out as dense (identical meshes either way); the
-        // extraction fans out over the sampling pool — output is
+        sampler.emplace(grid, blockSize);
+        result.stats = sampler->sample(body.field, sampling);
+        // Extraction fans out over the sampling pool; its output is
         // byte-identical for any worker count.
-        mesh::IsoSurfaceOptions iso;
-        iso.weldVertices = false;
         iso.pool = sampling.pool;
-        result.mesh = mesh::extractIsoSurface(grid, &sampler, iso, &result.stats);
-        result.extractMs = msSince(t0);
     }
+    result.fieldSampleMs = msSince(t0);
+    result.stats.bonesPruned = body.stats->bonesPruned();
+
+    t0 = std::chrono::steady_clock::now();
+    result.mesh = mesh::extractIsoSurface(grid, sampler ? &*sampler : nullptr, iso,
+                                          &result.stats);
+    result.extractMs = msSince(t0);
     result.success = !result.mesh.empty();
     if (!result.success) result.failureReason = "empty iso-surface";
     return result;

@@ -38,8 +38,8 @@ std::vector<Vec3f> randomPoints(const geom::AABB& bounds, std::size_t n,
 void expectBatchMatchesScalar(const Pose& pose, const BodyFieldOptions& options,
                               const std::vector<Vec3f>& pts,
                               const std::string& label) {
-    const BodyField scalarBody = makeBodyField(pose, Skeleton::canonical(), options);
-    const BodyField batchBody = makeBodyField(pose, Skeleton::canonical(), options);
+    const BodyField scalarBody = makeBodyField(pose, options);
+    const BodyField batchBody = makeBodyField(pose, options);
     ASSERT_TRUE(batchBody.batch);
     std::vector<float> xs, ys, zs, batched(pts.size());
     for (const Vec3f& p : pts) {
@@ -60,7 +60,7 @@ void expectBatchMatchesScalar(const Pose& pose, const BodyFieldOptions& options,
 // exercises the padded tail lanes.
 void expectBatchBitIdentical(const Pose& pose, const BodyFieldOptions& options,
                              std::uint32_t seed) {
-    const geom::AABB bounds = makeBodyField(pose, Skeleton::canonical(), options).bounds;
+    const geom::AABB bounds = makeBodyField(pose, options).bounds;
     expectBatchMatchesScalar(pose, options, randomPoints(bounds, 1003, seed), "random");
 }
 
@@ -96,7 +96,7 @@ TEST(BodyBatch, CountersMatchScalarTallies) {
     const Pose pose = MotionGenerator(MotionKind::Wave).poseAt(0.4);
     BodyFieldOptions opt;
     opt.bonePruning = true;
-    const geom::AABB bounds = makeBodyField(pose, Skeleton::canonical(), opt).bounds;
+    const geom::AABB bounds = makeBodyField(pose, opt).bounds;
     expectBatchMatchesScalar(pose, opt, randomPoints(bounds, 512, 5), "random");
 }
 
@@ -154,7 +154,7 @@ void expectClusteredBatchesMatchScalar(bool bonePruning) {
     const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.5);
     BodyFieldOptions opt;
     opt.bonePruning = bonePruning;
-    const BodyField body = makeBodyField(pose, Skeleton::canonical(), opt);
+    const BodyField body = makeBodyField(pose, opt);
     const PosedCapsule& torso = body.capsules.front();
     const std::vector<std::pair<std::string, Vec3f>> sites = {
         {"surface", surfacePoint(body, torso.a)},

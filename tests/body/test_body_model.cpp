@@ -20,7 +20,7 @@ const BodyModel& sharedModel() {
 
 TEST(BodySignedDistance, NegativeInsidePositiveOutside) {
     const Pose rest;
-    const auto sdf = bodySignedDistance(rest);
+    const auto sdf = makeBodyField(rest, {.bonePruning = false}).field;
     // Torso centre is inside.
     EXPECT_LT(sdf({0.0f, 0.2f, 0.0f}), 0.0f);
     // Head centre is inside.
@@ -33,8 +33,8 @@ TEST(BodySignedDistance, NegativeInsidePositiveOutside) {
 TEST(BodySignedDistance, TracksPose) {
     Pose bent;
     bent.rotation(JointId::LeftElbow) = {0, 0, -1.4f};
-    const auto sdfRest = bodySignedDistance(Pose{});
-    const auto sdfBent = bodySignedDistance(bent);
+    const auto sdfRest = makeBodyField(Pose{}, {.bonePruning = false}).field;
+    const auto sdfBent = makeBodyField(bent, {.bonePruning = false}).field;
     // The rest-pose wrist location is inside at rest but empties out when
     // the elbow bends.
     const Vec3f wristRest = Skeleton::canonical().restPosition(JointId::LeftWrist);
@@ -109,7 +109,7 @@ TEST(BodyBounds, ContainsAllKeypoints) {
     const MotionGenerator gen(MotionKind::Collaborate);
     for (double t : {0.0, 1.0, 3.0, 5.0}) {
         const Pose p = gen.poseAt(t);
-        const auto box = bodyBounds(p);
+        const auto box = makeBodyField(p).bounds;
         for (const Vec3f& kp : jointKeypoints(p)) EXPECT_TRUE(box.contains(kp));
     }
 }
@@ -200,7 +200,7 @@ TEST(BodyModel, DeformedMeshStaysNearImplicitSurface) {
     const MotionGenerator gen(MotionKind::Wave);
     const Pose p = gen.poseAt(0.4);
     const TriMesh deformed = model.deform(p);
-    const auto sdf = bodySignedDistance(p);
+    const auto sdf = makeBodyField(p, {.bonePruning = false}).field;
     const auto samples = mesh::sampleSurface(deformed, 400, 5);
     double meanAbs = 0.0;
     for (const Vec3f& s : samples.points) meanAbs += std::fabs(sdf(s));

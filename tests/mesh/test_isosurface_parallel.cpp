@@ -100,7 +100,7 @@ TEST(IsoSurfaceParallel, ByteIdenticalAcrossWorkerCounts) {
         core::ThreadPool pool(workers);
         IsoSurfaceOptions opt;
         opt.pool = &pool;
-        const TriMesh pooled = extractIsoSurface(grid, opt);
+        const TriMesh pooled = extractIsoSurface(grid, nullptr, opt);
         expectIdenticalMeshes(serial, pooled);
     }
 
@@ -135,7 +135,7 @@ TEST(IsoSurfaceParallel, CleanupDropsTrianglesThroughGridNodes) {
     const TriMesh serial = extractIsoSurface(grid, nullptr, opt, &stats);
     ASSERT_GT(serial.triangleCount(), 0u);
     EXPECT_GT(stats.triangles, serial.triangleCount());
-    expectSameTriangleSet(extractIsoSurfaceLegacy(grid, opt), serial);
+    expectSameTriangleSet(extractIsoSurfaceLegacy(grid, nullptr, opt), serial);
 
     TriMesh reference = serial;
     reference.computeVertexNormals();
@@ -171,8 +171,8 @@ TEST(IsoSurfaceParallel, MatchesLegacyAcrossFieldsAndIsoValues) {
                 // welding may pick different epsilon-merge representatives
                 // depending on emission order.
                 opt.weldVertices = false;
-                const TriMesh legacy = extractIsoSurfaceLegacy(grid, opt);
-                const TriMesh block = extractIsoSurface(grid, opt);
+                const TriMesh legacy = extractIsoSurfaceLegacy(grid, nullptr, opt);
+                const TriMesh block = extractIsoSurface(grid, nullptr, opt);
                 ASSERT_GT(block.triangleCount(), 0u)
                     << c.name << " res " << res << " iso " << iso;
                 expectSameTriangleSet(legacy, block);
@@ -195,8 +195,8 @@ TEST(IsoSurfaceParallel, SparseMatchesLegacySparse) {
 
     IsoSurfaceOptions opt;  // pre-weld comparison, as in the other suites
     opt.weldVertices = false;
-    const TriMesh legacy = extractIsoSurfaceLegacy(grid, sampler, opt);
-    const TriMesh block = extractIsoSurface(grid, sampler, opt);
+    const TriMesh legacy = extractIsoSurfaceLegacy(grid, &sampler, opt);
+    const TriMesh block = extractIsoSurface(grid, &sampler, opt);
     ASSERT_GT(block.triangleCount(), 0u);
     expectSameTriangleSet(legacy, block);
 }
@@ -216,7 +216,7 @@ TEST(IsoSurfaceParallel, BlockDecompositionDoesNotChangeOutput) {
         FieldSampleOptions sampling;  // no certificate: grids identical node-for-node
         sampler.sample(field, sampling);
         expectIdenticalMeshes(extractIsoSurface(dense),
-                              extractIsoSurface(sparse, sampler));
+                              extractIsoSurface(sparse, &sampler));
     }
 }
 
@@ -255,8 +255,8 @@ TEST(IsoSurfaceParallel, WeldOptOutKeepsTriangleSet) {
     IsoSurfaceOptions welded;  // default weldVertices = true
     IsoSurfaceOptions unwelded;
     unwelded.weldVertices = false;
-    const TriMesh a = extractIsoSurface(grid, welded);
-    const TriMesh b = extractIsoSurface(grid, unwelded);
+    const TriMesh a = extractIsoSurface(grid, nullptr, welded);
+    const TriMesh b = extractIsoSurface(grid, nullptr, unwelded);
     // Node-edge dedup already welds shared cell/block boundaries, so for
     // a smooth field missing the nodes the weld pass must be a no-op.
     expectIdenticalMeshes(a, b);

@@ -66,7 +66,7 @@ TEST(OctreeCertificates, CertifiedNodesContainNoSurfaceCrossing) {
         BodyFieldOptions opt;
         opt.clothingDetail = (trial % 2) == 1;  // certificate must cover folds
         const BodyField body =
-            body::makeBodyField(pose, body::Skeleton::canonical(), opt);
+            body::makeBodyField(pose, opt);
         const int res = 16 + 8 * (trial % 3);   // 16, 24, 32
         const int blockSize = (trial % 2) ? 4 : 8;
         VoxelGrid grid(body.bounds, {res, res, res});
@@ -148,7 +148,7 @@ TEST(OctreeCertificates, SparseOctreeBatchExtractionMatchesDense) {
         BodyFieldOptions opt;
         opt.bonePruning = false;  // bit-reproducible field
         const BodyField body =
-            body::makeBodyField(pose, body::Skeleton::canonical(), opt);
+            body::makeBodyField(pose, opt);
         const int res = 24 + 9 * trial;  // 24, 33, 42
         const int blockSize = (trial % 2) ? 8 : 4;
 
@@ -164,7 +164,7 @@ TEST(OctreeCertificates, SparseOctreeBatchExtractionMatchesDense) {
         so.hierarchical = true;
         const auto stats = sampler.sample(body.field, so);
         EXPECT_GT(stats.blocksCoarseFilled, 0u) << "octree never engaged";
-        const auto sparseMesh = mesh::extractIsoSurface(sparseGrid, sampler);
+        const auto sparseMesh = mesh::extractIsoSurface(sparseGrid, &sampler);
         expectIdenticalMeshes(denseMesh, sparseMesh);
     }
 }
