@@ -8,10 +8,9 @@
 // Wire format v2 splits the residuals into independent lzc sections
 // (x / y / z deltas, connectivity in up to four triangle ranges, r / g /
 // b) that are coded and decoded concurrently. The layout depends only on
-// the mesh, so the bytes are identical at any worker count.
-//
-// Callers must not invoke the codec from inside a task of the pool it
-// fans out on (a task blocked on its own pool can deadlock it).
+// the mesh, so the bytes are identical at any worker count. The codec
+// may be called from a task of the pool it fans out on: the calling
+// thread codes sections too, so the call completes.
 #pragma once
 
 #include <cstdint>

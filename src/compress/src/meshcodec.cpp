@@ -102,16 +102,11 @@ struct Layout {
 
 // Runs work(slot, section) for every section on min(sections, pool size)
 // slots; each slot takes the next section in 'order' until none is left.
-// A single slot runs inline on the calling thread.
 template <typename F>
 void forEachSection(core::ThreadPool& pool, const std::vector<std::size_t>& order,
                     std::size_t slots, F&& work) {
-    if (slots <= 1) {
-        for (const std::size_t s : order) work(std::size_t{0}, s);
-        return;
-    }
     std::atomic<std::size_t> next{0};
-    pool.parallelFor(slots, [&](std::size_t slot) {
+    core::parallelFor(&pool, slots, [&](std::size_t slot) {
         for (std::size_t i = next++; i < order.size(); i = next++) work(slot, order[i]);
     });
 }

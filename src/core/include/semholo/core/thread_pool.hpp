@@ -1,15 +1,18 @@
-// Fixed-size worker pool used by the parallel session engine and by any
-// bench that wants to fan work out across cores. Deliberately minimal:
-// submit() returns a std::future, post() is fire-and-forget, tasks run
-// FIFO, the pool joins on destruction. Determinism is the caller's job —
-// the engine keeps order-sensitive stages (the shared LinkSimulator) on
-// one thread and only fans out per-user / per-frame work whose results
-// are merged in a fixed order.
+// Fixed-size worker pool used by the session engine and by the library's
+// data-parallel loops. Deliberately minimal: post() enqueues a
+// fire-and-forget task, tasks run FIFO, the pool joins on destruction,
+// and parallelFor() below is the one fork-join built on it. Determinism
+// is the caller's job — the engine keeps order-sensitive stages (the
+// shared LinkSimulator) on one dependency chain and only fans out
+// per-user / per-frame work whose results are merged in a fixed order.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
+#include <exception>
 #include <functional>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -47,22 +50,6 @@ public:
         return hw == 0 ? 1 : static_cast<std::size_t>(hw);
     }
 
-    // Enqueue a callable; the returned future yields its result (or
-    // rethrows its exception).
-    template <typename F>
-    auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-        using R = std::invoke_result_t<F>;
-        auto task =
-            std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-        std::future<R> future = task->get_future();
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            queue_.emplace([task] { (*task)(); });
-        }
-        cv_.notify_one();
-        return future;
-    }
-
     // Enqueue a task with no future: no shared state and, for a callable
     // that fits std::function's small buffer (two pointers), no
     // allocation. The task must not throw; its caller owns completion.
@@ -72,17 +59,6 @@ public:
             queue_.push(std::move(task));
         }
         cv_.notify_one();
-    }
-
-    // Run fn(i) for i in [0, count) across the pool and wait for all.
-    // Exceptions from any iteration are rethrown (first one wins).
-    template <typename F>
-    void parallelFor(std::size_t count, F&& fn) {
-        std::vector<std::future<void>> futures;
-        futures.reserve(count);
-        for (std::size_t i = 0; i < count; ++i)
-            futures.push_back(submit([&fn, i] { fn(i); }));
-        for (auto& f : futures) f.get();
     }
 
 private:
@@ -107,12 +83,62 @@ private:
     bool stopping_{false};
 };
 
+// Run fn(i) for every i in [0, count) and return when all have run.
+// Inline on the calling thread when 'pool' is null, has one worker, or
+// count <= 1. Otherwise the caller and up to size() - 1 helpers posted
+// to the pool claim indices from one shared counter. The caller always
+// claims work itself, so a call made from a task of the same pool
+// completes even if none of its helpers ever starts. After an iteration
+// throws no new index starts; the call returns once every claimed
+// iteration has finished, and rethrows the first exception.
+template <typename F>
+void parallelFor(ThreadPool* pool, std::size_t count, F&& fn) {
+    if (pool == nullptr || pool->size() <= 1 || count <= 1) {
+        for (std::size_t i = 0; i < count; ++i) fn(i);
+        return;
+    }
+    // Shared with the helpers: one that starts after the call returned
+    // finds no index left and touches nothing but this block.
+    struct Job {
+        std::remove_reference_t<F>* fn{nullptr};
+        std::size_t count{0};
+        std::atomic<std::size_t> next{0};
+        std::atomic<std::size_t> finished{0};
+        std::atomic<bool> failed{false};
+        std::exception_ptr error;  // written once, by the first thrower
+
+        void drain() {
+            for (std::size_t i = next++; i < count; i = next++) {
+                if (!failed) {
+                    try {
+                        (*fn)(i);
+                    } catch (...) {
+                        if (!failed.exchange(true)) error = std::current_exception();
+                    }
+                }
+                if (++finished == count) finished.notify_all();
+            }
+        }
+    };
+    const auto job = std::make_shared<Job>();
+    job->fn = &fn;
+    job->count = count;
+    // [job] fits std::function's small buffer: no allocation per post.
+    for (std::size_t h = std::min(count, pool->size()) - 1; h > 0; --h)
+        pool->post([job] { job->drain(); });
+    job->drain();
+    for (std::size_t done = job->finished; done != count; done = job->finished)
+        job->finished.wait(done);
+    // Take the exception out of the job: a helper that starts late may
+    // hold the last reference to the job, and must not be the thread
+    // that destroys the exception the caller is handling.
+    if (std::exception_ptr error = std::move(job->error)) std::rethrow_exception(error);
+}
+
 // Process-wide pool for library-internal data parallelism (field
-// sampling, mesh metrics). Lazily created, lives for the process.
-// Callers must not submit work to this pool from inside one of its own
-// tasks (a blocked task waiting on a nested submission can deadlock the
-// pool); session engines keep their own pools, so engine workers may
-// safely block on sharedPool() futures.
+// sampling, extraction, the mesh codec, mesh metrics). Lazily created,
+// lives for the process. Loops may nest on it: parallelFor's caller
+// always works through its own indices.
 inline ThreadPool& sharedPool() {
     static ThreadPool pool;
     return pool;

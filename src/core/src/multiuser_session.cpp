@@ -7,8 +7,9 @@
 // executor run every node the instant its dependencies complete — no
 // phase barriers, no tick barriers.
 //
-// Node kinds per tick f (inserted in per-tick phase order, so the serial
-// executor runs the phases one after another):
+// Node kinds per tick f (inserted in per-tick phase order, so the
+// one-worker run, which walks nodes in insertion order, runs the phases
+// one after another):
 //
 //   A(f) / A(f,u)  arbiter: per-user uplink target rates from the
 //                  bottleneck's instantaneous capacity, offered demands
@@ -57,7 +58,7 @@
 // phase member — up to ConferenceConfig::pipelineDepth ticks in flight.
 // Every mutable resource (a user's channel/clock/estimator/policy, a
 // link's FIFO + RNG, a viewer's downlink, the arbiter inputs) is
-// confined to a single dependency chain, so serial (one worker)
+// confined to a single dependency chain, so the in-order (one worker)
 // and event-driven runs are byte-identical under TimingModel::Simulated
 // at any worker count and any depth (tests/core/test_conference.cpp and
 // test_stage_graph.cpp stress this with downlinks + arbiter).
@@ -516,8 +517,8 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
 
     // ---- Graph construction ------------------------------------------------
     // Nodes are inserted in per-tick phase order (arbiter, encodes,
-    // tickets, downlinks, decodes, retire), so runSerial() runs the
-    // phases in turn; the edges are everything runParallel() needs.
+    // tickets, downlinks, decodes, retire), so the pool-less walk runs
+    // the phases in turn; the edges are everything the pool needs.
     std::vector<std::size_t> prevTicket(users, kNone);
     std::vector<std::size_t> prevDecode(users, kNone);
     std::vector<std::size_t> prevDown(users, kNone);
@@ -621,16 +622,12 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     }
 
     // ---- Run ----------------------------------------------------------------
-    // workers == 0 means hardware concurrency; one worker runs the graph
-    // in insertion order on this thread.
+    // workers == 0 means hardware concurrency; at one worker the graph
+    // runs in insertion order on this thread.
     const std::size_t workers =
         base.workers == 0 ? ThreadPool::defaultWorkers() : base.workers;
-    if (workers > 1) {
-        ThreadPool pool(workers);
-        graph.runParallel(pool);
-    } else {
-        graph.runSerial();
-    }
+    ThreadPool pool(workers);
+    graph.run(&pool);
     graph.fillStats(out.pipeline, workers);
     out.pipeline.pipelineDepth = depth;
 

@@ -37,10 +37,10 @@ void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& conf
 // user); one engine-wide body runs it, and the encode, uplink, decode
 // and quality nodes write the tick's FrameStats in place. The engine
 // resolves conf.session.workers (0 = hardware concurrency) and owns its
-// ThreadPool: at one worker it executes the graph in insertion order
-// (the per-tick phase schedule) on the calling thread; otherwise nodes
-// run the moment their dependencies complete, pipelining up to
-// ConferenceConfig::pipelineDepth ticks. Both executors touch every
+// ThreadPool: at one worker the graph runs in insertion order (the
+// per-tick phase schedule) on the calling thread; otherwise nodes run
+// the moment their dependencies complete, pipelining up to
+// ConferenceConfig::pipelineDepth ticks. Both schedules touch every
 // mutable resource in the same per-resource order, so runs are
 // byte-identical under TimingModel::Simulated at any worker count.
 // 'channels' are externally owned, one per conf.participants entry

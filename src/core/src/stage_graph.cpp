@@ -78,60 +78,32 @@ double StageGraph::msSinceStart() const {
         .count();
 }
 
-void StageGraph::runSerial() {
+void StageGraph::run(ThreadPool* pool) {
     runStart_ = std::chrono::steady_clock::now();
-    retiredTicks_.store(0, std::memory_order_relaxed);
-    // Release-latency bookkeeping mirrors the parallel executor: a node
-    // is "ready" the moment its last dependency completes, and in-order
-    // execution may only reach it later.
-    std::vector<int> pending(nodes_.size());
-    for (std::size_t i = 0; i < nodes_.size(); ++i)
-        pending[i] = nodes_[i].initialPending;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        StageNode& node = nodes_[i];
-        assert(pending[i] == 0 && "insertion order must be topological");
-        maxActive_[static_cast<int>(node.kind)].store(
-            1, std::memory_order_relaxed);
-        if (node.kind == StageKind::Encode) {
-            const std::size_t inFlight =
-                static_cast<std::size_t>(node.tick) + 1 -
-                retiredTicks_.load(std::memory_order_relaxed);
-            ticksInFlight_.record(static_cast<double>(inFlight));
-        }
-        node.startMs = msSinceStart();
-        node.simCostMs = body_(node.kind, node.tick, node.user);
-        node.endMs = msSinceStart();
-        if (node.kind == StageKind::Retire)
-            retiredTicks_.fetch_add(1, std::memory_order_relaxed);
-        for (const std::size_t s : node.successors)
-            if (--pending[s] == 0) nodes_[s].readyMs = node.endMs;
-    }
-    wallMs_ = msSinceStart();
-}
-
-void StageGraph::runParallel(ThreadPool& pool) {
-    runStart_ = std::chrono::steady_clock::now();
-    if (nodes_.empty()) {
-        wallMs_ = 0.0;
-        return;
-    }
+    pool_ = pool != nullptr && pool->size() > 1 ? pool : nullptr;
     retiredTicks_.store(0, std::memory_order_relaxed);
     failed_.store(false, std::memory_order_relaxed);
     remaining_.store(nodes_.size(), std::memory_order_relaxed);
-    done_ = false;  // no workers are running yet; no lock needed
-    for (StageNode& node : nodes_)
+    done_ = nodes_.empty();  // no workers are running yet; no lock needed
+    for (StageNode& node : nodes_) {
         node.pending.store(node.initialPending, std::memory_order_relaxed);
+        node.readyMs = 0.0;
+    }
     for (std::size_t i = 0; i < kStageKindCount; ++i) {
         active_[i].store(0, std::memory_order_relaxed);
         maxActive_[i].store(0, std::memory_order_relaxed);
     }
-    pool_ = &pool;
-    for (std::size_t i = 0; i < nodes_.size(); ++i) {
-        if (nodes_[i].initialPending != 0) continue;
-        nodes_[i].readyMs = 0.0;
-        post(i);
-    }
-    {
+    if (pool_ == nullptr) {
+        // Insertion order is topological (addEdge enforces it): every
+        // node's dependencies have run by the time the walk reaches it.
+        for (std::size_t i = 0; i < nodes_.size(); ++i) {
+            assert(nodes_[i].pending.load(std::memory_order_relaxed) == 0 &&
+                   "insertion order must be topological");
+            runNode(i);
+        }
+    } else {
+        for (std::size_t i = 0; i < nodes_.size(); ++i)
+            if (nodes_[i].initialPending == 0) post(i);
         std::unique_lock<std::mutex> lock(doneMutex_);
         doneCv_.wait(lock, [this] { return done_; });
     }
@@ -190,6 +162,8 @@ std::size_t StageGraph::runNode(std::size_t index) {
             // pool's queue mutex (or, for the continuation, program
             // order) orders this write before the successor's run.
             succ.readyMs = msSinceStart();
+            // Without a pool the insertion-order walk runs it.
+            if (pool_ == nullptr) continue;
             if (next == kNoNode) {
                 next = s;
             } else if (s < next) {

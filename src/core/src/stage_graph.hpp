@@ -7,25 +7,31 @@
 // dependency edges. A node is plain data: its (kind, tick, user) plus
 // its edges and telemetry. The graph holds one body for the whole run,
 // given at construction; executing a node calls it with the node's
-// (kind, tick, user). Two executors share that body:
+// (kind, tick, user). One executor, run(pool), runs every node through
+// the same runNode(), which does the node's bookkeeping and releases
+// its successors:
 //
-//  - runSerial() executes nodes in insertion order on the calling
-//    thread. Because every edge points from a lower to a higher index
-//    (addEdge enforces it), insertion order is a valid topological
-//    order: the phases of each tick run one after another.
+//  - Without a pool (or with a one-worker pool) run() walks the nodes
+//    in insertion order on the calling thread and posts nothing.
+//    Because every edge points from a lower to a higher index (addEdge
+//    enforces it), insertion order is a valid topological order: the
+//    phases of each tick run one after another.
 //
-//  - runParallel(pool) executes event-driven: each node carries an
-//    atomic pending-dependency count; completing a node decrements its
+//  - With a pool it is event-driven: each node carries an atomic
+//    pending-dependency count; completing a node decrements its
 //    successors, and whichever worker drops a count to zero releases
 //    that node. It runs the lowest-index node it released itself, as a
 //    continuation on the same thread, and posts the rest to the pool
 //    (fire-and-forget, no future per node). No phase barriers anywhere
 //    — a node runs the instant its dependencies are done. Byte-identity
-//    with the serial executor follows from the edge set alone: every
-//    mutable resource (a user's channel/clock/estimator/policy, a link's
-//    FIFO and RNG, a viewer's downlink, the arbiter inputs) is confined
-//    to one dependency chain, so both executors touch each resource in
-//    the same per-resource order with the same inputs.
+//    with the insertion-order walk follows from the edge set alone:
+//    every mutable resource (a user's channel/clock/estimator/policy, a
+//    link's FIFO and RNG, a viewer's downlink, the arbiter inputs) is
+//    confined to one dependency chain, so every schedule touches each
+//    resource in the same per-resource order with the same inputs.
+//
+// Either way, after a node body throws the remaining bodies are
+// skipped, the graph still drains, and run() rethrows the first error.
 //
 // The body returns a node's *simulated* stage cost (ms). After a run,
 // fillStats() aggregates per-stage occupancy/latency telemetry and
@@ -109,16 +115,16 @@ public:
     std::size_t nodeCount() const { return nodes_.size(); }
     std::size_t edgeCount() const { return edges_; }
 
-    // Execute nodes in insertion order on the calling thread.
-    void runSerial();
-    // Execute event-driven over the pool; blocks until every node
-    // completed. The first node-body exception is rethrown (remaining
-    // node bodies are skipped, but the graph still drains).
-    void runParallel(ThreadPool& pool);
+    // Execute every node: in insertion order on the calling thread when
+    // 'pool' is null or has one worker, else event-driven over the pool.
+    // Blocks until every node completed. The first node-body exception
+    // is rethrown (remaining node bodies are skipped, but the graph
+    // still drains).
+    void run(ThreadPool* pool);
 
     // Aggregate the last run into 'stats' and compute the deterministic
     // stage-graph vs tick-barrier schedule comparison at
-    // 'scheduleWorkers' workers. Call after runSerial()/runParallel().
+    // 'scheduleWorkers' workers. Call after run().
     void fillStats(PipelineStats& stats, std::size_t scheduleWorkers) const;
 
 private:
@@ -126,7 +132,8 @@ private:
     void execute(std::size_t index);
     // Run one node and release its successors: returns the lowest-index
     // successor it released (the caller's continuation) after posting
-    // the others, or SIZE_MAX when it released none.
+    // the others, or SIZE_MAX when it released none (always, without a
+    // pool: the insertion-order walk runs every node).
     std::size_t runNode(std::size_t index);
     void post(std::size_t index);
     double msSinceStart() const;
@@ -142,7 +149,7 @@ private:
     std::chrono::steady_clock::time_point runStart_{};
     double wallMs_{0.0};
 
-    ThreadPool* pool_{nullptr};  // set by runParallel for post()
+    ThreadPool* pool_{nullptr};  // set by run(); null for the in-order walk
     std::atomic<std::size_t> remaining_{0};
     std::mutex doneMutex_;
     std::condition_variable doneCv_;
@@ -155,7 +162,7 @@ private:
     std::mutex errorMutex_;
     std::exception_ptr firstError_;
 
-    // Occupancy tracking (parallel runs; serial runs are concurrency 1).
+    // Occupancy tracking (the in-order walk has concurrency 1).
     std::atomic<int> active_[kStageKindCount]{};
     std::atomic<int> maxActive_[kStageKindCount]{};
     std::atomic<std::uint32_t> retiredTicks_{0};

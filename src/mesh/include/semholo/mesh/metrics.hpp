@@ -22,17 +22,20 @@ struct GeometryErrorStats {
 };
 
 // Compare two point sets (with optional normals for normal consistency).
+// Every field is NaN ("no data") when either set is empty.
 GeometryErrorStats compareClouds(const PointCloud& a, const PointCloud& b);
 
 // Compare two meshes by area-weighted surface sampling with
-// 'samplesPerMesh' points each. Deterministic given 'seed'.
+// 'samplesPerMesh' points each. Deterministic given 'seed'. Every field
+// is NaN when either mesh yields no samples.
 GeometryErrorStats compareMeshes(const TriMesh& a, const TriMesh& b,
                                  std::size_t samplesPerMesh = 20000,
                                  std::uint64_t seed = 7);
 
 // Mean distance from each point of 'cloud' to the surface of 'reference'
 // (point-to-mesh, using exact closest-point-on-triangle queries against
-// a KD-tree of triangle centroids for candidate pruning).
+// a KD-tree of triangle centroids for candidate pruning). NaN when the
+// cloud or the reference is empty.
 double pointToMeshError(const PointCloud& cloud, const TriMesh& reference);
 
 }  // namespace semholo::mesh

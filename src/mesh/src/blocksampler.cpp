@@ -179,21 +179,6 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
             }
 }
 
-namespace {
-
-// fn(i) for i in [0, count): on the pool when it has several workers,
-// inline otherwise.
-template <typename F>
-void runTasks(core::ThreadPool* pool, std::size_t count, F&& fn) {
-    if (pool == nullptr || pool->size() <= 1 || count <= 1) {
-        for (std::size_t i = 0; i < count; ++i) fn(i);
-        return;
-    }
-    pool->parallelFor(count, fn);
-}
-
-}  // namespace
-
 ReconCounters BlockSampler::sample(const ScalarField& field,
                                       const FieldSampleOptions& options) {
     ReconCounters total;
@@ -217,7 +202,7 @@ ReconCounters BlockSampler::sample(const ScalarField& field,
         const Vec3i blocks = tiling_.blocks();
         descend({0, 0, 0}, {blocks.x - 1, blocks.y - 1, blocks.z - 1}, 0,
                 field, options, total, work, &subtrees);
-        runTasks(options.pool, subtrees.size(), [&](std::size_t i) {
+        core::parallelFor(options.pool, subtrees.size(), [&](std::size_t i) {
             Subtree& s = subtrees[i];
             descend(s.lo, s.hi, kSplitDepth, field, options, s.stats, s.work,
                     nullptr);
@@ -238,7 +223,7 @@ ReconCounters BlockSampler::sample(const ScalarField& field,
     const std::size_t chunks =
         std::min(work.size(), std::max<std::size_t>(1, workers * 8));
     std::vector<ReconCounters> perChunk(chunks);
-    runTasks(options.pool, chunks, [&](std::size_t c) {
+    core::parallelFor(options.pool, chunks, [&](std::size_t c) {
         const std::size_t begin = work.size() * c / chunks;
         const std::size_t end = work.size() * (c + 1) / chunks;
         for (std::size_t i = begin; i < end; ++i)

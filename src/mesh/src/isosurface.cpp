@@ -1119,26 +1119,6 @@ void Extraction::normals(std::size_t s) {
     for (std::uint32_t v = v0; v < v1; ++v) out.normals[v] = out.normals[v].normalized();
 }
 
-// Chunked fan-out: one task per chunk (ThreadPool::parallelFor submits a
-// future per index, so feeding it raw counts would drown in task
-// overhead). fn(i) for every i in [0, count).
-template <typename F>
-void parallelChunks(core::ThreadPool* pool, std::size_t count, F&& fn) {
-    if (count == 0) return;
-    auto run = [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) fn(i);
-    };
-    if (pool == nullptr || pool->size() <= 1 || count <= 1) {
-        run(0, count);
-        return;
-    }
-    const std::size_t chunks =
-        std::min(count, std::max<std::size_t>(1, pool->size() * 4));
-    pool->parallelFor(chunks, [&](std::size_t c) {
-        run(count * c / chunks, count * (c + 1) / chunks);
-    });
-}
-
 }  // namespace
 
 TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
@@ -1150,7 +1130,7 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
     Extraction x(grid, sampler, options, out);
     core::ThreadPool* pool = options.pool;
     const std::size_t numSlabs = x.slabs.size();
-    auto eachSlab = [&](auto&& pass) { parallelChunks(pool, numSlabs, pass); };
+    auto eachSlab = [&](auto&& pass) { core::parallelFor(pool, numSlabs, pass); };
 
     for (std::size_t s = 0; s < numSlabs; ++s) x.reserve(s);
     eachSlab([&](std::size_t s) { x.topology(s); });
@@ -1186,7 +1166,7 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
     out.vertices.reserve(vTotal);
     out.triangles.reserve(tTotal);
     if (!options.weldVertices) out.normals.reserve(vTotal);
-    parallelChunks(pool, numSlabs + 1, [&](std::size_t i) {
+    core::parallelFor(pool, numSlabs + 1, [&](std::size_t i) {
         if (i == 0) {
             out.vertices.resize(vTotal);
             out.triangles.resize(tTotal);

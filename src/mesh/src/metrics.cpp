@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/kdtree.hpp"
@@ -45,23 +46,18 @@ DirectionalStats directed(const PointCloud& from, const PointCloud& to,
         return s;
     };
 
-    DirectionalStats s;
     const std::size_t chunks = (n + kMetricsChunk - 1) / kMetricsChunk;
-    if (chunks <= 1) {
-        s = scan(0, n);
-    } else {
-        std::vector<DirectionalStats> partial(chunks);
-        core::sharedPool().parallelFor(chunks, [&](std::size_t c) {
-            partial[c] = scan(c * kMetricsChunk,
-                              std::min(n, (c + 1) * kMetricsChunk));
-        });
-        for (const DirectionalStats& p : partial) {
-            s.mean += p.mean;
-            s.sumSq += p.sumSq;
-            s.max = std::max(s.max, p.max);
-            s.normalDot += p.normalDot;
-            s.count += p.count;
-        }
+    std::vector<DirectionalStats> partial(chunks);
+    core::parallelFor(&core::sharedPool(), chunks, [&](std::size_t c) {
+        partial[c] = scan(c * kMetricsChunk, std::min(n, (c + 1) * kMetricsChunk));
+    });
+    DirectionalStats s;
+    for (const DirectionalStats& p : partial) {
+        s.mean += p.mean;
+        s.sumSq += p.sumSq;
+        s.max = std::max(s.max, p.max);
+        s.normalDot += p.normalDot;
+        s.count += p.count;
     }
     if (s.count > 0) {
         s.mean /= static_cast<double>(s.count);
@@ -70,11 +66,18 @@ DirectionalStats directed(const PointCloud& from, const PointCloud& to,
     return s;
 }
 
+// An empty side has no distances to report: every field is NaN, never
+// a 0 that reads as a perfect match.
+GeometryErrorStats noData() {
+    constexpr double nan = std::numeric_limits<double>::quiet_NaN();
+    return {nan, nan, nan, nan, nan, nan, nan};
+}
+
 }  // namespace
 
 GeometryErrorStats compareClouds(const PointCloud& a, const PointCloud& b) {
+    if (a.empty() || b.empty()) return noData();
     GeometryErrorStats out;
-    if (a.empty() || b.empty()) return out;
 
     KdTree treeA(a.points);
     KdTree treeB(b.points);
@@ -109,7 +112,8 @@ GeometryErrorStats compareMeshes(const TriMesh& a, const TriMesh& b,
 }
 
 double pointToMeshError(const PointCloud& cloud, const TriMesh& reference) {
-    if (cloud.empty() || reference.triangles.empty()) return 0.0;
+    if (cloud.empty() || reference.triangles.empty())
+        return std::numeric_limits<double>::quiet_NaN();
 
     // Candidate pruning: KD-tree over triangle centroids; test the
     // triangles whose centroids are nearest, plus a conservative radius.
@@ -152,18 +156,13 @@ double pointToMeshError(const PointCloud& cloud, const TriMesh& reference) {
 
     const std::size_t n = cloud.points.size();
     const std::size_t chunks = (n + kMetricsChunk - 1) / kMetricsChunk;
+    std::vector<double> partial(chunks, 0.0);
+    core::parallelFor(&core::sharedPool(), chunks, [&](std::size_t c) {
+        partial[c] = scan(c * kMetricsChunk, std::min(n, (c + 1) * kMetricsChunk));
+    });
     double total = 0.0;
-    if (chunks <= 1) {
-        total = scan(0, n);
-    } else {
-        std::vector<double> partial(chunks, 0.0);
-        core::sharedPool().parallelFor(chunks, [&](std::size_t c) {
-            partial[c] =
-                scan(c * kMetricsChunk, std::min(n, (c + 1) * kMetricsChunk));
-        });
-        for (const double p : partial) total += p;
-    }
-    return total / static_cast<double>(cloud.points.size());
+    for (const double p : partial) total += p;
+    return total / static_cast<double>(n);
 }
 
 }  // namespace semholo::mesh

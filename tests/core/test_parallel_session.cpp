@@ -7,7 +7,6 @@
 
 #include <memory>
 
-#include "semholo/core/thread_pool.hpp"
 #include "shared_uplink.hpp"
 
 namespace semholo::core {
@@ -171,26 +170,6 @@ TEST(ParallelSession, TelemetryPopulatedByBothEngines) {
         EXPECT_NE(json.find("\"p95\""), std::string::npos);
         EXPECT_NE(json.find("\"queue_drops\""), std::string::npos);
     }
-}
-
-TEST(ThreadPool, RunsSubmittedTasksAndParallelFor) {
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.size(), 3u);
-    auto future = pool.submit([] { return 6 * 7; });
-    EXPECT_EQ(future.get(), 42);
-
-    std::vector<int> out(64, 0);
-    pool.parallelFor(out.size(), [&](std::size_t i) {
-        out[i] = static_cast<int>(i) * 2;
-    });
-    for (std::size_t i = 0; i < out.size(); ++i)
-        EXPECT_EQ(out[i], static_cast<int>(i) * 2);
-}
-
-TEST(ThreadPool, PropagatesTaskExceptions) {
-    ThreadPool pool(2);
-    auto future = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-    EXPECT_THROW(future.get(), std::runtime_error);
 }
 
 }  // namespace

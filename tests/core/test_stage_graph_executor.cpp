@@ -1,10 +1,11 @@
-// The event-driven StageGraph executor on hand-built graphs. A worker
-// runs the lowest-index successor it releases as a continuation and
-// posts the rest to the pool; these tests pin what that must preserve:
-// dependency order on long chains (without growing the stack), exactly
-// one run per node under fan-out, and the failure contract — the first
-// body exception is rethrown, later bodies are skipped, and the run
-// still drains instead of hanging.
+// The StageGraph executor on hand-built graphs, with no pool (the
+// insertion-order walk) and event-driven over pools. A worker runs the
+// lowest-index successor it releases as a continuation and posts the
+// rest to the pool; these tests pin what that must preserve: dependency
+// order on long chains (without growing the stack), exactly one run per
+// node under fan-out, and the failure contract — the first body
+// exception is rethrown, later bodies are skipped, and the run still
+// drains instead of hanging.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,31 +20,39 @@
 namespace semholo::core::internal {
 namespace {
 
+// workers == 0: no pool, the graph runs in insertion order.
+std::unique_ptr<ThreadPool> poolOf(std::size_t workers) {
+    return workers > 0 ? std::make_unique<ThreadPool>(workers) : nullptr;
+}
+
 TEST(StageGraphExecutor, LongChainRunsInChainOrder) {
     constexpr std::size_t kNodes = 10000;
-    std::vector<std::size_t> order;
-    order.reserve(kNodes);
-    // The chain edges order every append after the previous one.
-    StageGraph graph([&order](StageKind, std::uint32_t tick, std::size_t) {
-        order.push_back(tick);
-        return 0.0;
-    });
-    for (std::size_t i = 0; i < kNodes; ++i) {
-        graph.addNode(StageKind::Uplink, static_cast<std::uint32_t>(i), 0);
-        if (i > 0) graph.addEdge(i - 1, i);
-    }
-    ThreadPool pool(4);
-    graph.runParallel(pool);
-    ASSERT_EQ(order.size(), kNodes);
-    for (std::size_t i = 0; i < kNodes; ++i) ASSERT_EQ(order[i], i);
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{4}}) {
+        SCOPED_TRACE("workers=" + std::to_string(workers));
+        std::vector<std::size_t> order;
+        order.reserve(kNodes);
+        // The chain edges order every append after the previous one.
+        StageGraph graph([&order](StageKind, std::uint32_t tick, std::size_t) {
+            order.push_back(tick);
+            return 0.0;
+        });
+        for (std::size_t i = 0; i < kNodes; ++i) {
+            graph.addNode(StageKind::Uplink, static_cast<std::uint32_t>(i), 0);
+            if (i > 0) graph.addEdge(i - 1, i);
+        }
+        const auto pool = poolOf(workers);
+        graph.run(pool.get());
+        ASSERT_EQ(order.size(), kNodes);
+        for (std::size_t i = 0; i < kNodes; ++i) ASSERT_EQ(order[i], i);
 
-    PipelineStats stats;
-    graph.fillStats(stats, pool.size());
-    ASSERT_EQ(stats.stages.size(), 1u);
-    EXPECT_EQ(stats.stages[0].nodes, kNodes);
-    EXPECT_EQ(stats.stages[0].maxConcurrent, 1u);
-    // A chain has no parallelism to find: the schedule is the cost sum.
-    EXPECT_EQ(stats.simulatedStageGraphMs, 0.0);
+        PipelineStats stats;
+        graph.fillStats(stats, workers);
+        ASSERT_EQ(stats.stages.size(), 1u);
+        EXPECT_EQ(stats.stages[0].nodes, kNodes);
+        EXPECT_EQ(stats.stages[0].maxConcurrent, 1u);
+        // A chain has no parallelism to find: the schedule is the cost sum.
+        EXPECT_EQ(stats.simulatedStageGraphMs, 0.0);
+    }
 }
 
 // A chain whose every link also releases a leaf and a wide fan-out in
@@ -51,7 +60,7 @@ TEST(StageGraphExecutor, LongChainRunsInChainOrder) {
 TEST(StageGraphExecutor, FanOutRunsEveryNodeOnce) {
     constexpr std::size_t kChain = 500;
     constexpr std::size_t kFan = 300;
-    for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
         std::vector<std::size_t> nodes;
         auto runs = std::make_unique<std::atomic<int>[]>(2 * kChain + kFan + 1);
@@ -88,8 +97,8 @@ TEST(StageGraphExecutor, FanOutRunsEveryNodeOnce) {
         for (const std::size_t n : nodes) graph.addEdge(n, join);
         graph.addEdge(prev, join);
 
-        ThreadPool pool(workers);
-        graph.runParallel(pool);
+        const auto pool = poolOf(workers);
+        graph.run(pool.get());
         for (std::size_t n = 0; n < total; ++n)
             ASSERT_EQ(runs[n].load(), 1) << "node body " << n;
         EXPECT_EQ(finishedBeforeJoin.load(), static_cast<int>(total));
@@ -99,7 +108,7 @@ TEST(StageGraphExecutor, FanOutRunsEveryNodeOnce) {
 TEST(StageGraphExecutor, MidChainThrowRethrowsFirstErrorAndDrains) {
     constexpr std::size_t kChain = 4000;
     constexpr std::size_t kThrowAt = 2000;
-    for (const std::size_t workers : {std::size_t{2}, std::size_t{8}}) {
+    for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
         std::atomic<std::size_t> chainRuns{0};
         std::atomic<std::size_t> lastChainRun{0};
@@ -125,10 +134,10 @@ TEST(StageGraphExecutor, MidChainThrowRethrowsFirstErrorAndDrains) {
             graph.addEdge(link, leaf);
             prev = link;
         }
-        ThreadPool pool(workers);
+        const auto pool = poolOf(workers);
         try {
-            graph.runParallel(pool);
-            FAIL() << "runParallel did not rethrow";
+            graph.run(pool.get());
+            FAIL() << "run did not rethrow";
         } catch (const std::runtime_error& e) {
             EXPECT_EQ(std::string(e.what()), "link " + std::to_string(kThrowAt));
         }
@@ -136,7 +145,7 @@ TEST(StageGraphExecutor, MidChainThrowRethrowsFirstErrorAndDrains) {
         EXPECT_EQ(lastChainRun.load(), kThrowAt);
         // The graph drained completely: stats cover every node.
         PipelineStats stats;
-        graph.fillStats(stats, pool.size());
+        graph.fillStats(stats, workers);
         std::uint64_t nodes = 0;
         for (const PipelineStageStats& s : stats.stages) nodes += s.nodes;
         EXPECT_EQ(nodes, 2 * kChain);

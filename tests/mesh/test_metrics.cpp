@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <random>
 
 #include "semholo/mesh/sampling.hpp"
@@ -100,13 +101,23 @@ TEST(Metrics, PointToMeshErrorMeasuresOffset) {
     EXPECT_NEAR(pointToMeshError(pc, box), 1.0, 1e-4);
 }
 
-TEST(Metrics, EmptyInputsSafe) {
+// An empty side has no distances: NaN ("no data"), never a 0 that
+// reads as a perfect match.
+TEST(Metrics, EmptyInputsReportNoData) {
     PointCloud empty;
     PointCloud one;
     one.addPoint({0, 0, 0});
-    const auto stats = compareClouds(empty, one);
-    EXPECT_DOUBLE_EQ(stats.chamfer, 0.0);
-    EXPECT_DOUBLE_EQ(pointToMeshError(empty, makeBox({1, 1, 1})), 0.0);
+    for (const auto& stats : {compareClouds(empty, one), compareClouds(one, empty),
+                              compareMeshes(TriMesh{}, makeBox({1, 1, 1}), 100)}) {
+        EXPECT_TRUE(std::isnan(stats.meanForward));
+        EXPECT_TRUE(std::isnan(stats.meanBackward));
+        EXPECT_TRUE(std::isnan(stats.chamfer));
+        EXPECT_TRUE(std::isnan(stats.hausdorff));
+        EXPECT_TRUE(std::isnan(stats.rmse));
+        EXPECT_TRUE(std::isnan(stats.psnr));
+    }
+    EXPECT_TRUE(std::isnan(pointToMeshError(empty, makeBox({1, 1, 1}))));
+    EXPECT_TRUE(std::isnan(pointToMeshError(one, TriMesh{})));
 }
 
 TEST(Sampling, SurfaceSamplesLieOnMesh) {
