@@ -21,7 +21,10 @@
 // Per-resolution wall times land in telemetry histograms (several
 // repeats at the small resolutions; per-row costs fitted on histogram
 // p50s, not single runs) and are exported to BENCH_fig4.json so perf
-// PRs can track the reconstruction trajectory.
+// PRs can track the reconstruction trajectory. Each measured sparse row
+// also records its block store's measured size (sparse_store_bytes, the
+// value table and arena only); the laptop columns judge every row by
+// the working-set model, which a test checks covers that store.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -71,6 +74,7 @@ int main() {
         core::telemetry::Histogram denseExtractMs, sparseExtractMs;
         bool denseMeasured{}, sparseMeasured{};
         mesh::ReconCounters sparseStats;  // from the last sparse repeat
+        std::size_t sparseStoreBytes{};   // block store, last sparse repeat
     };
     std::vector<Row> rows;
     // Cost models for the unmeasured tail, fitted on the LARGEST measured
@@ -109,6 +113,7 @@ int main() {
                 row.sparseMs.record(r.totalMs());
                 row.sparseExtractMs.record(r.extractMs);
                 row.sparseStats = r.stats;
+                row.sparseStoreBytes = r.storeBytes;
             }
             sparseUnitCost = row.sparseMs.p50() / (static_cast<double>(res) * res);
         }
@@ -136,7 +141,7 @@ int main() {
         const bool fitsDense = laptop.fitsInMemory(recon::reconstructionWorkingSetBytes(
             row.resolution, recon::ReconMode::Dense));
         const bool fitsSparse = laptop.fitsInMemory(recon::reconstructionWorkingSetBytes(
-            row.resolution, recon::ReconMode::Sparse));
+            row.resolution, recon::ReconMode::Sparse, recon::resolveBlockSize(row.resolution)));
         const char* paper = row.resolution == 128   ? "~2.5"
                             : row.resolution == 256 ? "~0.9"
                             : row.resolution == 512 ? "~0.4"
@@ -173,8 +178,10 @@ int main() {
             .field("cert_tests", row.sparseStats.certTests)
             .field("node_eval_fraction", row.sparseStats.evalFraction())
             .field("laptop_dense", std::string(fitsDense ? "yes" : "no"))
-            .field("laptop_sparse", std::string(fitsSparse ? "yes" : "no"))
-            .endObject();
+            .field("laptop_sparse", std::string(fitsSparse ? "yes" : "no"));
+        if (row.sparseMeasured)
+            json.field("sparse_store_bytes", static_cast<std::uint64_t>(row.sparseStoreBytes));
+        json.endObject();
     }
     json.endArray();
     table.print();
@@ -258,6 +265,12 @@ int main() {
         sampling.certificate = body.certificate;
         sampling.batch = body.batch;
         sampler.sample(body.field, sampling);
+        // The legacy extractor reads the dense grid: copy the store into
+        // it once, outside the timed loop. The block extractor reads the
+        // store.
+        for (int z = 0; z <= extRes; ++z)
+            for (int y = 0; y <= extRes; ++y)
+                for (int x = 0; x <= extRes; ++x) grid.at(x, y, z) = sampler.value(x, y, z);
 
         mesh::IsoSurfaceOptions extOpt;  // recon-path config for both sides
         extOpt.weldVertices = false;

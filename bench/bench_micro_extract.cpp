@@ -41,6 +41,11 @@ Workload& workload(int res) {
         sampling.certificate = body.certificate;
         sampling.batch = body.batch;
         w.sampler->sample(body.field, sampling);
+        // The legacy extractor reads the grid's values, the block
+        // extractor the sampler's store.
+        for (int z = 0; z <= res; ++z)
+            for (int y = 0; y <= res; ++y)
+                for (int x = 0; x <= res; ++x) w.grid->at(x, y, z) = w.sampler->value(x, y, z);
     }
     return w;
 }

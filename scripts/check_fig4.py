@@ -14,7 +14,10 @@ ratio computed inside one run of the benchmark on one machine:
     regressed to the slow path);
   * the block-local table-driven extractor must beat the legacy serial
     extractor on the same sampled grid, single core (the "extraction"
-    section), and must have emitted the identical triangle set.
+    section), and must have emitted the identical triangle set;
+  * the sparse block store at the anchor must hold at most a third of
+    the bytes of a dense (R+1)^3 float grid -- a measured byte count
+    over a fixed size, immune to machine speed.
 
 Exit status 0 = gate passed. Any failure prints the offending metric
 and exits 1 so the CI step fails.
@@ -23,6 +26,10 @@ and exits 1 so the CI step fails.
 import argparse
 import json
 import sys
+
+# Largest share of a dense (R+1)^3 float grid the anchor's block store
+# may hold.
+MAX_STORE_FRACTION = 1.0 / 3.0
 
 
 def fail(msg: str) -> None:
@@ -48,9 +55,9 @@ def main() -> None:
     with open(args.json_path) as f:
         data = json.load(f)
 
-    if data.get("schema_version", 0) < 4:
-        fail(f"schema_version {data.get('schema_version')} < 4 "
-             "(bench binary predates the extraction instrumentation)")
+    if data.get("schema_version", 0) < 8:
+        fail(f"schema_version {data.get('schema_version')} < 8 "
+             "(bench binary predates the block store's sparse_store_bytes)")
     backend = data.get("simd_backend")
     if backend not in ("avx2", "neon", "scalar"):
         fail(f"simd_backend missing or unknown: {backend!r}")
@@ -69,6 +76,16 @@ def main() -> None:
           f"{speedup:.2f}x (gate: >= {args.min_speedup})")
     if speedup < args.min_speedup:
         fail("sparse reconstruction speedup regressed")
+
+    res = args.anchor_resolution
+    dense_bytes = (res + 1) ** 3 * 4
+    store = anchor.get("sparse_store_bytes")
+    if store is None:
+        fail(f"anchor row {res} has no sparse_store_bytes")
+    print(f"sparse store at {res}: {store} B = {store / dense_bytes:.3f} of the "
+          f"dense grid's {dense_bytes} B (gate: <= {MAX_STORE_FRACTION:.3f})")
+    if store > MAX_STORE_FRACTION * dense_bytes:
+        fail("sparse block store no longer tracks the surface")
 
     frac = anchor.get("node_eval_fraction", 1.0)
     print(f"node_eval_fraction at {args.anchor_resolution}: {frac:.3f} "

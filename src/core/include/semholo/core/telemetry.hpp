@@ -136,7 +136,11 @@ struct SessionTelemetry {
 //      nothing was forwarded to the viewer, downlinks[].fanout_share
 //      when the server fanned out nothing, and BENCH_fig4's
 //      node_eval_fraction on rows whose sparse pass was not measured.
-inline constexpr std::uint64_t kBenchSchemaVersion = 7;
+//   8: BENCH_fig4 rows whose sparse pass was measured carry
+//      sparse_store_bytes (the block store's measured size: its table
+//      and arena); the laptop columns still come from the working-set
+//      model.
+inline constexpr std::uint64_t kBenchSchemaVersion = 8;
 
 // Minimal JSON document builder shared by the bench exporters, so ad-hoc
 // bench output (speedups, per-row results) lands in the same files as

@@ -1,4 +1,4 @@
-// Block-sparse, parallel sampling of scalar fields into a VoxelGrid.
+// Block-sparse, parallel sampling of scalar fields into a block store.
 //
 // Dense sampling evaluates the field at every grid node — the O(R^3)
 // cost that makes Figure 4's FPS collapse cubically. A field that comes
@@ -11,10 +11,20 @@
 // every extraction cell that reads any node owned by a skipped block
 // lies entirely inside the certified guard region, where the true field
 // keeps the sign of f(c) — so the dense path would emit no triangles
-// from those cells either. Skipped nodes are filled with f(c) (correct
-// sign), sampled nodes are exact, and the extracted iso-surface is
-// bit-identical to the dense path's. Without a certificate every block
-// is sampled.
+// from those cells either. A skipped block reads as f(c) at every node
+// (correct sign), sampled nodes are exact, and the extracted iso-surface
+// is bit-identical to the dense path's. Without a certificate every
+// block is sampled.
+//
+// The sampler keeps the values itself, in a block store over its
+// BlockTiling: one table entry per block holding either the block's one
+// fill value (certified, or filled by a certified octree node) or its
+// slot in an arena of B^3 floats per block left to sample. The arena is
+// allocated on the calling thread once the certificate descent, leaf
+// tests included, has fixed that work list, so the store's size tracks
+// the surface, not the (R+1)^3 volume; the grid
+// the sampler is built on supplies only the lattice (VoxelGrid::lattice
+// allocates none).
 //
 // Work fans out over a core::ThreadPool. Each block's values depend only
 // on the field and the block, never on scheduling, so results are
@@ -24,6 +34,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "semholo/mesh/recon_counters.hpp"
@@ -80,6 +91,7 @@ public:
     BlockTiling(Vec3i resolution, int blockSize);
 
     Vec3i blocks() const { return blocks_; }  // blocks per axis
+    int blockSize() const { return blockSize_; }
     int count() const { return blocks_.x * blocks_.y * blocks_.z; }
 
     // Block index <-> block coordinate (x fastest).
@@ -120,13 +132,17 @@ private:
     Vec3i blocks_{};
 };
 
-// Tiles a VoxelGrid into cubical node blocks and samples a field into it
-// sparsely. Each sample() pass processes every block.
+// Tiles a grid's lattice into cubical node blocks, samples a field over
+// it sparsely and stores the values block by block. Each sample() pass
+// processes every block.
 class BlockSampler {
 public:
-    // Throws std::invalid_argument when blockSize is outside
+    // Samples over 'grid''s lattice (bounds and resolution); the grid's
+    // values are neither read nor written, so it may be a
+    // VoxelGrid::lattice. The grid must outlive the sampler. Throws
+    // std::invalid_argument when blockSize is outside
     // [1, BlockTiling::kMaxBlockSize].
-    BlockSampler(VoxelGrid& grid, int blockSize);
+    BlockSampler(const VoxelGrid& grid, int blockSize);
 
     const BlockTiling& tiling() const { return tiling_; }
 
@@ -135,11 +151,41 @@ public:
     // certificate must cover.
     geom::AABB blockGuardBounds(int block) const;
 
-    // Sample 'field' into the grid. Every block is either fully
+    // Sample 'field' into the block store. Every block is either fully
     // evaluated or, if the options' certificate proves it surface-free,
     // filled with its center value. Returns the sampler's counters; the
     // other ReconCounters fields stay zero.
     ReconCounters sample(const ScalarField& field, const FieldSampleOptions& options);
+
+    // One block's stored values: B^3 floats at 'values', addressed
+    // ((z - lo.z) * B + (y - lo.y)) * B + (x - lo.x) from its first owned
+    // node lo (an edge block owns fewer nodes and leaves the rest
+    // unused), or, when 'values' is null, the one value 'fill' that every
+    // node of the block reads.
+    struct StoredBlock {
+        const float* values;
+        float fill;
+    };
+    StoredBlock block(Vec3i coord) const {
+        const BlockEntry& e = table_[static_cast<std::size_t>(tiling_.index(coord))];
+        if (e.slot == kFilled) return {nullptr, e.fill};
+        return {arena_.get() + e.slot * blockFloats_, 0.0f};
+    }
+
+    // The stored value of node (x, y, z): 0 before the first sample().
+    float value(int x, int y, int z) const {
+        const int bs = tiling_.blockSize();
+        const Vec3i b{x / bs, y / bs, z / bs};
+        const StoredBlock sb = block(b);
+        if (sb.values == nullptr) return sb.fill;
+        return sb.values[static_cast<std::size_t>(((z - b.z * bs) * bs + (y - b.y * bs)) * bs +
+                                                  (x - b.x * bs))];
+    }
+
+    // Bytes the block store holds: the table plus the arena.
+    std::size_t storeBytes() const {
+        return table_.capacity() * sizeof(BlockEntry) + arenaFloats_ * sizeof(float);
+    }
 
     // Per-block surface-free verdicts from the most recent pass: 1 when
     // the block was skip-certified (no iso-crossing anywhere in its guard
@@ -153,10 +199,23 @@ public:
     void nodeBall(Vec3i lo, Vec3i hi, Vec3f& center, float& radius) const;
 
 private:
-    void fillBlock(const BlockTiling::NodeRange& r, float value);
-    // Evaluate or fill one block, counting into 'stats'.
-    void processBlock(int block, const ScalarField& field,
-                      const FieldSampleOptions& options, ReconCounters& stats);
+    // One block's storage: its fill value, or (slot != kFilled) its
+    // B^3 floats at arena_[slot * B^3], x fastest, then y, then z.
+    struct BlockEntry {
+        float fill{0.0f};
+        std::uint32_t slot{kFilled};
+    };
+    static constexpr std::uint32_t kFilled = ~std::uint32_t{0};
+
+    void fillBlock(int block, float value);
+    // The leaf certificate test of one block: on success the block is
+    // filled and true returned. Counts into 'stats'.
+    bool certifyBlock(int block, const ScalarField& field, const FieldSampleOptions& options,
+                      ReconCounters& stats);
+    // Evaluate every owned node of a block with an arena slot into it,
+    // counting into 'stats'.
+    void sampleBlock(int block, const ScalarField& field, const FieldSampleOptions& options,
+                     ReconCounters& stats);
     // An octree node left undecided by the serial top levels, with the
     // outputs of its own descent.
     struct Subtree {
@@ -167,17 +226,21 @@ private:
     // Octree depth at which sample() hands nodes to pool tasks.
     static constexpr int kSplitDepth = 2;
     // Coarse-to-fine certificate descent over block range [lo, hi] at
-    // octree depth 'depth': fills certified nodes' blocks and appends
-    // blocks needing a leaf pass to 'work'. With 'split' set, nodes at
-    // kSplitDepth (and single blocks above it) are appended there
-    // undecided instead.
+    // octree depth 'depth', down to single blocks: fills certified
+    // nodes' blocks and appends the blocks left to sample to 'work'.
+    // With 'split' set, nodes at kSplitDepth (and single blocks above
+    // it) are appended there undecided instead.
     void descend(Vec3i lo, Vec3i hi, int depth, const ScalarField& field,
                  const FieldSampleOptions& options, ReconCounters& stats,
                  std::vector<int>& work, std::vector<Subtree>* split);
 
-    VoxelGrid& grid_;
+    const VoxelGrid& grid_;
     BlockTiling tiling_;
     float guardRadius_{0.0f};  // half-diagonal of a block's guard region
+    std::size_t blockFloats_{0};  // B^3: arena floats per block left to sample
+    std::vector<BlockEntry> table_;
+    std::unique_ptr<float[]> arena_;
+    std::size_t arenaFloats_{0};
     std::vector<std::uint8_t> surfaceFree_;
 };
 

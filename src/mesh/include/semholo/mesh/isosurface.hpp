@@ -31,11 +31,17 @@
 // keeps the index deltas the mesh codec feeds on as local as the legacy
 // extractor's).
 //
+// Node values are read where they are stored: in the dense VoxelGrid, or,
+// when a BlockSampler is given, in its block store (B^3 floats per
+// sampled block, one value per certified block). A halo sign row that
+// crosses into neighbour blocks reads their runs; a crossing edge's two
+// endpoint values are read the same way.
+//
 // Three entry points: extractIsoSurface over a sampled grid (optionally
-// with the BlockSampler that filled it), extractIsoSurface over a field
+// with the BlockSampler that sampled it), extractIsoSurface over a field
 // (samples it through a BlockSampler first), and extractIsoSurfaceLegacy,
-// the previous serial extractor, kept for differential tests and the
-// within-run benchmark baseline.
+// the previous serial extractor over the dense grid, kept for
+// differential tests and the within-run benchmark baseline.
 #pragma once
 
 #include "semholo/mesh/blocksampler.hpp"
@@ -65,13 +71,17 @@ struct IsoSurfaceOptions {
 };
 
 // Extract the iso-surface of a sampled grid. 'sampler' (optional) must
-// tile 'grid'; the extractor works on its tiling and skips every cell
-// inside a block it certified surface-free (BlockSampler::surfaceFree).
+// have been built on 'grid'; the values are then read from its block
+// store, 'grid' supplies only the lattice (it may be a
+// VoxelGrid::lattice), and the extractor works on the sampler's tiling
+// and skips every cell inside a block it certified surface-free
+// (BlockSampler::surfaceFree).
 // Certified blocks provably contain no iso-crossing anywhere in their
 // guard region, so those cells would emit nothing: the result is
 // bit-identical to the extraction without a sampler, while the cell scan
 // drops from O(R^3) to the blocks near the surface. Without a sampler
-// the grid is tiled into BlockTiling::kDefaultBlockSize-node blocks.
+// the grid is tiled into BlockTiling::kDefaultBlockSize-node blocks and
+// must hold values (a lattice grid throws std::invalid_argument).
 // 'stats' (optional) receives the extractor's counters (blocksExtracted,
 // activeCells, vertices, triangles); its other fields are left as they
 // are.
@@ -94,8 +104,12 @@ TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           ReconCounters* stats = nullptr);
 
 // Reference implementation: the original serial cell scan with hashed
-// edge dedup and per-triangle geometric orientation, skipping the cells
-// of blocks 'sampler' (optional) certified surface-free. Retained for
+// edge dedup and per-triangle geometric orientation. It always reads the
+// dense grid's values (throws std::invalid_argument on a lattice grid),
+// so a caller that sampled through a BlockSampler copies its values
+// (BlockSampler::value) into the grid first; with that 'sampler'
+// (optional) it skips the cells of blocks it certified surface-free.
+// Kept independent of the block store on purpose: retained for
 // differential testing and as the within-run baseline of the extraction
 // benchmarks; emits the same triangle set as the block extractor (equal
 // under canonicalTriangleSoup) with a different vertex numbering.

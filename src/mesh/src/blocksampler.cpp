@@ -18,12 +18,15 @@ BlockTiling::BlockTiling(Vec3i resolution, int blockSize)
     blocks_ = {div(res_.x + 1), div(res_.y + 1), div(res_.z + 1)};
 }
 
-BlockSampler::BlockSampler(VoxelGrid& grid, int blockSize)
-    : grid_(grid), tiling_(grid.resolution(), blockSize) {
+BlockSampler::BlockSampler(const VoxelGrid& grid, int blockSize)
+    : grid_(grid),
+      tiling_(grid.resolution(), blockSize),
+      table_(static_cast<std::size_t>(tiling_.count())) {
     // Guard region: blockSize-1 cells of owned node span plus one cell on
     // each side. Half-diagonal of a (blockSize+1)-cell box.
     const float half = 0.5f * static_cast<float>(blockSize + 1);
     guardRadius_ = (grid.cellSize() * half).norm();
+    blockFloats_ = static_cast<std::size_t>(blockSize) * blockSize * blockSize;
     // Unknown until a block is processed: extraction must visit it.
     surfaceFree_.assign(static_cast<std::size_t>(tiling_.count()), 0);
 }
@@ -37,10 +40,8 @@ geom::AABB BlockSampler::blockGuardBounds(int block) const {
     return box;
 }
 
-void BlockSampler::fillBlock(const BlockTiling::NodeRange& r, float value) {
-    for (int z = r.lo.z; z <= r.hi.z; ++z)
-        for (int y = r.lo.y; y <= r.hi.y; ++y)
-            for (int x = r.lo.x; x <= r.hi.x; ++x) grid_.at(x, y, z) = value;
+void BlockSampler::fillBlock(int block, float value) {
+    table_[static_cast<std::size_t>(block)] = {value, kFilled};
 }
 
 void BlockSampler::nodeBall(Vec3i lo, Vec3i hi, Vec3f& center,
@@ -53,34 +54,43 @@ void BlockSampler::nodeBall(Vec3i lo, Vec3i hi, Vec3f& center,
     radius = (last.hi - center).norm();
 }
 
-void BlockSampler::processBlock(int block, const ScalarField& field,
+bool BlockSampler::certifyBlock(int block, const ScalarField& field,
                                 const FieldSampleOptions& options,
                                 ReconCounters& stats) {
+    const BlockTiling::NodeRange r = tiling_.nodes(block);
+    // The true center of the block's guard region can sit past the
+    // owned-node midpoint for edge blocks; using the owned-node midpoint
+    // with the full guard radius stays conservative because the guard
+    // region never extends more than guardRadius_ from it.
+    const Vec3f center =
+        (grid_.nodePosition(r.lo.x, r.lo.y, r.lo.z) + grid_.nodePosition(r.hi.x, r.hi.y, r.hi.z)) *
+        0.5f;
+    ++stats.certTests;
+    surfaceFree_[static_cast<std::size_t>(block)] = 0;
+    if (!options.certificate(center, guardRadius_)) return false;
+    // Fill with the (correctly signed) center value so extraction cells
+    // that straddle this block see a consistent field.
+    fillBlock(block, field(center));
+    stats.nodesTotal += r.count();
+    ++stats.nodesEvaluated;
+    ++stats.blocksSkipped;
+    surfaceFree_[static_cast<std::size_t>(block)] = 1;
+    return true;
+}
+
+void BlockSampler::sampleBlock(int block, const ScalarField& field,
+                               const FieldSampleOptions& options, ReconCounters& stats) {
     const BlockTiling::NodeRange r = tiling_.nodes(block);
     const std::uint64_t owned = r.count();
     stats.nodesTotal += owned;
 
-    if (options.certificate) {
-        // The true center of the block's guard region can sit past the
-        // owned-node midpoint for edge blocks; using the owned-node
-        // midpoint with the full guard radius stays conservative because
-        // the guard region never extends more than guardRadius_ from it.
-        const Vec3f center =
-            (grid_.nodePosition(r.lo.x, r.lo.y, r.lo.z) +
-             grid_.nodePosition(r.hi.x, r.hi.y, r.hi.z)) *
-            0.5f;
-        ++stats.certTests;
-        if (options.certificate(center, guardRadius_)) {
-            // Fill with the (correctly signed) center value so extraction
-            // cells that straddle this block see a consistent field.
-            fillBlock(r, field(center));
-            ++stats.nodesEvaluated;
-            ++stats.blocksSkipped;
-            surfaceFree_[static_cast<std::size_t>(block)] = 1;
-            return;
-        }
-    }
-
+    // The block's B^3 arena floats, addressed x fastest from r.lo; an
+    // edge block owns fewer nodes and leaves the rest unused.
+    const int bs = tiling_.blockSize();
+    float* dst = arena_.get() + table_[static_cast<std::size_t>(block)].slot * blockFloats_;
+    auto local = [&](int x, int y, int z) {
+        return static_cast<std::size_t>(((z - r.lo.z) * bs + (y - r.lo.y)) * bs + (x - r.lo.x));
+    };
     if (options.batch) {
         // SoA batch evaluation: one call for the whole block instead of
         // one std::function dispatch per node. Buffers are thread_local
@@ -104,13 +114,12 @@ void BlockSampler::processBlock(int block, const ScalarField& field,
         i = 0;
         for (int z = r.lo.z; z <= r.hi.z; ++z)
             for (int y = r.lo.y; y <= r.hi.y; ++y)
-                for (int x = r.lo.x; x <= r.hi.x; ++x, ++i)
-                    grid_.at(x, y, z) = vals[i];
+                for (int x = r.lo.x; x <= r.hi.x; ++x, ++i) dst[local(x, y, z)] = vals[i];
     } else {
         for (int z = r.lo.z; z <= r.hi.z; ++z)
             for (int y = r.lo.y; y <= r.hi.y; ++y)
                 for (int x = r.lo.x; x <= r.hi.x; ++x)
-                    grid_.at(x, y, z) = field(grid_.nodePosition(x, y, z));
+                    dst[local(x, y, z)] = field(grid_.nodePosition(x, y, z));
     }
     stats.nodesEvaluated += owned;
     ++stats.blocksSampled;
@@ -129,8 +138,10 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
         return;
     }
     if (single) {
-        // Single block: processBlock runs the leaf certificate as usual.
-        work.push_back(tiling_.index(lo));
+        // Single block: the leaf certificate, and the sampling pass if it
+        // fails.
+        if (!certifyBlock(tiling_.index(lo), field, options, stats))
+            work.push_back(tiling_.index(lo));
         return;
     }
 
@@ -141,7 +152,7 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
     // every block beneath (extraction cells touching filled nodes
     // lie wholly inside the certified region; see the header proof).
     // Fills write only this node's blocks, so concurrent subtrees never
-    // touch the same grid nodes or surfaceFree_ entries.
+    // touch the same table or surfaceFree_ entries.
     Vec3f center;
     float radius;
     nodeBall(lo, hi, center, radius);
@@ -153,11 +164,10 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
             for (int y = lo.y; y <= hi.y; ++y)
                 for (int x = lo.x; x <= hi.x; ++x) {
                     const int b = tiling_.index({x, y, z});
-                    const BlockTiling::NodeRange r = tiling_.nodes(b);
-                    fillBlock(r, d);
+                    fillBlock(b, d);
                     ++stats.blocksSkipped;
                     ++stats.blocksCoarseFilled;
-                    stats.nodesTotal += r.count();
+                    stats.nodesTotal += tiling_.nodes(b).count();
                     surfaceFree_[static_cast<std::size_t>(b)] = 1;
                 }
         return;
@@ -180,11 +190,28 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
 }
 
 ReconCounters BlockSampler::sample(const ScalarField& field,
-                                      const FieldSampleOptions& options) {
+                                   const FieldSampleOptions& options) {
     ReconCounters total;
     const int count = tiling_.count();
     total.blocksTotal = static_cast<std::uint64_t>(count);
 
+    // Runs fn(i, stats) for every i in [0, n) on the pool, in chunks so
+    // task overhead stays negligible, and sums the chunks' counters.
+    // Chunk boundaries may vary with pool size, but every block's values
+    // are a pure function of (field, block), so the store is identical
+    // for any worker count; the counters are sums and commute.
+    const std::size_t workers = options.pool != nullptr ? options.pool->size() : 1;
+    auto inChunks = [&](std::size_t n, auto&& fn) {
+        const std::size_t chunks = std::min(n, std::max<std::size_t>(1, workers * 8));
+        std::vector<ReconCounters> perChunk(chunks);
+        core::parallelFor(options.pool, chunks, [&](std::size_t c) {
+            for (std::size_t i = n * c / chunks; i < n * (c + 1) / chunks; ++i)
+                fn(i, perChunk[c]);
+        });
+        for (const ReconCounters& s : perChunk) total += s;
+    };
+
+    // The blocks to sample: every block the certificates leave undecided.
     std::vector<int> work;
     work.reserve(static_cast<std::size_t>(count));
     const bool useOctree =
@@ -192,12 +219,11 @@ ReconCounters BlockSampler::sample(const ScalarField& field,
     if (useOctree) {
         // The top levels decide few nodes, so they run serially and
         // leave up to 64 undecided subtrees, each descended (certificate
-        // tests, field probes, coarse fills) as one pool task. A node's
-        // verdict depends only on its own range, so every subtree reaches
-        // the verdicts the serial descent would; concatenating the
-        // subtrees' leaf lists in split order (the serial DFS order)
-        // reproduces the serial work list exactly, and the stats are
-        // sums.
+        // tests, field probes, fills) as one pool task. A node's verdict
+        // depends only on its own range, so every subtree reaches the
+        // verdicts the serial descent would; concatenating the subtrees'
+        // work lists in split order (the serial DFS order) reproduces the
+        // serial work list exactly, and the stats are sums.
         std::vector<Subtree> subtrees;
         const Vec3i blocks = tiling_.blocks();
         descend({0, 0, 0}, {blocks.x - 1, blocks.y - 1, blocks.z - 1}, 0,
@@ -211,25 +237,28 @@ ReconCounters BlockSampler::sample(const ScalarField& field,
             total += s.stats;
             work.insert(work.end(), s.work.begin(), s.work.end());
         }
+    } else if (options.certificate) {
+        // Flat: one leaf test per block, then the undecided ones in order.
+        inChunks(static_cast<std::size_t>(count), [&](std::size_t b, ReconCounters& stats) {
+            certifyBlock(static_cast<int>(b), field, options, stats);
+        });
+        for (int b = 0; b < count; ++b)
+            if (surfaceFree_[static_cast<std::size_t>(b)] == 0) work.push_back(b);
     } else {
         for (int b = 0; b < count; ++b) work.push_back(b);
     }
 
-    // Chunk the block list so task overhead stays negligible. Chunk
-    // boundaries may vary with pool size, but every node value is a pure
-    // function of (field, block), so the sampled grid is identical for
-    // any worker count; the stats are sums and commute.
-    const std::size_t workers = options.pool != nullptr ? options.pool->size() : 1;
-    const std::size_t chunks =
-        std::min(work.size(), std::max<std::size_t>(1, workers * 8));
-    std::vector<ReconCounters> perChunk(chunks);
-    core::parallelFor(options.pool, chunks, [&](std::size_t c) {
-        const std::size_t begin = work.size() * c / chunks;
-        const std::size_t end = work.size() * (c + 1) / chunks;
-        for (std::size_t i = begin; i < end; ++i)
-            processBlock(work[i], field, options, perChunk[c]);
+    // The work list is final: each of its blocks gets an arena slot, in
+    // list order. The arena is allocated here, on the calling thread,
+    // not grown by the workers that fill it (per-thread heaps would keep
+    // the memory).
+    arenaFloats_ = work.size() * blockFloats_;
+    arena_ = std::make_unique_for_overwrite<float[]>(arenaFloats_);
+    for (std::size_t i = 0; i < work.size(); ++i)
+        table_[static_cast<std::size_t>(work[i])].slot = static_cast<std::uint32_t>(i);
+    inChunks(work.size(), [&](std::size_t i, ReconCounters& stats) {
+        sampleBlock(work[i], field, options, stats);
     });
-    for (const ReconCounters& s : perChunk) total += s;
     return total;
 }
 

@@ -8,6 +8,10 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <memory_resource>
+#include <mutex>
+#include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -59,6 +63,8 @@ struct EdgeKeyHash {
 // order (bit-identical output).
 TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid, const BlockSampler* sampler,
                                 const IsoSurfaceOptions& options) {
+    if (!grid.hasValues())
+        throw std::invalid_argument("extractIsoSurfaceLegacy: the grid holds no values");
     TriMesh out;
     const Vec3i res = grid.resolution();
     if (res.x < 1 || res.y < 1 || res.z < 1) return out;
@@ -484,9 +490,12 @@ const CaseTable& caseTable() {
 //
 // Sign rows cover nodes [lo, min(hi + 2, res)] per axis: pass 2b looks
 // up crossing edges based at halo nodes (hi + 1) owned by neighbour
-// blocks, and *their* preceding slots reach endpoints at hi + 2. Rows
-// are read straight from the shared grid, so halo overlap costs a few
-// redundant compares, not synchronisation.
+// blocks, and *their* preceding slots reach endpoints at hi + 2. Node
+// values are read where they are stored: from the sampler's block store
+// when there is a sampler (a halo row crosses into the neighbour blocks'
+// runs; a certified neighbour is one fill value), from the dense grid
+// otherwise. Halo overlap costs a few redundant compares, not
+// synchronisation.
 // ---------------------------------------------------------------------
 
 inline std::uint64_t maskBits(int n) {
@@ -525,35 +534,23 @@ inline std::size_t gridIndex(const Vec3i& res, int x, int y, int z) {
            static_cast<std::size_t>(x);
 }
 
-// Sign rows for one block into rows[0, halo.z * halo.y): bit j of row
-// (rz, ry) = (value(lo.x + j, lo.y + ry, lo.z + rz) < iso). x runs are
-// contiguous in the grid, so the compare vectorises; rows are at most
-// bs + 2 <= 64 bits.
-void buildSignRows(const VoxelGrid& grid, const BlockGeom& g, float iso,
-                   std::uint64_t* rows) {
-    const Vec3i res = grid.resolution();
-    const float* vals = grid.values().data();
+// Bit j = (p[j] < iso) for the n <= 64 contiguous values at p; the
+// compare vectorises.
+inline std::uint64_t signBits(const float* p, int n, float iso) {
     constexpr int W = 4;
     using V = geom::simd::f32xN<W>;
     const V isoW = V::broadcast(iso);
-    for (int rz = 0; rz < g.halo.z; ++rz) {
-        for (int ry = 0; ry < g.halo.y; ++ry) {
-            const float* base = vals + gridIndex(res, g.lo.x, g.lo.y + ry, g.lo.z + rz);
-            std::uint64_t w = 0;
-            int x = 0;
-            for (; x + W <= g.halo.x; x += W) {
-                const auto m = geom::simd::cmpLt(V::load(base + x), isoW);
-                std::int32_t lanes[W];
-                static_assert(sizeof(m) == sizeof(lanes));
-                std::memcpy(lanes, &m, sizeof(lanes));
-                for (int j = 0; j < W; ++j)
-                    w |= static_cast<std::uint64_t>(lanes[j] & 1) << (x + j);
-            }
-            for (; x < g.halo.x; ++x)
-                w |= static_cast<std::uint64_t>(base[x] < iso ? 1u : 0u) << x;
-            rows[static_cast<std::size_t>(rz) * g.halo.y + ry] = w;
-        }
+    std::uint64_t w = 0;
+    int x = 0;
+    for (; x + W <= n; x += W) {
+        const auto m = geom::simd::cmpLt(V::load(p + x), isoW);
+        std::int32_t lanes[W];
+        static_assert(sizeof(m) == sizeof(lanes));
+        std::memcpy(lanes, &m, sizeof(lanes));
+        for (int j = 0; j < W; ++j) w |= static_cast<std::uint64_t>(lanes[j] & 1) << (x + j);
     }
+    for (; x < n; ++x) w |= static_cast<std::uint64_t>(p[x] < iso ? 1u : 0u) << x;
+    return w;
 }
 
 // Crossing bits of one (z, y) node row: bit i of cw[s] is set iff the
@@ -579,6 +576,104 @@ inline void crossWords(const std::uint64_t* rows, const BlockGeom& g, int lz, in
         cw[s] = w;
     }
 }
+
+// The node values one work block's passes read: its owned nodes and its
+// halo, which passes the block by up to two nodes per axis. Each source
+// block is a base pointer with node, row and slice strides: a stored
+// block's B^3 floats (strides 1, B and B^2), a fill-valued block's one
+// value (strides 0), or, without a sampler, the dense grid as one block
+// that spans every node.
+class BlockValues {
+public:
+    BlockValues(const BlockSampler* store, const VoxelGrid& grid, const BlockTiling& tiling,
+                const BlockGeom& g, Vec3i bc) {
+        const Vec3i res = grid.resolution();
+        if (store == nullptr) {
+            bs_ = std::max({res.x, res.y, res.z}) + 1;
+            const auto row = static_cast<std::size_t>(res.x) + 1;
+            src_[0] = {grid.values().data() + gridIndex(res, g.lo.x, g.lo.y, g.lo.z), 1, row,
+                       row * (static_cast<std::size_t>(res.y) + 1)};
+            return;
+        }
+        bs_ = tiling.blockSize();
+        const auto bs = static_cast<std::size_t>(bs_);
+        // The last block the halo reaches on each axis (the halo is at
+        // most bs + 2 nodes).
+        auto last = [this](int halo) { return halo > bs_ ? (halo > 2 * bs_ ? 2 : 1) : 0; };
+        const Vec3i d{last(g.halo.x), last(g.halo.y), last(g.halo.z)};
+        for (int dz = 0; dz <= d.z; ++dz)
+            for (int dy = 0; dy <= d.y; ++dy)
+                for (int dx = 0; dx <= d.x; ++dx) {
+                    const std::size_t k = index(dx, dy, dz);
+                    const BlockSampler::StoredBlock b =
+                        store->block({bc.x + dx, bc.y + dy, bc.z + dz});
+                    if (b.values != nullptr) {
+                        src_[k] = {b.values, 1, bs, bs * bs};
+                    } else {
+                        fills_[k] = b.fill;
+                        src_[k] = {&fills_[k], 0, 0, 0};
+                    }
+                }
+    }
+
+    // Sources may point into the object itself.
+    BlockValues(const BlockValues&) = delete;
+    BlockValues& operator=(const BlockValues&) = delete;
+
+    // The node at offset (lx, ly, lz), each component at most bs: an
+    // owned node or one a crossing edge reaches in the next block.
+    float at(int lx, int ly, int lz) const {
+        const int dx = lx >= bs_ ? 1 : 0, dy = ly >= bs_ ? 1 : 0, dz = lz >= bs_ ? 1 : 0;
+        const Source& s = src_[index(dx, dy, dz)];
+        return read(s, ly - dy * bs_, lz - dz * bs_)[static_cast<std::size_t>(lx - dx * bs_) *
+                                                     s.node];
+    }
+
+    // The block's halo sign rows into rows[0, halo.z * halo.y): bit j of
+    // row (rz, ry) = (value at offset (j, ry, rz) < iso). Rows are at most
+    // bs + 2 <= 64 bits, filled source by source: each source covers up
+    // to bs rows per axis and a run of up to bs bits of each row, and a
+    // fill-valued one compares once.
+    void signRows(const BlockGeom& g, float iso, std::uint64_t* rows) const {
+        std::fill_n(rows, static_cast<std::size_t>(g.halo.z) * g.halo.y, 0);
+        for (int z0 = 0, dz = 0; z0 < g.halo.z; z0 += bs_, ++dz)
+            for (int y0 = 0, dy = 0; y0 < g.halo.y; y0 += bs_, ++dy)
+                for (int x0 = 0, dx = 0; x0 < g.halo.x; x0 += bs_, ++dx) {
+                    const Source& src = src_[index(dx, dy, dz)];
+                    const int nx = std::min(bs_, g.halo.x - x0);
+                    const int ny = std::min(bs_, g.halo.y - y0);
+                    const int nz = std::min(bs_, g.halo.z - z0);
+                    const std::uint64_t fill = *src.base < iso ? maskBits(nx) << x0 : 0;
+                    for (int lz = 0; lz < nz; ++lz) {
+                        std::uint64_t* r =
+                            rows + static_cast<std::size_t>(z0 + lz) * g.halo.y + y0;
+                        if (src.node == 0)
+                            for (int ly = 0; ly < ny; ++ly) r[ly] |= fill;
+                        else
+                            for (int ly = 0; ly < ny; ++ly)
+                                r[ly] |= signBits(read(src, ly, lz), nx, iso) << x0;
+                    }
+                }
+    }
+
+private:
+    struct Source {
+        const float* base;
+        std::size_t node, row, slice;
+    };
+    static std::size_t index(int dx, int dy, int dz) {
+        return static_cast<std::size_t>((dz * 3 + dy) * 3 + dx);
+    }
+    // Node row (ly, lz) of a source block.
+    static const float* read(const Source& s, int ly, int lz) {
+        return s.base + static_cast<std::size_t>(lz) * s.slice +
+               static_cast<std::size_t>(ly) * s.row;
+    }
+
+    int bs_;
+    std::array<Source, 27> src_;  // index(dx, dy, dz)
+    std::array<float, 27> fills_;  // the fill-valued sources' values
+};
 
 // A float triple for scratch arrays that a pass fills completely before
 // any read: unlike Vec3f it is trivially constructible, so allocating
@@ -613,16 +708,21 @@ inline std::size_t edgeSlot(const BlockGeom& g, int lx, int ly, int lz, int slot
            static_cast<std::size_t>(slot);
 }
 
-// One z-slab of tiling blocks.
+// One z-slab of tiling blocks. The arrays Extraction::reserve sizes on
+// the calling thread live in the extraction's arena; the ones the
+// workers grow stay on the heap.
 struct Slab {
-    std::vector<WorkBlock> blocks;        // not certified, ascending index
-    std::vector<std::uint64_t> signRows;  // halo sign bits, (z, y) rows
-    std::vector<std::uint32_t> cells;     // packed active cells + configs
+    explicit Slab(std::pmr::memory_resource* arena)
+        : blocks(arena), signRows(arena), vertRows(arena), triRows(arena), newRows(arena) {}
+
+    std::pmr::vector<WorkBlock> blocks;        // not certified, ascending index
+    std::pmr::vector<std::uint64_t> signRows;  // halo sign bits, (z, y) rows
+    std::vector<std::uint32_t> cells;          // packed active cells + configs
     // Per block row, pass 1 writes a count and the prefix replaces it
     // with the row segment's first global index.
-    std::vector<std::uint32_t> vertRows;  // crossing edges per node row
-    std::vector<std::uint32_t> triRows;   // triangles per cell row
-    std::vector<std::uint32_t> newRows;   // vertices numbered per cell row
+    std::pmr::vector<std::uint32_t> vertRows;  // crossing edges per node row
+    std::pmr::vector<std::uint32_t> triRows;   // triangles per cell row
+    std::pmr::vector<std::uint32_t> newRows;   // vertices numbered per cell row
     std::vector<std::uint32_t> degenerate;  // pass 2b: triangles to drop
     std::vector<Triangle> tail;  // last triangles, before later slabs move over them
     // Pass 1 writes totals; the prefix replaces them with the slab's
@@ -693,27 +793,78 @@ std::uint32_t computeTopology(const BlockGeom& g, const CaseTable& table,
     return vCount;
 }
 
+// Where one extraction's working arrays live: a block bump-allocated on
+// the calling thread and released, whole, when the call returns; a call
+// that outgrows it draws further blocks from the heap. The block is the
+// power of two at or above twice what the thread's previous extraction
+// used: the next frame's surface fits, and the frame-to-frame drift of
+// the surface leaves the block's size, and so the allocator's handling
+// of it, unchanged. Room a call never writes costs address space, not
+// resident memory. One block replaces an allocation per array (about
+// 170 at 128^3), and on glibc it also keeps a frame loop's heap
+// resident: glibc raises its trim threshold to twice the largest freed
+// block it had mapped (mallopt(3), M_MMAP_THRESHOLD), so freeing one
+// block of the frame's whole working set keeps the frame's other churn
+// (the output mesh, the sampler's store) from handing the heap back to
+// the kernel, only for the next frame to page it in again.
+class ExtractionArena final : public std::pmr::memory_resource {
+public:
+    explicit ExtractionArena(std::size_t bytes)
+        : block_(bytes > 0 ? std::make_unique_for_overwrite<std::byte[]>(bytes) : nullptr),
+          arena_(block_.get(), bytes, std::pmr::new_delete_resource()) {}
+
+    // Room for n Ts that the caller writes before reading.
+    template <typename T>
+    T* array(std::size_t n) {
+        return static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
+    }
+    // Bytes handed out so far.
+    std::size_t used() const { return used_; }
+
+private:
+    void* do_allocate(std::size_t bytes, std::size_t align) override {
+        // Pass 1's workers append within the capacity reserve() gave
+        // them; the lock makes an append past it safe, not a race.
+        const std::lock_guard lock(mutex_);
+        used_ += bytes;
+        return arena_.allocate(bytes, align);
+    }
+    void do_deallocate(void*, std::size_t, std::size_t) override {}
+    bool do_is_equal(const std::pmr::memory_resource& other) const noexcept override {
+        return this == &other;
+    }
+
+    std::unique_ptr<std::byte[]> block_;
+    std::pmr::monotonic_buffer_resource arena_;
+    std::mutex mutex_;
+    std::size_t used_{0};
+};
+
 // The state one extraction's passes share. Every pass is a member run
 // for one slab at a time; the slabs of one pass may run concurrently.
 struct Extraction {
     Extraction(const VoxelGrid& sampled, const BlockSampler* sampler,
-               const IsoSurfaceOptions& options, TriMesh& mesh)
+               const IsoSurfaceOptions& options, TriMesh& mesh, ExtractionArena& arena)
         : grid(sampled),
-          vals(sampled.values().data()),
+          store(sampler),
           res(sampled.resolution()),
           tiling(sampler != nullptr ? sampler->tiling()
                                     : BlockTiling(res, BlockTiling::kDefaultBlockSize)),
           table(caseTable()),
           iso(options.isoValue),
           surfaceFree(sampler != nullptr ? &sampler->surfaceFree() : nullptr),
-          slabs(static_cast<std::size_t>(tiling.blocks().z)),
-          slot(static_cast<std::size_t>(tiling.count())),
-          vertRowBase(static_cast<std::size_t>(res.z + 1) * (res.y + 1), 0),
-          triRowBase(static_cast<std::size_t>(res.z) * res.y, 0),
-          newRowBase(triRowBase.size(), 0),
-          layerTri(static_cast<std::size_t>(res.z) + 1),
-          layerVert(layerTri.size()),
-          out(mesh) {}
+          slot(static_cast<std::size_t>(tiling.count()), &arena),
+          vertRowBase(static_cast<std::size_t>(res.z + 1) * (res.y + 1), 0, &arena),
+          triRowBase(static_cast<std::size_t>(res.z) * res.y, 0, &arena),
+          newRowBase(triRowBase.size(), 0, &arena),
+          layerTri(static_cast<std::size_t>(res.z) + 1, &arena),
+          layerVert(layerTri.size(), &arena),
+          drop(&arena),
+          out(mesh) {
+        const auto n = static_cast<std::size_t>(tiling.blocks().z);
+        slabs.reserve(n);
+        for (std::size_t s = 0; s < n; ++s) slabs.emplace_back(&arena);
+    }
 
     // Slab s owns node rows [lo.z, hi.z] and cell layers [z0, z1).
     BlockTiling::NodeRange slabNodes(std::size_t s) const {
@@ -737,7 +888,6 @@ struct Extraction {
         return static_cast<std::size_t>(std::lower_bound(drop.begin(), drop.end(), t) -
                                         drop.begin());
     }
-
     void reserve(std::size_t s);
     void topology(std::size_t s);
     void offsets(std::size_t s);
@@ -748,7 +898,9 @@ struct Extraction {
     void normals(std::size_t s);
 
     const VoxelGrid& grid;
-    const float* vals;
+    // Where node values are read: the sampler's block store when set,
+    // else the grid's dense values.
+    const BlockSampler* store;
     const Vec3i res;
     const BlockTiling tiling;
     const CaseTable& table;
@@ -759,25 +911,25 @@ struct Extraction {
     // so skipping them drops neither vertices nor triangles.
     const std::vector<std::uint8_t>* surfaceFree;
     std::vector<Slab> slabs;
-    std::vector<std::int32_t> slot;  // block -> place in its slab's work list, or -1
+    std::pmr::vector<std::int32_t> slot;  // block -> place in its slab's work list, or -1
     // Per (z, y) row: pass 1 sums counts, the prefix turns them into the
     // row's first global index and then the next free one.
-    std::vector<std::uint32_t> vertRowBase;
-    std::vector<std::uint32_t> triRowBase;
-    std::vector<std::uint32_t> newRowBase;
+    std::pmr::vector<std::uint32_t> vertRowBase;
+    std::pmr::vector<std::uint32_t> triRowBase;
+    std::pmr::vector<std::uint32_t> newRowBase;
     // First triangle and first numbered vertex of each cell layer.
-    std::vector<std::uint32_t> layerTri;
-    std::vector<std::uint32_t> layerVert;
-    std::unique_ptr<Float3[]> latticePos;  // pass 2a, by lattice index
-    std::unique_ptr<std::uint32_t[]> remap;  // pass 2b: lattice -> first-use index
-    std::unique_ptr<Float3[]> faceNormals;  // pass 2b, by pass-2b triangle slot
-    std::vector<std::uint32_t> drop;  // degenerate pass-2b slots, ascending
+    std::pmr::vector<std::uint32_t> layerTri;
+    std::pmr::vector<std::uint32_t> layerVert;
+    Float3* latticePos{nullptr};  // pass 2a, by lattice index
+    std::uint32_t* remap{nullptr};  // pass 2b: lattice -> first-use index
+    Float3* faceNormals{nullptr};  // pass 2b, by pass-2b triangle slot
+    std::pmr::vector<std::uint32_t> drop;  // degenerate pass-2b slots, ascending
     TriMesh& out;
 };
 
-// Room for the slab's pass-1 arrays, sized for full blocks. Grown by
-// the pool's workers instead, they would spread over the workers' heaps
-// and raise the process's resident memory by megabytes.
+// Room for the slab's pass-1 arrays, sized for full blocks, in the
+// arena. Grown by the pool's workers instead, they would spread over the
+// workers' heaps and raise the process's resident memory by megabytes.
 void Extraction::reserve(std::size_t s) {
     const BlockTiling::NodeRange full = tiling.nodes(0);
     const int ny = full.hi.y - full.lo.y + 1;
@@ -820,7 +972,8 @@ void Extraction::topology(std::size_t s) {
             w.cellRowOff = static_cast<std::uint32_t>(S.triRows.size());
             S.signRows.resize(w.signOff + static_cast<std::size_t>(g.halo.z) * g.halo.y);
             std::uint64_t* rows = S.signRows.data() + w.signOff;
-            buildSignRows(grid, g, iso, rows);
+            BlockValues(store, grid, tiling, g, {bx, by, static_cast<int>(s)})
+                .signRows(g, iso, rows);
             const std::uint32_t vCount = computeTopology(g, table, rows, S);
             w.cellEnd = static_cast<std::uint32_t>(S.cells.size());
             if (vCount > 0 || w.cellEnd > w.cellBegin) ++S.blocksExtracted;
@@ -894,6 +1047,9 @@ void Extraction::positions(std::size_t s) {
     std::array<std::uint64_t, 7> cw;
     for (const WorkBlock& w : S.blocks) {
         const BlockGeom g = blockGeom(tiling, res, w.index);
+        // Most work blocks own no crossing edge: the view of their values
+        // is built at the first one.
+        std::optional<BlockValues> v;
         const std::uint64_t* rows = S.signRows.data() + w.signOff;
         for (int lz = 0; lz < g.owned.z; ++lz) {
             for (int ly = 0; ly < g.owned.y; ++ly) {
@@ -902,18 +1058,23 @@ void Extraction::positions(std::size_t s) {
                 std::uint32_t ord = S.vertRows[w.ownNodeRow(g, lz, ly)];
                 crossWords(rows, g, lz, ly, g.owned.x, cw);
                 std::uint64_t u = cw[0] | cw[1] | cw[2] | cw[3] | cw[4] | cw[5] | cw[6];
+                if (u != 0 && !v)
+                    v.emplace(store, grid, tiling, g, tiling.coord(static_cast<int>(w.index)));
                 while (u != 0) {
                     const int lx = std::countr_zero(u);
                     u &= u - 1;
                     const int gx = g.lo.x + lx;
+                    const float vA = v->at(lx, ly, lz);
                     for (int sl = 0; sl < kSlotsPerNode; ++sl) {
                         if (((cw[sl] >> lx) & 1) == 0) continue;
                         const int dir = sl + 1;
-                        const int ex = gx + (dir & 1);
-                        const int ey = gy + ((dir >> 1) & 1);
-                        const int ez = gz + ((dir >> 2) & 1);
-                        const float vA = vals[gridIndex(res, gx, gy, gz)];
-                        const float vB = vals[gridIndex(res, ex, ey, ez)];
+                        const int dx = dir & 1;
+                        const int dy = (dir >> 1) & 1;
+                        const int dz = (dir >> 2) & 1;
+                        const int ex = gx + dx;
+                        const int ey = gy + dy;
+                        const int ez = gz + dz;
+                        const float vB = v->at(lx + dx, ly + dy, lz + dz);
                         const float denom = vB - vA;
                         float t = std::fabs(denom) > 1e-12f ? (iso - vA) / denom : 0.5f;
                         t = geom::clamp(t, 0.0f, 1.0f);
@@ -1123,11 +1284,18 @@ void Extraction::normals(std::size_t s) {
 
 TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
                           const IsoSurfaceOptions& options, ReconCounters* stats) {
+    if (sampler == nullptr && !grid.hasValues())
+        throw std::invalid_argument(
+            "extractIsoSurface: a grid without values needs the sampler that holds them");
     TriMesh out;
     const Vec3i res = grid.resolution();
     if (res.x < 1 || res.y < 1 || res.z < 1) return out;
 
-    Extraction x(grid, sampler, options, out);
+    // The working arrays, in one block sized from this thread's previous
+    // extraction.
+    thread_local std::size_t lastArenaBytes = 0;
+    ExtractionArena arena(lastArenaBytes > 0 ? std::bit_ceil(2 * lastArenaBytes) : 0);
+    Extraction x(grid, sampler, options, out, arena);
     core::ThreadPool* pool = options.pool;
     const std::size_t numSlabs = x.slabs.size();
     auto eachSlab = [&](auto&& pass) { core::parallelFor(pool, numSlabs, pass); };
@@ -1155,9 +1323,9 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
     }
     x.layerTri.back() = static_cast<std::uint32_t>(tTotal);
     x.layerVert.back() = static_cast<std::uint32_t>(nTotal);
-    x.latticePos = std::make_unique_for_overwrite<Float3[]>(vTotal);
-    x.remap = std::make_unique_for_overwrite<std::uint32_t[]>(vTotal);
-    x.faceNormals = std::make_unique_for_overwrite<Float3[]>(tTotal);
+    x.latticePos = arena.array<Float3>(vTotal);
+    x.remap = arena.array<std::uint32_t>(vTotal);
+    x.faceNormals = arena.array<Float3>(tTotal);
 
     // Zero-filling the outputs, and faulting in their pages, is serial
     // work: it runs as the first task of pass 2a, which touches neither.
@@ -1197,13 +1365,14 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
     } else {
         eachSlab([&](std::size_t s) { x.normals(s); });
     }
+    lastArenaBytes = arena.used();
     return out;
 }
 
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options,
                           const FieldSampleOptions& sampling, ReconCounters* stats) {
-    VoxelGrid grid(bounds, {resolution, resolution, resolution});
+    const VoxelGrid grid = VoxelGrid::lattice(bounds, {resolution, resolution, resolution});
     BlockSampler sampler(grid, BlockTiling::kDefaultBlockSize);
     const ReconCounters sampled = sampler.sample(field, sampling);
     if (stats != nullptr) *stats = sampled;

@@ -2,6 +2,11 @@
 // X-Avatar on an NVIDIA A100 (80 GB workstation GPU) and reports that a
 // laptop RTX 3080 cannot handle 512/1024 resolutions at all. We model a
 // device as a memory budget: the hard reconstruction-feasibility limit.
+// Dense reconstruction needs the whole (R+1)^3 grid; sparse keeps its
+// values in a block store whose size tracks the surface. The budget is
+// checked against reconstructionWorkingSetBytes' estimate before a
+// reconstruction runs; a test checks that the sparse estimate covers the
+// store's measured size (ReconstructionResult::storeBytes).
 #pragma once
 
 #include <cstddef>
@@ -16,7 +21,8 @@ struct DeviceProfile {
     // A100-class workstation: large memory.
     static DeviceProfile workstation();
     // RTX-3080-laptop-class: 8 GB budget; at 512^3+ the dense field grid
-    // plus intermediates exceed it, matching the paper's observation.
+    // plus intermediates exceed it, matching the paper's observation,
+    // while the sparse block store fits.
     static DeviceProfile laptop();
     // This host, no memory cap (for raw measurements).
     static DeviceProfile host();
@@ -33,8 +39,8 @@ enum class ReconMode {
     Dense,
     // Block-tiled path: blocks the body field's certificate proves
     // surface-free are skipped, the rest fan out over a worker pool, and
-    // per-node intermediates are only materialised for the blocks that
-    // actually sample (~surface area).
+    // node values and per-node intermediates are only materialised for
+    // the blocks that actually sample (~surface area).
     Sparse,
 };
 
@@ -43,9 +49,12 @@ enum class ReconMode {
 std::size_t reconstructionWorkingSetBytes(int resolution);
 
 // Mode-aware estimate. Dense matches the single-argument overload. In
-// sparse mode the value grid is still dense (4 bytes/node) but the
-// 15-floats-per-node intermediates exist only for surface blocks, whose
-// fraction of the grid shrinks like blockSize / resolution.
+// sparse mode the values live in BlockSampler's block store: an 8-byte
+// table entry per block plus the value and 15 floats of intermediates
+// per node, only for the blocks near the surface that are sampled,
+// whose share of the grid shrinks like blockSize / resolution. The
+// estimate stays above the store's measured size
+// (ReconstructionResult::storeBytes).
 std::size_t reconstructionWorkingSetBytes(int resolution, ReconMode mode,
                                           int blockSize = 8);
 

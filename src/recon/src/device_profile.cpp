@@ -32,19 +32,21 @@ std::size_t reconstructionWorkingSetBytes(int resolution, ReconMode mode,
     if (mode == ReconMode::Dense) return reconstructionWorkingSetBytes(resolution);
     const auto r = static_cast<std::size_t>(resolution) + 1;
     const std::size_t gridBytes = r * r * r * sizeof(float);
-    // Surface blocks scale with the body's surface area: of the
-    // (r/B)^3 blocks roughly c * (r/B)^2 intersect the surface, so the
-    // occupied fraction is ~c * B / r (c ~= 3 for a human silhouette in
-    // its bounding box; confirmed by the block counters in BENCH_fig4).
-    // Only those blocks carry the 15-floats-per-node intermediates; the
-    // 4-byte value grid stays dense. 512^3 -> ~0.9 GB and 1024^3 ->
-    // ~5.8 GB: both inside the 8 GB laptop budget that dense mode blows
-    // past (8.6 GB / 69 GB).
     const std::size_t b = blockSize > 0 ? static_cast<std::size_t>(blockSize) : 8;
-    const double fraction =
-        std::min(1.0, 3.0 * static_cast<double>(b) / static_cast<double>(r));
-    return gridBytes +
-           static_cast<std::size_t>(static_cast<double>(gridBytes) * 15.0 * fraction);
+    // The block store: one 8-byte table entry per block, B^3 floats per
+    // sampled block. Sampled blocks are those near the body's surface,
+    // of the (r/B)^3 blocks roughly c * (r/B)^2, so their share is
+    // ~c * B / r. BlockSampler's counters on the Talk pose give a share
+    // of 0.32 at 64^3 and 0.20 at 128^3 (4-node blocks), 0.22, 0.19 and
+    // 0.14 at 192^3, 256^3 and 512^3 (8-node blocks): c = 9 bounds every
+    // row. Each sampled node also carries 15 floats of per-node
+    // intermediates, so 16 floats per sampled node in all. 512^3 ->
+    // ~1.2 GB and 1024^3 -> ~4.8 GB: both inside the 8 GB laptop budget
+    // that dense mode blows past (8.6 GB / 69 GB).
+    const std::size_t blocksPerAxis = (r + b - 1) / b;
+    const std::size_t tableBytes = blocksPerAxis * blocksPerAxis * blocksPerAxis * 8;
+    const double share = std::min(1.0, 9.0 * static_cast<double>(b) / static_cast<double>(r));
+    return tableBytes + static_cast<std::size_t>(static_cast<double>(gridBytes) * 16.0 * share);
 }
 
 }  // namespace semholo::recon

@@ -55,8 +55,11 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
     iso.weldVertices = false;
 
     auto t0 = std::chrono::steady_clock::now();
-    mesh::VoxelGrid grid(body.bounds,
-                         {options.resolution, options.resolution, options.resolution});
+    // Dense keeps every node value in the grid; sparse keeps them in the
+    // sampler's block store and the grid is only the lattice.
+    const mesh::Vec3i res{options.resolution, options.resolution, options.resolution};
+    mesh::VoxelGrid grid =
+        dense ? mesh::VoxelGrid(body.bounds, res) : mesh::VoxelGrid::lattice(body.bounds, res);
     std::optional<mesh::BlockSampler> sampler;
     if (dense) {
         // Every node, serially: the single-core baseline the sparse
@@ -70,6 +73,7 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
         sampling.hierarchical = options.octreeCertificates;
         sampler.emplace(grid, blockSize);
         result.stats = sampler->sample(body.field, sampling);
+        result.storeBytes = sampler->storeBytes();
         // Extraction fans out over the sampling pool; its output is
         // byte-identical for any worker count.
         iso.pool = sampling.pool;

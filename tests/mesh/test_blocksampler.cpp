@@ -71,7 +71,7 @@ TEST(BlockSampler, SparseGridMatchesDenseWhereSampled) {
         for (int y = 0; y <= res; ++y)
             for (int x = 0; x <= res; ++x) {
                 const float dv = dense.at(x, y, z);
-                const float sv = sparse.at(x, y, z);
+                const float sv = sampler.value(x, y, z);
                 if (dv != sv) {
                     EXPECT_GT(dv * sv, 0.0f)
                         << "filled node changed sign at " << x << "," << y << "," << z;
@@ -116,7 +116,7 @@ TEST(BlockSampler, DeterministicAcrossWorkerCounts) {
         for (int z = 0; z <= res; ++z)
             for (int y = 0; y <= res; ++y)
                 for (int x = 0; x <= res; ++x)
-                    ASSERT_EQ(serial.at(x, y, z), parallel.at(x, y, z))
+                    ASSERT_EQ(serialSampler.value(x, y, z), parallelSampler.value(x, y, z))
                         << "workers=" << workers;
     }
 }
@@ -136,7 +136,7 @@ TEST(BlockSampler, NoCertificateMatchesDenseEverywhere) {
     for (int z = 0; z <= res; ++z)
         for (int y = 0; y <= res; ++y)
             for (int x = 0; x <= res; ++x)
-                ASSERT_EQ(dense.at(x, y, z), sparse.at(x, y, z));
+                ASSERT_EQ(dense.at(x, y, z), sampler.value(x, y, z));
 }
 
 TEST(BlockSampler, AnalyticCertificateSkipsAndStaysExact) {
@@ -183,7 +183,7 @@ OctreePass runOctree(Vec3i res, core::ThreadPool* pool) {
                                 octreeOptions(first, pool));
     for (int z = 0; z <= res.z; ++z)
         for (int y = 0; y <= res.y; ++y)
-            for (int x = 0; x <= res.x; ++x) pass.values.push_back(grid.at(x, y, z));
+            for (int x = 0; x <= res.x; ++x) pass.values.push_back(sampler.value(x, y, z));
     pass.surfaceFree = sampler.surfaceFree();
     return pass;
 }

@@ -192,6 +192,11 @@ TEST(IsoSurfaceParallel, SparseMatchesLegacySparse) {
         return std::fabs((c - center).norm() - radius) > r;
     };
     sampler.sample(field, sampling);
+    // The legacy extractor reads the grid's values, the block extractor
+    // the sampler's store.
+    for (int z = 0; z <= res; ++z)
+        for (int y = 0; y <= res; ++y)
+            for (int x = 0; x <= res; ++x) grid.at(x, y, z) = sampler.value(x, y, z);
 
     IsoSurfaceOptions opt;  // pre-weld comparison, as in the other suites
     opt.weldVertices = false;

@@ -10,8 +10,10 @@
 
 #include "semholo/body/animation.hpp"
 #include "semholo/body/body_model.hpp"
+#include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/blocksampler.hpp"
 #include "semholo/mesh/isosurface.hpp"
+#include "semholo/recon/keypoint_recon.hpp"
 
 namespace semholo::recon {
 namespace {
@@ -166,6 +168,28 @@ TEST(OctreeCertificates, SparseOctreeBatchExtractionMatchesDense) {
         EXPECT_GT(stats.blocksCoarseFilled, 0u) << "octree never engaged";
         const auto sparseMesh = mesh::extractIsoSurface(sparseGrid, &sampler);
         expectIdenticalMeshes(denseMesh, sparseMesh);
+    }
+}
+
+TEST(BlockSampler, StoreBytesTrackTheSurface) {
+    // The block store holds B^3 floats only for the blocks left to sample
+    // near the surface, plus one table entry per block: under a third of
+    // a dense (R+1)^3 float grid at the Figure 4 resolutions.
+    const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.5);
+    const BodyField body = body::makeBodyField(pose);
+    for (const int res : {128, 256}) {
+        const VoxelGrid lattice = VoxelGrid::lattice(body.bounds, {res, res, res});
+        BlockSampler sampler(lattice, resolveBlockSize(res));
+        mesh::FieldSampleOptions so;
+        so.pool = &core::sharedPool();
+        so.certificate = body.certificate;
+        so.batch = body.batch;
+        const auto stats = sampler.sample(body.field, so);
+        ASSERT_GT(stats.blocksSampled, 0u) << res;
+        const std::size_t denseBytes =
+            static_cast<std::size_t>(res + 1) * (res + 1) * (res + 1) * sizeof(float);
+        EXPECT_GT(sampler.storeBytes(), 0u) << res;
+        EXPECT_LT(3 * sampler.storeBytes(), denseBytes) << res;
     }
 }
 

@@ -75,6 +75,38 @@ TEST(Reconstruction, MeshBytesMatchPinnedDigestAtEveryWorkerCount) {
     }
 }
 
+TEST(Reconstruction, MeshBytesMatchPinnedDigestAtBlockSize8) {
+    // The pin above covers 4-node sampler blocks; 192^3 samples 8-node
+    // blocks. Same Talk frame, every position, index and normal bit.
+    ASSERT_EQ(resolveBlockSize(192), 8);
+    const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.5);
+    for (const std::size_t workers : {1u, 4u}) {
+        core::ThreadPool pool(workers);
+        ReconstructionOptions opt;
+        opt.resolution = 192;
+        opt.pool = &pool;
+        const ReconstructionResult r = reconstructFromPose(pose, opt);
+        ASSERT_TRUE(r.success) << workers << " workers";
+        EXPECT_EQ(meshDigest(r.mesh), 0x9c314668ba0ac886ull) << workers << " workers";
+    }
+}
+
+TEST(Reconstruction, SparseWorkingSetModelCoversMeasuredStore) {
+    // The device check runs on the model before anything is allocated,
+    // so the model must not undercut the block store it stands for.
+    const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.5);
+    for (const int res : {128, 256}) {
+        ReconstructionOptions opt;
+        opt.resolution = res;
+        const ReconstructionResult r = reconstructFromPose(pose, opt);
+        ASSERT_TRUE(r.success) << res;
+        EXPECT_GT(r.storeBytes, 0u) << res;
+        EXPECT_EQ(r.gridBytes,
+                  reconstructionWorkingSetBytes(res, ReconMode::Sparse, resolveBlockSize(res)));
+        EXPECT_GE(r.gridBytes, r.storeBytes) << res;
+    }
+}
+
 TEST(Reconstruction, DenseMeshBytesMatchPinnedDigest) {
     // Pins the serial every-node baseline that Figure 4 and the sparse
     // bit-identity tests compare against.
