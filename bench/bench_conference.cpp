@@ -28,7 +28,10 @@
 // users with and without downlinks, 300 users without): wall clock at
 // workers = 1 (the serial executor) against workers = nproc. It is
 // report-only: wall time depends on the host, so it gates nothing but
-// the byte-identity of the two runs.
+// the byte-identity of the two runs. Two long-run rows (100 users at 300
+// and 3,000 ticks) report the stage graph's resident-node high-water
+// mark and the process max RSS; the graph keeps a rolling window of
+// ticks, so the bench fails if the mark differs between the two.
 // Results (per-uplink and per-downlink shares included) land in
 // BENCH_conference.json.
 #include <algorithm>
@@ -38,6 +41,8 @@
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "bench_util.hpp"
 #include "semholo/core/conference.hpp"
@@ -180,6 +185,13 @@ EngineTiming timeEngine(const core::ConferenceConfig& conf,
     return t;
 }
 
+// The process's peak resident set so far (Linux reports ru_maxrss in KB).
+double maxRssMb() {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
 void pipelineJson(core::telemetry::JsonWriter& json, const char* name,
                   const core::PipelineStats& p) {
     json.beginObject(name)
@@ -200,6 +212,29 @@ int main() {
     bench::banner("Conference: bandwidth arbitration on a congested uplink");
 
     const body::BodyModel model(body::ShapeParams{}, 48);
+
+    // Long runs: the graph holds a window of pipelineDepth + 2 ticks, so
+    // its resident nodes must not grow with the run. Max RSS still grows
+    // with the per-frame results, and it is the process's peak so far:
+    // these rows run first, so no other section's peak hides theirs.
+    const std::size_t nproc = core::ThreadPool::defaultWorkers();
+    struct LongRunRow {
+        std::size_t ticks;
+        double wallMs{};
+        std::uint64_t nodes{};
+        std::uint64_t residentNodes{};
+        double maxRssMb{};
+    };
+    std::vector<LongRunRow> longRuns{{300}, {3000}};
+    for (LongRunRow& row : longRuns) {
+        core::ConferenceConfig conf = sfuScalingConference(100, true, nproc);
+        conf.session.frames = row.ticks;
+        const EngineTiming run = timeEngine(conf, model, 1);
+        row.wallMs = run.bestMs;
+        row.nodes = run.stats.pipeline.nodes;
+        row.residentNodes = run.stats.pipeline.residentNodes;
+        row.maxRssMb = maxRssMb();
+    }
 
     struct Row {
         const char* label;
@@ -337,7 +372,6 @@ int main() {
 
     // Engine scaling: serial executor vs the pool on SFU-sized calls.
     bench::banner("Engine scaling: workers = 1 vs workers = nproc (report only)");
-    const std::size_t nproc = core::ThreadPool::defaultWorkers();
     struct ScalingRow {
         std::size_t users;
         bool downlinks;
@@ -372,6 +406,27 @@ int main() {
     }
     scalingTable.print();
     std::printf("\n(best of 3 calls, 300 ticks each; wall clock on this host)\n");
+
+    bench::Table longRunTable({"users", "ticks", "wall ms", "nodes",
+                               "resident nodes", "max RSS MB"});
+    for (const LongRunRow& row : longRuns)
+        longRunTable.addRow({"100", std::to_string(row.ticks),
+                             bench::fmt("%.0f", row.wallMs),
+                             std::to_string(row.nodes),
+                             std::to_string(row.residentNodes),
+                             bench::fmt("%.1f", row.maxRssMb)});
+    std::printf("\nLong runs (one call each at workers = %zu, run before every "
+                "other section; max RSS is the process peak so far)\n",
+                nproc);
+    longRunTable.print();
+    const bool residentBounded =
+        longRuns[0].residentNodes == longRuns[1].residentNodes;
+    std::printf("\nResident nodes %s: %llu at %zu ticks, %llu at %zu ticks\n",
+                residentBounded ? "bounded" : "GREW",
+                static_cast<unsigned long long>(longRuns[0].residentNodes),
+                longRuns[0].ticks,
+                static_cast<unsigned long long>(longRuns[1].residentNodes),
+                longRuns[1].ticks);
 
     // Acceptance: the arbiter must make the congested conference fair
     // (Jain >= 0.95, vs ~0.80 for uncoordinated loops) without costing
@@ -427,6 +482,19 @@ int main() {
             .endObject();
     }
     json.endArray();
+    json.beginArray("long_run");
+    for (const LongRunRow& row : longRuns) {
+        json.beginObject()
+            .field("users", static_cast<std::uint64_t>(100))
+            .field("ticks", static_cast<std::uint64_t>(row.ticks))
+            .field("wall_ms", row.wallMs)
+            .field("nodes", row.nodes)
+            .field("resident_nodes", row.residentNodes)
+            .field("max_rss_mb", row.maxRssMb)
+            .endObject();
+    }
+    json.endArray();
+    json.raw("resident_nodes_bounded", residentBounded ? "true" : "false");
     json.endObject();
     json.endObject();
     {
@@ -447,7 +515,8 @@ int main() {
         "without losing aggregate frames. With stragglers, de-staggering\n"
         "the per-user stage chains across ticks reclaims the barrier's\n"
         "tail wait.\n");
-    return fair && noRegression && conserved && pipelined && scalingIdentical
+    return fair && noRegression && conserved && pipelined && scalingIdentical &&
+                   residentBounded
                ? 0
                : 1;
 }

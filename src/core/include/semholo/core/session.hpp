@@ -5,8 +5,12 @@
 //
 // There is one session engine: a completion-event-driven stage graph
 // (encode -> sequenced uplink ticket -> downlink fan-out -> decode ->
-// quality per user and tick, with explicit dependency edges). A
-// one-way session is its one-participant case. Every participant's
+// quality per user and tick, with explicit dependency edges). The graph
+// is a rolling window of ConferenceConfig::pipelineDepth + 2 ticks: each
+// tick's retire node builds the tick pipelineDepth + 1 ahead, so the
+// engine's scheduling state does not grow with the run (the per-frame
+// results in SessionStats::frames still do). A one-way session is its
+// one-participant case. Every participant's
 // throughput estimator and DegradationPolicy observe their own link
 // outcomes before their next tick encodes (the closed loop of the
 // paper's semantic coordinator), while users whose feedback already
@@ -202,7 +206,8 @@ struct DownlinkStats {
 // frame is a chain of nodes (encode -> uplink ticket -> downlink fan-out
 // -> decode, plus a quality node at sampled ticks) with explicit
 // dependency edges, and a retire node per tick bounds how many ticks may
-// be in flight (ConferenceConfig::pipelineDepth).
+// be in flight (ConferenceConfig::pipelineDepth) and builds the tick
+// that enters the graph's rolling window.
 // These stats describe how deep the pipeline actually ran and what the
 // event-driven schedule bought over the legacy per-tick barrier.
 
@@ -228,6 +233,9 @@ struct PipelineStats {
     std::size_t pipelineDepth{1};
     std::uint64_t nodes{};
     std::uint64_t edges{};
+    // Most nodes held at once. The graph is a rolling window of
+    // pipelineDepth + 2 ticks, so this does not grow with the run.
+    std::uint64_t residentNodes{};
     // Capture ticks in flight, sampled at each encode-node start; the
     // max is bounded by pipelineDepth.
     telemetry::Histogram ticksInFlight;

@@ -140,7 +140,12 @@ struct SessionTelemetry {
 //      sparse_store_bytes (the block store's measured size: its table
 //      and arena); the laptop columns still come from the working-set
 //      model.
-inline constexpr std::uint64_t kBenchSchemaVersion = 8;
+//   9: conference documents' "pipeline" sections carry resident_nodes
+//      (the stage graph's high-water mark of nodes held at once), and
+//      BENCH_conference's engine_scaling section carries "long_run"
+//      rows (ticks, nodes, resident_nodes, max_rss_mb) and
+//      resident_nodes_bounded.
+inline constexpr std::uint64_t kBenchSchemaVersion = 9;
 
 // Minimal JSON document builder shared by the bench exporters, so ad-hoc
 // bench output (speedups, per-row results) lands in the same files as

@@ -227,6 +227,7 @@ std::string toJsonValue(const MultiSessionStats& stats) {
     w.field("pipeline_depth", static_cast<std::uint64_t>(p.pipelineDepth));
     w.field("nodes", p.nodes);
     w.field("edges", static_cast<std::uint64_t>(p.edges));
+    w.field("resident_nodes", p.residentNodes);
     w.field("max_ticks_in_flight", p.ticksInFlight.max());
     w.field("mean_ticks_in_flight", p.ticksInFlight.mean());
     w.field("wall_ms", p.wallMs);

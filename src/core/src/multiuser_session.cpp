@@ -2,10 +2,13 @@
 // session (runSession) is its one-participant case; an SFU conference
 // adds participants, downlinks and the arbiter. Rather than running each
 // capture tick as three barriered phases (encode fan-out, sequenced
-// uplink, decode fan-out), the engine builds one explicit dependency
-// DAG over typed per-(tick, user) nodes and lets an event-driven
-// executor run every node the instant its dependencies complete — no
-// phase barriers, no tick barriers.
+// uplink, decode fan-out), the engine describes one explicit dependency
+// DAG over typed per-(tick, user) nodes, tick by tick, and lets an
+// event-driven executor run every node the instant its dependencies
+// complete — no phase barriers, no tick barriers. The graph never holds
+// the whole run: it keeps a rolling window of pipelineDepth + 2 ticks,
+// and R(f) builds tick f+depth+1 through the engine's tick builder
+// (stage_graph.hpp).
 //
 // Node kinds per tick f (inserted in per-tick phase order, so the
 // one-worker run, which walks nodes in insertion order, runs the phases
@@ -35,7 +38,8 @@
 //                  mesh vs the LBS ground truth. Off the encode -> decode
 //                  chain.
 //   R(f)           retire: join of every D/Q(f,*) and L(f,*); frees the
-//                  tick's ring slot (payloads, poses, meshes) for reuse.
+//                  tick's ring slot (payloads, poses, meshes) for reuse,
+//                  and builds tick f+depth+1 into the graph's window.
 //
 // A node is its (kind, tick, user): the graph holds no per-node
 // closure, and one engine-wide body dispatches on the kind. E, T, D and
@@ -87,7 +91,7 @@ namespace semholo::core::internal {
 namespace {
 
 // "None": the user of conference-wide nodes (the shared arbiter, retire)
-// and the graph-building sentinel for "no node yet".
+// and the unsubscribed entry of a viewer's stream index.
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
 // One user's frame in flight during a tick. Lives in a ring of
@@ -497,7 +501,7 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     // The graph's one body: a node is its (kind, tick, user), and the
     // tick's ring slot and capture time are derived here, once. The
     // shared arbiter is the arbiter node without a user.
-    StageGraph graph([&](StageKind kind, std::uint32_t tick, std::size_t u) {
+    const auto body = [&](StageKind kind, std::uint32_t tick, std::size_t u) {
         const std::size_t f = tick;
         const std::size_t slot = f % depth;
         const double captureTime = static_cast<double>(f) / base.fps;
@@ -513,40 +517,43 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
             case StageKind::Retire: return retireBody(slot);
         }
         return 0.0;
-    });
+    };
 
-    // ---- Graph construction ------------------------------------------------
-    // Nodes are inserted in per-tick phase order (arbiter, encodes,
-    // tickets, downlinks, decodes, retire), so the pool-less walk runs
-    // the phases in turn; the edges are everything the pool needs.
-    std::vector<std::size_t> prevTicket(users, kNone);
-    std::vector<std::size_t> prevDecode(users, kNone);
-    std::vector<std::size_t> prevDown(users, kNone);
-    std::vector<std::size_t> retireNodes;
-    retireNodes.reserve(base.frames);
-    std::size_t lastTicketGlobal = kNone;
-    std::size_t prevRetire = kNone;
-    std::vector<std::size_t> enc(users), tix(users), dec(users), downNodes;
-    std::vector<std::size_t> last(users);  // per user: Q(f,u), else D(f,u)
+    // ---- Tick builder -------------------------------------------------------
+    // The graph holds a rolling window of ticks and calls this once per
+    // tick, in tick order: ticks 0..depth before the run, tick f+depth+1
+    // inside R(f). Nodes are inserted in per-tick phase order (arbiter,
+    // encodes, tickets, downlinks, decodes, quality, retire), so the
+    // pool-less walk runs the phases in turn; the edges are everything
+    // the pool needs. The state below carries the previous tick's nodes
+    // to the next call.
+    std::vector<NodeId> prevTicket(users, kNoNode);
+    std::vector<NodeId> prevDecode(users, kNoNode);
+    std::vector<NodeId> prevDown(users, kNoNode);
+    std::vector<NodeId> retires(depth, kNoNode);  // R(f) at f % depth
+    NodeId lastTicketGlobal = kNoNode;
+    NodeId prevRetire = kNoNode;
+    std::vector<NodeId> enc(users), tix(users), dec(users), userArb, downNodes;
+    std::vector<NodeId> last(users);  // per user: Q(f,u), else D(f,u)
 
-    for (std::size_t f = 0; f < base.frames; ++f) {
-        const std::uint32_t tick = static_cast<std::uint32_t>(f);
+    const auto buildTick = [&](StageGraph& graph, std::uint32_t tick) {
+        const std::size_t f = tick;
 
         // Arbiter: needs every user's previous-tick ticket outcome. In
         // shared mode the global ticket chain makes one edge from the
         // last ticket suffice.
-        std::size_t sharedArb = kNone;
-        std::vector<std::size_t> userArb;
+        NodeId sharedArb = kNoNode;
+        userArb.clear();
         if (arbiterOn) {
             if (conf.sharedUplink) {
-                sharedArb = graph.addNode(StageKind::Arbiter, tick, kNone);
-                if (lastTicketGlobal != kNone)
+                sharedArb = graph.addNode(StageKind::Arbiter, kNone);
+                if (lastTicketGlobal != kNoNode)
                     graph.addEdge(lastTicketGlobal, sharedArb);
             } else {
-                userArb.assign(users, kNone);
+                userArb.assign(users, kNoNode);
                 for (std::size_t u = 0; u < users; ++u) {
-                    userArb[u] = graph.addNode(StageKind::Arbiter, tick, u);
-                    if (prevTicket[u] != kNone)
+                    userArb[u] = graph.addNode(StageKind::Arbiter, u);
+                    if (prevTicket[u] != kNoNode)
                         graph.addEdge(prevTicket[u], userArb[u]);
                 }
             }
@@ -557,24 +564,24 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         // of the ring slot it reuses. That is the pipelining win — no
         // edge to any *other* user's tick f-1 work.
         for (std::size_t u = 0; u < users; ++u) {
-            enc[u] = graph.addNode(StageKind::Encode, tick, u);
-            if (prevDecode[u] != kNone) graph.addEdge(prevDecode[u], enc[u]);
-            const std::size_t arbNode =
-                sharedArb != kNone ? sharedArb
-                                   : (userArb.empty() ? kNone : userArb[u]);
-            if (arbNode != kNone) graph.addEdge(arbNode, enc[u]);
-            if (f >= depth) graph.addEdge(retireNodes[f - depth], enc[u]);
+            enc[u] = graph.addNode(StageKind::Encode, u);
+            if (prevDecode[u] != kNoNode) graph.addEdge(prevDecode[u], enc[u]);
+            const NodeId arbNode = sharedArb != kNoNode
+                                       ? sharedArb
+                                       : (userArb.empty() ? kNoNode : userArb[u]);
+            if (arbNode != kNoNode) graph.addEdge(arbNode, enc[u]);
+            if (f >= depth) graph.addEdge(retires[f % depth], enc[u]);
         }
 
         // Uplink tickets: the per-link entry-order chain.
         for (std::size_t u = 0; u < users; ++u) {
-            tix[u] = graph.addNode(StageKind::Uplink, tick, u);
+            tix[u] = graph.addNode(StageKind::Uplink, u);
             graph.addEdge(enc[u], tix[u]);
             if (conf.sharedUplink) {
-                if (lastTicketGlobal != kNone)
+                if (lastTicketGlobal != kNoNode)
                     graph.addEdge(lastTicketGlobal, tix[u]);
                 lastTicketGlobal = tix[u];
-            } else if (prevTicket[u] != kNone) {
+            } else if (prevTicket[u] != kNoNode) {
                 graph.addEdge(prevTicket[u], tix[u]);
             }
             prevTicket[u] = tix[u];
@@ -584,12 +591,12 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         downNodes.clear();
         for (std::size_t v = 0; v < downs.size(); ++v) {
             if (downs[v].subs.empty()) continue;
-            const std::size_t node = graph.addNode(StageKind::Downlink, tick, v);
+            const NodeId node = graph.addNode(StageKind::Downlink, v);
             for (const auto& [u, scale] : downs[v].subs) {
                 (void)scale;
                 graph.addEdge(tix[u], node);
             }
-            if (prevDown[v] != kNone) graph.addEdge(prevDown[v], node);
+            if (prevDown[v] != kNoNode) graph.addEdge(prevDown[v], node);
             prevDown[v] = node;
             downNodes.push_back(node);
         }
@@ -597,7 +604,7 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         // Decode. (The D(f-1,u) order needed by the user's recon clock
         // holds transitively: D(f,u) <- T(f,u) <- E(f,u) <- D(f-1,u).)
         for (std::size_t u = 0; u < users; ++u) {
-            dec[u] = graph.addNode(StageKind::Decode, tick, u);
+            dec[u] = graph.addNode(StageKind::Decode, u);
             graph.addEdge(tix[u], dec[u]);
             prevDecode[u] = dec[u];
             last[u] = dec[u];
@@ -606,20 +613,20 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         // Quality, at sampled ticks only.
         if (sampled(f)) {
             for (std::size_t u = 0; u < users; ++u) {
-                last[u] = graph.addNode(StageKind::Quality, tick, u);
+                last[u] = graph.addNode(StageKind::Quality, u);
                 graph.addEdge(dec[u], last[u]);
             }
         }
 
         // Retire: the tick's completion join; frees its ring slot for
-        // tick f + depth.
-        const std::size_t retire = graph.addNode(StageKind::Retire, tick, kNone);
+        // tick f + depth and advances the graph's window.
+        const NodeId retire = graph.addNode(StageKind::Retire, kNone);
         for (std::size_t u = 0; u < users; ++u) graph.addEdge(last[u], retire);
-        for (const std::size_t node : downNodes) graph.addEdge(node, retire);
-        if (prevRetire != kNone) graph.addEdge(prevRetire, retire);
+        for (const NodeId node : downNodes) graph.addEdge(node, retire);
+        if (prevRetire != kNoNode) graph.addEdge(prevRetire, retire);
         prevRetire = retire;
-        retireNodes.push_back(retire);
-    }
+        retires[f % depth] = retire;
+    };
 
     // ---- Run ----------------------------------------------------------------
     // workers == 0 means hardware concurrency; at one worker the graph
@@ -627,9 +634,10 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     const std::size_t workers =
         base.workers == 0 ? ThreadPool::defaultWorkers() : base.workers;
     ThreadPool pool(workers);
+    StageGraph graph(static_cast<std::uint32_t>(base.frames), depth, buildTick,
+                     body);
     graph.run(&pool);
-    graph.fillStats(out.pipeline, workers);
-    out.pipeline.pipelineDepth = depth;
+    graph.fillStats(out.pipeline);
 
     // Downlink rollup: per-viewer totals, the conference-wide fan-out
     // totals, and each viewer's share of the fanned-out bytes.

@@ -33,9 +33,11 @@ void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& conf
 // graph of per-(tick, user) nodes for arbiter targets, encode, sequenced
 // uplink entry (a per-link ticket chain preserving the (frame, user)
 // order), downlink fan-out, decode, sampled quality evaluation and tick
-// retirement, with explicit dependency edges. A node is its (kind, tick,
-// user); one engine-wide body runs it, and the encode, uplink, decode
-// and quality nodes write the tick's FrameStats in place. The engine
+// retirement, with explicit dependency edges, held as a rolling window
+// of pipelineDepth + 2 ticks that one tick builder extends as ticks
+// retire. A node is its (kind, tick, user); one engine-wide body runs
+// it, and the encode, uplink, decode and quality nodes write the tick's
+// FrameStats in place. The engine
 // resolves conf.session.workers (0 = hardware concurrency) and owns its
 // ThreadPool: at one worker the graph runs in insertion order (the
 // per-tick phase schedule) on the calling thread; otherwise nodes run

@@ -2,17 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
-#include <queue>
 #include <stdexcept>
+#include <string>
 
 #include "semholo/core/thread_pool.hpp"
 
 namespace semholo::core::internal {
 
 namespace {
-
-constexpr std::size_t kNoNode = std::numeric_limits<std::size_t>::max();
 
 void storeMax(std::atomic<int>& target, int value) {
     int cur = target.load(std::memory_order_relaxed);
@@ -54,22 +51,81 @@ const char* stageName(StageKind kind) {
     return "unknown";
 }
 
-std::size_t StageGraph::addNode(StageKind kind, std::uint32_t tick,
-                                std::size_t user) {
-    StageNode& node = nodes_.emplace_back();
-    node.kind = kind;
-    node.tick = tick;
-    node.user = user;
-    return nodes_.size() - 1;
+StageGraph::StageGraph(std::uint32_t ticks, std::size_t depth,
+                       TickBuilder build, StageBody body)
+    : ticks_(ticks),
+      depth_(std::max<std::size_t>(1, depth)),
+      // Ticks f-1..f+depth+1 are resident while R(f) builds; a shorter
+      // run needs a slot per tick.
+      ringSize_(static_cast<std::uint32_t>(
+          std::min<std::size_t>(depth_ + 2, std::max<std::uint32_t>(1, ticks)))),
+      build_(std::move(build)),
+      body_(std::move(body)),
+      ring_(ringSize_),
+      byKind_(kStageKindCount) {}
+
+NodeId StageGraph::addNode(StageKind kind, std::size_t user) {
+    assert(building_ != nullptr && "addNode outside the tick builder");
+    TickSlot& slot = *building_;
+    if (slot.size == slot.nodes.size()) slot.nodes.emplace_back();
+    StageNode& n = slot.nodes[slot.size];
+    n.id = (static_cast<NodeId>(slot.tick) << 32) | slot.size;
+    n.kind = kind;
+    n.user = user;
+    n.successors.clear();  // keeps its capacity from earlier ticks
+    n.initialPending = 0;
+    n.simCostMs = n.readyMs = n.startMs = n.endMs = 0.0;
+    ++slot.size;
+    return n.id;
 }
 
-void StageGraph::addEdge(std::size_t from, std::size_t to) {
-    assert(from < to && to < nodes_.size() &&
-           "stage-graph edges must point forward so insertion order stays "
-           "topological");
-    nodes_[from].successors.push_back(to);
-    ++nodes_[to].initialPending;
+void StageGraph::addEdge(NodeId from, NodeId to) {
+    assert(building_ != nullptr && tickOf(to) == building_->tick &&
+           positionOf(to) < building_->size && "edges lead into the tick being built");
+    assert(from < to && "edges must point forward so insertion order stays "
+                        "topological");
+    StageNode& target = building_->nodes[positionOf(to)];
+    StageNode& source = tickOf(from) == building_->tick
+                            ? building_->nodes[positionOf(from)]
+                            : node(from);
+    assert((!running_ || tickOf(from) == tickOf(to) ||
+            source.pending.load(std::memory_order_relaxed) > 0) &&
+           "window invariant: an edge's source must still be pending");
+    source.successors.push_back(&target);
+    ++target.initialPending;
     ++edges_;
+}
+
+void StageGraph::buildTick(std::uint32_t tick) {
+    TickSlot& slot = slotOf(tick);
+    if (tick >= ringSize_) {
+        // The slot's previous tick completed (the window invariant):
+        // fold it out before its nodes are overwritten.
+        assert(slot.tick == folded_ && "ticks leave the window in order");
+        foldTick(slot);
+        resident_ -= slot.size;
+    }
+    slot.tick = tick;
+    slot.size = 0;
+    building_ = &slot;
+    ++built_;
+    std::exception_ptr error;
+    try {
+        build_(*this, tick);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    building_ = nullptr;
+    // Account every node added, even by a builder that threw, so a
+    // partial tick still drains.
+    for (std::size_t i = 0; i < slot.size; ++i)
+        slot.nodes[i].pending.store(slot.nodes[i].initialPending,
+                                    std::memory_order_relaxed);
+    nodes_ += slot.size;
+    resident_ += slot.size;
+    residentHighWater_ = std::max(residentHighWater_, resident_);
+    remaining_.fetch_add(slot.size, std::memory_order_relaxed);
+    if (error) std::rethrow_exception(error);
 }
 
 double StageGraph::msSinceStart() const {
@@ -81,96 +137,142 @@ double StageGraph::msSinceStart() const {
 void StageGraph::run(ThreadPool* pool) {
     runStart_ = std::chrono::steady_clock::now();
     pool_ = pool != nullptr && pool->size() > 1 ? pool : nullptr;
-    retiredTicks_.store(0, std::memory_order_relaxed);
-    failed_.store(false, std::memory_order_relaxed);
-    remaining_.store(nodes_.size(), std::memory_order_relaxed);
-    done_ = nodes_.empty();  // no workers are running yet; no lock needed
-    for (StageNode& node : nodes_) {
-        node.pending.store(node.initialPending, std::memory_order_relaxed);
-        node.readyMs = 0.0;
-    }
-    for (std::size_t i = 0; i < kStageKindCount; ++i) {
-        active_[i].store(0, std::memory_order_relaxed);
-        maxActive_[i].store(0, std::memory_order_relaxed);
-    }
+    workers_ = pool_ != nullptr ? pool_->size() : 1;
+    freeWorkers_ = workers_;
+    const std::uint32_t initial =
+        static_cast<std::uint32_t>(std::min<std::size_t>(ticks_, depth_ + 1));
+    for (std::uint32_t t = 0; t < initial; ++t) buildTick(t);
+    running_ = true;
+    done_ = remaining_.load(std::memory_order_relaxed) == 0;
     if (pool_ == nullptr) {
         // Insertion order is topological (addEdge enforces it): every
         // node's dependencies have run by the time the walk reaches it.
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            assert(nodes_[i].pending.load(std::memory_order_relaxed) == 0 &&
-                   "insertion order must be topological");
-            runNode(i);
+        // R(f) builds tick f+depth+1 long before the walk gets there.
+        for (std::uint32_t t = 0; t < built_; ++t) {
+            TickSlot& slot = slotOf(t);
+            for (std::size_t i = 0; i < slot.size; ++i) {
+                assert(slot.nodes[i].pending.load(std::memory_order_relaxed) == 0 &&
+                       "insertion order must be topological");
+                runNode(&slot.nodes[i]);
+            }
         }
     } else {
-        for (std::size_t i = 0; i < nodes_.size(); ++i)
-            if (nodes_[i].initialPending == 0) post(i);
+        // Collect the roots before posting any: once nodes run, the
+        // window may advance and rebuild these slots.
+        std::vector<StageNode*> roots;
+        for (std::uint32_t t = 0; t < initial; ++t) {
+            TickSlot& slot = slotOf(t);
+            for (std::size_t i = 0; i < slot.size; ++i)
+                if (slot.nodes[i].initialPending == 0) roots.push_back(&slot.nodes[i]);
+        }
+        for (StageNode* root : roots) post(root);
         std::unique_lock<std::mutex> lock(doneMutex_);
         doneCv_.wait(lock, [this] { return done_; });
     }
+    running_ = false;
     wallMs_ = msSinceStart();
+    // The ticks still resident leave the window now.
+    for (std::uint32_t t = folded_; t < built_; ++t) foldTick(slotOf(t));
     if (failed_.load(std::memory_order_acquire)) {
         std::lock_guard<std::mutex> lock(errorMutex_);
         if (firstError_) std::rethrow_exception(firstError_);
     }
+    if (built_ != ticks_)
+        throw std::logic_error("stage graph: built " + std::to_string(built_) +
+                               " of " + std::to_string(ticks_) +
+                               " ticks; a tick beyond the first window lacks "
+                               "a retire node");
 }
 
-void StageGraph::post(std::size_t index) {
-    // [this, index] fits std::function's small buffer: no allocation.
-    pool_->post([this, index] { execute(index); });
+void StageGraph::post(StageNode* node) {
+    // [this, node] fits std::function's small buffer: no allocation.
+    pool_->post([this, node] { execute(node); });
 }
 
-void StageGraph::execute(std::size_t index) {
+void StageGraph::execute(StageNode* node) {
     // Continuation: a chain (the shared uplink's ticket chain above all)
     // runs on one thread, with no pool round trip per hop.
-    while (index != kNoNode) index = runNode(index);
+    while (node != nullptr) node = runNode(node);
 }
 
-std::size_t StageGraph::runNode(std::size_t index) {
-    StageNode& node = nodes_[index];
-    const int kind = static_cast<int>(node.kind);
-    node.startMs = msSinceStart();
+void StageGraph::recordError() {
+    std::lock_guard<std::mutex> lock(errorMutex_);
+    if (!firstError_) firstError_ = std::current_exception();
+    failed_.store(true, std::memory_order_release);
+}
+
+void StageGraph::advanceWindow(std::uint32_t tick) {
+    const std::size_t next = static_cast<std::size_t>(tick) + depth_ + 1;
+    if (next >= ticks_ || next != built_ || failed_.load(std::memory_order_acquire))
+        return;
+    try {
+        buildTick(static_cast<std::uint32_t>(next));
+    } catch (...) {
+        recordError();
+    }
+    // A tick built during the run has no roots (its nodes wait on
+    // pending ones), except a partial tick left by a failed builder:
+    // post those so the graph drains.
+    TickSlot& slot = slotOf(static_cast<std::uint32_t>(next));
+    if (pool_ == nullptr) return;
+    for (std::size_t i = 0; i < slot.size; ++i) {
+        assert((slot.nodes[i].initialPending > 0 ||
+                failed_.load(std::memory_order_relaxed)) &&
+               "a tick built during the run may not contain a root");
+        if (slot.nodes[i].initialPending == 0) post(&slot.nodes[i]);
+    }
+}
+
+StageNode* StageGraph::runNode(StageNode* node) {
+    const int kind = static_cast<int>(node->kind);
+    const std::uint32_t tick = tickOf(node->id);
+    node->startMs = msSinceStart();
     const int nowActive =
         active_[kind].fetch_add(1, std::memory_order_relaxed) + 1;
     storeMax(maxActive_[kind], nowActive);
-    if (node.kind == StageKind::Encode) {
+    if (node->kind == StageKind::Encode) {
         // A relaxed (possibly stale) retired count can only undercount,
         // so in-flight is a safe overestimate; it can never underflow
         // because R(f) depends transitively on E(f).
-        const std::size_t inFlight =
-            static_cast<std::size_t>(node.tick) + 1 -
-            retiredTicks_.load(std::memory_order_relaxed);
+        const std::size_t inFlight = static_cast<std::size_t>(tick) + 1 -
+                                     retiredTicks_.load(std::memory_order_relaxed);
         ticksInFlight_.record(static_cast<double>(inFlight));
     }
     if (!failed_.load(std::memory_order_acquire)) {
         try {
-            node.simCostMs = body_(node.kind, node.tick, node.user);
+            node->simCostMs = body_(node->kind, tick, node->user);
         } catch (...) {
-            std::lock_guard<std::mutex> lock(errorMutex_);
-            if (!firstError_) firstError_ = std::current_exception();
-            failed_.store(true, std::memory_order_release);
+            recordError();
         }
     }
-    node.endMs = msSinceStart();
+    node->endMs = msSinceStart();
     active_[kind].fetch_sub(1, std::memory_order_relaxed);
-    if (node.kind == StageKind::Retire)
+    if (node->kind == StageKind::Retire) {
         retiredTicks_.fetch_add(1, std::memory_order_relaxed);
-    std::size_t next = kNoNode;
-    for (const std::size_t s : node.successors) {
-        StageNode& succ = nodes_[s];
-        if (succ.pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        advanceWindow(tick);
+    }
+    // Copy the successor list before releasing anyone: once the last
+    // successor is released, this node's tick may retire and its slot
+    // be rebuilt while this thread is still in the loop. (The
+    // decrements of the pending successors are what keeps theirs alive.)
+    thread_local std::vector<StageNode*> successors;
+    successors.assign(node->successors.begin(), node->successors.end());
+    StageNode* next = nullptr;
+    for (StageNode* succ : successors) {
+        if (succ->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             // Last dependency: this thread releases the successor. The
             // pool's queue mutex (or, for the continuation, program
             // order) orders this write before the successor's run.
-            succ.readyMs = msSinceStart();
+            succ->readyMs = msSinceStart();
             // Without a pool the insertion-order walk runs it.
             if (pool_ == nullptr) continue;
-            if (next == kNoNode) {
-                next = s;
-            } else if (s < next) {
+            if (next == nullptr) {
+                next = succ;
+            } else if (succ->id < next->id) {
                 post(next);
-                next = s;
+                next = succ;
             } else {
-                post(s);
+                post(succ);
             }
         }
     }
@@ -187,131 +289,143 @@ std::size_t StageGraph::runNode(std::size_t index) {
     return next;
 }
 
-void StageGraph::fillStats(PipelineStats& stats,
-                           std::size_t scheduleWorkers) const {
-    stats.workers = std::max<std::size_t>(1, scheduleWorkers);
-    stats.nodes = nodes_.size();
+// ---- Statistics -------------------------------------------------------------
+
+// One tick leaves the window: per-stage telemetry, the tick-barrier
+// schedule and the streamed DAG schedule. Ticks fold in order and each
+// tick's nodes in insertion order, so every sum and sample sequence is
+// the one a whole-graph pass in node order produces.
+void StageGraph::foldTick(const TickSlot& slot) {
+    encodeCosts_.clear();
+    downlinkCosts_.clear();
+    decodeCosts_.clear();
+    double sequencedCost = 0.0;
+    for (std::size_t i = 0; i < slot.size; ++i) {
+        const StageNode& n = slot.nodes[i];
+        PipelineStageStats& stage = byKind_[static_cast<std::size_t>(n.kind)];
+        ++stage.nodes;
+        stage.busyMs += n.endMs - n.startMs;
+        stage.releaseLatencyMs.record(std::max(0.0, n.startMs - n.readyMs));
+        totalCostMs_ += n.simCostMs;
+        switch (n.kind) {
+            case StageKind::Encode: encodeCosts_.push_back(n.simCostMs); break;
+            case StageKind::Downlink: downlinkCosts_.push_back(n.simCostMs); break;
+            case StageKind::Decode: decodeCosts_.push_back(n.simCostMs); break;
+            case StageKind::Arbiter:
+            case StageKind::Uplink: sequencedCost += n.simCostMs; break;
+            case StageKind::Quality:
+            case StageKind::Retire: break;
+        }
+    }
+    // (b) The legacy engine's per-tick structure: encode phase fanned
+    // across the pool, sequenced arbiter/uplink stage, downlink phase,
+    // decode phase, with a barrier between phases and between ticks.
+    barrierMs_ += listSpan(encodeCosts_, workers_) + sequencedCost +
+                  listSpan(downlinkCosts_, workers_) +
+                  listSpan(decodeCosts_, workers_);
+
+    // (a) The DAG schedule: record this tick's costs and successors.
+    createScheduleTicks();
+    ScheduleTick& st = scheduleTick(slot.tick);
+    st.cost.resize(slot.size);
+    st.succBegin.resize(slot.size + 1);
+    st.succ.clear();
+    for (std::size_t i = 0; i < slot.size; ++i) {
+        const StageNode& n = slot.nodes[i];
+        st.cost[i] = n.simCostMs;
+        st.succBegin[i] = static_cast<std::uint32_t>(st.succ.size());
+        for (const StageNode* s : n.successors) st.succ.push_back(s->id);
+    }
+    st.succBegin[slot.size] = static_cast<std::uint32_t>(st.succ.size());
+    st.fed = true;
+    ++folded_;
+    advanceSchedule();
+}
+
+// Every built tick gets a schedule entry with its in-degrees, and its
+// roots enter the ready set. A tick not yet built cannot hold a ready
+// node: its nodes wait on nodes of ticks not yet fed.
+void StageGraph::createScheduleTicks() {
+    while (scheduleFirst_ + scheduleTicks_.size() < built_) {
+        const std::uint32_t tick =
+            scheduleFirst_ + static_cast<std::uint32_t>(scheduleTicks_.size());
+        const TickSlot& slot = slotOf(tick);
+        ScheduleTick& st = scheduleTicks_.emplace_back();
+        st.indegree.resize(slot.size);
+        st.unfinished = slot.size;
+        for (std::size_t i = 0; i < slot.size; ++i) {
+            st.indegree[i] = slot.nodes[i].initialPending;
+            if (st.indegree[i] == 0) ready_.push(slot.nodes[i].id);
+        }
+    }
+}
+
+// List scheduling of the recorded per-node simulated costs over the
+// real dependency DAG (the event-driven schedule) at workers_ workers:
+// a free worker takes the lowest-id ready node. It stops where the next
+// node to place belongs to a tick whose costs are not recorded yet;
+// because ids grow with ticks, every lower-id choice is already known,
+// so each decision is the one a whole-graph schedule makes. Pure
+// function of (graph, costs, workers): bit-stable across runs and hosts.
+void StageGraph::advanceSchedule() {
+    for (;;) {
+        if (freeWorkers_ > 0 && !ready_.empty()) {
+            const NodeId id = ready_.top();
+            const ScheduleTick& st = scheduleTick(tickOf(id));
+            if (!st.fed) return;
+            ready_.pop();
+            const double finish = scheduleTime_ + st.cost[positionOf(id)];
+            events_.push({finish, id});
+            --freeWorkers_;
+            makespanMs_ = std::max(makespanMs_, finish);
+            continue;
+        }
+        if (events_.empty()) return;
+        scheduleTime_ = events_.top().first;
+        while (!events_.empty() && events_.top().first == scheduleTime_) {
+            const NodeId done = events_.top().second;
+            events_.pop();
+            ++freeWorkers_;
+            ScheduleTick& st = scheduleTick(tickOf(done));
+            const std::uint32_t p = positionOf(done);
+            for (std::uint32_t e = st.succBegin[p]; e < st.succBegin[p + 1]; ++e) {
+                const NodeId s = st.succ[e];
+                if (--scheduleTick(tickOf(s)).indegree[positionOf(s)] == 0)
+                    ready_.push(s);
+            }
+            --st.unfinished;
+        }
+        while (!scheduleTicks_.empty() && scheduleTicks_.front().fed &&
+               scheduleTicks_.front().unfinished == 0) {
+            scheduleTicks_.pop_front();
+            ++scheduleFirst_;
+        }
+    }
+}
+
+void StageGraph::fillStats(PipelineStats& stats) const {
+    stats.workers = workers_;
+    stats.pipelineDepth = depth_;
+    stats.nodes = nodes_;
     stats.edges = edges_;
+    stats.residentNodes = residentHighWater_;
     stats.wallMs = wallMs_;
     stats.ticksInFlight = ticksInFlight_;
-    // One pass over the nodes; each stage still sees its nodes in index
-    // order, so busy sums and latency samples match a per-stage scan.
-    std::vector<PipelineStageStats> byKind(kStageKindCount);
-    for (const StageNode& node : nodes_) {
-        PipelineStageStats& stage = byKind[static_cast<std::size_t>(node.kind)];
-        ++stage.nodes;
-        stage.busyMs += node.endMs - node.startMs;
-        stage.releaseLatencyMs.record(std::max(0.0, node.startMs - node.readyMs));
-    }
     stats.stages.clear();
     for (std::size_t k = 0; k < kStageKindCount; ++k) {
-        PipelineStageStats& stage = byKind[k];
-        if (stage.nodes == 0) continue;
+        if (byKind_[k].nodes == 0) continue;
+        PipelineStageStats stage = byKind_[k];
         stage.stage = stageName(static_cast<StageKind>(k));
         stage.maxConcurrent = static_cast<std::size_t>(
             std::max(0, maxActive_[k].load(std::memory_order_relaxed)));
         stats.stages.push_back(std::move(stage));
     }
-    simulateSchedules(stats, stats.workers);
-}
-
-// Deterministic list scheduling of the recorded per-node simulated costs:
-// (a) over the real dependency DAG (the event-driven schedule), and
-// (b) under the legacy engine's per-tick structure — encode phase fanned
-// across the pool, sequenced arbiter/uplink stage, downlink phase, decode
-// phase, with a barrier between phases and between ticks. Both are pure
-// functions of (graph, costs, workers); ties release in node-index order,
-// so results are bit-stable across runs and hosts.
-void StageGraph::simulateSchedules(PipelineStats& stats,
-                                   std::size_t workers) const {
-    stats.simulatedStageGraphMs = 0.0;
-    stats.simulatedBarrierMs = 0.0;
-    stats.simulatedSpeedup = 1.0;
-    stats.simulatedIdleMs = 0.0;
-    stats.simulatedBarrierIdleMs = 0.0;
-    if (nodes_.empty() || workers == 0) return;
-    const std::size_t n = nodes_.size();
-    double totalCost = 0.0;
-    for (const StageNode& node : nodes_) totalCost += node.simCostMs;
-
-    // ---- (a) DAG schedule --------------------------------------------------
-    std::vector<int> indegree(n);
-    for (std::size_t i = 0; i < n; ++i) indegree[i] = nodes_[i].initialPending;
-    // Lowest index first. Each node enters once, so a min-heap pops in
-    // exactly the order an ordered set would.
-    std::priority_queue<std::size_t, std::vector<std::size_t>,
-                        std::greater<std::size_t>>
-        ready;
-    for (std::size_t i = 0; i < n; ++i)
-        if (indegree[i] == 0) ready.push(i);
-    using Event = std::pair<double, std::size_t>;  // (finish, node)
-    std::priority_queue<Event, std::vector<Event>, std::greater<Event>> events;
-    std::size_t freeWorkers = workers;
-    std::size_t scheduled = 0;
-    double t = 0.0;
-    double makespan = 0.0;
-    while (scheduled < n || !events.empty()) {
-        if (freeWorkers > 0 && !ready.empty()) {
-            const std::size_t idx = ready.top();
-            ready.pop();
-            const double finish = t + nodes_[idx].simCostMs;
-            events.push({finish, idx});
-            --freeWorkers;
-            ++scheduled;
-            makespan = std::max(makespan, finish);
-            continue;
-        }
-        if (events.empty()) break;  // defensive: would mean a cycle
-        t = events.top().first;
-        while (!events.empty() && events.top().first == t) {
-            const std::size_t done = events.top().second;
-            events.pop();
-            ++freeWorkers;
-            for (const std::size_t s : nodes_[done].successors)
-                if (--indegree[s] == 0) ready.push(s);
-        }
-    }
-    stats.simulatedStageGraphMs = makespan;
-    stats.simulatedIdleMs =
-        static_cast<double>(workers) * makespan - totalCost;
-
-    // ---- (b) tick-barrier schedule -----------------------------------------
-    std::uint32_t maxTick = 0;
-    for (const StageNode& node : nodes_) maxTick = std::max(maxTick, node.tick);
-    std::vector<std::vector<double>> encodeCosts(maxTick + 1),
-        downlinkCosts(maxTick + 1), decodeCosts(maxTick + 1);
-    std::vector<double> sequencedCost(maxTick + 1, 0.0);
-    for (const StageNode& node : nodes_) {
-        switch (node.kind) {
-            case StageKind::Encode:
-                encodeCosts[node.tick].push_back(node.simCostMs);
-                break;
-            case StageKind::Downlink:
-                downlinkCosts[node.tick].push_back(node.simCostMs);
-                break;
-            case StageKind::Decode:
-                decodeCosts[node.tick].push_back(node.simCostMs);
-                break;
-            case StageKind::Arbiter:
-            case StageKind::Uplink:
-                sequencedCost[node.tick] += node.simCostMs;
-                break;
-            case StageKind::Quality:
-            case StageKind::Retire:
-                break;
-        }
-    }
-    double barrier = 0.0;
-    for (std::uint32_t f = 0; f <= maxTick; ++f) {
-        barrier += listSpan(encodeCosts[f], workers) + sequencedCost[f] +
-                   listSpan(downlinkCosts[f], workers) +
-                   listSpan(decodeCosts[f], workers);
-    }
-    stats.simulatedBarrierMs = barrier;
-    stats.simulatedBarrierIdleMs =
-        static_cast<double>(workers) * barrier - totalCost;
-    stats.simulatedSpeedup =
-        makespan > 0.0 ? barrier / makespan : 1.0;
+    const double workers = static_cast<double>(workers_);
+    stats.simulatedStageGraphMs = makespanMs_;
+    stats.simulatedBarrierMs = barrierMs_;
+    stats.simulatedIdleMs = workers * makespanMs_ - totalCostMs_;
+    stats.simulatedBarrierIdleMs = workers * barrierMs_ - totalCostMs_;
+    stats.simulatedSpeedup = makespanMs_ > 0.0 ? barrierMs_ / makespanMs_ : 1.0;
 }
 
 }  // namespace semholo::core::internal

@@ -32,21 +32,25 @@ TEST(StageGraphExecutor, LongChainRunsInChainOrder) {
         std::vector<std::size_t> order;
         order.reserve(kNodes);
         // The chain edges order every append after the previous one.
-        StageGraph graph([&order](StageKind, std::uint32_t tick, std::size_t) {
+        // One node per tick, in a window as deep as the run.
+        NodeId prev = kNoNode;
+        const auto build = [&prev](StageGraph& graph, std::uint32_t) {
+            const NodeId node = graph.addNode(StageKind::Uplink, 0);
+            if (prev != kNoNode) graph.addEdge(prev, node);
+            prev = node;
+        };
+        StageGraph graph(kNodes, kNodes, build,
+                         [&order](StageKind, std::uint32_t tick, std::size_t) {
             order.push_back(tick);
             return 0.0;
         });
-        for (std::size_t i = 0; i < kNodes; ++i) {
-            graph.addNode(StageKind::Uplink, static_cast<std::uint32_t>(i), 0);
-            if (i > 0) graph.addEdge(i - 1, i);
-        }
         const auto pool = poolOf(workers);
         graph.run(pool.get());
         ASSERT_EQ(order.size(), kNodes);
         for (std::size_t i = 0; i < kNodes; ++i) ASSERT_EQ(order[i], i);
 
         PipelineStats stats;
-        graph.fillStats(stats, workers);
+        graph.fillStats(stats);
         ASSERT_EQ(stats.stages.size(), 1u);
         EXPECT_EQ(stats.stages[0].nodes, kNodes);
         EXPECT_EQ(stats.stages[0].maxConcurrent, 1u);
@@ -62,12 +66,36 @@ TEST(StageGraphExecutor, FanOutRunsEveryNodeOnce) {
     constexpr std::size_t kFan = 300;
     for (const std::size_t workers : {std::size_t{0}, std::size_t{2}, std::size_t{8}}) {
         SCOPED_TRACE("workers=" + std::to_string(workers));
-        std::vector<std::size_t> nodes;
+        std::vector<NodeId> nodes;
         auto runs = std::make_unique<std::atomic<int>[]>(2 * kChain + kFan + 1);
         std::atomic<int> finished{0};
         std::atomic<int> finishedBeforeJoin{-1};
         // Every node but the join carries its body id as its user.
-        StageGraph graph([&runs, &finished, &finishedBeforeJoin](
+        // The whole graph is one tick.
+        std::size_t total = 0;
+        const auto build = [&nodes, &total](StageGraph& graph, std::uint32_t) {
+            NodeId prev = kNoNode;
+            std::size_t id = 0;
+            for (std::size_t i = 0; i < kChain; ++i) {
+                const NodeId link = graph.addNode(StageKind::Uplink, id++);
+                if (i > 0) graph.addEdge(prev, link);
+                const NodeId leaf = graph.addNode(StageKind::Decode, id++);
+                graph.addEdge(link, leaf);
+                nodes.push_back(leaf);
+                prev = link;
+            }
+            for (std::size_t k = 0; k < kFan; ++k) {
+                const NodeId fan = graph.addNode(StageKind::Downlink, id++);
+                graph.addEdge(prev, fan);
+                nodes.push_back(fan);
+            }
+            total = id;
+            const NodeId join = graph.addNode(StageKind::Retire, 0);
+            for (const NodeId n : nodes) graph.addEdge(n, join);
+            graph.addEdge(prev, join);
+        };
+        StageGraph graph(1, 1, build,
+                         [&runs, &finished, &finishedBeforeJoin](
                              StageKind kind, std::uint32_t, std::size_t id) {
             if (kind == StageKind::Retire) {
                 finishedBeforeJoin.store(finished.load());
@@ -77,25 +105,6 @@ TEST(StageGraphExecutor, FanOutRunsEveryNodeOnce) {
             }
             return 0.0;
         });
-        std::size_t prev = 0;
-        std::size_t id = 0;
-        for (std::size_t i = 0; i < kChain; ++i) {
-            const std::size_t link = graph.addNode(StageKind::Uplink, 0, id++);
-            if (i > 0) graph.addEdge(prev, link);
-            const std::size_t leaf = graph.addNode(StageKind::Decode, 0, id++);
-            graph.addEdge(link, leaf);
-            nodes.push_back(leaf);
-            prev = link;
-        }
-        for (std::size_t k = 0; k < kFan; ++k) {
-            const std::size_t fan = graph.addNode(StageKind::Downlink, 0, id++);
-            graph.addEdge(prev, fan);
-            nodes.push_back(fan);
-        }
-        const std::size_t total = id;
-        const std::size_t join = graph.addNode(StageKind::Retire, 0, 0);
-        for (const std::size_t n : nodes) graph.addEdge(n, join);
-        graph.addEdge(prev, join);
 
         const auto pool = poolOf(workers);
         graph.run(pool.get());
@@ -114,7 +123,21 @@ TEST(StageGraphExecutor, MidChainThrowRethrowsFirstErrorAndDrains) {
         std::atomic<std::size_t> lastChainRun{0};
         // Chain links from kThrowAt on all throw; only the first may
         // surface, and the links after it must be skipped.
-        StageGraph graph([&chainRuns, &lastChainRun](StageKind kind,
+        // The whole graph is one tick.
+        const auto build = [](StageGraph& graph, std::uint32_t) {
+            NodeId prev = kNoNode;
+            for (std::size_t i = 0; i < kChain; ++i) {
+                const NodeId link = graph.addNode(StageKind::Uplink, i);
+                if (i > 0) graph.addEdge(prev, link);
+                // A side leaf per link keeps the executor posting work
+                // while the chain continues.
+                const NodeId leaf = graph.addNode(StageKind::Decode, i);
+                graph.addEdge(link, leaf);
+                prev = link;
+            }
+        };
+        StageGraph graph(1, 1, build,
+                         [&chainRuns, &lastChainRun](StageKind kind,
                                                      std::uint32_t,
                                                      std::size_t i) {
             if (kind != StageKind::Uplink) return 0.0;
@@ -124,16 +147,6 @@ TEST(StageGraphExecutor, MidChainThrowRethrowsFirstErrorAndDrains) {
                 throw std::runtime_error("link " + std::to_string(i));
             return 0.0;
         });
-        std::size_t prev = 0;
-        for (std::size_t i = 0; i < kChain; ++i) {
-            const std::size_t link = graph.addNode(StageKind::Uplink, 0, i);
-            if (i > 0) graph.addEdge(prev, link);
-            // A side leaf per link keeps the executor posting work while
-            // the chain continues.
-            const std::size_t leaf = graph.addNode(StageKind::Decode, 0, i);
-            graph.addEdge(link, leaf);
-            prev = link;
-        }
         const auto pool = poolOf(workers);
         try {
             graph.run(pool.get());
@@ -145,7 +158,7 @@ TEST(StageGraphExecutor, MidChainThrowRethrowsFirstErrorAndDrains) {
         EXPECT_EQ(lastChainRun.load(), kThrowAt);
         // The graph drained completely: stats cover every node.
         PipelineStats stats;
-        graph.fillStats(stats, workers);
+        graph.fillStats(stats);
         std::uint64_t nodes = 0;
         for (const PipelineStageStats& s : stats.stages) nodes += s.nodes;
         EXPECT_EQ(nodes, 2 * kChain);
