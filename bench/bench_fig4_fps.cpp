@@ -30,9 +30,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "bench_util.hpp"
 #include "semholo/mesh/isosurface.hpp"
+#include "semholo/mesh/isosurface_legacy.hpp"
 #include "semholo/body/animation.hpp"
 #include "semholo/body/body_model.hpp"
 #include "semholo/core/telemetry.hpp"
@@ -259,18 +261,15 @@ int main() {
         body::BodyFieldOptions fieldOpt;
         const body::BodyField body =
             body::makeBodyField(pose, fieldOpt);
-        mesh::VoxelGrid grid(body.bounds, {extRes, extRes, extRes});
-        mesh::BlockSampler sampler(grid, recon::resolveBlockSize(extRes));
+        mesh::BlockSampler sampler(mesh::VoxelGrid(body.bounds, {extRes, extRes, extRes}),
+                                   recon::resolveBlockSize(extRes));
         mesh::FieldSampleOptions sampling;
         sampling.certificate = body.certificate;
         sampling.batch = body.batch;
         sampler.sample(body.field, sampling);
-        // The legacy extractor reads the dense grid: copy the store into
-        // it once, outside the timed loop. The block extractor reads the
-        // store.
-        for (int z = 0; z <= extRes; ++z)
-            for (int y = 0; y <= extRes; ++y)
-                for (int x = 0; x <= extRes; ++x) grid.at(x, y, z) = sampler.value(x, y, z);
+        // The legacy extractor reads a dense copy of the store, made once
+        // outside the timed loop. The block extractor reads the store.
+        const std::vector<float> values = mesh::denseValues(sampler);
 
         mesh::IsoSurfaceOptions extOpt;  // recon-path config for both sides
         extOpt.weldVertices = false;
@@ -279,12 +278,13 @@ int main() {
         mesh::TriMesh legacyMesh, blockMesh;
         for (int i = 0; i < 5; ++i) {
             auto t0 = std::chrono::steady_clock::now();
-            legacyMesh = mesh::extractIsoSurfaceLegacy(grid, &sampler, extOpt);
+            legacyMesh =
+                mesh::extractIsoSurfaceLegacy(sampler.grid(), values, &sampler, extOpt);
             legacyMs.record(std::chrono::duration<double, std::milli>(
                                 std::chrono::steady_clock::now() - t0)
                                 .count());
             t0 = std::chrono::steady_clock::now();
-            blockMesh = mesh::extractIsoSurface(grid, &sampler, extOpt, &es);
+            blockMesh = mesh::extractIsoSurface(sampler, extOpt, &es);
             blockMs.record(std::chrono::duration<double, std::milli>(
                                std::chrono::steady_clock::now() - t0)
                                .count());

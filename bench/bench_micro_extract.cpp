@@ -7,12 +7,14 @@
 
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "semholo/body/animation.hpp"
 #include "semholo/body/body_model.hpp"
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/blocksampler.hpp"
 #include "semholo/mesh/isosurface.hpp"
+#include "semholo/mesh/isosurface_legacy.hpp"
 #include "semholo/recon/keypoint_recon.hpp"
 
 namespace semholo {
@@ -20,32 +22,28 @@ namespace {
 
 // One sampled grid per resolution, shared by every benchmark variant
 // (sampling a 128^3 body field is far more expensive than extraction).
+// The legacy extractor reads a dense copy of the values, the block
+// extractor the sampler's store.
 struct Workload {
-    std::unique_ptr<mesh::VoxelGrid> grid;
     std::unique_ptr<mesh::BlockSampler> sampler;
+    std::vector<float> values;
 };
 
 Workload& workload(int res) {
     static std::map<int, Workload> cache;
     Workload& w = cache[res];
-    if (!w.grid) {
+    if (!w.sampler) {
         const body::Pose pose =
             body::MotionGenerator(body::MotionKind::Talk).poseAt(0.5);
         const body::BodyField body =
             body::makeBodyField(pose);
-        w.grid = std::make_unique<mesh::VoxelGrid>(body.bounds,
-                                                   mesh::Vec3i{res, res, res});
         w.sampler = std::make_unique<mesh::BlockSampler>(
-            *w.grid, recon::resolveBlockSize(res));
+            mesh::VoxelGrid(body.bounds, {res, res, res}), recon::resolveBlockSize(res));
         mesh::FieldSampleOptions sampling;
         sampling.certificate = body.certificate;
         sampling.batch = body.batch;
         w.sampler->sample(body.field, sampling);
-        // The legacy extractor reads the grid's values, the block
-        // extractor the sampler's store.
-        for (int z = 0; z <= res; ++z)
-            for (int y = 0; y <= res; ++y)
-                for (int x = 0; x <= res; ++x) w.grid->at(x, y, z) = w.sampler->value(x, y, z);
+        w.values = mesh::denseValues(*w.sampler);
     }
     return w;
 }
@@ -61,7 +59,7 @@ void BM_ExtractLegacy(benchmark::State& state) {
     const auto opt = reconOptions();
     for (auto _ : state)
         benchmark::DoNotOptimize(
-            mesh::extractIsoSurfaceLegacy(*w.grid, w.sampler.get(), opt));
+            mesh::extractIsoSurfaceLegacy(w.sampler->grid(), w.values, w.sampler.get(), opt));
 }
 BENCHMARK(BM_ExtractLegacy)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
@@ -69,8 +67,7 @@ void BM_ExtractBlockSerial(benchmark::State& state) {
     Workload& w = workload(static_cast<int>(state.range(0)));
     const auto opt = reconOptions();
     for (auto _ : state)
-        benchmark::DoNotOptimize(mesh::extractIsoSurface(
-            *w.grid, w.sampler.get(), opt, nullptr));
+        benchmark::DoNotOptimize(mesh::extractIsoSurface(*w.sampler, opt, nullptr));
 }
 BENCHMARK(BM_ExtractBlockSerial)->Arg(64)->Arg(128)->Unit(benchmark::kMillisecond);
 
@@ -80,8 +77,7 @@ void BM_ExtractBlockPooled(benchmark::State& state) {
     auto opt = reconOptions();
     opt.pool = &pool;
     for (auto _ : state)
-        benchmark::DoNotOptimize(mesh::extractIsoSurface(
-            *w.grid, w.sampler.get(), opt, nullptr));
+        benchmark::DoNotOptimize(mesh::extractIsoSurface(*w.sampler, opt, nullptr));
 }
 BENCHMARK(BM_ExtractBlockPooled)
     ->Args({128, 2})

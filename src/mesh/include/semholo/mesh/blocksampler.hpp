@@ -21,10 +21,10 @@
 // fill value (certified, or filled by a certified octree node) or its
 // slot in an arena of B^3 floats per block left to sample. The arena is
 // allocated on the calling thread once the certificate descent, leaf
-// tests included, has fixed that work list, so the store's size tracks
-// the surface, not the (R+1)^3 volume; the grid
-// the sampler is built on supplies only the lattice (VoxelGrid::lattice
-// allocates none).
+// tests included, has fixed that work list, so with a certificate the
+// store's size tracks the surface, not the (R+1)^3 volume. The store is
+// the only place node values live: the sampler's VoxelGrid is the
+// lattice alone, and the extractor reads the store.
 //
 // Work fans out over a core::ThreadPool. Each block's values depend only
 // on the field and the block, never on scheduling, so results are
@@ -78,9 +78,9 @@ struct FieldSampleOptions {
 // plus one cell on every side) wholly contains the cell.
 class BlockTiling {
 public:
-    // Tiling of a grid extracted without a sampler, and of the
-    // field-sampling extractIsoSurface overload: 8-node blocks balance
-    // skip granularity against per-block overhead on body-scale grids.
+    // Tiling of the field-sampling extractIsoSurface overload and of
+    // dense reconstruction: 8-node blocks balance skip granularity
+    // against per-block overhead on body-scale grids.
     static constexpr int kDefaultBlockSize = 8;
     // The extractor packs a block's halo sign row (blockSize + 2 nodes)
     // into one 64-bit word.
@@ -137,13 +137,12 @@ private:
 // processes every block.
 class BlockSampler {
 public:
-    // Samples over 'grid''s lattice (bounds and resolution); the grid's
-    // values are neither read nor written, so it may be a
-    // VoxelGrid::lattice. The grid must outlive the sampler. Throws
+    // Samples over the lattice 'grid' (kept by value). Throws
     // std::invalid_argument when blockSize is outside
     // [1, BlockTiling::kMaxBlockSize].
     BlockSampler(const VoxelGrid& grid, int blockSize);
 
+    const VoxelGrid& grid() const { return grid_; }
     const BlockTiling& tiling() const { return tiling_; }
 
     // World-space AABB of the block's guard region (node region expanded
@@ -234,7 +233,7 @@ private:
                  const FieldSampleOptions& options, ReconCounters& stats,
                  std::vector<int>& work, std::vector<Subtree>* split);
 
-    const VoxelGrid& grid_;
+    VoxelGrid grid_;
     BlockTiling tiling_;
     float guardRadius_{0.0f};  // half-diagonal of a block's guard region
     std::size_t blockFloats_{0};  // B^3: arena floats per block left to sample

@@ -1,14 +1,12 @@
-// Dense scalar voxel grid over an AABB: the value store of the dense
-// reconstruction baseline and of user-supplied grids. Resolution here is
-// the paper's Figure 2/4 knob: an R-resolution reconstruction samples
-// R^3 voxels. The sparse receiver keeps its values in a BlockSampler's
-// block store instead (blocksampler.hpp) and uses a VoxelGrid only for
-// its lattice: VoxelGrid::lattice allocates no values.
+// The voxel lattice over an AABB: bounds, resolution and node positions.
+// Resolution here is the paper's Figure 2/4 knob: an R-resolution
+// reconstruction samples R^3 voxels. A VoxelGrid holds no values; a
+// BlockSampler samples a field over it and keeps the node values in its
+// block store (blocksampler.hpp).
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <vector>
 
 #include "semholo/geometry/transform.hpp"
 #include "semholo/geometry/vec.hpp"
@@ -36,22 +34,8 @@ using BatchScalarField = std::function<void(
 
 class VoxelGrid {
 public:
-    VoxelGrid() = default;
-    // (res+1)^3 nodes, every value zero.
+    // (res+1)^3 nodes, inclusive of both faces.
     VoxelGrid(const AABB& bounds, Vec3i resolution);
-    // The lattice alone: bounds, resolution and node positions, with no
-    // value storage (values() is empty, hasValues() false). It is what a
-    // BlockSampler samples over and what extraction with that sampler
-    // reads positions from. sample() and the extractors that would read
-    // its values throw std::invalid_argument; at() is unchecked and must
-    // not be called on it.
-    static VoxelGrid lattice(const AABB& bounds, Vec3i resolution);
-
-    // Sample 'field' at every grid node, serially. This is the O(R^3)
-    // step that dominates reconstruction time in Figure 4; the sparse,
-    // parallel sampler is BlockSampler (blocksampler.hpp).
-    // Throws std::invalid_argument on a lattice grid.
-    void sample(const ScalarField& field);
 
     Vec3i resolution() const { return res_; }
     const AABB& bounds() const { return bounds_; }
@@ -59,35 +43,14 @@ public:
         return static_cast<std::size_t>(res_.x + 1) * static_cast<std::size_t>(res_.y + 1) *
                static_cast<std::size_t>(res_.z + 1);
     }
-    // Whether the grid stores a value per node (false for a lattice).
-    bool hasValues() const { return values_.size() == nodeCount(); }
-
-    // Node coordinates are inclusive of both faces: (res+1)^3 nodes.
-    float& at(int x, int y, int z) { return values_[index(x, y, z)]; }
-    float at(int x, int y, int z) const { return values_[index(x, y, z)]; }
 
     Vec3f nodePosition(int x, int y, int z) const;
     Vec3f cellSize() const { return cell_; }
 
-    // Trilinear interpolation of the sampled field at an arbitrary point
-    // (clamped to the grid bounds). An axis of resolution 0 has one node
-    // plane, which every point reads.
-    float interpolate(Vec3f p) const;
-
-    const std::vector<float>& values() const { return values_; }
-    std::vector<float>& values() { return values_; }
-
 private:
-    std::size_t index(int x, int y, int z) const {
-        return (static_cast<std::size_t>(z) * (res_.y + 1) + static_cast<std::size_t>(y)) *
-                   (res_.x + 1) +
-               static_cast<std::size_t>(x);
-    }
-
-    AABB bounds_{};
-    Vec3i res_{0, 0, 0};
-    Vec3f cell_{};
-    std::vector<float> values_;
+    AABB bounds_;
+    Vec3i res_;
+    Vec3f cell_;
 };
 
 }  // namespace semholo::mesh

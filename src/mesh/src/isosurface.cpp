@@ -11,8 +11,6 @@
 #include <memory_resource>
 #include <mutex>
 #include <optional>
-#include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -36,235 +34,6 @@ constexpr std::array<std::array<int, 4>, 6> kTets{{
     {0, 6, 4, 7},
     {0, 4, 5, 7},
 }};
-
-// ---------------------------------------------------------------------
-// Legacy extractor (reference implementation). Serial cell scan, hashed
-// edge dedup, per-triangle geometric orientation. Kept verbatim: the
-// block extractor below is validated against it (canonical triangle-set
-// equality) and benchmarked against it within one run.
-// ---------------------------------------------------------------------
-
-struct EdgeKey {
-    std::uint64_t a, b;
-    bool operator==(const EdgeKey&) const = default;
-};
-
-struct EdgeKeyHash {
-    std::size_t operator()(const EdgeKey& k) const {
-        return std::hash<std::uint64_t>{}(k.a * 0x9e3779b97f4a7c15ull ^ k.b);
-    }
-};
-
-}  // namespace
-
-// When 'sampler' is non-null, cells in blocks it certified surface-free
-// are skipped outright — those cells provably emit no triangles, so
-// skipping them preserves both the triangle set and the vertex insertion
-// order (bit-identical output).
-TriMesh extractIsoSurfaceLegacy(const VoxelGrid& grid, const BlockSampler* sampler,
-                                const IsoSurfaceOptions& options) {
-    if (!grid.hasValues())
-        throw std::invalid_argument("extractIsoSurfaceLegacy: the grid holds no values");
-    TriMesh out;
-    const Vec3i res = grid.resolution();
-    if (res.x < 1 || res.y < 1 || res.z < 1) return out;
-
-    // Global node id for edge-interpolation vertex dedup.
-    const std::uint64_t nx = static_cast<std::uint64_t>(res.x) + 1;
-    const std::uint64_t ny = static_cast<std::uint64_t>(res.y) + 1;
-    auto nodeId = [nx, ny](int x, int y, int z) {
-        return (static_cast<std::uint64_t>(z) * ny + static_cast<std::uint64_t>(y)) * nx +
-               static_cast<std::uint64_t>(x);
-    };
-
-    std::unordered_map<EdgeKey, std::uint32_t, EdgeKeyHash> edgeVertex;
-
-    // Emit (or reuse) the vertex where the iso-surface crosses the edge
-    // between grid nodes idA and idB.
-    auto edgePoint = [&](std::uint64_t idA, Vec3f pA, float vA, std::uint64_t idB,
-                         Vec3f pB, float vB) -> std::uint32_t {
-        if (idA > idB) {
-            std::swap(idA, idB);
-            std::swap(pA, pB);
-            std::swap(vA, vB);
-        }
-        const EdgeKey key{idA, idB};
-        if (const auto it = edgeVertex.find(key); it != edgeVertex.end())
-            return it->second;
-        const float denom = vB - vA;
-        float t = std::fabs(denom) > 1e-12f ? (options.isoValue - vA) / denom : 0.5f;
-        t = geom::clamp(t, 0.0f, 1.0f);
-        const auto idx = static_cast<std::uint32_t>(out.vertices.size());
-        out.vertices.push_back(geom::lerp(pA, pB, t));
-        edgeVertex.emplace(key, idx);
-        return idx;
-    };
-
-    std::array<Vec3f, 8> corner;
-    std::array<float, 8> value;
-    std::array<std::uint64_t, 8> id;
-
-    // Orient each triangle so its normal points away from the inside of
-    // the tetrahedron (towards higher field values when inside = below
-    // iso). Per-triangle orientation keeps the winding globally
-    // consistent without a case table.
-    auto emitTriangle = [&](std::uint32_t a, std::uint32_t b, std::uint32_t c,
-                            Vec3f insideRef, bool outward) {
-        if (a == b || b == c || a == c) return;
-        const Vec3f& pa = out.vertices[a];
-        const Vec3f& pb = out.vertices[b];
-        const Vec3f& pc = out.vertices[c];
-        const Vec3f n = (pb - pa).cross(pc - pa);
-        const Vec3f centroid = (pa + pb + pc) / 3.0f;
-        const float side = n.dot(centroid - insideRef);
-        const bool flip = outward ? side < 0.0f : side > 0.0f;
-        if (flip)
-            out.triangles.push_back({a, c, b});
-        else
-            out.triangles.push_back({a, b, c});
-    };
-
-    const std::vector<std::uint8_t>* surfaceFree =
-        sampler != nullptr ? &sampler->surfaceFree() : nullptr;
-
-    for (int z = 0; z < res.z; ++z) {
-        for (int y = 0; y < res.y; ++y) {
-            for (int x = 0; x < res.x; ++x) {
-                if (surfaceFree != nullptr &&
-                    (*surfaceFree)[static_cast<std::size_t>(
-                        sampler->tiling().cellBlock(x, y, z))] != 0)
-                    continue;
-                for (int i = 0; i < 8; ++i) {
-                    const int cx = x + (i & 1);
-                    const int cy = y + ((i >> 1) & 1);
-                    const int cz = z + ((i >> 2) & 1);
-                    corner[i] = grid.nodePosition(cx, cy, cz);
-                    value[i] = grid.at(cx, cy, cz);
-                    id[i] = nodeId(cx, cy, cz);
-                }
-
-                for (const auto& tet : kTets) {
-                    int mask = 0;
-                    for (int i = 0; i < 4; ++i)
-                        if (value[tet[i]] < options.isoValue) mask |= 1 << i;
-                    if (mask == 0 || mask == 15) continue;
-
-                    auto vtx = [&](int i, int j) {
-                        return edgePoint(id[tet[i]], corner[tet[i]], value[tet[i]],
-                                         id[tet[j]], corner[tet[j]], value[tet[j]]);
-                    };
-
-                    // Centroid of the inside corners: the reference point
-                    // the surface should face away from.
-                    Vec3f insideRef{};
-                    int insideCount = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        if (mask & (1 << i)) {
-                            insideRef += corner[tet[i]];
-                            ++insideCount;
-                        }
-                    }
-                    insideRef /= static_cast<float>(insideCount);
-
-                    // Work with the canonical 1- or 2-inside pattern.
-                    int m = mask;
-                    bool complemented = false;
-                    if (insideCount > 2) {
-                        m = (~m) & 15;
-                        complemented = true;
-                        // Reference flips to the (former) outside corners.
-                        Vec3f ref{};
-                        int n = 0;
-                        for (int i = 0; i < 4; ++i) {
-                            if (m & (1 << i)) {
-                                ref += corner[tet[i]];
-                                ++n;
-                            }
-                        }
-                        insideRef = ref / static_cast<float>(n);
-                    }
-                    // After complementing, insideRef points at corners on
-                    // the *outside*, so orientation must face towards it.
-                    const bool outward = !complemented;
-
-                    switch (m) {
-                        case 1:
-                            emitTriangle(vtx(0, 1), vtx(0, 2), vtx(0, 3), insideRef,
-                                         outward);
-                            break;
-                        case 2:
-                            emitTriangle(vtx(1, 0), vtx(1, 2), vtx(1, 3), insideRef,
-                                         outward);
-                            break;
-                        case 4:
-                            emitTriangle(vtx(2, 0), vtx(2, 1), vtx(2, 3), insideRef,
-                                         outward);
-                            break;
-                        case 8:
-                            emitTriangle(vtx(3, 0), vtx(3, 1), vtx(3, 2), insideRef,
-                                         outward);
-                            break;
-                        case 3: {  // inside (canonical): {0,1}
-                            const auto q0 = vtx(0, 2), q1 = vtx(0, 3), q2 = vtx(1, 3),
-                                       q3 = vtx(1, 2);
-                            emitTriangle(q0, q1, q2, insideRef, outward);
-                            emitTriangle(q0, q2, q3, insideRef, outward);
-                            break;
-                        }
-                        case 5: {  // {0,2}
-                            const auto q0 = vtx(0, 1), q1 = vtx(2, 1), q2 = vtx(2, 3),
-                                       q3 = vtx(0, 3);
-                            emitTriangle(q0, q1, q2, insideRef, outward);
-                            emitTriangle(q0, q2, q3, insideRef, outward);
-                            break;
-                        }
-                        case 6: {  // {1,2}
-                            const auto q0 = vtx(1, 0), q1 = vtx(2, 0), q2 = vtx(2, 3),
-                                       q3 = vtx(1, 3);
-                            emitTriangle(q0, q1, q2, insideRef, outward);
-                            emitTriangle(q0, q2, q3, insideRef, outward);
-                            break;
-                        }
-                        case 9: {  // {0,3}
-                            const auto q0 = vtx(0, 1), q1 = vtx(3, 1), q2 = vtx(3, 2),
-                                       q3 = vtx(0, 2);
-                            emitTriangle(q0, q1, q2, insideRef, outward);
-                            emitTriangle(q0, q2, q3, insideRef, outward);
-                            break;
-                        }
-                        case 10: {  // {1,3}
-                            const auto q0 = vtx(1, 0), q1 = vtx(3, 0), q2 = vtx(3, 2),
-                                       q3 = vtx(1, 2);
-                            emitTriangle(q0, q1, q2, insideRef, outward);
-                            emitTriangle(q0, q2, q3, insideRef, outward);
-                            break;
-                        }
-                        case 12: {  // {2,3}
-                            const auto q0 = vtx(2, 0), q1 = vtx(3, 0), q2 = vtx(3, 1),
-                                       q3 = vtx(2, 1);
-                            emitTriangle(q0, q1, q2, insideRef, outward);
-                            emitTriangle(q0, q2, q3, insideRef, outward);
-                            break;
-                        }
-                        default:
-                            break;
-                    }
-                }
-            }
-        }
-    }
-
-    out.removeDegenerateTriangles();
-
-    if (options.weldVertices) {
-        const float eps = 1e-5f * grid.bounds().diagonal();
-        out.weldVertices(eps);
-    }
-    out.computeVertexNormals();
-    return out;
-}
-
-namespace {
 
 // ---------------------------------------------------------------------
 // Case table.
@@ -437,13 +206,13 @@ const CaseTable& caseTable() {
 // ---------------------------------------------------------------------
 // Block-local extractor.
 //
-// The grid is tiled into blocks (the sampler's tiling when present, 8^3
-// otherwise) and the work goes out in z-slabs of blocks: a slab's blocks
-// own node rows z in [lo, hi] of every y, and no other slab does, so a
-// slab sums, scans and hands out its own rows' offsets. Every step runs
-// per slab on the pool, with a barrier between steps. Serial are only
-// the work-block count that sizes each slab's storage, the scan over the
-// slab totals and the sort of the few degenerate triangles.
+// The grid is tiled into the sampler's blocks and the work goes out in
+// z-slabs of blocks: a slab's blocks own node rows z in [lo, hi] of
+// every y, and no other slab does, so a slab sums, scans and hands out
+// its own rows' offsets. Every step runs per slab on the pool, with a
+// barrier between steps. Serial are only the work-block count that
+// sizes each slab's storage, the scan over the slab totals and the sort
+// of the few degenerate triangles.
 //
 //   pass 1   per-block node sign rows (one 64-bit word of (value < iso)
 //            bits per (z, y) row, SIMD compares over the contiguous x
@@ -491,10 +260,9 @@ const CaseTable& caseTable() {
 // Sign rows cover nodes [lo, min(hi + 2, res)] per axis: pass 2b looks
 // up crossing edges based at halo nodes (hi + 1) owned by neighbour
 // blocks, and *their* preceding slots reach endpoints at hi + 2. Node
-// values are read where they are stored: from the sampler's block store
-// when there is a sampler (a halo row crosses into the neighbour blocks'
-// runs; a certified neighbour is one fill value), from the dense grid
-// otherwise. Halo overlap costs a few redundant compares, not
+// values are read from the sampler's block store: a halo row crosses
+// into the neighbour blocks' runs, and a certified neighbour is one fill
+// value. Halo overlap costs a few redundant compares, not
 // synchronisation.
 // ---------------------------------------------------------------------
 
@@ -526,12 +294,6 @@ inline BlockGeom blockGeom(const BlockTiling& tiling, const Vec3i& res, std::siz
                std::max(0, std::min(hi.y, res.y - 1) - g.lo.y + 1),
                std::max(0, std::min(hi.z, res.z - 1) - g.lo.z + 1)};
     return g;
-}
-
-inline std::size_t gridIndex(const Vec3i& res, int x, int y, int z) {
-    return (static_cast<std::size_t>(z) * (res.y + 1) + static_cast<std::size_t>(y)) *
-               (res.x + 1) +
-           static_cast<std::size_t>(x);
 }
 
 // Bit j = (p[j] < iso) for the n <= 64 contiguous values at p; the
@@ -580,22 +342,12 @@ inline void crossWords(const std::uint64_t* rows, const BlockGeom& g, int lz, in
 // The node values one work block's passes read: its owned nodes and its
 // halo, which passes the block by up to two nodes per axis. Each source
 // block is a base pointer with node, row and slice strides: a stored
-// block's B^3 floats (strides 1, B and B^2), a fill-valued block's one
-// value (strides 0), or, without a sampler, the dense grid as one block
-// that spans every node.
+// block's B^3 floats (strides 1, B and B^2) or a fill-valued block's one
+// value (strides 0).
 class BlockValues {
 public:
-    BlockValues(const BlockSampler* store, const VoxelGrid& grid, const BlockTiling& tiling,
-                const BlockGeom& g, Vec3i bc) {
-        const Vec3i res = grid.resolution();
-        if (store == nullptr) {
-            bs_ = std::max({res.x, res.y, res.z}) + 1;
-            const auto row = static_cast<std::size_t>(res.x) + 1;
-            src_[0] = {grid.values().data() + gridIndex(res, g.lo.x, g.lo.y, g.lo.z), 1, row,
-                       row * (static_cast<std::size_t>(res.y) + 1)};
-            return;
-        }
-        bs_ = tiling.blockSize();
+    BlockValues(const BlockSampler& store, const BlockGeom& g, Vec3i bc)
+        : bs_(store.tiling().blockSize()) {
         const auto bs = static_cast<std::size_t>(bs_);
         // The last block the halo reaches on each axis (the halo is at
         // most bs + 2 nodes).
@@ -606,7 +358,7 @@ public:
                 for (int dx = 0; dx <= d.x; ++dx) {
                     const std::size_t k = index(dx, dy, dz);
                     const BlockSampler::StoredBlock b =
-                        store->block({bc.x + dx, bc.y + dy, bc.z + dz});
+                        store.block({bc.x + dx, bc.y + dy, bc.z + dz});
                     if (b.values != nullptr) {
                         src_[k] = {b.values, 1, bs, bs * bs};
                     } else {
@@ -843,16 +595,15 @@ private:
 // The state one extraction's passes share. Every pass is a member run
 // for one slab at a time; the slabs of one pass may run concurrently.
 struct Extraction {
-    Extraction(const VoxelGrid& sampled, const BlockSampler* sampler,
-               const IsoSurfaceOptions& options, TriMesh& mesh, ExtractionArena& arena)
-        : grid(sampled),
-          store(sampler),
-          res(sampled.resolution()),
-          tiling(sampler != nullptr ? sampler->tiling()
-                                    : BlockTiling(res, BlockTiling::kDefaultBlockSize)),
+    Extraction(const BlockSampler& sampler, const IsoSurfaceOptions& options, TriMesh& mesh,
+               ExtractionArena& arena)
+        : store(sampler),
+          grid(sampler.grid()),
+          res(grid.resolution()),
+          tiling(sampler.tiling()),
           table(caseTable()),
           iso(options.isoValue),
-          surfaceFree(sampler != nullptr ? &sampler->surfaceFree() : nullptr),
+          surfaceFree(sampler.surfaceFree()),
           slot(static_cast<std::size_t>(tiling.count()), &arena),
           vertRowBase(static_cast<std::size_t>(res.z + 1) * (res.y + 1), 0, &arena),
           triRowBase(static_cast<std::size_t>(res.z) * res.y, 0, &arena),
@@ -897,10 +648,8 @@ struct Extraction {
     void renumber(std::size_t s);
     void normals(std::size_t s);
 
+    const BlockSampler& store;  // where node values are read
     const VoxelGrid& grid;
-    // Where node values are read: the sampler's block store when set,
-    // else the grid's dense values.
-    const BlockSampler* store;
     const Vec3i res;
     const BlockTiling tiling;
     const CaseTable& table;
@@ -909,7 +658,7 @@ struct Extraction {
     // blocks hold no crossing edge anywhere in their node set (the
     // certificate's guard ball covers one node ring beyond the block),
     // so skipping them drops neither vertices nor triangles.
-    const std::vector<std::uint8_t>* surfaceFree;
+    const std::vector<std::uint8_t>& surfaceFree;
     std::vector<Slab> slabs;
     std::pmr::vector<std::int32_t> slot;  // block -> place in its slab's work list, or -1
     // Per (z, y) row: pass 1 sums counts, the prefix turns them into the
@@ -938,8 +687,7 @@ void Extraction::reserve(std::size_t s) {
     std::size_t work = 0;
     for (int by = 0; by < bg.y; ++by)
         for (int bx = 0; bx < bg.x; ++bx)
-            if (surfaceFree == nullptr ||
-                (*surfaceFree)[static_cast<std::size_t>(
+            if (surfaceFree[static_cast<std::size_t>(
                     tiling.index({bx, by, static_cast<int>(s)}))] == 0)
                 ++work;
     Slab& S = slabs[s];
@@ -958,7 +706,7 @@ void Extraction::topology(std::size_t s) {
         for (int bx = 0; bx < bg.x; ++bx) {
             const auto b =
                 static_cast<std::size_t>(tiling.index({bx, by, static_cast<int>(s)}));
-            if (surfaceFree != nullptr && (*surfaceFree)[b] != 0) {
+            if (surfaceFree[b] != 0) {
                 slot[b] = -1;
                 continue;
             }
@@ -972,8 +720,7 @@ void Extraction::topology(std::size_t s) {
             w.cellRowOff = static_cast<std::uint32_t>(S.triRows.size());
             S.signRows.resize(w.signOff + static_cast<std::size_t>(g.halo.z) * g.halo.y);
             std::uint64_t* rows = S.signRows.data() + w.signOff;
-            BlockValues(store, grid, tiling, g, {bx, by, static_cast<int>(s)})
-                .signRows(g, iso, rows);
+            BlockValues(store, g, {bx, by, static_cast<int>(s)}).signRows(g, iso, rows);
             const std::uint32_t vCount = computeTopology(g, table, rows, S);
             w.cellEnd = static_cast<std::uint32_t>(S.cells.size());
             if (vCount > 0 || w.cellEnd > w.cellBegin) ++S.blocksExtracted;
@@ -1059,7 +806,7 @@ void Extraction::positions(std::size_t s) {
                 crossWords(rows, g, lz, ly, g.owned.x, cw);
                 std::uint64_t u = cw[0] | cw[1] | cw[2] | cw[3] | cw[4] | cw[5] | cw[6];
                 if (u != 0 && !v)
-                    v.emplace(store, grid, tiling, g, tiling.coord(static_cast<int>(w.index)));
+                    v.emplace(store, g, tiling.coord(static_cast<int>(w.index)));
                 while (u != 0) {
                     const int lx = std::countr_zero(u);
                     u &= u - 1;
@@ -1282,20 +1029,17 @@ void Extraction::normals(std::size_t s) {
 
 }  // namespace
 
-TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
-                          const IsoSurfaceOptions& options, ReconCounters* stats) {
-    if (sampler == nullptr && !grid.hasValues())
-        throw std::invalid_argument(
-            "extractIsoSurface: a grid without values needs the sampler that holds them");
+TriMesh extractIsoSurface(const BlockSampler& sampler, const IsoSurfaceOptions& options,
+                          ReconCounters* stats) {
     TriMesh out;
-    const Vec3i res = grid.resolution();
+    const Vec3i res = sampler.grid().resolution();
     if (res.x < 1 || res.y < 1 || res.z < 1) return out;
 
     // The working arrays, in one block sized from this thread's previous
     // extraction.
     thread_local std::size_t lastArenaBytes = 0;
     ExtractionArena arena(lastArenaBytes > 0 ? std::bit_ceil(2 * lastArenaBytes) : 0);
-    Extraction x(grid, sampler, options, out, arena);
+    Extraction x(sampler, options, out, arena);
     core::ThreadPool* pool = options.pool;
     const std::size_t numSlabs = x.slabs.size();
     auto eachSlab = [&](auto&& pass) { core::parallelFor(pool, numSlabs, pass); };
@@ -1359,7 +1103,7 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
     out.triangles.resize(tTotal - x.drop.size());
 
     if (options.weldVertices) {
-        const float eps = 1e-5f * grid.bounds().diagonal();
+        const float eps = 1e-5f * sampler.grid().bounds().diagonal();
         out.weldVertices(eps);
         out.computeVertexNormals();
     } else {
@@ -1372,11 +1116,11 @@ TriMesh extractIsoSurface(const VoxelGrid& grid, const BlockSampler* sampler,
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options,
                           const FieldSampleOptions& sampling, ReconCounters* stats) {
-    const VoxelGrid grid = VoxelGrid::lattice(bounds, {resolution, resolution, resolution});
-    BlockSampler sampler(grid, BlockTiling::kDefaultBlockSize);
+    BlockSampler sampler(VoxelGrid(bounds, {resolution, resolution, resolution}),
+                         BlockTiling::kDefaultBlockSize);
     const ReconCounters sampled = sampler.sample(field, sampling);
     if (stats != nullptr) *stats = sampled;
-    return extractIsoSurface(grid, &sampler, options, stats);
+    return extractIsoSurface(sampler, options, stats);
 }
 
 }  // namespace semholo::mesh

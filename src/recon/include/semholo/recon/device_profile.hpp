@@ -2,11 +2,11 @@
 // X-Avatar on an NVIDIA A100 (80 GB workstation GPU) and reports that a
 // laptop RTX 3080 cannot handle 512/1024 resolutions at all. We model a
 // device as a memory budget: the hard reconstruction-feasibility limit.
-// Dense reconstruction needs the whole (R+1)^3 grid; sparse keeps its
-// values in a block store whose size tracks the surface. The budget is
-// checked against reconstructionWorkingSetBytes' estimate before a
-// reconstruction runs; a test checks that the sparse estimate covers the
-// store's measured size (ReconstructionResult::storeBytes).
+// Both modes keep their values in a block store: dense samples every
+// block of the (R+1)^3 grid, sparse only the blocks near the surface.
+// The budget is checked against reconstructionWorkingSetBytes' estimate
+// before a reconstruction runs; a test checks that each mode's estimate
+// covers the store's measured size (ReconstructionResult::storeBytes).
 #pragma once
 
 #include <cstddef>
@@ -44,17 +44,13 @@ enum class ReconMode {
     Sparse,
 };
 
-// Total working-set estimate for an R^3 reconstruction: grid nodes plus
-// the intermediate structures of extraction (~4x the grid in practice).
-std::size_t reconstructionWorkingSetBytes(int resolution);
-
-// Mode-aware estimate. Dense matches the single-argument overload. In
-// sparse mode the values live in BlockSampler's block store: an 8-byte
-// table entry per block plus the value and 15 floats of intermediates
-// per node, only for the blocks near the surface that are sampled,
-// whose share of the grid shrinks like blockSize / resolution. The
-// estimate stays above the store's measured size
-// (ReconstructionResult::storeBytes).
+// Working-set estimate for an R^3 reconstruction. Both modes keep their
+// values in BlockSampler's block store and count the value plus 15
+// floats of intermediates per sampled node. Dense samples all (R+1)^3
+// nodes. Sparse adds an 8-byte table entry per block and samples only
+// the blocks near the surface, whose share of the grid shrinks like
+// blockSize / resolution. The estimate stays above the store's measured
+// size (ReconstructionResult::storeBytes).
 std::size_t reconstructionWorkingSetBytes(int resolution, ReconMode mode,
                                           int blockSize = 8);
 

@@ -38,11 +38,12 @@ struct ReconstructionOptions {
     // analytic certificate proves surface-free, and fans the rest out
     // over a worker pool; with bonePruning off the mesh is bit-identical
     // to Dense, with it on the surface agrees to ~1e-4 (rounding only).
-    // Its values live in the sampler's block store, which holds B^3
-    // floats per block near the surface and one value per other block.
-    // Dense samples every node serially into an (R+1)^3 VoxelGrid: the
-    // baseline of Figure 4 and of the sparse bit-identity tests. Both
-    // modes share the field, the lattice and the extractor.
+    // Dense samples every node serially, on
+    // BlockTiling::kDefaultBlockSize blocks: the baseline of Figure 4 and
+    // of the sparse bit-identity tests. Both modes keep their values in a
+    // BlockSampler's block store (B^3 floats per sampled block, one
+    // value per certified block) and share the field, the lattice and
+    // the extractor.
     ReconMode mode{ReconMode::Sparse};
     // Worker pool for sparse sampling; nullptr uses the process-wide
     // shared pool. Results do not depend on the pool's worker count.
@@ -77,11 +78,10 @@ struct ReconstructionResult {
     // Modelled working set the device check ran against
     // (reconstructionWorkingSetBytes).
     std::size_t gridBytes{0};
-    // Measured bytes of the sparse sampler's block store (table + arena);
-    // zero in dense mode, whose values live in the (R+1)^3 grid.
+    // Measured bytes of the sampler's block store (table + arena).
     std::size_t storeBytes{0};
-    // Sampler counters (all zero in dense mode), the body field's pruning
-    // tally and the extractor's counters.
+    // Sampler counters, the body field's pruning tally and the
+    // extractor's counters.
     mesh::ReconCounters stats;
 };
 

@@ -17,21 +17,16 @@ DeviceProfile DeviceProfile::laptop() {
 
 DeviceProfile DeviceProfile::host() { return {"host", 0}; }
 
-std::size_t reconstructionWorkingSetBytes(int resolution) {
-    const auto r = static_cast<std::size_t>(resolution) + 1;
-    const std::size_t gridBytes = r * r * r * sizeof(float);
-    // SDF grid + per-voxel feature activations + extraction intermediates:
-    // ~16 floats per node. With this model 256^3 -> ~1.1 GB (fits an 8 GB
-    // laptop), 512^3 -> ~8.6 GB (exceeds it), 1024^3 -> ~69 GB (fits only
-    // the 80 GB A100) — reproducing the Figure 4 feasibility pattern.
-    return gridBytes * 16;
-}
-
 std::size_t reconstructionWorkingSetBytes(int resolution, ReconMode mode,
                                           int blockSize) {
-    if (mode == ReconMode::Dense) return reconstructionWorkingSetBytes(resolution);
     const auto r = static_cast<std::size_t>(resolution) + 1;
     const std::size_t gridBytes = r * r * r * sizeof(float);
+    // Dense: SDF grid + per-voxel feature activations + extraction
+    // intermediates, ~16 floats per node. With this model 256^3 ->
+    // ~1.1 GB (fits an 8 GB laptop), 512^3 -> ~8.6 GB (exceeds it),
+    // 1024^3 -> ~69 GB (fits only the 80 GB A100) — reproducing the
+    // Figure 4 feasibility pattern.
+    if (mode == ReconMode::Dense) return gridBytes * 16;
     const std::size_t b = blockSize > 0 ? static_cast<std::size_t>(blockSize) : 8;
     // The block store: one 8-byte table entry per block, B^3 floats per
     // sampled block. Sampled blocks are those near the body's surface,

@@ -1,7 +1,6 @@
 #include "semholo/recon/keypoint_recon.hpp"
 
 #include <chrono>
-#include <optional>
 
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/isosurface.hpp"
@@ -55,35 +54,30 @@ ReconstructionResult reconstructFromPose(const body::Pose& pose,
     iso.weldVertices = false;
 
     auto t0 = std::chrono::steady_clock::now();
-    // Dense keeps every node value in the grid; sparse keeps them in the
-    // sampler's block store and the grid is only the lattice.
-    const mesh::Vec3i res{options.resolution, options.resolution, options.resolution};
-    mesh::VoxelGrid grid =
-        dense ? mesh::VoxelGrid(body.bounds, res) : mesh::VoxelGrid::lattice(body.bounds, res);
-    std::optional<mesh::BlockSampler> sampler;
-    if (dense) {
-        // Every node, serially: the single-core baseline the sparse
-        // speedup is gated against.
-        grid.sample(body.field);
-    } else {
-        mesh::FieldSampleOptions sampling;
+    // Both modes keep their values in the sampler's block store. Dense
+    // passes default options: every node, serially, on the default
+    // tiling — the single-core baseline the sparse speedup is gated
+    // against.
+    mesh::FieldSampleOptions sampling;
+    if (!dense) {
         sampling.pool = options.pool != nullptr ? options.pool : &core::sharedPool();
         sampling.certificate = body.certificate;
         if (options.simdBatch) sampling.batch = body.batch;
         sampling.hierarchical = options.octreeCertificates;
-        sampler.emplace(grid, blockSize);
-        result.stats = sampler->sample(body.field, sampling);
-        result.storeBytes = sampler->storeBytes();
         // Extraction fans out over the sampling pool; its output is
         // byte-identical for any worker count.
         iso.pool = sampling.pool;
     }
+    const mesh::Vec3i res{options.resolution, options.resolution, options.resolution};
+    mesh::BlockSampler sampler(mesh::VoxelGrid(body.bounds, res),
+                               dense ? mesh::BlockTiling::kDefaultBlockSize : blockSize);
+    result.stats = sampler.sample(body.field, sampling);
+    result.storeBytes = sampler.storeBytes();
     result.fieldSampleMs = msSince(t0);
     result.stats.bonesPruned = body.stats->bonesPruned();
 
     t0 = std::chrono::steady_clock::now();
-    result.mesh = mesh::extractIsoSurface(grid, sampler ? &*sampler : nullptr, iso,
-                                          &result.stats);
+    result.mesh = mesh::extractIsoSurface(sampler, iso, &result.stats);
     result.extractMs = msSince(t0);
     result.success = !result.mesh.empty();
     if (!result.success) result.failureReason = "empty iso-surface";

@@ -51,11 +51,10 @@ TEST(BlockSampler, SparseGridMatchesDenseWhereSampled) {
     const Vec3f center{0.1f, -0.05f, 0.0f};
     const auto field = sphereField(center, 0.4f);
     const int res = 33;
-    VoxelGrid dense(unitBounds(), {res, res, res});
-    dense.sample(field);
+    BlockSampler dense(VoxelGrid(unitBounds(), {res, res, res}), 8);
+    dense.sample(field, {});
 
-    VoxelGrid sparse(unitBounds(), {res, res, res});
-    BlockSampler sampler(sparse, 8);
+    BlockSampler sampler(VoxelGrid(unitBounds(), {res, res, res}), 8);
     FieldSampleOptions opt;
     opt.certificate = sphereCertificate(center, 0.4f);
     const ReconCounters stats = sampler.sample(field, opt);
@@ -70,7 +69,7 @@ TEST(BlockSampler, SparseGridMatchesDenseWhereSampled) {
     for (int z = 0; z <= res; ++z)
         for (int y = 0; y <= res; ++y)
             for (int x = 0; x <= res; ++x) {
-                const float dv = dense.at(x, y, z);
+                const float dv = dense.value(x, y, z);
                 const float sv = sampler.value(x, y, z);
                 if (dv != sv) {
                     EXPECT_GT(dv * sv, 0.0f)
@@ -124,19 +123,16 @@ TEST(BlockSampler, DeterministicAcrossWorkerCounts) {
 TEST(BlockSampler, NoCertificateMatchesDenseEverywhere) {
     const auto field = sphereField({0.0f, 0.0f, 0.0f}, 0.45f);
     const int res = 24;
-    VoxelGrid dense(unitBounds(), {res, res, res});
-    dense.sample(field);
-
-    VoxelGrid sparse(unitBounds(), {res, res, res});
-    BlockSampler sampler(sparse, 8);
+    BlockSampler sampler(VoxelGrid(unitBounds(), {res, res, res}), 8);
     FieldSampleOptions opt;  // no certificate: every block is sampled
     const ReconCounters stats = sampler.sample(field, opt);
     EXPECT_EQ(stats.blocksSkipped, 0u);
     EXPECT_EQ(stats.nodesEvaluated, stats.nodesTotal);
+    // Every stored value is the field at its node.
     for (int z = 0; z <= res; ++z)
         for (int y = 0; y <= res; ++y)
             for (int x = 0; x <= res; ++x)
-                ASSERT_EQ(dense.at(x, y, z), sampler.value(x, y, z));
+                ASSERT_EQ(field(sampler.grid().nodePosition(x, y, z)), sampler.value(x, y, z));
 }
 
 TEST(BlockSampler, AnalyticCertificateSkipsAndStaysExact) {

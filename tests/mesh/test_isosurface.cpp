@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <stdexcept>
 
 #include "semholo/mesh/metrics.hpp"
 #include "semholo/mesh/sampling.hpp"
@@ -112,46 +111,13 @@ TEST(IsoSurface, ChamferToAnalyticSphereDecreasesWithResolution) {
     EXPECT_LT(errHi.chamfer, errLo.chamfer);
 }
 
-TEST(IsoSurface, GridInterpolationMatchesFieldForLinear) {
-    // For a linear field, trilinear interpolation is exact.
-    VoxelGrid grid(cube(1.0f), {8, 8, 8});
-    grid.sample([](Vec3f p) { return 2.0f * p.x - p.y + 0.5f * p.z + 0.25f; });
-    EXPECT_NEAR(grid.interpolate({0.3f, -0.2f, 0.1f}),
-                2.0f * 0.3f + 0.2f + 0.05f + 0.25f, 1e-4f);
-}
-
-TEST(IsoSurface, GridInterpolationOnZeroResolutionAxisStaysInBounds) {
-    // A zero-resolution z axis has one node plane: every point reads it,
-    // and the x/y interpolation of a field linear in x and y stays exact.
-    VoxelGrid grid(cube(1.0f), {4, 4, 0});
-    grid.sample([](Vec3f p) { return 2.0f * p.x - p.y; });
-    EXPECT_NEAR(grid.interpolate({0.3f, -0.2f, 0.1f}), 2.0f * 0.3f + 0.2f, 1e-5f);
-    EXPECT_NEAR(grid.interpolate({-0.6f, 0.7f, -0.9f}), -2.0f * 0.6f - 0.7f, 1e-5f);
-
-    VoxelGrid point(cube(1.0f), {0, 0, 0});
-    point.at(0, 0, 0) = 3.5f;
-    EXPECT_EQ(point.interpolate({0.25f, -0.5f, 0.75f}), 3.5f);
-}
-
-TEST(IsoSurface, LatticeGridValueReadsThrowWithoutItsSampler) {
-    // A lattice holds no values: reading them throws, and with the
-    // sampler that holds them the block extractor gives the mesh that
-    // dense sampling gives.
-    const VoxelGrid lattice = VoxelGrid::lattice(cube(1.5f), {16, 16, 16});
-    EXPECT_FALSE(lattice.hasValues());
-    VoxelGrid copy = lattice;
-    EXPECT_THROW(copy.sample(sphereSDF({}, 1.0f)), std::invalid_argument);
-    EXPECT_THROW(extractIsoSurface(lattice), std::invalid_argument);
-    EXPECT_THROW(extractIsoSurfaceLegacy(lattice), std::invalid_argument);
-
-    BlockSampler sampler(lattice, 4);
+TEST(IsoSurface, StoreExtractionMatchesDenseSampling) {
+    // A sampler's store on 4-node blocks gives the mesh that sampling
+    // every node on the default tiling gives.
+    BlockSampler sampler(VoxelGrid(cube(1.5f), {16, 16, 16}), 4);
     sampler.sample(sphereSDF({}, 1.0f), {});
-    EXPECT_THROW(extractIsoSurfaceLegacy(lattice, &sampler), std::invalid_argument);
-    VoxelGrid dense(cube(1.5f), {16, 16, 16});
-    EXPECT_TRUE(dense.hasValues());
-    dense.sample(sphereSDF({}, 1.0f));
-    const TriMesh fromStore = extractIsoSurface(lattice, &sampler);
-    const TriMesh fromGrid = extractIsoSurface(dense);
+    const TriMesh fromStore = extractIsoSurface(sampler);
+    const TriMesh fromGrid = extractIsoSurface(sphereSDF({}, 1.0f), cube(1.5f), 16);
     ASSERT_GT(fromStore.triangleCount(), 0u);
     EXPECT_EQ(fromStore.vertices, fromGrid.vertices);
     EXPECT_EQ(fromStore.triangles, fromGrid.triangles);

@@ -14,12 +14,27 @@
 
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/blocksampler.hpp"
+#include "semholo/mesh/isosurface_legacy.hpp"
 
 namespace semholo::mesh {
 namespace {
 
 geom::AABB unitBounds() {
     return {{-1.0f, -1.0f, -1.0f}, {1.0f, 1.0f, 1.0f}};
+}
+
+// 'field' sampled at every node of the res^3 lattice over unitBounds(),
+// on blockSize-node blocks.
+BlockSampler sampleAll(const ScalarField& field, int res,
+                       int blockSize = BlockTiling::kDefaultBlockSize) {
+    BlockSampler sampler(VoxelGrid(unitBounds(), {res, res, res}), blockSize);
+    sampler.sample(field, FieldSampleOptions{});
+    return sampler;
+}
+
+// The reference extractor over the sampler's values.
+TriMesh extractLegacy(const BlockSampler& sampler, const IsoSurfaceOptions& options = {}) {
+    return extractIsoSurfaceLegacy(sampler.grid(), denseValues(sampler), nullptr, options);
 }
 
 ScalarField sphereField(Vec3f center, float radius) {
@@ -92,30 +107,27 @@ void expectSameTriangleSet(const TriMesh& a, const TriMesh& b) {
 TEST(IsoSurfaceParallel, ByteIdenticalAcrossWorkerCounts) {
     const auto field = blobField();
     const int res = 48;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    grid.sample(field);
+    const BlockSampler grid = sampleAll(field, res);
 
     const TriMesh serial = extractIsoSurface(grid);
     for (const std::size_t workers : {1u, 2u, 8u}) {
         core::ThreadPool pool(workers);
         IsoSurfaceOptions opt;
         opt.pool = &pool;
-        const TriMesh pooled = extractIsoSurface(grid, nullptr, opt);
+        const TriMesh pooled = extractIsoSurface(grid, opt);
         expectIdenticalMeshes(serial, pooled);
     }
 
     // The reconstruction's configuration: a 4-node sampler tiling and no
     // weld pass, so the extractor's own normals reach the output.
-    VoxelGrid tiled(unitBounds(), {res, res, res});
-    BlockSampler sampler(tiled, 4);
-    sampler.sample(field, FieldSampleOptions{});
+    const BlockSampler sampler = sampleAll(field, res, 4);
     IsoSurfaceOptions recon;
     recon.weldVertices = false;
-    const TriMesh reconSerial = extractIsoSurface(tiled, &sampler, recon, nullptr);
+    const TriMesh reconSerial = extractIsoSurface(sampler, recon, nullptr);
     for (const std::size_t workers : {1u, 2u, 3u, 8u}) {
         core::ThreadPool pool(workers);
         recon.pool = &pool;
-        const TriMesh pooled = extractIsoSurface(tiled, &sampler, recon, nullptr);
+        const TriMesh pooled = extractIsoSurface(sampler, recon, nullptr);
         expectIdenticalMeshes(reconSerial, pooled);
     }
 }
@@ -126,16 +138,15 @@ TEST(IsoSurfaceParallel, CleanupDropsTrianglesThroughGridNodes) {
     // edge that ends on such a node puts its vertex on the node, and
     // triangles spanned by coincident vertices have zero area.
     const int res = 16;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    grid.sample([](Vec3f p) { return p.x + 0.5f * p.y; });
+    const BlockSampler grid = sampleAll([](Vec3f p) { return p.x + 0.5f * p.y; }, res);
 
     IsoSurfaceOptions opt;
     opt.weldVertices = false;
     ReconCounters stats;
-    const TriMesh serial = extractIsoSurface(grid, nullptr, opt, &stats);
+    const TriMesh serial = extractIsoSurface(grid, opt, &stats);
     ASSERT_GT(serial.triangleCount(), 0u);
     EXPECT_GT(stats.triangles, serial.triangleCount());
-    expectSameTriangleSet(extractIsoSurfaceLegacy(grid, nullptr, opt), serial);
+    expectSameTriangleSet(extractLegacy(grid, opt), serial);
 
     TriMesh reference = serial;
     reference.computeVertexNormals();
@@ -144,7 +155,7 @@ TEST(IsoSurfaceParallel, CleanupDropsTrianglesThroughGridNodes) {
     for (const std::size_t workers : {2u, 3u, 8u}) {
         core::ThreadPool pool(workers);
         opt.pool = &pool;
-        expectIdenticalMeshes(serial, extractIsoSurface(grid, nullptr, opt, nullptr));
+        expectIdenticalMeshes(serial, extractIsoSurface(grid, opt, nullptr));
     }
 }
 
@@ -163,16 +174,15 @@ TEST(IsoSurfaceParallel, MatchesLegacyAcrossFieldsAndIsoValues) {
             for (const float iso : {0.0f, 0.08f, -0.05f}) {
                 SCOPED_TRACE(std::string(c.name) + " res " +
                              std::to_string(res) + " iso " + std::to_string(iso));
-                VoxelGrid grid(unitBounds(), {res, res, res});
-                grid.sample(c.field);
+                const BlockSampler grid = sampleAll(c.field, res);
                 IsoSurfaceOptions opt;
                 opt.isoValue = iso;
                 // The triangle-set guarantee is on the pre-weld output;
                 // welding may pick different epsilon-merge representatives
                 // depending on emission order.
                 opt.weldVertices = false;
-                const TriMesh legacy = extractIsoSurfaceLegacy(grid, nullptr, opt);
-                const TriMesh block = extractIsoSurface(grid, nullptr, opt);
+                const TriMesh legacy = extractLegacy(grid, opt);
+                const TriMesh block = extractIsoSurface(grid, opt);
                 ASSERT_GT(block.triangleCount(), 0u)
                     << c.name << " res " << res << " iso " << iso;
                 expectSameTriangleSet(legacy, block);
@@ -184,56 +194,49 @@ TEST(IsoSurfaceParallel, SparseMatchesLegacySparse) {
     const float radius = 0.5f;
     const auto field = sphereField(center, radius);
     const int res = 40;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    BlockSampler sampler(grid, 8);
+    BlockSampler sampler(VoxelGrid(unitBounds(), {res, res, res}), 8);
     FieldSampleOptions sampling;
     // The sphere's exact certificate: no crossing within r of c.
     sampling.certificate = [center, radius](Vec3f c, float r) {
         return std::fabs((c - center).norm() - radius) > r;
     };
     sampler.sample(field, sampling);
-    // The legacy extractor reads the grid's values, the block extractor
-    // the sampler's store.
-    for (int z = 0; z <= res; ++z)
-        for (int y = 0; y <= res; ++y)
-            for (int x = 0; x <= res; ++x) grid.at(x, y, z) = sampler.value(x, y, z);
 
     IsoSurfaceOptions opt;  // pre-weld comparison, as in the other suites
     opt.weldVertices = false;
-    const TriMesh legacy = extractIsoSurfaceLegacy(grid, &sampler, opt);
-    const TriMesh block = extractIsoSurface(grid, &sampler, opt);
+    // The legacy extractor reads a dense copy of the values, the block
+    // extractor the sampler's store.
+    const TriMesh legacy =
+        extractIsoSurfaceLegacy(sampler.grid(), denseValues(sampler), &sampler, opt);
+    const TriMesh block = extractIsoSurface(sampler, opt);
     ASSERT_GT(block.triangleCount(), 0u);
     expectSameTriangleSet(legacy, block);
 }
 
 TEST(IsoSurfaceParallel, BlockDecompositionDoesNotChangeOutput) {
-    // The dense path (no sampler, BlockTiling::kDefaultBlockSize tiles)
-    // and the sparse path (sampler-sized tiles) must emit identical
-    // bytes — the canonical ordering is decomposition-independent.
+    // The dense path (BlockTiling::kDefaultBlockSize tiles) and the
+    // sparse path (other sampler-sized tiles) must emit identical bytes —
+    // the canonical ordering is decomposition-independent.
     const auto field = blobField();
     const int res = 40;
-    VoxelGrid dense(unitBounds(), {res, res, res});
-    dense.sample(field);
+    const BlockSampler dense = sampleAll(field, res);
 
-    VoxelGrid sparse(unitBounds(), {res, res, res});
     for (const int blockSize : {4, 8, 16}) {
-        BlockSampler sampler(sparse, blockSize);
+        BlockSampler sampler(VoxelGrid(unitBounds(), {res, res, res}), blockSize);
         FieldSampleOptions sampling;  // no certificate: grids identical node-for-node
         sampler.sample(field, sampling);
-        expectIdenticalMeshes(extractIsoSurface(dense),
-                              extractIsoSurface(sparse, &sampler));
+        expectIdenticalMeshes(extractIsoSurface(dense), extractIsoSurface(sampler));
     }
 }
 
 TEST(IsoSurfaceParallel, NoCrossingProducesEmptyMesh) {
     const int res = 16;
     for (const float value : {1.0f, -1.0f}) {
-        VoxelGrid grid(unitBounds(), {res, res, res});
-        grid.sample([value](Vec3f) { return value; });
+        const BlockSampler grid = sampleAll([value](Vec3f) { return value; }, res);
         const TriMesh m = extractIsoSurface(grid);
         EXPECT_EQ(m.vertexCount(), 0u);
         EXPECT_EQ(m.triangleCount(), 0u);
-        expectSameTriangleSet(extractIsoSurfaceLegacy(grid), m);
+        expectSameTriangleSet(extractLegacy(grid), m);
     }
 }
 
@@ -242,9 +245,8 @@ TEST(IsoSurfaceParallel, SurfaceClippedByGridBoundary) {
     // face, exercising the clamped halo rows at the grid edge.
     const auto field = sphereField({0.3f, 0.2f, -0.25f}, 1.1f);
     for (const int res : {15, 32}) {
-        VoxelGrid grid(unitBounds(), {res, res, res});
-        grid.sample(field);
-        const TriMesh legacy = extractIsoSurfaceLegacy(grid);
+        const BlockSampler grid = sampleAll(field, res);
+        const TriMesh legacy = extractLegacy(grid);
         const TriMesh block = extractIsoSurface(grid);
         ASSERT_GT(block.triangleCount(), 0u) << "res " << res;
         expectSameTriangleSet(legacy, block);
@@ -254,14 +256,13 @@ TEST(IsoSurfaceParallel, SurfaceClippedByGridBoundary) {
 TEST(IsoSurfaceParallel, WeldOptOutKeepsTriangleSet) {
     const auto field = capsuleField({-0.3f, 0.0f, 0.0f}, {0.3f, 0.2f, 0.0f}, 0.3f);
     const int res = 33;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    grid.sample(field);
+    const BlockSampler grid = sampleAll(field, res);
 
     IsoSurfaceOptions welded;  // default weldVertices = true
     IsoSurfaceOptions unwelded;
     unwelded.weldVertices = false;
-    const TriMesh a = extractIsoSurface(grid, nullptr, welded);
-    const TriMesh b = extractIsoSurface(grid, nullptr, unwelded);
+    const TriMesh a = extractIsoSurface(grid, welded);
+    const TriMesh b = extractIsoSurface(grid, unwelded);
     // Node-edge dedup already welds shared cell/block boundaries, so for
     // a smooth field missing the nodes the weld pass must be a no-op.
     expectIdenticalMeshes(a, b);
@@ -271,16 +272,15 @@ TEST(IsoSurfaceParallel, WeldOptOutKeepsTriangleSet) {
 TEST(IsoSurfaceParallel, StatsCountActiveCellsAndOutput) {
     const auto field = sphereField({0.0f, 0.0f, 0.0f}, 0.5f);
     const int res = 24;
-    VoxelGrid grid(unitBounds(), {res, res, res});
-    grid.sample(field);
+    const BlockSampler grid = sampleAll(field, res);
 
     IsoSurfaceOptions opt;
     opt.weldVertices = false;
     ReconCounters stats;
-    const TriMesh m = extractIsoSurface(grid, nullptr, opt, &stats);
-    // Without a sampler the extractor tiles the grid at the default size.
+    const TriMesh m = extractIsoSurface(grid, opt, &stats);
+    // sampleAll tiles the grid at the default size.
     const auto blocksTotal = static_cast<std::uint64_t>(
-        BlockTiling(grid.resolution(), BlockTiling::kDefaultBlockSize).count());
+        BlockTiling(grid.grid().resolution(), BlockTiling::kDefaultBlockSize).count());
     EXPECT_GT(blocksTotal, 0u);
     EXPECT_GT(stats.blocksExtracted, 0u);
     EXPECT_LE(stats.blocksExtracted, blocksTotal);

@@ -154,9 +154,7 @@ TEST(OctreeCertificates, SparseOctreeBatchExtractionMatchesDense) {
         const int res = 24 + 9 * trial;  // 24, 33, 42
         const int blockSize = (trial % 2) ? 8 : 4;
 
-        VoxelGrid denseGrid(body.bounds, {res, res, res});
-        denseGrid.sample(body.field);
-        const auto denseMesh = mesh::extractIsoSurface(denseGrid);
+        const auto denseMesh = mesh::extractIsoSurface(body.field, body.bounds, res);
 
         VoxelGrid sparseGrid(body.bounds, {res, res, res});
         BlockSampler sampler(sparseGrid, blockSize);
@@ -166,7 +164,7 @@ TEST(OctreeCertificates, SparseOctreeBatchExtractionMatchesDense) {
         so.hierarchical = true;
         const auto stats = sampler.sample(body.field, so);
         EXPECT_GT(stats.blocksCoarseFilled, 0u) << "octree never engaged";
-        const auto sparseMesh = mesh::extractIsoSurface(sparseGrid, &sampler);
+        const auto sparseMesh = mesh::extractIsoSurface(sampler);
         expectIdenticalMeshes(denseMesh, sparseMesh);
     }
 }
@@ -178,8 +176,7 @@ TEST(BlockSampler, StoreBytesTrackTheSurface) {
     const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.5);
     const BodyField body = body::makeBodyField(pose);
     for (const int res : {128, 256}) {
-        const VoxelGrid lattice = VoxelGrid::lattice(body.bounds, {res, res, res});
-        BlockSampler sampler(lattice, resolveBlockSize(res));
+        BlockSampler sampler(VoxelGrid(body.bounds, {res, res, res}), resolveBlockSize(res));
         mesh::FieldSampleOptions so;
         so.pool = &core::sharedPool();
         so.certificate = body.certificate;

@@ -48,12 +48,12 @@ TEST(DeviceProfile, MemoryFeasibilityMatchesFigure4) {
     const DeviceProfile laptop = DeviceProfile::laptop();
     const DeviceProfile workstation = DeviceProfile::workstation();
     // Laptop handles 128 and 256 but not 512 or 1024 (paper, section 4.2).
-    EXPECT_TRUE(laptop.fitsInMemory(reconstructionWorkingSetBytes(128)));
-    EXPECT_TRUE(laptop.fitsInMemory(reconstructionWorkingSetBytes(256)));
-    EXPECT_FALSE(laptop.fitsInMemory(reconstructionWorkingSetBytes(512)));
-    EXPECT_FALSE(laptop.fitsInMemory(reconstructionWorkingSetBytes(1024)));
+    EXPECT_TRUE(laptop.fitsInMemory(reconstructionWorkingSetBytes(128, ReconMode::Dense)));
+    EXPECT_TRUE(laptop.fitsInMemory(reconstructionWorkingSetBytes(256, ReconMode::Dense)));
+    EXPECT_FALSE(laptop.fitsInMemory(reconstructionWorkingSetBytes(512, ReconMode::Dense)));
+    EXPECT_FALSE(laptop.fitsInMemory(reconstructionWorkingSetBytes(1024, ReconMode::Dense)));
     // Workstation handles all four.
-    EXPECT_TRUE(workstation.fitsInMemory(reconstructionWorkingSetBytes(1024)));
+    EXPECT_TRUE(workstation.fitsInMemory(reconstructionWorkingSetBytes(1024, ReconMode::Dense)));
 }
 
 TEST(DeviceProfile, HostUncapped) {
@@ -93,17 +93,25 @@ TEST(Reconstruction, MeshBytesMatchPinnedDigestAtBlockSize8) {
 
 TEST(Reconstruction, SparseWorkingSetModelCoversMeasuredStore) {
     // The device check runs on the model before anything is allocated,
-    // so the model must not undercut the block store it stands for.
+    // so the model must not undercut the block store it stands for, in
+    // either mode. Dense samples every node serially, so it runs at the
+    // lower resolution only.
     const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.5);
-    for (const int res : {128, 256}) {
-        ReconstructionOptions opt;
-        opt.resolution = res;
-        const ReconstructionResult r = reconstructFromPose(pose, opt);
-        ASSERT_TRUE(r.success) << res;
-        EXPECT_GT(r.storeBytes, 0u) << res;
-        EXPECT_EQ(r.gridBytes,
-                  reconstructionWorkingSetBytes(res, ReconMode::Sparse, resolveBlockSize(res)));
-        EXPECT_GE(r.gridBytes, r.storeBytes) << res;
+    for (const ReconMode mode : {ReconMode::Sparse, ReconMode::Dense}) {
+        for (const int res : {128, 256}) {
+            if (mode == ReconMode::Dense && res > 128) continue;
+            SCOPED_TRACE(::testing::Message()
+                         << (mode == ReconMode::Dense ? "dense " : "sparse ") << res);
+            ReconstructionOptions opt;
+            opt.resolution = res;
+            opt.mode = mode;
+            const ReconstructionResult r = reconstructFromPose(pose, opt);
+            ASSERT_TRUE(r.success);
+            EXPECT_GT(r.storeBytes, 0u);
+            EXPECT_EQ(r.gridBytes,
+                      reconstructionWorkingSetBytes(res, mode, resolveBlockSize(res)));
+            EXPECT_GE(r.gridBytes, r.storeBytes);
+        }
     }
 }
 
@@ -220,6 +228,11 @@ TEST(Reconstruction, CostScalesRoughlyCubically) {
     const auto ra = reconstructFromPose(Pose{}, a);
     const auto rb = reconstructFromPose(Pose{}, b);
     ASSERT_TRUE(ra.success && rb.success);
+    // Dense evaluates every node once and skips no block.
+    EXPECT_EQ(ra.stats.nodesEvaluated, 33u * 33u * 33u);
+    EXPECT_EQ(rb.stats.nodesEvaluated, 65u * 65u * 65u);
+    EXPECT_EQ(ra.stats.blocksSkipped, 0u);
+    EXPECT_EQ(rb.stats.blocksSkipped, 0u);
     const double ratio = rb.fieldSampleMs / std::max(1e-9, ra.fieldSampleMs);
     // 2x resolution => ~8x field cost; allow generous slack for timer noise.
     EXPECT_GT(ratio, 3.0);
