@@ -197,7 +197,7 @@ void pipelineJson(core::telemetry::JsonWriter& json, const char* name,
     json.beginObject(name)
         .field("pipeline_depth", static_cast<std::uint64_t>(p.pipelineDepth))
         .field("workers", static_cast<std::uint64_t>(p.workers))
-        .field("max_ticks_in_flight", p.ticksInFlight.max())
+        .field("max_ticks_in_flight", p.maxTicksInFlight)
         .field("simulated_stage_graph_ms", p.simulatedStageGraphMs)
         .field("simulated_barrier_ms", p.simulatedBarrierMs)
         .field("simulated_speedup", p.simulatedSpeedup)
@@ -351,7 +351,7 @@ int main() {
                             "barrier ms", "speedup", "idle ms"});
     for (const core::PipelineStats* p : {&pBar, &pPipe})
         pipeTable.addRow({std::to_string(p->pipelineDepth),
-                          bench::fmt("%.0f", p->ticksInFlight.max()),
+                          bench::fmt("%.0f", p->maxTicksInFlight),
                           bench::fmt("%.1f", p->simulatedStageGraphMs),
                           bench::fmt("%.1f", p->simulatedBarrierMs),
                           bench::fmt("%.2fx", p->simulatedSpeedup),

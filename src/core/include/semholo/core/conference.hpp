@@ -1,7 +1,7 @@
 // SFU conference sessions: the server-mediated topology of the paper's
 // semantic coordinator (and of multi-client live-telepresence systems in
-// the Van Holland et al. mould). Each participant uploads through an
-// uplink to the conference server; the server fans the other N-1 streams
+// the Van Holland et al. mould). Every participant uploads through one
+// shared server-ingest bottleneck; the server fans the other N-1 streams
 // back out over one downlink per viewer, thinned by that viewer's
 // subscription ladder; and a BandwidthArbiter computes per-user target
 // rates each tick (max-min or proportional-fair over the shared ingest
@@ -93,9 +93,11 @@ struct SubscriptionLadder {
 // ---- Conference configuration --------------------------------------------
 
 // One participant: which channel they publish (built on ChannelSpec, so
-// conferences are data), their motion/viewing state, per-user link and
-// degradation overrides, and their downlink subscription ladder. Unset
-// optionals inherit the conference-wide SessionConfig defaults.
+// conferences are data) and their downlink subscription ladder. The rest
+// is conference-wide: participant u's motion uses seed
+// session.motionSeed + u, every participant runs session.degradation and
+// sends over session.link, and every viewer receives over
+// ConferenceConfig::downlink.
 struct Participant {
     ChannelSpec channel;
     // Escape hatch for channels whose options a ChannelSpec cannot
@@ -103,35 +105,26 @@ struct Participant {
     // instead of 'channel'.
     std::function<std::unique_ptr<SemanticChannel>(const body::BodyModel&)>
         channelFactory;
-    std::optional<std::uint32_t> motionSeed;  // default: session seed + index
-    std::optional<geom::RigidTransform> viewerHead;
-    // Per-user uplink (only consulted when sharedUplink is false).
-    std::optional<net::LinkConfig> uplink;
-    // This viewer's downlink from the server (default: ConferenceConfig::
-    // downlink).
-    std::optional<net::LinkConfig> downlink;
-    // Per-user degradation ladder (default: session.degradation).
-    std::optional<DegradationConfig> degradation;
     SubscriptionLadder subscription;
 };
 
 struct ConferenceConfig {
     std::vector<Participant> participants;
-    // Conference-wide defaults: fps, frames, timing model, transfer
-    // options, the shared-uplink LinkConfig (session.link), the default
-    // degradation ladder, and the worker count.
+    // Conference-wide settings: fps, frames, timing model, transfer
+    // options, the shared uplink (session.link), the motion seed base,
+    // the degradation ladder, and the worker count.
     SessionConfig session;
     ArbiterConfig arbiter;
-    // true: all uplinks traverse one bottleneck LinkSimulator built from
-    // session.link (the server-ingest model, where participants congest
-    // each other). false: each participant gets their own uplink from
-    // Participant::uplink (falling back to session.link).
+    // Every participant's uplink traverses one bottleneck LinkSimulator
+    // built from session.link (the server-ingest model, where
+    // participants congest each other). That is the only topology:
+    // runConference throws std::invalid_argument when this is false.
     bool sharedUplink{true};
     // Model the downlink fan-out: one LinkSimulator per viewer carrying
     // the other N-1 streams, with per-(viewer, source) accounting in
     // MultiSessionStats::downlinks.
     bool enableDownlinks{true};
-    // Default per-viewer downlink when Participant::downlink is unset.
+    // Every viewer's downlink from the server (one LinkSimulator each).
     net::LinkConfig downlink{};
     // Maximum capture ticks in flight in the event-driven stage graph: a
     // user's tick f encode is released once its own tick f-1 feedback

@@ -49,6 +49,10 @@ enum class TimingModel {
     Simulated,
 };
 
+// One session's settings. In a conference (ConferenceConfig::session)
+// they are the settings every participant shares: 'link' is the one
+// shared uplink, and participant u's motion uses seed motionSeed + u.
+// Gaze-aware channels see a fixed viewer head facing the captured body.
 struct SessionConfig {
     double fps{30.0};
     std::size_t frames{60};
@@ -60,8 +64,6 @@ struct SessionConfig {
     // (0 = never; quality evaluation costs mesh sampling time).
     std::size_t qualityEvalInterval{0};
     std::size_t qualitySamples{6000};
-    // Viewer state fed to gaze-aware channels.
-    geom::RigidTransform viewerHead{geom::Quat::identity(), {0.0f, 0.2f, -2.5f}};
     // Sender extraction and receiver reconstruction are single pipeline
     // stages: when true, a frame that arrives while its stage is still
     // busy with an earlier frame is dropped (live-streaming behaviour);
@@ -236,9 +238,12 @@ struct PipelineStats {
     // Most nodes held at once. The graph is a rolling window of
     // pipelineDepth + 2 ticks, so this does not grow with the run.
     std::uint64_t residentNodes{};
-    // Capture ticks in flight, sampled at each encode-node start; the
-    // max is bounded by pipelineDepth.
-    telemetry::Histogram ticksInFlight;
+    // Capture ticks in flight, sampled at each encode-node start: the
+    // most (bounded by pipelineDepth) and the mean. Two numbers, not the
+    // samples, so they do not grow with the run; NaN when no encode node
+    // ran.
+    double maxTicksInFlight{std::numeric_limits<double>::quiet_NaN()};
+    double meanTicksInFlight{std::numeric_limits<double>::quiet_NaN()};
     double wallMs{};  // wall time of the graph run itself
     // Deterministic list-schedule makespans over the recorded per-node
     // simulated stage costs at 'workers' workers: the event-driven DAG
@@ -269,9 +274,10 @@ struct MultiSessionStats {
     std::uint64_t serverFanoutFrames{};
     std::uint64_t serverFanoutBytes{};
     // Merged per-user telemetry plus the shared link's packet/queue
-    // counters and queue-depth histogram. Link counters are attributed
-    // per user (perUser[u].telemetry) by the link's senderTag and merged
-    // here, so the totals equal the shared link's totals.
+    // counters and queue-depth histogram. The uplink node adds each
+    // message's link counters to its sender's telemetry
+    // (perUser[u].telemetry), merged here, so the totals equal the
+    // shared link's totals.
     telemetry::SessionTelemetry telemetry;
     // Stage-graph execution telemetry: node/edge counts, per-stage
     // occupancy and release latency, pipeline depth actually used, and

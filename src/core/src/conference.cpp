@@ -129,6 +129,10 @@ std::vector<double> BandwidthArbiter::allocate(
 
 MultiSessionStats runConference(const ConferenceConfig& config,
                                 const body::BodyModel& model) {
+    if (!config.sharedUplink)
+        throw std::invalid_argument(
+            "ConferenceConfig::sharedUplink must be true: the engine models "
+            "one shared uplink");
     std::vector<std::unique_ptr<SemanticChannel>> owned;
     owned.reserve(config.participants.size());
     for (const Participant& p : config.participants) {
@@ -228,8 +232,8 @@ std::string toJsonValue(const MultiSessionStats& stats) {
     w.field("nodes", p.nodes);
     w.field("edges", static_cast<std::uint64_t>(p.edges));
     w.field("resident_nodes", p.residentNodes);
-    w.field("max_ticks_in_flight", p.ticksInFlight.max());
-    w.field("mean_ticks_in_flight", p.ticksInFlight.mean());
+    w.field("max_ticks_in_flight", p.maxTicksInFlight);
+    w.field("mean_ticks_in_flight", p.meanTicksInFlight);
     w.field("wall_ms", p.wallMs);
     w.field("simulated_stage_graph_ms", p.simulatedStageGraphMs);
     w.field("simulated_barrier_ms", p.simulatedBarrierMs);

@@ -14,20 +14,19 @@
 // one-worker run, which walks nodes in insertion order, runs the phases
 // one after another):
 //
-//   A(f) / A(f,u)  arbiter: per-user uplink target rates from the
+//   A(f)           arbiter: per-user target rates on the uplink from the
 //                  bottleneck's instantaneous capacity, offered demands
 //                  (last wire frame x fps) and delivered-throughput
-//                  history. Shared-uplink mode has one conference-wide
-//                  node; per-user uplinks get one node per user.
+//                  history. One conference-wide node per tick.
 //   E(f,u)         encode: the user's channel encodes frame f against
 //                  their extractor clock and bandwidth feedback.
 //   T(f,u)         uplink ticket: the frame traverses the shared
-//                  server-ingest bottleneck (or the user's own uplink).
-//                  Tickets form a chain — global in shared mode, per
-//                  user otherwise — so the (frame, user) link-entry
-//                  order, FIFO interleaving and loss RNG draws are
-//                  identical for serial and pipelined runs. The outcome
-//                  feeds the sender's estimator and DegradationPolicy.
+//                  server-ingest bottleneck. Tickets form one chain
+//                  across users and ticks, so the (frame, user)
+//                  link-entry order, FIFO interleaving and loss RNG
+//                  draws are identical for serial and pipelined runs.
+//                  The outcome feeds the sender's estimator and
+//                  DegradationPolicy.
 //   L(f,v)         downlink fan-out: the server forwards the tick's
 //                  delivered frames to viewer v over v's own downlink,
 //                  thinned by v's subscription ladder.
@@ -49,8 +48,8 @@
 // Edges (the full byte-identity argument is in DESIGN.md):
 //
 //   A(f)   <- T(f-1,*)          targets read last-tick demand/throughput
-//   E(f,u) <- A(f[,u]), D(f-1,u), R(f-depth)
-//   T(f,u) <- E(f,u), previous ticket in its chain
+//   E(f,u) <- A(f), D(f-1,u), R(f-depth)
+//   T(f,u) <- E(f,u), the previous ticket in the chain
 //   L(f,v) <- T(f,u) per subscribed source, L(f-1,v)
 //   D(f,u) <- T(f,u)            (D(f-1,u) order holds transitively)
 //   Q(f,u) <- D(f,u)
@@ -67,11 +66,12 @@
 // at any worker count and any depth (tests/core/test_conference.cpp and
 // test_stage_graph.cpp stress this with downlinks + arbiter).
 //
-// Uplink messages are attributed to their sender via LinkSimulator's
-// senderTag; downlink messages carry (senderTag = source, receiverTag =
-// viewer) so per-(viewer, source) stream accounting lands in
-// MultiSessionStats::downlinks. Stage occupancy, release latency and
-// ticks-in-flight land in MultiSessionStats::pipeline.
+// Each link node accounts its own sends from their TransferResults: the
+// uplink node adds a message's packet counters and the backlog it met to
+// the sender's telemetry, and the downlink node adds each forwarded
+// message to its (viewer, source) entry in MultiSessionStats::downlinks.
+// Stage occupancy, release latency and ticks-in-flight land in
+// MultiSessionStats::pipeline.
 #include <algorithm>
 #include <chrono>
 #include <limits>
@@ -90,9 +90,13 @@ namespace semholo::core::internal {
 
 namespace {
 
-// "None": the user of conference-wide nodes (the shared arbiter, retire)
-// and the unsubscribed entry of a viewer's stream index.
+// "None": the user of conference-wide nodes (arbiter, retire) and the
+// unsubscribed entry of a viewer's stream index.
 constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+// Where every participant's viewer sits, for gaze-aware channels.
+const geom::RigidTransform kViewerHead{geom::Quat::identity(),
+                                       {0.0f, 0.2f, -2.5f}};
 
 // One user's frame in flight during a tick. Lives in a ring of
 // pipelineDepth tick-slots; E(f,u) fills it, T(f,u) fills the transfer,
@@ -107,27 +111,6 @@ struct TickFrame {
     mesh::TriMesh decodedMesh;  // written by D, read by Q (sampled ticks)
 };
 
-// Route every message's packet/queue counters to the sending
-// participant's telemetry (messages carry the user index as senderTag).
-// The observer only runs inside the link's ticket chain, so the per-user
-// counter writes are sequenced.
-void observeUplink(net::LinkSimulator& link, MultiSessionStats& out) {
-    link.setObserver([&out](const net::TransferResult& r,
-                            std::size_t queuedBytes) {
-        telemetry::SessionTelemetry& t =
-            out.perUser[static_cast<std::size_t>(r.senderTag)].telemetry;
-        t.counters.packets += r.packets;
-        t.counters.packetsLost += r.lostPackets;
-        t.counters.packetsDelivered += r.deliveredPackets;
-        t.counters.packetsUnrecovered += r.unrecoveredPackets;
-        t.counters.retransmissions += r.retransmissions;
-        t.counters.queueDrops += r.droppedAtQueue;
-        t.counters.bytesSent += r.bytes;
-        t.counters.faultEvents += r.faultEvents;
-        t.queueDepthBytes.record(static_cast<double>(queuedBytes));
-    });
-}
-
 // One frame's Chamfer evaluation vs the LBS ground truth. Deterministic
 // given its inputs, so every schedule produces identical quality numbers.
 void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
@@ -141,13 +124,12 @@ void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
                           .count();
 }
 
-// Per-user state that persists across ticks: the motion source and
-// viewer head, the pipeline availability clocks, the closed-loop
-// feedback (throughput estimator + degradation policy), and the
-// arbiter's demand estimate and target-rate accounting.
+// Per-user state that persists across ticks: the motion source, the
+// pipeline availability clocks, the closed-loop feedback (throughput
+// estimator + degradation policy), and the arbiter's demand estimate and
+// target-rate accounting.
 struct UserState {
     body::MotionGenerator motion;
-    geom::RigidTransform head;
     double extractorFreeAt{0.0};
     double reconFreeAt{0.0};
     net::HarmonicEstimator throughput{5};
@@ -158,9 +140,9 @@ struct UserState {
     std::size_t targetTicks{0};
 
     UserState(const body::MotionGenerator& motion,
-              const geom::RigidTransform& head, const DegradationConfig& config,
-              double fps, std::size_t queueCapacityBytes)
-        : motion(motion), head(head), degrade(config, fps, queueCapacityBytes) {}
+              const DegradationConfig& config, double fps,
+              std::size_t queueCapacityBytes)
+        : motion(motion), degrade(config, fps, queueCapacityBytes) {}
 
     // This tick's arbiter target, fed to the policy and the accounting.
     void setTarget(double bps) {
@@ -172,8 +154,9 @@ struct UserState {
 };
 
 // Per-viewer downlink state: the viewer's own LinkSimulator, a monotonic
-// send clock (uplink completions are unordered across per-user uplinks),
-// the resolved subscription list and the per-stream accounting.
+// send clock (per-packet jitter can complete a later sender's uplink
+// frame first), the resolved subscription list and the per-stream
+// accounting.
 struct DownlinkState {
     net::LinkSimulator link;
     double clock{0.0};
@@ -227,37 +210,19 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     out.perUser.resize(users);
     if (users == 0) return out;
 
-    // ---- Uplink topology -------------------------------------------------
-    // Shared mode: one server-ingest bottleneck every participant's
-    // messages traverse. Per-user mode: each participant's own access
-    // link.
-    std::vector<net::LinkSimulator> uplinks;
-    if (conf.sharedUplink) {
-        uplinks.emplace_back(base.link);
-    } else {
-        uplinks.reserve(users);
-        for (const Participant& p : conf.participants)
-            uplinks.emplace_back(p.uplink.value_or(base.link));
-    }
-    for (net::LinkSimulator& link : uplinks) observeUplink(link, out);
-    const auto uplinkFor = [&](std::size_t u) -> net::LinkSimulator& {
-        return conf.sharedUplink ? uplinks[0] : uplinks[u];
-    };
+    // The server-ingest bottleneck every participant's messages traverse.
+    net::LinkSimulator uplink(base.link);
 
     // ---- Per-user session state -------------------------------------------
     std::vector<UserState> state;
     state.reserve(users);
     for (std::size_t u = 0; u < users; ++u) {
-        const Participant& p = conf.participants[u];
         channels[u]->reset();
-        const std::uint32_t seed = p.motionSeed.value_or(
-            base.motionSeed + static_cast<std::uint32_t>(u));
+        const std::uint32_t seed =
+            base.motionSeed + static_cast<std::uint32_t>(u);
         state.emplace_back(
             body::MotionGenerator(base.motion, model.shape(), seed),
-            p.viewerHead.value_or(base.viewerHead),
-            p.degradation.value_or(base.degradation), base.fps,
-            p.uplink && !conf.sharedUplink ? p.uplink->queueCapacityBytes
-                                           : base.link.queueCapacityBytes);
+            base.degradation, base.fps, base.link.queueCapacityBytes);
         // E, T, D and Q write frames[f] in place, so the vector never
         // reallocates under a running node.
         out.perUser[u].frames.resize(base.frames);
@@ -269,8 +234,7 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         downs.reserve(users);
         for (std::size_t v = 0; v < users; ++v) {
             const Participant& p = conf.participants[v];
-            DownlinkState& d =
-                downs.emplace_back(p.downlink.value_or(conf.downlink));
+            DownlinkState& d = downs.emplace_back(conf.downlink);
             d.stats.viewer = v;
             d.streamIndex.assign(users, kNone);
             std::size_t position = 0;
@@ -299,8 +263,8 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     std::vector<std::vector<TickFrame>> ring(depth,
                                              std::vector<TickFrame>(users));
 
-    const auto arbiterSharedBody = [&](double captureTime) {
-        const double capacity = uplinks[0].effectiveRateAt(captureTime);
+    const auto arbiterBody = [&](double captureTime) {
+        const double capacity = uplink.effectiveRateAt(captureTime);
         for (std::size_t u = 0; u < users; ++u) {
             demands[u] = state[u].lastSentBytes > 0
                              ? static_cast<double>(state[u].lastSentBytes) *
@@ -313,15 +277,6 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         const std::vector<double> targets =
             arbiter.allocate(capacity, demands, meanTp);
         for (std::size_t u = 0; u < users; ++u) state[u].setTarget(targets[u]);
-        return 0.0;
-    };
-
-    // Independent uplinks: each user's target is their own link's
-    // instantaneous capacity with the safety margin.
-    const auto arbiterUserBody = [&](std::size_t u, double captureTime) {
-        state[u].setTarget(std::max(conf.arbiter.minRateBps,
-                                    uplinkFor(u).effectiveRateAt(captureTime) *
-                                        conf.arbiter.safety));
         return 0.0;
     };
 
@@ -342,7 +297,7 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         ctx.pose.frameId = frame.frameId;
         ctx.model = &model;
         ctx.timestamp = captureTime;
-        ctx.viewerHead = us.head;
+        ctx.viewerHead = kViewerHead;
         // Bandwidth feedback: the throughput estimate, capped at the
         // arbiter's target when one is set (the target alone seeds the
         // loop before the first sample — rate-adaptive channels start at
@@ -364,23 +319,32 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         return stageMs;
     };
 
-    // Uplink ticket: the sequenced link stage. Runs inside its link's
-    // ticket chain, so FIFO queueing, loss RNG draws and congestion see
-    // the same (frame, user) entry order at any worker count; the
-    // outcome feeds this user's estimator and degradation policy before
-    // their next encode is released.
+    // Uplink ticket: the sequenced link stage. Runs inside the ticket
+    // chain, so FIFO queueing, loss RNG draws and congestion see the same
+    // (frame, user) entry order at any worker count, and the writes to
+    // this user's link counters are sequenced; the outcome feeds this
+    // user's estimator and degradation policy before their next encode
+    // is released.
     const auto uplinkBody = [&](std::size_t f, std::size_t slot,
                                 std::size_t u) {
         FrameStats& frame = out.perUser[u].frames[f];
         if (frame.droppedAtSender) return 0.0;
         TickFrame& p = ring[slot][u];
         UserState& us = state[u];
-        net::LinkSimulator& link = uplinkFor(u);
         const std::size_t bytes = p.encoded.bytes();
-        const std::size_t queuedAtSend = us.degrade.enabled() || arbiterOn
-                                             ? link.queuedBytesAt(p.sendTime)
-                                             : 0;
-        p.transfer = link.sendMessage(bytes, p.sendTime, base.transfer, u);
+        const std::size_t queuedAtSend = uplink.queuedBytesAt(p.sendTime);
+        p.transfer = uplink.sendMessage(bytes, p.sendTime, base.transfer, u);
+        const net::TransferResult& r = p.transfer;
+        telemetry::SessionTelemetry& t = out.perUser[u].telemetry;
+        t.counters.packets += r.packets;
+        t.counters.packetsLost += r.lostPackets;
+        t.counters.packetsDelivered += r.deliveredPackets;
+        t.counters.packetsUnrecovered += r.unrecoveredPackets;
+        t.counters.retransmissions += r.retransmissions;
+        t.counters.queueDrops += r.droppedAtQueue;
+        t.counters.bytesSent += r.bytes;
+        t.counters.faultEvents += r.faultEvents;
+        t.queueDepthBytes.record(static_cast<double>(queuedAtSend));
         frame.delivered = p.transfer.delivered;
         frame.transferMs = p.transfer.durationS() * 1000.0;
         us.lastSentBytes = bytes;
@@ -389,7 +353,7 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
             // subtracted).
             const double serialS =
                 std::max(1e-5, p.transfer.durationS() -
-                                   link.config().propagationDelayS);
+                                   base.link.propagationDelayS);
             us.throughput.addSample(static_cast<double>(bytes) * 8.0 / serialS);
         }
         const DegradationAction action = us.degrade.observe(
@@ -397,9 +361,9 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
              p.transfer.unrecoveredPackets, p.transfer.droppedAtQueue,
              p.transfer.faultEvents, queuedAtSend, bytes});
         if (action == DegradationAction::StepDown)
-            ++out.perUser[u].telemetry.counters.degradations;
+            ++t.counters.degradations;
         else if (action == DegradationAction::StepUp)
-            ++out.perUser[u].telemetry.counters.upgrades;
+            ++t.counters.upgrades;
         return 0.0;
     };
 
@@ -416,8 +380,8 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
                 1, static_cast<std::size_t>(
                        static_cast<double>(p.encoded.bytes()) * scale));
             // Forward when the server received the frame; the clock
-            // keeps per-viewer send times monotonic (per-user uplinks
-            // complete out of user order).
+            // keeps per-viewer send times monotonic (per-packet jitter
+            // can complete a later sender's frame first on the uplink).
             const double at = std::max(p.transfer.completionTime, d.clock);
             const net::TransferResult r =
                 d.link.sendMessage(bytes, at, base.transfer, u, v);
@@ -499,16 +463,13 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     };
 
     // The graph's one body: a node is its (kind, tick, user), and the
-    // tick's ring slot and capture time are derived here, once. The
-    // shared arbiter is the arbiter node without a user.
+    // tick's ring slot and capture time are derived here, once.
     const auto body = [&](StageKind kind, std::uint32_t tick, std::size_t u) {
         const std::size_t f = tick;
         const std::size_t slot = f % depth;
         const double captureTime = static_cast<double>(f) / base.fps;
         switch (kind) {
-            case StageKind::Arbiter:
-                return u == kNone ? arbiterSharedBody(captureTime)
-                                  : arbiterUserBody(u, captureTime);
+            case StageKind::Arbiter: return arbiterBody(captureTime);
             case StageKind::Encode: return encodeBody(f, slot, u, captureTime);
             case StageKind::Uplink: return uplinkBody(f, slot, u);
             case StageKind::Downlink: return downlinkBody(slot, u);
@@ -527,36 +488,23 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     // pool-less walk runs the phases in turn; the edges are everything
     // the pool needs. The state below carries the previous tick's nodes
     // to the next call.
-    std::vector<NodeId> prevTicket(users, kNoNode);
     std::vector<NodeId> prevDecode(users, kNoNode);
     std::vector<NodeId> prevDown(users, kNoNode);
     std::vector<NodeId> retires(depth, kNoNode);  // R(f) at f % depth
-    NodeId lastTicketGlobal = kNoNode;
+    NodeId prevTicket = kNoNode;
     NodeId prevRetire = kNoNode;
-    std::vector<NodeId> enc(users), tix(users), dec(users), userArb, downNodes;
+    std::vector<NodeId> enc(users), tix(users), dec(users), downNodes;
     std::vector<NodeId> last(users);  // per user: Q(f,u), else D(f,u)
 
     const auto buildTick = [&](StageGraph& graph, std::uint32_t tick) {
         const std::size_t f = tick;
 
-        // Arbiter: needs every user's previous-tick ticket outcome. In
-        // shared mode the global ticket chain makes one edge from the
-        // last ticket suffice.
-        NodeId sharedArb = kNoNode;
-        userArb.clear();
+        // Arbiter: needs every user's previous-tick ticket outcome; the
+        // ticket chain makes one edge from the last ticket suffice.
+        NodeId arb = kNoNode;
         if (arbiterOn) {
-            if (conf.sharedUplink) {
-                sharedArb = graph.addNode(StageKind::Arbiter, kNone);
-                if (lastTicketGlobal != kNoNode)
-                    graph.addEdge(lastTicketGlobal, sharedArb);
-            } else {
-                userArb.assign(users, kNoNode);
-                for (std::size_t u = 0; u < users; ++u) {
-                    userArb[u] = graph.addNode(StageKind::Arbiter, u);
-                    if (prevTicket[u] != kNoNode)
-                        graph.addEdge(prevTicket[u], userArb[u]);
-                }
-            }
+            arb = graph.addNode(StageKind::Arbiter, kNone);
+            if (prevTicket != kNoNode) graph.addEdge(prevTicket, arb);
         }
 
         // Encode: released by this user's own previous decode (channel
@@ -566,25 +514,16 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
         for (std::size_t u = 0; u < users; ++u) {
             enc[u] = graph.addNode(StageKind::Encode, u);
             if (prevDecode[u] != kNoNode) graph.addEdge(prevDecode[u], enc[u]);
-            const NodeId arbNode = sharedArb != kNoNode
-                                       ? sharedArb
-                                       : (userArb.empty() ? kNoNode : userArb[u]);
-            if (arbNode != kNoNode) graph.addEdge(arbNode, enc[u]);
+            if (arb != kNoNode) graph.addEdge(arb, enc[u]);
             if (f >= depth) graph.addEdge(retires[f % depth], enc[u]);
         }
 
-        // Uplink tickets: the per-link entry-order chain.
+        // Uplink tickets: the link's entry-order chain.
         for (std::size_t u = 0; u < users; ++u) {
             tix[u] = graph.addNode(StageKind::Uplink, u);
             graph.addEdge(enc[u], tix[u]);
-            if (conf.sharedUplink) {
-                if (lastTicketGlobal != kNoNode)
-                    graph.addEdge(lastTicketGlobal, tix[u]);
-                lastTicketGlobal = tix[u];
-            } else if (prevTicket[u] != kNoNode) {
-                graph.addEdge(prevTicket[u], tix[u]);
-            }
-            prevTicket[u] = tix[u];
+            if (prevTicket != kNoNode) graph.addEdge(prevTicket, tix[u]);
+            prevTicket = tix[u];
         }
 
         // Downlink fan-out: one node per viewer with subscriptions.

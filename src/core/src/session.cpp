@@ -86,12 +86,10 @@ std::size_t MultiSessionStats::usersWithinLatency(double budgetMs) const {
 
 SessionStats runSession(SemanticChannel& channel, const body::BodyModel& model,
                         const SessionConfig& config) {
-    // A one-participant conference: shared uplink, no downlink fan-out,
-    // no arbiter.
+    // A one-participant conference: no downlink fan-out, no arbiter.
     ConferenceConfig conf;
     conf.session = config;
     conf.participants.resize(1);
-    conf.sharedUplink = true;
     conf.enableDownlinks = false;
     return std::move(
         internal::runEngine(conf, {&channel}, model).perUser[0]);

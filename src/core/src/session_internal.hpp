@@ -23,7 +23,7 @@ inline double clockReconMs(const DecodedFrame& decoded, TimingModel timing) {
 // counters, then derive the figures telemetry cannot express
 // (bandwidth, achievable FPS, Chamfer mean). Link-level counters
 // (packets, retransmissions, queue depth) are recorded separately by the
-// engine's link observer.
+// engine's uplink node.
 void finalizeSessionStats(SessionStats& stats, const SessionConfig& config);
 
 // Per-user finalize, merged telemetry and aggregate bandwidth.
@@ -31,8 +31,8 @@ void finalizeMultiSessionStats(MultiSessionStats& out, const SessionConfig& conf
 
 // The one session engine (multiuser_session.cpp): an event-driven stage
 // graph of per-(tick, user) nodes for arbiter targets, encode, sequenced
-// uplink entry (a per-link ticket chain preserving the (frame, user)
-// order), downlink fan-out, decode, sampled quality evaluation and tick
+// uplink entry (one ticket chain preserving the (frame, user) order on
+// the shared uplink), downlink fan-out, decode, sampled quality evaluation and tick
 // retirement, with explicit dependency edges, held as a rolling window
 // of pipelineDepth + 2 ticks that one tick builder extends as ticks
 // retire. A node is its (kind, tick, user); one engine-wide body runs

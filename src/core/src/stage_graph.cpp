@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -234,9 +235,11 @@ StageNode* StageGraph::runNode(StageNode* node) {
         // A relaxed (possibly stale) retired count can only undercount,
         // so in-flight is a safe overestimate; it can never underflow
         // because R(f) depends transitively on E(f).
-        const std::size_t inFlight = static_cast<std::size_t>(tick) + 1 -
-                                     retiredTicks_.load(std::memory_order_relaxed);
-        ticksInFlight_.record(static_cast<double>(inFlight));
+        const int inFlight = static_cast<int>(
+            tick + 1 - retiredTicks_.load(std::memory_order_relaxed));
+        storeMax(maxTicksInFlight_, inFlight);
+        ticksInFlightSum_.fetch_add(static_cast<std::uint64_t>(inFlight),
+                                    std::memory_order_relaxed);
     }
     if (!failed_.load(std::memory_order_acquire)) {
         try {
@@ -410,7 +413,18 @@ void StageGraph::fillStats(PipelineStats& stats) const {
     stats.edges = edges_;
     stats.residentNodes = residentHighWater_;
     stats.wallMs = wallMs_;
-    stats.ticksInFlight = ticksInFlight_;
+    // The samples are integers, so the mean is exact.
+    const std::uint64_t encodes =
+        byKind_[static_cast<std::size_t>(StageKind::Encode)].nodes;
+    stats.maxTicksInFlight =
+        encodes > 0 ? maxTicksInFlight_.load(std::memory_order_relaxed)
+                    : std::numeric_limits<double>::quiet_NaN();
+    stats.meanTicksInFlight =
+        encodes > 0
+            ? static_cast<double>(
+                  ticksInFlightSum_.load(std::memory_order_relaxed)) /
+                  static_cast<double>(encodes)
+            : std::numeric_limits<double>::quiet_NaN();
     stats.stages.clear();
     for (std::size_t k = 0; k < kStageKindCount; ++k) {
         if (byKind_[k].nodes == 0) continue;

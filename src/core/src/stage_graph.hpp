@@ -258,7 +258,10 @@ private:
     std::atomic<int> active_[kStageKindCount]{};
     std::atomic<int> maxActive_[kStageKindCount]{};
     std::atomic<std::uint32_t> retiredTicks_{0};
-    telemetry::Histogram ticksInFlight_;  // internally thread-safe
+    // Capture ticks in flight at each encode-node start: their max and
+    // sum (PipelineStats::maxTicksInFlight / meanTicksInFlight).
+    std::atomic<int> maxTicksInFlight_{0};
+    std::atomic<std::uint64_t> ticksInFlightSum_{0};
 
     // Folded statistics. Written only by the fold, which runs inside the
     // retire chain (or after the run), so one thread at a time.

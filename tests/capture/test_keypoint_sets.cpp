@@ -21,8 +21,12 @@ TEST(KeypointSets, MasksAreNested) {
     const auto ext = keypointSetMask(KeypointSet::Extended40);
     const auto full = keypointSetMask(KeypointSet::Full55);
     for (std::size_t j = 0; j < body::kJointCount; ++j) {
-        if (body[j]) EXPECT_TRUE(ext[j]) << j;
-        if (ext[j]) EXPECT_TRUE(full[j]) << j;
+        if (body[j]) {
+            EXPECT_TRUE(ext[j]) << j;
+        }
+        if (ext[j]) {
+            EXPECT_TRUE(full[j]) << j;
+        }
         EXPECT_TRUE(full[j]);
     }
 }

@@ -164,8 +164,9 @@ TEST(Codec2, CorruptionFuzzNeverCrashes) {
         for (std::size_t len = 0; len < container.size(); ++len) {
             const auto back =
                 codec2Decode(std::span(container).subspan(0, len));
-            if (back.has_value() && backend == EntropyBackend::Lzc)
+            if (back.has_value() && backend == EntropyBackend::Lzc) {
                 EXPECT_EQ(back->size(), data.size());
+            }
         }
         // Single-bit flips across the whole container: must not crash.
         for (std::size_t bit = 0; bit < container.size() * 8; bit += 7) {

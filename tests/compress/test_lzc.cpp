@@ -187,8 +187,9 @@ TEST(Lzc, CorruptionFuzzNeverCrashes) {
         // A flip that breaks the format tag must be rejected outright
         // (the codec carries no integrity hash, so payload flips may
         // still decode to some byte string — that is by design).
-        if ((corrupt[0] & kLzcFormatMask) != kLzcFormatTag)
+        if ((corrupt[0] & kLzcFormatMask) != kLzcFormatTag) {
             EXPECT_FALSE(back.has_value());
+        }
     }
     // Truncations at every length: no integrity hash means a cut
     // through the range-coder tail may still decode, but the size
@@ -196,7 +197,9 @@ TEST(Lzc, CorruptionFuzzNeverCrashes) {
     for (std::size_t len = 0; len < compressed.size(); ++len) {
         const auto back =
             lzcDecompress(std::span(compressed).subspan(0, len));
-        if (back.has_value()) EXPECT_EQ(back->size(), data.size());
+        if (back.has_value()) {
+            EXPECT_EQ(back->size(), data.size());
+        }
     }
     std::mt19937 rng(123);
     std::uniform_int_distribution<int> uni(0, 255);
@@ -243,7 +246,9 @@ TEST(Lzc, HashBitsOnlyChangeTheEncoder) {
         LzcOptions options;
         options.hashBits = bits;
         const auto compressed = lzcCompress(data, options);
-        if (bits >= 16) EXPECT_EQ(compressed, reference) << "bits=" << bits;
+        if (bits >= 16) {
+            EXPECT_EQ(compressed, reference) << "bits=" << bits;
+        }
         const auto back = lzcDecompress(compressed);
         ASSERT_TRUE(back.has_value()) << "bits=" << bits;
         EXPECT_EQ(*back, data) << "bits=" << bits;

@@ -214,17 +214,12 @@ TEST(Conference, PacketConservationOnEveryUplinkAndDownlink) {
     }
 }
 
-TEST(Conference, PerUserUplinksConservePacketsToo) {
+TEST(Conference, SharedUplinkFalseIsRejected) {
+    // The engine models one topology: every participant's stream enters
+    // the server through the shared ingest bottleneck.
     auto conf = congestedConference(3, ArbiterStrategy::MaxMin, true);
     conf.sharedUplink = false;
-    net::LinkConfig narrow = conf.session.link;
-    narrow.bandwidth = net::BandwidthTrace::constant(2e6);
-    conf.participants[1].uplink = narrow;  // one user on a worse access link
-    const auto stats = runConference(conf, sharedModel());
-    for (const SessionStats& u : stats.perUser) {
-        const auto& c = u.telemetry.counters;
-        EXPECT_EQ(c.packets, c.packetsDelivered + c.packetsUnrecovered);
-    }
+    EXPECT_THROW(runConference(conf, sharedModel()), std::invalid_argument);
 }
 
 // ---- Engine byte-identity with the full SFU topology -----------------------
@@ -304,6 +299,130 @@ TEST(Conference, QualityNodesDeterministicAcrossWorkersAndDepths) {
             EXPECT_EQ(chamferBits(stats), chamferBits(reference));
             EXPECT_EQ(evaluated(stats), evaluated(reference));
             EXPECT_EQ(qualityNodes(stats), kUsers * (kFrames / kInterval));
+        }
+    }
+}
+
+// ---- Pinned conference outputs ---------------------------------------------
+
+struct Fnv1a {
+    std::uint64_t h{0xcbf29ce484222325ull};
+    void add(std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffu;
+            h *= 0x100000001b3ull;
+        }
+    }
+    void add(double v) {
+        std::uint64_t bits = 0x7ff8000000000000ull;  // one bit pattern for NaN
+        if (!std::isnan(v)) std::memcpy(&bits, &v, sizeof bits);
+        add(bits);
+    }
+};
+
+// Every deterministic output of a conference: the per-frame results
+// (wall-clock extractMs/reconMs/qualityMs left out), every per-user
+// counter, the queue-depth samples, the fairness accounting and the
+// downlink fan-out.
+std::uint64_t conferenceDigest(const MultiSessionStats& stats) {
+    Fnv1a d;
+    for (const SessionStats& s : stats.perUser) {
+        for (const FrameStats& f : s.frames) {
+            d.add(std::uint64_t{f.bytes});
+            d.add(std::uint64_t{f.delivered} | std::uint64_t{f.decoded} << 1 |
+                  std::uint64_t{f.droppedAtSender} << 2 |
+                  std::uint64_t{f.droppedAtReceiver} << 3);
+            d.add(f.transferMs);
+            d.add(f.e2eMs);
+            d.add(f.chamfer);
+        }
+        const telemetry::Counters& c = s.telemetry.counters;
+        for (const std::uint64_t v :
+             {c.framesCaptured, c.framesDelivered, c.framesDecoded,
+              c.dropsAtSender, c.dropsAtReceiver, c.packets, c.packetsLost,
+              c.packetsDelivered, c.packetsUnrecovered, c.retransmissions,
+              c.queueDrops, c.bytesSent, c.faultEvents, c.degradations,
+              c.upgrades, c.recon.blocksTotal, c.recon.blocksSampled,
+              c.recon.blocksSkipped, c.recon.blocksCoarseFilled,
+              c.recon.nodesEvaluated, c.recon.nodesTotal, c.recon.certTests,
+              c.recon.bonesPruned, c.recon.blocksExtracted,
+              c.recon.activeCells, c.recon.vertices, c.recon.triangles})
+            d.add(v);
+        d.add(std::uint64_t{s.telemetry.queueDepthBytes.count()});
+        d.add(s.telemetry.queueDepthBytes.sum());
+    }
+    for (const UserFairnessStats& f : stats.fairness) {
+        d.add(f.deliveryRatio);
+        d.add(f.bandwidthShare);
+        d.add(std::uint64_t{f.finalDegradationLevel});
+        d.add(f.targetRateMbps);
+    }
+    d.add(stats.fairnessIndex);
+    for (const DownlinkStats& v : stats.downlinks)
+        for (const DownlinkStreamStats& s : v.streams)
+            for (const std::uint64_t x :
+                 {std::uint64_t{s.source}, std::uint64_t{s.framesForwarded},
+                  std::uint64_t{s.framesDelivered}, s.bytesForwarded,
+                  s.bytesDelivered, s.packets, s.packetsDelivered,
+                  s.packetsUnrecovered})
+                d.add(x);
+    d.add(stats.serverFanoutBytes);
+    return d.h;
+}
+
+TEST(Conference, OutputMatchesPinnedDigest) {
+    // Three rate-adaptive synthetic users with staggered costs and one
+    // keypoint user on a lossy 3 Mbps shared uplink with an outage and a
+    // bandwidth collapse; degradation, the MaxMin arbiter, downlinks with
+    // a two-rung ladder and quality on every third tick. The digest was
+    // recorded from the engine that still carried per-user uplinks.
+    constexpr std::uint64_t kPinnedDigest = 0xcfc11b85fa8a8066ull;
+    const auto run = [](std::size_t workers, std::size_t depth) {
+        ConferenceConfig conf;
+        conf.session.frames = 30;
+        conf.session.timing = TimingModel::Simulated;
+        conf.session.workers = workers;
+        conf.session.link.bandwidth = net::BandwidthTrace::constant(3e6);
+        conf.session.link.propagationDelayS = 0.01;
+        conf.session.link.lossRate = 0.02;
+        conf.session.link.queueCapacityBytes = 64 * 1024;
+        conf.session.link.faults.outages.push_back({0.1, 0.08});
+        conf.session.link.faults.collapses.push_back({0.25, 0.1, 0.1});
+        conf.session.degradation.enabled = true;
+        conf.session.degradation.maxLevel = 3;
+        conf.session.degradation.downgradeAfter = 2;
+        conf.session.degradation.upgradeAfter = 4;
+        conf.session.qualityEvalInterval = 3;
+        conf.session.qualitySamples = 500;
+        conf.arbiter.strategy = ArbiterStrategy::MaxMin;
+        conf.enableDownlinks = true;
+        conf.downlink.bandwidth = net::BandwidthTrace::constant(20e6);
+        conf.downlink.lossRate = 0.01;
+        conf.pipelineDepth = depth;
+        for (std::size_t u = 0; u < 3; ++u) {
+            const double stagger = static_cast<double>(u);
+            Participant p;
+            p.channel = {"synthetic",
+                         {{"payloadBytes", 6144},
+                          {"simulatedExtractMs", 4.0 + 3.0 * stagger},
+                          {"simulatedReconMs", 10.0 - 3.0 * stagger},
+                          {"rateAdaptive", 1}}};
+            conf.participants.push_back(std::move(p));
+        }
+        Participant keypoint;
+        keypoint.channel = {"keypoint", {{"reconResolution", 12}}};
+        conf.participants.push_back(std::move(keypoint));
+        for (Participant& p : conf.participants)
+            p.subscription.rungs = {{1, 1.0}, {1, 0.5}};
+        return runConference(conf, sharedModel());
+    };
+    for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+        for (const std::size_t depth : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers) +
+                         " depth=" + std::to_string(depth));
+            const auto stats = run(workers, depth);
+            EXPECT_EQ(conferenceDigest(stats), kPinnedDigest)
+                << std::hex << conferenceDigest(stats);
         }
     }
 }

@@ -166,8 +166,8 @@ TEST(StageGraph, PipelineStatsDescribeTheGraph) {
     EXPECT_EQ(p.pipelineDepth, 4u);
     EXPECT_GT(p.nodes, 0u);
     EXPECT_GT(p.edges, p.nodes);  // every non-root node has >= 1 edge in
-    EXPECT_GE(p.ticksInFlight.max(), 1.0);
-    EXPECT_LE(p.ticksInFlight.max(), static_cast<double>(p.pipelineDepth));
+    EXPECT_GE(p.maxTicksInFlight, 1.0);
+    EXPECT_LE(p.maxTicksInFlight, static_cast<double>(p.pipelineDepth));
     EXPECT_GT(p.wallMs, 0.0);
     // One stage row per kind in play, in stage order, each with release
     // latency samples for every node.
@@ -198,10 +198,24 @@ TEST(StageGraph, SerialRunReportsBarrierEquivalentSchedule) {
     const PipelineStats& p = stats.pipeline;
     EXPECT_FALSE(p.workers > 1);  // insertion order on the calling thread
     EXPECT_EQ(p.workers, 1u);
-    EXPECT_EQ(p.ticksInFlight.max(), 1.0);
+    EXPECT_EQ(p.maxTicksInFlight, 1.0);
+    EXPECT_EQ(p.meanTicksInFlight, 1.0);
     EXPECT_NEAR(p.simulatedStageGraphMs, p.simulatedBarrierMs,
                 1e-6 * p.simulatedBarrierMs);
     EXPECT_NEAR(p.simulatedSpeedup, 1.0, 1e-9);
+}
+
+TEST(StageGraph, ZeroTickConferenceReportsNoTicksInFlight) {
+    // No encode node ran, so there is no ticks-in-flight sample: both
+    // figures are NaN, written as null.
+    ConferenceConfig conf = stragglerConference(4, 4);
+    conf.session.frames = 0;
+    const auto stats = runConference(conf, sharedModel());
+    EXPECT_TRUE(std::isnan(stats.pipeline.maxTicksInFlight));
+    EXPECT_TRUE(std::isnan(stats.pipeline.meanTicksInFlight));
+    const std::string json = toJsonValue(stats);
+    EXPECT_NE(json.find("\"max_ticks_in_flight\":null"), std::string::npos);
+    EXPECT_NE(json.find("\"mean_ticks_in_flight\":null"), std::string::npos);
 }
 
 // ---- Deterministic pipelining win ------------------------------------------

@@ -72,8 +72,12 @@ TEST(Simplify, ColorsSurvive) {
     for (std::size_t i = 0; i < result.mesh.vertexCount(); ++i) {
         const auto& v = result.mesh.vertices[i];
         const auto& c = result.mesh.colors[i];
-        if (v.y > 0.4f) EXPECT_GT(c.x, c.z);
-        if (v.y < -0.4f) EXPECT_GT(c.z, c.x);
+        if (v.y > 0.4f) {
+            EXPECT_GT(c.x, c.z);
+        }
+        if (v.y < -0.4f) {
+            EXPECT_GT(c.z, c.x);
+        }
     }
 }
 
