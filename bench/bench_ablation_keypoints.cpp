@@ -36,10 +36,9 @@ int main() {
                            capture::KeypointSet::Extended40,
                            capture::KeypointSet::Full55}) {
         const auto obs =
-            capture::detectKeypoints3DDirect(rig, frames, pose, 2, {}, {}, set);
-        body::IkOptions ik;
-        ik.shape = model.shape();
-        const auto fit = body::fitPoseToKeypoints(obs.positions, obs.confidence, ik);
+            capture::detectKeypoints3DDirect(rig, frames, pose, 2, set);
+        const auto fit =
+            body::fitPoseToKeypoints(obs.positions, obs.confidence, model.shape());
 
         recon::ReconstructionOptions ro;
         ro.resolution = 64;

@@ -58,14 +58,12 @@ int main() {
     chOpt.reconResolution = 48;
 
     // Direction A -> B.
-    chOpt.shape = shapeA;
     cfg.motionSeed = 1;
     auto channelAB = core::makeKeypointChannel(chOpt);
     const auto statsAB = core::runSession(*channelAB, alice, cfg);
     report("alice -> bob", statsAB);
 
     // Direction B -> A (mirrors the structure, per Figure 1).
-    chOpt.shape = shapeB;
     cfg.motionSeed = 2;
     auto channelBA = core::makeKeypointChannel(chOpt);
     const auto statsBA = core::runSession(*channelBA, bob, cfg);

@@ -16,13 +16,10 @@
 
 namespace semholo::body {
 
-struct IkOptions {
-    // Shape used for bone lengths during alignment (session constant).
-    ShapeParams shape{};
-    // Keypoints whose confidence is below this are ignored (their joints
-    // inherit the parent direction). Matches detector dropout handling.
-    float minConfidence{0.05f};
-};
+// Keypoints whose confidence is below this are ignored (their joints
+// inherit the parent direction). Matches detector dropout handling; the
+// keypoint error metric (capture::keypointError) uses the same floor.
+inline constexpr float kKeypointMinConfidence = 0.05f;
 
 struct IkResult {
     Pose pose;
@@ -32,12 +29,13 @@ struct IkResult {
 };
 
 // Fit a pose to observed world-space keypoints. 'confidence' may be all
-// ones when the detector does not provide it.
+// ones when the detector does not provide it. 'shape' is the session-
+// constant subject shape the recovered pose carries.
 IkResult fitPoseToKeypoints(const std::array<Vec3f, kJointCount>& keypoints,
                             const std::array<float, kJointCount>& confidence,
-                            const IkOptions& options = {});
+                            const ShapeParams& shape = {});
 
 IkResult fitPoseToKeypoints(const std::array<Vec3f, kJointCount>& keypoints,
-                            const IkOptions& options = {});
+                            const ShapeParams& shape = {});
 
 }  // namespace semholo::body

@@ -5,7 +5,8 @@
 //  * PoseFilter — a One-Euro filter adapted to joint rotations: smooths
 //    detector jitter at low speeds without lagging fast gestures. This
 //    is the temporal-awareness the paper says single-frame model-free
-//    methods (Pose2Mesh-class) lack.
+//    methods (Pose2Mesh-class) lack. Its cutoffs are fixed constants
+//    (temporal.cpp).
 //
 //  * PosePredictor — constant-angular-velocity extrapolation used to
 //    hide end-to-end latency: the receiver renders the pose predicted
@@ -18,18 +19,9 @@
 
 namespace semholo::body {
 
-struct PoseFilterConfig {
-    // One-Euro parameters: cutoff at rest and the speed coefficient.
-    double minCutoffHz{1.0};
-    double beta{0.5};
-    double derivativeCutoffHz{1.0};
-};
-
 // Streaming One-Euro filter over joint rotations and root translation.
 class PoseFilter {
 public:
-    explicit PoseFilter(const PoseFilterConfig& config = {});
-
     // Feed the next observed pose (monotonically increasing timestamps);
     // returns the smoothed pose.
     Pose filter(const Pose& observed, double timestamp);
@@ -38,7 +30,6 @@ public:
     bool primed() const { return primed_; }
 
 private:
-    PoseFilterConfig config_;
     bool primed_{false};
     double lastTime_{0.0};
     Pose state_{};

@@ -26,11 +26,11 @@ Quat frameAlign(Vec3f a1, Vec3f a2, Vec3f b1, Vec3f b2) {
 
 IkResult fitPoseToKeypoints(const std::array<Vec3f, kJointCount>& keypoints,
                             const std::array<float, kJointCount>& confidence,
-                            const IkOptions& options) {
+                            const ShapeParams& shape) {
     const Skeleton& sk = Skeleton::canonical();
     Pose pose;
-    pose.shape = options.shape;
-    if (confidence[index(JointId::Pelvis)] >= options.minConfidence) {
+    pose.shape = shape;
+    if (confidence[index(JointId::Pelvis)] >= kKeypointMinConfidence) {
         pose.rootTranslation = keypoints[index(JointId::Pelvis)];
     } else {
         // Pelvis dropped: estimate the root as the mean offset between
@@ -38,7 +38,7 @@ IkResult fitPoseToKeypoints(const std::array<Vec3f, kJointCount>& keypoints,
         Vec3f sum{};
         int n = 0;
         for (std::size_t i = 0; i < kJointCount; ++i) {
-            if (confidence[i] < options.minConfidence) continue;
+            if (confidence[i] < kKeypointMinConfidence) continue;
             sum += keypoints[i] - sk.restPosition(static_cast<JointId>(i));
             ++n;
         }
@@ -50,7 +50,7 @@ IkResult fitPoseToKeypoints(const std::array<Vec3f, kJointCount>& keypoints,
     worldRot.fill(Quat::identity());
 
     auto usable = [&](JointId id) {
-        return confidence[index(id)] >= options.minConfidence;
+        return confidence[index(id)] >= kKeypointMinConfidence;
     };
 
     for (const Joint& j : sk.joints()) {
@@ -100,7 +100,7 @@ IkResult fitPoseToKeypoints(const std::array<Vec3f, kJointCount>& keypoints,
     float sumSq = 0.0f;
     int n = 0;
     for (std::size_t i = 0; i < kJointCount; ++i) {
-        if (confidence[i] < options.minConfidence) continue;
+        if (confidence[i] < kKeypointMinConfidence) continue;
         sumSq += (recovered[i] - keypoints[i]).norm2();
         ++n;
     }
@@ -108,10 +108,10 @@ IkResult fitPoseToKeypoints(const std::array<Vec3f, kJointCount>& keypoints,
 }
 
 IkResult fitPoseToKeypoints(const std::array<Vec3f, kJointCount>& keypoints,
-                            const IkOptions& options) {
+                            const ShapeParams& shape) {
     std::array<float, kJointCount> ones;
     ones.fill(1.0f);
-    return fitPoseToKeypoints(keypoints, ones, options);
+    return fitPoseToKeypoints(keypoints, ones, shape);
 }
 
 }  // namespace semholo::body

@@ -6,6 +6,12 @@ namespace semholo::body {
 
 namespace {
 
+// One-Euro parameters: cutoff at rest, the speed coefficient and the
+// derivative's cutoff.
+constexpr double kMinCutoffHz = 1.0;
+constexpr double kBeta = 0.5;
+constexpr double kDerivativeCutoffHz = 1.0;
+
 // One-Euro smoothing factor for a given cutoff and sample interval.
 float alphaFor(double cutoffHz, double dt) {
     const double tau = 1.0 / (2.0 * M_PI * cutoffHz);
@@ -28,8 +34,6 @@ Vec3f applyDelta(const Vec3f& base, const Vec3f& delta, float scale) {
 
 }  // namespace
 
-PoseFilter::PoseFilter(const PoseFilterConfig& config) : config_(config) {}
-
 void PoseFilter::reset() {
     primed_ = false;
     velocity_ = {};
@@ -47,7 +51,7 @@ Pose PoseFilter::filter(const Pose& observed, double timestamp) {
     if (dt <= 0.0) return state_;
     lastTime_ = timestamp;
 
-    const float dAlpha = alphaFor(config_.derivativeCutoffHz, dt);
+    const float dAlpha = alphaFor(kDerivativeCutoffHz, dt);
 
     for (std::size_t j = 0; j < kJointCount; ++j) {
         // Raw angular velocity and its low-pass.
@@ -58,7 +62,7 @@ Pose PoseFilter::filter(const Pose& observed, double timestamp) {
 
         // Speed-adaptive cutoff: fast joints track, slow joints smooth.
         const double cutoff =
-            config_.minCutoffHz + config_.beta * static_cast<double>(velocity_[j].norm());
+            kMinCutoffHz + kBeta * static_cast<double>(velocity_[j].norm());
         const float a = alphaFor(cutoff, dt);
         state_.jointRotations[j] = applyDelta(state_.jointRotations[j], delta, a);
     }
@@ -68,12 +72,12 @@ Pose PoseFilter::filter(const Pose& observed, double timestamp) {
         const Vec3f rawVel = delta / static_cast<float>(dt);
         rootVelocity_ = geom::lerp(rootVelocity_, rawVel, dAlpha);
         const double cutoff =
-            config_.minCutoffHz + config_.beta * static_cast<double>(rootVelocity_.norm());
+            kMinCutoffHz + kBeta * static_cast<double>(rootVelocity_.norm());
         state_.rootTranslation += delta * alphaFor(cutoff, dt);
     }
 
     // Expression channels smooth with the rest-rate cutoff.
-    const float ea = alphaFor(config_.minCutoffHz, dt);
+    const float ea = alphaFor(kMinCutoffHz, dt);
     for (std::size_t e = 0; e < state_.expression.coeffs.size(); ++e)
         state_.expression.coeffs[e] = geom::lerp(
             state_.expression.coeffs[e], observed.expression.coeffs[e],

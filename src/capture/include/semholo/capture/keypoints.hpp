@@ -9,9 +9,9 @@
 // subject: per-joint pixel/depth noise, occlusion-driven confidence and
 // dropout, and an explicit *simulated* inference-cost model calibrated
 // to published detector timings (OpenPose-class 2D, VideoPose3D-class
-// lifting, Kinect-SDK-class direct 3D). The cost model is documented
-// data, not measured compute — it drives the Table 1 / Ablation D
-// comparisons deterministically.
+// lifting, Kinect-SDK-class direct 3D). The noise and cost models are
+// fixed constants (keypoints.cpp): documented data, not measured compute
+// — they drive the Table 1 / Ablation D comparisons deterministically.
 #pragma once
 
 #include <array>
@@ -45,36 +45,6 @@ struct KeypointObservation {
     double simulatedLatencyMs{0.0};
 };
 
-struct DetectorNoise {
-    // 2D detection error in pixels (per coordinate std dev).
-    float pixelSigma{2.0f};
-    // Additional metres of error introduced by the 2D->3D lifting net.
-    float liftingSigma{0.015f};
-    // Direct-3D per-axis error in metres (depth-derived).
-    float directSigma{0.008f};
-    // Confidence decay with occlusion: a joint whose ground-truth
-    // position is behind the rendered depth by more than this margin is
-    // considered occluded in that view. Joint centres lie *inside* the
-    // body, so the margin must exceed the largest capsule radius
-    // (~0.12 m) plus sensor noise for a joint under its own surface to
-    // count as visible.
-    float occlusionMargin{0.16f};
-    // Probability a visible joint still drops out (detector miss).
-    float missRate{0.01f};
-};
-
-// Simulated per-frame inference cost model (milliseconds). Values follow
-// published orders of magnitude on workstation GPUs.
-struct DetectorCostModel {
-    double detect2dPerMegapixelMs{18.0};  // OpenPose-class per view
-    double liftPerJointMs{0.05};          // temporal-conv lifting
-    double direct3dPerMegapixelMs{6.0};   // depth-based extraction
-    double triangulationPerJointMs{0.002};
-    // Per-keypoint regression-head cost: richer keypoint sets (hands,
-    // face) need extra heads — the section 3.1 "intricate models" cost.
-    double perKeypointHeadMs{0.08};
-};
-
 // Route (a): per-view 2D detection (pixel noise + occlusion dropout),
 // multi-view triangulation, then a lifting-noise term. Uses only the RGB
 // and depth-for-occlusion of the frames.
@@ -82,8 +52,6 @@ KeypointObservation detectKeypoints2DLifted(const CaptureRig& rig,
                                             const std::vector<RGBDFrame>& frames,
                                             const body::Pose& groundTruth,
                                             std::uint64_t seed,
-                                            const DetectorNoise& noise = {},
-                                            const DetectorCostModel& cost = {},
                                             KeypointSet set = KeypointSet::Full55);
 
 // Route (b): direct 3D extraction from the RGB-D frames.
@@ -91,13 +59,11 @@ KeypointObservation detectKeypoints3DDirect(const CaptureRig& rig,
                                             const std::vector<RGBDFrame>& frames,
                                             const body::Pose& groundTruth,
                                             std::uint64_t seed,
-                                            const DetectorNoise& noise = {},
-                                            const DetectorCostModel& cost = {},
                                             KeypointSet set = KeypointSet::Full55);
 
 // Mean position error of an observation vs the ground-truth joints,
-// over joints with confidence above 'minConfidence'.
-double keypointError(const KeypointObservation& obs, const body::Pose& groundTruth,
-                     float minConfidence = 0.05f);
+// over joints whose confidence is at least body::kKeypointMinConfidence
+// (the floor the IK fit uses).
+double keypointError(const KeypointObservation& obs, const body::Pose& groundTruth);
 
 }  // namespace semholo::capture

@@ -1,7 +1,9 @@
 // RGB-D sensor noise model (Kinect-class, per Khoshelham & Elberink):
 // axial depth noise grows quadratically with range, plus quantisation
 // and random dropout. Applied to rasterized frames so the fusion and
-// keypoint pipelines see realistic sensor artefacts.
+// keypoint pipelines see realistic sensor artefacts. The axial-noise
+// curve and the working range are fixed constants (noise.cpp); dropout,
+// quantisation and colour noise are settings.
 #pragma once
 
 #include <cstdint>
@@ -11,16 +13,10 @@
 namespace semholo::capture {
 
 struct DepthNoiseModel {
-    // sigma(z) = sigmaBase + sigmaQuad * z^2  (metres).
-    float sigmaBase{0.001f};
-    float sigmaQuad{0.0019f};
     // Probability that a valid pixel returns no depth.
     float dropoutRate{0.01f};
     // Depth quantisation step at 1 m (scales with z^2 like Kinect disparity).
     float quantizationStep{0.001f};
-    // Working range; returns outside are dropped.
-    float minRange{0.3f};
-    float maxRange{8.0f};
 };
 
 struct ColorNoiseModel {

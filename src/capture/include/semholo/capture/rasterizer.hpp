@@ -12,9 +12,9 @@ namespace semholo::capture {
 
 struct RasterizerOptions {
     geom::Vec3f background{0.0f, 0.0f, 0.0f};
-    // Simple headlight shading: colour *= max(dot(n, -view), ambient).
+    // Simple headlight shading: colour *= max(|dot(n, view)|, 0.35), a
+    // fixed floor (rasterizer.cpp).
     bool shade{true};
-    float ambient{0.35f};
 };
 
 // Render 'mesh' from 'camera'. Depth image holds camera-space z (metres),

@@ -1,7 +1,8 @@
 // Multi-camera RGB-D capture rig: N synchronised, calibrated sensors on
 // a ring around the subject, with fusion into a world-space point cloud
 // (synchronisation, calibration, filtering — section 2.1's capture
-// pipeline).
+// pipeline). The ring geometry and the fusion filter are fixed model
+// constants (rig.cpp); sensor noise is noise.hpp's model at its defaults.
 #pragma once
 
 #include <cstdint>
@@ -15,23 +16,15 @@
 
 namespace semholo::capture {
 
+// Camera distance from the subject (metres).
+inline constexpr float kRingRadius = 2.2f;
+
 struct RigConfig {
     int cameraCount{4};
-    float ringRadius{2.2f};   // metres from the subject
-    float ringHeight{0.2f};   // camera height relative to subject pelvis
     int imageWidth{320};
     int imageHeight{240};
     float fovY{1.05f};        // ~60 degrees
-    DepthNoiseModel depthNoise{};
-    ColorNoiseModel colorNoise{};
     bool addNoise{true};
-};
-
-struct FusionOptions {
-    int pixelStride{2};         // back-projection subsampling
-    float voxelSize{0.012f};    // downsample leaf size
-    int outlierNeighbors{8};
-    float outlierStddev{2.0f};
 };
 
 class CaptureRig {
@@ -46,12 +39,11 @@ public:
                                    std::uint64_t frameSeed) const;
 
     // Fuse multi-view frames into a filtered world-space point cloud.
-    mesh::PointCloud fuse(const std::vector<RGBDFrame>& frames,
-                          const FusionOptions& options = {}) const;
+    mesh::PointCloud fuse(const std::vector<RGBDFrame>& frames) const;
 
     // Convenience: capture + fuse.
-    mesh::PointCloud captureCloud(const mesh::TriMesh& subject, std::uint64_t frameSeed,
-                                  const FusionOptions& options = {}) const;
+    mesh::PointCloud captureCloud(const mesh::TriMesh& subject,
+                                  std::uint64_t frameSeed) const;
 
 private:
     RigConfig config_{};

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <random>
 
+#include "semholo/body/ik.hpp"
+
 namespace semholo::capture {
 
 namespace {
@@ -10,6 +12,31 @@ namespace {
 using body::jointKeypoints;
 using geom::Vec2f;
 using geom::Vec3f;
+
+// Detector noise model. 2D detection error in pixels (per coordinate std dev).
+constexpr float kPixelSigma = 2.0f;
+// Additional metres of error introduced by the 2D->3D lifting net.
+constexpr float kLiftingSigma = 0.015f;
+// Direct-3D per-axis error in metres (depth-derived).
+constexpr float kDirectSigma = 0.008f;
+// Confidence decay with occlusion: a joint whose ground-truth position
+// is behind the rendered depth by more than this margin is considered
+// occluded in that view. Joint centres lie *inside* the body, so the
+// margin must exceed the largest capsule radius (~0.12 m) plus sensor
+// noise for a joint under its own surface to count as visible.
+constexpr float kOcclusionMargin = 0.16f;
+// Probability a visible joint still drops out (detector miss).
+constexpr float kMissRate = 0.01f;
+
+// Simulated per-frame inference cost model (milliseconds). Values follow
+// published orders of magnitude on workstation GPUs.
+constexpr double kDetect2dPerMegapixelMs = 18.0;  // OpenPose-class per view
+constexpr double kLiftPerJointMs = 0.05;          // temporal-conv lifting
+constexpr double kDirect3dPerMegapixelMs = 6.0;   // depth-based extraction
+constexpr double kTriangulationPerJointMs = 0.002;
+// Per-keypoint regression-head cost: richer keypoint sets (hands, face)
+// need extra heads — the section 3.1 "intricate models" cost.
+constexpr double kPerKeypointHeadMs = 0.08;
 
 // Is the world point visible in this view (not occluded by the rendered
 // depth and inside the image)?
@@ -73,10 +100,7 @@ std::string_view keypointSetName(KeypointSet set) {
 KeypointObservation detectKeypoints2DLifted(const CaptureRig& rig,
                                             const std::vector<RGBDFrame>& frames,
                                             const body::Pose& groundTruth,
-                                            std::uint64_t seed,
-                                            const DetectorNoise& noise,
-                                            const DetectorCostModel& cost,
-                                            KeypointSet set) {
+                                            std::uint64_t seed, KeypointSet set) {
     KeypointObservation obs;
     std::mt19937_64 rng(seed);
     std::normal_distribution<float> gauss(0.0f, 1.0f);
@@ -101,15 +125,14 @@ KeypointObservation detectKeypoints2DLifted(const CaptureRig& rig,
         };
         std::vector<View2D> views;
         for (std::size_t c = 0; c < cameras.size() && c < frames.size(); ++c) {
-            if (!visibleInView(cameras[c], frames[c].depth, gt[j],
-                               noise.occlusionMargin))
+            if (!visibleInView(cameras[c], frames[c].depth, gt[j], kOcclusionMargin))
                 continue;
-            if (uni(rng) < noise.missRate) continue;
+            if (uni(rng) < kMissRate) continue;
             Vec2f pix;
             float z;
             if (!cameras[c].projectWorld(gt[j], pix, z)) continue;
-            pix.x += gauss(rng) * noise.pixelSigma;
-            pix.y += gauss(rng) * noise.pixelSigma;
+            pix.x += gauss(rng) * kPixelSigma;
+            pix.y += gauss(rng) * kPixelSigma;
             views.push_back({c, pix});
         }
         if (views.size() < 2) {
@@ -131,8 +154,8 @@ KeypointObservation detectKeypoints2DLifted(const CaptureRig& rig,
         const Vec3f triangulated = denom.inverse() * num;
 
         // Lifting-network error term (the paper's extra inference noise).
-        const Vec3f lifted = triangulated + Vec3f{gauss(rng), gauss(rng), gauss(rng)} *
-                                                noise.liftingSigma;
+        const Vec3f lifted =
+            triangulated + Vec3f{gauss(rng), gauss(rng), gauss(rng)} * kLiftingSigma;
         obs.positions[j] = lifted;
         obs.confidence[j] =
             static_cast<float>(views.size()) / static_cast<float>(cameras.size());
@@ -140,19 +163,16 @@ KeypointObservation detectKeypoints2DLifted(const CaptureRig& rig,
 
     const auto joints = static_cast<double>(keypointSetCount(set));
     obs.simulatedLatencyMs =
-        megapixels * cost.detect2dPerMegapixelMs + joints * cost.liftPerJointMs +
-        joints * cost.triangulationPerJointMs * static_cast<double>(cameras.size()) +
-        joints * cost.perKeypointHeadMs * static_cast<double>(cameras.size());
+        megapixels * kDetect2dPerMegapixelMs + joints * kLiftPerJointMs +
+        joints * kTriangulationPerJointMs * static_cast<double>(cameras.size()) +
+        joints * kPerKeypointHeadMs * static_cast<double>(cameras.size());
     return obs;
 }
 
 KeypointObservation detectKeypoints3DDirect(const CaptureRig& rig,
                                             const std::vector<RGBDFrame>& frames,
                                             const body::Pose& groundTruth,
-                                            std::uint64_t seed,
-                                            const DetectorNoise& noise,
-                                            const DetectorCostModel& cost,
-                                            KeypointSet set) {
+                                            std::uint64_t seed, KeypointSet set) {
     KeypointObservation obs;
     std::mt19937_64 rng(seed ^ 0xD1CEB00Cull);
     std::normal_distribution<float> gauss(0.0f, 1.0f);
@@ -174,11 +194,10 @@ KeypointObservation detectKeypoints3DDirect(const CaptureRig& rig,
         Vec3f sum{};
         int seen = 0;
         for (std::size_t c = 0; c < cameras.size() && c < frames.size(); ++c) {
-            if (!visibleInView(cameras[c], frames[c].depth, gt[j],
-                               noise.occlusionMargin))
+            if (!visibleInView(cameras[c], frames[c].depth, gt[j], kOcclusionMargin))
                 continue;
-            if (uni(rng) < noise.missRate) continue;
-            sum += gt[j] + Vec3f{gauss(rng), gauss(rng), gauss(rng)} * noise.directSigma;
+            if (uni(rng) < kMissRate) continue;
+            sum += gt[j] + Vec3f{gauss(rng), gauss(rng), gauss(rng)} * kDirectSigma;
             ++seen;
         }
         if (seen == 0) {
@@ -191,18 +210,17 @@ KeypointObservation detectKeypoints3DDirect(const CaptureRig& rig,
     }
 
     obs.simulatedLatencyMs =
-        megapixels * cost.direct3dPerMegapixelMs +
-        static_cast<double>(keypointSetCount(set)) * cost.perKeypointHeadMs;
+        megapixels * kDirect3dPerMegapixelMs +
+        static_cast<double>(keypointSetCount(set)) * kPerKeypointHeadMs;
     return obs;
 }
 
-double keypointError(const KeypointObservation& obs, const body::Pose& groundTruth,
-                     float minConfidence) {
+double keypointError(const KeypointObservation& obs, const body::Pose& groundTruth) {
     const auto gt = jointKeypoints(groundTruth);
     double total = 0.0;
     int n = 0;
     for (std::size_t j = 0; j < kJointCount; ++j) {
-        if (obs.confidence[j] < minConfidence) continue;
+        if (obs.confidence[j] < body::kKeypointMinConfidence) continue;
         total += (obs.positions[j] - gt[j]).norm();
         ++n;
     }

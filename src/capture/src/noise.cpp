@@ -5,6 +5,14 @@
 
 namespace semholo::capture {
 
+// Axial noise sigma(z) = kSigmaBase + kSigmaQuad * z^2 (metres), the
+// Khoshelham & Elberink fit for Kinect-class sensors.
+constexpr float kSigmaBase = 0.001f;
+constexpr float kSigmaQuad = 0.0019f;
+// Working range; returns outside are dropped.
+constexpr float kMinRange = 0.3f;
+constexpr float kMaxRange = 8.0f;
+
 void applyDepthNoise(DepthImage& depth, const DepthNoiseModel& model,
                      std::uint64_t seed) {
     std::mt19937_64 rng(seed);
@@ -12,11 +20,11 @@ void applyDepthNoise(DepthImage& depth, const DepthNoiseModel& model,
     std::uniform_real_distribution<float> uni(0.0f, 1.0f);
     for (float& z : depth.data()) {
         if (z <= 0.0f) continue;
-        if (z < model.minRange || z > model.maxRange || uni(rng) < model.dropoutRate) {
+        if (z < kMinRange || z > kMaxRange || uni(rng) < model.dropoutRate) {
             z = 0.0f;
             continue;
         }
-        const float sigma = model.sigmaBase + model.sigmaQuad * z * z;
+        const float sigma = kSigmaBase + kSigmaQuad * z * z;
         z += gauss(rng) * sigma;
         // Disparity-like quantisation: step grows with z^2.
         const float step = model.quantizationStep * z * z;

@@ -11,6 +11,10 @@ using geom::Camera;
 using geom::Vec2f;
 using geom::Vec3f;
 
+// Headlight shading floor: faces seen edge-on keep this much of their
+// colour.
+constexpr float kAmbient = 0.35f;
+
 struct ProjectedVertex {
     Vec2f pixel;
     float depth;   // camera-space z
@@ -113,7 +117,7 @@ RGBDFrame rasterize(const mesh::TriMesh& mesh, const Camera& camera,
                                             mesh.vertices[t.c] * wgt;
                           const Vec3f toEye = (eye - pos).normalized();
                           const float diffuse =
-                              std::max(options.ambient, std::fabs(n.dot(toEye)));
+                              std::max(kAmbient, std::fabs(n.dot(toEye)));
                           color = color * diffuse;
                       }
                       frame.color.at(x, y) = color;

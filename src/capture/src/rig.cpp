@@ -4,6 +4,14 @@
 
 namespace semholo::capture {
 
+constexpr float kRingHeight = 0.2f;  // camera height relative to subject pelvis
+
+// Fusion filter.
+constexpr int kPixelStride = 2;        // back-projection subsampling
+constexpr float kVoxelSize = 0.012f;   // downsample leaf size
+constexpr int kOutlierNeighbors = 8;
+constexpr float kOutlierStddev = 2.0f;
+
 CaptureRig::CaptureRig(const RigConfig& config) : config_(config) {
     const auto intr = geom::CameraIntrinsics::fromFov(
         config.imageWidth, config.imageHeight, config.fovY);
@@ -11,8 +19,8 @@ CaptureRig::CaptureRig(const RigConfig& config) : config_(config) {
     for (int i = 0; i < config.cameraCount; ++i) {
         const float angle = 2.0f * static_cast<float>(M_PI) * static_cast<float>(i) /
                             static_cast<float>(config.cameraCount);
-        const geom::Vec3f eye{config.ringRadius * std::sin(angle), config.ringHeight,
-                              config.ringRadius * std::cos(angle)};
+        const geom::Vec3f eye{kRingRadius * std::sin(angle), kRingHeight,
+                              kRingRadius * std::cos(angle)};
         cameras_.push_back(
             geom::Camera::lookAt(eye, {0.0f, 0.0f, 0.0f}, {0, 1, 0}, intr));
     }
@@ -25,30 +33,27 @@ std::vector<RGBDFrame> CaptureRig::capture(const mesh::TriMesh& subject,
     for (std::size_t i = 0; i < cameras_.size(); ++i) {
         RGBDFrame frame = rasterize(subject, cameras_[i]);
         if (config_.addNoise) {
-            applyDepthNoise(frame.depth, config_.depthNoise, frameSeed * 131 + i);
-            applyColorNoise(frame.color, config_.colorNoise, frameSeed * 131 + i);
+            applyDepthNoise(frame.depth, {}, frameSeed * 131 + i);
+            applyColorNoise(frame.color, {}, frameSeed * 131 + i);
         }
         frames.push_back(std::move(frame));
     }
     return frames;
 }
 
-mesh::PointCloud CaptureRig::fuse(const std::vector<RGBDFrame>& frames,
-                                  const FusionOptions& options) const {
+mesh::PointCloud CaptureRig::fuse(const std::vector<RGBDFrame>& frames) const {
     mesh::PointCloud merged;
     for (std::size_t i = 0; i < frames.size() && i < cameras_.size(); ++i)
-        merged.append(unprojectToCloud(frames[i], cameras_[i], options.pixelStride));
+        merged.append(unprojectToCloud(frames[i], cameras_[i], kPixelStride));
     if (merged.empty()) return merged;
-    mesh::PointCloud filtered =
-        merged.removeStatisticalOutliers(static_cast<std::size_t>(options.outlierNeighbors),
-                                         options.outlierStddev);
-    return filtered.voxelDownsample(options.voxelSize);
+    mesh::PointCloud filtered = merged.removeStatisticalOutliers(
+        static_cast<std::size_t>(kOutlierNeighbors), kOutlierStddev);
+    return filtered.voxelDownsample(kVoxelSize);
 }
 
 mesh::PointCloud CaptureRig::captureCloud(const mesh::TriMesh& subject,
-                                          std::uint64_t frameSeed,
-                                          const FusionOptions& options) const {
-    return fuse(capture(subject, frameSeed), options);
+                                          std::uint64_t frameSeed) const {
+    return fuse(capture(subject, frameSeed));
 }
 
 }  // namespace semholo::capture

@@ -144,17 +144,16 @@ struct KeypointChannelOptions {
     compress::Codec2Options codec = compress::poseCodecDefaults();
     body::ShapeParams shape{};
     // Simulated DL extraction latency added per frame (direct RGB-D
-    // detection path; see capture::DetectorCostModel).
+    // detection path; see the detector cost model in capture/keypoints.cpp).
     double simulatedDetectMs{1.8};
 };
 std::unique_ptr<SemanticChannel> makeKeypointChannel(
     const KeypointChannelOptions& options = {});
 
+// Captions at the default cell quality onto the default shape, and charges
+// textsem's fixed simulated captioning and text-to-3D costs.
 struct TextChannelOptions {
     int reconResolution{48};
-    textsem::CaptionOptions caption{};
-    body::ShapeParams shape{};
-    textsem::TextCostModel cost{};
     // Reconstruct geometry on decode (off when only byte counts matter).
     bool reconstructMesh{true};
 };
@@ -181,7 +180,6 @@ std::unique_ptr<SemanticChannel> makeImageChannel(const ImageChannelOptions& opt
 struct FoveatedOptions {
     double fovealRadiusDeg{7.5};
     int peripheralResolution{32};
-    body::ShapeParams shape{};
     bool compress{true};
     // Codec v2 pipeline for the peripheral pose payload (self-describing
     // container; see KeypointChannelOptions::codec).

@@ -34,11 +34,10 @@ struct DegradationConfig {
     int downgradeAfter{2};  // consecutive congested frames to step down
     int upgradeAfter{12};   // consecutive clean frames to step back up
     // When a conference BandwidthArbiter feeds the policy a target rate
-    // (setTargetRateBps), a frame whose wire size exceeds
-    // target * targetOvershoot per frame interval counts as congested —
-    // the ladder enforces the arbiter's allocation even while the link
-    // still delivers. Ignored when no target is set.
-    double targetOvershoot{1.25};
+    // (setTargetRateBps), a frame whose wire size exceeds 1.25 × target
+    // per frame interval (a fixed overshoot allowance, degradation.cpp)
+    // counts as congested — the ladder enforces the arbiter's allocation
+    // even while the link still delivers. Ignored when no target is set.
 };
 
 // One frame's network outcome as seen by the session engine.

@@ -2,27 +2,13 @@
 // end latency against the interactive bound (the paper's <100 ms
 // requirement) and achieved frame rate into a single [0, 5] MOS-style
 // score, so channels can be ranked the way the paper's Table 1 ranks
-// semantics.
+// semantics. The model's budgets, bands and weights are fixed constants
+// (qoe.cpp), not settings.
 #pragma once
 
 #include "semholo/core/session.hpp"
 
 namespace semholo::core {
-
-struct QoEModel {
-    // Latency at or below this is free; beyond it the score decays.
-    double latencyBudgetMs{100.0};
-    double latencyHalfLifeMs{150.0};  // extra latency halving the latency term
-    // Target interactive frame rate.
-    double targetFps{30.0};
-    // Chamfer distance (metres) mapping to quality 1.0 vs 0.0.
-    double chamferExcellent{0.004};
-    double chamferPoor{0.05};
-    // Term weights (sum to 1): quality, latency, smoothness.
-    double qualityWeight{0.5};
-    double latencyWeight{0.3};
-    double fpsWeight{0.2};
-};
 
 // Every term is finite: a term with no data behind it (no delivered
 // frame, no reconstructed frame) is 0, so a session that delivered
@@ -35,6 +21,6 @@ struct QoEBreakdown {
     double mos{};           // [0,5]
 };
 
-QoEBreakdown computeQoE(const SessionStats& stats, const QoEModel& model = {});
+QoEBreakdown computeQoE(const SessionStats& stats);
 
 }  // namespace semholo::core

@@ -175,10 +175,7 @@ private:
 
 class TextChannel final : public SemanticChannel {
 public:
-    explicit TextChannel(const TextChannelOptions& options)
-        : options_(options),
-          encoder_(options.caption),
-          decoder_(options.caption, options.shape) {}
+    explicit TextChannel(const TextChannelOptions& options) : options_(options) {}
 
     std::string name() const override { return "text"; }
 
@@ -194,8 +191,7 @@ public:
         putU32(out.data, packet.channelMask);
         out.data.insert(out.data.end(), packet.payload.begin(), packet.payload.end());
         out.measuredExtractMs = msSince(t0);
-        out.simulatedExtractMs =
-            textsem::captionCostMs(packet.cellsEncoded(), options_.cost);
+        out.simulatedExtractMs = textsem::captionCostMs(packet.cellsEncoded());
         return out;
     }
 
@@ -218,8 +214,7 @@ public:
                         reconstructInto(*pose, options_.reconResolution, out);
         }
         out.measuredReconMs = msSince(t0);
-        out.simulatedReconMs =
-            textsem::reconCostMs(packet.cellsEncoded(), options_.cost);
+        out.simulatedReconMs = textsem::reconCostMs(packet.cellsEncoded());
         return out;
     }
 

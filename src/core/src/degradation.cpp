@@ -5,6 +5,10 @@
 
 namespace semholo::core {
 
+// Wire size, as a multiple of the arbiter target per frame interval, above
+// which a frame counts as congested.
+constexpr double kTargetOvershoot = 1.25;
+
 DegradationPolicy::DegradationPolicy(const DegradationConfig& config, double fps,
                                      std::size_t queueCapacityBytes)
     : config_(config),
@@ -25,7 +29,7 @@ bool DegradationPolicy::congested(const LinkObservation& obs) const {
     // shared queue and starves other participants).
     if (targetRateBps_ > 0.0 && obs.bytes > 0 &&
         static_cast<double>(obs.bytes) * 8.0 >
-            targetRateBps_ * config_.targetOvershoot * frameIntervalS_)
+            targetRateBps_ * kTargetOvershoot * frameIntervalS_)
         return true;
     if (queueCapacityBytes_ > 0 &&
         static_cast<double>(obs.queuedBytesAtSend) >

@@ -5,7 +5,20 @@
 
 namespace semholo::core {
 
-QoEBreakdown computeQoE(const SessionStats& stats, const QoEModel& model) {
+// Latency at or below this is free; beyond it the score decays.
+constexpr double kLatencyBudgetMs = 100.0;
+constexpr double kLatencyHalfLifeMs = 150.0;  // extra latency halving the latency term
+// Target interactive frame rate.
+constexpr double kTargetFps = 30.0;
+// Chamfer distance (metres) mapping to quality 1.0 vs 0.0.
+constexpr double kChamferExcellent = 0.004;
+constexpr double kChamferPoor = 0.05;
+// Term weights (sum to 1): quality, latency, smoothness.
+constexpr double kQualityWeight = 0.5;
+constexpr double kLatencyWeight = 0.3;
+constexpr double kFpsWeight = 0.2;
+
+QoEBreakdown computeQoE(const SessionStats& stats) {
     QoEBreakdown out;
 
     // Quality from Chamfer: 1 at "excellent", 0 at "poor", log-linear in
@@ -13,25 +26,24 @@ QoEBreakdown computeQoE(const SessionStats& stats, const QoEModel& model) {
     if (std::isnan(stats.meanChamfer)) {
         out.qualityTerm = 0.5;
     } else {
-        const double c =
-            std::clamp(stats.meanChamfer, model.chamferExcellent, model.chamferPoor);
-        out.qualityTerm = 1.0 - (std::log(c) - std::log(model.chamferExcellent)) /
-                                    (std::log(model.chamferPoor) -
-                                     std::log(model.chamferExcellent));
+        const double c = std::clamp(stats.meanChamfer, kChamferExcellent, kChamferPoor);
+        out.qualityTerm = 1.0 - (std::log(c) - std::log(kChamferExcellent)) /
+                                    (std::log(kChamferPoor) -
+                                     std::log(kChamferExcellent));
     }
 
     // Latency: exponential decay beyond the interactive budget; 0 when
     // no frame was delivered.
     const telemetry::Histogram& e2e = stats.telemetry.e2eMs;
     if (!e2e.empty()) {
-        const double over = std::max(0.0, e2e.mean() - model.latencyBudgetMs);
-        out.latencyTerm = std::exp2(-over / model.latencyHalfLifeMs);
+        const double over = std::max(0.0, e2e.mean() - kLatencyBudgetMs);
+        out.latencyTerm = std::exp2(-over / kLatencyHalfLifeMs);
     }
 
     // Smoothness: achieved pipeline FPS relative to the target; 0 when no
     // frame was reconstructed.
     if (!std::isnan(stats.achievableFps))
-        out.fpsTerm = std::clamp(stats.achievableFps / model.targetFps, 0.0, 1.0);
+        out.fpsTerm = std::clamp(stats.achievableFps / kTargetFps, 0.0, 1.0);
 
     // Delivery counts network failures only. Frames shed by a busy
     // pipeline stage are already captured by the smoothness term —
@@ -43,9 +55,8 @@ QoEBreakdown computeQoE(const SessionStats& stats, const QoEModel& model) {
                                       : static_cast<double>(c.framesDelivered) /
                                             static_cast<double>(attempted);
 
-    const double weighted = model.qualityWeight * out.qualityTerm +
-                            model.latencyWeight * out.latencyTerm +
-                            model.fpsWeight * out.fpsTerm;
+    const double weighted = kQualityWeight * out.qualityTerm +
+                            kLatencyWeight * out.latencyTerm + kFpsWeight * out.fpsTerm;
     out.mos = 5.0 * weighted * out.deliveryTerm;
     return out;
 }

@@ -6,7 +6,9 @@
 // streams come from a standard behavioural model — fixations with
 // miniature drift, smooth pursuit at constant angular velocity, and
 // ballistic saccades whose duration follows the main-sequence
-// relationship (duration ~ 2.2 ms/deg * amplitude + 21 ms).
+// relationship (duration ~ 2.2 ms/deg * amplitude + 21 ms). The sample
+// rate, the drift and pursuit kinematics and the I-VT classifier's
+// thresholds are fixed model constants (gaze.cpp), not settings.
 #pragma once
 
 #include <cstdint>
@@ -33,13 +35,12 @@ struct GazeEvent {
     std::size_t endIndex{};    // inclusive
 };
 
+// Eye-tracker sample rate of the synthetic streams.
+inline constexpr double kGazeSampleRateHz = 120.0;
+
 struct GazeModelConfig {
-    double sampleRateHz{120.0};
     double fixationMeanDurationS{0.35};
-    double fixationDriftDegPerS{0.8};
     double pursuitProbability{0.2};       // vs saccade at fixation end
-    double pursuitSpeedDegPerS{12.0};
-    double pursuitMeanDurationS{0.6};
     double saccadeMeanAmplitudeDeg{9.0};
     // Gaze stays within this field of view half-angle.
     double fovHalfAngleDeg{35.0};
@@ -51,16 +52,9 @@ std::vector<GazeSample> generateGazeStream(double durationS,
                                            std::uint64_t seed);
 
 // Velocity-threshold identification (I-VT with a pursuit band): samples
-// below 'pursuitThreshold' deg/s are fixation, between the thresholds
-// smooth pursuit, above 'saccadeThreshold' saccade.
-struct IVTConfig {
-    double pursuitThresholdDegPerS{5.0};
-    double saccadeThresholdDegPerS{80.0};
-    std::size_t minEventSamples{2};
-};
-
-std::vector<GazeEvent> classifyGaze(const std::vector<GazeSample>& samples,
-                                    const IVTConfig& config = {});
+// below 5 deg/s are fixation, between that and 80 deg/s smooth pursuit,
+// above it saccade.
+std::vector<GazeEvent> classifyGaze(const std::vector<GazeSample>& samples);
 
 // Ballistic landing-position prediction from the first samples of a
 // saccade: amplitude is estimated from peak velocity via the inverse

@@ -8,6 +8,17 @@ namespace semholo::gaze {
 
 namespace {
 
+// Stream model: fixational drift, and pursuit speed and mean duration.
+constexpr double kFixationDriftDegPerS = 0.8;
+constexpr double kPursuitSpeedDegPerS = 12.0;
+constexpr double kPursuitMeanDurationS = 0.6;
+
+// I-VT classifier: velocity thresholds, and the shortest run of samples
+// that closes an event.
+constexpr double kPursuitThresholdDegPerS = 5.0;
+constexpr double kSaccadeThresholdDegPerS = 80.0;
+constexpr std::size_t kMinEventSamples = 2;
+
 // Main-sequence saccade duration: ~2.2 ms per degree + 21 ms intercept.
 double saccadeDurationS(double amplitudeDeg) {
     return 0.021 + 0.0022 * amplitudeDeg;
@@ -37,14 +48,14 @@ std::vector<GazeSample> generateGazeStream(double durationS,
                                            std::uint64_t seed) {
     std::mt19937_64 rng(seed);
     std::exponential_distribution<double> fixDur(1.0 / config.fixationMeanDurationS);
-    std::exponential_distribution<double> purDur(1.0 / config.pursuitMeanDurationS);
+    std::exponential_distribution<double> purDur(1.0 / kPursuitMeanDurationS);
     std::exponential_distribution<double> sacAmp(1.0 / config.saccadeMeanAmplitudeDeg);
     std::uniform_real_distribution<double> uni(0.0, 1.0);
     std::normal_distribution<double> drift(0.0, 1.0);
     std::uniform_real_distribution<float> angle(0.0f,
                                                 2.0f * static_cast<float>(M_PI));
 
-    const double dt = 1.0 / config.sampleRateHz;
+    const double dt = 1.0 / kGazeSampleRateHz;
     std::vector<GazeSample> samples;
     samples.reserve(static_cast<std::size_t>(durationS / dt) + 1);
 
@@ -58,8 +69,7 @@ std::vector<GazeSample> generateGazeStream(double durationS,
     while (t < durationS) {
         // Fixation with miniature drift.
         const double fixEnd = t + std::max(0.08, fixDur(rng));
-        const float driftSigma = static_cast<float>(
-            config.fixationDriftDegPerS * dt);
+        const float driftSigma = static_cast<float>(kFixationDriftDegPerS * dt);
         while (t < fixEnd && t < durationS) {
             gaze = clampFov(gaze + Vec2f{static_cast<float>(drift(rng)) * driftSigma,
                                          static_cast<float>(drift(rng)) * driftSigma});
@@ -71,8 +81,8 @@ std::vector<GazeSample> generateGazeStream(double durationS,
         if (uni(rng) < config.pursuitProbability) {
             // Smooth pursuit: constant angular velocity in a random direction.
             const float a = angle(rng);
-            const Vec2f vel{std::cos(a) * static_cast<float>(config.pursuitSpeedDegPerS),
-                            std::sin(a) * static_cast<float>(config.pursuitSpeedDegPerS)};
+            const Vec2f vel{std::cos(a) * static_cast<float>(kPursuitSpeedDegPerS),
+                            std::sin(a) * static_cast<float>(kPursuitSpeedDegPerS)};
             const double purEnd = t + std::max(0.2, purDur(rng));
             while (t < purEnd && t < durationS) {
                 gaze = clampFov(gaze + vel * static_cast<float>(dt));
@@ -106,14 +116,13 @@ double angularVelocity(const GazeSample& a, const GazeSample& b) {
     return static_cast<double>((b.angles - a.angles).norm()) / dt;
 }
 
-std::vector<GazeEvent> classifyGaze(const std::vector<GazeSample>& samples,
-                                    const IVTConfig& config) {
+std::vector<GazeEvent> classifyGaze(const std::vector<GazeSample>& samples) {
     std::vector<GazeEvent> events;
     if (samples.size() < 2) return events;
 
-    auto classify = [&](double v) {
-        if (v >= config.saccadeThresholdDegPerS) return EyeMovement::Saccade;
-        if (v >= config.pursuitThresholdDegPerS) return EyeMovement::SmoothPursuit;
+    auto classify = [](double v) {
+        if (v >= kSaccadeThresholdDegPerS) return EyeMovement::Saccade;
+        if (v >= kPursuitThresholdDegPerS) return EyeMovement::SmoothPursuit;
         return EyeMovement::Fixation;
     };
 
@@ -122,7 +131,7 @@ std::vector<GazeEvent> classifyGaze(const std::vector<GazeSample>& samples,
     for (std::size_t i = 1; i + 1 < samples.size(); ++i) {
         const EyeMovement m = classify(angularVelocity(samples[i], samples[i + 1]));
         if (m != current) {
-            if (i - begin + 1 >= config.minEventSamples)
+            if (i - begin + 1 >= kMinEventSamples)
                 events.push_back({current, begin, i});
             current = m;
             begin = i;

@@ -2,7 +2,8 @@
 // collapse). Produces the level-of-detail ladder the adaptive
 // traditional channel streams: the same subject at a fraction of the
 // triangle budget, with positions chosen to minimise the accumulated
-// plane-distance quadric.
+// plane-distance quadric. A collapse that would flip an incident face
+// normal past a fixed cosine bound (simplify.cpp) is rejected.
 #pragma once
 
 #include "semholo/mesh/trimesh.hpp"
@@ -12,9 +13,6 @@ namespace semholo::mesh {
 struct SimplifyOptions {
     // Stop when this many triangles remain.
     std::size_t targetTriangles{1000};
-    // Reject collapses that flip any incident face normal by more than
-    // this cosine bound (guards against fold-overs).
-    float maxNormalFlipCos{-0.2f};
 };
 
 struct SimplifyResult {

@@ -9,6 +9,10 @@ namespace semholo::mesh {
 
 namespace {
 
+// Reject collapses that flip any incident face normal by more than this
+// cosine bound (guards against fold-overs).
+constexpr float kMaxNormalFlipCos = -0.2f;
+
 // Symmetric 4x4 quadric, 10 unique coefficients:
 // [a b c d; b e f g; c f h i; d g i j].
 struct Quadric {
@@ -166,7 +170,7 @@ SimplifyResult simplify(const TriMesh& input, const SimplifyOptions& options) {
                 work.vertices[v1] = cand.position;
                 const Vec3f after = work.triangleNormal(moved);
                 work.vertices[v1] = oldPos;
-                if (before.dot(after) < options.maxNormalFlipCos) {
+                if (before.dot(after) < kMaxNormalFlipCos) {
                     flips = true;
                     break;
                 }

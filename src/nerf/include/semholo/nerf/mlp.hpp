@@ -22,11 +22,10 @@ struct MlpConfig {
     std::uint64_t seed{1};
 };
 
+// Adam's moment decays (0.9, 0.999) and denominator guard (1e-8) are the
+// usual fixed constants (mlp.cpp); the learning rate is the setting.
 struct AdamConfig {
     float learningRate{1e-2f};
-    float beta1{0.9f};
-    float beta2{0.999f};
-    float epsilon{1e-8f};
 };
 
 // Per-sample forward activations, needed for the backward pass.

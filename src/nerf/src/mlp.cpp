@@ -6,6 +6,11 @@
 
 namespace semholo::nerf {
 
+// Adam moment decay rates and the denominator guard.
+constexpr float kBeta1 = 0.9f;
+constexpr float kBeta2 = 0.999f;
+constexpr float kEpsilon = 1e-8f;
+
 Mlp::Mlp(const MlpConfig& config) : config_(config) {
     std::mt19937_64 rng(config.seed);
     auto makeLayer = [&rng](int in, int out) {
@@ -135,20 +140,18 @@ void Mlp::adamStep(const AdamConfig& config, std::size_t batchSize) {
     if (batchSize == 0) batchSize = 1;
     ++adamT_;
     const float scale = 1.0f / static_cast<float>(batchSize);
-    const float correction1 =
-        1.0f - std::pow(config.beta1, static_cast<float>(adamT_));
-    const float correction2 =
-        1.0f - std::pow(config.beta2, static_cast<float>(adamT_));
+    const float correction1 = 1.0f - std::pow(kBeta1, static_cast<float>(adamT_));
+    const float correction2 = 1.0f - std::pow(kBeta2, static_cast<float>(adamT_));
 
     auto update = [&](std::vector<float>& w, std::vector<float>& g,
                       std::vector<float>& m, std::vector<float>& v) {
         for (std::size_t i = 0; i < w.size(); ++i) {
             const float grad = g[i] * scale;
-            m[i] = config.beta1 * m[i] + (1.0f - config.beta1) * grad;
-            v[i] = config.beta2 * v[i] + (1.0f - config.beta2) * grad * grad;
+            m[i] = kBeta1 * m[i] + (1.0f - kBeta1) * grad;
+            v[i] = kBeta2 * v[i] + (1.0f - kBeta2) * grad * grad;
             const float mHat = m[i] / correction1;
             const float vHat = v[i] / correction2;
-            w[i] -= config.learningRate * mHat / (std::sqrt(vHat) + config.epsilon);
+            w[i] -= config.learningRate * mHat / (std::sqrt(vHat) + kEpsilon);
         }
     };
     for (Layer& l : layers_) {

@@ -31,7 +31,6 @@ struct LearnedTextureOptions {
     // Smoothing radius as a fraction of the mesh bounding diagonal.
     // Larger radius = lower network capacity = more detail lost.
     float radiusFraction{0.04f};
-    std::size_t maxNeighbors{64};
 };
 
 // Replace the mesh's colours with a capacity-limited approximation.

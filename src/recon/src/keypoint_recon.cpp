@@ -89,9 +89,8 @@ ReconstructionResult reconstructFromKeypoints(
     const std::array<float, kJointCount>& confidence,
     const ReconstructionOptions& options) {
     const auto t0 = std::chrono::steady_clock::now();
-    body::IkOptions ik;
-    ik.shape = options.shape;
-    const body::IkResult fit = body::fitPoseToKeypoints(keypoints, confidence, ik);
+    const body::IkResult fit =
+        body::fitPoseToKeypoints(keypoints, confidence, options.shape);
     const double ikMs = msSince(t0);
 
     ReconstructionResult result = reconstructFromPose(fit.pose, options);

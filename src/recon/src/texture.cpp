@@ -7,6 +7,9 @@
 
 namespace semholo::recon {
 
+// Neighbours averaged per vertex by the learned-texture stand-in.
+constexpr std::size_t kMaxNeighbors = 64;
+
 double projectTexture(TriMesh& target, const TriMesh& reference,
                       std::size_t referenceSamples) {
     if (target.empty() || reference.empty() || !reference.hasColors()) return 0.0;
@@ -36,7 +39,7 @@ void applyLearnedTexture(TriMesh& mesh, const LearnedTextureOptions& options) {
         float weight = 0.0f;
         std::size_t used = 0;
         for (const std::uint32_t n : neighbors) {
-            if (used++ >= options.maxNeighbors) break;
+            if (used++ >= kMaxNeighbors) break;
             const float d = (mesh.vertices[n] - mesh.vertices[i]).norm();
             const float w = std::exp(-d * d / (radius * radius * 0.25f));
             sum += mesh.colors[n] * w;

@@ -13,7 +13,8 @@
 // section 3.3). Reconstruction parses the text back into a pose and runs
 // the shared implicit-body reconstruction. The simulated inference cost
 // model is calibrated to published captioning / text-to-3D latencies and
-// drives the Table 1 overhead rows.
+// drives the Table 1 overhead rows; its per-cell and global costs and the
+// expression quantisation step are fixed constants (captioner.cpp).
 #pragma once
 
 #include <array>
@@ -51,9 +52,6 @@ struct CellQuality {
 
 struct CaptionOptions {
     std::array<CellQuality, kCellCount> quality{};
-    // Expression coefficients are carried on the HeadFace channel,
-    // quantised to this step.
-    double expressionStep{0.05};
 };
 
 // A captioned frame: one global channel + one channel per cell.
@@ -79,14 +77,7 @@ std::optional<body::Pose> parseCaption(const TextFrame& frame,
 // Simulated DL inference costs (ms). 3D dense captioning and text-to-3D
 // diffusion are the heavy stages the paper's Table 1 marks "H"; values
 // follow published per-frame orders of magnitude scaled per cell.
-struct TextCostModel {
-    double captionPerCellMs{45.0};   // Scan2Cap-class per region
-    double captionGlobalMs{60.0};    // global feature extraction
-    double reconPerCellMs{180.0};    // text-to-3D per region
-    double reconGlobalMs{120.0};
-};
-
-double captionCostMs(std::size_t cellsEncoded, const TextCostModel& model = {});
-double reconCostMs(std::size_t cellsDecoded, const TextCostModel& model = {});
+double captionCostMs(std::size_t cellsEncoded);
+double reconCostMs(std::size_t cellsDecoded);
 
 }  // namespace semholo::textsem

@@ -64,6 +64,16 @@ namespace {
 constexpr double kRadToDeg = 180.0 / M_PI;
 constexpr double kDegToRad = M_PI / 180.0;
 
+// Quantisation step of the expression coefficients on the HeadFace
+// channel.
+constexpr double kExpressionStep = 0.05;
+
+// Simulated inference cost model (ms).
+constexpr double kCaptionPerCellMs = 45.0;  // Scan2Cap-class per region
+constexpr double kCaptionGlobalMs = 60.0;   // global feature extraction
+constexpr double kReconPerCellMs = 180.0;   // text-to-3D per region
+constexpr double kReconGlobalMs = 120.0;
+
 // Short joint token: strip the cell prefix from the skeleton name where
 // possible to keep captions compact.
 std::string jointToken(JointId id) {
@@ -121,7 +131,7 @@ TextFrame captionPose(const body::Pose& pose, const CaptionOptions& options) {
         std::ostringstream& ss = cellStreams[ci];
         bool anyExpr = false;
         for (std::size_t e = 0; e < pose.expression.coeffs.size(); ++e) {
-            const long q = quantize(pose.expression.coeffs[e], options.expressionStep);
+            const long q = quantize(pose.expression.coeffs[e], kExpressionStep);
             if (q == 0) continue;
             if (!started[ci]) {
                 ss << cellName(BodyCell::HeadFace) << ':';
@@ -181,7 +191,6 @@ std::optional<body::Pose> parseCaption(const TextFrame& frame,
     std::map<std::string, JointId, std::less<>> byName;
     for (const auto& j : sk.joints()) byName.emplace(std::string(j.name), j.id);
 
-    const CaptionOptions& defaults = options;
     for (std::size_t c = 0; c < kCellCount; ++c) {
         const std::string& text = frame.cells[c];
         if (text.empty()) continue;
@@ -192,7 +201,7 @@ std::optional<body::Pose> parseCaption(const TextFrame& frame,
         std::istringstream ss(cleaned);
         std::string word;
         ss >> word;  // cell name
-        const double step = defaults.quality[c].angleStepDeg;
+        const double step = options.quality[c].angleStepDeg;
         while (ss >> word) {
             if (word == "expr") {
                 // expression entries "index=value" until end.
@@ -205,7 +214,7 @@ std::optional<body::Pose> parseCaption(const TextFrame& frame,
                     if (idx >= 0 &&
                         idx < static_cast<int>(pose.expression.coeffs.size()))
                         pose.expression.coeffs[static_cast<std::size_t>(idx)] =
-                            static_cast<double>(q) * defaults.expressionStep;
+                            static_cast<double>(q) * kExpressionStep;
                 }
                 continue;
             }
@@ -222,14 +231,12 @@ std::optional<body::Pose> parseCaption(const TextFrame& frame,
     return pose;
 }
 
-double captionCostMs(std::size_t cellsEncoded, const TextCostModel& model) {
-    return model.captionGlobalMs +
-           static_cast<double>(cellsEncoded) * model.captionPerCellMs;
+double captionCostMs(std::size_t cellsEncoded) {
+    return kCaptionGlobalMs + static_cast<double>(cellsEncoded) * kCaptionPerCellMs;
 }
 
-double reconCostMs(std::size_t cellsDecoded, const TextCostModel& model) {
-    return model.reconGlobalMs +
-           static_cast<double>(cellsDecoded) * model.reconPerCellMs;
+double reconCostMs(std::size_t cellsDecoded) {
+    return kReconGlobalMs + static_cast<double>(cellsDecoded) * kReconPerCellMs;
 }
 
 }  // namespace semholo::textsem

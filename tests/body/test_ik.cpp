@@ -6,6 +6,8 @@
 
 #include "semholo/body/animation.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::body {
 namespace {
 
@@ -81,9 +83,7 @@ TEST(Ik, ShapeAwareFit) {
     Pose p;
     p.shape.betas[0] = 2.0;  // taller subject
     p.rotation(JointId::LeftShoulder) = {0.4f, 0, 0};
-    IkOptions opt;
-    opt.shape = p.shape;
-    const IkResult result = fitPoseToKeypoints(jointKeypoints(p), opt);
+    const IkResult result = fitPoseToKeypoints(jointKeypoints(p), p.shape);
     EXPECT_LT(result.residual, 0.02f);
 }
 
@@ -96,6 +96,28 @@ TEST(Ik, ResidualReportedHonestly) {
     for (Vec3f& kp : kps) kp = {uni(rng), uni(rng), uni(rng)};
     const IkResult result = fitPoseToKeypoints(kps);
     EXPECT_GT(result.residual, 0.05f);
+}
+
+TEST(Ik, DefaultOutputsMatchPinnedDigest) {
+    // Noisy keypoints of a walking pose with a few confidences under the
+    // 0.05 floor, one exactly on it: the fitted pose and residual.
+    // Recorded before the confidence floor became a constant.
+    const Pose truth = MotionGenerator(MotionKind::Walk).poseAt(1.1);
+    auto kps = jointKeypoints(truth);
+    std::mt19937 rng(4);
+    std::normal_distribution<float> noise(0.0f, 0.01f);
+    for (auto& k : kps) k += {noise(rng), noise(rng), noise(rng)};
+    std::array<float, kJointCount> confidence;
+    confidence.fill(1.0f);
+    for (const JointId j : {JointId::LeftElbow, JointId::RightKnee, JointId::Neck})
+        confidence[index(j)] = 0.04f;
+    confidence[index(JointId::LeftWrist)] = 0.05f;
+    const IkResult result = fitPoseToKeypoints(kps, confidence);
+    pinned::Digest d;
+    for (const Vec3f& r : result.pose.jointRotations) d.add(r);
+    d.add(result.pose.rootTranslation);
+    d.add(result.residual);
+    EXPECT_EQ(d.h, 0x9f5038268b795729ull) << std::hex << d.h;
 }
 
 }  // namespace

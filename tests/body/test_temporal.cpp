@@ -6,6 +6,8 @@
 
 #include "semholo/body/animation.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::body {
 namespace {
 
@@ -128,6 +130,26 @@ TEST(KeypointDistance, ZeroForIdentical) {
     Pose q = p;
     q.rootTranslation.x += 1.0f;
     EXPECT_NEAR(keypointDistance(p, q), 1.0, 1e-4);
+}
+
+TEST(PoseFilter, DefaultOutputsMatchPinnedDigest) {
+    // A jittered wave at 30 FPS through the default One-Euro filter:
+    // every filtered rotation and root translation. Recorded before the
+    // filter's cutoffs became constants.
+    const MotionGenerator gen(MotionKind::Wave);
+    std::mt19937 rng(11);
+    std::normal_distribution<float> noise(0.0f, 0.02f);
+    PoseFilter filter;
+    pinned::Digest d;
+    for (int f = 0; f < 45; ++f) {
+        Pose observed = gen.poseAt(f / 30.0);
+        for (auto& r : observed.jointRotations) r += {noise(rng), noise(rng), noise(rng)};
+        observed.rootTranslation += {noise(rng), noise(rng), noise(rng)};
+        const Pose out = filter.filter(observed, f / 30.0);
+        for (const Vec3f& r : out.jointRotations) d.add(r);
+        d.add(out.rootTranslation);
+    }
+    EXPECT_EQ(d.h, 0x125af5376e2bf553ull) << std::hex << d.h;
 }
 
 }  // namespace

@@ -60,9 +60,9 @@ TEST_F(KeypointSetFixture, SmallerSetsDetectFewerJoints) {
         body::MotionGenerator(body::MotionKind::Wave, model().shape()).poseAt(0.5);
     const auto frames = rig().capture(model().deform(pose), 3);
     const auto body25 =
-        detectKeypoints3DDirect(rig(), frames, pose, 1, {}, {}, KeypointSet::Body25);
+        detectKeypoints3DDirect(rig(), frames, pose, 1, KeypointSet::Body25);
     const auto full =
-        detectKeypoints3DDirect(rig(), frames, pose, 1, {}, {}, KeypointSet::Full55);
+        detectKeypoints3DDirect(rig(), frames, pose, 1, KeypointSet::Full55);
     std::size_t seen25 = 0, seen55 = 0;
     for (std::size_t j = 0; j < kJointCount; ++j) {
         if (body25.confidence[j] > 0.0f) ++seen25;
@@ -76,11 +76,11 @@ TEST_F(KeypointSetFixture, RicherSetsCostMoreSimulatedLatency) {
     const body::Pose pose;
     const auto frames = rig().capture(model().deform(pose), 4);
     const auto body25 =
-        detectKeypoints3DDirect(rig(), frames, pose, 1, {}, {}, KeypointSet::Body25);
+        detectKeypoints3DDirect(rig(), frames, pose, 1, KeypointSet::Body25);
     const auto ext =
-        detectKeypoints3DDirect(rig(), frames, pose, 1, {}, {}, KeypointSet::Extended40);
+        detectKeypoints3DDirect(rig(), frames, pose, 1, KeypointSet::Extended40);
     const auto full =
-        detectKeypoints3DDirect(rig(), frames, pose, 1, {}, {}, KeypointSet::Full55);
+        detectKeypoints3DDirect(rig(), frames, pose, 1, KeypointSet::Full55);
     EXPECT_LT(body25.simulatedLatencyMs, ext.simulatedLatencyMs);
     EXPECT_LT(ext.simulatedLatencyMs, full.simulatedLatencyMs);
 }
@@ -96,16 +96,14 @@ TEST_F(KeypointSetFixture, HandPoseRecoveryNeedsHandKeypoints) {
 
     const auto frames = rig().capture(model().deform(pose), 7);
     const auto obsBody =
-        detectKeypoints3DDirect(rig(), frames, pose, 2, {}, {}, KeypointSet::Body25);
+        detectKeypoints3DDirect(rig(), frames, pose, 2, KeypointSet::Body25);
     const auto obsFull =
-        detectKeypoints3DDirect(rig(), frames, pose, 2, {}, {}, KeypointSet::Full55);
+        detectKeypoints3DDirect(rig(), frames, pose, 2, KeypointSet::Full55);
 
-    body::IkOptions ik;
-    ik.shape = model().shape();
     const auto fitBody =
-        body::fitPoseToKeypoints(obsBody.positions, obsBody.confidence, ik);
+        body::fitPoseToKeypoints(obsBody.positions, obsBody.confidence, model().shape());
     const auto fitFull =
-        body::fitPoseToKeypoints(obsFull.positions, obsFull.confidence, ik);
+        body::fitPoseToKeypoints(obsFull.positions, obsFull.confidence, model().shape());
 
     // Fingertip position error of the recovered poses.
     const auto gtKps = body::jointKeypoints(pose);

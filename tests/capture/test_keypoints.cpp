@@ -6,6 +6,8 @@
 #include "semholo/body/body_model.hpp"
 #include "semholo/body/ik.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::capture {
 namespace {
 
@@ -112,6 +114,62 @@ TEST_F(KeypointFixture, Deterministic) {
         EXPECT_EQ(a.positions[j], b.positions[j]);
         EXPECT_EQ(a.confidence[j], b.confidence[j]);
     }
+}
+
+TEST_F(KeypointFixture, DefaultOutputsMatchPinnedDigest) {
+    // Both detector routes at a fixed rig, pose and seed, for the full
+    // and the body-only keypoint sets: positions, confidences and the
+    // simulated latency. Then a few confidences pushed under and onto the
+    // 0.05 floor, for keypointError and the IK fit on that observation.
+    // Recorded before the detector noise and cost models became
+    // constants.
+    const body::Pose pose = body::MotionGenerator(body::MotionKind::Wave).poseAt(0.4);
+    const auto frames = framesFor(pose);
+    pinned::Digest d;
+    const auto addObs = [&d](const KeypointObservation& obs) {
+        for (std::size_t j = 0; j < kJointCount; ++j) {
+            d.add(obs.positions[j]);
+            d.add(obs.confidence[j]);
+        }
+        d.add(obs.simulatedLatencyMs);
+    };
+    for (const KeypointSet set : {KeypointSet::Full55, KeypointSet::Body25}) {
+        const auto lifted = detectKeypoints2DLifted(rig(), frames, pose, 7, set);
+        const auto direct = detectKeypoints3DDirect(rig(), frames, pose, 7, set);
+        addObs(lifted);
+        addObs(direct);
+        d.add(keypointError(lifted, pose));
+        d.add(keypointError(direct, pose));
+    }
+    EXPECT_EQ(d.h, 0x5a72e5ad9db79194ull) << std::hex << d.h;
+
+    auto obs = detectKeypoints3DDirect(rig(), frames, pose, 7);
+    EXPECT_EQ(obs.simulatedLatencyMs, 0x1.8f9096bb98c7ep+2)
+        << std::hexfloat << obs.simulatedLatencyMs;
+    for (const std::size_t j : {3u, 10u, 20u}) obs.confidence[j] = 0.04f;
+    obs.confidence[30] = 0.05f;
+    const double err = keypointError(obs, pose);
+    EXPECT_EQ(err, 0x1.f76b7ed89d89ep-8) << std::hexfloat << err;
+    const body::IkResult fit = body::fitPoseToKeypoints(obs.positions, obs.confidence);
+    pinned::Digest f;
+    for (const geom::Vec3f& r : fit.pose.jointRotations) f.add(r);
+    f.add(fit.pose.rootTranslation);
+    f.add(fit.residual);
+    EXPECT_EQ(f.h, 0x84f04549ba8ffcf9ull) << std::hex << f.h;
+}
+
+TEST_F(KeypointFixture, ErrorCountsJointsFromTheConfidenceFloorUp) {
+    // Two joints displaced by 1 m: one just under the 0.05 floor is
+    // ignored, one on it is counted; every other joint is exact.
+    const body::Pose pose = body::MotionGenerator(body::MotionKind::Wave).poseAt(0.4);
+    KeypointObservation obs;
+    obs.positions = body::jointKeypoints(pose);
+    obs.confidence.fill(1.0f);
+    obs.positions[3].x += 1.0f;
+    obs.confidence[3] = 0.0499f;
+    obs.positions[10].x += 1.0f;
+    obs.confidence[10] = 0.05f;
+    EXPECT_NEAR(keypointError(obs, pose), 1.0 / (kJointCount - 1), 1e-6);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include "semholo/mesh/metrics.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::capture {
 namespace {
 
@@ -106,6 +108,21 @@ TEST(Image, BoundsAndAccess) {
     EXPECT_TRUE(img.inBounds(0, 0));
     EXPECT_FALSE(img.inBounds(4, 0));
     EXPECT_FALSE(img.inBounds(0, 3));
+}
+
+TEST(Rasterizer, DefaultOutputsMatchPinnedDigest) {
+    // A coloured sphere under the default headlight shading: depth and
+    // shaded colour of every pixel. Recorded before the ambient floor
+    // became a constant.
+    auto sphere = mesh::makeUVSphere(0.5f, 16, 32);
+    sphere.colors.resize(sphere.vertexCount());
+    for (std::size_t i = 0; i < sphere.vertexCount(); ++i)
+        sphere.colors[i] = {0.9f, 0.5f + 0.4f * sphere.vertices[i].y, 0.2f};
+    const RGBDFrame frame = rasterize(sphere, frontCamera());
+    pinned::Digest d;
+    d.add(frame.depth.data());
+    d.add(frame.color.data());
+    EXPECT_EQ(d.h, 0xd644f6c8dd159331ull) << std::hex << d.h;
 }
 
 }  // namespace

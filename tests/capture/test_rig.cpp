@@ -5,6 +5,8 @@
 #include "semholo/body/body_model.hpp"
 #include "semholo/mesh/metrics.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::capture {
 namespace {
 
@@ -36,7 +38,7 @@ TEST(Noise, DropoutRemovesReturns) {
 }
 
 TEST(Noise, OutOfRangeDropped) {
-    DepthImage depth(8, 8, 20.0f);  // beyond maxRange
+    DepthImage depth(8, 8, 20.0f);  // beyond the 8 m working range
     applyDepthNoise(depth, DepthNoiseModel{}, 5);
     for (const float z : depth.data()) EXPECT_EQ(z, 0.0f);
 }
@@ -80,7 +82,7 @@ TEST(CaptureRig, CamerasOnRingLookingIn) {
     ASSERT_EQ(rig.cameras().size(), 6u);
     for (const auto& cam : rig.cameras()) {
         const geom::Vec3f eye = cam.worldFromCamera.translation;
-        EXPECT_NEAR((geom::Vec2f{eye.x, eye.z}.norm()), cfg.ringRadius, 1e-4f);
+        EXPECT_NEAR((geom::Vec2f{eye.x, eye.z}.norm()), kRingRadius, 1e-4f);
         // Subject at origin projects to the image centre.
         geom::Vec2f pix;
         float depth;
@@ -137,6 +139,41 @@ TEST_F(RigFixture, FusionCoversBody) {
     const auto bounds = cloud.bounds();
     // Full height visible across the ring of cameras.
     EXPECT_GT(bounds.extent().y, 1.3f);
+}
+
+TEST_F(RigFixture, DefaultOutputsMatchPinnedDigest) {
+    // The default rig with sensor noise on: every view's noisy depth and
+    // colour, then the fused cloud. Recorded before the ring geometry,
+    // the Kinect-class depth model and the fusion filter became
+    // constants.
+    const CaptureRig rig;
+    pinned::Digest frames;
+    for (const RGBDFrame& f : rig.capture(model().templateMesh(), 5)) {
+        frames.add(f.depth.data());
+        frames.add(f.color.data());
+    }
+    EXPECT_EQ(frames.h, 0x6d5b42aca046a685ull) << std::hex << frames.h;
+    const mesh::PointCloud cloud = rig.captureCloud(model().templateMesh(), 5);
+    pinned::Digest fused;
+    fused.add(cloud.points);
+    fused.add(cloud.colors);
+    EXPECT_EQ(cloud.size(), 3386u);
+    EXPECT_EQ(fused.h, 0xaae3f2b4ef1cbfc5ull) << std::hex << fused.h;
+}
+
+TEST(Noise, WorkingRangeIsPointThreeToEightMetres) {
+    DepthNoiseModel model;
+    model.dropoutRate = 0.0f;
+    DepthImage depth(4, 1, 0.0f);
+    depth.at(0, 0) = 0.29f;
+    depth.at(1, 0) = 0.31f;
+    depth.at(2, 0) = 7.9f;
+    depth.at(3, 0) = 8.1f;
+    applyDepthNoise(depth, model, 3);
+    EXPECT_EQ(depth.at(0, 0), 0.0f);
+    EXPECT_GT(depth.at(1, 0), 0.0f);
+    EXPECT_GT(depth.at(2, 0), 0.0f);
+    EXPECT_EQ(depth.at(3, 0), 0.0f);
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 
 #include "semholo/core/session.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::core {
 namespace {
 
@@ -246,6 +248,25 @@ TEST(DegradationSession, SerialAndParallelEnginesDecideIdentically) {
               parallel.telemetry.counters.upgrades);
     EXPECT_EQ(serial.telemetry.counters.faultEvents,
               parallel.telemetry.counters.faultEvents);
+}
+
+TEST(DegradationPolicy, DefaultOutputsMatchPinnedDigest) {
+    // With an arbiter target of 1 Mbps at 30 FPS (4167 B per interval),
+    // frames step through 1.2x and 1.3x of it: the actions and levels
+    // show where the target-overshoot bound sits. Recorded before that
+    // bound became a constant.
+    DegradationPolicy policy(fastPolicy(), 30.0, 256 * 1024);
+    policy.setTargetRateBps(1e6);
+    pinned::Digest d;
+    for (const std::size_t bytes :
+         {5000u, 5000u, 5400u, 5300u, 5500u, 5100u, 5600u, 5600u, 4000u, 5200u,
+          5200u, 5200u, 5200u, 5200u, 5200u, 5200u, 5200u, 5200u, 5500u, 5500u}) {
+        LinkObservation obs = cleanObs();
+        obs.bytes = bytes;
+        d.add(std::uint64_t{static_cast<std::uint64_t>(policy.observe(obs))});
+        d.add(std::uint64_t{policy.level()});
+    }
+    EXPECT_EQ(d.h, 0x033845a1a68da324ull) << std::hex << d.h;
 }
 
 }  // namespace

@@ -408,5 +408,35 @@ TEST(QoE, NeutralQualityWhenUnevaluated) {
     EXPECT_NEAR(qoe.qualityTerm, 0.5, 1e-9);
 }
 
+TEST(QoE, DefaultOutputsMatchPinnedDigest) {
+    // The fixed QoE model on sessions that cross every branch: Chamfer
+    // inside the log band, below "excellent" and above "poor", latency
+    // under and over the interactive budget, FPS below and above target,
+    // full and partial delivery. Recorded before the model's parameters
+    // became constants.
+    struct Case {
+        std::size_t captured, delivered;
+        double e2eMs, fps, chamfer;
+        std::array<double, 5> terms;  // quality, latency, fps, delivery, mos
+    };
+    const std::array<Case, 3> cases{{
+        {30, 24, 180.0, 21.0, 0.012,
+         {0x1.214bd08573482p-1, 0x1.61c50ae161fd5p-1, 0x1.6666666666666p-1,
+          0x1.999999999999ap-1, 0x1.4275800138515p+1}},
+        {12, 12, 60.0, 45.0, 0.002, {1.0, 1.0, 1.0, 1.0, 5.0}},
+        {10, 7, 400.0, 5.0, 0.09,
+         {0.0, 0x1p-2, 0x1.5555555555555p-3, 0x1.6666666666666p-1, 0x1.8444444444445p-2}},
+    }};
+    for (const Case& c : cases) {
+        SessionStats stats = qoeSession(c.captured, c.delivered, c.e2eMs, c.fps);
+        stats.meanChamfer = c.chamfer;
+        const QoEBreakdown q = computeQoE(stats);
+        const std::array<double, 5> terms{q.qualityTerm, q.latencyTerm, q.fpsTerm,
+                                          q.deliveryTerm, q.mos};
+        for (std::size_t i = 0; i < terms.size(); ++i)
+            EXPECT_EQ(terms[i], c.terms[i]) << i << ": " << std::hexfloat << terms[i];
+    }
+}
+
 }  // namespace
 }  // namespace semholo::core

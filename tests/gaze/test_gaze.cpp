@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "pinned_digest.hpp"
+
 namespace semholo::gaze {
 namespace {
 
@@ -9,7 +11,7 @@ TEST(GazeStream, SampleRateAndDuration) {
     GazeModelConfig cfg;
     const auto samples = generateGazeStream(2.0, cfg, 1);
     ASSERT_GT(samples.size(), 200u);
-    EXPECT_NEAR(static_cast<double>(samples.size()), 2.0 * cfg.sampleRateHz, 15.0);
+    EXPECT_NEAR(static_cast<double>(samples.size()), 2.0 * kGazeSampleRateHz, 15.0);
     for (std::size_t i = 1; i < samples.size(); ++i)
         EXPECT_GT(samples[i].time, samples[i - 1].time);
 }
@@ -113,6 +115,47 @@ TEST(SaccadePrediction, InvalidOnDegenerateInput) {
     EXPECT_FALSE(predictSaccadeLanding(samples, 0, 5).valid);
     // Zero velocity: no direction signal.
     EXPECT_FALSE(predictSaccadeLanding(samples, 0, 1).valid);
+}
+
+TEST(GazeStream, DefaultOutputsMatchPinnedDigest) {
+    // A stream with fixations, pursuits and saccades, and its I-VT
+    // events. Recorded before the sample rate, drift, pursuit and
+    // classifier thresholds became constants.
+    GazeModelConfig cfg;
+    cfg.pursuitProbability = 0.5;
+    const auto samples = generateGazeStream(3.0, cfg, 9);
+    pinned::Digest stream;
+    for (const GazeSample& s : samples) {
+        stream.add(s.time);
+        stream.add(s.angles);
+    }
+    EXPECT_EQ(samples.size(), 361u);
+    EXPECT_EQ(stream.h, 0xf81561a71fe6badcull) << std::hex << stream.h;
+    pinned::Digest events;
+    for (const GazeEvent& e : classifyGaze(samples)) {
+        events.add(std::uint64_t{static_cast<std::uint64_t>(e.type)});
+        events.add(std::uint64_t{e.beginIndex});
+        events.add(std::uint64_t{e.endIndex});
+    }
+    EXPECT_EQ(events.h, 0xaaf4f63996048208ull) << std::hex << events.h;
+}
+
+TEST(Classifier, BandEdgesAtFiveAndEightyDegPerS) {
+    // Constant-velocity streams just either side of each I-VT threshold.
+    const auto typeAt = [](float degPerS) {
+        std::vector<GazeSample> samples;
+        for (int i = 0; i < 5; ++i) {
+            const float x = degPerS * static_cast<float>(i) / 100.0f;
+            samples.push_back({i / 100.0, {x, 0.0f}});
+        }
+        const auto events = classifyGaze(samples);
+        EXPECT_EQ(events.size(), 1u) << degPerS;
+        return events.front().type;
+    };
+    EXPECT_EQ(typeAt(4.8f), EyeMovement::Fixation);
+    EXPECT_EQ(typeAt(5.2f), EyeMovement::SmoothPursuit);
+    EXPECT_EQ(typeAt(79.0f), EyeMovement::SmoothPursuit);
+    EXPECT_EQ(typeAt(81.0f), EyeMovement::Saccade);
 }
 
 }  // namespace

@@ -31,10 +31,8 @@ TEST(FullPipeline, CaptureDetectIkCompressTransferReconstruct) {
     const auto detection = capture::detectKeypoints3DDirect(rig, frames, gtPose, 5);
 
     // Align to the parametric model and serialize (the 1.91 KB payload).
-    body::IkOptions ik;
-    ik.shape = sharedModel().shape();
-    const auto fit = body::fitPoseToKeypoints(detection.positions,
-                                              detection.confidence, ik);
+    const auto fit = body::fitPoseToKeypoints(detection.positions, detection.confidence,
+                                              sharedModel().shape());
     const auto payload = body::serializePose(fit.pose);
     ASSERT_EQ(payload.size(), body::kPosePayloadBytes);
 
@@ -193,8 +191,8 @@ TEST(FullPipeline, DetectorDropoutSurvivesEndToEnd) {
     const auto detection = capture::detectKeypoints3DDirect(rig, frames, gtPose, 9);
 
     std::array<float, body::kJointCount> conf = detection.confidence;
-    const auto fit = body::fitPoseToKeypoints(detection.positions, conf,
-                                              {sharedModel().shape(), 0.05f});
+    const auto fit =
+        body::fitPoseToKeypoints(detection.positions, conf, sharedModel().shape());
     recon::ReconstructionOptions ro;
     ro.resolution = 32;
     ro.shape = sharedModel().shape();

@@ -5,6 +5,8 @@
 #include "semholo/mesh/isosurface.hpp"
 #include "semholo/mesh/metrics.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::mesh {
 namespace {
 
@@ -116,6 +118,21 @@ TEST(Simplify, IndicesValidAfterCompaction) {
 TEST(Simplify, EmptyMeshSafe) {
     const auto result = simplify(TriMesh{});
     EXPECT_TRUE(result.mesh.empty());
+}
+
+TEST(Simplify, DefaultOutputsMatchPinnedDigest) {
+    // A budget tight enough that the fold-over guard rejects collapses:
+    // the simplified mesh and both counters. Recorded before the normal
+    // flip bound became a constant.
+    SimplifyOptions opt;
+    opt.targetTriangles = 12;
+    const auto result = simplify(makeCylinder(1.0f, 0.02f, 32), opt);
+    ASSERT_GT(result.collapsesRejected, 0u);
+    EXPECT_EQ(result.collapsesApplied, 60u);
+    EXPECT_EQ(result.collapsesRejected, 2u);
+    pinned::Digest d;
+    d.addMesh(result.mesh);
+    EXPECT_EQ(d.h, 0xb647d3231bfce710ull) << std::hex << d.h;
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include "semholo/nerf/trainer.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::nerf {
 namespace {
 
@@ -180,6 +182,36 @@ TEST(Trainer, NarrowWidthFasterPerStep) {
     const auto statsNarrow = narrow.pretrain(views, 10);
     const auto statsFull = full.pretrain(views, 10);
     EXPECT_LT(statsNarrow.wallMs, statsFull.wallMs);
+}
+
+TEST(Trainer, DefaultOutputsMatchPinnedDigest) {
+    // Six Adam steps on the ball scene, then a short pre-train: every
+    // step's loss and the trainer's final loss and PSNR. Recorded before
+    // the Adam moment decays and epsilon became constants.
+    FieldConfig fc;
+    fc.hiddenWidth = 16;
+    fc.hiddenLayers = 2;
+    fc.encodingLevels = 3;
+    RadianceField field(fc);
+    const TrainerConfig cfg = fastConfig();
+    const Camera cam = ballCamera(0.0f, 12, 9);
+    const RGBImage ref = referenceBallImage(cam);
+    std::vector<TrainRay> rays;
+    for (int y = 0; y < ref.height(); ++y)
+        for (int x = 0; x < ref.width(); ++x)
+            rays.push_back({cam.pixelRayWorld({static_cast<float>(x) + 0.5f,
+                                               static_cast<float>(y) + 0.5f}),
+                            ref.at(x, y)});
+    pinned::Digest d;
+    for (int step = 0; step < 6; ++step)
+        d.add(trainStep(field, rays, cfg.render, cfg.adam));
+
+    RadianceField fresh(fc);
+    NerfTrainer trainer(fresh, cfg);
+    const std::vector<TrainView> views{{cam, ref}};
+    d.add(trainer.pretrain(views, 8).finalLoss);
+    d.add(trainer.evaluatePSNR(views[0]));
+    EXPECT_EQ(d.h, 0x1c1817263f75412aull) << std::hex << d.h;
 }
 
 }  // namespace

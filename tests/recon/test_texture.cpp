@@ -5,6 +5,8 @@
 #include "semholo/body/body_model.hpp"
 #include "semholo/recon/keypoint_recon.hpp"
 
+#include "pinned_digest.hpp"
+
 namespace semholo::recon {
 namespace {
 
@@ -91,6 +93,18 @@ TEST(ColorError, MismatchedLayoutsSafe) {
     const mesh::TriMesh a = mesh::makeUVSphere(1.0f, 8, 16);
     const mesh::TriMesh b = mesh::makeUVSphere(1.0f, 4, 8);
     EXPECT_DOUBLE_EQ(colorError(a, b), 0.0);
+}
+
+TEST(LearnedTexture, DefaultOutputsMatchPinnedDigest) {
+    // The capacity-limited texture on the coloured template: every
+    // smoothed vertex colour. Recorded before the neighbour cap became a
+    // constant.
+    mesh::TriMesh textured = sharedModel().templateMesh();
+    ASSERT_TRUE(textured.hasColors());
+    applyLearnedTexture(textured);
+    pinned::Digest d;
+    d.add(textured.colors);
+    EXPECT_EQ(d.h, 0xc1287322865d4030ull) << std::hex << d.h;
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "semholo/body/animation.hpp"
 
 namespace semholo::textsem {
@@ -118,6 +120,43 @@ TEST(Caption, ConcatenatedContainsAllChannels) {
     const std::string all = frame.concatenated();
     EXPECT_NE(all.find("global:"), std::string::npos);
     EXPECT_NE(all.find("left_leg:"), std::string::npos);
+}
+
+TEST(CostModel, DefaultOutputsMatchPinnedDigest) {
+    // The simulated captioning and text-to-3D costs at several cell
+    // counts. Recorded before the cost model became constants.
+    const std::array<std::size_t, 4> cells{0, 1, 3, kCellCount};
+    const std::array<double, 4> caption{60.0, 105.0, 195.0, 420.0};
+    const std::array<double, 4> recon{120.0, 300.0, 660.0, 1560.0};
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        EXPECT_EQ(captionCostMs(cells[i]), caption[i]) << cells[i];
+        EXPECT_EQ(reconCostMs(cells[i]), recon[i]) << cells[i];
+    }
+}
+
+TEST(Caption, DefaultOutputsMatchPinnedDigest) {
+    // An expressive face: coefficients on and between the quantisation
+    // steps, and one under half a step that must vanish. Recorded before
+    // the expression step became a constant.
+    body::Pose pose = body::MotionGenerator(body::MotionKind::Talk).poseAt(0.7);
+    pose.expression.coeffs[0] = 0.31;
+    pose.expression.coeffs[1] = -0.12;
+    pose.expression.coeffs[2] = 0.024;
+    pose.expression.coeffs[3] = 0.475;
+    pose.expression.coeffs[17] = -0.05;
+    const TextFrame frame = captionPose(pose);
+    EXPECT_EQ(frame.cells[static_cast<std::size_t>(BodyCell::HeadFace)],
+              "head_face: head 2 0 0; jaw 2 0 0; expr 0=6 1=-2 3=9 4=-3 5=3 6=-2 "
+              "7=-1 8=-2 9=-1 10=-1 11=-3 12=2 13=-2 14=-1 15=3 16=3 17=-1 18=-3 "
+              "19=-1;");
+    const auto parsed = parseCaption(frame);
+    ASSERT_TRUE(parsed.has_value());
+    const std::array<std::size_t, 5> index{0, 1, 2, 3, 17};
+    const std::array<double, 5> parsedCoeff{0x1.3333333333334p-2, -0x1.999999999999ap-4,
+                                            0.0, 0x1.ccccccccccccdp-2,
+                                            -0x1.999999999999ap-5};
+    for (std::size_t i = 0; i < index.size(); ++i)
+        EXPECT_EQ(parsed->expression.coeffs[index[i]], parsedCoeff[i]) << index[i];
 }
 
 }  // namespace
