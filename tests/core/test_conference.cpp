@@ -6,6 +6,7 @@
 // the equivalence of factory-built and spec-built participants.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -322,8 +323,9 @@ struct Fnv1a {
 
 // Every deterministic output of a conference: the per-frame results
 // (wall-clock extractMs/reconMs/qualityMs left out), every per-user
-// counter, the queue-depth samples, the fairness accounting and the
-// downlink fan-out.
+// counter except the reconstruction's work counters (reconWork below),
+// the queue-depth samples, the fairness accounting and the downlink
+// fan-out.
 std::uint64_t conferenceDigest(const MultiSessionStats& stats) {
     Fnv1a d;
     for (const SessionStats& s : stats.perUser) {
@@ -342,11 +344,9 @@ std::uint64_t conferenceDigest(const MultiSessionStats& stats) {
               c.dropsAtSender, c.dropsAtReceiver, c.packets, c.packetsLost,
               c.packetsDelivered, c.packetsUnrecovered, c.retransmissions,
               c.queueDrops, c.bytesSent, c.faultEvents, c.degradations,
-              c.upgrades, c.recon.blocksTotal, c.recon.blocksSampled,
-              c.recon.blocksSkipped, c.recon.blocksCoarseFilled,
-              c.recon.nodesEvaluated, c.recon.nodesTotal, c.recon.certTests,
-              c.recon.bonesPruned, c.recon.blocksExtracted,
-              c.recon.activeCells, c.recon.vertices, c.recon.triangles})
+              c.upgrades, c.recon.blocksTotal, c.recon.nodesTotal,
+              c.recon.blocksExtracted, c.recon.activeCells, c.recon.vertices,
+              c.recon.triangles})
             d.add(v);
         d.add(std::uint64_t{s.telemetry.queueDepthBytes.count()});
         d.add(s.telemetry.queueDepthBytes.sum());
@@ -370,13 +370,35 @@ std::uint64_t conferenceDigest(const MultiSessionStats& stats) {
     return d.h;
 }
 
+// How much work each user's reconstruction did: blocksSampled,
+// blocksSkipped, blocksCoarseFilled, nodesEvaluated, certTests,
+// bonesPruned. A tighter skip certificate lowers them and leaves every
+// output above unchanged.
+using ReconWork = std::array<std::uint64_t, 6>;
+std::vector<ReconWork> reconWork(const MultiSessionStats& stats) {
+    std::vector<ReconWork> work;
+    for (const SessionStats& s : stats.perUser) {
+        const mesh::ReconCounters& r = s.telemetry.counters.recon;
+        work.push_back({r.blocksSampled, r.blocksSkipped, r.blocksCoarseFilled,
+                        r.nodesEvaluated, r.certTests, r.bonesPruned});
+    }
+    return work;
+}
+
 TEST(Conference, OutputMatchesPinnedDigest) {
     // Three rate-adaptive synthetic users with staggered costs and one
     // keypoint user on a lossy 3 Mbps shared uplink with an outage and a
     // bandwidth collapse; degradation, the MaxMin arbiter, downlinks with
-    // a two-rung ladder and quality on every third tick. The digest was
-    // recorded from the engine that still carried per-user uplinks.
-    constexpr std::uint64_t kPinnedDigest = 0xcfc11b85fa8a8066ull;
+    // a two-rung ladder and quality on every third tick. The outputs
+    // digest leaves the reconstruction's work counters out, so a change
+    // that only saves work keeps it; the work is pinned on its own.
+    constexpr std::uint64_t kPinnedDigest = 0x92b78414057e1738ull;
+    const std::vector<ReconWork> kPinnedWork = {
+        {0, 0, 0, 0, 0, 0},
+        {0, 0, 0, 0, 0, 0},
+        {0, 0, 0, 0, 0, 0},
+        {1856, 0, 0, 63713, 2117, 2937654},
+    };
     const auto run = [](std::size_t workers, std::size_t depth) {
         ConferenceConfig conf;
         conf.session.frames = 30;
@@ -423,6 +445,7 @@ TEST(Conference, OutputMatchesPinnedDigest) {
             const auto stats = run(workers, depth);
             EXPECT_EQ(conferenceDigest(stats), kPinnedDigest)
                 << std::hex << conferenceDigest(stats);
+            EXPECT_EQ(reconWork(stats), kPinnedWork);
         }
     }
 }
