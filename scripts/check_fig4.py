@@ -44,7 +44,7 @@ def main() -> None:
                     help="resolution row the gates apply to")
     ap.add_argument("--min-speedup", type=float, default=5.0,
                     help="minimum sparse-vs-dense speedup at the anchor")
-    ap.add_argument("--max-eval-fraction", type=float, default=0.30,
+    ap.add_argument("--max-eval-fraction", type=float, default=0.16,
                     help="maximum node_eval_fraction at the anchor")
     ap.add_argument("--min-ablation-speedup", type=float, default=1.15,
                     help="minimum simd+octree speedup over scalar+flat")

@@ -82,16 +82,23 @@ struct PosedCapsule {
 // Signed distance from p to a capsule's round-cone surface (radius
 // lerped from ra at a to rb at b): one term of the body field's fold.
 float capsuleDistance(const PosedCapsule& c, Vec3f p);
-// Per-capsule bounds behind the analytic block certificate, both
-// 1-Lipschitz in p:
-//   capsuleLowerBound(c, p) <= capsuleDistance(c, p) <= capsuleUpperBound(c, p)
-// Lower: distance to the segment's bounding box minus max(ra, rb).
-// Upper: distance to the nearer endpoint minus min(ra, rb) — the
-// segment's nearest point is no farther and the lerped radius no
-// smaller. (Pairing each endpoint with its own radius does not bound
-// tapered capsules.)
-float capsuleLowerBound(const PosedCapsule& c, Vec3f p);
-float capsuleUpperBound(const PosedCapsule& c, Vec3f p);
+
+// Bounds on capsuleDistance(c, p) over every point p of an axis-aligned
+// box: lower <= capsuleDistance(c, p) <= upper. They are what the
+// analytic block certificate folds. With s the box's centre, h its
+// half-diagonal and d(q) the exact distance from q to the segment [a, b]
+// (1-Lipschitz, so d(p) lies within h of d(s)):
+//   lower = max(d(s) - h, gap(box of [a, b], region)) - max(ra, rb)
+//   upper = d(s) + h - min(ra, rb)
+// where gap is the box-to-box distance, no more than d(p) for any p in
+// the region. The lerped radius lies between min(ra, rb) and
+// max(ra, rb). (Pairing each endpoint with its own radius does not
+// bound tapered capsules.) A one-point region gives the bounds at that
+// point.
+struct CapsuleRange {
+    float lower, upper;
+};
+CapsuleRange capsuleRange(const PosedCapsule& c, const geom::AABB& region);
 
 // A body field packaged with what sparse sampling needs: the per-point
 // and batch evaluators, grid bounds, and the analytic block certificate.
@@ -111,19 +118,18 @@ struct BodyField {
     // margin.
     geom::AABB bounds;
     // World-space box outside which the expression warp is provably
-    // zero: the certificate pays the warp offset only for balls that
+    // zero: the certificate pays the warp offset only for boxes that
     // reach it.
     geom::AABB faceBounds;
     std::vector<PosedCapsule> capsules;
     std::shared_ptr<BodyFieldStats> stats;  // counters for this field
-    // Analytic block certificate: certificate(center, radius) is true
-    // when the field provably has no zero crossing within 'radius' of
-    // 'center'. It bounds the field from the posed capsules directly
-    // (distance-to-AABB and distance-to-endpoint bounds are 1-Lipschitz
-    // regardless of capsule cone slope) and pays the expression-warp
-    // displacement only for regions the warp can actually reach. Feed it
-    // to mesh::FieldSampleOptions::certificate.
-    std::function<bool(Vec3f center, float radius)> certificate;
+    // Analytic block certificate: certificate(region) is true when the
+    // field provably has no zero crossing anywhere in the box 'region'.
+    // It bounds the field from the posed capsules directly (capsuleRange,
+    // whose bounds hold regardless of capsule cone slope) and pays the
+    // expression-warp displacement only for regions the warp can
+    // actually reach. Feed it to mesh::FieldSampleOptions::certificate.
+    std::function<bool(const geom::AABB& region)> certificate;
 };
 
 // Build the implicit body of 'pose' on the canonical skeleton: the one

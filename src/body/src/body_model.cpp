@@ -146,16 +146,20 @@ float capsuleDistance(const PosedCapsule& c, Vec3f p) {
     return d - geom::lerp(c.ra, c.rb, t);
 }
 
-float capsuleLowerBound(const PosedCapsule& c, Vec3f p) {
-    const Vec3f lo{std::min(c.a.x, c.b.x), std::min(c.a.y, c.b.y),
-                   std::min(c.a.z, c.b.z)};
-    const Vec3f hi{std::max(c.a.x, c.b.x), std::max(c.a.y, c.b.y),
-                   std::max(c.a.z, c.b.z)};
-    return std::sqrt(aabbDistance2(p, lo, hi)) - std::max(c.ra, c.rb);
-}
-
-float capsuleUpperBound(const PosedCapsule& c, Vec3f p) {
-    return std::min((p - c.a).norm(), (p - c.b).norm()) - std::min(c.ra, c.rb);
+CapsuleRange capsuleRange(const PosedCapsule& c, const geom::AABB& region) {
+    const Vec3f s = region.center();
+    const float h = 0.5f * region.diagonal();
+    float t;
+    const float d = geom::pointSegmentDistance(s, c.a, c.b, t);
+    // Per axis, how far the segment's box and the region stand apart.
+    const float gx = std::max({std::min(c.a.x, c.b.x) - region.hi.x, 0.0f,
+                               region.lo.x - std::max(c.a.x, c.b.x)});
+    const float gy = std::max({std::min(c.a.y, c.b.y) - region.hi.y, 0.0f,
+                               region.lo.y - std::max(c.a.y, c.b.y)});
+    const float gz = std::max({std::min(c.a.z, c.b.z) - region.hi.z, 0.0f,
+                               region.lo.z - std::max(c.a.z, c.b.z)});
+    const float gap = std::sqrt(gx * gx + gy * gy + gz * gz);
+    return {std::max(d - h, gap) - std::max(c.ra, c.rb), d + h - std::min(c.ra, c.rb)};
 }
 
 namespace {
@@ -318,12 +322,11 @@ BodyField makeBodyField(const Pose& pose, const BodyFieldOptions& options) {
         };
     }
 
-    // Analytic block certificate. For any query q within 'radius' of the
-    // center c, the per-capsule bounds (1-Lipschitz in q) give
-    //   capsuleDistance_i(q) >= capsuleLowerBound_i(c) - radius
-    //   capsuleDistance_i(q) <= capsuleUpperBound_i(c) + radius
+    // Analytic block certificate. For any query q in the region, the
+    // per-capsule bounds give
+    //   capsuleRange_i.lower <= capsuleDistance_i(q) <= capsuleRange_i.upper
     // and the smooth-min fold satisfies min_i - kFieldBlend <= f <= min_i,
-    // so one pass over the capsules brackets f over the whole ball. The
+    // so one pass over the capsules brackets f over the whole box. The
     // expression warp shifts the query by at most 'maxWarp' but only for
     // points inside the face region, and the clothing displacement adds
     // at most its amplitude: both widen the bracket only when they can
@@ -334,21 +337,19 @@ BodyField makeBodyField(const Pose& pose, const BodyFieldOptions& options) {
     const float clothingSlack =
         options.clothingDetail ? options.clothingAmplitude : 0.0f;
     out.certificate = [capsules = out.capsules, face = out.faceBounds, maxWarp,
-                       clothingSlack](Vec3f center, float radius) -> bool {
-        float r = radius;
-        if (maxWarp > 0.0f &&
-            aabbDistance2(center, face.lo, face.hi) <= radius * radius)
-            r += maxWarp;
-        const float clear = r + clothingSlack + 1e-4f;
+                       clothingSlack](const geom::AABB& region) -> bool {
+        float clear = clothingSlack + 1e-4f;
+        if (maxWarp > 0.0f && region.intersects(face)) clear += maxWarp;
         float lb = std::numeric_limits<float>::max();  // min_i capsule lower bound
         float ub = std::numeric_limits<float>::max();  // min_i capsule upper bound
         for (const PosedCapsule& c : capsules) {
-            lb = std::min(lb, capsuleLowerBound(c, center));
-            ub = std::min(ub, capsuleUpperBound(c, center));
+            const CapsuleRange range = capsuleRange(c, region);
+            lb = std::min(lb, range.lower);
+            ub = std::min(ub, range.upper);
         }
-        // Exterior: f >= lb - radius - kFieldBlend > 0 over the ball.
+        // Exterior: f >= lb - kFieldBlend > 0 over the box.
         if (lb - kFieldBlend > clear) return true;
-        // Interior: f <= ub + radius < 0 over the ball.
+        // Interior: f <= ub < 0 over the box.
         if (ub < -clear) return true;
         return false;
     };

@@ -4,17 +4,21 @@
 // cost that makes Figure 4's FPS collapse cubically. A field that comes
 // with an analytic certificate (FieldSampleOptions::certificate, e.g.
 // body::BodyField::certificate) lets whole blocks of nodes be skipped:
-// certificate(c, rGuard) is the field's promise that it has no
-// iso-crossing within rGuard of the block's owned-node center c, where
-// rGuard is the half-diagonal of the block's node region expanded by
-// one cell on every side. The expansion is what makes skipping *exact*:
+// certificate(G) is the field's promise that it has no iso-crossing
+// anywhere in the axis-aligned box G. The sampler asks it about a
+// block's guard box: the box of the block's owned nodes expanded by one
+// cell on every side. The expansion is what makes skipping *exact*:
 // every extraction cell that reads any node owned by a skipped block
-// lies entirely inside the certified guard region, where the true field
-// keeps the sign of f(c) — so the dense path would emit no triangles
-// from those cells either. A skipped block reads as f(c) at every node
-// (correct sign), sampled nodes are exact, and the extracted iso-surface
-// is bit-identical to the dense path's. Without a certificate every
-// block is sampled.
+// lies entirely inside the certified guard box, where the true field
+// keeps the sign of its value at the block's centre — so the dense path
+// would emit no triangles from those cells either. A skipped block reads
+// as that centre value at every node (correct sign), sampled nodes are
+// exact, and the extracted iso-surface is bit-identical to the dense
+// path's. The certificate sees the box itself, not a ball around it:
+// the ball that circumscribes a cube reaches sqrt(3) times as far as the
+// cube along its face normals, and a skip test over that ball fails
+// wherever the surface passes near the block without entering it.
+// Without a certificate every block is sampled.
 //
 // The sampler keeps the values itself, in a block store over its
 // BlockTiling: one table entry per block holding either the block's one
@@ -50,12 +54,12 @@ struct FieldSampleOptions {
     // Worker pool to fan blocks out over; nullptr runs serially. The
     // pool is borrowed, not owned.
     core::ThreadPool* pool{nullptr};
-    // Analytic skip certificate: certificate(center, radius) returns
-    // true when the field provably has no iso-crossing within 'radius'
-    // of 'center'. Blocks are skip-tested if and only if it is set; an
+    // Analytic skip certificate: certificate(region) returns true when
+    // the field provably has no iso-crossing anywhere in the box
+    // 'region'. Blocks are skip-tested if and only if it is set; an
     // empty certificate samples every node. Like the field, it is called
     // concurrently from pool workers.
-    std::function<bool(geom::Vec3f center, float radius)> certificate;
+    std::function<bool(const geom::AABB& region)> certificate;
     // Optional SoA batch evaluator paired with the field (must return
     // bit-identical values — see BatchScalarField). When set, fully
     // sampled blocks evaluate all their nodes in one call instead of one
@@ -65,8 +69,9 @@ struct FieldSampleOptions {
     // touching individual blocks: one certificate test at depth k covers
     // up to 8^k blocks, and a certified coarse node fills its whole
     // subtree from a single field probe. Only engages when a certificate
-    // is set; verdicts stay exact (a coarse node's ball contains every
-    // descendant block's guard region). Off runs the flat per-block test.
+    // is set; verdicts stay exact (a coarse node's box is the union of
+    // its descendant blocks' guard boxes). Off runs the flat per-block
+    // test.
     bool hierarchical{true};
 };
 
@@ -146,8 +151,8 @@ public:
     const BlockTiling& tiling() const { return tiling_; }
 
     // World-space AABB of the block's guard region (node region expanded
-    // by one cell): the region whose field values the block's skip
-    // certificate must cover.
+    // by one cell): the region the block's skip certificate is asked
+    // about.
     geom::AABB blockGuardBounds(int block) const;
 
     // Sample 'field' into the block store. Every block is either fully
@@ -192,10 +197,10 @@ public:
     // extraction uses this to visit only cells that can hold surface.
     const std::vector<std::uint8_t>& surfaceFree() const { return surfaceFree_; }
 
-    // Bounding ball of an octree node's block range: contains the guard
-    // region of every block in [lo, hi] (block coords, inclusive), so a
-    // certificate that holds on the ball holds for every descendant.
-    void nodeBall(Vec3i lo, Vec3i hi, Vec3f& center, float& radius) const;
+    // Box of an octree node's block range: the union of the guard boxes
+    // of every block in [lo, hi] (block coords, inclusive), so a
+    // certificate that holds on it holds for every descendant.
+    geom::AABB nodeBox(Vec3i lo, Vec3i hi) const;
 
 private:
     // One block's storage: its fill value, or (slot != kFilled) its
@@ -235,7 +240,6 @@ private:
 
     VoxelGrid grid_;
     BlockTiling tiling_;
-    float guardRadius_{0.0f};  // half-diagonal of a block's guard region
     std::size_t blockFloats_{0};  // B^3: arena floats per block left to sample
     std::vector<BlockEntry> table_;
     std::unique_ptr<float[]> arena_;

@@ -77,7 +77,10 @@ struct IsoSurfaceOptions {
 // iso-crossing anywhere in their guard region, so those cells would emit
 // nothing: the mesh is bit-identical to the one from sampling every
 // node, at any block size, while the cell scan drops from O(R^3) to the
-// blocks near the surface. 'stats' (optional) receives the extractor's
+// blocks near the surface. Throws std::logic_error, naming a block,
+// when the store contradicts that promise: a node a work block reads
+// inside a certified neighbour's guard region has the other sign (an
+// unsound certificate). 'stats' (optional) receives the extractor's
 // counters (blocksExtracted, activeCells, vertices, triangles); its
 // other fields are left as they are.
 TriMesh extractIsoSurface(const BlockSampler& sampler, const IsoSurfaceOptions& options = {},

@@ -22,10 +22,6 @@ BlockSampler::BlockSampler(const VoxelGrid& grid, int blockSize)
     : grid_(grid),
       tiling_(grid.resolution(), blockSize),
       table_(static_cast<std::size_t>(tiling_.count())) {
-    // Guard region: blockSize-1 cells of owned node span plus one cell on
-    // each side. Half-diagonal of a (blockSize+1)-cell box.
-    const float half = 0.5f * static_cast<float>(blockSize + 1);
-    guardRadius_ = (grid.cellSize() * half).norm();
     blockFloats_ = static_cast<std::size_t>(blockSize) * blockSize * blockSize;
     // Unknown until a block is processed: extraction must visit it.
     surfaceFree_.assign(static_cast<std::size_t>(tiling_.count()), 0);
@@ -44,32 +40,25 @@ void BlockSampler::fillBlock(int block, float value) {
     table_[static_cast<std::size_t>(block)] = {value, kFilled};
 }
 
-void BlockSampler::nodeBall(Vec3i lo, Vec3i hi, Vec3f& center,
-                            float& radius) const {
+geom::AABB BlockSampler::nodeBox(Vec3i lo, Vec3i hi) const {
     // Guard bounds are monotone in block coordinates, so the union over
     // the range is the box spanned by the two corner blocks' guards.
-    const geom::AABB first = blockGuardBounds(tiling_.index(lo));
-    const geom::AABB last = blockGuardBounds(tiling_.index(hi));
-    center = (first.lo + last.hi) * 0.5f;
-    radius = (last.hi - center).norm();
+    return {blockGuardBounds(tiling_.index(lo)).lo, blockGuardBounds(tiling_.index(hi)).hi};
 }
 
 bool BlockSampler::certifyBlock(int block, const ScalarField& field,
                                 const FieldSampleOptions& options,
                                 ReconCounters& stats) {
     const BlockTiling::NodeRange r = tiling_.nodes(block);
-    // The true center of the block's guard region can sit past the
-    // owned-node midpoint for edge blocks; using the owned-node midpoint
-    // with the full guard radius stays conservative because the guard
-    // region never extends more than guardRadius_ from it.
+    ++stats.certTests;
+    surfaceFree_[static_cast<std::size_t>(block)] = 0;
+    if (!options.certificate(blockGuardBounds(block))) return false;
+    // Fill with the (correctly signed) value at the owned nodes' centre,
+    // which the guard box holds, so extraction cells that straddle this
+    // block see a consistent field.
     const Vec3f center =
         (grid_.nodePosition(r.lo.x, r.lo.y, r.lo.z) + grid_.nodePosition(r.hi.x, r.hi.y, r.hi.z)) *
         0.5f;
-    ++stats.certTests;
-    surfaceFree_[static_cast<std::size_t>(block)] = 0;
-    if (!options.certificate(center, guardRadius_)) return false;
-    // Fill with the (correctly signed) center value so extraction cells
-    // that straddle this block see a consistent field.
     fillBlock(block, field(center));
     stats.nodesTotal += r.count();
     ++stats.nodesEvaluated;
@@ -145,20 +134,18 @@ void BlockSampler::descend(Vec3i lo, Vec3i hi, int depth,
         return;
     }
 
-    // One coarse test covers the whole range: the node ball contains
-    // every descendant's guard region, so a certificate that holds here
+    // One coarse test covers the whole range: the node box is the union
+    // of every descendant's guard box, so a certificate that holds here
     // holds for each block individually — and the field's sign is
-    // constant across the ball, so one probe's value is a valid fill for
+    // constant across the box, so one probe's value is a valid fill for
     // every block beneath (extraction cells touching filled nodes
     // lie wholly inside the certified region; see the header proof).
     // Fills write only this node's blocks, so concurrent subtrees never
     // touch the same table or surfaceFree_ entries.
-    Vec3f center;
-    float radius;
-    nodeBall(lo, hi, center, radius);
+    const geom::AABB box = nodeBox(lo, hi);
     ++stats.certTests;
-    if (options.certificate(center, radius)) {
-        const float d = field(center);
+    if (options.certificate(box)) {
+        const float d = field(box.center());
         ++stats.nodesEvaluated;
         for (int z = lo.z; z <= hi.z; ++z)
             for (int y = lo.y; y <= hi.y; ++y)

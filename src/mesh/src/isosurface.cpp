@@ -11,6 +11,8 @@
 #include <memory_resource>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -640,6 +642,7 @@ struct Extraction {
                                         drop.begin());
     }
     void reserve(std::size_t s);
+    void checkSound(const BlockGeom& g, Vec3i bc, const std::uint64_t* rows) const;
     void topology(std::size_t s);
     void offsets(std::size_t s);
     void positions(std::size_t s);
@@ -656,7 +659,7 @@ struct Extraction {
     const float iso;
     // Work list: every block not certified surface-free. Certified
     // blocks hold no crossing edge anywhere in their node set (the
-    // certificate's guard ball covers one node ring beyond the block),
+    // certificate's guard box covers one node ring beyond the block),
     // so skipping them drops neither vertices nor triangles.
     const std::vector<std::uint8_t>& surfaceFree;
     std::vector<Slab> slabs;
@@ -698,6 +701,58 @@ void Extraction::reserve(std::size_t s) {
     S.newRows.reserve(work * static_cast<std::size_t>(nz * ny));
 }
 
+// Pass 1's guard against an unsound store. A certified block's guard box
+// holds no crossing, so each node of it that a work block's sign rows
+// cover reads the certified block's sign. The passes rely on that:
+// every crossing edge a work block's cells use must be owned by a work
+// block, which counts it, and every one a work block owns must be first
+// used by a work block's cell, which numbers it. Otherwise pass 2 would
+// index past the arrays the counts sized. So for each certified
+// neighbour N = W + e of work block W, with e in {0, 1}^3 (N owns nodes
+// of W's cells) or e in {-1, 0}^3 (N owns cells that use W's nodes),
+// the nodes of W's cells inside N's guard box are checked: per axis the
+// first node where e = -1, the last where e = +1, all where e = 0.
+void Extraction::checkSound(const BlockGeom& g, Vec3i bc, const std::uint64_t* rows) const {
+    // The bits N's sign requires set and clear, per row class on y and
+    // on z: 0 = the first row, 1 = an inner one, 2 = the last (past the
+    // owned rows).
+    std::uint64_t set[3][3]{}, clear[3][3]{};
+    const Vec3i bg = tiling.blocks();
+    bool any = false;
+    // Offset e is sign times the axes in 'axes': the seven in {-1, 0}^3
+    // and the seven in {0, 1}^3.
+    for (int axes = 1; axes < 8; ++axes)
+        for (const int sign : {-1, 1}) {
+            const Vec3i e{sign * (axes & 1), sign * ((axes >> 1) & 1), sign * (axes >> 2)};
+            const Vec3i n{bc.x + e.x, bc.y + e.y, bc.z + e.z};
+            if (n.x < 0 || n.y < 0 || n.z < 0 || n.x >= bg.x || n.y >= bg.y || n.z >= bg.z ||
+                surfaceFree[static_cast<std::size_t>(tiling.index(n))] == 0)
+                continue;
+            const std::uint64_t bits =
+                e.x < 0 ? 1 : e.x > 0 ? 1ull << g.owned.x : maskBits(g.walk.x);
+            auto& want = store.block(n).fill < iso ? set : clear;
+            for (int cz = e.z > 0 ? 2 : 0; cz <= (e.z < 0 ? 0 : 2); ++cz)
+                for (int cy = e.y > 0 ? 2 : 0; cy <= (e.y < 0 ? 0 : 2); ++cy)
+                    want[cz][cy] |= bits;
+            any = true;
+        }
+    if (!any) return;
+    auto rowClass = [](int l, int owned) { return l == 0 ? 0 : l < owned ? 1 : 2; };
+    for (int lz = 0; lz < g.walk.z; ++lz) {
+        const int cz = rowClass(lz, g.owned.z);
+        for (int ly = 0; ly < g.walk.y; ++ly) {
+            const int cy = rowClass(ly, g.owned.y);
+            const std::uint64_t row = rows[static_cast<std::size_t>(lz) * g.halo.y + ly];
+            if (((row & clear[cz][cy]) | (~row & set[cz][cy])) != 0)
+                throw std::logic_error(
+                    "extractIsoSurface: block (" + std::to_string(bc.x) + ", " +
+                    std::to_string(bc.y) + ", " + std::to_string(bc.z) +
+                    ") reads a crossing inside a certified neighbour's guard box: the "
+                    "store's skip certificate is unsound");
+        }
+    }
+}
+
 // Pass 1: the slab's work list, sign rows, topology and row sums.
 void Extraction::topology(std::size_t s) {
     Slab& S = slabs[s];
@@ -721,6 +776,7 @@ void Extraction::topology(std::size_t s) {
             S.signRows.resize(w.signOff + static_cast<std::size_t>(g.halo.z) * g.halo.y);
             std::uint64_t* rows = S.signRows.data() + w.signOff;
             BlockValues(store, g, {bx, by, static_cast<int>(s)}).signRows(g, iso, rows);
+            checkSound(g, {bx, by, static_cast<int>(s)}, rows);
             const std::uint32_t vCount = computeTopology(g, table, rows, S);
             w.cellEnd = static_cast<std::uint32_t>(S.cells.size());
             if (vCount > 0 || w.cellEnd > w.cellBegin) ++S.blocksExtracted;

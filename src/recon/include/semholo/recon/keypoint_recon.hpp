@@ -60,7 +60,7 @@ struct ReconstructionOptions {
 };
 
 // Sparse sampling's block edge length in nodes at a given grid
-// resolution: smaller blocks at low resolutions so the guard radius
+// resolution: smaller blocks at low resolutions so the guard box
 // shrinks enough for certificates to fire — the octree amortizes the
 // extra per-block tests.
 int resolveBlockSize(int resolution);

@@ -18,11 +18,11 @@ double msSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 int resolveBlockSize(int resolution) {
-    // The guard radius scales with blockSize * cellSize, and blocks only
-    // skip when the certificate clears it: at low resolutions 8-node
-    // blocks have guards so wide almost nothing certifies
+    // The guard box scales with blockSize * cellSize, and blocks only
+    // skip when the certificate clears all of it: at low resolutions
+    // 8-node blocks have guards so wide almost nothing certifies
     // (node_eval_fraction ~1 at 32^3/64^3 in BENCH_fig4). Halving the
-    // edge quarters the guard; the octree keeps the 8x block count from
+    // edge halves the guard; the octree keeps the 8x block count from
     // costing 8x certificate tests.
     return resolution <= 160 ? 4 : 8;
 }

@@ -51,22 +51,43 @@ TEST(CapsuleBounds, UpperBoundHoldsForTaperedCapsule) {
     const PosedCapsule c{{0.0f, 0.0f, 0.0f}, {1.0f, 0.0f, 0.0f}, 0.5f, 0.0f};
     const Vec3f q{0.5f, 0.6f, 0.0f};
     EXPECT_NEAR(capsuleDistance(c, q), 0.35f, 1e-6f);
-    EXPECT_GE(capsuleUpperBound(c, q), capsuleDistance(c, q));
-    EXPECT_LE(capsuleLowerBound(c, q), capsuleDistance(c, q));
+    const CapsuleRange range = capsuleRange(c, {q, q});
+    EXPECT_GE(range.upper, capsuleDistance(c, q));
+    EXPECT_LE(range.lower, capsuleDistance(c, q));
+    // At one point both bounds use the exact segment distance, 0.6.
+    EXPECT_NEAR(range.upper, 0.6f, 1e-6f);
+    EXPECT_NEAR(range.lower, 0.1f, 1e-6f);
 }
 
 TEST(CapsuleBounds, BracketDistanceForRandomTaperedCapsules) {
+    // Random tapered capsules and random boxes, from single points to
+    // boxes larger than the capsule: every probe inside the box, corners
+    // included, has its capsule distance between the box's bounds.
     std::mt19937 rng(11);
     std::uniform_real_distribution<float> coord(-1.0f, 1.0f);
     std::uniform_real_distribution<float> radius(0.0f, 0.4f);
+    std::uniform_real_distribution<float> u01(0.0f, 1.0f);
     for (int i = 0; i < 20000; ++i) {
         const PosedCapsule c{{coord(rng), coord(rng), coord(rng)},
                              {coord(rng), coord(rng), coord(rng)},
                              radius(rng), radius(rng)};
-        const Vec3f q{2.0f * coord(rng), 2.0f * coord(rng), 2.0f * coord(rng)};
-        const float d = capsuleDistance(c, q);
-        ASSERT_LE(capsuleLowerBound(c, q), d + 1e-5f) << "sample " << i;
-        ASSERT_GE(capsuleUpperBound(c, q), d - 1e-5f) << "sample " << i;
+        const Vec3f mid{2.0f * coord(rng), 2.0f * coord(rng), 2.0f * coord(rng)};
+        const float scale = i % 4 == 0 ? 0.0f : 0.6f * u01(rng);
+        const Vec3f half{scale * u01(rng), scale * u01(rng), scale * u01(rng)};
+        const geom::AABB box{mid - half, mid + half};
+        const CapsuleRange range = capsuleRange(c, box);
+        for (int probe = 0; probe < 12; ++probe) {
+            const Vec3f p =
+                probe < 8 ? Vec3f{probe & 1 ? box.hi.x : box.lo.x,
+                                  probe & 2 ? box.hi.y : box.lo.y,
+                                  probe & 4 ? box.hi.z : box.lo.z}
+                          : Vec3f{box.lo.x + (box.hi.x - box.lo.x) * u01(rng),
+                                  box.lo.y + (box.hi.y - box.lo.y) * u01(rng),
+                                  box.lo.z + (box.hi.z - box.lo.z) * u01(rng)};
+            const float d = capsuleDistance(c, p);
+            ASSERT_LE(range.lower, d + 1e-5f) << "sample " << i << " probe " << probe;
+            ASSERT_GE(range.upper, d - 1e-5f) << "sample " << i << " probe " << probe;
+        }
     }
 }
 

@@ -397,7 +397,7 @@ TEST(Conference, OutputMatchesPinnedDigest) {
         {0, 0, 0, 0, 0, 0},
         {0, 0, 0, 0, 0, 0},
         {0, 0, 0, 0, 0, 0},
-        {1856, 0, 0, 63713, 2117, 2937654},
+        {750, 1106, 0, 44882, 2117, 2090763},
     };
     const auto run = [](std::size_t workers, std::size_t depth) {
         ConferenceConfig conf;

@@ -309,13 +309,13 @@ constexpr PinnedSession kPinned[] = {
     {"adaptive-mesh", 0x1b1147e8c162643bull,
      {60, 0, 60, 0, 0, 0, 67012, 2, 2, 1}, {0, 0, 0, 0, 0}},
     {"foveated", 0x99630c7c63299fe3ull,
-     {90, 1, 90, 0, 1, 0, 117653, 2, 3, 0}, {0, 1519440, 32955, 1095, 3138}},
+     {90, 1, 90, 0, 1, 0, 117653, 2, 3, 0}, {574, 1075338, 23070, 1095, 3138}},
     {"keypoint", 0x8b12c4fc7f85370cull,
-     {15, 1, 15, 0, 1, 0, 12431, 2, 0, 0}, {0, 1519440, 32955, 1095, 3138}},
+     {15, 1, 15, 0, 1, 0, 12431, 2, 0, 0}, {574, 1075338, 23070, 1095, 3138}},
     {"synthetic", 0x83bf95c8368a2a14ull,
      {28, 1, 28, 0, 1, 0, 33924, 2, 1, 1}, {0, 0, 0, 0, 0}},
     {"text", 0xd68bc3a1b21e4abeull,
-     {2, 0, 2, 0, 0, 0, 337, 0, 0, 0}, {0, 101392, 2197, 73, 214}},
+     {2, 0, 2, 0, 0, 0, 337, 0, 0, 0}, {38, 70512, 1510, 73, 214}},
     {"traditional", 0x087d93f4c4aae7efull,
      {150, 1, 150, 0, 264, 261, 206716, 2, 3, 0}, {0, 0, 0, 0, 0}},
     {"vector", 0x45fd4367bc18f508ull,

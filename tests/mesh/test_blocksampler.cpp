@@ -2,29 +2,15 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <functional>
 #include <stdexcept>
 #include <vector>
 
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/isosurface.hpp"
+#include "sphere_sdf.hpp"
 
 namespace semholo::mesh {
 namespace {
-
-// Exact metric SDF (Lipschitz constant 1) of a sphere.
-ScalarField sphereField(Vec3f center, float radius) {
-    return [center, radius](Vec3f p) { return (p - center).norm() - radius; };
-}
-
-// Its exact analytic certificate: the ball around 'c' misses the
-// iso-surface when |distance at c| exceeds the ball's radius.
-std::function<bool(Vec3f, float)> sphereCertificate(Vec3f center, float radius) {
-    return [center, radius](Vec3f c, float r) {
-        return std::fabs((c - center).norm() - radius) > r;
-    };
-}
 
 geom::AABB unitBounds() {
     return {{-1.0f, -1.0f, -1.0f}, {1.0f, 1.0f, 1.0f}};

@@ -15,6 +15,7 @@
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/blocksampler.hpp"
 #include "semholo/mesh/isosurface_legacy.hpp"
+#include "sphere_sdf.hpp"
 
 namespace semholo::mesh {
 namespace {
@@ -35,10 +36,6 @@ BlockSampler sampleAll(const ScalarField& field, int res,
 // The reference extractor over the sampler's values.
 TriMesh extractLegacy(const BlockSampler& sampler, const IsoSurfaceOptions& options = {}) {
     return extractIsoSurfaceLegacy(sampler.grid(), denseValues(sampler), nullptr, options);
-}
-
-ScalarField sphereField(Vec3f center, float radius) {
-    return [center, radius](Vec3f p) { return (p - center).norm() - radius; };
 }
 
 // Capsule SDF between two endpoints — the primitive the body field is
@@ -196,10 +193,7 @@ TEST(IsoSurfaceParallel, SparseMatchesLegacySparse) {
     const int res = 40;
     BlockSampler sampler(VoxelGrid(unitBounds(), {res, res, res}), 8);
     FieldSampleOptions sampling;
-    // The sphere's exact certificate: no crossing within r of c.
-    sampling.certificate = [center, radius](Vec3f c, float r) {
-        return std::fabs((c - center).norm() - radius) > r;
-    };
+    sampling.certificate = sphereCertificate(center, radius);
     sampler.sample(field, sampling);
 
     IsoSurfaceOptions opt;  // pre-weld comparison, as in the other suites

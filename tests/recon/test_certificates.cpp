@@ -1,11 +1,13 @@
 // Property tests for the octree certificate hierarchy: a certified node
 // must never contain a surface crossing anywhere a descendant block's
-// guard region reaches, and the sparse octree+batch pipeline must
-// extract byte-identical meshes to a dense pass at every resolution.
+// guard region reaches, the sparse octree+batch pipeline must extract
+// byte-identical meshes to a dense pass at every resolution, and the
+// extractor must refuse a store whose certified blocks are wrong.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "semholo/body/animation.hpp"
@@ -58,63 +60,66 @@ TEST(OctreeCertificates, CertifiedNodesContainNoSurfaceCrossing) {
     std::mt19937 rng(17);
     std::uniform_real_distribution<float> ut(0.0f, 2.0f);
     std::uniform_real_distribution<float> u01(0.0f, 1.0f);
-    std::normal_distribution<float> gauss(0.0f, 1.0f);
     const MotionKind kinds[] = {MotionKind::Idle, MotionKind::Wave,
                                 MotionKind::Talk, MotionKind::Collaborate};
-    std::size_t certified = 0;
+    struct Case {
+        Pose pose;
+        bool clothing;
+        int res, blockSize;
+    };
+    std::vector<Case> cases;
     for (int trial = 0; trial < 6; ++trial) {
-        const Pose pose =
-            MotionGenerator(kinds[trial % 4]).poseAt(ut(rng));
+        const Pose pose = MotionGenerator(kinds[trial % 4]).poseAt(ut(rng));
+        // Clothing folds: the certificate must cover them.
+        cases.push_back({pose, (trial % 2) == 1, 16 + 8 * (trial % 3),  // 16, 24, 32
+                         (trial % 2) ? 4 : 8});
+    }
+    // A speaking face (expression warp) at the production block size.
+    cases.push_back({MotionGenerator(MotionKind::Talk).poseAt(0.0), false, 64, 4});
+
+    std::size_t certified = 0;
+    for (std::size_t k = 0; k < cases.size(); ++k) {
+        const Case& tc = cases[k];
+        SCOPED_TRACE("case " + std::to_string(k));
         BodyFieldOptions opt;
-        opt.clothingDetail = (trial % 2) == 1;  // certificate must cover folds
-        const BodyField body =
-            body::makeBodyField(pose, opt);
-        const int res = 16 + 8 * (trial % 3);   // 16, 24, 32
-        const int blockSize = (trial % 2) ? 4 : 8;
-        VoxelGrid grid(body.bounds, {res, res, res});
-        BlockSampler sampler(grid, blockSize);
+        opt.clothingDetail = tc.clothing;
+        const BodyField body = body::makeBodyField(tc.pose, opt);
+        VoxelGrid grid(body.bounds, {tc.res, tc.res, tc.res});
+        BlockSampler sampler(grid, tc.blockSize);
         const Vec3i bg = sampler.tiling().blocks();
 
         std::vector<std::pair<Vec3i, Vec3i>> nodes;
         collectNodes({0, 0, 0}, {bg.x - 1, bg.y - 1, bg.z - 1}, nodes);
         for (const auto& [lo, hi] : nodes) {
-            Vec3f center;
-            float radius = 0.0f;
-            sampler.nodeBall(lo, hi, center, radius);
-            // The ball must contain every descendant block's guard box —
+            const geom::AABB box = sampler.nodeBox(lo, hi);
+            // The box must contain every descendant block's guard box —
             // that containment is what lets one coarse test stand in for
             // all of them.
-            for (int z = lo.z; z <= hi.z; ++z) {
-                for (int y = lo.y; y <= hi.y; ++y) {
+            for (int z = lo.z; z <= hi.z; ++z)
+                for (int y = lo.y; y <= hi.y; ++y)
                     for (int x = lo.x; x <= hi.x; ++x) {
-                        const int b = sampler.tiling().index({x, y, z});
-                        const geom::AABB gb = sampler.blockGuardBounds(b);
-                        for (int corner = 0; corner < 8; ++corner) {
-                            const Vec3f c{corner & 1 ? gb.hi.x : gb.lo.x,
-                                          corner & 2 ? gb.hi.y : gb.lo.y,
-                                          corner & 4 ? gb.hi.z : gb.lo.z};
-                            EXPECT_LE((c - center).norm(), radius + 1e-4f);
-                        }
+                        const geom::AABB gb =
+                            sampler.blockGuardBounds(sampler.tiling().index({x, y, z}));
+                        ASSERT_TRUE(box.contains(gb.lo) && box.contains(gb.hi));
                     }
-                }
-            }
-            if (!body.certificate(center, radius)) continue;
+            if (!body.certificate(box)) continue;
             ++certified;
-            // The certificate claims no zero crossing within 'radius' of
-            // 'center': the field must keep the center's sign at random
-            // probes throughout the ball.
-            const float centerValue = body.field(center);
+            // The certificate claims no zero crossing anywhere in the box:
+            // the field must keep the centre's sign at its 8 corners and
+            // at uniform probes throughout.
+            const float centerValue = body.field(box.center());
             ASSERT_NE(centerValue, 0.0f);
-            for (int probe = 0; probe < 32; ++probe) {
-                Vec3f dir{gauss(rng), gauss(rng), gauss(rng)};
-                const float n = dir.norm();
-                if (n < 1e-6f) continue;
-                const float r = radius * std::cbrt(u01(rng));
-                const Vec3f p = center + dir * (r / n);
+            for (int probe = 0; probe < 40; ++probe) {
+                const Vec3f p =
+                    probe < 8 ? Vec3f{probe & 1 ? box.hi.x : box.lo.x,
+                                      probe & 2 ? box.hi.y : box.lo.y,
+                                      probe & 4 ? box.hi.z : box.lo.z}
+                              : Vec3f{box.lo.x + (box.hi.x - box.lo.x) * u01(rng),
+                                      box.lo.y + (box.hi.y - box.lo.y) * u01(rng),
+                                      box.lo.z + (box.hi.z - box.lo.z) * u01(rng)};
                 const float v = body.field(p);
                 ASSERT_NE(v, 0.0f);
-                ASSERT_GT(v * centerValue, 0.0f)
-                    << "crossing inside certified ball, trial " << trial;
+                ASSERT_GT(v * centerValue, 0.0f) << "crossing inside certified box, probe " << probe;
             }
         }
     }
@@ -187,6 +192,37 @@ TEST(BlockSampler, StoreBytesTrackTheSurface) {
             static_cast<std::size_t>(res + 1) * (res + 1) * (res + 1) * sizeof(float);
         EXPECT_GT(sampler.storeBytes(), 0u) << res;
         EXPECT_LT(3 * sampler.storeBytes(), denseBytes) << res;
+    }
+}
+
+TEST(IsoSurface, UnsoundStoreThrowsInsteadOfCorrupting) {
+    // The body certificate picks the blocks to skip, but every sampled
+    // node reads one unit high, so sampled nodes next to certified
+    // interior blocks cross the surface there. The extractor must refuse
+    // the store, naming a block, on one thread and on the pool, and
+    // touch no memory it does not own on the way.
+    const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.0);
+    const BodyField body = body::makeBodyField(pose);
+    for (core::ThreadPool* pool : {static_cast<core::ThreadPool*>(nullptr), &core::sharedPool()}) {
+        SCOPED_TRACE(pool == nullptr ? "serial" : "pool");
+        BlockSampler sampler(VoxelGrid(body.bounds, {128, 128, 128}), 4);
+        mesh::FieldSampleOptions so;
+        so.pool = pool;
+        so.certificate = body.certificate;
+        so.batch = [&body](const float* xs, const float* ys, const float* zs, float* vals,
+                           std::size_t n) {
+            body.batch(xs, ys, zs, vals, n);
+            for (std::size_t i = 0; i < n; ++i) vals[i] += 1.0f;
+        };
+        ASSERT_GT(sampler.sample(body.field, so).blocksSkipped, 0u);
+        mesh::IsoSurfaceOptions opt;
+        opt.pool = pool;
+        try {
+            mesh::extractIsoSurface(sampler, opt);
+            ADD_FAILURE() << "an unsound store extracted without error";
+        } catch (const std::logic_error& e) {
+            EXPECT_NE(std::string(e.what()).find("block ("), std::string::npos) << e.what();
+        }
     }
 }
 
