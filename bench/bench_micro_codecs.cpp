@@ -16,8 +16,10 @@
 // this binary as a correctness gate, not just a stopwatch.
 //
 // Part 3 (last): the mesh codec at pool size 1 and at the shared pool's
-// size, with the in-run speedup, per-section sizes and the ratio against
-// the raw mesh; exits nonzero if the pool sizes disagree on a byte.
+// size, with the in-run speedup, each section's backend, sizes and
+// coder MB/s (position sections also on lzc, their v2 backend), and the
+// ratio against the raw mesh; exits nonzero if the pool sizes disagree
+// on a byte or a section does not re-encode to its own bytes.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -33,6 +35,7 @@
 #include "semholo/compress/codec2.hpp"
 #include "semholo/compress/lzc.hpp"
 #include "semholo/compress/meshcodec.hpp"
+#include "semholo/compress/rans.hpp"
 #include "semholo/compress/texturecodec.hpp"
 #include "semholo/core/telemetry.hpp"
 #include "semholo/core/thread_pool.hpp"
@@ -406,14 +409,50 @@ int runParetoSweep() {
 }
 
 // ---------------------------------------------------------------------
-// Mesh codec v2 on the body template (the traditional channel's codec):
-// encode/decode at pool size 1 and at the shared pool's size, the in-run
-// speedup, and each section's sizes. Exits nonzero when the two pool
-// sizes disagree on a byte or the mesh does not decode.
+// Mesh codec v3 on a Talk frame (the traditional channel's codec, on the
+// mesh it sends): encode/decode at pool size 1 and at the shared pool's
+// size, the in-run speedup, and each section's backend, sizes and coder
+// throughput, with the position sections also timed on lzc (their v2
+// backend). Exits nonzero when the two pool sizes disagree on a byte,
+// the mesh does not decode, or a section does not re-encode to its own
+// bytes.
+
+// One section stream's coder throughput on its residual bytes.
+struct SectionTiming {
+    double encMBps{};
+    double decMBps{};
+    std::size_t packedBytes{};
+    bool reproduced{true};  // re-encoding gave the same stream
+};
+
+SectionTiming timeSection(std::span<const std::uint8_t> stream, bool rans, int repeats) {
+    compress::LzcWorkspace ws;
+    std::vector<std::uint8_t> raw, packed;
+    if (rans ? !compress::ransDecompress(stream, raw) : !compress::lzcDecompress(stream, ws))
+        return {0.0, 0.0, stream.size(), false};
+    if (!rans) raw = ws.decoded;
+    double encMs = 1e30, decMs = 1e30;
+    for (int rep = 0; rep < repeats; ++rep) {
+        auto t0 = std::chrono::steady_clock::now();
+        rans ? compress::ransCompress(raw, packed)
+             : compress::lzcCompress(raw, ws, packed, compress::meshSectionLzcOptions(raw.size()));
+        encMs = std::min(encMs, wallMs(t0));
+        t0 = std::chrono::steady_clock::now();
+        rans ? (void)compress::ransDecompress(packed, ws.decoded)
+             : (void)compress::lzcDecompress(packed, ws);
+        decMs = std::min(decMs, wallMs(t0));
+    }
+    const auto mbps = [&raw](double ms) {
+        return static_cast<double>(raw.size()) / 1e3 / std::max(ms, 1e-6);
+    };
+    return {mbps(encMs), mbps(decMs), packed.size(),
+            std::equal(packed.begin(), packed.end(), stream.begin(), stream.end())};
+}
 
 int runMeshCodecReport() {
-    bench::banner("Mesh codec v2: pool size 1 vs the shared pool, per section");
-    const mesh::TriMesh& m = sharedModel().templateMesh();
+    bench::banner("Mesh codec v3: pool size 1 vs the shared pool, per section");
+    const mesh::TriMesh m =
+        sharedModel().deform(body::MotionGenerator(body::MotionKind::Talk).poseAt(0.5));
     compress::MeshCodecOptions opt;
     opt.encodeColors = false;
     core::ThreadPool single(1);
@@ -453,15 +492,44 @@ int runMeshCodecReport() {
     timing.print();
 
     const auto sections = compress::meshSections(rows[0].bytes);
+    bool reproduced = true;
     if (sections) {
         std::printf("\n");
-        bench::Table table({"section", "raw KB", "packed KB", "ratio"});
-        for (const compress::MeshSection& s : *sections)
-            table.addRow({s.name, bench::fmt("%.1f", static_cast<double>(s.rawBytes) / 1e3),
-                          bench::fmt("%.1f", static_cast<double>(s.packedBytes) / 1e3),
+        bench::Table table({"section", "backend", "raw KB", "packed KB", "ratio",
+                            "encode MB/s", "decode MB/s"});
+        bench::Table versus({"section", "rans KB", "lzc KB", "rans dec MB/s",
+                             "lzc dec MB/s", "decode speedup"});
+        double minSpeedup = 1e30;
+        for (const compress::MeshSection& s : *sections) {
+            const bool rans = s.backend == "rans";
+            const SectionTiming t = timeSection(s.stream, rans, kRepeats);
+            reproduced = reproduced && t.reproduced;
+            table.addRow({s.name, s.backend,
+                          bench::fmt("%.1f", static_cast<double>(s.rawBytes) / 1e3),
+                          bench::fmt("%.1f", static_cast<double>(s.stream.size()) / 1e3),
                           bench::fmt("%.2f", static_cast<double>(s.rawBytes) /
-                                                 static_cast<double>(s.packedBytes))});
+                                                 static_cast<double>(s.stream.size())),
+                          bench::fmt("%.1f", t.encMBps), bench::fmt("%.1f", t.decMBps)});
+            if (!rans) continue;
+            // The same residuals on lzc, the position sections' v2 backend.
+            std::vector<std::uint8_t> raw;
+            compress::ransDecompress(s.stream, raw);
+            const auto lzc =
+                compress::lzcCompress(raw, compress::meshSectionLzcOptions(raw.size()));
+            const SectionTiming l = timeSection(lzc, false, kRepeats);
+            minSpeedup = std::min(minSpeedup, t.decMBps / l.decMBps);
+            versus.addRow({s.name, bench::fmt("%.1f", static_cast<double>(t.packedBytes) / 1e3),
+                           bench::fmt("%.1f", static_cast<double>(l.packedBytes) / 1e3),
+                           bench::fmt("%.1f", t.decMBps), bench::fmt("%.1f", l.decMBps),
+                           bench::fmt("%.1fx", t.decMBps / l.decMBps)});
+        }
         table.print();
+        std::printf("\nposition sections, rANS (v3) vs lzc (v2):\n");
+        versus.print();
+        if (minSpeedup < 1e30)
+            std::printf("slowest position-section decode speedup over lzc: %.1fx "
+                        "(target: >= 5x)\n",
+                        minSpeedup);
     }
     std::printf("\nraw mesh %.1f KB -> %.1f KB on the wire: %.2fx\n",
                 static_cast<double>(m.rawGeometryBytes()) / 1e3,
@@ -469,11 +537,11 @@ int runMeshCodecReport() {
                 static_cast<double>(m.rawGeometryBytes()) /
                     static_cast<double>(rows[0].bytes.size()));
 
-    const bool ok = sections && rows[0].bytes == rows[1].bytes && rows[0].decoded &&
-                    rows[1].decoded;
+    const bool ok = sections && reproduced && rows[0].bytes == rows[1].bytes &&
+                    rows[0].decoded && rows[1].decoded;
     if (!ok)
-        std::printf("FAIL: mesh codec bytes differ across pool sizes or do not "
-                    "decode\n");
+        std::printf("FAIL: mesh codec bytes differ across pool sizes, do not decode, or a "
+                    "section does not re-encode to its own bytes\n");
     return ok ? 0 : 1;
 }
 

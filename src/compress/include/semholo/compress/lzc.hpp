@@ -29,8 +29,10 @@ struct LzcOptions {
     // decoder agree by construction.
     int literalContextBits{3};
     // log2 of the match finder's hash-table size, clamped to [8, 16].
-    // Encoder-only (the stream does not depend on it): a smaller table
-    // touches less memory per call on inputs with few distinct 3-grams.
+    // Encoder-only: the decoder needs no copy of it, but it changes which
+    // candidates the chain walk meets, so it can change the bytes. A
+    // smaller table touches less memory per call on inputs with few
+    // distinct 3-grams.
     int hashBits{16};
 };
 

@@ -1,6 +1,7 @@
 #include "semholo/compress/lzc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "semholo/compress/rangecoder.hpp"
@@ -26,6 +27,24 @@ std::uint32_t hash3(const std::uint8_t* p, int bits) {
                             (static_cast<std::uint32_t>(p[1]) << 8) |
                             (static_cast<std::uint32_t>(p[2]) << 16);
     return (v * 2654435761u) >> (32 - bits);
+}
+
+// Length of the common prefix of 'a' and 'b', at most 'limit' bytes,
+// compared eight bytes at a time.
+std::size_t matchLength(const std::uint8_t* a, const std::uint8_t* b, std::size_t limit) {
+    std::size_t len = 0;
+    for (; len + 8 <= limit; len += 8) {
+        std::uint64_t x, y;
+        std::memcpy(&x, a + len, 8);
+        std::memcpy(&y, b + len, 8);
+        if (const std::uint64_t diff = x ^ y; diff != 0) {
+            const int bit = std::endian::native == std::endian::little ? std::countr_zero(diff)
+                                                                       : std::countl_zero(diff);
+            return len + static_cast<std::size_t>(bit / 8);
+        }
+    }
+    while (len < limit && a[len] == b[len]) ++len;
+    return len;
 }
 
 // Distance is coded as a 5-bit slot (bit length) + raw low bits: the
@@ -97,7 +116,12 @@ void lzcCompress(std::span<const std::uint8_t> data, LzcWorkspace& ws,
     if (data.empty()) return;
 
     const Models models(ws.models);
-    RangeEncoder enc(std::move(out));
+    // Code into a vector on this thread's stack: the encoder updates its
+    // end pointer once per byte out, and 'out' may sit next to another
+    // thread's output vector (the mesh codec's sections), which would
+    // share that cache line.
+    std::vector<std::uint8_t> coded = std::move(out);
+    RangeEncoder enc(coded);
 
     // Hash-chain match finder. Every prev[] entry a chain walk reads was
     // written when its position was inserted, so prev needs no reset.
@@ -115,19 +139,22 @@ void lzcCompress(std::span<const std::uint8_t> data, LzcWorkspace& ws,
         std::uint32_t bestLen = 0, bestDist = 0;
         if (pos + kMinMatch <= data.size()) {
             const std::uint32_t h = hash3(&data[pos], hashBits);
+            const std::uint8_t* const here = &data[pos];
+            const std::size_t maxLen = std::min<std::size_t>(kMaxMatch, data.size() - pos);
             std::int32_t cand = head[h];
             int steps = options.maxChainSteps;
             while (cand >= 0 && steps-- > 0 &&
                    pos - static_cast<std::size_t>(cand) <= kWindow) {
                 const std::size_t cpos = static_cast<std::size_t>(cand);
-                const std::size_t maxLen =
-                    std::min<std::size_t>(kMaxMatch, data.size() - pos);
-                std::size_t len = 0;
-                while (len < maxLen && data[cpos + len] == data[pos + len]) ++len;
-                if (len >= kMinMatch && len > bestLen) {
-                    bestLen = static_cast<std::uint32_t>(len);
-                    bestDist = static_cast<std::uint32_t>(pos - cpos);
-                    if (len == maxLen) break;
+                // Only a candidate that also matches the byte at bestLen
+                // can beat bestLen (which stays below maxLen).
+                if (data[cpos + bestLen] == here[bestLen]) {
+                    const std::size_t len = matchLength(&data[cpos], here, maxLen);
+                    if (len >= kMinMatch && len > bestLen) {
+                        bestLen = static_cast<std::uint32_t>(len);
+                        bestDist = static_cast<std::uint32_t>(pos - cpos);
+                        if (len == maxLen) break;
+                    }
                 }
                 cand = prev[cpos];
             }
@@ -167,7 +194,7 @@ void lzcCompress(std::span<const std::uint8_t> data, LzcWorkspace& ws,
     }
 
     enc.finish();
-    out = enc.take();
+    out = std::move(coded);
 }
 
 std::vector<std::uint8_t> lzcCompress(std::span<const std::uint8_t> data,

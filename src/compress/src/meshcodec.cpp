@@ -8,22 +8,23 @@
 #include <cstring>
 #include <numeric>
 
-#include "semholo/compress/lzc.hpp"
+#include "semholo/compress/rans.hpp"
 #include "semholo/core/thread_pool.hpp"
 
 namespace semholo::compress {
 
 namespace {
 
-// Wire format v2:
+// Wire format v3:
 //   u32 magic, u32 nv, u32 nt, u32 bits | colours << 31, f32 lo[3], f32 ext[3]
 //   u32 watermark[parts]   starting watermark of each connectivity part
 //   u32 length[sections]   section table, in wire order
-//   sections               each an independent lzc stream
+//   sections               each an independent lzc or rANS stream, whose
+//                          format byte names its backend
 // Sections in wire order: x, y, z position deltas; connectivity parts
-// 0..parts-1; r, g, b colour deltas when colours are on. Each section is
-// a run of zigzag LEB128 varints, one per value.
-constexpr std::uint32_t kMagic = 0x53484D32;  // "SHM2"
+// 0..parts-1; r, g, b colour deltas when colours are on. Each section
+// codes a run of zigzag LEB128 varints, one per value.
+constexpr std::uint32_t kMagic = 0x53484D33;  // "SHM3"
 constexpr std::size_t kFixedHeaderBytes = 40;
 // Connectivity splits into one part per this many triangles, 1 to 4
 // parts: a function of the mesh alone, never of the pool size.
@@ -42,6 +43,16 @@ struct Section {
         return (kind == Kind::Connectivity ? 3u : 1u) * std::size_t{end - begin};
     }
 };
+
+// Position sections of at least this many values use rANS: lzc codes
+// their deltas almost entirely as literals, and rANS matches its size at
+// a tenth of its time once the section pays for its frequency tables.
+// Connectivity and colours keep lzc, whose matches beat order-0 there.
+constexpr std::size_t kRansMinValues = 4096;
+
+bool usesRans(const Section& s) {
+    return s.kind == Kind::Axis && s.values() >= kRansMinValues;
+}
 
 std::size_t varintBytes(std::uint64_t z) {
     std::size_t n = 1;
@@ -295,14 +306,20 @@ struct Slot {
     std::vector<std::uint8_t> raw;  // encoder: one section's residuals
 };
 
-// A v2 stream's header and section table.
+// The residual bytes a section's stream header declares, from the
+// backend its format byte names; nullopt for an unknown backend.
+std::optional<std::size_t> declaredRawBytes(std::span<const std::uint8_t> payload) {
+    if (!payload.empty() && payload[0] == kRansFormatTag) return ransDecodedSize(payload);
+    return lzcDecodedSize(payload);
+}
+
+// A v3 stream's header and section table.
 struct Stream {
     Layout layout;
     Quantizer quant{};
     std::vector<std::uint32_t> watermarks{};
     std::vector<std::span<const std::uint8_t>> sections{};
-    std::vector<std::size_t> rawBytes{};  // as each section's lzc header declares
-
+    std::vector<std::size_t> rawBytes{};  // as each section's stream header declares
 };
 
 // Reads and checks the header and section table. Every count is checked
@@ -338,7 +355,7 @@ std::optional<Stream> readStream(std::span<const std::uint8_t> data) {
         const auto payload = data.subspan(r.pos, lengths[s]);
         r.pos += lengths[s];
         const Section& section = st.layout.sections[s];
-        const auto declared = lzcDecodedSize(payload);
+        const auto declared = declaredRawBytes(payload);
         if (!declared || *declared < section.values() ||
             *declared > st.layout.maxRawBytes(section))
             return std::nullopt;
@@ -349,6 +366,15 @@ std::optional<Stream> readStream(std::span<const std::uint8_t> data) {
 }
 
 }  // namespace
+
+LzcOptions meshSectionLzcOptions(std::size_t rawBytes) {
+    // About one hash bucket per 16 residual bytes: varint streams hold
+    // few distinct 3-grams, so a full 2^16-entry table per slot would add
+    // 256 KB of touched memory each and no ratio.
+    LzcOptions lzc;
+    lzc.hashBits = std::clamp(static_cast<int>(std::bit_width(rawBytes)) - 4, 12, 16);
+    return lzc;
+}
 
 float quantizationError(const mesh::TriMesh& m, int positionBits) {
     const auto ext = m.bounds().extent();
@@ -391,7 +417,9 @@ std::vector<std::uint8_t> encodeMesh(const mesh::TriMesh& m,
         const std::size_t bound = layout.maxRawBytes(layout.sections[s]);
         // Room for an incompressible section (lzc expands those by under
         // 6%), so no worker ever grows it.
-        packed[s].reserve(kLzcHeaderBytes + bound + bound / 16 + 16);
+        packed[s].reserve(usesRans(layout.sections[s])
+                              ? ransMaxCompressedBytes(bound)
+                              : kLzcHeaderBytes + bound + bound / 16 + 16);
         maxRaw = std::max(maxRaw, bound);
     }
     core::ThreadPool& pool = options.pool != nullptr ? *options.pool : core::sharedPool();
@@ -405,12 +433,11 @@ std::vector<std::uint8_t> encodeMesh(const mesh::TriMesh& m,
         Slot& slot = slots[k];
         slot.raw.clear();
         putResiduals(m, quant, section, startWatermark(watermarks, section), slot.raw);
-        // About one hash bucket per 16 residual bytes: varint streams hold
-        // few distinct 3-grams, so a full 2^16-entry table per slot would
-        // add 256 KB of touched memory each and no ratio.
-        LzcOptions lzc;
-        lzc.hashBits = std::clamp(static_cast<int>(std::bit_width(slot.raw.size())) - 4, 12, 16);
-        lzcCompress(slot.raw, slot.lzc, packed[s], lzc);
+        if (usesRans(section)) {
+            ransCompress(slot.raw, packed[s]);
+            return;
+        }
+        lzcCompress(slot.raw, slot.lzc, packed[s], meshSectionLzcOptions(slot.raw.size()));
     });
 
     std::vector<std::uint8_t> out;
@@ -448,8 +475,10 @@ std::optional<mesh::TriMesh> decodeMesh(std::span<const std::uint8_t> data,
     forEachSection(p, layout.schedule(), slots.size(), [&](std::size_t k, std::size_t s) {
         if (failed) return;
         const Section& section = layout.sections[s];
+        const std::span<const std::uint8_t> payload = stream->sections[s];
         LzcWorkspace& ws = slots[k].lzc;
-        if (!lzcDecompress(stream->sections[s], ws) ||
+        if (!(payload[0] == kRansFormatTag ? ransDecompress(payload, ws.decoded)
+                                           : lzcDecompress(payload, ws)) ||
             !parseResiduals(ws.decoded, layout, stream->quant, section,
                             startWatermark(stream->watermarks, section), out))
             failed = true;
@@ -472,7 +501,9 @@ std::optional<std::vector<MeshSection>> meshSections(std::span<const std::uint8_
             case Kind::Connectivity: name = "conn" + std::to_string(section.index); break;
             case Kind::Color: name = std::string(1, "rgb"[section.index]); break;
         }
-        out.push_back({std::move(name), stream->rawBytes[s], stream->sections[s].size()});
+        const std::span<const std::uint8_t> bytes = stream->sections[s];
+        out.push_back({std::move(name), bytes[0] == kRansFormatTag ? "rans" : "lzc",
+                       stream->rawBytes[s], bytes});
     }
     return out;
 }

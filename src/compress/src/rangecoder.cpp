@@ -2,68 +2,6 @@
 
 namespace semholo::compress {
 
-namespace {
-constexpr std::uint32_t kTopValue = 1u << 24;
-constexpr int kProbBits = 11;
-constexpr int kMoveBits = 5;
-}  // namespace
-
-void RangeEncoder::shiftLow() {
-    if (low_ < 0xFF000000ull || low_ >= (1ull << 32)) {
-        const auto carry = static_cast<std::uint8_t>(low_ >> 32);
-        while (cacheSize_ != 0) {
-            out_.push_back(static_cast<std::uint8_t>(cache_ + carry));
-            cache_ = 0xFF;
-            --cacheSize_;
-        }
-        cache_ = static_cast<std::uint8_t>(low_ >> 24);
-        cacheSize_ = 0;
-    }
-    ++cacheSize_;
-    low_ = (low_ << 8) & 0xFFFFFFFFull;
-}
-
-void RangeEncoder::encodeBit(BitProb& prob, int bit) {
-    const std::uint32_t bound = (range_ >> kProbBits) * prob.p;
-    if (bit == 0) {
-        range_ = bound;
-        prob.p = static_cast<std::uint16_t>(prob.p +
-                                            (((1u << kProbBits) - prob.p) >> kMoveBits));
-    } else {
-        low_ += bound;
-        range_ -= bound;
-        prob.p = static_cast<std::uint16_t>(prob.p - (prob.p >> kMoveBits));
-    }
-    while (range_ < kTopValue) {
-        range_ <<= 8;
-        shiftLow();
-    }
-}
-
-void RangeEncoder::encodeDirect(std::uint32_t value, int bits) {
-    for (int i = bits - 1; i >= 0; --i) {
-        range_ >>= 1;
-        if ((value >> i) & 1u) low_ += range_;
-        while (range_ < kTopValue) {
-            range_ <<= 8;
-            shiftLow();
-        }
-    }
-}
-
-void RangeEncoder::encodeTree(std::span<BitProb> tree, std::uint32_t value, int bits) {
-    std::uint32_t node = 1;
-    for (int i = bits - 1; i >= 0; --i) {
-        const int bit = static_cast<int>((value >> i) & 1u);
-        encodeBit(tree[node - 1], bit);
-        node = (node << 1) | static_cast<std::uint32_t>(bit);
-    }
-}
-
-void RangeEncoder::finish() {
-    for (int i = 0; i < 5; ++i) shiftLow();
-}
-
 RangeDecoder::RangeDecoder(std::span<const std::uint8_t> data) : data_(data) {
     nextByte();  // first byte emitted by the encoder is always 0
     for (int i = 0; i < 4; ++i) code_ = (code_ << 8) | nextByte();
@@ -76,20 +14,20 @@ std::uint8_t RangeDecoder::nextByte() {
 }
 
 int RangeDecoder::decodeBit(BitProb& prob) {
-    const std::uint32_t bound = (range_ >> kProbBits) * prob.p;
+    const std::uint32_t bound = (range_ >> kRangeProbBits) * prob.p;
     int bit;
     if (code_ < bound) {
         range_ = bound;
         prob.p = static_cast<std::uint16_t>(prob.p +
-                                            (((1u << kProbBits) - prob.p) >> kMoveBits));
+                                            (((1u << kRangeProbBits) - prob.p) >> kRangeMoveBits));
         bit = 0;
     } else {
         code_ -= bound;
         range_ -= bound;
-        prob.p = static_cast<std::uint16_t>(prob.p - (prob.p >> kMoveBits));
+        prob.p = static_cast<std::uint16_t>(prob.p - (prob.p >> kRangeMoveBits));
         bit = 1;
     }
-    while (range_ < kTopValue) {
+    while (range_ < kRangeTopValue) {
         range_ <<= 8;
         code_ = (code_ << 8) | nextByte();
     }
@@ -106,7 +44,7 @@ std::uint32_t RangeDecoder::decodeDirect(int bits) {
             bit = 1;
         }
         value = (value << 1) | bit;
-        while (range_ < kTopValue) {
+        while (range_ < kRangeTopValue) {
             range_ <<= 8;
             code_ = (code_ << 8) | nextByte();
         }

@@ -92,8 +92,11 @@ TriMesh extractIsoSurface(const BlockSampler& sampler, const IsoSurfaceOptions& 
 // BlockSampler with BlockTiling::kDefaultBlockSize-node blocks, per
 // 'sampling' (certificate skips, SIMD batch, worker-pool fan-out). With
 // default 'sampling' every node is field(nodePosition), serially; with a
-// sound certificate the mesh is bit-identical to that one. 'stats'
-// (optional) receives the sampling and extraction counters.
+// sound certificate the mesh is bit-identical to that one. A
+// certificate proves "no zero crossing", so it combines only with
+// options.isoValue 0: any other level throws std::invalid_argument
+// before sampling. 'stats' (optional) receives the sampling and
+// extraction counters.
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options = {},
                           const FieldSampleOptions& sampling = {},

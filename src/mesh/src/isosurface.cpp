@@ -1172,6 +1172,13 @@ TriMesh extractIsoSurface(const BlockSampler& sampler, const IsoSurfaceOptions& 
 TriMesh extractIsoSurface(const ScalarField& field, const geom::AABB& bounds,
                           int resolution, const IsoSurfaceOptions& options,
                           const FieldSampleOptions& sampling, ReconCounters* stats) {
+    // A certificate proves a region holds no zero crossing; a certified
+    // block may still cross any other level, so the store would be
+    // unsound there.
+    if (sampling.certificate && options.isoValue != 0.0f)
+        throw std::invalid_argument(
+            "extractIsoSurface: a skip certificate only certifies iso level 0, not " +
+            std::to_string(options.isoValue));
     BlockSampler sampler(VoxelGrid(bounds, {resolution, resolution, resolution}),
                          BlockTiling::kDefaultBlockSize);
     const ReconCounters sampled = sampler.sample(field, sampling);

@@ -1,6 +1,7 @@
 #include "semholo/mesh/kdtree.hpp"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 #include <queue>
 
@@ -59,12 +60,26 @@ KdTree::Hit KdTree::nearest(Vec3f query) const {
     Hit best;
     if (nodes_.empty()) return best;
 
-    // Explicit stack avoids recursion overhead on deep trees.
-    std::vector<std::uint32_t> stack{0};
-    stack.reserve(64);
-    while (!stack.empty()) {
-        const std::uint32_t ni = stack.back();
-        stack.pop_back();
+    // Fixed explicit stack: a node's far child waits on it with the
+    // squared distance to its splitting plane, and is skipped on pop when
+    // a hit found meanwhile is at least that close. Every point beyond
+    // the plane is at least that far, and a hit is replaced only by a
+    // strictly closer point, so skipping changes neither the hit nor
+    // which of equally distant points wins. Each descent step pops one
+    // entry and pushes at most two, so the stack never holds more than
+    // the tree's depth plus one: at most 30 with 32-bit indices and
+    // median splits down to kLeafSize points.
+    struct Pending {
+        std::uint32_t node;
+        float plane2;
+    };
+    std::array<Pending, 64> stack;
+    std::size_t top = 0;
+    stack[top++] = {0, 0.0f};
+    while (top > 0) {
+        const Pending entry = stack[--top];
+        if (entry.plane2 >= best.distance2) continue;
+        const std::uint32_t ni = entry.node;
         const Node& node = nodes_[ni];
         if (node.count > 0) {
             for (std::uint32_t i = node.first; i < node.first + node.count; ++i) {
@@ -79,8 +94,8 @@ KdTree::Hit KdTree::nearest(Vec3f query) const {
         const std::uint32_t far = delta <= 0.0f ? node.right : ni + 1;
         // Visit the far side only if the splitting plane is closer than
         // the best hit so far; push it first so near is processed next.
-        if (delta * delta < best.distance2) stack.push_back(far);
-        stack.push_back(near);
+        if (delta * delta < best.distance2) stack[top++] = {far, delta * delta};
+        stack[top++] = {near, 0.0f};
     }
     return best;
 }

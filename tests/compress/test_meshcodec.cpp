@@ -8,6 +8,7 @@
 #include "semholo/body/animation.hpp"
 #include "semholo/body/body_model.hpp"
 #include "semholo/compress/lzc.hpp"
+#include "semholo/compress/rans.hpp"
 #include "semholo/core/thread_pool.hpp"
 #include "semholo/mesh/isosurface.hpp"
 #include "semholo/mesh/metrics.hpp"
@@ -19,6 +20,19 @@ using mesh::TriMesh;
 
 TriMesh testSphere() {
     return mesh::makeUVSphere(0.8f, 24, 48, {0.2f, -0.1f, 0.4f});
+}
+
+// A 4,200-vertex helix strip with few triangles: enough vertices for
+// rANS position sections, cheap enough to decode thousands of times.
+TriMesh ransMesh() {
+    TriMesh m;
+    for (int i = 0; i < 4200; ++i) {
+        const float t = 0.01f * static_cast<float>(i);
+        m.vertices.push_back({std::cos(t) * (1.0f + 0.1f * std::sin(7.0f * t)),
+                              std::sin(t) * (1.0f + 0.1f * std::cos(5.0f * t)), 0.02f * t});
+    }
+    for (std::uint32_t i = 0; i + 2 < 600; ++i) m.triangles.push_back({i, i + 1, i + 2});
+    return m;
 }
 
 TEST(MeshCodec, RoundTripPreservesTopology) {
@@ -243,7 +257,7 @@ TEST(MeshCodec, BytesIdenticalAtAnyPoolSize) {
     }
 }
 
-// v2 wire offsets: a 40-byte fixed header, one u32 starting watermark
+// v3 wire offsets: a 40-byte fixed header, one u32 starting watermark
 // per connectivity part, then one u32 length per section.
 constexpr std::size_t kFixedHeaderBytes = 40;
 
@@ -289,28 +303,39 @@ TEST(MeshCodec, HugeCountsRejectedBeforeAllocating) {
     ASSERT_EQ(v1.size(), 26u);
     EXPECT_NO_THROW(EXPECT_FALSE(decodeMesh(v1).has_value()));
 
-    // The same claim in v2: each position section holds one byte, far
-    // fewer than one per claimed vertex.
+    // The same claim in v3: each position section holds one byte, far
+    // fewer than one per claimed vertex, in either backend.
     const auto oneByte = lzcCompress(std::vector<std::uint8_t>{0});
+    const auto oneRans = ransCompress(std::vector<std::uint8_t>{0});
     const auto empty = lzcCompress(std::vector<std::uint8_t>{});
-    const std::uint32_t v2Magic = getU32(encodeMesh(testSphere()), 0);
-    const auto v2 =
-        handMadeStream(v2Magic, 0xFFFFFFF0u, 0, {0}, {oneByte, oneByte, oneByte, empty});
-    EXPECT_NO_THROW(EXPECT_FALSE(decodeMesh(v2).has_value()));
+    const std::uint32_t magic = getU32(encodeMesh(testSphere()), 0);
+    for (const auto& one : {oneByte, oneRans}) {
+        const auto v3 = handMadeStream(magic, 0xFFFFFFF0u, 0, {0}, {one, one, one, empty});
+        EXPECT_NO_THROW(EXPECT_FALSE(decodeMesh(v3).has_value()));
+    }
 
     // Sections whose lzc headers claim ~1 GiB to match a ~1 G vertex
     // count: impossible for a 12-byte section, so rejected unread.
     const std::vector<std::uint8_t> gib = {
         static_cast<std::uint8_t>(kLzcFormatTag | 3), 0xFF, 0xFF, 0xFF, 0x3F,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00};
-    const auto claim = handMadeStream(v2Magic, 0x3FFFFFFFu, 0, {0}, {gib, gib, gib, empty});
+    const auto claim = handMadeStream(magic, 0x3FFFFFFFu, 0, {0}, {gib, gib, gib, empty});
     EXPECT_NO_THROW(EXPECT_FALSE(decodeMesh(claim).has_value()));
+    // The same claim in rANS sections, which code a long run of one
+    // symbol in a few bytes: still bounded by kRansMaxExpansion.
+    auto ransGib = oneRans;
+    for (int i = 0; i < 4; ++i) ransGib[1 + i] = static_cast<std::uint8_t>(0x3FFFFFFFu >> (8 * i));
+    const auto ransClaim =
+        handMadeStream(magic, 0x3FFFFFFFu, 0, {0}, {ransGib, ransGib, ransGib, empty});
+    EXPECT_NO_THROW(EXPECT_FALSE(decodeMesh(ransClaim).has_value()));
 
     // Sanity: the hand-made layout decodes when the counts are honest.
-    const auto honest = handMadeStream(v2Magic, 1, 0, {0}, {oneByte, oneByte, oneByte, empty});
-    const auto back = decodeMesh(honest);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->vertexCount(), 1u);
+    for (const auto& one : {oneByte, oneRans}) {
+        const auto honest = handMadeStream(magic, 1, 0, {0}, {one, one, one, empty});
+        const auto back = decodeMesh(honest);
+        ASSERT_TRUE(back.has_value());
+        EXPECT_EQ(back->vertexCount(), 1u);
+    }
 }
 
 TEST(MeshCodec, CorruptSectionTableRejected) {
@@ -340,6 +365,55 @@ TEST(MeshCodec, CorruptSectionTableRejected) {
     setU32(corrupt.back(), 8, nt + 1);  // more triangles than connectivity holds
     for (std::size_t i = 0; i < corrupt.size(); ++i)
         EXPECT_NO_THROW(EXPECT_FALSE(decodeMesh(corrupt[i]).has_value()) << "case " << i);
+
+    {
+        // v3 sections name their backend in their first byte. Position
+        // sections of a mesh this size are rANS; every corruption of one
+        // must decode to nullopt, never to a crash or a mesh.
+        const TriMesh m = ransMesh();
+        const auto good = encodeMesh(m);
+        const auto sections = meshSections(good);
+        ASSERT_TRUE(sections.has_value());
+        ASSERT_EQ((*sections)[0].backend, "rans");
+        ASSERT_EQ((*sections)[3].backend, "lzc");
+        ASSERT_TRUE(decodeMesh(good).has_value());
+        const std::size_t tableAt = kFixedHeaderBytes + 4;  // one connectivity part
+        const std::size_t xAt = tableAt + 4 * sections->size();
+        const std::size_t xBytes = getU32(good, tableAt);
+
+        std::vector<std::vector<std::uint8_t>> corrupt;
+        for (const std::uint8_t tag : {0x00, 0x31, 0x7F, 0xFF}) {
+            corrupt.push_back(good);
+            corrupt.back()[xAt] = tag;  // unknown backend byte
+        }
+        corrupt.push_back(good);  // tables no longer sum to the scale
+        corrupt.back()[xAt + kRansHeaderBytes + 1] ^= 0x80;
+        // Payloads cut short, with the section table adjusted to match:
+        // one byte short, and cut right after the rANS header.
+        for (const std::size_t keep : {xBytes - 1, kRansHeaderBytes}) {
+            corrupt.push_back(good);
+            auto& bytes = corrupt.back();
+            bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(xAt + keep),
+                        bytes.begin() + static_cast<std::ptrdiff_t>(xAt + xBytes));
+            setU32(bytes, tableAt, static_cast<std::uint32_t>(keep));
+        }
+        for (std::size_t i = 0; i < corrupt.size(); ++i)
+            EXPECT_NO_THROW(EXPECT_FALSE(decodeMesh(corrupt[i]).has_value()) << "case " << i);
+
+        // A final state that does not match: one vertex, each position a
+        // rANS stream of one byte (tables of 6 bytes, then four states).
+        const auto one = ransCompress(std::vector<std::uint8_t>{0});
+        const auto empty = lzcCompress(std::vector<std::uint8_t>{});
+        const std::uint32_t magic = getU32(good, 0);
+        ASSERT_TRUE(
+            decodeMesh(handMadeStream(magic, 1, 0, {0}, {one, one, one, empty})).has_value());
+        for (std::size_t lane = 0; lane < 4; ++lane) {
+            auto bad = one;
+            bad[kRansHeaderBytes + 6 + 4 * lane] ^= 0x01;
+            const auto stream = handMadeStream(magic, 1, 0, {0}, {one, bad, one, empty});
+            EXPECT_NO_THROW(EXPECT_FALSE(decodeMesh(stream).has_value()) << "lane " << lane);
+        }
+    }
 }
 
 TEST(MeshCodec, CorruptionFuzzNeverThrows) {
@@ -363,6 +437,24 @@ TEST(MeshCodec, CorruptionFuzzNeverThrows) {
     }
     for (std::size_t len = 0; len < data.size(); len += 7)
         check(std::span(data).subspan(0, len));
+
+    // v3 rANS position sections: every bit of each section's header,
+    // tables and states, and a stride through its payload.
+    const auto rans = encodeMesh(ransMesh());
+    const auto sections = meshSections(rans);
+    ASSERT_TRUE(sections.has_value());
+    std::size_t at = kFixedHeaderBytes + 4 + 4 * sections->size();
+    for (const MeshSection& section : *sections) {
+        if (section.backend == "rans")
+            for (std::size_t bit = 0; bit < section.stream.size() * 8;
+                 bit += bit < 64 * 8 ? 1 : 61) {
+                auto flipped = rans;
+                flipped[at + bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+                check(flipped);
+            }
+        at += section.stream.size();
+    }
+    for (std::size_t len = 0; len < rans.size(); len += 97) check(std::span(rans).subspan(0, len));
 }
 
 class MeshCodecBitSweep : public ::testing::TestWithParam<int> {};

@@ -9,12 +9,12 @@ namespace semholo::compress {
 namespace {
 
 TEST(RangeCoder, SingleBitsRoundTrip) {
-    RangeEncoder enc;
+    std::vector<std::uint8_t> data;
+    RangeEncoder enc(data);
     BitProb p;
     const std::vector<int> bits{0, 1, 1, 0, 1, 0, 0, 0, 1, 1};
     for (const int b : bits) enc.encodeBit(p, b);
     enc.finish();
-    const auto data = enc.take();
 
     RangeDecoder dec(data);
     BitProb q;
@@ -27,11 +27,11 @@ TEST(RangeCoder, RandomBitStreamRoundTrip) {
     std::vector<int> bits(5000);
     for (auto& b : bits) b = bit(rng) ? 1 : 0;
 
-    RangeEncoder enc;
+    std::vector<std::uint8_t> data;
+    RangeEncoder enc(data);
     BitProb p;
     for (const int b : bits) enc.encodeBit(p, b);
     enc.finish();
-    const auto data = enc.take();
 
     RangeDecoder dec(data);
     BitProb q;
@@ -43,11 +43,12 @@ TEST(RangeCoder, AdaptiveCoderBeatsOneBitPerSymbolOnSkewedData) {
     std::mt19937 rng(4);
     std::bernoulli_distribution bit(0.05);
     const std::size_t n = 20000;
-    RangeEncoder enc;
+    std::vector<std::uint8_t> data;
+    RangeEncoder enc(data);
     BitProb p;
     for (std::size_t i = 0; i < n; ++i) enc.encodeBit(p, bit(rng) ? 1 : 0);
     enc.finish();
-    EXPECT_LT(enc.take().size(), n / 8 / 2);  // < 0.5 bit per symbol
+    EXPECT_LT(data.size(), n / 8 / 2);  // < 0.5 bit per symbol
 }
 
 TEST(RangeCoder, DirectBitsRoundTrip) {
@@ -56,10 +57,10 @@ TEST(RangeCoder, DirectBitsRoundTrip) {
     std::vector<std::uint32_t> values(500);
     for (auto& v : values) v = uni(rng);
 
-    RangeEncoder enc;
+    std::vector<std::uint8_t> data;
+    RangeEncoder enc(data);
     for (const auto v : values) enc.encodeDirect(v, 24);
     enc.finish();
-    const auto data = enc.take();
 
     RangeDecoder dec(data);
     for (const auto v : values) ASSERT_EQ(dec.decodeDirect(24), v);
@@ -72,17 +73,18 @@ TEST(RangeCoder, TreeRoundTrip) {
     for (auto& v : values) v = uni(rng);
 
     std::vector<BitProb> encTree(255), decTree(255);
-    RangeEncoder enc;
+    std::vector<std::uint8_t> data;
+    RangeEncoder enc(data);
     for (const auto v : values) enc.encodeTree(encTree, v, 8);
     enc.finish();
-    const auto data = enc.take();
 
     RangeDecoder dec(data);
     for (const auto v : values) ASSERT_EQ(dec.decodeTree(decTree, 8), v);
 }
 
 TEST(RangeCoder, MixedOperationsRoundTrip) {
-    RangeEncoder enc;
+    std::vector<std::uint8_t> data;
+    RangeEncoder enc(data);
     BitProb p;
     std::vector<BitProb> encTree(15);
     enc.encodeBit(p, 1);
@@ -90,7 +92,6 @@ TEST(RangeCoder, MixedOperationsRoundTrip) {
     enc.encodeTree(encTree, 11, 4);
     enc.encodeBit(p, 0);
     enc.finish();
-    const auto data = enc.take();
 
     RangeDecoder dec(data);
     BitProb q;

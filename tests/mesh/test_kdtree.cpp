@@ -60,6 +60,38 @@ TEST(KdTree, NearestMatchesBruteForce) {
     }
 }
 
+TEST(KdTree, NearestMatchesBruteForceOnCloudsWithDuplicates) {
+    // Points on a coarse integer grid: many exact duplicates and many
+    // queries with several equally distant points. The tree must return
+    // exactly the brute-force distance, and a point at that distance.
+    for (const std::uint32_t seed : {1u, 2u, 3u}) {
+        std::mt19937 rng(seed);
+        std::uniform_int_distribution<int> cell(-4, 4);
+        std::vector<Vec3f> pts(3000);
+        for (auto& p : pts)
+            p = {static_cast<float>(cell(rng)), static_cast<float>(cell(rng)),
+                 static_cast<float>(cell(rng))};
+        const KdTree tree(pts);
+        std::uniform_real_distribution<float> uni(-6.0f, 6.0f);
+        for (int trial = 0; trial < 400; ++trial) {
+            const Vec3f q = trial % 2 == 0
+                                ? Vec3f{uni(rng), uni(rng), uni(rng)}
+                                : Vec3f{static_cast<float>(cell(rng)) + 0.5f,
+                                        static_cast<float>(cell(rng)),
+                                        static_cast<float>(cell(rng)) - 0.5f};
+            const auto hit = tree.nearest(q);
+            ASSERT_TRUE(hit.valid());
+            const std::uint32_t expect = bruteForceNearest(pts, q);
+            ASSERT_EQ(hit.distance2, (pts[expect] - q).norm2()) << "seed " << seed;
+            ASSERT_EQ((pts[hit.index] - q).norm2(), hit.distance2);
+        }
+        // A query on a stored point finds a copy of it at distance zero.
+        const auto exact = tree.nearest(pts[17]);
+        EXPECT_EQ(exact.distance2, 0.0f);
+        EXPECT_EQ(pts[exact.index], pts[17]);
+    }
+}
+
 TEST(KdTree, KNearestSortedAndCorrect) {
     const auto pts = randomPoints(500, 7);
     KdTree tree(pts);

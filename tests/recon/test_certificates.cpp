@@ -226,5 +226,24 @@ TEST(IsoSurface, UnsoundStoreThrowsInsteadOfCorrupting) {
     }
 }
 
+TEST(IsoSurface, CertificateWithNonzeroIsoLevelRejected) {
+    // The certificate proves "no zero crossing": at level 0.05 the blocks
+    // it skips may hold the surface, which left an unsound store that the
+    // extractor threw std::logic_error on at 64^3. The field overload
+    // refuses the combination before sampling instead.
+    const Pose pose = MotionGenerator(MotionKind::Talk).poseAt(0.0);
+    const BodyField body = body::makeBodyField(pose);
+    mesh::FieldSampleOptions so;
+    so.certificate = body.certificate;
+    mesh::IsoSurfaceOptions opt;
+    opt.isoValue = 0.05f;
+    EXPECT_THROW(mesh::extractIsoSurface(body.field, body.bounds, 64, opt, so),
+                 std::invalid_argument);
+    // Either half alone still extracts.
+    EXPECT_FALSE(mesh::extractIsoSurface(body.field, body.bounds, 64, opt).empty());
+    opt.isoValue = 0.0f;
+    EXPECT_FALSE(mesh::extractIsoSurface(body.field, body.bounds, 64, opt, so).empty());
+}
+
 }  // namespace
 }  // namespace semholo::recon
