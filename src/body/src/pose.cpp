@@ -1,41 +1,13 @@
 #include "semholo/body/pose.hpp"
 
 #include <cmath>
-#include <cstring>
+
+#include "semholo/geometry/byteio.hpp"
 
 namespace semholo::body {
 
-namespace {
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
-    out.push_back(static_cast<std::uint8_t>(v >> 16));
-    out.push_back(static_cast<std::uint8_t>(v >> 24));
-}
-
-void putF64(std::vector<std::uint8_t>& out, double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
-}
-
-std::uint32_t getU32(std::span<const std::uint8_t> in, std::size_t& off) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[off++]) << (8 * i);
-    return v;
-}
-
-double getF64(std::span<const std::uint8_t> in, std::size_t& off) {
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(in[off++]) << (8 * i);
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-}
-
-}  // namespace
+using byteio::putF64;
+using byteio::putU32;
 
 std::vector<std::uint8_t> serializePose(const Pose& pose) {
     std::vector<std::uint8_t> out;
@@ -57,18 +29,18 @@ std::vector<std::uint8_t> serializePose(const Pose& pose) {
 std::optional<Pose> deserializePose(std::span<const std::uint8_t> bytes) {
     if (bytes.size() != kPosePayloadBytes) return std::nullopt;
     Pose pose;
-    std::size_t off = 0;
-    pose.frameId = getU32(bytes, off);
-    for (Vec3f& r : pose.jointRotations) {
-        r.x = static_cast<float>(getF64(bytes, off));
-        r.y = static_cast<float>(getF64(bytes, off));
-        r.z = static_cast<float>(getF64(bytes, off));
+    byteio::Reader r{bytes};
+    pose.frameId = r.u32();
+    for (Vec3f& rot : pose.jointRotations) {
+        rot.x = static_cast<float>(r.f64());
+        rot.y = static_cast<float>(r.f64());
+        rot.z = static_cast<float>(r.f64());
     }
-    pose.rootTranslation.x = static_cast<float>(getF64(bytes, off));
-    pose.rootTranslation.y = static_cast<float>(getF64(bytes, off));
-    pose.rootTranslation.z = static_cast<float>(getF64(bytes, off));
-    for (double& b : pose.shape.betas) b = getF64(bytes, off);
-    for (double& e : pose.expression.coeffs) e = getF64(bytes, off);
+    pose.rootTranslation.x = static_cast<float>(r.f64());
+    pose.rootTranslation.y = static_cast<float>(r.f64());
+    pose.rootTranslation.z = static_cast<float>(r.f64());
+    for (double& b : pose.shape.betas) b = r.f64();
+    for (double& e : pose.expression.coeffs) e = r.f64();
     return pose;
 }
 

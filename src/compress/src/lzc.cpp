@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "semholo/compress/rangecoder.hpp"
+#include "semholo/geometry/byteio.hpp"
 
 namespace semholo::compress {
 
@@ -85,10 +86,6 @@ struct Models {
     std::span<BitProb> distSlot;
 };
 
-void putU32le(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 }  // namespace
 
 int lzcClampedLiteralContextBits(int literalContextBits) {
@@ -112,7 +109,7 @@ void lzcCompress(std::span<const std::uint8_t> data, LzcWorkspace& ws,
     out.clear();
     out.push_back(
         static_cast<std::uint8_t>(kLzcFormatTag | static_cast<unsigned>(ctxBits)));
-    putU32le(out, static_cast<std::uint32_t>(data.size()));
+    byteio::putU32(out, static_cast<std::uint32_t>(data.size()));
     if (data.empty()) return;
 
     const Models models(ws.models);
@@ -208,9 +205,7 @@ std::vector<std::uint8_t> lzcCompress(std::span<const std::uint8_t> data,
 std::optional<std::size_t> lzcDecodedSize(std::span<const std::uint8_t> compressed) {
     if (compressed.size() < kLzcHeaderBytes) return std::nullopt;
     if ((compressed[0] & kLzcFormatMask) != kLzcFormatTag) return std::nullopt;
-    std::size_t size = 0;
-    for (int i = 0; i < 4; ++i)
-        size |= static_cast<std::size_t>(compressed[1 + i]) << (8 * i);
+    const std::size_t size = byteio::Reader{compressed.subspan(1)}.u32();
     // Guard against absurd headers (corrupt input).
     if (size > (1u << 30) ||
         size > (compressed.size() - kLzcHeaderBytes) * kLzcMaxExpansion)

@@ -5,15 +5,18 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 
 #include "semholo/compress/rans.hpp"
 #include "semholo/core/thread_pool.hpp"
+#include "semholo/geometry/byteio.hpp"
 
 namespace semholo::compress {
 
 namespace {
+
+using byteio::putF32;
+using byteio::putU32;
 
 // Wire format v3:
 //   u32 magic, u32 nv, u32 nt, u32 bits | colours << 31, f32 lo[3], f32 ext[3]
@@ -126,16 +129,6 @@ std::size_t slotCount(core::ThreadPool& pool, const Layout& layout) {
     return std::min(layout.sections.size(), pool.size());
 }
 
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void putF32(std::vector<std::uint8_t>& out, float f) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    putU32(out, bits);
-}
-
 // Zigzag + LEB128 varint for signed deltas.
 void putVarint(std::vector<std::uint8_t>& out, std::int64_t v) {
     std::uint64_t z = (static_cast<std::uint64_t>(v) << 1) ^
@@ -162,28 +155,6 @@ bool getVarint(const std::uint8_t*& p, const std::uint8_t* end, std::size_t maxB
     }
     return false;
 }
-
-struct Reader {
-    std::span<const std::uint8_t> data;
-    std::size_t pos{0};
-    bool fail{false};
-
-    std::uint32_t u32() {
-        if (pos + 4 > data.size()) {
-            fail = true;
-            return 0;
-        }
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-        return v;
-    }
-    float f32() {
-        const std::uint32_t bits = u32();
-        float f;
-        std::memcpy(&f, &bits, sizeof(f));
-        return f;
-    }
-};
 
 // Position quantisation within the mesh bounds. NaN coordinates quantise
 // to 0, so every delta stays within the section's varint bound.
@@ -326,7 +297,7 @@ struct Stream {
 // against its section's declared size (at least one byte, at most one
 // maximal varint per value) before anything is sized by it.
 std::optional<Stream> readStream(std::span<const std::uint8_t> data) {
-    Reader r{data};
+    byteio::Reader r{data};
     if (r.u32() != kMagic) return std::nullopt;
     const std::uint32_t nv = r.u32();
     const std::uint32_t nt = r.u32();
@@ -352,8 +323,7 @@ std::optional<Stream> readStream(std::span<const std::uint8_t> data) {
     if (r.fail || total != data.size() - r.pos) return std::nullopt;
 
     for (std::size_t s = 0; s < lengths.size(); ++s) {
-        const auto payload = data.subspan(r.pos, lengths[s]);
-        r.pos += lengths[s];
+        const auto payload = r.bytes(lengths[s]);
         const Section& section = st.layout.sections[s];
         const auto declared = declaredRawBytes(payload);
         if (!declared || *declared < section.values() ||

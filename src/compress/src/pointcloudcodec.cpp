@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <map>
 
 #include "semholo/compress/lzc.hpp"
+#include "semholo/geometry/byteio.hpp"
 
 namespace semholo::compress {
 
@@ -13,17 +13,10 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x53485043;  // "SHPC"
 
+using byteio::putF32;
+using byteio::putU16;
+using byteio::putU32;
 using geom::Vec3f;
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void putF32(std::vector<std::uint8_t>& out, float f) {
-    std::uint32_t bits;
-    std::memcpy(&bits, &f, sizeof(bits));
-    putU32(out, bits);
-}
 
 std::uint16_t pack565(Vec3f c) {
     const auto r = static_cast<std::uint16_t>(geom::clamp(c.x, 0.0f, 1.0f) * 31.0f + 0.5f);
@@ -62,34 +55,6 @@ void mortonDecode(std::uint64_t key, int depth, std::uint64_t& x, std::uint64_t&
         z |= ((key >> (3 * i)) & 1ull) << i;
     }
 }
-
-struct Reader {
-    std::span<const std::uint8_t> data;
-    std::size_t pos{0};
-    bool fail{false};
-
-    std::uint8_t u8() {
-        if (pos >= data.size()) {
-            fail = true;
-            return 0;
-        }
-        return data[pos++];
-    }
-    std::uint32_t u32() {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(u8()) << (8 * i);
-        return v;
-    }
-    float f32() {
-        const std::uint32_t bits = u32();
-        float f;
-        std::memcpy(&f, &bits, sizeof(f));
-        return f;
-    }
-    std::uint16_t u16() {
-        return static_cast<std::uint16_t>(u8() | (static_cast<std::uint16_t>(u8()) << 8));
-    }
-};
 
 }  // namespace
 
@@ -171,10 +136,7 @@ std::vector<std::uint8_t> encodePointCloud(const mesh::PointCloud& cloud,
 
         if (colors) {
             for (const auto& [key, leaf] : leaves) {
-                const std::uint16_t packed =
-                    pack565(leaf.colorSum / static_cast<float>(leaf.count));
-                raw.push_back(static_cast<std::uint8_t>(packed & 0xFF));
-                raw.push_back(static_cast<std::uint8_t>(packed >> 8));
+                putU16(raw, pack565(leaf.colorSum / static_cast<float>(leaf.count)));
             }
         }
     }
@@ -185,7 +147,7 @@ std::vector<std::uint8_t> encodePointCloud(const mesh::PointCloud& cloud,
 std::optional<mesh::PointCloud> decodePointCloud(std::span<const std::uint8_t> data) {
     const auto rawOpt = lzcDecompress(data);
     if (!rawOpt) return std::nullopt;
-    Reader r{*rawOpt};
+    byteio::Reader r{*rawOpt};
     if (r.u32() != kMagic) return std::nullopt;
     const std::uint32_t depthWord = r.u32();
     const int depth = static_cast<int>(depthWord & 0x7FFFFFFFu);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "semholo/geometry/byteio.hpp"
+
 namespace semholo::compress {
 
 namespace {
@@ -10,6 +12,8 @@ namespace {
 constexpr std::size_t kBlock = 16;
 constexpr std::uint32_t kMagic = 0x53485443;  // "SHTC"
 
+using byteio::putU16;
+using byteio::putU32;
 using geom::Vec3f;
 
 std::uint16_t pack565(Vec3f c) {
@@ -23,15 +27,6 @@ Vec3f unpack565(std::uint16_t v) {
     return {static_cast<float>((v >> 11) & 31) / 31.0f,
             static_cast<float>((v >> 5) & 63) / 63.0f,
             static_cast<float>(v & 31) / 31.0f};
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void putU16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-    out.push_back(static_cast<std::uint8_t>(v));
-    out.push_back(static_cast<std::uint8_t>(v >> 8));
 }
 
 }  // namespace
@@ -99,30 +94,18 @@ std::vector<std::uint8_t> encodeColorBlocks(std::span<const Vec3f> colors) {
 
 std::optional<std::vector<Vec3f>> decodeColorBlocks(
     std::span<const std::uint8_t> data) {
-    if (data.size() < 8) return std::nullopt;
-    std::size_t pos = 0;
-    auto u32 = [&]() {
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data[pos++]) << (8 * i);
-        return v;
-    };
-    auto u16 = [&]() {
-        std::uint16_t v = static_cast<std::uint16_t>(data[pos] |
-                                                     (data[pos + 1] << 8));
-        pos += 2;
-        return v;
-    };
-    if (u32() != kMagic) return std::nullopt;
-    const std::uint32_t count = u32();
+    byteio::Reader r{data};
+    if (r.u32() != kMagic) return std::nullopt;
+    const std::uint32_t count = r.u32();
     const std::size_t blocks = (count + kBlock - 1) / kBlock;
-    if (data.size() < 8 + blocks * 8) return std::nullopt;
+    if (r.fail || data.size() < 8 + blocks * 8) return std::nullopt;
 
     std::vector<Vec3f> out;
     out.reserve(count);
     for (std::size_t b = 0; b < blocks; ++b) {
-        const Vec3f q0 = unpack565(u16());
-        const Vec3f q1 = unpack565(u16());
-        const std::uint32_t indices = u32();
+        const Vec3f q0 = unpack565(r.u16());
+        const Vec3f q1 = unpack565(r.u16());
+        const std::uint32_t indices = r.u32();
         const Vec3f palette[4] = {q0, geom::lerp(q0, q1, 1.0f / 3.0f),
                                   geom::lerp(q0, q1, 2.0f / 3.0f), q1};
         const std::size_t n = std::min(kBlock, static_cast<std::size_t>(count) - out.size());

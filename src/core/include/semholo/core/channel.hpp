@@ -6,6 +6,13 @@
 // renderable content (reconstruction). Four semantic channels are
 // provided — traditional (mesh), keypoint, text, image/NeRF — plus the
 // foveated hybrid of section 3.1.
+//
+// Stage costs: the session engine measures the wall time of every
+// encode and decode call itself, so a channel never reads a clock. A
+// channel reports only the simulated cost of work we model instead of
+// running (detectors, captioners, text-to-3D), in simulatedExtractMs /
+// simulatedReconMs; TimingModel (session.hpp) decides what the pipeline
+// clock charges.
 #pragma once
 
 #include <cstdint>
@@ -54,12 +61,9 @@ struct FrameContext {
 struct EncodedFrame {
     std::uint32_t frameId{};
     std::vector<std::uint8_t> data;
-    // Measured wall time of extraction+encoding on this host.
-    double measuredExtractMs{0.0};
     // Simulated DL inference time where the real system would run a
     // model we replaced (detectors, captioners); 0 when not applicable.
     double simulatedExtractMs{0.0};
-    double extractMs() const { return measuredExtractMs + simulatedExtractMs; }
     std::size_t bytes() const { return data.size(); }
 };
 
@@ -68,9 +72,9 @@ struct DecodedFrame {
     std::uint32_t frameId{};
     mesh::TriMesh mesh;             // empty for image-semantics output
     capture::RGBImage view;         // rendered novel view (image channel)
-    double measuredReconMs{0.0};
+    // Simulated receiver inference where the real system would run a
+    // model we replaced (text-to-3D); 0 when not applicable.
     double simulatedReconMs{0.0};
-    double reconMs() const { return measuredReconMs + simulatedReconMs; }
     // Reconstruction work accounting: the reconstructor's counters on
     // mesh-producing channels. Aggregated into telemetry counters.
     mesh::ReconCounters recon;

@@ -36,16 +36,19 @@
 namespace semholo::core {
 
 // What advances the pipeline availability clocks (extractor/recon busy
-// times, link send times).
+// times, link send times). Either way the engine times every encode and
+// decode call and reports wall + simulated cost in
+// FrameStats::extractMs / reconMs; the model only decides what the
+// clocks charge.
 enum class TimingModel {
-    // Measured wall time + simulated DL inference time (legacy). Wall
-    // time varies run to run, so drop decisions and link timings are
-    // only statistically reproducible.
+    // Wall time of the channel call + its simulated DL inference time
+    // (legacy). Wall time varies run to run, so drop decisions and link
+    // timings are only statistically reproducible.
     Measured,
     // Only the simulated (deterministic) stage costs drive the clocks;
-    // measured wall time is still *reported* in FrameStats/telemetry but
-    // never influences scheduling. Use for determinism tests and for
-    // comparing engines bit-for-bit.
+    // the wall time is still *reported* in FrameStats/telemetry but never
+    // influences scheduling. Use for determinism tests and for comparing
+    // engines bit-for-bit.
     Simulated,
 };
 
@@ -89,9 +92,9 @@ struct SessionConfig {
 struct FrameStats {
     std::uint32_t frameId{};
     std::size_t bytes{};
-    double extractMs{};    // measured + simulated sender inference
+    double extractMs{};    // encode-call wall time + simulated sender inference
     double transferMs{};   // network (queue + serialisation + propagation)
-    double reconMs{};      // measured + simulated receiver inference
+    double reconMs{};      // decode-call wall time + simulated receiver inference
     double e2eMs{};        // capture-to-render
     double qualityMs{};    // Chamfer-eval wall time (0 when not evaluated)
     bool delivered{false};

@@ -7,8 +7,6 @@
 // fixed LOD topology and only re-position its vertices from the deformed
 // full mesh — the standard precomputed-LOD pipeline, so per-frame sender
 // cost is codec-bound, not simplification-bound.
-#include <chrono>
-
 #include "semholo/compress/meshcodec.hpp"
 #include "semholo/core/channel.hpp"
 #include "semholo/mesh/kdtree.hpp"
@@ -18,12 +16,6 @@
 namespace semholo::core {
 
 namespace {
-
-double msSince(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 class AdaptiveMeshChannel final : public SemanticChannel {
 public:
@@ -42,15 +34,12 @@ public:
         mesh::TriMesh gt = frame.groundTruth();
         gt.colors.clear();
 
-        // One-time LOD-ladder construction: session setup (like a codec
-        // handshake), deliberately excluded from the per-frame cost.
+        // One-time LOD-ladder construction on the first frame: session
+        // setup, like a codec handshake. The engine times the whole call,
+        // so the first frame's extractMs includes it.
         if (levels_.empty()) calibrate(gt);
-
-        const auto t0 = std::chrono::steady_clock::now();
-        if (levels_.empty() || gt.vertexCount() != fullVertexCount_) {
-            out.measuredExtractMs = msSince(t0);
+        if (levels_.empty() || gt.vertexCount() != fullVertexCount_)
             return out;  // wrong subject
-        }
 
         const std::size_t levelIdx =
             frame.estimatedBandwidthBps > 0.0 && abr_
@@ -69,20 +58,17 @@ public:
         compress::MeshCodecOptions codec;
         codec.encodeColors = false;
         out.data = compress::encodeMesh(lod, codec);
-        out.measuredExtractMs = msSince(t0);
         return out;
     }
 
     DecodedFrame decode(const EncodedFrame& encoded) override {
         DecodedFrame out;
         out.frameId = encoded.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
         auto m = compress::decodeMesh(encoded.data);
         if (m) {
             out.mesh = std::move(*m);
             out.valid = true;
         }
-        out.measuredReconMs = msSince(t0);
         return out;
     }
 

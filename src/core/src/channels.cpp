@@ -1,7 +1,6 @@
 #include "semholo/core/channel.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 #include <optional>
 #include <span>
@@ -9,6 +8,7 @@
 #include "semholo/compress/codec2.hpp"
 #include "semholo/compress/meshcodec.hpp"
 #include "semholo/gaze/foveation.hpp"
+#include "semholo/geometry/byteio.hpp"
 #include "semholo/recon/keypoint_recon.hpp"
 #include "semholo/textsem/delta.hpp"
 
@@ -16,21 +16,7 @@ namespace semholo::core {
 
 namespace {
 
-double msSince(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t getU32(std::span<const std::uint8_t> in, std::size_t& pos) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[pos++]) << (8 * i);
-    return v;
-}
+using byteio::putU32;
 
 // Raw (uncompressed) mesh wire format for the "traditional w/o
 // compression" row of Table 2: header + positions + indices.
@@ -46,19 +32,19 @@ std::vector<std::uint8_t> serializeRawMesh(const mesh::TriMesh& m) {
 }
 
 bool deserializeRawMesh(std::span<const std::uint8_t> data, mesh::TriMesh& out) {
-    std::size_t pos = 0;
-    if (data.size() < 8) return false;
-    const std::uint32_t nv = getU32(data, pos);
-    const std::uint32_t nt = getU32(data, pos);
+    byteio::Reader r{data};
+    const std::uint32_t nv = r.u32();
+    const std::uint32_t nt = r.u32();
     const std::size_t need =
         8 + static_cast<std::size_t>(nv) * sizeof(geom::Vec3f) +
         static_cast<std::size_t>(nt) * sizeof(mesh::Triangle);
-    if (data.size() != need) return false;
+    if (r.fail || data.size() != need) return false;
     out.vertices.resize(nv);
-    std::memcpy(out.vertices.data(), data.data() + pos, nv * sizeof(geom::Vec3f));
-    pos += nv * sizeof(geom::Vec3f);
+    std::memcpy(out.vertices.data(), r.bytes(nv * sizeof(geom::Vec3f)).data(),
+                nv * sizeof(geom::Vec3f));
     out.triangles.resize(nt);
-    std::memcpy(out.triangles.data(), data.data() + pos, nt * sizeof(mesh::Triangle));
+    std::memcpy(out.triangles.data(), r.bytes(nt * sizeof(mesh::Triangle)).data(),
+                nt * sizeof(mesh::Triangle));
     for (const mesh::Triangle& t : out.triangles)
         if (t.a >= nv || t.b >= nv || t.c >= nv) return false;
     return true;
@@ -105,7 +91,6 @@ public:
     EncodedFrame encode(const FrameContext& frame) override {
         EncodedFrame out;
         out.frameId = frame.pose.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
         mesh::TriMesh m = frame.groundTruth();
         if (!options_.withColors) m.colors.clear();
         if (options_.compress) {
@@ -115,14 +100,12 @@ public:
         } else {
             out.data = serializeRawMesh(m);
         }
-        out.measuredExtractMs = msSince(t0);
         return out;
     }
 
     DecodedFrame decode(const EncodedFrame& encoded) override {
         DecodedFrame out;
         out.frameId = encoded.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
         if (options_.compress) {
             auto m = compress::decodeMesh(encoded.data);
             if (m) {
@@ -133,7 +116,6 @@ public:
             out.valid = deserializeRawMesh(encoded.data, out.mesh);
             if (out.valid) out.mesh.computeVertexNormals();
         }
-        out.measuredReconMs = msSince(t0);
         return out;
     }
 
@@ -151,10 +133,8 @@ public:
     EncodedFrame encode(const FrameContext& frame) override {
         EncodedFrame out;
         out.frameId = frame.pose.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
         out.data = encodePosePayload(frame.pose, options_.compressPayload,
                                      options_.codec);
-        out.measuredExtractMs = msSince(t0);
         out.simulatedExtractMs = options_.simulatedDetectMs;
         return out;
     }
@@ -162,10 +142,8 @@ public:
     DecodedFrame decode(const EncodedFrame& encoded) override {
         DecodedFrame out;
         out.frameId = encoded.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
         const auto pose = decodePosePayload(encoded.data, options_.compressPayload);
         if (pose) out.valid = reconstructInto(*pose, options_.reconResolution, out);
-        out.measuredReconMs = msSince(t0);
         return out;
     }
 
@@ -182,7 +160,6 @@ public:
     EncodedFrame encode(const FrameContext& frame) override {
         EncodedFrame out;
         out.frameId = frame.pose.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
         const auto packet = encoder_.encode(frame.pose);
         // Wire: frameId | flags | mask | payload.
         putU32(out.data, packet.frameId);
@@ -190,7 +167,6 @@ public:
         out.data.push_back(packet.globalPresent ? 1 : 0);
         putU32(out.data, packet.channelMask);
         out.data.insert(out.data.end(), packet.payload.begin(), packet.payload.end());
-        out.measuredExtractMs = msSince(t0);
         out.simulatedExtractMs = textsem::captionCostMs(packet.cellsEncoded());
         return out;
     }
@@ -198,22 +174,20 @@ public:
     DecodedFrame decode(const EncodedFrame& encoded) override {
         DecodedFrame out;
         out.frameId = encoded.frameId;
-        if (encoded.data.size() < 10) return out;
-        const auto t0 = std::chrono::steady_clock::now();
-        std::size_t pos = 0;
+        byteio::Reader r{encoded.data};
         textsem::DeltaPacket packet;
-        packet.frameId = getU32(encoded.data, pos);
-        packet.keyframe = encoded.data[pos++] != 0;
-        packet.globalPresent = encoded.data[pos++] != 0;
-        packet.channelMask = getU32(encoded.data, pos);
-        packet.payload.assign(encoded.data.begin() + static_cast<std::ptrdiff_t>(pos),
-                              encoded.data.end());
+        packet.frameId = r.u32();
+        packet.keyframe = r.u8() != 0;
+        packet.globalPresent = r.u8() != 0;
+        packet.channelMask = r.u32();
+        if (r.fail) return out;
+        const auto payload = r.bytes(encoded.data.size() - r.pos);
+        packet.payload.assign(payload.begin(), payload.end());
         const auto pose = decoder_.decode(packet);
         if (pose) {
             out.valid = !options_.reconstructMesh ||
                         reconstructInto(*pose, options_.reconResolution, out);
         }
-        out.measuredReconMs = msSince(t0);
         out.simulatedReconMs = textsem::reconCostMs(packet.cellsEncoded());
         return out;
     }
@@ -238,7 +212,6 @@ public:
     EncodedFrame encode(const FrameContext& frame) override {
         EncodedFrame out;
         out.frameId = frame.pose.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
 
         // Foveal region: full-quality mesh around the viewer's gaze.
         // During a saccade, saccadic omission applies: vision is
@@ -273,50 +246,38 @@ public:
         putU32(out.data, static_cast<std::uint32_t>(fovealBytes.size()));
         out.data.insert(out.data.end(), fovealBytes.begin(), fovealBytes.end());
         out.data.insert(out.data.end(), poseBytes.begin(), poseBytes.end());
-        out.measuredExtractMs = msSince(t0);
         return out;
     }
 
+    // Pose + peripheral reconstruction, then the foveal graft; invalid
+    // when any section fails to decode.
     DecodedFrame decode(const EncodedFrame& encoded) override {
         DecodedFrame out;
         out.frameId = encoded.frameId;
-        if (encoded.data.size() < 4) return out;
-        const auto t0 = std::chrono::steady_clock::now();
-        out.valid = decodeInto(encoded.data, out);
-        // Charged whether or not decoding succeeded: a frame that fails
-        // late (e.g. a corrupt foveal section) has already paid for the
-        // peripheral reconstruction.
-        out.measuredReconMs = msSince(t0);
-        return out;
-    }
-
-private:
-    // Pose + peripheral reconstruction + foveal graft into 'out'; false
-    // when any section fails to decode.
-    bool decodeInto(std::span<const std::uint8_t> data, DecodedFrame& out) const {
-        std::size_t pos = 0;
-        const std::uint32_t fovealLen = getU32(data, pos);
-        if (pos + fovealLen > data.size()) return false;
-        const std::span<const std::uint8_t> fovealSpan(data.data() + pos, fovealLen);
-        const std::span<const std::uint8_t> poseSpan(data.data() + pos + fovealLen,
-                                                     data.size() - pos - fovealLen);
+        byteio::Reader r{encoded.data};
+        const std::uint32_t fovealLen = r.u32();
+        const std::span<const std::uint8_t> fovealSpan = r.bytes(fovealLen);
+        if (r.fail) return out;
+        const auto poseSpan = r.bytes(encoded.data.size() - r.pos);
 
         const auto pose = decodePosePayload(poseSpan, options_.compress);
         // Peripheral reconstruction at reduced resolution (the paper's
         // "keypoints for only peripheral regions").
         if (!pose || !reconstructInto(*pose, options_.peripheralResolution, out))
-            return false;
+            return out;
 
         // Graft the full-quality foveal mesh (seam blending is the open
         // challenge the paper notes; we overlay).
         if (fovealLen > 0) {
             auto foveal = compress::decodeMesh(fovealSpan);
-            if (!foveal) return false;
+            if (!foveal) return out;
             out.mesh.append(*foveal);
         }
-        return true;
+        out.valid = true;
+        return out;
     }
 
+private:
     FoveatedOptions options_;
 };
 

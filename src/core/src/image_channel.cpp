@@ -2,32 +2,17 @@
 // views; the receiver maintains a slimmable NeRF — pre-trained on the
 // first frame (cold start) and fine-tuned per frame on the changed
 // pixels — and renders the remote participant from a novel viewpoint.
-#include <chrono>
-
 #include "semholo/capture/rasterizer.hpp"
 #include "semholo/compress/texturecodec.hpp"
 #include "semholo/core/channel.hpp"
+#include "semholo/geometry/byteio.hpp"
 #include "semholo/nerf/trainer.hpp"
 
 namespace semholo::core {
 
 namespace {
 
-double msSince(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
-
-void putU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t getU32(std::span<const std::uint8_t> in, std::size_t& pos) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[pos++]) << (8 * i);
-    return v;
-}
+using byteio::putU32;
 
 class ImageChannel final : public SemanticChannel {
 public:
@@ -41,7 +26,6 @@ public:
     EncodedFrame encode(const FrameContext& frame) override {
         EncodedFrame out;
         out.frameId = frame.pose.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
         const mesh::TriMesh gt = frame.groundTruth();
         putU32(out.data, static_cast<std::uint32_t>(cameras_.size()));
         for (const auto& cam : cameras_) {
@@ -50,27 +34,20 @@ public:
             putU32(out.data, static_cast<std::uint32_t>(blocks.size()));
             out.data.insert(out.data.end(), blocks.begin(), blocks.end());
         }
-        out.measuredExtractMs = msSince(t0);
         return out;
     }
 
     DecodedFrame decode(const EncodedFrame& encoded) override {
         DecodedFrame out;
         out.frameId = encoded.frameId;
-        if (encoded.data.size() < 4) return out;
-        const auto t0 = std::chrono::steady_clock::now();
-
-        std::size_t pos = 0;
-        const std::uint32_t count = getU32(encoded.data, pos);
-        if (count != cameras_.size()) return out;
+        byteio::Reader r{encoded.data};
+        const std::uint32_t count = r.u32();
+        if (r.fail || count != cameras_.size()) return out;
         std::vector<nerf::TrainView> views;
         for (std::uint32_t v = 0; v < count; ++v) {
-            if (pos + 4 > encoded.data.size()) return out;
-            const std::uint32_t len = getU32(encoded.data, pos);
-            if (pos + len > encoded.data.size()) return out;
-            const auto colors = compress::decodeColorBlocks(
-                std::span(encoded.data).subspan(pos, len));
-            pos += len;
+            const auto block = r.bytes(r.u32());
+            if (r.fail) return out;
+            const auto colors = compress::decodeColorBlocks(block);
             if (!colors ||
                 colors->size() != static_cast<std::size_t>(options_.imageWidth) *
                                       static_cast<std::size_t>(options_.imageHeight))
@@ -94,7 +71,6 @@ public:
         const geom::Camera novel = ringCamera(0.5f);
         out.view = nerf::renderImage(field_, novel, tcfg.render);
         out.valid = true;
-        out.measuredReconMs = msSince(t0);
         return out;
     }
 

@@ -111,6 +111,12 @@ struct TickFrame {
     mesh::TriMesh decodedMesh;  // written by D, read by Q (sampled ticks)
 };
 
+double msSince(std::chrono::steady_clock::time_point start) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
 // One frame's Chamfer evaluation vs the LBS ground truth. Deterministic
 // given its inputs, so every schedule produces identical quality numbers.
 void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
@@ -119,9 +125,7 @@ void evaluateQuality(FrameStats& frame, const body::BodyModel& model,
     const auto t0 = std::chrono::steady_clock::now();
     const mesh::TriMesh gt = model.deform(pose);
     frame.chamfer = mesh::compareMeshes(gt, decodedMesh, samples).chamfer;
-    frame.qualityMs = std::chrono::duration<double, std::milli>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
+    frame.qualityMs = msSince(t0);
 }
 
 // Per-user state that persists across ticks: the motion source, the
@@ -259,6 +263,13 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
     // ---- Stage bodies ------------------------------------------------------
     // Every body reaches the engine's resources by reference; the graph
     // edges built below are what make that shared state race-free.
+    //
+    // The encode and decode bodies time the whole channel call: a frame's
+    // extractMs / reconMs is that wall time plus the channel's simulated
+    // cost. The stage clocks charge both under TimingModel::Measured and
+    // the simulated cost alone under Simulated, so wall time never moves
+    // a deterministic schedule.
+    const bool measured = base.timing == TimingModel::Measured;
     const std::size_t depth = std::max<std::size_t>(1, conf.pipelineDepth);
     std::vector<std::vector<TickFrame>> ring(depth,
                                              std::vector<TickFrame>(users));
@@ -309,11 +320,13 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
                             : us.targetRateBps;
         if (est > 0.0)
             ctx.estimatedBandwidthBps = est * us.degrade.bandwidthScale();
+        const auto t0 = std::chrono::steady_clock::now();
         p.encoded = channels[u]->encode(ctx);
+        frame.extractMs = msSince(t0) + p.encoded.simulatedExtractMs;
         p.pose = std::move(ctx.pose);
         frame.bytes = p.encoded.bytes();
-        frame.extractMs = p.encoded.extractMs();
-        const double stageMs = clockExtractMs(p.encoded, base.timing);
+        const double stageMs = measured ? frame.extractMs
+                                        : p.encoded.simulatedExtractMs;
         p.sendTime = std::max(captureTime, us.extractorFreeAt) + stageMs / 1000.0;
         us.extractorFreeAt = p.sendTime;
         return stageMs;
@@ -423,12 +436,13 @@ MultiSessionStats runEngine(const ConferenceConfig& conf,
             if (base.dropWhenBusy && us.reconFreeAt > arrival) {
                 frame.droppedAtReceiver = true;
             } else {
+                const auto t0 = std::chrono::steady_clock::now();
                 DecodedFrame decoded = channels[u]->decode(p.encoded);
+                frame.reconMs = msSince(t0) + decoded.simulatedReconMs;
                 frame.decoded = decoded.valid;
-                frame.reconMs = decoded.reconMs();
                 if (decoded.valid)
                     out.perUser[u].telemetry.counters.recon += decoded.recon;
-                stageMs = clockReconMs(decoded, base.timing);
+                stageMs = measured ? frame.reconMs : decoded.simulatedReconMs;
                 const double renderTime =
                     std::max(arrival, us.reconFreeAt) + stageMs / 1000.0;
                 us.reconFreeAt = renderTime;

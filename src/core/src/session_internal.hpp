@@ -1,23 +1,11 @@
-// Internals of the session engine: pipeline clock helpers, stat
-// aggregation, and the engine's one entry point. Not installed.
+// Internals of the session engine: stat aggregation and the engine's one
+// entry point. Not installed.
 #pragma once
 
 #include "semholo/core/conference.hpp"
 #include "semholo/core/session.hpp"
 
 namespace semholo::core::internal {
-
-// Stage cost that advances the availability clocks (extractor/recon
-// busy-until, link send times) under the configured timing model.
-inline double clockExtractMs(const EncodedFrame& encoded, TimingModel timing) {
-    return timing == TimingModel::Measured ? encoded.extractMs()
-                                           : encoded.simulatedExtractMs;
-}
-
-inline double clockReconMs(const DecodedFrame& decoded, TimingModel timing) {
-    return timing == TimingModel::Measured ? decoded.reconMs()
-                                           : decoded.simulatedReconMs;
-}
 
 // Record stats.frames into the per-stage telemetry histograms and frame
 // counters, then derive the figures telemetry cannot express

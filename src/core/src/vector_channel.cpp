@@ -3,21 +3,15 @@
 // Gram matrix of F training frames is eigendecomposed (Jacobi) and the
 // leading K components form the encoder/decoder basis shared by both
 // ends of the session.
-#include <chrono>
 #include <cmath>
 
 #include "semholo/core/channel.hpp"
+#include "semholo/geometry/byteio.hpp"
 #include "semholo/geometry/eigen.hpp"
 
 namespace semholo::core {
 
 namespace {
-
-double msSince(std::chrono::steady_clock::time_point start) {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start)
-        .count();
-}
 
 class VectorChannel final : public SemanticChannel {
 public:
@@ -31,19 +25,13 @@ public:
     EncodedFrame encode(const FrameContext& frame) override {
         EncodedFrame out;
         out.frameId = frame.pose.frameId;
-        const auto t0 = std::chrono::steady_clock::now();
         const mesh::TriMesh gt = frame.groundTruth();
-        if (gt.vertexCount() != vertexCount_) {
-            out.measuredExtractMs = msSince(t0);
+        if (gt.vertexCount() != vertexCount_)
             return out;  // wrong subject; empty payload signals failure
-        }
 
         // Project the centred mesh onto the basis.
         out.data.reserve(4 + basisCount_ * 2);
-        out.data.push_back(static_cast<std::uint8_t>(out.frameId));
-        out.data.push_back(static_cast<std::uint8_t>(out.frameId >> 8));
-        out.data.push_back(static_cast<std::uint8_t>(out.frameId >> 16));
-        out.data.push_back(static_cast<std::uint8_t>(out.frameId >> 24));
+        byteio::putU32(out.data, out.frameId);
         for (std::size_t k = 0; k < basisCount_; ++k) {
             double c = 0.0;
             const double* u = &basis_[k * dim_];
@@ -57,10 +45,8 @@ public:
             const double scale = coeffScale_[k];
             const auto q = static_cast<std::int16_t>(geom::clamp(
                 c / scale * 32767.0, -32767.0, 32767.0));
-            out.data.push_back(static_cast<std::uint8_t>(q & 0xFF));
-            out.data.push_back(static_cast<std::uint8_t>((q >> 8) & 0xFF));
+            byteio::putU16(out.data, static_cast<std::uint16_t>(q));
         }
-        out.measuredExtractMs = msSince(t0);
         return out;
     }
 
@@ -68,15 +54,12 @@ public:
         DecodedFrame out;
         out.frameId = encoded.frameId;
         if (encoded.data.size() != 4 + basisCount_ * 2) return out;
-        const auto t0 = std::chrono::steady_clock::now();
 
+        byteio::Reader r{encoded.data};
+        r.u32();  // frame id
         std::vector<double> coeffs(basisCount_);
         for (std::size_t k = 0; k < basisCount_; ++k) {
-            const auto lo = encoded.data[4 + 2 * k];
-            const auto hi = encoded.data[4 + 2 * k + 1];
-            const auto q = static_cast<std::int16_t>(
-                static_cast<std::uint16_t>(lo) |
-                (static_cast<std::uint16_t>(hi) << 8));
+            const auto q = static_cast<std::int16_t>(r.u16());
             coeffs[k] = static_cast<double>(q) / 32767.0 * coeffScale_[k];
         }
 
@@ -95,7 +78,6 @@ public:
         out.mesh.triangles = model_.templateMesh().triangles;
         out.mesh.computeVertexNormals();
         out.valid = true;
-        out.measuredReconMs = msSince(t0);
         return out;
     }
 

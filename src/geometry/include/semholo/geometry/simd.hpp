@@ -2,11 +2,12 @@
 // blocks, codec filters).
 //
 // The types here are deliberately NOT intrinsics wrappers: f32xN is a
-// fixed-width lane vector backed by the GCC/Clang vector extension
-// (__attribute__((vector_size))), whose operators lower directly to the
-// ISA the translation unit is compiled for — no reliance on the
-// auto-vectorizer keeping lane arrays in registers. A plain lane-array
-// fallback (countable loops) covers compilers without the extension.
+// fixed-width lane vector (4 or 8 lanes) backed by the GCC/Clang vector
+// extension (__attribute__((vector_size))), whose operators lower
+// directly to the ISA the translation unit is compiled for — no reliance
+// on the auto-vectorizer keeping lane arrays in registers. The build
+// already requires GCC or Clang (GNU flags, __builtin_cpu_supports), so
+// there is no fallback for other compilers.
 // Kernels are written once against f32xN and compiled twice — a baseline
 // TU (SSE2 on x86-64, NEON on aarch64, plain scalar elsewhere) and, on
 // x86, an AVX2 TU — with a one-time runtime dispatch picking the widest
@@ -73,11 +74,9 @@ inline Backend baselineBackend() noexcept {
 
 // ---- f32xN / b32xN -------------------------------------------------------
 
-#if defined(__GNUC__) || defined(__clang__)
-#define SEMHOLO_SIMD_VECEXT 1
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "semholo/geometry/simd.hpp needs the GCC/Clang vector extension"
 #endif
-
-#if SEMHOLO_SIMD_VECEXT
 
 // Vector values only cross the (always-inlined) helper boundaries
 // below, never a real ABI boundary, so the "vector return without
@@ -102,14 +101,6 @@ struct VecStorage<8> {
     typedef float F __attribute__((vector_size(32)));
     typedef std::int32_t I __attribute__((vector_size(32)));
     static F splat(float v) { return F{v, v, v, v, v, v, v, v}; }
-};
-template <>
-struct VecStorage<16> {
-    typedef float F __attribute__((vector_size(64)));
-    typedef std::int32_t I __attribute__((vector_size(64)));
-    static F splat(float v) {
-        return F{v, v, v, v, v, v, v, v, v, v, v, v, v, v, v, v};
-    }
 };
 
 // Width-agnostic float lanes on the GNU vector extension: 'lane' is a
@@ -205,142 +196,6 @@ inline f32xN<N> select(b32xN<N> mask, f32xN<N> a, f32xN<N> b) {
 }
 
 #pragma GCC diagnostic pop
-
-#else  // !SEMHOLO_SIMD_VECEXT — portable lane-array fallback
-
-// Width-agnostic float lanes. All member loops have a compile-time trip
-// count so the auto-vectorizer turns each into one (or, below the ISA
-// width, a few) vector ops once the enclosing kernel is inlined.
-template <int N>
-struct f32xN {
-    static_assert(N > 0 && (N & (N - 1)) == 0, "lane count must be a power of two");
-    float lane[N];
-
-    static f32xN load(const float* p) {
-        f32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = p[i];
-        return r;
-    }
-    static f32xN broadcast(float v) {
-        f32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = v;
-        return r;
-    }
-    void store(float* p) const {
-        for (int i = 0; i < N; ++i) p[i] = lane[i];
-    }
-
-    f32xN operator+(f32xN o) const {
-        f32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = lane[i] + o.lane[i];
-        return r;
-    }
-    f32xN operator-(f32xN o) const {
-        f32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = lane[i] - o.lane[i];
-        return r;
-    }
-    f32xN operator*(f32xN o) const {
-        f32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = lane[i] * o.lane[i];
-        return r;
-    }
-    f32xN operator/(f32xN o) const {
-        f32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = lane[i] / o.lane[i];
-        return r;
-    }
-};
-
-// Lane-wise boolean mask companion (all-ones / all-zero int lanes).
-template <int N>
-struct b32xN {
-    std::int32_t lane[N];
-
-    bool any() const {
-        std::int32_t acc = 0;
-        for (int i = 0; i < N; ++i) acc |= lane[i];
-        return acc != 0;
-    }
-    bool all() const {
-        std::int32_t acc = -1;
-        for (int i = 0; i < N; ++i) acc &= lane[i];
-        return acc == -1;
-    }
-    int count() const {
-        int c = 0;
-        for (int i = 0; i < N; ++i) c += lane[i] != 0 ? 1 : 0;
-        return c;
-    }
-    b32xN operator|(b32xN o) const {
-        b32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = lane[i] | o.lane[i];
-        return r;
-    }
-    b32xN operator&(b32xN o) const {
-        b32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = lane[i] & o.lane[i];
-        return r;
-    }
-    b32xN operator~() const {
-        b32xN r;
-        for (int i = 0; i < N; ++i) r.lane[i] = ~lane[i];
-        return r;
-    }
-};
-
-template <int N>
-inline f32xN<N> min(f32xN<N> a, f32xN<N> b) {
-    f32xN<N> r;
-    for (int i = 0; i < N; ++i) r.lane[i] = a.lane[i] < b.lane[i] ? a.lane[i] : b.lane[i];
-    return r;
-}
-template <int N>
-inline f32xN<N> max(f32xN<N> a, f32xN<N> b) {
-    f32xN<N> r;
-    for (int i = 0; i < N; ++i) r.lane[i] = a.lane[i] > b.lane[i] ? a.lane[i] : b.lane[i];
-    return r;
-}
-template <int N>
-inline f32xN<N> sqrt(f32xN<N> a) {
-    f32xN<N> r;
-    for (int i = 0; i < N; ++i) r.lane[i] = std::sqrt(a.lane[i]);
-    return r;
-}
-// clamp to [lo, hi] with the same comparison sequence as geom::clamp
-// (v < lo ? lo : (v > hi ? hi : v)).
-template <int N>
-inline f32xN<N> clamp(f32xN<N> v, f32xN<N> lo, f32xN<N> hi) {
-    f32xN<N> r;
-    for (int i = 0; i < N; ++i)
-        r.lane[i] = v.lane[i] < lo.lane[i]
-                        ? lo.lane[i]
-                        : (v.lane[i] > hi.lane[i] ? hi.lane[i] : v.lane[i]);
-    return r;
-}
-
-template <int N>
-inline b32xN<N> cmpLt(f32xN<N> a, f32xN<N> b) {
-    b32xN<N> r;
-    for (int i = 0; i < N; ++i) r.lane[i] = a.lane[i] < b.lane[i] ? -1 : 0;
-    return r;
-}
-template <int N>
-inline b32xN<N> cmpGt(f32xN<N> a, f32xN<N> b) {
-    b32xN<N> r;
-    for (int i = 0; i < N; ++i) r.lane[i] = a.lane[i] > b.lane[i] ? -1 : 0;
-    return r;
-}
-
-// Lane blend: mask ? a : b.
-template <int N>
-inline f32xN<N> select(b32xN<N> mask, f32xN<N> a, f32xN<N> b) {
-    f32xN<N> r;
-    for (int i = 0; i < N; ++i) r.lane[i] = mask.lane[i] != 0 ? a.lane[i] : b.lane[i];
-    return r;
-}
-
-#endif  // SEMHOLO_SIMD_VECEXT
 
 // ---- Bit-matrix transpose (codec bitshuffle kernel) ----------------------
 

@@ -85,7 +85,6 @@ TEST(KeypointChannel, DecodeReconstructsBody) {
     // Close to the ground-truth capture mesh.
     const auto err = mesh::compareMeshes(ctx.groundTruth(), decoded.mesh, 5000);
     EXPECT_LT(err.chamfer, 0.05);
-    EXPECT_GT(decoded.reconMs(), 0.0);
 }
 
 TEST(KeypointChannel, CorruptPayloadInvalid) {
@@ -176,7 +175,9 @@ TEST(FoveatedChannel, DecodeCombinesFovealAndPeripheral) {
 TEST(FoveatedChannel, CorruptFovealSectionStillChargesReconTime) {
     // The foveal mesh is decoded after the peripheral reconstruction, so
     // a corrupt foveal section fails a frame whose reconstruction
-    // already ran: the decode must still charge that time.
+    // already ran. The engine times the whole decode call, invalid or
+    // not (Session.EngineTimesInvalidDecodes); here the reconstruction
+    // must show that it ran.
     FoveatedOptions opt;
     opt.peripheralResolution = 28;
     auto channel = makeFoveatedChannel(opt);
@@ -186,7 +187,6 @@ TEST(FoveatedChannel, CorruptFovealSectionStillChargesReconTime) {
     for (std::size_t i = 4; i < 8; ++i) encoded.data[i] = ~encoded.data[i];
     const auto decoded = channel->decode(encoded);
     EXPECT_FALSE(decoded.valid);
-    EXPECT_GT(decoded.measuredReconMs, 0.0);
     EXPECT_GT(decoded.recon.nodesEvaluated, 0u);
 }
 

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "semholo/core/qoe.hpp"
@@ -142,7 +146,8 @@ TEST(Session, AchievableFpsAveragesDecodedFramesOnly) {
     // achievableFps is 1000 / mean(max(extract, recon)) over the decoded
     // frames. Frames lost on the link never reconstructed, so their
     // extract-only cost must not enter the mean: with a 5 ms simulated
-    // reconstruction every decoded frame costs 5 ms, whatever the loss.
+    // reconstruction every decoded frame costs 5 ms plus the wall time the
+    // engine measured, whatever the loss.
     auto channel = makeSyntheticChannel({.payloadBytes = 20000,
                                          .simulatedExtractMs = 2,
                                          .simulatedReconMs = 5,
@@ -158,7 +163,11 @@ TEST(Session, AchievableFpsAveragesDecodedFramesOnly) {
     ASSERT_GT(counters.framesDecoded, 0u);
     ASSERT_LT(counters.framesDecoded, 300u);
     EXPECT_EQ(counters.framesDecoded, 137u);
-    EXPECT_DOUBLE_EQ(stats.achievableFps, 200.0);
+    double decodedStageMs = 0.0;
+    for (const FrameStats& f : stats.frames)
+        if (f.decoded) decodedStageMs += std::max(f.extractMs, f.reconMs);
+    EXPECT_DOUBLE_EQ(stats.achievableFps, 1000.0 * 137.0 / decodedStageMs);
+    EXPECT_LE(stats.achievableFps, 200.0);
 }
 
 TEST(Session, QueueingModeProcessesEveryFrame) {
@@ -219,6 +228,95 @@ TEST(Session, ZeroFrameSessionReportsNoData) {
     EXPECT_TRUE(std::isnan(stats.telemetry.e2eMs.mean()));
     EXPECT_TRUE(std::isnan(stats.achievableFps));
     EXPECT_TRUE(std::isnan(stats.meanChamfer));
+}
+
+// ---- Stage timing: the engine times every channel call ---------------------
+
+// 2 ms simulated extraction and 3 ms simulated reconstruction.
+const SyntheticChannelOptions kWaitingCosts{.payloadBytes = 2000,
+                                            .simulatedExtractMs = 2,
+                                            .simulatedReconMs = 3,
+                                            .rateAdaptive = false};
+
+// Waits 'wait' of wall time in every encode and decode, around a synthetic
+// channel with kWaitingCosts. With 'decodeValid' false, decode returns an
+// invalid frame with no simulated cost, as a channel does on a corrupt
+// payload.
+class WaitingChannel final : public SemanticChannel {
+public:
+    explicit WaitingChannel(std::chrono::milliseconds wait, bool decodeValid = true)
+        : wait_(wait), decodeValid_(decodeValid) {}
+
+    std::string name() const override { return "waiting"; }
+    EncodedFrame encode(const FrameContext& frame) override {
+        std::this_thread::sleep_for(wait_);
+        return inner_->encode(frame);
+    }
+    DecodedFrame decode(const EncodedFrame& encoded) override {
+        std::this_thread::sleep_for(wait_);
+        if (!decodeValid_) return {};
+        return inner_->decode(encoded);
+    }
+    void reset() override { inner_->reset(); }
+
+private:
+    std::chrono::milliseconds wait_;
+    bool decodeValid_;
+    std::unique_ptr<SemanticChannel> inner_ = makeSyntheticChannel(kWaitingCosts);
+};
+
+constexpr std::chrono::milliseconds kWait{5};
+
+TEST(Session, EngineTimesWholeChannelCalls) {
+    // A frame's extractMs / reconMs is the engine's wall time of the whole
+    // channel call plus the simulated cost, under either timing model.
+    // Lower bounds only: a loaded host can only add wall time.
+    for (const TimingModel timing : {TimingModel::Measured, TimingModel::Simulated}) {
+        SCOPED_TRACE(timing == TimingModel::Measured ? "measured" : "simulated");
+        WaitingChannel channel(kWait);
+        SessionConfig cfg = fastConfig(6);
+        cfg.timing = timing;
+        const auto stats = runSession(channel, sharedModel(), cfg);
+        ASSERT_EQ(stats.frames.size(), 6u);
+        for (const FrameStats& f : stats.frames) {
+            ASSERT_TRUE(f.decoded);
+            EXPECT_GE(f.extractMs, 7.0);
+            EXPECT_GE(f.reconMs, 8.0);
+        }
+    }
+}
+
+TEST(Session, EngineTimesInvalidDecodes) {
+    // A decode that fails still spent its time: the frame is charged it.
+    WaitingChannel channel(kWait, /*decodeValid=*/false);
+    const auto stats = runSession(channel, sharedModel(), fastConfig(4));
+    ASSERT_EQ(stats.frames.size(), 4u);
+    for (const FrameStats& f : stats.frames) {
+        ASSERT_TRUE(f.delivered);
+        EXPECT_FALSE(f.decoded);
+        EXPECT_GE(f.reconMs, 5.0);
+    }
+}
+
+TEST(Session, SimulatedScheduleIgnoresWallTime) {
+    // Under TimingModel::Simulated wall time is reported, never charged: a
+    // channel that waits 5 ms per call runs the schedule of one that does
+    // not wait.
+    SessionConfig cfg = fastConfig(6);
+    cfg.timing = TimingModel::Simulated;
+    WaitingChannel waiting(kWait);
+    WaitingChannel instant(std::chrono::milliseconds{0});
+    const auto slow = runSession(waiting, sharedModel(), cfg);
+    const auto fast = runSession(instant, sharedModel(), cfg);
+    ASSERT_EQ(slow.frames.size(), 6u);
+    ASSERT_EQ(fast.frames.size(), 6u);
+    for (std::size_t i = 0; i < slow.frames.size(); ++i) {
+        SCOPED_TRACE("frame " + std::to_string(i));
+        EXPECT_EQ(slow.frames[i].bytes, fast.frames[i].bytes);
+        EXPECT_EQ(slow.frames[i].delivered, fast.frames[i].delivered);
+        EXPECT_EQ(slow.frames[i].transferMs, fast.frames[i].transferMs);
+        EXPECT_EQ(slow.frames[i].e2eMs, fast.frames[i].e2eMs);
+    }
 }
 
 // ---- Pinned output of the single-user engine -------------------------------
